@@ -12,11 +12,11 @@
 //! against the traditional ask-the-server validation.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use bytes::Bytes;
 use dc_fabric::{Cluster, NodeId, RegionId, RemoteAddr};
+use dc_sim::fxhash::FxHashMap;
 
 /// Identifier of a dependency (e.g. a table) within one [`DependencyTable`].
 pub type DepId = u16;
@@ -104,7 +104,7 @@ struct Entry {
 pub struct ActiveCache {
     table: DependencyTable,
     node: NodeId,
-    entries: RefCell<HashMap<u64, Entry>>,
+    entries: RefCell<FxHashMap<u64, Entry>>,
     hits: Cell<u64>,
     stale: Cell<u64>,
     misses: Cell<u64>,
@@ -116,7 +116,7 @@ impl ActiveCache {
         Rc::new(ActiveCache {
             table,
             node,
-            entries: RefCell::new(HashMap::new()),
+            entries: RefCell::default(),
             hits: Cell::new(0),
             stale: Cell::new(0),
             misses: Cell::new(0),

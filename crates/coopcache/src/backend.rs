@@ -12,7 +12,7 @@ use std::rc::Rc;
 use bytes::Bytes;
 use dc_fabric::{Cluster, NodeId, Transport};
 use dc_svc::{
-    parse_request, respond, Cost, Dispatcher, Mode, Service, ServiceSpec, Subsys, SvcClient,
+    parse_request, respond_bytes, Cost, Dispatcher, Mode, Service, ServiceSpec, Subsys, SvcClient,
 };
 use dc_workloads::FileSet;
 
@@ -79,8 +79,10 @@ impl Backend {
                 let cpu_ns = cfg.cpu_base_ns + (size as u64 * cfg.cpu_per_kb_ns).div_ceil(1024);
                 ctx.cluster.cpu(node).execute(cpu_ns).await;
                 ctx.cluster.sim().sleep(cfg.io_ns).await;
-                let content = fs.content(doc, size);
-                respond(&ctx.cluster, node, &req, &content, Transport::Tcp).await;
+                // The document's window of the shared pattern is the
+                // response buffer: nothing is generated or copied here.
+                let content = Bytes::from_static(fs.content(doc, size));
+                respond_bytes(&ctx.cluster, node, &req, content, Transport::Tcp).await;
             }
         });
         Service::spawn(cluster, spec, dispatcher);

@@ -5,9 +5,10 @@
 //! remote proxies can fetch them with one-sided RDMA. Placement reuses the
 //! DDSS free-list allocator.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use dc_ddss::alloc::FreeListAllocator;
+use dc_sim::fxhash::FxHashMap;
 
 /// Document identifier within one working set.
 pub type DocId = u32;
@@ -24,7 +25,7 @@ pub type Evicted = (DocId, usize, usize);
 
 /// LRU bookkeeping for a cache region of fixed byte capacity.
 pub struct LruStore {
-    map: HashMap<DocId, Entry>,
+    map: FxHashMap<DocId, Entry>,
     order: BTreeMap<u64, DocId>,
     alloc: FreeListAllocator,
     next_seq: u64,
@@ -35,7 +36,7 @@ impl LruStore {
     /// A store managing `capacity` bytes.
     pub fn new(capacity: usize) -> LruStore {
         LruStore {
-            map: HashMap::new(),
+            map: FxHashMap::default(),
             order: BTreeMap::new(),
             alloc: FreeListAllocator::new(capacity),
             next_seq: 0,

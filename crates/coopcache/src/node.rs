@@ -9,11 +9,11 @@
 //! loudly into the backend path rather than serve wrong bytes.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use bytes::Bytes;
 use dc_fabric::{Cluster, NodeId, RegionId, RemoteAddr, Transport};
+use dc_sim::fxhash::FxHashMap;
 use dc_sim::sync::Notify;
 use dc_svc::{
     parse_request, respond, Cost, Dispatcher, Mode, Service, ServiceSpec, Subsys, SvcClient,
@@ -58,7 +58,7 @@ struct Inner {
     data_region: RegionId,
     index_region: RegionId,
     store: RefCell<LruStore>,
-    inflight: RefCell<HashMap<DocId, Notify>>,
+    inflight: RefCell<FxHashMap<DocId, Notify>>,
     directory: Directory,
     backend: Backend,
     client: SvcClient,
@@ -93,7 +93,7 @@ impl CacheNode {
                 data_region,
                 index_region,
                 store: RefCell::new(LruStore::new(cfg.per_node_bytes)),
-                inflight: RefCell::new(HashMap::new()),
+                inflight: RefCell::default(),
                 directory,
                 backend,
                 client: SvcClient::new(cluster, node),
@@ -168,13 +168,15 @@ impl CacheNode {
             .inner
             .cluster
             .region(self.inner.node, self.inner.data_region);
-        let raw = region.read(offset + DOC_HDR, size);
+        // The one host copy a served document pays: out of the registered
+        // region, which later installs may overwrite.
+        let data = region.read_bytes(offset + DOC_HDR, size);
         self.inner
             .cluster
             .cpu(self.inner.node)
             .execute(self.copy_cost(size))
             .await;
-        Some(Bytes::from(raw))
+        Some(data)
     }
 
     /// Ensure `doc` is cached locally (fetching from the backend on a miss);
@@ -245,12 +247,13 @@ impl CacheNode {
                 dir.clear(me, v, me).await;
             });
         }
-        // Write header + content (a local memcpy).
-        let mut block = Vec::with_capacity(total);
-        block.extend_from_slice(&doc.to_le_bytes());
-        block.extend_from_slice(&(size as u32).to_le_bytes());
-        block.extend_from_slice(content);
-        region.write(offset, &block);
+        // Write header + content (a local memcpy), each straight into the
+        // region.
+        let mut hdr = [0u8; DOC_HDR];
+        hdr[..4].copy_from_slice(&doc.to_le_bytes());
+        hdr[4..].copy_from_slice(&(size as u32).to_le_bytes());
+        region.write(offset, &hdr);
+        region.write(offset + DOC_HDR, content);
         self.inner
             .cluster
             .cpu(self.inner.node)
@@ -397,7 +400,7 @@ mod tests {
             let _ = off;
             assert_eq!(a.backend_fetches(), 1);
             let data = a.local_get(0, size).await.unwrap();
-            assert_eq!(&data[..], &expected[..]);
+            assert_eq!(&data[..], expected);
             // Second access: no new backend fetch.
             a.ensure_local(0, size).await.unwrap();
             assert_eq!(a.backend_fetches(), 1);
@@ -428,7 +431,7 @@ mod tests {
             b2.ensure_local(7, size).await.unwrap();
             a2.remote_get(&b2, 7, size).await.unwrap()
         });
-        assert_eq!(&got[..], &expected[..]);
+        assert_eq!(&got[..], expected);
         assert_eq!(b.backend_fetches(), 1);
     }
 
@@ -462,7 +465,7 @@ mod tests {
             assert!(b2.contains(9));
             a2.remote_get(&b2, 9, size).await.unwrap()
         });
-        assert_eq!(&got[..], &expected[..]);
+        assert_eq!(&got[..], expected);
         assert_eq!(b.backend_fetches(), 1);
         assert_eq!(a.backend_fetches(), 0);
     }
@@ -503,7 +506,7 @@ mod tests {
             a.ensure_local(3, size).await.unwrap();
             a.local_get(3, size).await.unwrap()
         });
-        assert_eq!(&got[..], &expected[..]);
+        assert_eq!(&got[..], expected);
     }
 
     #[test]

@@ -16,11 +16,11 @@
 //!   path (duplicated, zero-hop hot hits); larger documents take the MTACC
 //!   path (no duplication of expensive bytes).
 
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use bytes::Bytes;
 use dc_fabric::{Cluster, NodeId};
+use dc_sim::fxhash::FxHashMap;
 use dc_trace::{Counter, Subsys};
 use dc_workloads::FileSet;
 
@@ -72,7 +72,7 @@ impl CacheStats {
 struct Inner {
     cluster: Cluster,
     scheme: CacheScheme,
-    nodes: HashMap<NodeId, CacheNode>,
+    nodes: FxHashMap<NodeId, CacheNode>,
     proxies: Vec<NodeId>,
     owners: Vec<NodeId>,
     fileset: Rc<FileSet>,
@@ -108,7 +108,7 @@ impl CoopCache {
     ) -> CoopCache {
         assert!(!proxies.is_empty());
         let directory = Directory::new(cluster, directory_home, fileset.len());
-        let mut nodes = HashMap::new();
+        let mut nodes = FxHashMap::default();
         for &n in proxies.iter().chain(app_nodes) {
             nodes.insert(
                 n,
@@ -209,6 +209,12 @@ impl CoopCache {
         &self.inner.nodes[&n]
     }
 
+    /// The origin's copy of `doc`, for serves that end up uncached: the
+    /// document's window of the shared pattern, borrowed.
+    fn origin_content(&self, doc: DocId, size: usize) -> Bytes {
+        Bytes::from_static(self.inner.fileset.content(doc as usize, size))
+    }
+
     /// A cooperative fast path went stale mid-serve and degraded to a
     /// backend fetch: count it and leave a marker on the proxy's track.
     fn note_degrade(&self, proxy: NodeId, doc: DocId) {
@@ -280,7 +286,7 @@ impl CoopCache {
         let data = node
             .local_get(doc, size)
             .await
-            .unwrap_or_else(|| Bytes::from(self.inner.fileset.content(doc as usize, size)));
+            .unwrap_or_else(|| self.origin_content(doc, size));
         (data, ServeOutcome::BackendMiss)
     }
 
@@ -310,7 +316,7 @@ impl CoopCache {
         let data = node
             .local_get(doc, size)
             .await
-            .unwrap_or_else(|| Bytes::from(self.inner.fileset.content(doc as usize, size)));
+            .unwrap_or_else(|| self.origin_content(doc, size));
         (data, ServeOutcome::BackendMiss)
     }
 
@@ -335,15 +341,16 @@ impl CoopCache {
                             // fall back to a direct backend fetch without
                             // caching (no duplication).
                             self.note_degrade(proxy, doc);
-                            let data = owner_node.local_get(doc, size).await.unwrap_or_else(|| {
-                                Bytes::from(self.inner.fileset.content(doc as usize, size))
-                            });
+                            let data = owner_node
+                                .local_get(doc, size)
+                                .await
+                                .unwrap_or_else(|| self.origin_content(doc, size));
                             (data, ServeOutcome::BackendMiss)
                         }
                     },
                     None => {
                         // Uncacheable at the owner (too big): direct fetch.
-                        let data = Bytes::from(self.inner.fileset.content(doc as usize, size));
+                        let data = self.origin_content(doc, size);
                         (data, ServeOutcome::BackendMiss)
                     }
                 }
@@ -388,7 +395,6 @@ mod tests {
     }
 
     fn expected(doc: DocId, size: usize) -> Vec<u8> {
-        FileSet::uniform(1, size); // silence unused-constructor lint paths
         (0..size)
             .map(|off| FileSet::content_byte(doc as usize, off))
             .collect()

@@ -876,31 +876,25 @@ impl Cluster {
         data: Bytes,
         transport: Transport,
     ) -> Result<(), FabricError> {
-        self.try_send_ref(from, to, port, &data, transport).await
-    }
-
-    /// Payload-sharing body of [`Cluster::try_send`]: the buffer is cloned
-    /// only at the delivery point, so retry loops re-post the same payload
-    /// across attempts without a per-attempt clone.
-    async fn try_send_ref(
-        &self,
-        from: NodeId,
-        to: NodeId,
-        port: u16,
-        data: &Bytes,
-        transport: Transport,
-    ) -> Result<(), FabricError> {
-        self.try_send_imm_ref(from, to, port, data, 0, transport)
+        self.try_send_imm_ref(from, to, port, &data, 0, 0, transport)
             .await
     }
 
-    /// [`Cluster::try_send`] carrying immediate data: `imm` rides the
+    /// The one send body, carrying immediate data: `imm` rides the
     /// completion next to the payload, so protocol headers need no prepend
     /// copy and the caller's `Bytes` reaches the receiver's mailbox as the
-    /// same refcounted buffer. The delivered [`Message`] also carries the
+    /// same refcounted buffer — cloned only at the delivery point, so retry
+    /// loops re-post one payload across attempts. `hdr_len` is how many
+    /// header bytes `imm` stands for *on the wire*: a gather send of
+    /// `[header][payload]` is charged `hdr_len + data.len()` bytes of link
+    /// and stack time, exactly what the prepended frame cost. The classic
+    /// RPC framing passes its correlation header here; plain sends and the
+    /// eRPC lane — whose 64-bit header is the verb's own immediate word,
+    /// never payload — pass 0. The delivered [`Message`] also carries the
     /// ECN mark sampled from the sender's link queue (see
     /// [`Cluster::set_ecn_threshold`]). This is the zero-copy hot path of
     /// the dc-sockets eRPC lane.
+    #[allow(clippy::too_many_arguments)] // the message, its framing, its route
     pub async fn try_send_imm_ref(
         &self,
         from: NodeId,
@@ -908,11 +902,12 @@ impl Cluster {
         port: u16,
         data: &Bytes,
         imm: u64,
+        hdr_len: usize,
         transport: Transport,
     ) -> Result<(), FabricError> {
         let m = &self.inner.model;
         let sim = self.inner.sim.clone();
-        let len = data.len();
+        let len = hdr_len + data.len();
         let f = self.fault_factor();
         let t0 = self.inner.tracer.begin();
         if self.fault_down(from) {
@@ -1004,7 +999,8 @@ impl Cluster {
         data: Bytes,
         transport: Transport,
     ) -> Result<(), FabricError> {
-        self.send_reliable_with(from, to, port, data, transport, RetryPolicy::default())
+        let policy = RetryPolicy::default();
+        self.send_reliable_imm(from, to, port, &data, 0, 0, transport, policy)
             .await
     }
 
@@ -1018,9 +1014,31 @@ impl Cluster {
         transport: Transport,
         policy: RetryPolicy,
     ) -> Result<(), FabricError> {
+        self.send_reliable_imm(from, to, port, &data, 0, 0, transport, policy)
+            .await
+    }
+
+    /// Reliable gather send: [`Cluster::send_reliable_with`] over
+    /// [`Cluster::try_send_imm_ref`], so every retransmission re-posts the
+    /// same header word and the same payload buffer.
+    #[allow(clippy::too_many_arguments)] // try_send_imm_ref's, plus the budget
+    pub async fn send_reliable_imm(
+        &self,
+        from: NodeId,
+        to: NodeId,
+        port: u16,
+        data: &Bytes,
+        imm: u64,
+        hdr_len: usize,
+        transport: Transport,
+        policy: RetryPolicy,
+    ) -> Result<(), FabricError> {
         assert!(policy.max_attempts >= 1, "need at least one attempt");
         for attempt in 0..policy.max_attempts {
-            match self.try_send_ref(from, to, port, &data, transport).await {
+            match self
+                .try_send_imm_ref(from, to, port, data, imm, hdr_len, transport)
+                .await
+            {
                 Ok(()) => return Ok(()),
                 Err(e) if attempt + 1 >= policy.max_attempts => return Err(e),
                 Err(_) => {

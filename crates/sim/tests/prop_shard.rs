@@ -58,37 +58,35 @@ fn relay_logs(topo: &Topology, shards: usize) -> DeliveryLog {
         horizon_ns: topo.horizon,
         src_keys: topo.entities,
     };
-    let (outs, _stats) =
-        run_sharded::<(usize, u8), DeliveryLog, _>(&cfg, |shard, _sim, net| {
-            let logs: Rc<RefCell<DeliveryLog>> =
-                Rc::new(RefCell::new(vec![Vec::new(); topo.entities]));
-            let n = shards;
-            // Seed messages leave from their source entity's host shard so
-            // that entity's seq counter is bumped exactly once per send,
-            // regardless of the shard count.
-            for &(src, offset, dst, hops) in &topo.seeds {
-                if src % n == shard {
-                    net.send(dst % n, src as u32, offset, (dst, hops));
-                }
+    let (outs, _stats) = run_sharded::<(usize, u8), DeliveryLog, _>(&cfg, |shard, _sim, net| {
+        let logs: Rc<RefCell<DeliveryLog>> = Rc::new(RefCell::new(vec![Vec::new(); topo.entities]));
+        let n = shards;
+        // Seed messages leave from their source entity's host shard so
+        // that entity's seq counter is bumped exactly once per send,
+        // regardless of the shard count.
+        for &(src, offset, dst, hops) in &topo.seeds {
+            if src % n == shard {
+                net.send(dst % n, src as u32, offset, (dst, hops));
             }
-            let topo = topo.clone();
-            let dispatch = {
-                let logs = Rc::clone(&logs);
-                let net = net.clone();
-                Box::new(move |ts: u64, (dst, hops): (usize, u8)| {
-                    logs.borrow_mut()[dst].push((ts, hops));
-                    if hops > 0 {
-                        let next = (dst + topo.stride[dst]) % topo.entities;
-                        net.send(next % n, dst as u32, ts + topo.delay[dst], (next, hops - 1));
-                    }
-                })
-            };
-            let finish = {
-                let logs = Rc::clone(&logs);
-                Box::new(move || logs.borrow().clone())
-            };
-            ShardRun { dispatch, finish }
-        });
+        }
+        let topo = topo.clone();
+        let dispatch = {
+            let logs = Rc::clone(&logs);
+            let net = net.clone();
+            Box::new(move |ts: u64, (dst, hops): (usize, u8)| {
+                logs.borrow_mut()[dst].push((ts, hops));
+                if hops > 0 {
+                    let next = (dst + topo.stride[dst]) % topo.entities;
+                    net.send(next % n, dst as u32, ts + topo.delay[dst], (next, hops - 1));
+                }
+            })
+        };
+        let finish = {
+            let logs = Rc::clone(&logs);
+            Box::new(move || logs.borrow().clone())
+        };
+        ShardRun { dispatch, finish }
+    });
     // Each entity's log lives on exactly one shard; merge by element-wise
     // union (non-owners logged nothing for it).
     let mut merged = vec![Vec::new(); topo.entities];

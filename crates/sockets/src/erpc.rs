@@ -10,8 +10,9 @@
 //!   ([`Message::imm`]), so the caller's payload `Bytes` reaches the
 //!   server handler — and the handler's response reaches the caller — as
 //!   the same refcounted buffer. No payload byte is copied anywhere on the
-//!   path (contrast [`dc_fabric::rpc::RpcClient`], which frames each
-//!   request into a fresh `Vec`).
+//!   path. ([`dc_fabric::rpc::RpcClient`] frames the same way, but its
+//!   header is charged as wire bytes; this lane's is the verb's own
+//!   immediate word and costs none.)
 //! * **Congestion control.** Each session runs a seeded, deterministic
 //!   Timely/DCQCN-flavoured rate machine ([`CongestionState`]): additive
 //!   increase on low-RTT acks, multiplicative decrease on ECN marks
@@ -399,6 +400,7 @@ impl ErpcServer {
                             reply_port,
                             &resp,
                             imm,
+                            0,
                             Transport::RdmaSend,
                         )
                         .await;
@@ -671,6 +673,7 @@ async fn sweep_session(mux: &MuxInner, s: &SessionInner) {
                 s.server_port,
                 &req,
                 imm,
+                0,
                 Transport::RdmaSend,
             )
             .await;
@@ -770,6 +773,7 @@ impl ErpcSession {
                 s.server_port,
                 &payload,
                 imm,
+                0,
                 Transport::RdmaSend,
             )
             .await;
@@ -1062,7 +1066,10 @@ mod review_repro {
         let mux = ErpcMux::new(
             &cluster,
             NodeId(0),
-            ErpcCfg { window: 1, ..ErpcCfg::default() },
+            ErpcCfg {
+                window: 1,
+                ..ErpcCfg::default()
+            },
         );
         let sess = mux.session(NodeId(1), srv.ports()[0], 1);
         let handles: Vec<_> = (0..3u8)

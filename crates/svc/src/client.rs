@@ -193,27 +193,21 @@ impl SvcClient {
         self.node
     }
 
-    /// One attempt on whichever lane is installed. The classic lane frames
-    /// from the borrowed slice (no intermediate `Bytes`); a custom lane
-    /// needs an owned buffer, so the slice path copies once at this edge.
+    /// One attempt on whichever lane is installed; the payload buffer is
+    /// handed to the lane as is.
     async fn attempt(
         &self,
         to: NodeId,
         port: u16,
-        payload: &[u8],
-        owned: Option<&Bytes>,
+        payload: Bytes,
         transport: Transport,
     ) -> Option<Bytes> {
         match &self.lane {
             Lane::Classic(rpc) => {
-                rpc.try_call(to, port, payload, transport, self.policy.timeout_ns)
+                rpc.try_call_bytes(to, port, payload, transport, self.policy.timeout_ns)
                     .await
             }
             Lane::Custom(lane) => {
-                let payload = match owned {
-                    Some(b) => b.clone(),
-                    None => Bytes::copy_from_slice(payload),
-                };
                 lane.try_call(to, port, payload, self.policy.timeout_ns)
                     .await
             }
@@ -222,23 +216,15 @@ impl SvcClient {
 
     /// Infallible call: retries per the policy, panics once the budget is
     /// exhausted. Use [`SvcClient::try_call`] where the caller can degrade.
+    /// The borrowed payload is copied once (inline, allocation-free, when
+    /// short); [`SvcClient::call_bytes`] skips even that.
     pub async fn call(&self, to: NodeId, port: u16, payload: &[u8], transport: Transport) -> Bytes {
-        for attempt in 0..self.policy.attempts.max(1) {
-            if attempt > 0 && self.policy.backoff_ns > 0 {
-                backoff_traced(&self.cluster, self.node, self.policy.backoff_ns, attempt).await;
-            }
-            if let Some(resp) = self.attempt(to, port, payload, None, transport).await {
-                return resp;
-            }
-        }
-        panic!(
-            "svc call to {to:?}:{port} failed: retry budget exhausted ({} attempts)",
-            self.policy.attempts.max(1)
-        );
+        self.call_bytes(to, port, Bytes::copy_from_slice(payload), transport)
+            .await
     }
 
-    /// [`SvcClient::call`] taking an owned `Bytes` payload: on a zero-copy
-    /// lane the buffer crosses the fabric without being copied at all.
+    /// [`SvcClient::call`] taking an owned `Bytes` payload: on either lane
+    /// the buffer crosses the fabric without being copied at all.
     pub async fn call_bytes(
         &self,
         to: NodeId,
@@ -250,10 +236,7 @@ impl SvcClient {
             if attempt > 0 && self.policy.backoff_ns > 0 {
                 backoff_traced(&self.cluster, self.node, self.policy.backoff_ns, attempt).await;
             }
-            if let Some(resp) = self
-                .attempt(to, port, &payload, Some(&payload), transport)
-                .await
-            {
+            if let Some(resp) = self.attempt(to, port, payload.clone(), transport).await {
                 return resp;
             }
         }
@@ -272,7 +255,8 @@ impl SvcClient {
         payload: &[u8],
         transport: Transport,
     ) -> Option<Bytes> {
-        self.attempt(to, port, payload, None, transport).await
+        self.attempt(to, port, Bytes::copy_from_slice(payload), transport)
+            .await
     }
 
     /// [`SvcClient::try_call`] taking an owned `Bytes` payload.
@@ -283,7 +267,6 @@ impl SvcClient {
         payload: Bytes,
         transport: Transport,
     ) -> Option<Bytes> {
-        self.attempt(to, port, &payload, Some(&payload), transport)
-            .await
+        self.attempt(to, port, payload, transport).await
     }
 }

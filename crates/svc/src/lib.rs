@@ -23,7 +23,7 @@ pub use wire::{Reader, Wire, Writer};
 
 // Server-side helpers for RPC-framed handlers, re-exported so service crates
 // need no direct `dc_fabric::rpc` dependency.
-pub use dc_fabric::rpc::{parse_request, respond, RpcRequest, DEFAULT_TIMEOUT_NS};
+pub use dc_fabric::rpc::{parse_request, respond, respond_bytes, RpcRequest, DEFAULT_TIMEOUT_NS};
 // Trace lane ids, re-exported so service crates without a direct `dc-trace`
 // dependency can fill `ServiceSpec::subsys`.
 pub use dc_trace::Subsys;

@@ -32,15 +32,15 @@
 
 /// Compact deterministic RNG: one splitmix64 stream per generator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct SplitMix(u64);
+pub(crate) struct SplitMix(u64);
 
 impl SplitMix {
-    fn new(seed: u64) -> SplitMix {
+    pub(crate) fn new(seed: u64) -> SplitMix {
         SplitMix(seed)
     }
 
     #[inline]
-    fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let mut z = self.0;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

@@ -9,6 +9,7 @@ use nextgen_datacenter::ddss::ctrl::{AllocReq, AllocResp, FreeReq, FreeResp};
 use nextgen_datacenter::ddss::Coherence;
 use nextgen_datacenter::dlm::msg::DlmMsg;
 use nextgen_datacenter::fabric::kstat::{KernelStats, KSTAT_REGION_LEN};
+use nextgen_datacenter::fabric::rpc::{request_imm, split_request_imm};
 use nextgen_datacenter::fabric::NodeId;
 use nextgen_datacenter::reconfig::Assignment;
 use nextgen_datacenter::svc::Wire;
@@ -144,6 +145,27 @@ proptest! {
         prop_assert_eq!(bytes.len(), KSTAT_REGION_LEN);
         prop_assert_eq!(<KernelStats as Wire>::decode(&bytes), Some(s));
     }
+
+    /// The RPC request header `(reply_port, id < 2^48)` and its immediate
+    /// word are in bijection: every header survives the word, and every
+    /// word is some header's.
+    #[test]
+    fn rpc_request_header_and_imm_are_a_bijection(
+        reply_port in any::<u16>(),
+        id in 0u64..1 << 48,
+        imm in any::<u64>(),
+    ) {
+        prop_assert_eq!(split_request_imm(request_imm(reply_port, id)), (reply_port, id));
+        let (p, i) = split_request_imm(imm);
+        prop_assert!(i < 1 << 48);
+        prop_assert_eq!(request_imm(p, i), imm);
+    }
+}
+
+#[test]
+#[should_panic(expected = "does not fit the 48-bit header field")]
+fn rpc_correlation_id_overflow_panics_instead_of_wrapping() {
+    request_imm(9, 1 << 48);
 }
 
 #[test]
