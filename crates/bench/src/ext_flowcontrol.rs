@@ -7,6 +7,7 @@
 //! data precisely. "Preliminary results … demonstrate close to an order of
 //! magnitude bandwidth improvement for some message sizes."
 
+use bytes::Bytes;
 use dc_fabric::{Cluster, FabricModel, NodeId};
 use dc_sim::Sim;
 use dc_sockets::{connect, SocketsConfig, StreamKind};
@@ -36,10 +37,10 @@ pub fn bandwidth_mbs(kind: StreamKind, size: usize) -> f64 {
         }
         h.now()
     });
-    let payload = vec![0x77u8; size];
+    let payload = Bytes::from(vec![0x77u8; size]);
     sim.spawn(async move {
         for _ in 0..COUNT {
-            tx.send(&payload).await;
+            tx.send_bytes(payload.clone()).await;
         }
     });
     sim.run();

@@ -198,7 +198,7 @@ pub fn run_cell(lane: IncastLane, fanin: usize, drop_rate: f64) -> IncastPoint {
                     for _ in 0..REQS_PER_SESSION {
                         srv_end.recv().await;
                         cpu.execute(HANDLER_CPU_NS).await;
-                        srv_end.send(&resp).await;
+                        srv_end.send_bytes(resp.clone()).await;
                     }
                 });
                 let req = req.clone();
@@ -207,7 +207,7 @@ pub fn run_cell(lane: IncastLane, fanin: usize, drop_rate: f64) -> IncastPoint {
                 handles.push(sim.spawn(async move {
                     for _ in 0..REQS_PER_SESSION {
                         let t0 = h.now();
-                        cli_end.send(&req).await;
+                        cli_end.send_bytes(req.clone()).await;
                         cli_end.recv().await;
                         lat.borrow_mut().push(h.now() - t0);
                     }

@@ -52,12 +52,15 @@ pub fn query_time_ns(records: usize, transport: StormTransport) -> u64 {
                 // Data node: receive the query, scan, stream the result.
                 let _query = server_end.recv().await;
                 cl.cpu(data_node).execute(q.scan_ns()).await;
+                let result = Bytes::from(vec![0x5Au8; CHUNK]);
                 for chunk in q.chunks(CHUNK) {
-                    server_end.send(&vec![0x5Au8; chunk]).await;
+                    server_end.send_bytes(result.slice(..chunk)).await;
                 }
             });
             sim.run_to(async move {
-                client_end.send(b"SELECT * WHERE ...").await;
+                client_end
+                    .send_bytes(Bytes::from_static(b"SELECT * WHERE ..."))
+                    .await;
                 let mut got = 0;
                 while got < q.result_bytes() {
                     let m = client_end.recv().await;

@@ -548,12 +548,12 @@ impl ErpcMux {
                     let rtt = inner.cluster.sim().now() - slot.sent_ns.get();
                     inner.feed_cc(&s, Some(rtt), msg.ecn || h.ece);
                     s.acks.set(s.acks.get() + 1);
+                    // The slot stays the caller's until it has taken this
+                    // response: `call` returns the credit, so no credit
+                    // waiter can claim the slot (`seq % window`) first.
                     *slot.resp.borrow_mut() = Some(msg.data);
                     slot.req.borrow_mut().take();
                     slot.busy.set(false);
-                    s.credits.borrow_mut().release();
-                    inner.m_credits.add(1);
-                    s.credit_waiters.notify_one();
                     let waker = slot.waker.borrow_mut().take();
                     if let Some(w) = waker {
                         w.wake();
@@ -745,7 +745,10 @@ impl ErpcSession {
         slot.op.set(op);
         slot.retx.set(0);
         *slot.req.borrow_mut() = Some(payload.clone());
-        slot.resp.borrow_mut().take();
+        debug_assert!(
+            slot.resp.borrow().is_none(),
+            "slot holds an untaken response"
+        );
         // Pace to the session rate: reserve the next transmit instant
         // before sleeping so concurrent calls serialize their gaps.
         let sim = mux.cluster.sim().clone();
@@ -777,7 +780,11 @@ impl ErpcSession {
                 Transport::RdmaSend,
             )
             .await;
-        RespWait { slot }.await
+        let resp = RespWait { slot }.await;
+        s.credits.borrow_mut().release();
+        mux.m_credits.add(1);
+        s.credit_waiters.notify_one();
+        resp
     }
 
     /// Current congestion-controlled rate.
@@ -1050,29 +1057,22 @@ mod tests {
         });
         assert_eq!(&got[..], b"over-erpc");
     }
-}
 
-#[cfg(test)]
-mod review_repro {
-    use super::*;
-    use dc_fabric::FabricModel;
-    use dc_sim::Sim;
-
-    #[test]
-    fn concurrent_calls_on_one_session_all_complete() {
-        let sim = Sim::new();
-        let cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), 2);
+    /// `callers` clones of one session call at once through a `window`-deep
+    /// credit window; every one must get its own response back.
+    fn concurrent_callers_all_complete(window: u32, callers: u8) {
+        let (sim, cluster) = setup(2);
         let srv = ErpcServer::spawn(&cluster, NodeId(1), 1, 4, 0, Rc::new(|_, req| req));
         let mux = ErpcMux::new(
             &cluster,
             NodeId(0),
             ErpcCfg {
-                window: 1,
+                window,
                 ..ErpcCfg::default()
             },
         );
         let sess = mux.session(NodeId(1), srv.ports()[0], 1);
-        let handles: Vec<_> = (0..3u8)
+        let handles: Vec<_> = (0..callers)
             .map(|i| {
                 let s = sess.clone();
                 sim.spawn(async move {
@@ -1086,5 +1086,17 @@ mod review_repro {
                 h.await;
             }
         });
+        assert_eq!(sess.acks(), callers as u64);
+        assert_eq!(sess.s.credits.borrow().available(), window);
+    }
+
+    #[test]
+    fn credit_waiter_does_not_steal_the_slot_of_an_untaken_response() {
+        concurrent_callers_all_complete(1, 3);
+    }
+
+    #[test]
+    fn eight_callers_share_a_two_deep_window() {
+        concurrent_callers_all_complete(2, 8);
     }
 }

@@ -1,45 +1,127 @@
 //! Framing and flow-control accounting shared by the stream kinds.
 //!
-//! Wire chunks carry a 1-byte tag: `FIRST` chunks additionally carry the
-//! total application-message length, so the receiver knows how many
-//! continuation chunks follow. Feedback messages (credit returns, ring-space
-//! returns) are bare little-endian u64 counts.
+//! A wire chunk is a [`Chunk`]: a `Bytes::slice` window of the sender's
+//! buffer plus a small header value (first-or-continuation, total message
+//! length). The header never exists as bytes on the host: the lane packs it
+//! with its sequence number into `Message.imm` ([`pack_imm`]) and the fabric
+//! charges the bytes it stands for — [`FIRST_HDR`] or [`CONT_HDR`], what the
+//! modelled stacks prepend — through the gather send's `hdr_len`. Every
+//! flow-control and copy cost reads [`Chunk::wire_len`], the length of the
+//! chunk *as framed on the wire*. Feedback messages (credit returns,
+//! ring-space returns) are a bare count in `imm` over an empty payload,
+//! charged [`FEEDBACK_HDR`] bytes.
 
 use bytes::Bytes;
 
-const TAG_FIRST: u8 = 0;
-const TAG_CONT: u8 = 1;
-
-/// Header bytes of a FIRST chunk (tag + u64 total length).
+/// Modelled header bytes of a FIRST chunk (tag + u64 total length).
 pub const FIRST_HDR: usize = 9;
-/// Header bytes of a continuation chunk (tag only).
+/// Modelled header bytes of a continuation chunk (tag only).
 pub const CONT_HDR: usize = 1;
+/// Modelled wire bytes of a feedback message (a u64 count).
+pub const FEEDBACK_HDR: usize = 8;
 
-/// Split one application message into wire chunks of at most `cap` bytes
-/// each (headers included). `cap` must exceed [`FIRST_HDR`].
-pub fn frame(data: &[u8], cap: usize) -> Vec<Bytes> {
-    assert!(cap > FIRST_HDR, "chunk capacity too small for framing");
-    let mut chunks = Vec::new();
-    let first_payload = (cap - FIRST_HDR).min(data.len());
-    let mut first = Vec::with_capacity(FIRST_HDR + first_payload);
-    first.push(TAG_FIRST);
-    first.extend_from_slice(&(data.len() as u64).to_le_bytes());
-    first.extend_from_slice(&data[..first_payload]);
-    chunks.push(Bytes::from(first));
-    let mut off = first_payload;
-    while off < data.len() {
-        let n = (cap - CONT_HDR).min(data.len() - off);
-        let mut c = Vec::with_capacity(CONT_HDR + n);
-        c.push(TAG_CONT);
-        c.extend_from_slice(&data[off..off + n]);
-        chunks.push(Bytes::from(c));
-        off += n;
-    }
-    chunks
+/// One wire chunk of an application message.
+#[derive(Debug, Clone)]
+pub struct Chunk {
+    /// Whether this chunk opens its message.
+    pub first: bool,
+    /// Total length of the application message this chunk belongs to.
+    pub total: usize,
+    /// This chunk's window of the message.
+    pub data: Bytes,
 }
 
-/// Receiver-side reassembly of framed chunks back into application messages.
-/// Chunks must arrive in order (the streams are SPSC FIFO lanes).
+impl Chunk {
+    /// A message that travels as one chunk, whatever its size.
+    pub fn whole(data: Bytes) -> Chunk {
+        Chunk {
+            first: true,
+            total: data.len(),
+            data,
+        }
+    }
+
+    /// Header bytes this chunk carries on the wire.
+    pub fn hdr_len(&self) -> usize {
+        if self.first {
+            FIRST_HDR
+        } else {
+            CONT_HDR
+        }
+    }
+
+    /// Framed length on the wire: what ring space, credits' buffers and
+    /// copy costs are charged for.
+    pub fn wire_len(&self) -> usize {
+        self.hdr_len() + self.data.len()
+    }
+}
+
+/// Pack a lane message header into the immediate word:
+/// `[seq:32 | first:1 | total_len:31]`.
+pub fn pack_imm(seq: u32, first: bool, total: usize) -> u64 {
+    assert!(
+        total < 1 << 31,
+        "stream message of {total} bytes exceeds the 31-bit total_len field"
+    );
+    ((seq as u64) << 32) | ((first as u64) << 31) | total as u64
+}
+
+/// Inverse of [`pack_imm`]: `(seq, first, total)`.
+pub fn unpack_imm(imm: u64) -> (u32, bool, usize) {
+    (
+        (imm >> 32) as u32,
+        (imm >> 31) & 1 == 1,
+        (imm & ((1 << 31) - 1)) as usize,
+    )
+}
+
+/// Split one application message into wire chunks of at most `cap` framed
+/// bytes each (headers included). `cap` must exceed [`FIRST_HDR`]. Always
+/// yields at least the FIRST chunk, so empty messages frame too.
+pub fn frame(data: Bytes, cap: usize) -> Frames {
+    assert!(cap > FIRST_HDR, "chunk capacity too small for framing");
+    Frames {
+        data,
+        cap,
+        off: 0,
+        first: true,
+    }
+}
+
+/// Iterator over the chunks of one message; see [`frame`].
+pub struct Frames {
+    data: Bytes,
+    cap: usize,
+    off: usize,
+    first: bool,
+}
+
+impl Iterator for Frames {
+    type Item = Chunk;
+
+    fn next(&mut self) -> Option<Chunk> {
+        let total = self.data.len();
+        if !self.first && self.off == total {
+            return None;
+        }
+        let hdr = if self.first { FIRST_HDR } else { CONT_HDR };
+        let n = (self.cap - hdr).min(total - self.off);
+        let chunk = Chunk {
+            first: self.first,
+            total,
+            data: self.data.slice(self.off..self.off + n),
+        };
+        self.first = false;
+        self.off += n;
+        Some(chunk)
+    }
+}
+
+/// Receiver-side reassembly of chunks back into application messages.
+/// Chunks must arrive in order (the streams are SPSC FIFO lanes). A
+/// single-chunk message comes back as the very buffer that was sent; a
+/// multi-chunk one is copied once into a buffer sized by its FIRST chunk.
 #[derive(Default)]
 pub struct Reassembler {
     buf: Vec<u8>,
@@ -55,26 +137,22 @@ impl Reassembler {
 
     /// Feed one wire chunk; returns the completed message if this chunk
     /// finished one.
-    pub fn feed(&mut self, chunk: &[u8]) -> Option<Bytes> {
-        assert!(!chunk.is_empty(), "empty wire chunk");
-        match chunk[0] {
-            TAG_FIRST => {
-                assert!(
-                    !self.in_message,
-                    "FIRST chunk arrived mid-message (framing violated)"
-                );
-                assert!(chunk.len() >= FIRST_HDR, "truncated FIRST header");
-                self.expected = u64::from_le_bytes(chunk[1..9].try_into().unwrap()) as usize;
-                self.buf.clear();
-                self.buf.extend_from_slice(&chunk[FIRST_HDR..]);
-                self.in_message = true;
+    pub fn feed(&mut self, chunk: Chunk) -> Option<Bytes> {
+        if chunk.first {
+            assert!(
+                !self.in_message,
+                "FIRST chunk arrived mid-message (framing violated)"
+            );
+            if chunk.data.len() == chunk.total {
+                return Some(chunk.data);
             }
-            TAG_CONT => {
-                assert!(self.in_message, "CONT chunk without a FIRST");
-                self.buf.extend_from_slice(&chunk[CONT_HDR..]);
-            }
-            t => panic!("unknown chunk tag {t}"),
+            self.expected = chunk.total;
+            self.buf = Vec::with_capacity(chunk.total);
+            self.in_message = true;
+        } else {
+            assert!(self.in_message, "CONT chunk without a FIRST");
         }
+        self.buf.extend_from_slice(&chunk.data);
         assert!(
             self.buf.len() <= self.expected,
             "reassembly overflow: got {} of {}",
@@ -90,31 +168,26 @@ impl Reassembler {
     }
 }
 
-/// Encode a feedback count (credits / freed bytes).
-pub fn encode_feedback(n: u64) -> Bytes {
-    Bytes::from(n.to_le_bytes().to_vec())
-}
-
-/// Decode a feedback count.
-pub fn decode_feedback(data: &[u8]) -> u64 {
-    u64::from_le_bytes(data[..8].try_into().expect("short feedback message"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn round_trip(len: usize, cap: usize) {
-        let data: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
-        let chunks = frame(&data, cap);
+        let data: Bytes = (0..len).map(|i| (i % 251) as u8).collect();
+        let chunks: Vec<Chunk> = frame(data.clone(), cap).collect();
         for c in &chunks {
-            assert!(c.len() <= cap);
+            assert!(c.wire_len() <= cap);
+            assert_eq!(c.total, len);
         }
+        // The framed byte count the byte-tag framing put on the wire.
+        let wire: usize = chunks.iter().map(Chunk::wire_len).sum();
+        assert_eq!(wire, len + FIRST_HDR + CONT_HDR * (chunks.len() - 1));
         let mut r = Reassembler::new();
         let mut out = None;
-        for (i, c) in chunks.iter().enumerate() {
+        let n = chunks.len();
+        for (i, c) in chunks.into_iter().enumerate() {
             let res = r.feed(c);
-            if i + 1 < chunks.len() {
+            if i + 1 < n {
                 assert!(res.is_none(), "message completed early at chunk {i}");
             } else {
                 out = res;
@@ -140,38 +213,52 @@ mod tests {
 
     #[test]
     fn chunk_count_matches_capacity_math() {
-        let data = vec![0u8; 100];
+        let data = Bytes::from(vec![0u8; 100]);
         // cap 64: first carries 55, then ceil(45/63) = 1 more.
-        assert_eq!(frame(&data, 64).len(), 2);
+        assert_eq!(frame(data.clone(), 64).count(), 2);
         // Tiny cap of 10: first carries 1 byte, then 99 conts of 9.
-        assert_eq!(frame(&data, 10).len(), 1 + 11);
+        assert_eq!(frame(data, 10).count(), 1 + 11);
     }
 
     #[test]
     fn back_to_back_messages_share_a_reassembler() {
         let mut r = Reassembler::new();
         for len in [3usize, 200, 0, 77] {
-            let data: Vec<u8> = (0..len).map(|i| i as u8).collect();
-            let chunks = frame(&data, 50);
+            let data: Bytes = (0..len).map(|i| i as u8).collect();
             let mut got = None;
-            for c in &chunks {
+            for c in frame(data.clone(), 50) {
                 got = r.feed(c);
             }
-            assert_eq!(&got.unwrap()[..], &data[..]);
+            assert_eq!(got.unwrap(), data);
         }
+    }
+
+    #[test]
+    fn chunks_are_windows_and_single_chunk_messages_come_back_whole() {
+        let data = Bytes::from(vec![7u8; 4096]);
+        let mut off = 0;
+        for c in frame(data.clone(), 1024) {
+            assert_eq!(c.data.as_ptr(), data[off..].as_ptr());
+            off += c.data.len();
+        }
+        assert_eq!(off, data.len());
+        let got = Reassembler::new().feed(Chunk::whole(data.clone()));
+        assert_eq!(got.unwrap().as_ptr(), data.as_ptr());
     }
 
     #[test]
     #[should_panic(expected = "CONT chunk without a FIRST")]
     fn cont_before_first_panics() {
-        let mut r = Reassembler::new();
-        r.feed(&[TAG_CONT, 1, 2, 3]);
+        let cont = frame(Bytes::from(vec![0u8; 100]), 64).nth(1).unwrap();
+        Reassembler::new().feed(cont);
     }
 
     #[test]
-    fn feedback_round_trip() {
-        assert_eq!(decode_feedback(&encode_feedback(0)), 0);
-        assert_eq!(decode_feedback(&encode_feedback(12345)), 12345);
-        assert_eq!(decode_feedback(&encode_feedback(u64::MAX)), u64::MAX);
+    fn imm_layout_is_seq_first_total() {
+        assert_eq!(pack_imm(0, false, 0), 0);
+        assert_eq!(pack_imm(1, false, 0), 1 << 32);
+        assert_eq!(pack_imm(0, true, 0), 1 << 31);
+        assert_eq!(pack_imm(u32::MAX, true, (1 << 31) - 1), u64::MAX);
+        assert_eq!(unpack_imm(u64::MAX), (u32::MAX, true, (1 << 31) - 1));
     }
 }

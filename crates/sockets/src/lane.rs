@@ -6,22 +6,27 @@
 //! faults a dropped chunk is retransmitted while its successors sail
 //! through, and a latency-inflation window can delay one flight past a
 //! later one. A lane restores the SPSC FIFO contract the streams are built
-//! on: the sender tags every message with a sequence number and rides the
-//! reliable transport; the receiver delivers strictly in sequence, parking
-//! early arrivals until the gap fills.
+//! on: the sender tags every chunk with a sequence number — in the
+//! immediate word, beside the chunk header ([`crate::flow::pack_imm`]), so
+//! the payload crosses as the sender's buffer — and rides the reliable
+//! transport; the receiver delivers strictly in sequence, parking early
+//! arrivals until the gap fills.
 //!
 //! This models what a hardware RC QP provides for real SDP streams —
 //! in-order exactly-once delivery with link-level retransmission — without
 //! serializing flights (chunk N+1 does not wait for chunk N's ack).
 
 use std::cell::Cell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
-use bytes::Bytes;
 use dc_fabric::{Cluster, Endpoint, NodeId, RetryPolicy, Transport};
+use dc_sim::fxhash::FxHashMap;
 
-/// Wire header of a lane message: a little-endian u32 sequence number.
+use crate::flow::{pack_imm, unpack_imm, Chunk};
+
+/// Modelled wire bytes of the lane's u32 sequence number. Like the chunk
+/// header it rides `Message.imm` (see [`pack_imm`]) and is charged through
+/// the gather send's `hdr_len`, never prepended to the payload.
 const SEQ_HDR: usize = 4;
 
 /// Sending half of an ordered lane.
@@ -57,25 +62,24 @@ impl LaneSender {
     }
 
     /// Claim the next sequence number (synchronously — call order is
-    /// delivery order) and return a future resolving once the message has
-    /// been delivered. Panics if the peer stays unreachable past the retry
-    /// budget — a stream to a dead node has no degraded mode.
-    pub fn send_tracked(&self, data: Bytes) -> impl std::future::Future<Output = ()> + 'static {
+    /// delivery order) and return a future resolving once the chunk has
+    /// been delivered; every retransmission re-posts the same window.
+    /// Panics if the peer stays unreachable past the retry budget — a
+    /// stream to a dead node has no degraded mode.
+    pub fn send_tracked(&self, chunk: Chunk) -> impl std::future::Future<Output = ()> + 'static {
         let seq = self.next_seq.get();
         self.next_seq.set(seq.wrapping_add(1));
-        let mut wire = Vec::with_capacity(SEQ_HDR + data.len());
-        wire.extend_from_slice(&seq.to_le_bytes());
-        wire.extend_from_slice(&data);
+        let imm = pack_imm(seq, chunk.first, chunk.total);
+        let hdr_len = SEQ_HDR + chunk.hdr_len();
         let cluster = self.cluster.clone();
         let (from, to, port, transport, policy) =
             (self.from, self.to, self.port, self.transport, self.policy);
-        let wire = Bytes::from(wire);
-        // Same loop as Cluster::send_reliable_with, inlined so each lane
+        // Same loop as Cluster::send_reliable_imm, inlined so each lane
         // retransmission is also counted in the sockets.retransmits metric.
         async move {
             for attempt in 0..policy.max_attempts {
                 match cluster
-                    .try_send(from, to, port, wire.clone(), transport)
+                    .try_send_imm_ref(from, to, port, &chunk.data, imm, hdr_len, transport)
                     .await
                 {
                     Ok(()) => return,
@@ -107,20 +111,22 @@ impl LaneSender {
         }
     }
 
-    /// Send one message without waiting for delivery (flights overlap).
-    pub fn send_bg(&self, data: Bytes) {
-        let fut = self.send_tracked(data);
+    /// Send one chunk without waiting for delivery (flights overlap).
+    pub fn send_bg(&self, chunk: Chunk) {
+        let fut = self.send_tracked(chunk);
         self.cluster.sim().spawn_detached(fut);
     }
 }
 
 /// Receiving half of an ordered lane: wraps the bound endpoint and hands
-/// messages out strictly in sequence.
+/// chunks out strictly in sequence.
 pub struct LaneReceiver {
     cluster: Cluster,
     ep: Endpoint,
     next_seq: u32,
-    early: HashMap<u32, Bytes>,
+    /// Reorder parking (faults only); looked up by sequence number, never
+    /// iterated.
+    early: FxHashMap<u32, Chunk>,
 }
 
 impl LaneReceiver {
@@ -130,26 +136,31 @@ impl LaneReceiver {
             cluster: cluster.clone(),
             ep,
             next_seq: 0,
-            early: HashMap::new(),
+            early: FxHashMap::default(),
         }
     }
 
-    /// Receive the next in-sequence message payload (header stripped).
-    pub async fn recv(&mut self) -> Bytes {
+    /// Receive the next in-sequence chunk; its `data` is the buffer the
+    /// sender posted.
+    pub async fn recv(&mut self) -> Chunk {
         loop {
-            if let Some(m) = self.early.remove(&self.next_seq) {
+            if let Some(c) = self.early.remove(&self.next_seq) {
                 self.next_seq = self.next_seq.wrapping_add(1);
-                return m;
+                return c;
             }
             let msg = self.ep.recv().await;
-            let seq = u32::from_le_bytes(msg.data[..SEQ_HDR].try_into().unwrap());
-            let payload = msg.data.slice(SEQ_HDR..);
+            let (seq, first, total) = unpack_imm(msg.imm);
+            let chunk = Chunk {
+                first,
+                total,
+                data: msg.data,
+            };
             if seq == self.next_seq {
                 self.next_seq = self.next_seq.wrapping_add(1);
-                return payload;
+                return chunk;
             }
             // Out-of-order arrival (retransmission or latency skew): park it.
-            let dup = self.early.insert(seq, payload);
+            let dup = self.early.insert(seq, chunk);
             assert!(dup.is_none(), "duplicate lane message seq {seq}");
             self.cluster.note_reorder_depth(self.early.len());
         }
@@ -159,6 +170,7 @@ impl LaneReceiver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
     use dc_fabric::{FabricModel, FaultPlan};
     use dc_sim::Sim;
 
@@ -170,12 +182,12 @@ mod tests {
         let mut rx = LaneReceiver::new(&cluster, dc_svc::bind_raw(&cluster, NodeId(1), port));
         let tx = LaneSender::new(&cluster, NodeId(0), NodeId(1), port, Transport::RdmaSend);
         for i in 0..20u8 {
-            tx.send_bg(Bytes::from(vec![i]));
+            tx.send_bg(Chunk::whole(Bytes::from(vec![i])));
         }
         let got = sim.run_to(async move {
             let mut v = Vec::new();
             for _ in 0..20 {
-                v.push(rx.recv().await[0]);
+                v.push(rx.recv().await.data[0]);
             }
             v
         });
@@ -193,12 +205,12 @@ mod tests {
         let mut rx = LaneReceiver::new(&cluster, dc_svc::bind_raw(&cluster, NodeId(1), port));
         let tx = LaneSender::new(&cluster, NodeId(0), NodeId(1), port, Transport::RdmaSend);
         for i in 0..50u8 {
-            tx.send_bg(Bytes::from(vec![i]));
+            tx.send_bg(Chunk::whole(Bytes::from(vec![i])));
         }
         let got = sim.run_to(async move {
             let mut v = Vec::new();
             for _ in 0..50 {
-                v.push(rx.recv().await[0]);
+                v.push(rx.recv().await.data[0]);
             }
             v
         });
@@ -212,5 +224,37 @@ mod tests {
         let snap = cluster.metrics().snapshot();
         assert_eq!(snap.counter("sockets.retransmits"), s.retransmits);
         assert_eq!(snap.gauge("sockets.reorder_hwm") as u64, s.reorder_hwm);
+    }
+
+    #[test]
+    fn retransmitted_chunk_arrives_as_the_sent_buffer_in_order() {
+        let sim = Sim::new();
+        let cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), 2);
+        cluster.install_faults(FaultPlan::from_parts(3, vec![], vec![], vec![], 0.35));
+        let port = cluster.alloc_port();
+        let mut rx = LaneReceiver::new(&cluster, dc_svc::bind_raw(&cluster, NodeId(1), port));
+        let tx = LaneSender::new(&cluster, NodeId(0), NodeId(1), port, Transport::RdmaSend);
+        // Chunks are windows of one buffer, so one that was dropped and
+        // re-posted must still arrive as its window, not as a copy.
+        let msg = Bytes::from(vec![0xA5u8; 4096]);
+        let chunks: Vec<Chunk> = crate::flow::frame(msg, 80).collect();
+        let want: Vec<*const u8> = chunks.iter().map(|c| c.data.as_ptr()).collect();
+        let n = chunks.len();
+        for chunk in chunks {
+            tx.send_bg(chunk);
+        }
+        let got = sim.run_to(async move {
+            let mut v = Vec::new();
+            for _ in 0..n {
+                v.push(rx.recv().await.data.as_ptr());
+            }
+            v
+        });
+        assert_eq!(got, want);
+        assert!(
+            cluster.stats().retransmits > 0,
+            "no chunk was retransmitted"
+        );
+        assert!(cluster.stats().reorder_hwm > 0, "no chunk was parked");
     }
 }

@@ -22,9 +22,16 @@
 //!   thousands of small messages in flight.
 //!
 //! All four expose one message-oriented API: [`connect`] returns a pair of
-//! [`StreamEnd`]s with `send`/`recv`. (The paper's stacks are byte-stream
-//! sockets; every service in this workspace exchanges discrete messages, so
-//! the message abstraction loses nothing and keeps framing explicit.)
+//! [`StreamEnd`]s with `send_bytes`/`send`/`recv`. (The paper's stacks are
+//! byte-stream sockets; every service in this workspace exchanges discrete
+//! messages, so the message abstraction loses nothing and keeps framing
+//! explicit.) `send_bytes(Bytes)` is the send: the message's bytes exist
+//! once on the host — chunks are windows of that buffer, chunk headers ride
+//! the fabric's immediate word ([`flow`]), and every copy the modelled
+//! stacks make is charged in virtual time only. `send(&[u8])` copies the
+//! slice into a buffer once and delegates. `recv` returns a single-chunk
+//! message as the very buffer that was sent and a multi-chunk one as one
+//! freshly reassembled buffer.
 
 //! ```
 //! use dc_sim::Sim;

@@ -9,12 +9,12 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use bytes::Bytes;
-use dc_fabric::{Cluster, Endpoint, NodeId, Transport};
+use dc_fabric::{Cluster, Endpoint, NodeId, RetryPolicy, Transport};
 use dc_sim::sync::{Notify, Semaphore};
 use dc_svc::bind_raw;
 
 use crate::config::SocketsConfig;
-use crate::flow::{decode_feedback, encode_feedback, frame, Reassembler};
+use crate::flow::{frame, Chunk, Reassembler, FEEDBACK_HDR};
 use crate::lane::{LaneReceiver, LaneSender};
 
 /// Which protocol a stream uses.
@@ -161,9 +161,18 @@ impl StreamEnd {
     /// Send one message. Blocking behaviour depends on the kind: HostTcp
     /// completes at delivery; Sdp/Packetized complete once the payload is
     /// copied and flow control admits it; AzSdp completes after the memory
-    /// protection, with the transfer in flight.
-    pub async fn send(&mut self, data: &[u8]) {
+    /// protection, with the transfer in flight. The copies those stacks
+    /// make are charged in virtual time only: on the host, chunks are
+    /// windows of `data`, and a single-chunk message reaches the peer's
+    /// [`StreamEnd::recv`] as this very buffer.
+    pub async fn send_bytes(&mut self, data: Bytes) {
         self.tx.send(data).await;
+    }
+
+    /// [`StreamEnd::send_bytes`] for callers that do not own a buffer:
+    /// copies `data` once.
+    pub async fn send(&mut self, data: &[u8]) {
+        self.send_bytes(Bytes::copy_from_slice(data)).await;
     }
 
     /// Receive the next message, paying receiver-side processing costs.
@@ -213,7 +222,7 @@ impl Tx {
         }
     }
 
-    async fn send(&mut self, data: &[u8]) {
+    async fn send(&mut self, data: Bytes) {
         match self {
             Tx::Tcp(t) => t.send(data).await,
             Tx::Sdp(t) => t.send(data).await,
@@ -276,13 +285,11 @@ struct TcpTx {
 }
 
 impl TcpTx {
-    async fn send(&mut self, data: &[u8]) {
+    async fn send(&mut self, data: Bytes) {
         // The kernel stack segments internally; at this abstraction one
         // message travels whole, with stack CPU charged by the fabric. The
         // lane retransmits on drops, as kernel TCP would.
-        for chunk in frame(data, usize::MAX / 2) {
-            self.lane.send_tracked(chunk).await;
-        }
+        self.lane.send_tracked(Chunk::whole(data)).await;
     }
 }
 
@@ -295,7 +302,7 @@ impl TcpRx {
     async fn recv(&mut self) -> Bytes {
         loop {
             let chunk = self.lane.recv().await;
-            if let Some(m) = self.reasm.feed(&chunk) {
+            if let Some(m) = self.reasm.feed(chunk) {
                 return m;
             }
         }
@@ -330,7 +337,7 @@ impl CreditTx {
         cluster.sim().spawn_detached(async move {
             loop {
                 let msg = fb_ep.recv().await;
-                c2.set(c2.get() + decode_feedback(&msg.data) as usize);
+                c2.set(c2.get() + msg.imm as usize);
                 n2.notify_all();
             }
         });
@@ -344,7 +351,7 @@ impl CreditTx {
         }
     }
 
-    async fn send(&mut self, data: &[u8]) {
+    async fn send(&mut self, data: Bytes) {
         let cpu = self.cluster.cpu(self.local);
         for chunk in frame(data, self.cfg.sdp_buf_size) {
             // One credit per chunk, *regardless of chunk size* — this is the
@@ -357,15 +364,36 @@ impl CreditTx {
             }
             self.credits.set(self.credits.get() - 1);
             // Buffered SDP copies into a send buffer before posting.
-            cpu.execute(self.cfg.copy_cost(chunk.len())).await;
+            cpu.execute(self.cfg.copy_cost(chunk.wire_len())).await;
             self.cluster.sim().sleep(self.cfg.issue_overhead_ns).await;
             self.lane.send_bg(chunk);
         }
     }
 }
 
+/// Return `n` credits / freed ring bytes to the sender's feedback port, in
+/// the background. Counts are cumulative, so ordering does not matter, but
+/// a *lost* return would strand the sender forever: use the reliable path.
+fn return_feedback(cluster: &Cluster, local: NodeId, peer: NodeId, fb_port: u16, n: usize) {
+    let cl = cluster.clone();
+    cluster.sim().spawn_detached(async move {
+        cl.send_reliable_imm(
+            local,
+            peer,
+            fb_port,
+            &Bytes::new(),
+            n as u64,
+            FEEDBACK_HDR,
+            Transport::RdmaSend,
+            RetryPolicy::default(),
+        )
+        .await
+        .unwrap_or_else(|e| panic!("flow-control return undeliverable: {e}"));
+    });
+}
+
 struct CreditRx {
-    rx_q: dc_sim::sync::Receiver<Bytes>,
+    rx_q: dc_sim::sync::Receiver<Chunk>,
     reasm: Reassembler,
 }
 
@@ -395,29 +423,14 @@ impl CreditRx {
                 // Copy out of the temporary buffer into the socket buffer,
                 // then re-post the buffer before its credit can return.
                 cl.cpu(local)
-                    .execute(cfg.copy_cost(chunk.len()) + cfg.prepost_ns)
+                    .execute(cfg.copy_cost(chunk.wire_len()) + cfg.prepost_ns)
                     .await;
                 pending += 1;
                 // Coalesced credit return (real SDP stacks batch updates).
                 let threshold = (cfg.sdp_credits / 2).max(1);
                 if pending >= threshold {
-                    let n = pending as u64;
+                    return_feedback(&cl, local, peer, fb_port, pending);
                     pending = 0;
-                    let cl2 = cl.clone();
-                    cl.sim().spawn_detached(async move {
-                        // Credit counts are cumulative, so ordering does not
-                        // matter, but a *lost* return would strand the
-                        // sender's credits forever: use the reliable path.
-                        cl2.send_reliable(
-                            local,
-                            peer,
-                            fb_port,
-                            encode_feedback(n),
-                            Transport::RdmaSend,
-                        )
-                        .await
-                        .unwrap_or_else(|e| panic!("SDP credit return undeliverable: {e}"));
-                    });
                 }
                 if tx_q.send(chunk).is_err() {
                     break; // application side dropped the stream
@@ -437,7 +450,7 @@ impl CreditRx {
                 .recv()
                 .await
                 .expect("stream pump terminated while receiving");
-            if let Some(m) = self.reasm.feed(&chunk) {
+            if let Some(m) = self.reasm.feed(chunk) {
                 return m;
             }
         }
@@ -455,7 +468,7 @@ struct AzTx {
 }
 
 impl AzTx {
-    async fn send(&mut self, data: &[u8]) {
+    async fn send(&mut self, data: Bytes) {
         // Memory-protect the user buffer: the application believes the send
         // completed synchronously, while the data moves asynchronously.
         self.cluster.sim().sleep(self.cfg.az_protect_ns).await;
@@ -466,8 +479,7 @@ impl AzTx {
         self.window.acquire().await;
         self.cluster.sim().sleep(self.cfg.issue_overhead_ns).await;
         // Zero copy: no CPU copy cost; the whole buffer travels at once.
-        let chunk = frame(data, usize::MAX / 2).remove(0);
-        let delivered = self.lane.send_tracked(chunk);
+        let delivered = self.lane.send_tracked(Chunk::whole(data));
         let window = self.window.clone();
         self.cluster.sim().spawn_detached(async move {
             delivered.await;
@@ -493,9 +505,9 @@ impl AzRx {
             // recv() (the AZ-SDP design removes the *sender* copy).
             self.cluster
                 .cpu(self.local)
-                .execute(self.cfg.copy_cost(chunk.len()))
+                .execute(self.cfg.copy_cost(chunk.wire_len()))
                 .await;
-            if let Some(m) = self.reasm.feed(&chunk) {
+            if let Some(m) = self.reasm.feed(chunk) {
                 return m;
             }
         }
@@ -529,7 +541,7 @@ impl PackTx {
         cluster.sim().spawn_detached(async move {
             loop {
                 let msg = fb_ep.recv().await;
-                s2.set(s2.get() + decode_feedback(&msg.data) as usize);
+                s2.set(s2.get() + msg.imm as usize);
                 n2.notify_all();
             }
         });
@@ -543,16 +555,16 @@ impl PackTx {
         }
     }
 
-    async fn send(&mut self, data: &[u8]) {
+    async fn send(&mut self, data: Bytes) {
         let cpu = self.cluster.cpu(self.local);
         // Fine-grained packing: small chunks keep the ring pipelined even
         // for messages comparable to the ring size.
         let cap = (self.cfg.ring_bytes / 8).max(64);
         for chunk in frame(data, cap) {
             // Byte-accurate flow control: a chunk consumes exactly its own
-            // length of ring space (the sender packs data precisely because
-            // it manages the remote buffer with RDMA).
-            let need = chunk.len();
+            // framed length of ring space (the sender packs data precisely
+            // because it manages the remote buffer with RDMA).
+            let need = chunk.wire_len();
             if self.space.get() < need {
                 self.cluster.note_credit_stall(self.local);
                 while self.space.get() < need {
@@ -560,7 +572,7 @@ impl PackTx {
                 }
             }
             self.space.set(self.space.get() - need);
-            cpu.execute(self.cfg.copy_cost(chunk.len())).await;
+            cpu.execute(self.cfg.copy_cost(need)).await;
             self.cluster.sim().sleep(self.cfg.issue_overhead_ns).await;
             self.lane.send_bg(chunk);
         }
@@ -568,7 +580,7 @@ impl PackTx {
 }
 
 struct PackRx {
-    rx_q: dc_sim::sync::Receiver<Bytes>,
+    rx_q: dc_sim::sync::Receiver<Chunk>,
     reasm: Reassembler,
 }
 
@@ -590,25 +602,11 @@ impl PackRx {
             let mut freed = 0usize;
             loop {
                 let chunk = lane.recv().await;
-                cl.cpu(local).execute(cfg.copy_cost(chunk.len())).await;
-                freed += chunk.len();
+                cl.cpu(local).execute(cfg.copy_cost(chunk.wire_len())).await;
+                freed += chunk.wire_len();
                 if freed >= cfg.ring_bytes / 4 {
-                    let n = freed as u64;
+                    return_feedback(&cl, local, peer, fb_port, freed);
                     freed = 0;
-                    let cl2 = cl.clone();
-                    cl.sim().spawn_detached(async move {
-                        // Ring-space returns are cumulative like credits;
-                        // reliability matters, ordering does not.
-                        cl2.send_reliable(
-                            local,
-                            peer,
-                            fb_port,
-                            encode_feedback(n),
-                            Transport::RdmaSend,
-                        )
-                        .await
-                        .unwrap_or_else(|e| panic!("ring-space return undeliverable: {e}"));
-                    });
                 }
                 if tx_q.send(chunk).is_err() {
                     break;
@@ -628,7 +626,7 @@ impl PackRx {
                 .recv()
                 .await
                 .expect("stream pump terminated while receiving");
-            if let Some(m) = self.reasm.feed(&chunk) {
+            if let Some(m) = self.reasm.feed(chunk) {
                 return m;
             }
         }
@@ -743,35 +741,16 @@ mod tests {
             sdp > pack * 3,
             "expected credit stalls to dominate: sdp={sdp} pack={pack}"
         );
-        // The new counter explains the gap: SDP stalled repeatedly on
-        // credits, packetized never ran out of ring space for 1-byte sends.
-        assert!(sdp_stalls > 10, "sdp_stalls={sdp_stalls}");
+        // The counter explains the gap: SDP stalled on credits (60 of the
+        // 64 sends outrun the 4 credits, returned 2 at a time), packetized
+        // never ran out of ring space for 1-byte sends.
+        assert_eq!(sdp_stalls, 30);
         assert_eq!(pack_stalls, 0);
     }
 
     #[test]
     fn azsdp_send_returns_before_delivery() {
-        let (sim, cluster) = setup();
-        let (mut a, mut b) = connect(
-            &cluster,
-            NodeId(0),
-            NodeId(1),
-            StreamKind::AzSdp,
-            SocketsConfig::default(),
-        );
-        let h = sim.handle();
-        let send_done = sim.spawn(async move {
-            a.send(&vec![0u8; 64 * 1024]).await;
-            h.now()
-        });
-        let h2 = sim.handle();
-        let recv_done = sim.spawn(async move {
-            b.recv().await;
-            h2.now()
-        });
-        sim.run();
-        let ts = send_done.try_take().unwrap();
-        let tr = recv_done.try_take().unwrap();
+        let (ts, tr) = send_and_delivery_ns(StreamKind::AzSdp, 64 * 1024);
         // The 64KB transfer takes ~73us on the wire; the protected send
         // returns in ~2us.
         assert!(ts < us(5), "send returned at {ts}");
@@ -854,6 +833,42 @@ mod tests {
                 "fault plan never fired for {kind:?}"
             );
         }
+    }
+
+    /// Virtual time at which one `len`-byte send returns and at which the
+    /// peer's `recv` hands it back, on a fresh two-node cluster.
+    fn send_and_delivery_ns(kind: StreamKind, len: usize) -> (u64, u64) {
+        let (sim, cluster) = setup();
+        let (mut a, mut b) = connect(
+            &cluster,
+            NodeId(0),
+            NodeId(1),
+            kind,
+            SocketsConfig::default(),
+        );
+        let h = sim.handle();
+        let sent = sim.spawn(async move {
+            a.send(&vec![0x33u8; len]).await;
+            h.now()
+        });
+        let h2 = sim.handle();
+        let got = sim.spawn(async move {
+            assert_eq!(b.recv().await.len(), len);
+            h2.now()
+        });
+        sim.run();
+        (sent.try_take().unwrap(), got.try_take().unwrap())
+    }
+
+    /// Measured with the byte-tag framing that prepended its headers to
+    /// the payload: headers riding `Message.imm` must charge the same wire
+    /// bytes, copy costs and ring space.
+    #[test]
+    fn virtual_timing_matches_the_prepended_framing() {
+        let t = send_and_delivery_ns;
+        assert_eq!(t(StreamKind::Sdp, 8 * 1024), (12_814, 42_821));
+        assert_eq!(t(StreamKind::Packetized, 100_000), (156_764, 174_220));
+        assert_eq!(t(StreamKind::AzSdp, 64 * 1024), (2_000, 172_246));
     }
 
     #[test]

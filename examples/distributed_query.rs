@@ -32,13 +32,18 @@ fn run_sockets(records: usize) -> u64 {
     sim.spawn(async move {
         let _query = server.recv().await;
         cl.cpu(NodeId(1)).execute(q.scan_ns()).await;
+        let result = Bytes::from(vec![1u8; CHUNK]);
         for chunk in q.chunks(CHUNK) {
-            server.send(&vec![1u8; chunk]).await;
+            server.send_bytes(result.slice(..chunk)).await;
         }
     });
     let h = sim.handle();
     sim.run_to(async move {
-        client.send(b"SELECT name, size FROM satellite_tiles").await;
+        client
+            .send_bytes(Bytes::from_static(
+                b"SELECT name, size FROM satellite_tiles",
+            ))
+            .await;
         let mut got = 0;
         while got < q.result_bytes() {
             got += client.recv().await.len();

@@ -4,6 +4,7 @@
 //!
 //! Run with: `cargo run --release --example flow_control`
 
+use bytes::Bytes;
 use nextgen_datacenter::fabric::{Cluster, FabricModel, NodeId};
 use nextgen_datacenter::sim::time::as_ms;
 use nextgen_datacenter::sim::Sim;
@@ -26,10 +27,10 @@ fn stream(kind: StreamKind, size: usize, count: usize) -> (f64, f64) {
         }
         h.now()
     });
-    let payload = vec![7u8; size];
+    let payload = Bytes::from(vec![7u8; size]);
     sim.spawn(async move {
         for _ in 0..count {
-            tx.send(&payload).await;
+            tx.send_bytes(payload.clone()).await;
         }
     });
     sim.run();

@@ -264,3 +264,74 @@ fn webfarm_request_copies_its_document_at_most_once() {
         "{payload_delta} payload-sized allocations for {extra_reqs} extra requests"
     );
 }
+
+/// A stream message's bytes exist once on the host from `send_bytes` to
+/// `recv`: chunks are windows of the sent buffer and their headers ride
+/// `Message.imm`. Per kind, a 32 B request / 8 KiB response ping-pong at two
+/// volumes: the extra round trips add no payload-class allocation where the
+/// response travels as one chunk (HostTCP, AZ-SDP — `recv` returns the very
+/// buffer that was sent) and at most the one reassembly buffer where it is
+/// chunked (SDP, Packetized). (Framing that prepends its headers costs about
+/// three per response: the chunk, the sequence-numbered wire copy, the
+/// growing reassembly buffer.)
+#[test]
+fn stream_message_is_copied_at_most_once() {
+    use bytes::Bytes;
+    use dc_fabric::{Cluster, FabricModel, NodeId};
+    use dc_sim::Sim;
+    use dc_sockets::{connect, SocketsConfig, StreamKind};
+
+    let run_for = |kind: StreamKind, round_trips: usize| {
+        let counting = Counting::start();
+        let sim = Sim::new();
+        let cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), 2);
+        let (mut cli, mut srv) = connect(
+            &cluster,
+            NodeId(0),
+            NodeId(1),
+            kind,
+            SocketsConfig::default(),
+        );
+        let resp = Bytes::from(vec![0xA5u8; PAYLOAD_BYTES]);
+        let sent = resp.clone();
+        sim.spawn(async move {
+            for _ in 0..round_trips {
+                srv.recv().await;
+                srv.send_bytes(sent.clone()).await;
+            }
+        });
+        let req = Bytes::from(vec![7u8; 32]);
+        let single_chunk = matches!(kind, StreamKind::HostTcp | StreamKind::AzSdp);
+        sim.run_to(async move {
+            for _ in 0..round_trips {
+                cli.send_bytes(req.clone()).await;
+                let got = cli.recv().await;
+                assert_eq!(got.len(), PAYLOAD_BYTES);
+                if single_chunk {
+                    assert_eq!(got.as_ptr(), resp.as_ptr(), "{kind:?} response was copied");
+                }
+            }
+        });
+        counting.so_far().payload_sized
+    };
+
+    for kind in StreamKind::ALL {
+        let _ = run_for(kind, 8); // warm allocator arenas
+        let payload_short = run_for(kind, 64);
+        let payload_long = run_for(kind, 128);
+        let payload_delta = payload_long.saturating_sub(payload_short);
+        eprintln!(
+            "alloc_steady stream {}: 64 extra round trips, {payload_delta} extra payload-sized",
+            kind.label()
+        );
+        let allowed = match kind {
+            StreamKind::HostTcp | StreamKind::AzSdp => 0,
+            StreamKind::Sdp | StreamKind::Packetized => 64,
+        };
+        assert!(
+            payload_delta <= allowed,
+            "{}: {payload_delta} payload-sized allocations for 64 extra 8 KiB responses",
+            kind.label()
+        );
+    }
+}

@@ -1,13 +1,14 @@
 //! Property-based tests of the core data structures: allocator, LRU store,
 //! framing, lock-word encoding, Zipf sampling, and executor timer ordering.
 
+use bytes::Bytes;
 use proptest::prelude::*;
 
 use nextgen_datacenter::coopcache::LruStore;
 use nextgen_datacenter::ddss::alloc::FreeListAllocator;
 use nextgen_datacenter::dlm::LockWord;
 use nextgen_datacenter::fabric::NodeId;
-use nextgen_datacenter::sockets::flow::{frame, Reassembler};
+use nextgen_datacenter::sockets::flow::{frame, Chunk, Reassembler, CONT_HDR, FIRST_HDR};
 use nextgen_datacenter::workloads::Zipf;
 
 proptest! {
@@ -67,23 +68,28 @@ proptest! {
         }
     }
 
-    /// Any message reassembles exactly from its frames at any capacity.
+    /// Any message reassembles exactly from its frames at any capacity, its
+    /// chunks are windows of the sent buffer, and their framed lengths add
+    /// up to what the prepended byte-tag framing put on the wire.
     #[test]
     fn framing_round_trips(
         data in prop::collection::vec(any::<u8>(), 0..5000),
         cap in 10usize..9000
     ) {
-        let chunks = frame(&data, cap);
+        let data = Bytes::from(data);
+        let chunks: Vec<Chunk> = frame(data.clone(), cap).collect();
         for c in &chunks {
-            prop_assert!(c.len() <= cap);
+            prop_assert!(c.wire_len() <= cap);
         }
+        let wire: usize = chunks.iter().map(Chunk::wire_len).sum();
+        prop_assert_eq!(wire, data.len() + FIRST_HDR + CONT_HDR * (chunks.len() - 1));
         let mut r = Reassembler::new();
         let mut out = None;
-        for c in &chunks {
+        for c in chunks {
             prop_assert!(out.is_none(), "completed early");
             out = r.feed(c);
         }
-        prop_assert_eq!(&out.expect("incomplete")[..], &data[..]);
+        prop_assert_eq!(out.expect("incomplete"), data);
     }
 
     /// Lock words round trip for every tail/shared combination, and a

@@ -12,6 +12,7 @@ use nextgen_datacenter::fabric::kstat::{KernelStats, KSTAT_REGION_LEN};
 use nextgen_datacenter::fabric::rpc::{request_imm, split_request_imm};
 use nextgen_datacenter::fabric::NodeId;
 use nextgen_datacenter::reconfig::Assignment;
+use nextgen_datacenter::sockets::flow::{pack_imm, unpack_imm};
 use nextgen_datacenter::svc::Wire;
 
 fn round_trip<T: Wire + PartialEq + std::fmt::Debug>(v: &T) {
@@ -160,12 +161,33 @@ proptest! {
         prop_assert!(i < 1 << 48);
         prop_assert_eq!(request_imm(p, i), imm);
     }
+
+    /// The stream lane header `(seq, first, total < 2^31)` and its
+    /// immediate word are in bijection.
+    #[test]
+    fn stream_lane_header_and_imm_are_a_bijection(
+        seq in any::<u32>(),
+        first in any::<bool>(),
+        total in 0usize..1 << 31,
+        imm in any::<u64>(),
+    ) {
+        prop_assert_eq!(unpack_imm(pack_imm(seq, first, total)), (seq, first, total));
+        let (s, f, t) = unpack_imm(imm);
+        prop_assert!(t < 1 << 31);
+        prop_assert_eq!(pack_imm(s, f, t), imm);
+    }
 }
 
 #[test]
 #[should_panic(expected = "does not fit the 48-bit header field")]
 fn rpc_correlation_id_overflow_panics_instead_of_wrapping() {
     request_imm(9, 1 << 48);
+}
+
+#[test]
+#[should_panic(expected = "exceeds the 31-bit total_len field")]
+fn stream_message_length_overflow_panics_instead_of_wrapping() {
+    pack_imm(0, true, 1 << 31);
 }
 
 #[test]
