@@ -22,7 +22,7 @@ use dc_sim::sync::{oneshot, Notify, OneSender};
 use dc_sim::{Sim, SimHandle, SimTime};
 use dc_workloads::{RubisMix, Zipf};
 
-use crate::metrics::{tps, LatencyHist};
+use dc_trace::{tps, LatencyHist};
 
 /// Configuration of one hosting run.
 #[derive(Debug, Clone)]

@@ -15,8 +15,8 @@
 //!   proxy/app nodes across the saturation knee.
 //!
 //! Plus [`topology::DataCenter`] for canonical cluster construction,
-//! [`metrics`] for latency/TPS accounting, and [`table`] for the
-//! paper-style text tables the benches print.
+//! [`LatencyHist`] / [`tps`] (from `dc-trace`) for latency/TPS accounting,
+//! and [`table`] for the paper-style text tables the benches print.
 
 //! ```no_run
 //! use dc_core::{run_webfarm, WebFarmCfg};
@@ -31,14 +31,13 @@
 //! ```
 
 pub mod hosting;
-pub mod metrics;
 pub mod table;
 pub mod topology;
 pub mod webfarm;
 pub mod webfarm_scale;
 
+pub use dc_trace::{tps, LatencyHist};
 pub use hosting::{run_hosting, HostingCfg, HostingResult};
-pub use metrics::{tps, LatencyHist};
 pub use table::Table;
 pub use topology::{DataCenter, Roles};
 pub use webfarm::{

@@ -17,9 +17,7 @@ use dc_sim::rng::component_rng;
 use dc_sim::{Sim, SimTime};
 use dc_workloads::{FileSet, Zipf};
 
-use dc_trace::{MetricsSnapshot, Subsys, TraceMode};
-
-use crate::metrics::{tps, LatencyHist};
+use dc_trace::{tps, LatencyHist, MetricsSnapshot, Subsys, TraceMode};
 
 /// Configuration of one web-farm run.
 #[derive(Debug, Clone)]

@@ -1,10 +1,12 @@
 //! DDSS control-plane messages.
 //!
-//! These ride the legacy framing (`dc_svc::call_legacy`): the request body
-//! follows an `[op][reply-port]` prefix, the response is the bare encoded
-//! reply. Byte layouts are frozen — message length feeds the fabric's
-//! transmission-time model, so changing an encoding changes golden-baseline
-//! timings.
+//! A request is `[op][body]` sent through `dc_svc::SvcClient`, so the
+//! leading opcode routes it in the home daemon's `Dispatcher`; the response
+//! is the bare encoded reply. What is pinned: every codec round-trips
+//! (`tests/wire_roundtrip.rs`), and a remote 64-byte `allocate` / `free`
+//! takes 18,051 / 18,032 virtual ns on the calibrated fabric (message
+//! length feeds the transmission-time model; pinned in `substrate.rs`).
+//! No golden baseline observes a control call's duration.
 
 use dc_svc::{Reader, Wire, Writer};
 

@@ -24,6 +24,7 @@
 //! remote fetches serializes them on its transmit link.
 
 use std::cell::{Cell, RefCell};
+use std::future::Future;
 use std::rc::Rc;
 
 use bytes::Bytes;
@@ -481,6 +482,36 @@ impl Cluster {
         }
     }
 
+    /// The one budgeted-retry loop under every retransmitting verb and send:
+    /// run `op` until it succeeds or `policy.max_attempts` are spent,
+    /// counting a retry and sleeping out the backoff between attempts (and
+    /// nothing after the last). Every `try_` form fails before it mutates
+    /// or delivers anything, so re-running it is always safe.
+    async fn retrying<T, Fut>(
+        &self,
+        from: NodeId,
+        policy: RetryPolicy,
+        mut op: impl FnMut() -> Fut,
+    ) -> Result<T, FabricError>
+    where
+        Fut: Future<Output = Result<T, FabricError>>,
+    {
+        assert!(policy.max_attempts >= 1, "need at least one attempt");
+        let mut attempt = 0;
+        loop {
+            match op().await {
+                Ok(v) => return Ok(v),
+                Err(e) if attempt + 1 >= policy.max_attempts => return Err(e),
+                Err(_) => {
+                    self.note_retry();
+                    self.backoff_traced(from, policy.backoff_after(attempt))
+                        .await;
+                    attempt += 1;
+                }
+            }
+        }
+    }
+
     fn node(&self, id: NodeId) -> Rc<NodeInner> {
         Rc::clone(
             self.inner
@@ -531,18 +562,11 @@ impl Cluster {
     /// window failures on the default [`RetryPolicy`] and panics once the
     /// budget is exhausted (callers that can degrade use the `try_` form).
     pub async fn rdma_read(&self, from: NodeId, addr: RemoteAddr, len: usize) -> Bytes {
-        let p = RetryPolicy::default();
-        for attempt in 0..p.max_attempts {
-            match self.try_rdma_read(from, addr, len).await {
-                Ok(data) => return data,
-                Err(_) if attempt + 1 < p.max_attempts => {
-                    self.note_retry();
-                    self.backoff_traced(from, p.backoff_after(attempt)).await;
-                }
-                Err(e) => panic!("rdma_read at {addr:?}: {e} (retry budget exhausted)"),
-            }
-        }
-        unreachable!()
+        self.retrying(from, RetryPolicy::default(), || {
+            self.try_rdma_read(from, addr, len)
+        })
+        .await
+        .unwrap_or_else(|e| panic!("rdma_read at {addr:?}: {e} (retry budget exhausted)"))
     }
 
     /// Fallible RDMA read: fails with [`FabricError::Unreachable`] when the
@@ -601,18 +625,11 @@ impl Cluster {
     /// Infallible wrapper over [`Cluster::try_rdma_write`]; see
     /// [`Cluster::rdma_read`] for the retry/panic contract.
     pub async fn rdma_write(&self, from: NodeId, addr: RemoteAddr, data: &[u8]) {
-        let p = RetryPolicy::default();
-        for attempt in 0..p.max_attempts {
-            match self.try_rdma_write(from, addr, data).await {
-                Ok(()) => return,
-                Err(_) if attempt + 1 < p.max_attempts => {
-                    self.note_retry();
-                    self.backoff_traced(from, p.backoff_after(attempt)).await;
-                }
-                Err(e) => panic!("rdma_write at {addr:?}: {e} (retry budget exhausted)"),
-            }
-        }
-        unreachable!()
+        self.retrying(from, RetryPolicy::default(), || {
+            self.try_rdma_write(from, addr, data)
+        })
+        .await
+        .unwrap_or_else(|e| panic!("rdma_write at {addr:?}: {e} (retry budget exhausted)"))
     }
 
     /// Fallible RDMA write. On `Err` the target memory was *not* modified,
@@ -669,18 +686,11 @@ impl Cluster {
     /// Infallible wrapper over [`Cluster::try_atomic_cas`]; see
     /// [`Cluster::rdma_read`] for the retry/panic contract.
     pub async fn atomic_cas(&self, from: NodeId, addr: RemoteAddr, expect: u64, swap: u64) -> u64 {
-        let p = RetryPolicy::default();
-        for attempt in 0..p.max_attempts {
-            match self.try_atomic_cas(from, addr, expect, swap).await {
-                Ok(old) => return old,
-                Err(_) if attempt + 1 < p.max_attempts => {
-                    self.note_retry();
-                    self.backoff_traced(from, p.backoff_after(attempt)).await;
-                }
-                Err(e) => panic!("atomic_cas at {addr:?}: {e} (retry budget exhausted)"),
-            }
-        }
-        unreachable!()
+        self.retrying(from, RetryPolicy::default(), || {
+            self.try_atomic_cas(from, addr, expect, swap)
+        })
+        .await
+        .unwrap_or_else(|e| panic!("atomic_cas at {addr:?}: {e} (retry budget exhausted)"))
     }
 
     /// Fallible compare-and-swap. On `Err` the word was *not* touched (the
@@ -733,18 +743,11 @@ impl Cluster {
     /// Infallible wrapper over [`Cluster::try_atomic_faa`]; see
     /// [`Cluster::rdma_read`] for the retry/panic contract.
     pub async fn atomic_faa(&self, from: NodeId, addr: RemoteAddr, add: u64) -> u64 {
-        let p = RetryPolicy::default();
-        for attempt in 0..p.max_attempts {
-            match self.try_atomic_faa(from, addr, add).await {
-                Ok(old) => return old,
-                Err(_) if attempt + 1 < p.max_attempts => {
-                    self.note_retry();
-                    self.backoff_traced(from, p.backoff_after(attempt)).await;
-                }
-                Err(e) => panic!("atomic_faa at {addr:?}: {e} (retry budget exhausted)"),
-            }
-        }
-        unreachable!()
+        self.retrying(from, RetryPolicy::default(), || {
+            self.try_atomic_faa(from, addr, add)
+        })
+        .await
+        .unwrap_or_else(|e| panic!("atomic_faa at {addr:?}: {e} (retry budget exhausted)"))
     }
 
     /// Fallible fetch-and-add. On `Err` the word was *not* touched, so
@@ -852,7 +855,7 @@ impl Cluster {
     /// application load for the target CPU). Messages to unbound ports are
     /// silently dropped, like a network — and so are messages hit by an
     /// installed fault plan (unreliable-datagram semantics; use
-    /// [`Cluster::send_reliable`] for the RC-QP retransmitting flavor).
+    /// [`Cluster::send_reliable_with`] for the RC-QP retransmitting flavor).
     pub async fn send(
         &self,
         from: NodeId,
@@ -987,24 +990,10 @@ impl Cluster {
     }
 
     /// Reliable-connection send (the simulated analogue of an InfiniBand RC
-    /// QP): retransmits on drop or crash with exponential backoff under the
-    /// default [`RetryPolicy`]. `Ok(())` means delivered exactly once;
-    /// `Err` means never delivered — so protocol state machines built on
-    /// this never see duplicates.
-    pub async fn send_reliable(
-        &self,
-        from: NodeId,
-        to: NodeId,
-        port: u16,
-        data: Bytes,
-        transport: Transport,
-    ) -> Result<(), FabricError> {
-        let policy = RetryPolicy::default();
-        self.send_reliable_imm(from, to, port, &data, 0, 0, transport, policy)
-            .await
-    }
-
-    /// [`Cluster::send_reliable`] with an explicit retry budget.
+    /// QP): retransmits on drop or crash with exponential backoff under
+    /// `policy`. `Ok(())` means delivered exactly once; `Err` means never
+    /// delivered — so protocol state machines built on this never see
+    /// duplicates.
     pub async fn send_reliable_with(
         &self,
         from: NodeId,
@@ -1033,22 +1022,10 @@ impl Cluster {
         transport: Transport,
         policy: RetryPolicy,
     ) -> Result<(), FabricError> {
-        assert!(policy.max_attempts >= 1, "need at least one attempt");
-        for attempt in 0..policy.max_attempts {
-            match self
-                .try_send_imm_ref(from, to, port, data, imm, hdr_len, transport)
-                .await
-            {
-                Ok(()) => return Ok(()),
-                Err(e) if attempt + 1 >= policy.max_attempts => return Err(e),
-                Err(_) => {
-                    self.note_retry();
-                    self.backoff_traced(from, policy.backoff_after(attempt))
-                        .await;
-                }
-            }
-        }
-        unreachable!()
+        self.retrying(from, policy, || {
+            self.try_send_imm_ref(from, to, port, data, imm, hdr_len, transport)
+        })
+        .await
     }
 
     fn deliver(&self, from: NodeId, to: NodeId, port: u16, data: Bytes, imm: u64, ecn: bool) {
@@ -1552,12 +1529,13 @@ mod tests {
         let cc = c.clone();
         sim.spawn(async move {
             for i in 0..20u8 {
-                cc.send_reliable(
+                cc.send_reliable_with(
                     NodeId(0),
                     NodeId(1),
                     7,
                     Bytes::from(vec![i]),
                     Transport::RdmaSend,
+                    RetryPolicy::default(),
                 )
                 .await
                 .expect("reliable send failed");
@@ -1707,12 +1685,13 @@ mod tests {
         let cc = c.clone();
         sim.spawn(async move {
             for i in 0..10u8 {
-                cc.send_reliable(
+                cc.send_reliable_with(
                     NodeId(0),
                     NodeId(1),
                     7,
                     Bytes::from(vec![i]),
                     Transport::RdmaSend,
+                    RetryPolicy::default(),
                 )
                 .await
                 .unwrap();

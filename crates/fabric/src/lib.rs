@@ -51,7 +51,6 @@ pub mod faults;
 pub mod kstat;
 pub mod mem;
 pub mod model;
-pub mod rpc;
 
 pub use cluster::{Cluster, Endpoint, Message, NodeId, Transport, VerbStats};
 pub use cpu::{CpuConfig, CpuModel};
@@ -59,4 +58,3 @@ pub use faults::{FabricError, FaultConfig, FaultPlan, FaultStats, RetryPolicy};
 pub use kstat::KernelStats;
 pub use mem::{RegionId, RemoteAddr};
 pub use model::FabricModel;
-pub use rpc::RpcClient;

@@ -10,9 +10,9 @@
 //!   ([`Message::imm`]), so the caller's payload `Bytes` reaches the
 //!   server handler — and the handler's response reaches the caller — as
 //!   the same refcounted buffer. No payload byte is copied anywhere on the
-//!   path. ([`dc_fabric::rpc::RpcClient`] frames the same way, but its
-//!   header is charged as wire bytes; this lane's is the verb's own
-//!   immediate word and costs none.)
+//!   path. ([`dc_svc::SvcClient`] frames the same way, but its header is
+//!   charged as wire bytes; this lane's is the verb's own immediate word
+//!   and costs none.)
 //! * **Congestion control.** Each session runs a seeded, deterministic
 //!   Timely/DCQCN-flavoured rate machine ([`CongestionState`]): additive
 //!   increase on low-RTT acks, multiplicative decrease on ECN marks
@@ -614,11 +614,6 @@ impl ErpcMux {
         }
     }
 
-    /// Sessions opened on this mux.
-    pub fn session_count(&self) -> usize {
-        self.inner.sessions.borrow().len()
-    }
-
     /// The node this mux sends from.
     pub fn node(&self) -> NodeId {
         self.inner.node
@@ -813,54 +808,6 @@ impl ErpcSession {
     }
 }
 
-// ---------------------------------------------------------------------------
-// SvcClient lane adapter.
-// ---------------------------------------------------------------------------
-
-/// [`dc_svc::RpcLane`] implementation: one mux, one lazily-created session
-/// per `(server, port)` destination, so a [`dc_svc::SvcClient`] switched to
-/// this lane keeps its call signature while riding eRPC underneath.
-pub struct ErpcClientLane {
-    mux: ErpcMux,
-    seed: u64,
-    sessions: RefCell<FxHashMap<(u32, u16), ErpcSession>>,
-}
-
-impl ErpcClientLane {
-    /// Wrap `mux`; `seed` feeds each new session's rate jitter.
-    pub fn new(mux: ErpcMux, seed: u64) -> ErpcClientLane {
-        ErpcClientLane {
-            mux,
-            seed,
-            sessions: RefCell::new(FxHashMap::default()),
-        }
-    }
-}
-
-impl dc_svc::RpcLane for ErpcClientLane {
-    fn try_call(
-        &self,
-        to: NodeId,
-        port: u16,
-        payload: Bytes,
-        _timeout_ns: SimTime,
-    ) -> Pin<Box<dyn Future<Output = Option<Bytes>>>> {
-        let sess = {
-            let mut sessions = self.sessions.borrow_mut();
-            sessions
-                .entry((to.0, port))
-                .or_insert_with(|| {
-                    let n = self.mux.session_count() as u64;
-                    self.mux.session(to, port, self.seed ^ splitmix64(n))
-                })
-                .clone()
-        };
-        // The lane's own RTO/retransmit machinery subsumes the per-attempt
-        // deadline: a call either completes or panics past the budget.
-        Box::pin(async move { Some(sess.call(0, payload).await) })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1034,28 +981,6 @@ mod tests {
         let marked: u64 = sessions.iter().map(|s| s.marks()).sum();
         assert!(marked > 0, "incast produced no ECN marks");
         assert!(cluster.ecn_marks() > 0);
-    }
-
-    #[test]
-    fn svc_client_rides_the_erpc_lane() {
-        let (sim, cluster) = setup(2);
-        let srv = ErpcServer::spawn(&cluster, NodeId(1), 1, 2, 0, Rc::new(|_, req| req));
-        let mux = ErpcMux::new(&cluster, NodeId(0), ErpcCfg::default());
-        let lane = Rc::new(ErpcClientLane::new(mux, 7));
-        let client =
-            dc_svc::SvcClient::with_lane(&cluster, NodeId(0), dc_svc::CallPolicy::default(), lane);
-        let port = srv.ports()[0];
-        let got = sim.run_to(async move {
-            client
-                .call_bytes(
-                    NodeId(1),
-                    port,
-                    Bytes::from_static(b"over-erpc"),
-                    Transport::RdmaSend,
-                )
-                .await
-        });
-        assert_eq!(&got[..], b"over-erpc");
     }
 
     /// `callers` clones of one session call at once through a `window`-deep

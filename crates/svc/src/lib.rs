@@ -4,9 +4,10 @@
 //! into services. A service is a [`ServiceSpec`] (where it binds, what each
 //! request costs, serial vs. overlapping) plus a [`Dispatcher`] of
 //! per-opcode async handlers; [`Service::spawn`] runs the shared pump.
-//! Clients use [`call_legacy`] (ephemeral reply port, DDSS framing) or
-//! [`SvcClient`] (correlation-id multiplexing) under one [`CallPolicy`].
-//! Message payloads implement [`Wire`] instead of open-coding byte offsets.
+//! Clients call through [`SvcClient`] (correlation-id multiplexing over one
+//! bound port) under a [`CallPolicy`]; handlers answer with [`parse_request`]
+//! and [`respond`]. Message payloads implement [`Wire`] instead of
+//! open-coding byte offsets.
 //!
 //! Everything above `dc-fabric` goes through this crate for its endpoints:
 //! services via [`Service::spawn`], raw data-plane lanes (socket streams,
@@ -14,16 +15,17 @@
 //! calls `cluster.bind` directly.
 
 mod client;
+mod frame;
 mod service;
 mod wire;
 
-pub use client::{call_legacy, CallPolicy, RpcLane, SvcClient};
-pub use service::{legacy_request, Cost, Ctx, Dispatcher, Mode, Service, ServiceSpec};
+pub use client::{CallPolicy, SvcClient, DEFAULT_TIMEOUT_NS};
+pub use frame::{
+    parse_request, request_imm, respond, respond_bytes, split_request_imm, RpcRequest,
+};
+pub use service::{Cost, Ctx, Dispatcher, Mode, Service, ServiceSpec};
 pub use wire::{Reader, Wire, Writer};
 
-// Server-side helpers for RPC-framed handlers, re-exported so service crates
-// need no direct `dc_fabric::rpc` dependency.
-pub use dc_fabric::rpc::{parse_request, respond, respond_bytes, RpcRequest, DEFAULT_TIMEOUT_NS};
 // Trace lane ids, re-exported so service crates without a direct `dc-trace`
 // dependency can fill `ServiceSpec::subsys`.
 pub use dc_trace::Subsys;

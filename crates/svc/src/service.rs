@@ -19,9 +19,7 @@ use dc_sim::fxhash::FxHashMap;
 use std::future::Future;
 use std::pin::Pin;
 
-use bytes::Bytes;
-
-use dc_fabric::{Cluster, Message, NodeId, Transport};
+use dc_fabric::{Cluster, Message, NodeId};
 use dc_trace::Subsys;
 
 /// Simulated cost charged per request before its handler runs.
@@ -68,35 +66,13 @@ pub struct ServiceSpec {
     pub queue_cap: Option<usize>,
 }
 
-/// Handler context: the cluster handle plus the service's own node, with
-/// reply helpers for the common framings.
+/// Handler context: the cluster handle plus the service's own node.
 #[derive(Clone)]
 pub struct Ctx {
     /// The cluster the service runs in.
     pub cluster: Cluster,
     /// Node the service is bound on.
     pub node: NodeId,
-}
-
-impl Ctx {
-    /// Reply to a legacy-framed request: raw payload to the caller's
-    /// ephemeral reply port over the reliable transport. Awaited inline so a
-    /// serial service stays busy until the reply is accepted for delivery,
-    /// exactly like the hand-rolled daemons did.
-    pub async fn reply(&self, to: NodeId, reply_port: u16, payload: Vec<u8>, transport: Transport) {
-        let _ = self
-            .cluster
-            .send_reliable(self.node, to, reply_port, Bytes::from(payload), transport)
-            .await;
-    }
-}
-
-/// Split a legacy-framed request (`[op u8][reply-port u16le][body…]`, the
-/// counterpart of [`crate::call_legacy`]) into its reply port and body. The
-/// opcode byte already routed the message through the [`Dispatcher`].
-pub fn legacy_request(msg: &Message) -> (u16, Bytes) {
-    let reply_port = u16::from_le_bytes(msg.data[1..3].try_into().unwrap());
-    (reply_port, msg.data.slice(3..))
 }
 
 type Handler = Box<dyn Fn(Ctx, Message) -> Pin<Box<dyn Future<Output = ()>>>>;

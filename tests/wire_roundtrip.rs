@@ -9,11 +9,10 @@ use nextgen_datacenter::ddss::ctrl::{AllocReq, AllocResp, FreeReq, FreeResp};
 use nextgen_datacenter::ddss::Coherence;
 use nextgen_datacenter::dlm::msg::DlmMsg;
 use nextgen_datacenter::fabric::kstat::{KernelStats, KSTAT_REGION_LEN};
-use nextgen_datacenter::fabric::rpc::{request_imm, split_request_imm};
 use nextgen_datacenter::fabric::NodeId;
 use nextgen_datacenter::reconfig::Assignment;
 use nextgen_datacenter::sockets::flow::{pack_imm, unpack_imm};
-use nextgen_datacenter::svc::Wire;
+use nextgen_datacenter::svc::{request_imm, split_request_imm, Wire};
 
 fn round_trip<T: Wire + PartialEq + std::fmt::Debug>(v: &T) {
     let bytes = v.encode();
