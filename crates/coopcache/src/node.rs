@@ -168,8 +168,8 @@ impl CacheNode {
             .inner
             .cluster
             .region(self.inner.node, self.inner.data_region);
-        // The one host copy a served document pays: out of the registered
-        // region, which later installs may overwrite.
+        // A window of the payload the region holds — no host copy; a later
+        // install over the slot replaces the extent, not these bytes.
         let data = region.read_bytes(offset + DOC_HDR, size);
         self.inner
             .cluster
@@ -222,7 +222,7 @@ impl CacheNode {
     /// offset, or `None` if the document exceeds the cache size. If the
     /// document is already cached (a concurrent fetch won), the existing
     /// placement is returned untouched.
-    pub async fn install(&self, doc: DocId, content: &[u8]) -> Option<usize> {
+    pub async fn install(&self, doc: DocId, content: &Bytes) -> Option<usize> {
         let size = content.len();
         let total = size + DOC_HDR;
         if let Some((offset, _)) = self.inner.store.borrow_mut().get(doc) {
@@ -247,13 +247,13 @@ impl CacheNode {
                 dir.clear(me, v, me).await;
             });
         }
-        // Write header + content (a local memcpy), each straight into the
-        // region.
+        // The header is written; the content is held, not copied — the
+        // modeled memcpy is still charged below.
         let mut hdr = [0u8; DOC_HDR];
         hdr[..4].copy_from_slice(&doc.to_le_bytes());
         hdr[4..].copy_from_slice(&(size as u32).to_le_bytes());
         region.write(offset, &hdr);
-        region.write(offset + DOC_HDR, content);
+        region.write_bytes(offset + DOC_HDR, content);
         self.inner
             .cluster
             .cpu(self.inner.node)
@@ -270,7 +270,9 @@ impl CacheNode {
     }
 
     /// Fetch `doc` from `holder` with one-sided RDMA: read its index entry,
-    /// then the data, and validate the header. `Err(())` means the soft
+    /// then header and data with one scatter read, and validate the header;
+    /// the payload piece is a window of what the holder's region holds, so
+    /// nothing is copied on the host. `Err(())` means the soft
     /// state was stale **or the holder was unreachable** (caller falls back
     /// to the backend either way — a peer crash degrades to a miss, never
     /// to wrong bytes or a hang).
@@ -291,16 +293,16 @@ impl CacheNode {
             return Err(());
         }
         let offset = (entry - 1) as usize;
-        let raw = cluster
-            .try_rdma_read(me, holder.data_addr(offset), size + DOC_HDR)
+        let (hdr, data) = cluster
+            .try_rdma_read_sg(me, holder.data_addr(offset), DOC_HDR, size + DOC_HDR)
             .await
             .map_err(|_| ())?;
-        let got_doc = u32::from_le_bytes(raw[..4].try_into().unwrap());
-        let got_size = u32::from_le_bytes(raw[4..8].try_into().unwrap());
+        let got_doc = u32::from_le_bytes(hdr[..4].try_into().unwrap());
+        let got_size = u32::from_le_bytes(hdr[4..8].try_into().unwrap());
         if got_doc != doc || got_size as usize != size {
             return Err(()); // stale index: slot was reallocated
         }
-        Ok(raw.slice(DOC_HDR..))
+        Ok(data)
     }
 
     /// Ask `owner`'s reserve daemon to cache `doc` and return its offset.
@@ -375,9 +377,16 @@ mod tests {
     use dc_workloads::FileSet;
 
     fn setup(cache_bytes: usize) -> (Sim, Cluster, CacheNode, CacheNode, Rc<FileSet>) {
+        setup_sized(cache_bytes, 8192)
+    }
+
+    fn setup_sized(
+        cache_bytes: usize,
+        doc_size: usize,
+    ) -> (Sim, Cluster, CacheNode, CacheNode, Rc<FileSet>) {
         let sim = Sim::new();
         let cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), 4);
-        let fs = Rc::new(FileSet::uniform(64, 8192));
+        let fs = Rc::new(FileSet::uniform(64, doc_size));
         let backend = Backend::spawn(&cluster, NodeId(3), BackendCfg::default(), Rc::clone(&fs));
         let dir = Directory::new(&cluster, NodeId(0), 64);
         let cfg = CacheCfg {
@@ -451,6 +460,76 @@ mod tests {
             let r = a.remote_get(&b, 1, size).await;
             assert!(r.is_err(), "stale read must fail validation");
         });
+    }
+
+    /// From the origin's pattern to the reader a document is never copied
+    /// on the host: a local hit and a remote hit both return a window of
+    /// `FileSet::content` itself — also for a document installed over a slot
+    /// another document was evicted from, and a window handed out before
+    /// the eviction still reads as the document it was taken from.
+    #[test]
+    fn hits_are_windows_of_the_origin_document() {
+        let (sim, _c, a, b, fs) = setup(40 * 1024); // room for four documents
+        let size = fs.size(1);
+        sim.run_to(async move {
+            let slot = b.ensure_local(1, size).await.unwrap();
+            let local = b.local_get(1, size).await.unwrap();
+            let remote = a.remote_get(&b, 1, size).await.unwrap();
+            assert_eq!(local.as_ptr(), fs.content(1, size).as_ptr());
+            assert_eq!(remote.as_ptr(), fs.content(1, size).as_ptr());
+            for d in 2..8u32 {
+                b.ensure_local(d, size).await.unwrap();
+            }
+            assert!(!b.contains(1), "doc 1 should have been evicted");
+            let mut reused = false;
+            for d in (2..8u32).filter(|&d| b.contains(d)) {
+                reused |= b.ensure_local(d, size).await == Some(slot);
+                let want = fs.content(d as usize, size).as_ptr();
+                assert_eq!(b.local_get(d, size).await.unwrap().as_ptr(), want);
+                assert_eq!(a.remote_get(&b, d, size).await.unwrap().as_ptr(), want);
+            }
+            assert!(reused, "no document took over doc 1's slot");
+            assert_eq!(&local[..], fs.content(1, size));
+            assert_eq!(&remote[..], fs.content(1, size));
+        });
+    }
+
+    /// One 16 KiB remote hit is two one-sided reads — the 8-byte index entry,
+    /// then header and document as one scatter read of `size + DOC_HDR`
+    /// bytes — and takes the virtual time it took when the region was flat
+    /// bytes and the read one buffer (measured at PR 15).
+    #[test]
+    fn remote_hit_cost_is_pinned() {
+        use dc_trace::{ArgVal, TraceMode};
+        let (sim, cluster, a, b, fs) = setup_sized(1 << 20, 16 * 1024);
+        let size = fs.size(5);
+        let (h, c) = (sim.handle(), cluster.clone());
+        let (took, before) = sim.run_to(async move {
+            b.ensure_local(5, size).await.unwrap();
+            h.sleep(dc_sim::time::ms(1)).await; // directory publication drains
+            c.tracer().enable(TraceMode::Full);
+            let (t0, before) = (h.now(), c.stats());
+            a.remote_get(&b, 5, size).await.unwrap();
+            (h.now() - t0, before)
+        });
+        assert_eq!(took, 43_223);
+        let read_bytes: Vec<u64> = cluster
+            .tracer()
+            .events()
+            .iter()
+            .filter(|e| e.name == "verb.read")
+            .map(|e| match e.args.iter().find(|(k, _)| *k == "bytes") {
+                Some((_, ArgVal::U(n))) => *n,
+                other => panic!("verb.read without bytes: {other:?}"),
+            })
+            .collect();
+        assert_eq!(read_bytes, vec![8, (size + DOC_HDR) as u64]);
+        let s = cluster.stats();
+        assert_eq!(s.reads - before.reads, 2);
+        assert_eq!(
+            s.bytes_read - before.bytes_read,
+            (8 + size + DOC_HDR) as u64
+        );
     }
 
     #[test]

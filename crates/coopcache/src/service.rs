@@ -436,6 +436,35 @@ mod tests {
         });
     }
 
+    /// A 16 KiB BCC remote hit — directory lookup, index read, scatter data
+    /// read, local install — takes the virtual time it took when the
+    /// install copied the document into the region (PR 15): holding the
+    /// payload instead changes no simulated cost.
+    #[test]
+    fn bcc_remote_hit_then_install_cost_is_pinned() {
+        let (sim, _c, cache) = setup(CacheScheme::Bcc, 1 << 20, 8, 16 * 1024);
+        let cc = cache.clone();
+        let h = sim.handle();
+        let took = sim.run_to(async move {
+            cc.serve(NodeId(1), 0).await;
+            h.sleep(dc_sim::time::us(100)).await; // directory publication
+            let t0 = h.now();
+            let (data, o) = cc.serve(NodeId(2), 0).await;
+            let took = h.now() - t0;
+            assert_eq!(o, ServeOutcome::RemoteHit(NodeId(1)));
+            assert_eq!(&data[..], &expected(0, 16 * 1024)[..]);
+            let (again, o) = cc.serve(NodeId(2), 0).await;
+            assert_eq!(o, ServeOutcome::LocalHit);
+            assert_eq!(
+                again.as_ptr(),
+                data.as_ptr(),
+                "the installed copy is a copy"
+            );
+            took
+        });
+        assert_eq!(took, 66_938);
+    }
+
     #[test]
     fn ccwr_keeps_single_copy_at_owner() {
         let (sim, _c, cache) = setup(CacheScheme::Ccwr, 1 << 20, 8, 4096);

@@ -64,13 +64,21 @@ impl KernelStats {
     }
 
     /// Encode the snapshot into a kstat region (bumps no version itself).
+    /// The fields are contiguous from offset 0, so the CPU model's
+    /// every-state-change publish is one region write, not one per field.
     pub fn encode_into(&self, region: &RegionData) {
-        region.write_u64(offsets::RUN_QUEUE, self.run_queue);
-        region.write_u64(offsets::APP_THREADS, self.app_threads);
-        region.write_u64(offsets::BUSY_NS, self.busy_ns);
-        region.write_u64(offsets::VERSION, self.version);
-        region.write_u64(offsets::CONNS, self.conns);
-        region.write_u64(offsets::ACCEPT_QUEUE, self.accept_queue);
+        let mut block = [0u8; offsets::ACCEPT_QUEUE + 8];
+        for (off, v) in [
+            (offsets::RUN_QUEUE, self.run_queue),
+            (offsets::APP_THREADS, self.app_threads),
+            (offsets::BUSY_NS, self.busy_ns),
+            (offsets::VERSION, self.version),
+            (offsets::CONNS, self.conns),
+            (offsets::ACCEPT_QUEUE, self.accept_queue),
+        ] {
+            block[off..off + 8].copy_from_slice(&v.to_le_bytes());
+        }
+        region.write(0, &block);
     }
 }
 

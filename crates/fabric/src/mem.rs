@@ -6,6 +6,7 @@
 //! on these addresses without the target CPU's involvement.
 
 use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use bytes::Bytes;
@@ -36,25 +37,154 @@ impl RemoteAddr {
     }
 }
 
+/// `write_bytes` payloads shorter than this are copied into the flat bytes
+/// instead of being recorded as an extent. Below a few cache lines the copy
+/// is cheaper than the map operation and the later punch, an inline `Bytes`
+/// has no shared buffer to hold in the first place, and keeping lock words,
+/// index entries and headers out of the map keeps it one entry per payload.
+const EXTENT_MIN: usize = 256;
+
+/// What a region holds: flat bytes, and payloads it shares with whoever
+/// wrote them.
+///
+/// The observable content is always that of one flat byte array. `extents`
+/// are non-overlapping `offset → payload` ranges that lie inside the region
+/// and take precedence over the flat bytes beneath them; the flat bytes are
+/// authoritative everywhere else. Every write first *punches* its range out
+/// of the extents (trimming or splitting them with zero-copy slices), so a
+/// byte is never described twice.
+struct Store {
+    /// Lazily zeroed: `vec![0; len]` is one `calloc`, so a page is faulted
+    /// in only when a flat write touches it.
+    flat: Vec<u8>,
+    extents: BTreeMap<usize, Bytes>,
+}
+
+impl Store {
+    /// End of the access `offset..offset + len`; panics when it overruns the
+    /// region (an rkey violation — always a bug in protocol code).
+    #[inline]
+    fn end_of(&self, what: &str, offset: usize, len: usize) -> usize {
+        match offset.checked_add(len) {
+            Some(end) if end <= self.flat.len() => end,
+            _ => self.refuse(what, offset, len),
+        }
+    }
+
+    /// The panic of [`Store::end_of`], kept out of line: every lock-word and
+    /// kernel-statistics access runs the check.
+    #[cold]
+    #[inline(never)]
+    fn refuse(&self, what: &str, offset: usize, len: usize) -> ! {
+        match offset.checked_add(len) {
+            None => panic!("region {what} offset overflow"),
+            Some(end) => panic!(
+                "region {what} out of bounds: {offset}..{end} > {}",
+                self.flat.len()
+            ),
+        }
+    }
+
+    /// The extents that intersect `start..end`, in offset order.
+    fn overlapping(&self, start: usize, end: usize) -> impl Iterator<Item = (usize, &Bytes)> {
+        // At most one extent starting before `start` can reach into the range.
+        let head = self
+            .extents
+            .range(..start)
+            .next_back()
+            .filter(|&(&at, ext)| at + ext.len() > start);
+        head.into_iter()
+            .chain(self.extents.range(start..end))
+            .map(|(&at, ext)| (at, ext))
+    }
+
+    /// Remove `start..end` from the extents: whatever they held there is
+    /// about to be overwritten in the flat bytes or by a new extent. Out of
+    /// line, like [`Store::overlay`]: the flat paths stay a bounds check, an
+    /// `is_empty()` and a copy.
+    #[inline(never)]
+    fn punch(&mut self, start: usize, end: usize) {
+        if let Some((&at, ext)) = self.extents.range_mut(..start).next_back() {
+            let ext_end = at + ext.len();
+            if ext_end > start {
+                let tail = (ext_end > end).then(|| ext.slice(end - at..));
+                *ext = ext.slice(..start - at);
+                if let Some(tail) = tail {
+                    // The range was strictly inside this one extent.
+                    self.extents.insert(end, tail);
+                    return;
+                }
+            }
+        }
+        while let Some((at, len)) = self
+            .extents
+            .range(start..end)
+            .next()
+            .map(|(&at, ext)| (at, ext.len()))
+        {
+            let ext = self.extents.remove(&at).expect("extent just seen");
+            if at + len > end {
+                self.extents.insert(end, ext.slice(end - at..));
+            }
+        }
+    }
+
+    /// Lay the extents' bytes over `dst`, a copy of the flat bytes at
+    /// `start..start + dst.len()`.
+    #[inline(never)]
+    fn overlay(&self, start: usize, dst: &mut [u8]) {
+        let end = start + dst.len();
+        for (at, ext) in self.overlapping(start, end) {
+            let (lo, hi) = (at.max(start), (at + ext.len()).min(end));
+            dst[lo - start..hi - start].copy_from_slice(&ext[lo - at..hi - at]);
+        }
+    }
+
+    /// The region's bytes at `start..end`, copied out.
+    fn assemble(&self, start: usize, end: usize) -> Vec<u8> {
+        let mut out = self.flat[start..end].to_vec();
+        if !self.extents.is_empty() {
+            self.overlay(start, &mut out);
+        }
+        out
+    }
+}
+
 /// Backing storage of one registered region. Shared (`Rc`) so that node-local
 /// writers — e.g. the CPU model updating kernel statistics — can update it
 /// without going through the region table.
+///
+/// A region behaves as a flat array of bytes, zero when registered. Besides
+/// copying bytes in ([`RegionData::write`]) it can *hold* a payload
+/// ([`RegionData::write_bytes`]): the caller's `Bytes` is recorded as a
+/// shared extent and [`RegionData::read_bytes`] hands windows of it back, so
+/// a payload that passes through registered memory is never copied on the
+/// host — the analogue of the NIC moving bytes the CPU never touches. Any
+/// later write over part of an extent trims it, and reads that straddle
+/// extents and flat bytes assemble exactly what a flat array would hold.
+/// A `Bytes` handed out is immutable and so is a snapshot: it keeps the
+/// content it was sampled with whatever is written afterwards. The price is
+/// the usual one of windowed buffers — an extent, or a small window read out
+/// of it, keeps its whole backing buffer alive.
 #[derive(Clone)]
 pub struct RegionData {
-    data: Rc<RefCell<Vec<u8>>>,
+    store: Rc<RefCell<Store>>,
 }
 
 impl RegionData {
     /// Allocate a zeroed region of `len` bytes.
     pub fn new(len: usize) -> Self {
         RegionData {
-            data: Rc::new(RefCell::new(vec![0; len])),
+            store: Rc::new(RefCell::new(Store {
+                flat: vec![0; len],
+                extents: BTreeMap::new(),
+            })),
         }
     }
 
     /// Region length in bytes.
     pub fn len(&self) -> usize {
-        self.data.borrow().len()
+        self.store.borrow().flat.len()
     }
 
     /// Whether the region has zero length.
@@ -62,72 +192,84 @@ impl RegionData {
         self.len() == 0
     }
 
+    /// `(offset, len)` of every payload the region currently holds, in
+    /// offset order — what tests check the no-overlap invariant against.
+    pub fn extents(&self) -> Vec<(usize, usize)> {
+        let s = self.store.borrow();
+        s.extents.iter().map(|(&at, e)| (at, e.len())).collect()
+    }
+
     /// Copy `buf.len()` bytes into the region at `offset`.
     ///
     /// Panics if the write overruns the region (an rkey violation — always a
     /// bug in protocol code).
     pub fn write(&self, offset: usize, buf: &[u8]) {
-        let mut d = self.data.borrow_mut();
-        let end = offset
-            .checked_add(buf.len())
-            .expect("region write offset overflow");
-        assert!(
-            end <= d.len(),
-            "region write out of bounds: {}..{} > {}",
-            offset,
-            end,
-            d.len()
-        );
-        d[offset..end].copy_from_slice(buf);
+        let mut s = self.store.borrow_mut();
+        let end = s.end_of("write", offset, buf.len());
+        if !s.extents.is_empty() {
+            s.punch(offset, end);
+        }
+        s.flat[offset..end].copy_from_slice(buf);
+    }
+
+    /// Make the region hold `buf` at `offset` without copying it: the region
+    /// reads back exactly as after `write(offset, buf)`, and reads inside the
+    /// range return windows of `buf` itself. Short payloads are copied.
+    pub fn write_bytes(&self, offset: usize, buf: &Bytes) {
+        if buf.len() < EXTENT_MIN {
+            return self.write(offset, buf);
+        }
+        let mut s = self.store.borrow_mut();
+        let end = s.end_of("write", offset, buf.len());
+        match s.extents.get_mut(&offset) {
+            // A slot reused for a payload of the same size (the steady
+            // state of an LRU over equal-sized documents): nothing to trim.
+            Some(ext) if ext.len() == buf.len() => *ext = buf.clone(),
+            _ => {
+                s.punch(offset, end);
+                s.extents.insert(offset, buf.clone());
+            }
+        }
     }
 
     /// Copy `len` bytes out of the region at `offset`.
     pub fn read(&self, offset: usize, len: usize) -> Vec<u8> {
-        let d = self.data.borrow();
-        let end = offset
-            .checked_add(len)
-            .expect("region read offset overflow");
-        assert!(
-            end <= d.len(),
-            "region read out of bounds: {}..{} > {}",
-            offset,
-            end,
-            d.len()
-        );
-        d[offset..end].to_vec()
+        let s = self.store.borrow();
+        let end = s.end_of("read", offset, len);
+        s.assemble(offset, end)
     }
 
-    /// Snapshot `len` bytes at `offset` into a [`Bytes`] payload —
-    /// allocation-free for short reads (lock words, atomics results), one
-    /// copy either way. This is the verb-path variant of [`RegionData::read`].
+    /// Snapshot `len` bytes at `offset` into a [`Bytes`] payload: a window
+    /// of the held payload when one extent covers the range, else a copy —
+    /// allocation-free for short reads (lock words, atomics results). This
+    /// is the verb-path variant of [`RegionData::read`].
     pub fn read_bytes(&self, offset: usize, len: usize) -> Bytes {
-        let d = self.data.borrow();
-        let end = offset
-            .checked_add(len)
-            .expect("region read offset overflow");
-        assert!(
-            end <= d.len(),
-            "region read out of bounds: {}..{} > {}",
-            offset,
-            end,
-            d.len()
-        );
-        Bytes::copy_from_slice(&d[offset..end])
+        let s = self.store.borrow();
+        let end = s.end_of("read", offset, len);
+        let first = if s.extents.is_empty() {
+            None
+        } else {
+            s.overlapping(offset, end).next()
+        };
+        match first {
+            None => Bytes::copy_from_slice(&s.flat[offset..end]),
+            Some((at, ext)) if at <= offset && end <= at + ext.len() => {
+                ext.slice(offset - at..end - at)
+            }
+            Some(_) => Bytes::from(s.assemble(offset, end)),
+        }
     }
 
     /// Read a little-endian u64 at an 8-byte-aligned `offset`.
     pub fn read_u64(&self, offset: usize) -> u64 {
         assert_eq!(offset % 8, 0, "atomic access must be 8-byte aligned");
-        let d = self.data.borrow();
-        let end = offset + 8;
-        assert!(
-            end <= d.len(),
-            "region read out of bounds: {}..{} > {}",
-            offset,
-            end,
-            d.len()
-        );
-        u64::from_le_bytes(d[offset..end].try_into().unwrap())
+        let s = self.store.borrow();
+        let end = s.end_of("read", offset, 8);
+        let mut word: [u8; 8] = s.flat[offset..end].try_into().unwrap();
+        if !s.extents.is_empty() {
+            s.overlay(offset, &mut word);
+        }
+        u64::from_le_bytes(word)
     }
 
     /// Write a little-endian u64 at an 8-byte-aligned `offset`.
@@ -188,6 +330,67 @@ mod tests {
         assert_eq!(&r.read_bytes(8, 6)[..], &r.read(8, 6)[..]);
         assert_eq!(r.read_bytes(0, 64).len(), 64); // beyond the inline cap
         assert_eq!(&r.read_bytes(0, 64)[..], &r.read(0, 64)[..]);
+    }
+
+    #[test]
+    fn held_payload_reads_back_as_the_writers_buffer() {
+        let r = RegionData::new(4096);
+        let doc = Bytes::from(vec![7u8; 1024]);
+        r.write_bytes(512, &doc);
+        assert_eq!(r.extents(), vec![(512, 1024)]);
+        assert_eq!(r.read_bytes(512, 1024).as_ptr(), doc.as_ptr());
+        assert_eq!(r.read_bytes(600, 100).as_ptr(), doc[88..].as_ptr());
+        // A read that leaves the extent is assembled, flat bytes included.
+        r.write(504, &[1; 8]);
+        let mut expect = vec![1u8; 8];
+        expect.extend_from_slice(&[7; 16]);
+        assert_eq!(&r.read_bytes(504, 24)[..], &expect[..]);
+        // The same slot reused for a payload of the same size.
+        let next = Bytes::from(vec![9u8; 1024]);
+        let before = r.read_bytes(512, 1024);
+        r.write_bytes(512, &next);
+        assert_eq!(r.extents(), vec![(512, 1024)]);
+        assert_eq!(r.read_bytes(512, 1024).as_ptr(), next.as_ptr());
+        assert_eq!(before, doc, "a handed-out window is a snapshot");
+    }
+
+    #[test]
+    fn a_write_punches_its_range_out_of_a_held_payload() {
+        let r = RegionData::new(4096);
+        let doc = Bytes::from((0..=255u8).cycle().take(1024).collect::<Vec<u8>>());
+        r.write_bytes(0, &doc);
+        r.write_u64(256, u64::MAX);
+        assert_eq!(r.extents(), vec![(0, 256), (264, 760)]);
+        let mut expect = doc.to_vec();
+        expect[256..264].fill(0xFF);
+        assert_eq!(r.read(0, 1024), expect);
+        assert_eq!(r.read_u64(256), u64::MAX);
+        assert_eq!(
+            r.read_u64(248),
+            u64::from_le_bytes(doc[248..256].try_into().unwrap())
+        );
+        // What is left of the payload is still the writer's buffer.
+        assert_eq!(r.read_bytes(264, 760).as_ptr(), doc[264..].as_ptr());
+    }
+
+    #[test]
+    fn short_payloads_are_copied_not_held() {
+        let r = RegionData::new(1024);
+        r.write_bytes(0, &Bytes::from(vec![3u8; EXTENT_MIN - 1]));
+        assert!(r.extents().is_empty());
+        assert_eq!(
+            r.read(0, EXTENT_MIN),
+            [vec![3u8; EXTENT_MIN - 1], vec![0]].concat()
+        );
+        r.write_bytes(0, &Bytes::from(vec![4u8; EXTENT_MIN]));
+        assert_eq!(r.extents(), vec![(0, EXTENT_MIN)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn held_write_past_end_panics() {
+        let r = RegionData::new(1024);
+        r.write_bytes(512, &Bytes::from(vec![0u8; 513]));
     }
 
     #[test]

@@ -153,6 +153,10 @@ fn bless(args: &[String]) -> i32 {
     0
 }
 
+/// Committed in `baselines/` beside the reports but not one of them: the
+/// exact host-side counts CI's benchmark step checks.
+const HOST_COUNTS: &str = "host_counts.json";
+
 /// Pair up reports to compare: file vs file, or dir vs dir by stem.
 fn pairs(old: &Path, new: &Path) -> Result<Vec<(PathBuf, PathBuf)>, String> {
     if old.is_dir() && new.is_dir() {
@@ -161,6 +165,7 @@ fn pairs(old: &Path, new: &Path) -> Result<Vec<(PathBuf, PathBuf)>, String> {
             .map_err(|e| format!("reading {}: {e}", old.display()))?
             .filter_map(|e| e.ok().map(|e| e.path()))
             .filter(|p| p.extension().map(|x| x == "json").unwrap_or(false))
+            .filter(|p| p.file_name().is_some_and(|n| n != HOST_COUNTS))
             .collect();
         entries.sort();
         if entries.is_empty() {
@@ -421,7 +426,9 @@ mod tests {
             ])),
             0
         );
-        // Dir vs dir self-comparison: clean.
+        // Dir vs dir self-comparison: clean, and the host-count file that
+        // lives beside the baselines is not taken for a report.
+        std::fs::write(a.join(HOST_COUNTS), "{}").unwrap();
         assert_eq!(
             run(&sv(&["compare", a.to_str().unwrap(), b.to_str().unwrap()])),
             0

@@ -7,7 +7,6 @@
 //! path*, not of the sampling rate.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use dc_fabric::kstat::{KernelStats, KSTAT_REGION_LEN};
@@ -71,7 +70,8 @@ struct Inner {
     cfg: MonitorCfg,
     frontend: NodeId,
     client: SvcClient,
-    targets: HashMap<NodeId, Rc<TargetState>>,
+    /// Sorted by node id, so spawn order and every view are id-ordered.
+    targets: Vec<(NodeId, Rc<TargetState>)>,
 }
 
 /// The monitoring front-end service.
@@ -89,14 +89,14 @@ impl Monitor {
         frontend: NodeId,
         targets: &[NodeId],
     ) -> Monitor {
-        let mut map = HashMap::new();
+        let mut sorted = Vec::with_capacity(targets.len());
         for &t in targets {
             let daemon_port = scheme.needs_daemon().then(|| {
                 let port = cluster.alloc_port_for(t, "resmon.daemon");
                 spawn_daemon(cluster, t, port, cfg);
                 port
             });
-            map.insert(
+            sorted.push((
                 t,
                 Rc::new(TargetState {
                     cached: RefCell::new(LoadView {
@@ -105,8 +105,13 @@ impl Monitor {
                     }),
                     daemon_port,
                 }),
-            );
+            ));
         }
+        sorted.sort_by_key(|&(t, _)| t);
+        assert!(
+            sorted.windows(2).all(|w| w[0].0 < w[1].0),
+            "duplicate monitor target"
+        );
         let monitor = Monitor {
             inner: Rc::new(Inner {
                 cluster: cluster.clone(),
@@ -114,7 +119,7 @@ impl Monitor {
                 cfg,
                 frontend,
                 client: SvcClient::new(cluster, frontend),
-                targets: map,
+                targets: sorted,
             }),
         };
         match scheme {
@@ -133,7 +138,11 @@ impl Monitor {
     /// Current load view of `target` under the scheme's semantics: a fresh
     /// round trip for the sync schemes, the cached view for the async ones.
     pub async fn observe(&self, target: NodeId) -> LoadView {
-        let st = Rc::clone(&self.inner.targets[&target]);
+        let targets = &self.inner.targets;
+        let i = targets
+            .binary_search_by_key(&target, |&(t, _)| t)
+            .unwrap_or_else(|_| panic!("{target:?} is not a monitored target"));
+        let st = Rc::clone(&targets[i].1);
         match self.inner.scheme {
             MonitorScheme::RdmaSync | MonitorScheme::ERdmaSync => {
                 self.rdma_read_stats(target).await
@@ -150,23 +159,20 @@ impl Monitor {
     }
 
     /// The monitored targets, in id order.
-    pub fn targets(&self) -> Vec<NodeId> {
-        let mut t: Vec<NodeId> = self.inner.targets.keys().copied().collect();
-        t.sort();
-        t
+    pub fn targets(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.inner.targets.iter().map(|&(t, _)| t)
     }
 
     /// Observe every target (probes issued in parallel for the sync
     /// schemes) and return `(node, load)` pairs in id order.
     pub async fn cluster_view(&self) -> Vec<(NodeId, u64)> {
-        let targets = self.targets();
         let sim = self.inner.cluster.sim().clone();
-        let mut probes = Vec::with_capacity(targets.len());
-        for &t in &targets {
+        let mut probes = Vec::with_capacity(self.inner.targets.len());
+        for t in self.targets() {
             let m = self.clone();
             probes.push(sim.spawn(async move { (t, m.load(t).await) }));
         }
-        let mut out = Vec::with_capacity(targets.len());
+        let mut out = Vec::with_capacity(probes.len());
         for p in probes {
             out.push(p.await);
         }
@@ -213,7 +219,7 @@ impl Monitor {
     }
 
     fn spawn_rdma_poller(&self) {
-        for (&target, st) in &self.inner.targets {
+        for &(target, ref st) in &self.inner.targets {
             let st = Rc::clone(st);
             let monitor = self.clone();
             let sim = self.inner.cluster.sim().clone();
@@ -231,7 +237,7 @@ impl Monitor {
     fn spawn_socket_pushers(&self) {
         // The back-end daemon pushes periodically; the push pays daemon CPU
         // (queued behind load) and TCP processing on both sides.
-        for (&target, st) in &self.inner.targets {
+        for &(target, ref st) in &self.inner.targets {
             let st = Rc::clone(st);
             let cluster = self.inner.cluster.clone();
             let cfg = self.inner.cfg;
@@ -420,6 +426,41 @@ mod tests {
         assert_eq!(view[1].1, 0);
         assert_eq!(view[2].1, 1);
         assert_eq!(best, NodeId(2));
+    }
+
+    /// Poller tasks are spawned in target-id order whatever order the
+    /// targets were given in, so the schedule cannot depend on a per-process
+    /// (or per-map) hash seed: the first round of polls, all issued at t = 0
+    /// and all completing at the same instant, completes in id order.
+    #[test]
+    fn pollers_spawn_in_id_order() {
+        use dc_trace::{ArgVal, TraceMode};
+        let given = [5, 2, 8, 1, 7, 3, 6, 4].map(NodeId);
+        for _ in 0..2 {
+            let sim = Sim::new();
+            let cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), 9);
+            cluster.tracer().enable(TraceMode::Full);
+            let monitor = Monitor::spawn(
+                &cluster,
+                MonitorScheme::RdmaAsync,
+                MonitorCfg::default(),
+                NodeId(0),
+                &given,
+            );
+            sim.run_until(ms(1));
+            let polled: Vec<u64> = cluster
+                .tracer()
+                .events()
+                .iter()
+                .filter(|e| e.name == "verb.read")
+                .map(|e| match e.args.iter().find(|(k, _)| *k == "target") {
+                    Some((_, ArgVal::U(t))) => *t,
+                    other => panic!("verb.read without a target: {other:?}"),
+                })
+                .collect();
+            assert_eq!(polled, (1..=8).collect::<Vec<u64>>());
+            assert!(monitor.targets().eq((1..=8).map(NodeId)));
+        }
     }
 
     #[test]

@@ -15,7 +15,6 @@ use dc_sim::fxhash::FxHashMap;
 
 use dc_fabric::{Cluster, NodeId, RetryPolicy, Transport};
 use dc_sim::SimTime;
-use dc_trace::Subsys;
 
 use crate::frame::{request_imm, REQ_HDR};
 
@@ -23,25 +22,6 @@ use crate::frame::{request_imm, REQ_HDR};
 /// queued backends, but bounded so a lost response can never hang a caller
 /// forever.
 pub const DEFAULT_TIMEOUT_NS: SimTime = 500_000_000;
-
-/// Tracer-gated retry-stage span around a between-attempts backoff sleep.
-/// With tracing off this is exactly `sleep(ns)` — no extra awaits.
-async fn backoff_traced(cluster: &Cluster, node: NodeId, ns: SimTime, attempt: u32) {
-    let t0 = cluster.tracer().begin();
-    cluster.sim().sleep(ns).await;
-    if let Some(t0) = t0 {
-        cluster.tracer().complete(
-            t0,
-            node.0,
-            Subsys::App,
-            "call.backoff",
-            vec![
-                ("stage", "retry".into()),
-                ("attempt", (attempt as u64).into()),
-            ],
-        );
-    }
-}
 
 /// How a control call waits and retries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,9 +31,6 @@ pub struct CallPolicy {
     /// Whole-call attempts before giving up (min 1). Each attempt re-sends
     /// the request; transport-level retransmits happen underneath.
     pub attempts: u32,
-    /// Pause between attempts; `0` retries immediately (and schedules no
-    /// timer at all, preserving legacy executor timing).
-    pub backoff_ns: SimTime,
 }
 
 impl CallPolicy {
@@ -63,7 +40,6 @@ impl CallPolicy {
         CallPolicy {
             timeout_ns,
             attempts: 1,
-            backoff_ns: 0,
         }
     }
 }
@@ -74,7 +50,6 @@ impl Default for CallPolicy {
         CallPolicy {
             timeout_ns: DEFAULT_TIMEOUT_NS,
             attempts: 4,
-            backoff_ns: 0,
         }
     }
 }
@@ -211,10 +186,7 @@ impl SvcClient {
         payload: Bytes,
         transport: Transport,
     ) -> Bytes {
-        for attempt in 0..self.policy.attempts.max(1) {
-            if attempt > 0 && self.policy.backoff_ns > 0 {
-                backoff_traced(&self.cluster, self.node, self.policy.backoff_ns, attempt).await;
-            }
+        for _ in 0..self.policy.attempts.max(1) {
             if let Some(resp) = self.attempt(to, port, payload.clone(), transport).await {
                 return resp;
             }

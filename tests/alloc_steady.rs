@@ -213,56 +213,66 @@ fn erpc_incast_steady_state_makes_zero_payload_copies() {
     );
 }
 
-/// A served document's bytes exist once on the host from origin to client:
-/// the backend answers with a window of the shared content pattern, the
-/// response crosses the RPC as that buffer, `install` writes it straight
-/// into the cache region — and the one copy left is `local_get` reading it
-/// back out of the region, which later installs may overwrite. So extra
-/// requests may cost at most one payload-class allocation each, hit or
-/// miss. (A path that generates, frames and stages each document costs
-/// about four per miss.)
+/// A served document's bytes exist once on the host from origin to client
+/// and are never copied: the backend answers with a window of the shared
+/// content pattern, the response crosses the RPC as that buffer, `install`
+/// makes the cache region hold it, and a local hit or a remote hit's RDMA
+/// read returns a window of what the region holds. So extra requests add no
+/// payload-class allocation at all — on an AC cell (misses and local hits)
+/// and on a CCWR cell (remote hits). (A region of flat bytes costs one per
+/// served document, the copy out of it; a path that generates, frames and
+/// stages each document about four per miss.)
 #[test]
-fn webfarm_request_copies_its_document_at_most_once() {
+fn webfarm_request_never_copies_its_document() {
     use dc_coopcache::CacheScheme;
     use dc_core::{run_webfarm, WebFarmCfg};
 
-    let run_for = |requests: usize| {
-        // AC with a cache of 16 documents out of 512: mostly misses, the
-        // path with the most hand-offs.
-        let cfg = WebFarmCfg {
-            scheme: CacheScheme::Ac,
-            doc_size: 16 * 1024,
-            cache_bytes_per_node: 256 * 1024 + 1024,
-            requests,
-            warmup_fraction: 0.0,
-            ..WebFarmCfg::default()
+    // A cache of 16 documents out of 512: AC mostly misses, the path with
+    // the most hand-offs; CCWR serves the non-owner half of what the owners
+    // hold by one-sided read.
+    for scheme in [CacheScheme::Ac, CacheScheme::Ccwr] {
+        let run_for = |requests: usize| {
+            let cfg = WebFarmCfg {
+                scheme,
+                doc_size: 16 * 1024,
+                cache_bytes_per_node: 256 * 1024 + 1024,
+                requests,
+                warmup_fraction: 0.0,
+                ..WebFarmCfg::default()
+            };
+            let counting = Counting::start();
+            let r = run_webfarm(&cfg);
+            assert_eq!(r.cache.total(), requests as u64);
+            (counting.so_far().payload_sized, r.cache)
         };
-        let counting = Counting::start();
-        let r = run_webfarm(&cfg);
-        assert_eq!(r.cache.total(), requests as u64);
-        assert!(
-            r.cache.backend_misses > r.cache.local_hits,
-            "the cell must be miss-dominated: {:?}",
-            r.cache
-        );
-        counting.so_far().payload_sized
-    };
 
-    // Warm process-wide state (content pattern, Zipf table cache).
-    let _ = run_for(200);
-    let payload_short = run_for(1_000);
-    let payload_long = run_for(2_000);
-    let extra_reqs = 1_000u64;
-    let payload_delta = payload_long.saturating_sub(payload_short);
-    eprintln!(
-        "alloc_steady webfarm: {extra_reqs} extra requests, {payload_delta} extra payload-sized"
-    );
-    // The set-up constant cancels between the two runs except for the
-    // latency histogram's sample vector, which doubles a few more times.
-    assert!(
-        payload_delta <= extra_reqs + 8,
-        "{payload_delta} payload-sized allocations for {extra_reqs} extra requests"
-    );
+        // Warm process-wide state (content pattern, Zipf table cache).
+        let _ = run_for(200);
+        let (payload_short, _) = run_for(1_000);
+        let (payload_long, served) = run_for(2_000);
+        match scheme {
+            CacheScheme::Ac => assert!(
+                served.backend_misses > served.local_hits && served.local_hits > 100,
+                "the AC cell must be miss-dominated with local hits: {served:?}"
+            ),
+            _ => assert!(
+                served.remote_hits > 100,
+                "the CCWR cell must serve remote hits: {served:?}"
+            ),
+        }
+        let payload_delta = payload_long.saturating_sub(payload_short);
+        eprintln!(
+            "alloc_steady webfarm {scheme:?}: 1000 extra requests, \
+             {payload_delta} extra payload-sized"
+        );
+        // The set-up constant cancels between the two runs except for the
+        // vectors sized by the request count (the request slab, the latency
+        // samples), which are larger or double once more: three today.
+        assert!(
+            payload_delta <= 8,
+            "{scheme:?}: {payload_delta} payload-sized allocations for 1000 extra requests"
+        );
+    }
 }
 
 /// A stream message's bytes exist once on the host from `send_bytes` to

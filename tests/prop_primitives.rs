@@ -1,5 +1,6 @@
 //! Property-based tests of the core data structures: allocator, LRU store,
-//! framing, lock-word encoding, Zipf sampling, and executor timer ordering.
+//! registered regions, framing, lock-word encoding, Zipf sampling, and
+//! executor timer ordering.
 
 use bytes::Bytes;
 use proptest::prelude::*;
@@ -7,7 +8,9 @@ use proptest::prelude::*;
 use nextgen_datacenter::coopcache::LruStore;
 use nextgen_datacenter::ddss::alloc::FreeListAllocator;
 use nextgen_datacenter::dlm::LockWord;
-use nextgen_datacenter::fabric::NodeId;
+use nextgen_datacenter::fabric::mem::{RegionData, RemoteAddr};
+use nextgen_datacenter::fabric::{Cluster, FabricModel, NodeId};
+use nextgen_datacenter::sim::Sim;
 use nextgen_datacenter::sockets::flow::{frame, Chunk, Reassembler, CONT_HDR, FIRST_HDR};
 use nextgen_datacenter::workloads::Zipf;
 
@@ -524,5 +527,235 @@ proptest! {
     fn erpc_imm_word_decode_encode_is_a_bijection(imm in any::<u64>()) {
         use nextgen_datacenter::sockets::erpc::{decode_imm, encode_imm};
         prop_assert_eq!(encode_imm(decode_imm(imm)), imm);
+    }
+}
+
+/// Bytes of the region the region-model property drives.
+const REGION_LEN: usize = 4096;
+
+/// Source of the static-backed payloads.
+static STATIC_SRC: [u8; 2048] = {
+    let mut a = [0u8; 2048];
+    let mut i = 0;
+    while i < a.len() {
+        a[i] = (i * 7 + 3) as u8;
+        i += 1;
+    }
+    a
+};
+
+/// One step against a registered region; ranges are already in bounds.
+#[derive(Debug, Clone)]
+enum RegionOp {
+    Write {
+        off: usize,
+        len: usize,
+        fill: u8,
+    },
+    /// `backing`: 0 copied (inline when short), 1 static, 2 its own heap
+    /// buffer, 3 a window of a larger heap buffer.
+    WriteBytes {
+        off: usize,
+        len: usize,
+        fill: u8,
+        backing: u8,
+    },
+    WriteU64 {
+        off: usize,
+        v: u64,
+    },
+    Cas {
+        off: usize,
+        hit: bool,
+        swap: u64,
+    },
+    Faa {
+        off: usize,
+        add: u64,
+    },
+    Read {
+        off: usize,
+        len: usize,
+    },
+    ReadBytes {
+        off: usize,
+        len: usize,
+    },
+    ReadSg {
+        off: usize,
+        split: usize,
+        len: usize,
+    },
+    ReadU64 {
+        off: usize,
+    },
+}
+
+/// Offsets on a 64-byte grid half the time and lengths from a short list
+/// most of the time, so ranges nest, abut, overlap and exactly replace each
+/// other; the listed lengths sit around the inline cap of `Bytes` (30) and
+/// the size below which `write_bytes` copies (256).
+fn region_op() -> impl Strategy<Value = RegionOp> {
+    const LENS: [usize; 14] = [
+        0, 1, 8, 30, 31, 64, 255, 256, 257, 320, 512, 1000, 1024, 2048,
+    ];
+    (
+        0u8..12,
+        (any::<bool>(), 0..REGION_LEN),
+        (0usize..20, 0usize..2048),
+        any::<u64>(),
+        0u8..4,
+    )
+        .prop_map(|(kind, (grid, at), (pick, any_len), v, backing)| {
+            let off = if grid { at / 64 * 64 } else { at };
+            let len = LENS
+                .get(pick)
+                .copied()
+                .unwrap_or(any_len)
+                .min(REGION_LEN - off);
+            let word = (off / 8 * 8).min(REGION_LEN - 8);
+            let fill = v as u8;
+            match kind {
+                0 | 1 => RegionOp::Write { off, len, fill },
+                2..=4 => RegionOp::WriteBytes {
+                    off,
+                    len,
+                    fill,
+                    backing,
+                },
+                5 => RegionOp::WriteU64 { off: word, v },
+                6 => RegionOp::Cas {
+                    off: word,
+                    hit: v % 2 == 0,
+                    swap: v,
+                },
+                7 => RegionOp::Faa { off: word, add: v },
+                8 => RegionOp::Read { off, len },
+                9 => RegionOp::ReadBytes { off, len },
+                10 => RegionOp::ReadSg {
+                    off,
+                    split: (v as usize >> 8) % (len + 1),
+                    len,
+                },
+                _ => RegionOp::ReadU64 { off: word },
+            }
+        })
+}
+
+/// The payload a `WriteBytes` step writes.
+fn region_payload(len: usize, fill: u8, backing: u8) -> Bytes {
+    let gen = |n: usize| -> Vec<u8> { (0..n).map(|i| fill.wrapping_add(i as u8)).collect() };
+    match backing {
+        0 => Bytes::copy_from_slice(&gen(len)),
+        1 => {
+            let at = fill as usize % (STATIC_SRC.len() - len + 1);
+            Bytes::from_static(&STATIC_SRC[at..at + len])
+        }
+        2 => Bytes::from(gen(len)),
+        _ => Bytes::from(gen(len + 100)).slice(50..50 + len),
+    }
+}
+
+proptest! {
+    // Many short op sequences: the interesting cases are particular
+    // overlaps of two or three ranges.
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// A registered region is byte-for-byte a flat array, whatever mix of
+    /// copied and held payloads it is made of: every read equals the same
+    /// read of a plain `Vec<u8>` model, a `Bytes` handed out keeps the
+    /// content it was sampled with, the held extents never overlap, a large
+    /// held payload reads back as the writer's own buffer, and an access
+    /// past the end still panics.
+    #[test]
+    fn region_is_a_flat_byte_array(ops in prop::collection::vec(region_op(), 1..60)) {
+        let sim = Sim::new();
+        let cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), 2);
+        let id = cluster.register(NodeId(1), REGION_LEN);
+        let region: RegionData = cluster.region(NodeId(1), id);
+        let mut model = vec![0u8; REGION_LEN];
+        let mut handed: Vec<(Bytes, Vec<u8>)> = Vec::new();
+        let word = |m: &[u8], off: usize| u64::from_le_bytes(m[off..off + 8].try_into().unwrap());
+        for op in ops {
+            match op.clone() {
+                RegionOp::Write { off, len, fill } => {
+                    let buf = vec![fill; len];
+                    region.write(off, &buf);
+                    model[off..off + len].copy_from_slice(&buf);
+                }
+                RegionOp::WriteBytes { off, len, fill, backing } => {
+                    let buf = region_payload(len, fill, backing);
+                    region.write_bytes(off, &buf);
+                    model[off..off + len].copy_from_slice(&buf);
+                    if len >= 512 {
+                        prop_assert_eq!(region.read_bytes(off, len).as_ptr(), buf.as_ptr(),
+                            "{:?}: a held payload was copied", op);
+                    }
+                }
+                RegionOp::WriteU64 { off, v } => {
+                    region.write_u64(off, v);
+                    model[off..off + 8].copy_from_slice(&v.to_le_bytes());
+                }
+                RegionOp::Cas { off, hit, swap } => {
+                    let old = word(&model, off);
+                    let expect = if hit { old } else { old.wrapping_add(1) };
+                    prop_assert_eq!(region.cas_u64(off, expect, swap), old);
+                    if hit {
+                        model[off..off + 8].copy_from_slice(&swap.to_le_bytes());
+                    }
+                }
+                RegionOp::Faa { off, add } => {
+                    let old = word(&model, off);
+                    prop_assert_eq!(region.faa_u64(off, add), old);
+                    model[off..off + 8].copy_from_slice(&old.wrapping_add(add).to_le_bytes());
+                }
+                RegionOp::Read { off, len } => {
+                    prop_assert_eq!(&region.read(off, len)[..], &model[off..off + len], "{:?}", op);
+                }
+                RegionOp::ReadBytes { off, len } => {
+                    let got = region.read_bytes(off, len);
+                    prop_assert_eq!(&got[..], &model[off..off + len], "{:?}", op);
+                    handed.push((got, model[off..off + len].to_vec()));
+                }
+                RegionOp::ReadSg { off, split, len } => {
+                    let addr = RemoteAddr { node: NodeId(1), region: id, offset: off };
+                    let c = cluster.clone();
+                    let (head, body) = sim
+                        .run_to(async move { c.try_rdma_read_sg(NodeId(0), addr, split, len).await })
+                        .expect("no fault plan installed");
+                    prop_assert_eq!(&head[..], &model[off..off + split], "{:?} head", op);
+                    prop_assert_eq!(&body[..], &model[off + split..off + len], "{:?} body", op);
+                    handed.push((head, model[off..off + split].to_vec()));
+                    handed.push((body, model[off + split..off + len].to_vec()));
+                }
+                RegionOp::ReadU64 { off } => {
+                    prop_assert_eq!(region.read_u64(off), word(&model, off), "{:?}", op);
+                }
+            }
+            let mut free_from = 0;
+            for (at, len) in region.extents() {
+                prop_assert!(len > 0 && at >= free_from && at + len <= REGION_LEN,
+                    "after {:?}: extent {}+{} overlaps its predecessor or the end", op, at, len);
+                free_from = at + len;
+            }
+            prop_assert_eq!(&region.read(0, REGION_LEN)[..], &model[..], "after {:?}", op);
+        }
+        for (got, sampled) in &handed {
+            prop_assert_eq!(&got[..], &sampled[..], "a handed-out Bytes changed");
+        }
+        // Out-of-bounds accesses are rkey violations however the region is
+        // made up.
+        let big = Bytes::from(vec![1u8; 1024]);
+        let oob: [&dyn Fn(); 4] = [
+            &|| region.write(REGION_LEN - 4, &[0; 8]),
+            &|| region.write_bytes(REGION_LEN - 1000, &big),
+            &|| drop(region.read(REGION_LEN - 4, 8)),
+            &|| drop(region.read_bytes(1, REGION_LEN)),
+        ];
+        for access in oob {
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(access));
+            prop_assert!(caught.is_err(), "an out-of-bounds access did not panic");
+        }
+        prop_assert_eq!(&region.read(0, REGION_LEN)[..], &model[..], "a refused access wrote");
     }
 }

@@ -124,6 +124,19 @@ fn json_counter(metrics_json: &str, name: &str) -> u64 {
         .expect("counter is numeric")
 }
 
+/// One Figure 6 cell (2 proxies, CCWR, 16 KiB — remote hits dominate) posts
+/// the RDMA reads and moves the read bytes it did when a remote hit was one
+/// flat `size + DOC_HDR` read out of a copied region (values from PR 15):
+/// the scatter read is still one verb of the same length.
+#[test]
+fn fig6_cell_read_verbs_are_pinned() {
+    let cfg = dc_bench::fig6::cell_cfg(2, CacheScheme::Ccwr, 16 * 1024);
+    let (_, art) = run_webfarm_traced(&cfg, TraceMode::Full);
+    let reads = json_counter(&art.metrics_json, "fabric.verbs.read");
+    let bytes = json_counter(&art.metrics_json, "fabric.bytes.read");
+    assert_eq!((reads, bytes), (1_088, 5_644_800));
+}
+
 /// The fixed workloads pinned by the engine-schedule golden: one clean run
 /// and one fault-injected run, both small enough to execute in milliseconds.
 fn golden_cases() -> Vec<(&'static str, WebFarmCfg)> {
