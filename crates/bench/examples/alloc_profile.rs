@@ -169,13 +169,7 @@ fn main() {
         });
         return;
     }
-    let s = dc_bench::scenario::by_name(&name)
-        .or_else(|| {
-            dc_bench::scenario::WALLCLOCK_EXTRAS
-                .iter()
-                .find(|s| s.name == name)
-        })
-        .expect("scenario");
+    let s = dc_bench::scenario::lookup(&name).expect("scenario");
     if std::env::var("DC_ALLOC_TRACE").is_ok_and(|v| v == "1") {
         TRACE.store(true, Ordering::Relaxed);
         (s.run)();

@@ -2,24 +2,19 @@
 //!
 //! ```text
 //! dc-bench list
-//!     Print every registered scenario with its title.
+//!     Print every runnable scenario with its title: the 13 gated ones,
+//!     then the ungated `ext_webfarm_scale_full` (10^6 clients; no
+//!     baseline, no claims).
 //!
-//! dc-bench wallclock [--runs N] [--threads LIST] [--scenario NAME]...
-//!                    [--out PATH] [--json] [--diff OLD.json]
-//!     Run each selected scenario (default: all 13 registered plus the
-//!     wallclock-only extras such as ext_webfarm_scale_full) N times
-//!     (default: 5), measure host wall time and scheduler counters, and
-//!     print the throughput table. `--threads LIST` (e.g. `1,2,4`) re-runs
-//!     each *sharded* scenario once per listed engine shard count — the
-//!     reports are bit-identical across the list; only wall time changes —
-//!     and emits one table row per (scenario, threads) pair. Unsharded
-//!     scenarios always run single-shard. `--out PATH` writes the
-//!     BenchReport JSON (the BENCH_wallclock.json perf-trajectory
-//!     artifact); `--json` prints it to stdout instead of the table.
-//!     `--diff OLD.json` additionally compares the fresh measurements
-//!     against a previously written BENCH_wallclock.json, printing
-//!     per-(scenario, threads) events/sec deltas; comparisons across
-//!     calibration fingerprints are refused.
+//! dc-bench run [NAME...] [--json] [--out PATH] [--series]
+//!     Run the named scenarios in registry order (default: all 13 gated
+//!     ones) and print their paper-style tables. `--json` prints each
+//!     `dc-bench-report/v2` document instead; `--out PATH` writes it to
+//!     PATH (implies `--json`, takes exactly one NAME) — byte-identical to
+//!     what `dc-regress bless` writes. `--series` (with
+//!     `fig8a_monitor_accuracy` alone) appends the reported-vs-actual time
+//!     series behind the paper's plot. An unknown name or flag exits 2 and
+//!     prints the names.
 //!
 //! dc-bench flame --scenario NAME [--seed N] [--out PATH] [--report PATH]
 //!     Trace a scenario and fold its span tree into collapsed-stack
@@ -36,30 +31,28 @@
 //!     advances. `--once` renders a single final frame (headless/CI mode).
 //! ```
 
-use dc_bench::scenario::{self, Scenario};
-use dc_bench::{flame, top, wallclock};
-use dc_core::Table;
+use dc_bench::{flame, scenario, top};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("list") => {
-            for s in scenario::ALL
-                .iter()
-                .chain(scenario::WALLCLOCK_EXTRAS.iter())
-            {
+            for s in scenario::runnable() {
                 println!("{:24} {}", s.name, s.title);
             }
         }
-        Some("wallclock") => run_wallclock(&args[1..]),
+        Some("run") => {
+            let code = dc_bench::run::run(&args[1..], &mut std::io::stdout().lock());
+            std::process::exit(code);
+        }
         Some("flame") => run_flame(&args[1..]),
         Some("top") => run_top(&args[1..]),
         Some(other) => {
-            eprintln!("unknown subcommand `{other}`; try `list`, `wallclock`, `flame`, or `top`");
+            eprintln!("unknown subcommand `{other}`; try `list`, `run`, `flame`, or `top`");
             std::process::exit(2);
         }
         None => {
-            eprintln!("usage: dc-bench <list|wallclock|flame|top> [flags]");
+            eprintln!("usage: dc-bench <list|run|flame|top> [flags]");
             std::process::exit(2);
         }
     }
@@ -170,110 +163,6 @@ fn run_top(args: &[String]) {
         i += 1;
     }
     top::run(cfg);
-}
-
-fn run_wallclock(args: &[String]) {
-    let mut runs: usize = 5;
-    let mut threads: Vec<usize> = vec![1];
-    let mut names: Vec<String> = Vec::new();
-    let mut out: Option<std::path::PathBuf> = None;
-    let mut diff: Option<std::path::PathBuf> = None;
-    let mut json = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--threads" => {
-                i += 1;
-                let v = args
-                    .get(i)
-                    .unwrap_or_else(|| die("--threads requires a list like 1,2,4"));
-                threads = v
-                    .split(',')
-                    .map(|t| {
-                        t.trim()
-                            .parse::<usize>()
-                            .ok()
-                            .filter(|&n| n > 0)
-                            .unwrap_or_else(|| {
-                                die(&format!("--threads: not a positive number: {t}"))
-                            })
-                    })
-                    .collect();
-                if threads.is_empty() {
-                    die("--threads requires at least one count");
-                }
-            }
-            "--runs" => {
-                i += 1;
-                let v = args.get(i).unwrap_or_else(|| die("--runs requires N"));
-                runs = v
-                    .parse()
-                    .unwrap_or_else(|_| die(&format!("--runs: not a number: {v}")));
-                if runs == 0 {
-                    die("--runs must be at least 1");
-                }
-            }
-            "--scenario" => {
-                i += 1;
-                let v = args
-                    .get(i)
-                    .unwrap_or_else(|| die("--scenario requires a name"));
-                names.push(v.clone());
-            }
-            "--out" => {
-                i += 1;
-                let v = args.get(i).unwrap_or_else(|| die("--out requires a path"));
-                out = Some(std::path::PathBuf::from(v));
-            }
-            "--diff" => {
-                i += 1;
-                let v = args.get(i).unwrap_or_else(|| {
-                    die("--diff requires a path to an old BENCH_wallclock.json")
-                });
-                diff = Some(std::path::PathBuf::from(v));
-            }
-            "--json" => json = true,
-            other => die(&format!("unknown flag `{other}`")),
-        }
-        i += 1;
-    }
-
-    let selected: Vec<&Scenario> = if names.is_empty() {
-        scenario::ALL
-            .iter()
-            .chain(scenario::WALLCLOCK_EXTRAS.iter())
-            .collect()
-    } else {
-        names
-            .iter()
-            .map(|n| {
-                scenario::by_name(n)
-                    .or_else(|| scenario::WALLCLOCK_EXTRAS.iter().find(|s| s.name == *n))
-                    .unwrap_or_else(|| die(&format!("unknown scenario `{n}`; see `dc-bench list`")))
-            })
-            .collect()
-    };
-
-    let measured = wallclock::measure_matrix(&selected, runs, &threads);
-    let report = wallclock::wallclock_report(&measured, runs);
-    if let Some(path) = &out {
-        std::fs::write(path, report.to_json())
-            .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
-    }
-    if json && out.is_none() {
-        println!("{}", report.to_json());
-    } else {
-        for t in report.tables() {
-            Table::from_report(t).print();
-        }
-    }
-    if let Some(path) = &diff {
-        let old = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| die(&format!("reading {}: {e}", path.display())));
-        let table = wallclock::diff_against(&old, &measured)
-            .unwrap_or_else(|e| die(&format!("--diff {}: {e}", path.display())));
-        table.print();
-    }
 }
 
 fn die(msg: &str) -> ! {

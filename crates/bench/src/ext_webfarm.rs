@@ -14,9 +14,8 @@
 //!
 //! The registered scenario runs [`gate_cfg`] (60k clients, 180 nodes) so
 //! the regression gate and tier-1 tests stay fast; [`full_cfg`] scales the
-//! same shape to 10^6 clients / 450 nodes and is wired into
-//! `dc-bench wallclock` as `ext_webfarm_scale_full`, the trajectory point
-//! that any future engine-scaling work moves.
+//! same shape to 10^6 clients / 450 nodes and runs, ungated, as
+//! `dc-bench run ext_webfarm_scale_full`.
 
 use dc_core::webfarm_scale::{run_webfarm_scale, ScaleFarmCfg, ScalePoint};
 use dc_core::{table::f, Table};
@@ -94,7 +93,8 @@ pub fn gate_cfg() -> ScaleFarmCfg {
 
 /// The flagship configuration: 10^6 open-loop clients over 450 nodes. Same
 /// shape as [`gate_cfg`], scaled ~17× in population and ~25× in capacity;
-/// one knee-straddling pair of points drives >10^7 sim events.
+/// the three knee-straddling points `ext_webfarm_scale_full` runs on it
+/// drive 5.8 × 10^6 engine events.
 pub fn full_cfg() -> ScaleFarmCfg {
     ScaleFarmCfg {
         proxies: 300,

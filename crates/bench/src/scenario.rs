@@ -1,12 +1,12 @@
-//! The scenario registry: every figure/extension bin's experiment as a
-//! callable library function returning a finished [`BenchReport`].
+//! The scenario registry: every figure/extension experiment as a callable
+//! library function returning a finished [`BenchReport`].
 //!
-//! The `[[bin]]` targets are thin wrappers over these runners (parse flags,
-//! call the runner, emit), so the *same* code path produces the text
-//! tables, the `--json` artifacts, the committed `baselines/`, and the
-//! in-process runs of the paper-claims conformance suite
-//! (`tests/paper_claims.rs`) and the `dc-regress` gate. Every report
-//! carries the calibration fingerprint of
+//! Everything that runs a scenario goes through these runners — `dc-bench
+//! run` ([`crate::run`]) for the text tables and the `--json` artifacts,
+//! `dc-regress` for the committed `baselines/` and the gate, the
+//! paper-claims conformance suite (`tests/paper_claims.rs`) and the
+//! `benchmark/` crate in-process — so the *same* code path produces all of
+//! them. Every report carries the calibration fingerprint of
 //! [`FabricModel::calibrated_2007`], so regression tooling can tell a
 //! model recalibration apart from a behavioral regression.
 
@@ -15,116 +15,106 @@ use dc_trace::{ArgVal, BenchReport};
 
 /// One registered scenario.
 pub struct Scenario {
-    /// Bench name — matches the `[[bin]]` target and the baseline file
-    /// stem (`baselines/<name>.json`).
+    /// Bench name — what `dc-bench run` and `dc-regress` take, and the
+    /// baseline file stem (`baselines/<name>.json`).
     pub name: &'static str,
     /// One-line description of what the scenario regenerates.
     pub title: &'static str,
     /// Run the full experiment and return its report.
     pub run: fn() -> BenchReport,
-    /// Whether the scenario runs on the sharded engine and honours the
-    /// shard-count knob ([`dc_core::set_shards_override`] /
-    /// `DC_SIM_SHARDS`). Output is bit-identical at every shard count;
-    /// only wall-clock changes, so `dc-bench wallclock --threads` varies
-    /// the knob for exactly these scenarios.
-    pub sharded: bool,
 }
 
-/// Every scenario, in figure order. One entry per `[[bin]]` target.
+/// Every gated scenario, in figure order: one baseline and one claim
+/// table each.
 pub const ALL: [Scenario; 13] = [
     Scenario {
         name: "fig3a_ddss_put",
         title: "Fig 3a — DDSS put() latency by coherence model",
         run: fig3a_report,
-        sharded: false,
     },
     Scenario {
         name: "fig3b_storm",
         title: "Fig 3b — distributed STORM, sockets vs DDSS",
         run: fig3b_report,
-        sharded: false,
     },
     Scenario {
         name: "fig5a_lock_shared",
         title: "Fig 5a — shared-lock cascading latency",
         run: fig5a_report,
-        sharded: false,
     },
     Scenario {
         name: "fig5b_lock_exclusive",
         title: "Fig 5b — exclusive-lock cascading latency",
         run: fig5b_report,
-        sharded: false,
     },
     Scenario {
         name: "fig6_coopcache",
         title: "Fig 6 — cooperative-cache TPS, 2 and 8 proxies",
         run: fig6_report,
-        sharded: false,
     },
     Scenario {
         name: "fig8a_monitor_accuracy",
         title: "Fig 8a — monitoring accuracy under bursty load",
         run: fig8a_report,
-        sharded: false,
     },
     Scenario {
         name: "fig8b_monitor_throughput",
         title: "Fig 8b — hosted throughput by monitoring scheme",
         run: fig8b_report,
-        sharded: false,
     },
     Scenario {
         name: "ext_flowcontrol_bw",
         title: "§6 ext — packetized vs credit flow-control bandwidth",
         run: ext_flowcontrol_report,
-        sharded: false,
     },
     Scenario {
         name: "ext_fine_reconfig",
         title: "§6 ext — fine- vs coarse-grained reconfiguration",
         run: ext_fine_reconfig_report,
-        sharded: false,
     },
     Scenario {
         name: "ext_ablations",
         title: "Ablations — coherence verbs, cache capacity, cadence",
         run: ext_ablations_report,
-        sharded: false,
     },
     Scenario {
         name: "ext_lock_shootout",
         title: "Shootout — six lock designs under Zipf contention",
         run: ext_lock_shootout_report,
-        sharded: false,
     },
     Scenario {
         name: "ext_webfarm_scale",
         title: "At scale — open-loop webfarm load sweep across the knee",
         run: ext_webfarm_scale_report,
-        sharded: true,
     },
     Scenario {
         name: "ext_incast",
         title: "Incast — fan-in sweep, eRPC vs SDP vs AZ-SDP lanes",
         run: ext_incast_report,
-        sharded: false,
     },
 ];
 
-/// Wallclock-only scenarios: too heavy for the regression gate, but
-/// measured by `dc-bench wallclock` as engine-scaling trajectory points.
-/// Not in [`ALL`], so claims and baselines never run them.
-pub const WALLCLOCK_EXTRAS: [Scenario; 1] = [Scenario {
+/// Runnable but ungated scenarios: too heavy for the regression gate, so
+/// not in [`ALL`] — claims and baselines never run them.
+pub const UNGATED: [Scenario; 1] = [Scenario {
     name: "ext_webfarm_scale_full",
-    title: "At scale — 10^6 open-loop clients, wallclock trajectory point",
+    title: "At scale — 10^6 open-loop clients (ungated, no baseline)",
     run: ext_webfarm_scale_full_report,
-    sharded: true,
 }];
 
-/// Look a scenario up by bench name.
+/// Look a gated scenario up by bench name.
 pub fn by_name(name: &str) -> Option<&'static Scenario> {
     ALL.iter().find(|s| s.name == name)
+}
+
+/// Everything `dc-bench` can run or list: [`ALL`], then [`UNGATED`].
+pub fn runnable() -> impl Iterator<Item = &'static Scenario> {
+    ALL.iter().chain(UNGATED.iter())
+}
+
+/// Look up anything [`runnable`] by bench name.
+pub fn lookup(name: &str) -> Option<&'static Scenario> {
+    runnable().find(|s| s.name == name)
 }
 
 /// Assemble a fingerprinted report from rendered tables.
@@ -206,8 +196,8 @@ pub fn fig6_report() -> BenchReport {
     report("fig6_coopcache", vec![("panels", "2,8".into())], &tables)
 }
 
-/// Figure 8a: monitoring accuracy — report from already-run results (the
-/// bin reuses the results for its `--series` dump).
+/// Figure 8a: monitoring accuracy — report from already-run results
+/// (`dc-bench run --series` reuses the results for its time-series dump).
 pub fn fig8a_report_from(results: &[crate::fig8a::AccuracyResult]) -> BenchReport {
     report(
         "fig8a_monitor_accuracy",
@@ -296,8 +286,8 @@ pub fn ext_webfarm_scale_report() -> BenchReport {
 }
 
 /// At-scale webfarm, flagship size: 10^6 clients over 450 nodes, three
-/// knee-straddling points (>10^7 sim events). Wallclock-only (see
-/// [`WALLCLOCK_EXTRAS`]).
+/// knee-straddling points (5.8 × 10^6 engine events). Ungated (see
+/// [`UNGATED`]).
 pub fn ext_webfarm_scale_full_report() -> BenchReport {
     let sweep: Vec<crate::ext_webfarm::SweepCell> = crate::ext_webfarm::cells()
         .into_iter()
@@ -371,21 +361,23 @@ mod tests {
 
     #[test]
     fn registry_names_are_unique_and_resolvable() {
-        let mut names: Vec<&str> = ALL.iter().map(|s| s.name).collect();
+        // Unique over ALL *and* the ungated extras: an extra can never
+        // shadow a registered scenario in the shared lookup.
+        let mut names: Vec<&str> = runnable().map(|s| s.name).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), ALL.len(), "duplicate scenario name");
+        assert_eq!(names.len(), ALL.len() + UNGATED.len(), "duplicate name");
         for s in &ALL {
             assert!(by_name(s.name).is_some());
         }
-        assert!(by_name("fig9_imaginary").is_none());
-        for s in &WALLCLOCK_EXTRAS {
-            assert!(
-                by_name(s.name).is_none(),
-                "wallclock extra {} must not shadow a registered scenario",
-                s.name
-            );
+        for s in runnable() {
+            assert_eq!(lookup(s.name).map(|f| f.title), Some(s.title));
         }
+        for s in &UNGATED {
+            assert!(by_name(s.name).is_none(), "{} must stay ungated", s.name);
+        }
+        assert!(by_name("fig9_imaginary").is_none());
+        assert!(lookup("fig9_imaginary").is_none());
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //!   10^6 open-loop clients (slab state, not tasks) driving hundreds of
 //!   proxy/app nodes across the saturation knee.
 //!
-//! Plus [`topology::DataCenter`] for canonical cluster construction,
-//! [`LatencyHist`] / [`tps`] (from `dc-trace`) for latency/TPS accounting,
-//! and [`table`] for the paper-style text tables the benches print.
+//! Plus [`LatencyHist`] / [`tps`] (from `dc-trace`) for latency/TPS
+//! accounting, and [`table`] for the paper-style text tables the benches
+//! print.
 
 //! ```no_run
 //! use dc_core::{run_webfarm, WebFarmCfg};
@@ -32,19 +32,16 @@
 
 pub mod hosting;
 pub mod table;
-pub mod topology;
 pub mod webfarm;
 pub mod webfarm_scale;
 
 pub use dc_trace::{tps, LatencyHist};
 pub use hosting::{run_hosting, HostingCfg, HostingResult};
 pub use table::Table;
-pub use topology::{DataCenter, Roles};
 pub use webfarm::{
     run_webfarm, run_webfarm_observed, run_webfarm_traced, TraceArtifacts, WebFarmCfg,
     WebFarmResult,
 };
 pub use webfarm_scale::{
-    resolved_shards, run_webfarm_scale, run_webfarm_scale_stats, set_shards_override, ScaleFarmCfg,
-    ScalePoint,
+    resolved_shards, run_webfarm_scale, run_webfarm_scale_stats, ScaleFarmCfg, ScalePoint,
 };

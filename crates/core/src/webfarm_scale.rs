@@ -32,8 +32,8 @@
 //!   lookahead window is wide (tens of µs) and the result is **bit-
 //!   identical at every shard count** — `(ts, src_key, seq)` merge keys
 //!   use stable entity ids (proxy id, tier slot, station), never shard
-//!   indices. The shard count comes from [`ScaleFarmCfg::shards`], the
-//!   process-wide override, or `DC_SIM_SHARDS` (see [`resolved_shards`]).
+//!   indices. The shard count comes from [`ScaleFarmCfg::shards`] or
+//!   `DC_SIM_SHARDS` (see [`resolved_shards`]).
 //!
 //! Request lifecycle: arrival → admission (shed if the proxy is down or its
 //! bounded queue is full while all workers are busy) → parse CPU → cache
@@ -47,7 +47,6 @@
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use dc_fabric::faults::inflate;
 use dc_fabric::{FabricModel, FaultConfig, FaultPlan, NodeId};
@@ -113,9 +112,9 @@ pub struct ScaleFarmCfg {
     /// halting.
     pub faults: Option<(u64, FaultConfig)>,
     /// Worker shards for the parallel driver. `None` defers to the
-    /// process-wide override and then the `DC_SIM_SHARDS` environment
-    /// knob; see [`resolved_shards`]. Results are bit-identical at every
-    /// shard count, so this only trades wall-clock for threads.
+    /// `DC_SIM_SHARDS` environment knob; see [`resolved_shards`]. Results
+    /// are bit-identical at every shard count, so this only trades
+    /// wall-clock for threads.
     pub shards: Option<usize>,
 }
 
@@ -146,28 +145,12 @@ impl Default for ScaleFarmCfg {
     }
 }
 
-/// Process-wide shard-count override (0 = unset). Sits between an explicit
-/// `cfg.shards` and the `DC_SIM_SHARDS` environment variable so harnesses
-/// like `dc-bench wallclock --threads N` can set the knob for scenarios
-/// they invoke by function pointer.
-static SHARDS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Set (or with `None` clear) the process-wide shard-count override.
-pub fn set_shards_override(n: Option<usize>) {
-    SHARDS_OVERRIDE.store(n.unwrap_or(0), Ordering::Relaxed);
-}
-
-/// The shard count a run of `cfg` will use: `cfg.shards`, else the
-/// process-wide override ([`set_shards_override`]), else `DC_SIM_SHARDS`,
-/// else 1 — clamped to `[1, proxies]` (a shard with no proxies would only
-/// spin the barrier).
+/// The shard count a run of `cfg` will use: `cfg.shards`, else
+/// `DC_SIM_SHARDS`, else 1 — clamped to `[1, proxies]` (a shard with no
+/// proxies would only spin the barrier).
 pub fn resolved_shards(cfg: &ScaleFarmCfg) -> usize {
     let n = cfg
         .shards
-        .or(match SHARDS_OVERRIDE.load(Ordering::Relaxed) {
-            0 => None,
-            n => Some(n),
-        })
         .or_else(|| {
             std::env::var("DC_SIM_SHARDS")
                 .ok()
@@ -1161,20 +1144,21 @@ mod tests {
     }
 
     #[test]
-    fn shard_resolution_prefers_cfg_then_override_then_env() {
+    fn shard_resolution_prefers_cfg_then_env_then_one() {
         let cfg = tiny(1_000.0);
-        // No cfg value, no override: env or 1. (The env var is not set in
-        // the test harness for this binary.)
-        set_shards_override(None);
         let explicit = ScaleFarmCfg {
             shards: Some(3),
             ..cfg.clone()
         };
-        assert_eq!(resolved_shards(&explicit), 3);
-        set_shards_override(Some(2));
-        assert_eq!(resolved_shards(&explicit), 3, "cfg wins over override");
-        assert_eq!(resolved_shards(&cfg), 2, "override fills in for None");
-        set_shards_override(None);
+        assert_eq!(resolved_shards(&explicit), 3, "cfg wins over the env");
+        // No cfg value: DC_SIM_SHARDS (CI's sharded leg sets it), else 1.
+        let env = std::env::var("DC_SIM_SHARDS")
+            .ok()
+            .and_then(|v| v.parse::<usize>().ok());
+        assert_eq!(
+            resolved_shards(&cfg),
+            env.unwrap_or(1).clamp(1, cfg.proxies)
+        );
         // Clamped to the proxy count.
         let few = ScaleFarmCfg {
             shards: Some(64),

@@ -75,8 +75,9 @@ struct Opts {
     report: Option<PathBuf>,
     verbose: bool,
     from: Option<PathBuf>,
-    names: Vec<String>,
-    positional: Vec<PathBuf>,
+    /// Non-flag arguments: scenario names for `bless`/`check`/`claims`
+    /// (see [`selected`]), the two paths for `compare`.
+    positional: Vec<String>,
 }
 
 fn parse_opts(args: &[String]) -> Result<Opts, String> {
@@ -86,7 +87,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
         report: None,
         verbose: false,
         from: None,
-        names: Vec::new(),
         positional: Vec::new(),
     };
     let mut it = args.iter();
@@ -112,36 +112,41 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
             }
             "-v" | "--verbose" => o.verbose = true,
             other if other.starts_with('-') => return Err(format!("unknown flag {other:?}")),
-            other => {
-                if scenario::by_name(other).is_some() {
-                    o.names.push(other.to_string());
-                } else {
-                    o.positional.push(PathBuf::from(other));
-                }
-            }
+            other => o.positional.push(other.to_string()),
         }
     }
     Ok(o)
 }
 
-fn selected(names: &[String]) -> Vec<&'static scenario::Scenario> {
+/// The scenarios `names` selects (none = all 13); a name that is not
+/// registered is an error, never "run everything".
+fn selected(names: &[String]) -> Result<Vec<&'static scenario::Scenario>, String> {
     if names.is_empty() {
-        scenario::ALL.iter().collect()
-    } else {
-        names.iter().filter_map(|n| scenario::by_name(n)).collect()
+        return Ok(scenario::ALL.iter().collect());
     }
+    names
+        .iter()
+        .map(|n| scenario::by_name(n).ok_or_else(|| format!("unknown scenario {n:?}")))
+        .collect()
+}
+
+/// Parse a scenario-running subcommand's arguments.
+fn parse_run(args: &[String]) -> Result<(Opts, Vec<&'static scenario::Scenario>), String> {
+    let o = parse_opts(args)?;
+    let scenarios = selected(&o.positional)?;
+    Ok((o, scenarios))
 }
 
 fn bless(args: &[String]) -> i32 {
-    let o = match parse_opts(args) {
-        Ok(o) => o,
+    let (o, scenarios) = match parse_run(args) {
+        Ok(p) => p,
         Err(e) => return usage_err(&e),
     };
     if let Err(e) = std::fs::create_dir_all(&o.dir) {
         eprintln!("creating {}: {e}", o.dir.display());
         return 2;
     }
-    for s in selected(&o.names) {
+    for s in scenarios {
         let rep = (s.run)();
         let path = o.dir.join(format!("{}.json", s.name));
         if let Err(e) = std::fs::write(&path, rep.to_json()) {
@@ -198,7 +203,7 @@ fn compare(args: &[String]) -> i32 {
     let [old, new] = o.positional.as_slice() else {
         return usage_err("compare wants exactly OLD and NEW");
     };
-    let todo = match pairs(old, new) {
+    let todo = match pairs(Path::new(old), Path::new(new)) {
         Ok(p) => p,
         Err(e) => {
             eprintln!("{e}");
@@ -246,12 +251,12 @@ fn compare(args: &[String]) -> i32 {
 }
 
 fn check(args: &[String]) -> i32 {
-    let o = match parse_opts(args) {
-        Ok(o) => o,
+    let (o, scenarios) = match parse_run(args) {
+        Ok(p) => p,
         Err(e) => return usage_err(&e),
     };
     let mut regressions = 0usize;
-    for s in selected(&o.names) {
+    for s in scenarios {
         let base_path = o.dir.join(format!("{}.json", s.name));
         let base = match LoadedReport::from_path(&base_path) {
             Ok(b) => b,
@@ -285,12 +290,12 @@ fn check(args: &[String]) -> i32 {
 }
 
 fn claims(args: &[String]) -> i32 {
-    let o = match parse_opts(args) {
-        Ok(o) => o,
+    let (o, scenarios) = match parse_run(args) {
+        Ok(p) => p,
         Err(e) => return usage_err(&e),
     };
     let mut violations = 0usize;
-    for s in selected(&o.names) {
+    for s in scenarios {
         let tables = match &o.from {
             Some(dir) => match LoadedReport::from_path(&dir.join(format!("{}.json", s.name))) {
                 Ok(r) => r.tables,
@@ -531,10 +536,25 @@ mod tests {
     }
 
     #[test]
+    fn a_misspelt_scenario_is_a_usage_error_not_a_full_run() {
+        let dir = tmpdir("typo");
+        let dirs = dir.to_str().unwrap();
+        for cmd in ["bless", "check", "claims"] {
+            assert_eq!(run(&sv(&[cmd, "--dir", dirs, "fig5a_lock_sharedd"])), 2);
+            // One good name does not excuse a bad one.
+            let mixed = [cmd, "--dir", dirs, "fig5a_lock_shared", "nope"];
+            assert_eq!(run(&sv(&mixed)), 2, "{cmd}");
+        }
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0, "wrote files");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn bad_flags_are_rejected() {
         assert_eq!(run(&sv(&["check", "--tol-pct"])), 2);
         assert_eq!(run(&sv(&["check", "--tol", "nonsense"])), 2);
         assert_eq!(run(&sv(&["compare", "--wat"])), 2);
         assert_eq!(run(&sv(&["compare", "only-one-file.json"])), 2);
+        assert_eq!(run(&sv(&["compare", "a.json", "b.json", "c.json"])), 2);
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! [`LoadedReport`] is the read side of the `dc-bench-report` contract:
 //! it parses a JSON document through the strict parser in
-//! `dc_trace::json`, accepts schema v1 (no fingerprint) and v2, and
-//! rejects anything else. [`diff`] compares two loaded reports cell by
+//! `dc_trace::json`, accepts schema `dc-bench-report/v2` and rejects
+//! anything else. [`diff`] compares two loaded reports cell by
 //! cell; numeric cells get a relative tolerance (with per-column
 //! overrides), text cells must match exactly, and missing
 //! tables/rows/columns are structural regressions. Reports carrying
@@ -12,18 +12,18 @@
 //! number regressed.
 
 use dc_trace::json::{parse, JsonValue};
-use dc_trace::{schema_version, ReportTable};
+use dc_trace::{ReportTable, BENCH_REPORT_SCHEMA};
 
 use crate::claims::parse_cell;
 
 /// A bench report read back from JSON (a baseline file or `--json` run).
 #[derive(Debug, Clone)]
 pub struct LoadedReport {
-    /// Schema version: 1 (legacy, no fingerprint) or 2.
+    /// Schema version: always 2, the only one the loader accepts.
     pub version: u32,
     /// Bench name.
     pub bench: String,
-    /// Calibration fingerprint, present from v2 on.
+    /// Calibration fingerprint, when the report carries one.
     pub fingerprint: Option<String>,
     /// The report tables.
     pub tables: Vec<ReportTable>,
@@ -39,8 +39,9 @@ impl std::str::FromStr for LoadedReport {
             .get("schema")
             .and_then(JsonValue::as_str)
             .ok_or("missing \"schema\" field")?;
-        let version =
-            schema_version(schema).ok_or_else(|| format!("unsupported schema {schema:?}"))?;
+        if schema != BENCH_REPORT_SCHEMA {
+            return Err(format!("unsupported schema {schema:?}"));
+        }
         let bench = doc
             .get("bench")
             .and_then(JsonValue::as_str)
@@ -57,7 +58,7 @@ impl std::str::FromStr for LoadedReport {
             }
         }
         Ok(LoadedReport {
-            version,
+            version: 2,
             bench,
             fingerprint,
             tables,
@@ -354,17 +355,19 @@ mod tests {
     }
 
     #[test]
-    fn loads_v2_and_v1_documents() {
+    fn loads_v2_and_rejects_every_other_schema() {
         let r = sample(Some("fm1-1234"), "10.0");
         assert_eq!(r.version, 2);
         assert_eq!(r.bench, "demo");
         assert_eq!(r.fingerprint.as_deref(), Some("fm1-1234"));
         assert_eq!(r.tables.len(), 1);
 
+        // A v2 document without a fingerprint loads; the retired v1 does not.
+        let bare = r#"{"schema":"dc-bench-report/v2","bench":"bare","params":{},"tables":[]}"#;
+        assert_eq!(bare.parse::<LoadedReport>().unwrap().fingerprint, None);
         let v1 = r#"{"schema":"dc-bench-report/v1","bench":"old","params":{},"tables":[]}"#;
-        let r: LoadedReport = v1.parse().unwrap();
-        assert_eq!(r.version, 1);
-        assert_eq!(r.fingerprint, None);
+        let err = v1.parse::<LoadedReport>().unwrap_err();
+        assert!(err.contains("unsupported schema"), "{err}");
 
         assert!("{\"schema\":\"nope\"}".parse::<LoadedReport>().is_err());
         assert!("not json".parse::<LoadedReport>().is_err());
@@ -443,9 +446,9 @@ mod tests {
         let err = diff(&old, &new, &Tolerance::pct(50.0)).unwrap_err();
         assert!(matches!(err, DiffError::FingerprintMismatch(_, _)));
         assert!(err.to_string().contains("re-bless"));
-        // A v1 baseline (no fingerprint) still compares against v2.
-        let v1 = sample(None, "10.0");
-        assert!(diff(&v1, &new, &Tolerance::pct(0.0)).is_ok());
+        // A baseline without a fingerprint still compares.
+        let bare = sample(None, "10.0");
+        assert!(diff(&bare, &new, &Tolerance::pct(0.0)).is_ok());
     }
 
     #[test]

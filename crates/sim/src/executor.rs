@@ -178,8 +178,9 @@ pub fn thread_totals() -> SimCounters {
 
 /// Fold `c` into this thread's [`thread_totals`]. The sharded driver uses
 /// this to credit worker-shard executors (dropped on threads that no
-/// longer exist) to the thread that owns the run, so wallclock metering
-/// sees the whole fleet's work.
+/// longer exist) to the thread that owns the run, so whoever meters a run
+/// through [`thread_totals`] (`benchmark/` does) sees the whole fleet's
+/// work.
 pub fn add_thread_totals(c: SimCounters) {
     THREAD_TOTALS.with(|t| {
         let mut cur = t.get();

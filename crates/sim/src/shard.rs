@@ -286,7 +286,7 @@ pub struct ShardStats {
 /// dispatch/finish pair. Shard 0 runs on the calling thread. Results come
 /// back in shard order, and all shards' scheduler counters (plus the
 /// barrier-wait count) are folded into the *calling* thread's
-/// [`crate::thread_totals`] so wallclock metering sees the whole run.
+/// [`crate::thread_totals`], which `benchmark/` reads to meter a run.
 pub fn run_sharded<M, R, F>(cfg: &ShardCfg, build: F) -> (Vec<R>, ShardStats)
 where
     M: Send + 'static,

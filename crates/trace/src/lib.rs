@@ -38,7 +38,5 @@ pub use flame::{fold_collapsed, fold_into, render_collapsed};
 pub use hist::{tps, HistSummary, LatencyHist, StreamHist};
 pub use json::JsonValue;
 pub use metrics::{Counter, Gauge, HistHandle, MetricValue, MetricsSnapshot, Registry};
-pub use report::{
-    schema_version, BenchReport, ReportTable, BENCH_REPORT_SCHEMA, BENCH_REPORT_SCHEMA_V1,
-};
+pub use report::{BenchReport, ReportTable, BENCH_REPORT_SCHEMA};
 pub use tracer::{export_chrome_json, Tracer};

@@ -1,8 +1,8 @@
 //! The `BenchReport` machine-readable result schema.
 //!
-//! Every `fig*`/sweep binary can emit one of these (via the shared
-//! `--json` CLI flag) instead of — or alongside — its human-formatted
-//! table. The document shape, version `dc-bench-report/v2`:
+//! Every scenario run produces one of these; `dc-bench run --json` emits
+//! it instead of the human-formatted tables rendered from it. The document
+//! shape, version `dc-bench-report/v2`:
 //!
 //! ```json
 //! {
@@ -30,34 +30,18 @@
 //! appear in the order above; params, tables, and metric keys keep
 //! insertion order, so a report built the same way is byte-identical.
 //! Readers must ignore keys they don't know — the regression loader does,
-//! which is how v2 grew `latency_breakdown` without a version bump.
-//!
-//! `v1` is the same document without the `fingerprint` field; readers
-//! ([`schema_version`], the `dc-regress` loader) accept both.
+//! which is how v2 grew `latency_breakdown` without a version bump — and
+//! must reject any other `schema` string (unknown contract) rather than
+//! guess.
 
 use crate::critical::LatencyBreakdown;
 use crate::event::ArgVal;
 use crate::json::JsonWriter;
 use crate::metrics::MetricsSnapshot;
 
-/// Schema identifier emitted in every report.
+/// Schema identifier emitted in every report, and the only one readers
+/// accept.
 pub const BENCH_REPORT_SCHEMA: &str = "dc-bench-report/v2";
-
-/// The previous schema identifier, still accepted by readers (identical
-/// shape minus the optional `fingerprint` field).
-pub const BENCH_REPORT_SCHEMA_V1: &str = "dc-bench-report/v1";
-
-/// Extract the schema version number from a report's `schema` string:
-/// `Some(1)` for `dc-bench-report/v1`, `Some(2)` for v2, `None` for
-/// anything else. Readers should reject `None` (unknown contract) rather
-/// than guess.
-pub fn schema_version(schema: &str) -> Option<u32> {
-    match schema {
-        BENCH_REPORT_SCHEMA_V1 => Some(1),
-        BENCH_REPORT_SCHEMA => Some(2),
-        _ => None,
-    }
-}
 
 /// One table of results: a pre-rendered grid plus its title.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -285,15 +269,6 @@ mod tests {
         let m = s.find("\"metrics\"").unwrap();
         assert!(bd < m, "breakdown must precede metrics: {s}");
         assert_eq!(rep.latency_breakdown().unwrap().requests, 1);
-    }
-
-    #[test]
-    fn schema_versions_are_recognised() {
-        assert_eq!(schema_version("dc-bench-report/v1"), Some(1));
-        assert_eq!(schema_version("dc-bench-report/v2"), Some(2));
-        assert_eq!(schema_version(BENCH_REPORT_SCHEMA), Some(2));
-        assert_eq!(schema_version("dc-bench-report/v3"), None);
-        assert_eq!(schema_version(""), None);
     }
 
     #[test]

@@ -24,7 +24,7 @@ pub struct Zipf {
 }
 
 /// Process-wide table cache. α is keyed by its bit pattern — two α values
-/// share a table iff they are the same f64, which is exactly the criterion
+/// share a table iff they are the same f64, which is exactly the condition
 /// for their tables being identical.
 type TableCache = Mutex<HashMap<(usize, u64), Arc<[f64]>>>;
 

@@ -415,61 +415,17 @@ fn webfarm_scale_report_is_byte_identical_across_shard_counts() {
     }
 }
 
-/// Single-thread ≡ N-thread at the BenchReport layer for a cheap
-/// registered scenario: `fig5a_lock_shared` does not run on the sharded
-/// engine, so its report must be byte-identical no matter what the
-/// process-wide shard override says — the knob must not leak into
-/// unsharded scenarios.
-#[test]
-fn fig5a_report_ignores_the_shard_override() {
-    use nextgen_datacenter::core::set_shards_override;
-
-    let base = dc_bench::scenario::fig5a_report().to_json();
-    for shards in [2usize, 4] {
-        set_shards_override(Some(shards));
-        let json = dc_bench::scenario::fig5a_report().to_json();
-        set_shards_override(None);
-        assert_eq!(base, json, "shard override {shards} leaked into fig5a");
-    }
-}
-
-/// The incast sweep rides the unsharded engine, so its report — goodput,
-/// tail latencies, CC marks, QP gauges across all 12 (lane, fan-in) cells —
-/// must be byte-identical at every `DC_SIM_SHARDS` override. The knob is a
-/// wall-clock lever for sharded scenarios, never a behavioural one.
-#[test]
-fn ext_incast_report_ignores_the_shard_override() {
-    use nextgen_datacenter::core::set_shards_override;
-
-    let base = dc_bench::scenario::ext_incast_report().to_json();
-    for shards in [2usize, 4] {
-        set_shards_override(Some(shards));
-        let json = dc_bench::scenario::ext_incast_report().to_json();
-        set_shards_override(None);
-        assert_eq!(base, json, "shard override {shards} leaked into ext_incast");
-    }
-}
-
-/// Same contract with the fault plane armed: seeded drops trigger real
+/// The incast sweep with the fault plane armed: seeded drops trigger real
 /// retransmits and reply-cache hits, and the resulting report — including
 /// the retransmission counts themselves — replays byte-identically per
-/// seed at every shard override.
+/// seed.
 #[test]
 fn ext_incast_report_is_deterministic_under_seeded_drops() {
-    use nextgen_datacenter::core::set_shards_override;
-
     let base = dc_bench::scenario::ext_incast_report_with(0.02).to_json();
     assert!(
         base.contains("retx"),
         "drop-rate report must carry the retransmit column"
     );
-    for shards in [2usize, 4] {
-        set_shards_override(Some(shards));
-        let json = dc_bench::scenario::ext_incast_report_with(0.02).to_json();
-        set_shards_override(None);
-        assert_eq!(
-            base, json,
-            "shard override {shards} leaked into the fault-seeded incast sweep"
-        );
-    }
+    let again = dc_bench::scenario::ext_incast_report_with(0.02).to_json();
+    assert_eq!(base, again, "fault-seeded incast sweep is not replayable");
 }
