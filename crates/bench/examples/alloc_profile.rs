@@ -129,11 +129,7 @@ fn main() {
             }
         });
         measured("one dqnl cascade w=16 (full)", || {
-            dc_bench::fig5::cascade_ns(
-                dc_bench::fig5::LockScheme::Dqnl,
-                16,
-                dc_dlm::LockMode::Exclusive,
-            )
+            dc_bench::fig5::cascade_ns(dc_dlm::DesignKind::Dqnl, 16, dc_dlm::LockMode::Exclusive)
         });
         return;
     }

@@ -219,16 +219,7 @@ fn run_cell_inner(
         fairness_cv: var.sqrt() / mean,
         max_wait_us: as_us(*all.last().unwrap()),
     };
-    let artifacts = trace.map(|_| {
-        cluster.sync_sim_metrics();
-        dc_core::TraceArtifacts {
-            trace_json: cluster.tracer().export_chrome_json(),
-            metrics_json: cluster.metrics().snapshot().to_json(),
-            events: cluster.tracer().events().len(),
-            dropped: cluster.tracer().dropped(),
-            raw_events: cluster.tracer().events(),
-        }
-    });
+    let artifacts = trace.map(|_| dc_core::TraceArtifacts::collect(&cluster));
     (stats, artifacts)
 }
 

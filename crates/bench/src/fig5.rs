@@ -16,57 +16,20 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use dc_dlm::{DesignKind, DlmConfig, LockClient, LockMode};
+use dc_dlm::{DesignKind, DlmConfig, LockMode};
 use dc_fabric::{Cluster, FabricModel, NodeId};
 use dc_sim::time::{as_us, ms};
 use dc_sim::{Sim, SimTime};
 
 /// The lock-manager schemes of Figure 5, in legend order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LockScheme {
-    /// Send/receive server locking.
-    Srsl,
-    /// Distributed-queue non-shared locking.
-    Dqnl,
-    /// The paper's network-cooperative shared-exclusive design.
-    Ncosed,
-}
-
-impl LockScheme {
-    /// All schemes, legend order.
-    pub const ALL: [LockScheme; 3] = [LockScheme::Srsl, LockScheme::Dqnl, LockScheme::Ncosed];
-
-    /// The unified-design identity of this scheme (see `dc_dlm::design`).
-    pub fn design(self) -> DesignKind {
-        match self {
-            LockScheme::Srsl => DesignKind::Srsl,
-            LockScheme::Dqnl => DesignKind::Dqnl,
-            LockScheme::Ncosed => DesignKind::Ncosed,
-        }
-    }
-
-    /// Legend label.
-    pub fn label(self) -> &'static str {
-        self.design().label()
-    }
-}
+pub const SCHEMES: [DesignKind; 3] = [DesignKind::Srsl, DesignKind::Dqnl, DesignKind::Ncosed];
 
 /// Waiter counts swept (the paper plots 1–16).
 pub const WAITERS: [usize; 5] = [1, 2, 4, 8, 16];
 
-fn make_clients(
-    cluster: &Cluster,
-    scheme: LockScheme,
-    members: &[NodeId],
-) -> Vec<Box<dyn LockClient>> {
-    scheme
-        .design()
-        .build(cluster, DlmConfig::default(), NodeId(0), 1, members)
-}
-
 /// Run one cascade: returns the time from the holder's release until the
 /// last of `waiters` waiters (requesting `mode`) has been granted, in ns.
-pub fn cascade_ns(scheme: LockScheme, waiters: usize, mode: LockMode) -> u64 {
+pub fn cascade_ns(scheme: DesignKind, waiters: usize, mode: LockMode) -> u64 {
     cascade_inner(scheme, waiters, mode, None).0
 }
 
@@ -75,7 +38,7 @@ pub fn cascade_ns(scheme: LockScheme, waiters: usize, mode: LockMode) -> u64 {
 /// Tracing is recording-only, so the measured cascade time is identical to
 /// the untraced run's.
 pub fn cascade_traced(
-    scheme: LockScheme,
+    scheme: DesignKind,
     waiters: usize,
     mode: LockMode,
     tmode: dc_trace::TraceMode,
@@ -85,7 +48,7 @@ pub fn cascade_traced(
 }
 
 fn cascade_inner(
-    scheme: LockScheme,
+    scheme: DesignKind,
     waiters: usize,
     mode: LockMode,
     trace: Option<dc_trace::TraceMode>,
@@ -98,7 +61,7 @@ fn cascade_inner(
         cluster.tracer().enable(tmode);
     }
     let members: Vec<NodeId> = (0..nodes as u32).map(NodeId).collect();
-    let mut clients = make_clients(&cluster, scheme, &members);
+    let mut clients = scheme.build(&cluster, DlmConfig::default(), NodeId(0), 1, &members);
     // Index clients by node id; remove from the back to keep indices valid.
     let mut waiter_clients = Vec::new();
     for _ in 0..waiters {
@@ -159,14 +122,14 @@ fn cascade_inner(
 #[derive(Debug, Clone)]
 pub struct CascadeSeries {
     /// The scheme.
-    pub scheme: LockScheme,
+    pub scheme: DesignKind,
     /// Cascade latency (µs) per waiter count.
     pub latency_us: Vec<f64>,
 }
 
 /// Run panel (a) — shared waiters — or panel (b) — exclusive waiters.
 pub fn run(mode: LockMode) -> Vec<CascadeSeries> {
-    LockScheme::ALL
+    SCHEMES
         .iter()
         .map(|&scheme| CascadeSeries {
             scheme,
@@ -198,9 +161,9 @@ mod tests {
 
     #[test]
     fn shared_cascade_ncosed_flat_dqnl_linear() {
-        let n1 = cascade_ns(LockScheme::Ncosed, 1, LockMode::Shared);
-        let n16 = cascade_ns(LockScheme::Ncosed, 16, LockMode::Shared);
-        let d16 = cascade_ns(LockScheme::Dqnl, 16, LockMode::Shared);
+        let n1 = cascade_ns(DesignKind::Ncosed, 1, LockMode::Shared);
+        let n16 = cascade_ns(DesignKind::Ncosed, 16, LockMode::Shared);
+        let d16 = cascade_ns(DesignKind::Dqnl, 16, LockMode::Shared);
         // DQNL at 16 shared waiters is several times worse (paper: ~317%).
         assert!(
             d16 > 3 * n16,
@@ -212,9 +175,9 @@ mod tests {
 
     #[test]
     fn exclusive_cascade_srsl_slowest() {
-        let n = cascade_ns(LockScheme::Ncosed, 8, LockMode::Exclusive);
-        let d = cascade_ns(LockScheme::Dqnl, 8, LockMode::Exclusive);
-        let s = cascade_ns(LockScheme::Srsl, 8, LockMode::Exclusive);
+        let n = cascade_ns(DesignKind::Ncosed, 8, LockMode::Exclusive);
+        let d = cascade_ns(DesignKind::Dqnl, 8, LockMode::Exclusive);
+        let s = cascade_ns(DesignKind::Srsl, 8, LockMode::Exclusive);
         assert!(s > n, "SRSL {s} should exceed N-CoSED {n}");
         // DQNL and N-CoSED are structurally identical for exclusive chains.
         let ratio = d as f64 / n as f64;
@@ -223,9 +186,9 @@ mod tests {
 
     #[test]
     fn shared_cascade_srsl_between() {
-        let n = cascade_ns(LockScheme::Ncosed, 16, LockMode::Shared);
-        let s = cascade_ns(LockScheme::Srsl, 16, LockMode::Shared);
-        let d = cascade_ns(LockScheme::Dqnl, 16, LockMode::Shared);
+        let n = cascade_ns(DesignKind::Ncosed, 16, LockMode::Shared);
+        let s = cascade_ns(DesignKind::Srsl, 16, LockMode::Shared);
+        let d = cascade_ns(DesignKind::Dqnl, 16, LockMode::Shared);
         assert!(s > n, "SRSL {s} vs N-CoSED {n}");
         assert!(d > s, "DQNL {d} vs SRSL {s}");
     }

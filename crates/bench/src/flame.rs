@@ -16,7 +16,7 @@ use dc_trace::{fold_into, render_collapsed, BenchReport, LatencyBreakdown, Reque
 use dc_trace::{Event, TraceMode};
 
 use crate::ext_shootout;
-use crate::fig5::{self, LockScheme};
+use crate::fig5;
 use crate::fig6;
 
 /// Scenario names `flame` (and `top`) can trace, registry order.
@@ -83,7 +83,7 @@ pub fn profile(scenario: &str, seed: u64) -> FlameProfile {
             };
             // The cascade topology is seed-free; `seed` is recorded for the
             // report but does not vary the runs.
-            for scheme in LockScheme::ALL {
+            for scheme in fig5::SCHEMES {
                 for waiters in fig5::WAITERS {
                     let (_, evs) = fig5::cascade_traced(scheme, waiters, mode, TraceMode::Full);
                     let prefix = format!("{};w{:02}", scheme.label(), waiters);
@@ -156,7 +156,7 @@ mod tests {
         assert!(p.events > 0);
         assert!(!p.collapsed.is_empty());
         // Every scheme root appears in the fold.
-        for scheme in LockScheme::ALL {
+        for scheme in fig5::SCHEMES {
             assert!(
                 p.collapsed.contains(scheme.label()),
                 "missing {} in fold",
@@ -164,7 +164,7 @@ mod tests {
             );
         }
         // One request span per waiter per (scheme, waiter-count) cell.
-        let expected: usize = fig5::WAITERS.iter().sum::<usize>() * LockScheme::ALL.len();
+        let expected: usize = fig5::WAITERS.iter().sum::<usize>() * fig5::SCHEMES.len();
         assert_eq!(p.requests.len(), expected);
         // The stage partition is exact for every sampled request.
         for r in &p.requests {

@@ -107,6 +107,22 @@ pub struct TraceArtifacts {
     pub raw_events: Vec<dc_trace::Event>,
 }
 
+impl TraceArtifacts {
+    /// Export what `cluster`'s tracer and metrics registry hold right now
+    /// (after folding the executor's counters into the registry).
+    pub fn collect(cluster: &Cluster) -> TraceArtifacts {
+        cluster.sync_sim_metrics();
+        let raw_events = cluster.tracer().events();
+        TraceArtifacts {
+            trace_json: dc_trace::export_chrome_json(&raw_events),
+            metrics_json: cluster.metrics().snapshot().to_json(),
+            events: raw_events.len(),
+            dropped: cluster.tracer().dropped(),
+            raw_events,
+        }
+    }
+}
+
 /// Run one configuration to completion and report.
 pub fn run_webfarm(cfg: &WebFarmCfg) -> WebFarmResult {
     run_webfarm_inner(cfg, None, None).0
@@ -328,16 +344,7 @@ fn run_webfarm_inner(
         cache: cache.stats(),
         span_ns: span,
     };
-    let artifacts = trace.map(|_| {
-        cluster.sync_sim_metrics();
-        TraceArtifacts {
-            trace_json: cluster.tracer().export_chrome_json(),
-            metrics_json: cluster.metrics().snapshot().to_json(),
-            events: cluster.tracer().len(),
-            dropped: cluster.tracer().dropped(),
-            raw_events: cluster.tracer().events(),
-        }
-    });
+    let artifacts = trace.map(|_| TraceArtifacts::collect(&cluster));
     (result, artifacts)
 }
 

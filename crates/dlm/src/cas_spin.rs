@@ -15,22 +15,18 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use dc_fabric::{Cluster, NodeId, RegionId, RemoteAddr};
+use dc_fabric::{Cluster, NodeId};
 use dc_sim::rng::splitmix64;
-use dc_trace::{Counter, HistHandle, Subsys};
+use dc_trace::Counter;
 
 use crate::config::{DlmConfig, LockMode};
+use crate::manager::{Manager, WordTable};
 use crate::msg::LockId;
 
 struct Inner {
-    cluster: Cluster,
-    cfg: DlmConfig,
-    home: NodeId,
-    region: RegionId,
-    num_locks: u32,
-    acquires: Counter,
+    mgr: Rc<Manager>,
+    table: WordTable,
     retries: Counter,
-    lock_wait: HistHandle,
 }
 
 /// The CAS spin-lock manager.
@@ -51,18 +47,11 @@ impl CasSpinDlm {
         members: &[NodeId],
     ) -> CasSpinDlm {
         let _ = members;
-        let region = cluster.register(home, num_locks as usize * 8);
-        let metrics = cluster.metrics();
         CasSpinDlm {
             inner: Rc::new(Inner {
-                cluster: cluster.clone(),
-                cfg,
-                home,
-                region,
-                num_locks,
-                acquires: metrics.counter("dlm.lock_acquires"),
-                retries: metrics.counter("dlm.cas_spin.retries"),
-                lock_wait: metrics.hist("dlm.lock_wait_ns"),
+                mgr: Manager::new(cluster, cfg, home),
+                table: WordTable::new(cluster, home, num_locks),
+                retries: cluster.metrics().counter("dlm.cas_spin.retries"),
             }),
         }
     }
@@ -73,15 +62,6 @@ impl CasSpinDlm {
             dlm: self.clone(),
             node,
             held: RefCell::new(HashMap::new()),
-        }
-    }
-
-    fn word_addr(&self, lock: LockId) -> RemoteAddr {
-        assert!(lock < self.inner.num_locks);
-        RemoteAddr {
-            node: self.inner.home,
-            region: self.inner.region,
-            offset: lock as usize * 8,
         }
     }
 }
@@ -95,7 +75,7 @@ pub struct CasSpinClient {
 
 impl CasSpinClient {
     /// The node this client operates from.
-    pub fn node_id(&self) -> NodeId {
+    pub fn node(&self) -> NodeId {
         self.node
     }
 
@@ -103,53 +83,33 @@ impl CasSpinClient {
     /// for interface parity and every request excludes.
     pub async fn lock(&self, lock: LockId, mode: LockMode) {
         let _ = mode;
-        let cluster = self.dlm.inner.cluster.clone();
-        let t_start = cluster.sim().now();
-        let t0 = cluster.tracer().begin();
-        let addr = self.dlm.word_addr(lock);
+        let Inner {
+            mgr,
+            table,
+            retries,
+        } = &*self.dlm.inner;
+        let acq = mgr.begin_acquire();
+        let addr = table.word_addr(lock);
         let me = (self.node.0 + 1) as u64;
         let mut attempts = 0u64;
         loop {
-            let old = cluster.atomic_cas(self.node, addr, 0, me).await;
+            let old = mgr.cluster.atomic_cas(self.node, addr, 0, me).await;
             if old == 0 {
                 break;
             }
-            self.dlm.inner.retries.inc();
+            retries.inc();
             attempts += 1;
             // Deterministic per-(node, attempt) jitter keeps concurrent
             // spinners from phase-locking into a fixed retry order.
-            let base = self.dlm.inner.cfg.spin_retry_ns;
+            let base = mgr.cfg.spin_retry_ns;
             let jitter = splitmix64(((self.node.0 as u64) << 32) ^ attempts) % (base / 2).max(1);
-            let tb = cluster.tracer().begin();
-            cluster.sim().sleep(base + jitter).await;
-            if let Some(tb) = tb {
-                cluster.tracer().complete(
-                    tb,
-                    self.node.0,
-                    Subsys::Dlm,
-                    "lock.backoff",
-                    vec![("stage", "retry".into()), ("attempt", attempts.into())],
-                );
-            }
+            mgr.backoff(self.node, base + jitter, attempts).await;
         }
         assert!(
             self.held.borrow_mut().insert(lock, true).is_none(),
             "CAS-spin re-lock of a held lock"
         );
-        self.dlm.inner.acquires.inc();
-        self.dlm
-            .inner
-            .lock_wait
-            .record(cluster.sim().now() - t_start);
-        if let Some(t0) = t0 {
-            cluster.tracer().complete(
-                t0,
-                self.node.0,
-                Subsys::Dlm,
-                "lock.acquire",
-                vec![("lock", lock.into()), ("spins", attempts.into())],
-            );
-        }
+        mgr.acquired(acq, self.node, lock, || [("spins", attempts.into())]);
     }
 
     /// Release `lock`.
@@ -158,18 +118,13 @@ impl CasSpinClient {
             self.held.borrow_mut().remove(&lock).is_some(),
             "CAS-spin unlock of unheld lock"
         );
-        let cluster = self.dlm.inner.cluster.clone();
-        if cluster.tracer().is_enabled() {
-            cluster.tracer().instant(
-                self.node.0,
-                Subsys::Dlm,
-                "lock.release",
-                vec![("lock", lock.into())],
-            );
-        }
-        let addr = self.dlm.word_addr(lock);
+        let Inner { mgr, table, .. } = &*self.dlm.inner;
+        mgr.released(self.node, lock, || []);
         let me = (self.node.0 + 1) as u64;
-        let old = cluster.atomic_cas(self.node, addr, me, 0).await;
+        let old = mgr
+            .cluster
+            .atomic_cas(self.node, table.word_addr(lock), me, 0)
+            .await;
         assert_eq!(old, me, "CAS-spin word corrupted: owner {old:#x}");
     }
 }
@@ -227,7 +182,7 @@ mod tests {
             client.unlock(1).await;
         });
         assert_eq!(
-            cluster.region(NodeId(0), dlm.inner.region).read_u64(8),
+            dlm.inner.table.peek(&cluster, 1),
             0,
             "release must free the word"
         );

@@ -28,7 +28,7 @@ pub struct DlmConfig {
     pub backoff_max_ns: u64,
     /// Lease design: ownership duration granted per acquisition. Mutual
     /// exclusion holds only for critical sections shorter than this bound
-    /// (see the `LockDesign` contract note in DESIGN.md).
+    /// (see the `LockClient` contract in DESIGN.md §10).
     pub lease_ns: u64,
 }
 

@@ -1,14 +1,16 @@
-//! The unified `LockDesign` surface over all six lock managers.
+//! The unified surface over all six lock managers.
 //!
 //! Every design in the crate — the paper's Figure-5 trio (SRSL, DQNL,
 //! N-CoSED) and the shootout additions (CAS spin, lease/backoff,
 //! MCS/ticket) — exposes the same client shape: `lock(lock, mode).await`
-//! then `unlock(lock).await`. [`LockClient`] erases the concrete type so
-//! scenarios can sweep designs from a config value, and [`DesignKind`] is
-//! that config value: a closed enum that knows how to construct a manager
-//! and hand out one client per member node.
+//! then `unlock(lock).await`. The set of designs is closed, so both halves
+//! of the surface are enums: [`DesignKind`] is the config value scenarios
+//! sweep, which knows how to construct a manager and hand out one client
+//! per member node, and [`LockClient`] is that client — one variant per
+//! concrete client, dispatched by `match`, so a call through it is the
+//! concrete client's own future with nothing boxed around it.
 //!
-//! ## Trait contract
+//! ## Client contract
 //!
 //! * `lock` resolves only once the caller owns the lock; `unlock` must be
 //!   called by the same client before it locks the same id again. One
@@ -17,12 +19,9 @@
 //!   bounded exception: the lease design's guarantee is conditional on
 //!   critical sections finishing within [`DlmConfig::lease_ns`] — a lapsed
 //!   holder can be displaced. Scenarios comparing designs must keep hold
-//!   times under that bound (see DESIGN.md).
+//!   times under that bound (see DESIGN.md §10).
 //! * `mode` is honored by N-CoSED and SRSL; the other four designs have no
 //!   shared mode and treat every request as exclusive.
-
-use std::future::Future;
-use std::pin::Pin;
 
 use dc_fabric::{Cluster, NodeId};
 
@@ -35,46 +34,59 @@ use crate::msg::LockId;
 use crate::ncosed::{NcosedClient, NcosedDlm};
 use crate::srsl::{SrslClient, SrslDlm};
 
-/// A boxed future tied to the client borrow (the sim is single-threaded;
-/// nothing here is `Send`).
-pub type LockFut<'a> = Pin<Box<dyn Future<Output = ()> + 'a>>;
+/// A per-node lock client of any design (variants in [`DesignKind`] order).
+pub enum LockClient {
+    /// [`DesignKind::Srsl`].
+    Srsl(SrslClient),
+    /// [`DesignKind::Dqnl`].
+    Dqnl(DqnlClient),
+    /// [`DesignKind::Ncosed`].
+    Ncosed(NcosedClient),
+    /// [`DesignKind::CasSpin`].
+    CasSpin(CasSpinClient),
+    /// [`DesignKind::Lease`].
+    Lease(LeaseClient),
+    /// [`DesignKind::McsTicket`].
+    McsTicket(McsClient),
+}
 
-/// Design-erased per-node lock client.
-pub trait LockClient {
+impl LockClient {
     /// The node this client issues requests from.
-    fn node(&self) -> NodeId;
+    pub fn node(&self) -> NodeId {
+        match self {
+            LockClient::Srsl(c) => c.node(),
+            LockClient::Dqnl(c) => c.node(),
+            LockClient::Ncosed(c) => c.node(),
+            LockClient::CasSpin(c) => c.node(),
+            LockClient::Lease(c) => c.node(),
+            LockClient::McsTicket(c) => c.node(),
+        }
+    }
 
     /// Acquire `lock` in `mode`; resolves once granted.
-    fn lock<'a>(&'a self, lock: LockId, mode: LockMode) -> LockFut<'a>;
+    pub async fn lock(&self, lock: LockId, mode: LockMode) {
+        match self {
+            LockClient::Srsl(c) => c.lock(lock, mode).await,
+            LockClient::Dqnl(c) => c.lock(lock, mode).await,
+            LockClient::Ncosed(c) => c.lock(lock, mode).await,
+            LockClient::CasSpin(c) => c.lock(lock, mode).await,
+            LockClient::Lease(c) => c.lock(lock, mode).await,
+            LockClient::McsTicket(c) => c.lock(lock, mode).await,
+        }
+    }
 
     /// Release `lock`.
-    fn unlock<'a>(&'a self, lock: LockId) -> LockFut<'a>;
-}
-
-macro_rules! impl_lock_client {
-    ($client:ty, $node:expr) => {
-        impl LockClient for $client {
-            fn node(&self) -> NodeId {
-                $node(self)
-            }
-
-            fn lock<'a>(&'a self, lock: LockId, mode: LockMode) -> LockFut<'a> {
-                Box::pin(<$client>::lock(self, lock, mode))
-            }
-
-            fn unlock<'a>(&'a self, lock: LockId) -> LockFut<'a> {
-                Box::pin(<$client>::unlock(self, lock))
-            }
+    pub async fn unlock(&self, lock: LockId) {
+        match self {
+            LockClient::Srsl(c) => c.unlock(lock).await,
+            LockClient::Dqnl(c) => c.unlock(lock).await,
+            LockClient::Ncosed(c) => c.unlock(lock).await,
+            LockClient::CasSpin(c) => c.unlock(lock).await,
+            LockClient::Lease(c) => c.unlock(lock).await,
+            LockClient::McsTicket(c) => c.unlock(lock).await,
         }
-    };
+    }
 }
-
-impl_lock_client!(SrslClient, SrslClient::node_id);
-impl_lock_client!(DqnlClient, DqnlClient::node_id);
-impl_lock_client!(NcosedClient, NcosedClient::node);
-impl_lock_client!(CasSpinClient, CasSpinClient::node_id);
-impl_lock_client!(LeaseClient, LeaseClient::node_id);
-impl_lock_client!(McsClient, McsClient::node_id);
 
 /// The closed set of lock designs, shootout legend order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -131,40 +143,34 @@ impl DesignKind {
         home: NodeId,
         num_locks: u32,
         members: &[NodeId],
-    ) -> Vec<Box<dyn LockClient>> {
-        fn clients<C: LockClient + 'static>(
-            members: &[NodeId],
-            f: impl Fn(NodeId) -> C,
-        ) -> Vec<Box<dyn LockClient>> {
-            members
-                .iter()
-                .map(|&n| Box::new(f(n)) as Box<dyn LockClient>)
-                .collect()
-        }
+    ) -> Vec<LockClient> {
+        let nodes = members.iter().copied();
         match self {
             DesignKind::Srsl => {
                 let dlm = SrslDlm::new(cluster, cfg, home, members);
-                clients(members, move |n| dlm.client(n))
+                nodes.map(|n| LockClient::Srsl(dlm.client(n))).collect()
             }
             DesignKind::Dqnl => {
                 let dlm = DqnlDlm::new(cluster, cfg, home, num_locks, members);
-                clients(members, move |n| dlm.client(n))
+                nodes.map(|n| LockClient::Dqnl(dlm.client(n))).collect()
             }
             DesignKind::Ncosed => {
                 let dlm = NcosedDlm::new(cluster, cfg, home, num_locks, members);
-                clients(members, move |n| dlm.client(n))
+                nodes.map(|n| LockClient::Ncosed(dlm.client(n))).collect()
             }
             DesignKind::CasSpin => {
                 let dlm = CasSpinDlm::new(cluster, cfg, home, num_locks, members);
-                clients(members, move |n| dlm.client(n))
+                nodes.map(|n| LockClient::CasSpin(dlm.client(n))).collect()
             }
             DesignKind::Lease => {
                 let dlm = LeaseDlm::new(cluster, cfg, home, num_locks, members);
-                clients(members, move |n| dlm.client(n))
+                nodes.map(|n| LockClient::Lease(dlm.client(n))).collect()
             }
             DesignKind::McsTicket => {
                 let dlm = McsDlm::new(cluster, cfg, home, num_locks, members);
-                clients(members, move |n| dlm.client(n))
+                nodes
+                    .map(|n| LockClient::McsTicket(dlm.client(n)))
+                    .collect()
             }
         }
     }
@@ -188,7 +194,7 @@ mod tests {
     }
 
     #[test]
-    fn every_design_locks_and_unlocks_through_the_trait() {
+    fn every_design_locks_and_unlocks_through_the_enum() {
         for design in DesignKind::ALL {
             let sim = Sim::new();
             let cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), 4);

@@ -12,38 +12,28 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use dc_fabric::{Cluster, NodeId, RegionId, RemoteAddr, Transport};
-use dc_sim::sync::{oneshot, OneSender};
-use dc_svc::{Cost, Ctx, Dispatcher, Mode, Service, ServiceSpec, Wire};
-use dc_trace::{Counter, HistHandle, Subsys};
+use dc_fabric::{Cluster, NodeId};
+use dc_svc::{Cost, Ctx, Dispatcher};
+use dc_trace::Subsys;
 
 use crate::config::{DlmConfig, LockMode};
-use crate::msg::{grant_flow_id, req_flow_id, DlmMsg, LockId, T_EXCL_REQ, T_GRANT};
+use crate::manager::{Manager, Member, Members, WordTable};
+use crate::msg::{req_flow_id, DlmMsg, LockId, T_EXCL_REQ};
 
 #[derive(Default)]
 struct LockLocal {
-    wait_grant: Option<OneSender<()>>,
     held: bool,
     pending: Vec<NodeId>,
     released: bool,
 }
 
-struct Agent {
-    node: NodeId,
-    locks: RefCell<HashMap<LockId, LockLocal>>,
-}
+/// Per-node protocol state: one [`LockLocal`] per lock touched.
+type Locks = RefCell<HashMap<LockId, LockLocal>>;
 
 struct Inner {
-    cluster: Cluster,
-    cfg: DlmConfig,
-    home: NodeId,
-    region: RegionId,
-    num_locks: u32,
-    agents: RefCell<HashMap<NodeId, Rc<Agent>>>,
-    agent_ports: RefCell<HashMap<NodeId, u16>>,
-    acquires: Counter,
-    grants: Counter,
-    lock_wait: HistHandle,
+    mgr: Rc<Manager>,
+    table: WordTable,
+    members: Members<Locks>,
 }
 
 /// The DQNL lock manager.
@@ -61,20 +51,11 @@ impl DqnlDlm {
         num_locks: u32,
         members: &[NodeId],
     ) -> DqnlDlm {
-        let region = cluster.register(home, num_locks as usize * 8);
-        let metrics = cluster.metrics();
         let dlm = DqnlDlm {
             inner: Rc::new(Inner {
-                cluster: cluster.clone(),
-                cfg,
-                home,
-                region,
-                num_locks,
-                agents: RefCell::new(HashMap::new()),
-                agent_ports: RefCell::new(HashMap::new()),
-                acquires: metrics.counter("dlm.lock_acquires"),
-                grants: metrics.counter("dlm.grants"),
-                lock_wait: metrics.hist("dlm.lock_wait_ns"),
+                mgr: Manager::new(cluster, cfg, home),
+                table: WordTable::new(cluster, home, num_locks),
+                members: Members::new(cluster),
             }),
         };
         for &m in members {
@@ -83,82 +64,49 @@ impl DqnlDlm {
         dlm
     }
 
-    /// Register a member node.
+    /// Register a member node. Agent processing is a fixed per-message
+    /// delay (NIC-level agent, not host CPU), serialized per agent.
     pub fn add_member(&self, node: NodeId) {
-        let port = self.inner.cluster.alloc_port_for(node, "dlm.dqnl.agent");
-        let agent = Rc::new(Agent {
-            node,
-            locks: RefCell::new(HashMap::new()),
-        });
-        assert!(
-            self.inner
-                .agents
-                .borrow_mut()
-                .insert(node, Rc::clone(&agent))
-                .is_none(),
-            "{node:?} already a DQNL member"
-        );
-        self.inner.agent_ports.borrow_mut().insert(node, port);
-        self.spawn_agent(agent, port);
+        let cost = Cost::Sleep(self.inner.mgr.cfg.agent_proc_ns);
+        let dlm = self.clone();
+        self.inner
+            .members
+            .add(node, "dlm.dqnl.agent", cost, Locks::default(), |agent| {
+                let agent = Rc::clone(agent);
+                Dispatcher::new().on(T_EXCL_REQ, move |ctx: Ctx, msg| {
+                    let dlm = dlm.clone();
+                    let agent = Rc::clone(&agent);
+                    async move {
+                        let DlmMsg::ExclReq { lock, from, .. } = DlmMsg::parse(&msg.data) else {
+                            unreachable!("tag-routed");
+                        };
+                        ctx.cluster.tracer().flow_end(
+                            req_flow_id(lock, from),
+                            agent.node.0,
+                            Subsys::Dlm,
+                            "lock.request",
+                        );
+                        let mut locks = agent.state.borrow_mut();
+                        locks.entry(lock).or_default().pending.push(from);
+                        drop(locks); // try_progress borrows again
+                        dlm.try_progress(&agent, lock);
+                    }
+                })
+            });
     }
 
     /// Client handle for `node`.
     pub fn client(&self, node: NodeId) -> DqnlClient {
-        assert!(self.inner.agents.borrow().contains_key(&node));
         DqnlClient {
             dlm: self.clone(),
-            node,
+            agent: self.inner.members.get(node),
         }
     }
 
-    fn word_addr(&self, lock: LockId) -> RemoteAddr {
-        assert!(lock < self.inner.num_locks);
-        RemoteAddr {
-            node: self.inner.home,
-            region: self.inner.region,
-            offset: lock as usize * 8,
-        }
-    }
-
-    fn agent_port(&self, node: NodeId) -> u16 {
-        self.inner.agent_ports.borrow()[&node]
-    }
-
-    fn send_grant(&self, from: NodeId, to: NodeId, lock: LockId) {
-        self.inner.grants.inc();
-        self.inner.cluster.tracer().flow_start(
-            grant_flow_id(lock, to),
-            from.0,
-            Subsys::Dlm,
-            "lock.grant",
-        );
-        let cluster = self.inner.cluster.clone();
-        let issue = self.inner.cfg.grant_issue_ns;
-        let policy = self.inner.cfg.msg_retry;
-        let port = self.agent_port(to);
-        self.inner.cluster.sim().spawn_detached(async move {
-            cluster.sim().sleep(issue).await;
-            cluster
-                .send_reliable_with(
-                    from,
-                    to,
-                    port,
-                    DlmMsg::Grant {
-                        lock,
-                        exclusive: true,
-                    }
-                    .encode_bytes(),
-                    Transport::RdmaSend,
-                    policy,
-                )
-                .await
-                .unwrap_or_else(|e| panic!("DQNL grant {from:?}->{to:?} undeliverable: {e}"));
-        });
-    }
-
-    fn try_progress(&self, agent: &Agent, lock: LockId) {
+    /// Hand the lock to the next queued requester once released.
+    fn try_progress(&self, agent: &Member<Locks>, lock: LockId) {
         let next = {
-            let mut locks = agent.locks.borrow_mut();
+            let mut locks = agent.state.borrow_mut();
             let ll = locks.entry(lock).or_default();
             if !ll.released || ll.pending.is_empty() {
                 None
@@ -168,196 +116,105 @@ impl DqnlDlm {
             }
         };
         if let Some(z) = next {
-            self.send_grant(agent.node, z, lock);
+            let Inner { mgr, members, .. } = &*self.inner;
+            members.open_grant(agent.node, z, lock);
+            let grant = DlmMsg::Grant {
+                lock,
+                exclusive: true,
+            };
+            mgr.post(agent.node, z, members.get(z).port, grant);
         }
-    }
-
-    fn spawn_agent(&self, agent: Rc<Agent>, port: u16) {
-        // Agent processing is a fixed per-message delay (NIC-level agent,
-        // not host CPU), serialized per agent.
-        let spec = ServiceSpec {
-            name: "dlm.dqnl.agent",
-            subsys: Subsys::Dlm,
-            node: agent.node,
-            port,
-            cost: Cost::Sleep(self.inner.cfg.agent_proc_ns),
-            mode: Mode::Serial,
-            queue_cap: None,
-        };
-        let req_dlm = self.clone();
-        let req_agent = Rc::clone(&agent);
-        let grant_agent = Rc::clone(&agent);
-        let dispatcher = Dispatcher::new()
-            .on(T_EXCL_REQ, move |ctx: Ctx, msg| {
-                let dlm = req_dlm.clone();
-                let agent = Rc::clone(&req_agent);
-                async move {
-                    let DlmMsg::ExclReq { lock, from, .. } = DlmMsg::parse(&msg.data) else {
-                        unreachable!()
-                    };
-                    ctx.cluster.tracer().flow_end(
-                        req_flow_id(lock, from),
-                        agent.node.0,
-                        Subsys::Dlm,
-                        "lock.request",
-                    );
-                    agent
-                        .locks
-                        .borrow_mut()
-                        .entry(lock)
-                        .or_default()
-                        .pending
-                        .push(from);
-                    dlm.try_progress(&agent, lock);
-                }
-            })
-            .on(T_GRANT, move |ctx: Ctx, msg| {
-                let agent = Rc::clone(&grant_agent);
-                async move {
-                    let DlmMsg::Grant { lock, .. } = DlmMsg::parse(&msg.data) else {
-                        unreachable!()
-                    };
-                    ctx.cluster.tracer().flow_end(
-                        grant_flow_id(lock, agent.node),
-                        agent.node.0,
-                        Subsys::Dlm,
-                        "lock.grant",
-                    );
-                    let tx = agent
-                        .locks
-                        .borrow_mut()
-                        .entry(lock)
-                        .or_default()
-                        .wait_grant
-                        .take()
-                        .expect("DQNL grant without waiter");
-                    tx.send(());
-                }
-            });
-        Service::spawn(&self.inner.cluster, spec, dispatcher);
     }
 }
 
 /// Per-node DQNL handle.
 pub struct DqnlClient {
     dlm: DqnlDlm,
-    node: NodeId,
+    agent: Rc<Member<Locks>>,
 }
 
 impl DqnlClient {
     /// The node this client operates from.
-    pub fn node_id(&self) -> NodeId {
-        self.node
+    pub fn node(&self) -> NodeId {
+        self.agent.node
     }
 
     /// Acquire `lock`. The `mode` is accepted for interface parity but DQNL
     /// treats every request as exclusive.
     pub async fn lock(&self, lock: LockId, mode: LockMode) {
         let _ = mode; // no shared support — the scheme's defining gap
-        let cluster = self.dlm.inner.cluster.clone();
-        let t_start = cluster.sim().now();
-        let t0 = cluster.tracer().begin();
-        let addr = self.dlm.word_addr(lock);
-        let me = (self.node.0 + 1) as u64;
+        let Inner {
+            mgr,
+            table,
+            members,
+        } = &*self.dlm.inner;
+        let (agent, from) = (&*self.agent, self.agent.node);
+        let acq = mgr.begin_acquire();
+        let addr = table.word_addr(lock);
+        let me = (from.0 + 1) as u64;
         let mut expect = 0u64;
         let prior = loop {
-            let old = cluster.atomic_cas(self.node, addr, expect, me).await;
+            let old = mgr.cluster.atomic_cas(from, addr, expect, me).await;
             if old == expect {
                 break old;
             }
             expect = old;
         };
-        let agent = Rc::clone(&self.dlm.inner.agents.borrow()[&self.node]);
         if prior != 0 {
             let pred = NodeId(prior as u32 - 1);
-            let rx = {
-                let mut locks = agent.locks.borrow_mut();
-                let ll = locks.entry(lock).or_default();
-                assert!(ll.wait_grant.is_none() && !ll.held, "concurrent DQNL ops");
-                let (tx, rx) = oneshot();
-                ll.wait_grant = Some(tx);
-                rx
-            };
-            let cl = cluster.clone();
-            let port = self.dlm.agent_port(pred);
-            let issue = self.dlm.inner.cfg.grant_issue_ns;
-            let policy = self.dlm.inner.cfg.msg_retry;
-            let from = self.node;
-            let req = DlmMsg::ExclReq {
-                lock,
-                from,
-                shared_seen: 0,
-            }
-            .encode_bytes();
-            cluster.tracer().flow_start(
+            let held = agent.state.borrow().get(&lock).is_some_and(|ll| ll.held);
+            assert!(!held, "concurrent DQNL ops");
+            let granted = agent.park(lock);
+            mgr.cluster.tracer().flow_start(
                 req_flow_id(lock, from),
                 from.0,
                 Subsys::Dlm,
                 "lock.request",
             );
-            cluster.sim().spawn_detached(async move {
-                cl.sim().sleep(issue).await;
-                cl.send_reliable_with(from, pred, port, req, Transport::RdmaSend, policy)
-                    .await
-                    .unwrap_or_else(|e| {
-                        panic!("DQNL request {from:?}->{pred:?} undeliverable: {e}")
-                    });
-            });
-            rx.await.expect("DQNL grant channel closed");
+            let req = DlmMsg::ExclReq {
+                lock,
+                from,
+                shared_seen: 0,
+            };
+            mgr.post(from, pred, members.get(pred).port, req);
+            granted.await;
         }
-        agent.locks.borrow_mut().entry(lock).or_default().held = true;
-        self.dlm.inner.acquires.inc();
-        self.dlm
-            .inner
-            .lock_wait
-            .record(cluster.sim().now() - t_start);
-        if let Some(t0) = t0 {
-            cluster.tracer().complete(
-                t0,
-                self.node.0,
-                Subsys::Dlm,
-                "lock.acquire",
-                vec![
-                    ("lock", lock.into()),
-                    ("exclusive", 1u64.into()),
-                    ("queued", u64::from(prior != 0).into()),
-                ],
-            );
-        }
+        agent.state.borrow_mut().entry(lock).or_default().held = true;
+        mgr.acquired(acq, from, lock, || {
+            [
+                ("exclusive", 1u64.into()),
+                ("queued", u64::from(prior != 0).into()),
+            ]
+        });
     }
 
     /// Release `lock`.
     pub async fn unlock(&self, lock: LockId) {
-        let cluster = self.dlm.inner.cluster.clone();
-        if cluster.tracer().is_enabled() {
-            cluster.tracer().instant(
-                self.node.0,
-                Subsys::Dlm,
-                "lock.release",
-                vec![("lock", lock.into()), ("exclusive", 1u64.into())],
-            );
-        }
-        let agent = Rc::clone(&self.dlm.inner.agents.borrow()[&self.node]);
-        {
-            let mut locks = agent.locks.borrow_mut();
+        let Inner { mgr, table, .. } = &*self.dlm.inner;
+        let (agent, node) = (&*self.agent, self.agent.node);
+        mgr.released(node, lock, || [("exclusive", 1u64.into())]);
+        let has_pending = {
+            let mut locks = agent.state.borrow_mut();
             let ll = locks.entry(lock).or_default();
             assert!(ll.held, "DQNL unlock of unheld lock");
             ll.held = false;
             ll.released = true;
-        }
-        let has_pending = !agent.locks.borrow()[&lock].pending.is_empty();
+            !ll.pending.is_empty()
+        };
         if !has_pending {
             // Try to free the tail word if we are still the tail.
-            let addr = self.dlm.word_addr(lock);
-            let me = (self.node.0 + 1) as u64;
-            let old = cluster.atomic_cas(self.node, addr, me, 0).await;
+            let me = (node.0 + 1) as u64;
+            let old = mgr
+                .cluster
+                .atomic_cas(node, table.word_addr(lock), me, 0)
+                .await;
             if old == me {
-                agent.locks.borrow_mut().entry(lock).or_default().released = false;
+                agent.state.borrow_mut().entry(lock).or_default().released = false;
                 return;
             }
             // A successor exists; its request message will arrive.
         }
-        self.dlm.try_progress(&agent, lock);
+        self.dlm.try_progress(agent, lock);
     }
 }
 
@@ -448,6 +305,6 @@ mod tests {
             client.unlock(1).await;
         });
         sim.run();
-        assert_eq!(c.region(NodeId(0), dlm.inner.region).read_u64(8), 0);
+        assert_eq!(dlm.inner.table.peek(&c, 1), 0);
     }
 }

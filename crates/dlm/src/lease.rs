@@ -13,7 +13,7 @@
 //! **Contract caveat**: mutual exclusion holds only for critical sections
 //! shorter than [`DlmConfig::lease_ns`]. A holder that sleeps past its
 //! expiry can coexist with the thief — that is the design's documented
-//! trade, not a bug (see DESIGN.md, "The `LockDesign` contract").
+//! trade, not a bug (see DESIGN.md §10, "The `LockClient` contract").
 //!
 //! Steals are reported to a home-agent service with a fire-and-forget
 //! [`DlmMsg::LeaseSteal`] notice so operators can see contention-driven
@@ -24,26 +24,21 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use dc_fabric::{Cluster, NodeId, RegionId, RemoteAddr, Transport};
+use dc_fabric::{Cluster, NodeId};
 use dc_sim::rng::splitmix64;
-use dc_svc::{Cost, Ctx, Dispatcher, Mode, Service, ServiceSpec, Wire};
-use dc_trace::{Counter, HistHandle, Subsys};
+use dc_svc::{Cost, Ctx, Dispatcher};
+use dc_trace::Counter;
 
 use crate::config::{DlmConfig, LockMode};
+use crate::manager::{Manager, WordTable};
 use crate::msg::{DlmMsg, LockId, T_LEASE_STEAL};
 use crate::word::LeaseWord;
 
 struct Inner {
-    cluster: Cluster,
-    cfg: DlmConfig,
-    home: NodeId,
-    region: RegionId,
-    num_locks: u32,
+    mgr: Rc<Manager>,
+    table: WordTable,
     home_port: u16,
-    acquires: Counter,
-    steals: Counter,
     lost: Counter,
-    lock_wait: HistHandle,
 }
 
 /// The lease/backoff lock manager.
@@ -64,24 +59,30 @@ impl LeaseDlm {
         members: &[NodeId],
     ) -> LeaseDlm {
         let _ = members;
-        let region = cluster.register(home, num_locks as usize * 8);
         let home_port = cluster.alloc_port_for(home, "dlm.lease.home");
         let metrics = cluster.metrics();
+        let steals = metrics.counter("dlm.lease.steals");
         let dlm = LeaseDlm {
             inner: Rc::new(Inner {
-                cluster: cluster.clone(),
-                cfg,
-                home,
-                region,
-                num_locks,
+                mgr: Manager::new(cluster, cfg, home),
+                table: WordTable::new(cluster, home, num_locks),
                 home_port,
-                acquires: metrics.counter("dlm.lock_acquires"),
-                steals: metrics.counter("dlm.lease.steals"),
                 lost: metrics.counter("dlm.lease.lost"),
-                lock_wait: metrics.hist("dlm.lock_wait_ns"),
             }),
         };
-        dlm.spawn_home();
+        let dispatcher = Dispatcher::new().on(T_LEASE_STEAL, move |_ctx: Ctx, msg| {
+            let steals = steals.clone();
+            async move {
+                let DlmMsg::LeaseSteal { .. } = DlmMsg::parse(&msg.data) else {
+                    unreachable!("tag-routed");
+                };
+                steals.inc();
+            }
+        });
+        let cost = Cost::Sleep(cfg.agent_proc_ns);
+        dlm.inner
+            .mgr
+            .spawn_home("dlm.lease.home", home_port, cost, dispatcher);
         dlm
     }
 
@@ -92,38 +93,6 @@ impl LeaseDlm {
             node,
             held: RefCell::new(HashMap::new()),
         }
-    }
-
-    fn word_addr(&self, lock: LockId) -> RemoteAddr {
-        assert!(lock < self.inner.num_locks);
-        RemoteAddr {
-            node: self.inner.home,
-            region: self.inner.region,
-            offset: lock as usize * 8,
-        }
-    }
-
-    fn spawn_home(&self) {
-        let spec = ServiceSpec {
-            name: "dlm.lease.home",
-            subsys: Subsys::Dlm,
-            node: self.inner.home,
-            port: self.inner.home_port,
-            cost: Cost::Sleep(self.inner.cfg.agent_proc_ns),
-            mode: Mode::Serial,
-            queue_cap: None,
-        };
-        let steals = self.inner.steals.clone();
-        let dispatcher = Dispatcher::new().on(T_LEASE_STEAL, move |_ctx: Ctx, msg| {
-            let steals = steals.clone();
-            async move {
-                let DlmMsg::LeaseSteal { .. } = DlmMsg::parse(&msg.data) else {
-                    unreachable!()
-                };
-                steals.inc();
-            }
-        });
-        Service::spawn(&self.inner.cluster, spec, dispatcher);
     }
 }
 
@@ -138,12 +107,12 @@ pub struct LeaseClient {
 
 impl LeaseClient {
     /// The node this client operates from.
-    pub fn node_id(&self) -> NodeId {
+    pub fn node(&self) -> NodeId {
         self.node
     }
 
     fn my_word(&self, now_ns: u64) -> u64 {
-        let expiry_us = now_ns / 1_000 + self.dlm.inner.cfg.lease_ns / 1_000;
+        let expiry_us = now_ns / 1_000 + self.dlm.inner.mgr.cfg.lease_ns / 1_000;
         assert!(expiry_us <= u32::MAX as u64, "sim ran past the lease epoch");
         LeaseWord {
             owner: Some(self.node),
@@ -155,10 +124,15 @@ impl LeaseClient {
     /// Acquire `lock`. No shared mode; `mode` is accepted for parity.
     pub async fn lock(&self, lock: LockId, mode: LockMode) {
         let _ = mode;
-        let cluster = self.dlm.inner.cluster.clone();
-        let t_start = cluster.sim().now();
-        let t0 = cluster.tracer().begin();
-        let addr = self.dlm.word_addr(lock);
+        let Inner {
+            mgr,
+            table,
+            home_port,
+            ..
+        } = &*self.dlm.inner;
+        let cluster = &mgr.cluster;
+        let acq = mgr.begin_acquire();
+        let addr = table.word_addr(lock);
         let mut attempts = 0u64;
         let mut stole = false;
         loop {
@@ -179,48 +153,32 @@ impl LeaseClient {
                 if prior == old {
                     self.held.borrow_mut().insert(lock, mine);
                     stole = true;
-                    self.notify_steal(lock, seen.owner.expect("expired implies owned"));
+                    // Fire-and-forget notice to the home's steal counter.
+                    let notice = DlmMsg::LeaseSteal {
+                        lock,
+                        from: self.node,
+                        stolen_from: seen.owner.expect("expired implies owned"),
+                    };
+                    mgr.post_lossy(self.node, mgr.home, *home_port, notice);
                     break;
                 }
                 // Lost the steal race; treat as a normal failed attempt.
             }
             attempts += 1;
-            let cfg = &self.dlm.inner.cfg;
+            let cfg = &mgr.cfg;
             let exp = attempts.min(6) as u32;
             let ceiling = (cfg.backoff_base_ns << exp).min(cfg.backoff_max_ns);
             let jitter =
                 splitmix64(((self.node.0 as u64) << 40) ^ (u64::from(lock) << 20) ^ attempts)
                     % cfg.backoff_base_ns.max(1);
-            let tb = cluster.tracer().begin();
-            cluster.sim().sleep(ceiling + jitter).await;
-            if let Some(tb) = tb {
-                cluster.tracer().complete(
-                    tb,
-                    self.node.0,
-                    Subsys::Dlm,
-                    "lock.backoff",
-                    vec![("stage", "retry".into()), ("attempt", attempts.into())],
-                );
-            }
+            mgr.backoff(self.node, ceiling + jitter, attempts).await;
         }
-        self.dlm.inner.acquires.inc();
-        self.dlm
-            .inner
-            .lock_wait
-            .record(cluster.sim().now() - t_start);
-        if let Some(t0) = t0 {
-            cluster.tracer().complete(
-                t0,
-                self.node.0,
-                Subsys::Dlm,
-                "lock.acquire",
-                vec![
-                    ("lock", lock.into()),
-                    ("backoffs", attempts.into()),
-                    ("stolen", u64::from(stole).into()),
-                ],
-            );
-        }
+        mgr.acquired(acq, self.node, lock, || {
+            [
+                ("backoffs", attempts.into()),
+                ("stolen", u64::from(stole).into()),
+            ]
+        });
     }
 
     /// Release `lock`. If the lease was stolen mid-hold the release is a
@@ -231,48 +189,19 @@ impl LeaseClient {
             .borrow_mut()
             .remove(&lock)
             .expect("lease unlock of unheld lock");
-        let cluster = self.dlm.inner.cluster.clone();
-        if cluster.tracer().is_enabled() {
-            cluster.tracer().instant(
-                self.node.0,
-                Subsys::Dlm,
-                "lock.release",
-                vec![("lock", lock.into())],
-            );
-        }
-        let addr = self.dlm.word_addr(lock);
-        let old = cluster
-            .atomic_cas(self.node, addr, mine, LeaseWord::FREE)
+        let Inner {
+            mgr, table, lost, ..
+        } = &*self.dlm.inner;
+        mgr.released(self.node, lock, || []);
+        let old = mgr
+            .cluster
+            .atomic_cas(self.node, table.word_addr(lock), mine, LeaseWord::FREE)
             .await;
         if old != mine {
             // Stolen while we held past expiry (or the thief's own word is
             // already installed). Ownership already moved; nothing to free.
-            self.dlm.inner.lost.inc();
+            lost.inc();
         }
-    }
-
-    fn notify_steal(&self, lock: LockId, stolen_from: NodeId) {
-        let cluster = self.dlm.inner.cluster.clone();
-        let from = self.node;
-        let home = self.dlm.inner.home;
-        let port = self.dlm.inner.home_port;
-        let issue = self.dlm.inner.cfg.grant_issue_ns;
-        let policy = self.dlm.inner.cfg.msg_retry;
-        let msg = DlmMsg::LeaseSteal {
-            lock,
-            from,
-            stolen_from,
-        }
-        .encode_bytes();
-        self.dlm.inner.cluster.sim().spawn_detached(async move {
-            cluster.sim().sleep(issue).await;
-            // Fire-and-forget: a lost notice loses a counter tick, never a
-            // grant, so a retry-budget failure is swallowed instead of
-            // panicking like the grant-carrying paths do.
-            let _ = cluster
-                .send_reliable_with(from, home, port, msg, Transport::RdmaSend, policy)
-                .await;
-        });
     }
 }
 

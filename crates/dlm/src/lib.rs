@@ -4,8 +4,14 @@
 //! CCGrid'07 paper): high-performance distributed locking using
 //! network-based remote atomic operations.
 //!
-//! Six designs behind one [`LockClient`] surface (pick via [`DesignKind`]).
-//! The Figure-5 trio:
+//! Six designs, one family: the same one-sided CAS/FAA verbs (or, for
+//! SRSL, messages) over a 64-bit word homed on one node, differing only in
+//! word encoding and hand-off protocol. Pick one with the [`DesignKind`]
+//! enum; [`DesignKind::build`] hands out [`LockClient`]s, an enum over the
+//! six concrete clients. Inside the crate every design stands on one
+//! private skeleton (`manager.rs`: word table, membership and grant
+//! listener, message post, acquire/release accounting) and its own file
+//! holds only its protocol. The Figure-5 trio:
 //!
 //! * [`NcosedDlm`] — **N-CoSED**, the paper's contribution: one-sided
 //!   CAS/FAA locking for both shared and exclusive modes over the 64-bit
@@ -51,6 +57,7 @@ pub mod config;
 pub mod design;
 pub mod dqnl;
 pub mod lease;
+mod manager;
 pub mod mcs;
 pub mod msg;
 pub mod ncosed;

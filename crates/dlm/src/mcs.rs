@@ -25,15 +25,13 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use dc_fabric::{Cluster, NodeId, RegionId, RemoteAddr, Transport};
-use dc_sim::sync::{oneshot, OneSender};
-use dc_svc::{Cost, Ctx, Dispatcher, Mode, Service, ServiceSpec, Wire};
-use dc_trace::{Counter, HistHandle, Subsys};
+use dc_fabric::{Cluster, NodeId};
+use dc_svc::{Cost, Ctx, Dispatcher};
+use dc_trace::{Counter, Subsys};
 
 use crate::config::{DlmConfig, LockMode};
-use crate::msg::{
-    grant_flow_id, req_flow_id, DlmMsg, LockId, T_GRANT, T_TICKET_SERVE, T_TICKET_WAIT,
-};
+use crate::manager::{Manager, Member, Members, WordTable};
+use crate::msg::{req_flow_id, DlmMsg, LockId, T_TICKET_SERVE, T_TICKET_WAIT};
 use crate::word::{TicketWord, TICKET_SERVE_DELTA, TICKET_TAKE_DELTA};
 
 /// Per-lock matching state at the home agent.
@@ -45,33 +43,15 @@ struct HomeLock {
     ready: Vec<u32>,
 }
 
-struct Home {
-    locks: RefCell<HashMap<LockId, HomeLock>>,
-}
-
-#[derive(Default)]
-struct ClientWait {
-    wait_grant: Option<OneSender<()>>,
-}
-
-struct Agent {
-    node: NodeId,
-    locks: RefCell<HashMap<LockId, ClientWait>>,
-}
+type HomeLocks = RefCell<HashMap<LockId, HomeLock>>;
 
 struct Inner {
-    cluster: Cluster,
-    cfg: DlmConfig,
-    home: NodeId,
-    region: RegionId,
-    num_locks: u32,
+    mgr: Rc<Manager>,
+    table: WordTable,
+    /// Members' agents only listen for grants: no per-node protocol state.
+    members: Members<()>,
     home_port: u16,
-    agents: RefCell<HashMap<NodeId, Rc<Agent>>>,
-    agent_ports: RefCell<HashMap<NodeId, u16>>,
-    acquires: Counter,
-    grants: Counter,
     handoffs: Counter,
-    lock_wait: HistHandle,
 }
 
 /// The MCS/ticket lock manager.
@@ -89,23 +69,13 @@ impl McsDlm {
         num_locks: u32,
         members: &[NodeId],
     ) -> McsDlm {
-        let region = cluster.register(home, num_locks as usize * 8);
-        let home_port = cluster.alloc_port_for(home, "dlm.mcs.home");
-        let metrics = cluster.metrics();
         let dlm = McsDlm {
             inner: Rc::new(Inner {
-                cluster: cluster.clone(),
-                cfg,
-                home,
-                region,
-                num_locks,
-                home_port,
-                agents: RefCell::new(HashMap::new()),
-                agent_ports: RefCell::new(HashMap::new()),
-                acquires: metrics.counter("dlm.lock_acquires"),
-                grants: metrics.counter("dlm.grants"),
-                handoffs: metrics.counter("dlm.mcs.handoffs"),
-                lock_wait: metrics.hist("dlm.lock_wait_ns"),
+                mgr: Manager::new(cluster, cfg, home),
+                table: WordTable::new(cluster, home, num_locks),
+                members: Members::new(cluster),
+                home_port: cluster.alloc_port_for(home, "dlm.mcs.home"),
+                handoffs: cluster.metrics().counter("dlm.mcs.handoffs"),
             }),
         };
         dlm.spawn_home();
@@ -117,78 +87,32 @@ impl McsDlm {
 
     /// Register a member node (spawns its grant-listener agent).
     pub fn add_member(&self, node: NodeId) {
-        let port = self.inner.cluster.alloc_port_for(node, "dlm.mcs.agent");
-        let agent = Rc::new(Agent {
-            node,
-            locks: RefCell::new(HashMap::new()),
-        });
-        assert!(
-            self.inner
-                .agents
-                .borrow_mut()
-                .insert(node, Rc::clone(&agent))
-                .is_none(),
-            "{node:?} already an MCS member"
-        );
-        self.inner.agent_ports.borrow_mut().insert(node, port);
-        self.spawn_agent(agent, port);
+        let cost = Cost::Sleep(self.inner.mgr.cfg.agent_proc_ns);
+        self.inner
+            .members
+            .add(node, "dlm.mcs.agent", cost, (), |_| Dispatcher::new());
     }
 
     /// Client handle for `node`.
     pub fn client(&self, node: NodeId) -> McsClient {
-        assert!(self.inner.agents.borrow().contains_key(&node));
         McsClient {
             dlm: self.clone(),
-            node,
+            agent: self.inner.members.get(node),
             tickets: RefCell::new(HashMap::new()),
         }
-    }
-
-    fn word_addr(&self, lock: LockId) -> RemoteAddr {
-        assert!(lock < self.inner.num_locks);
-        RemoteAddr {
-            node: self.inner.home,
-            region: self.inner.region,
-            offset: lock as usize * 8,
-        }
-    }
-
-    fn agent_port(&self, node: NodeId) -> u16 {
-        self.inner.agent_ports.borrow()[&node]
-    }
-
-    /// Reliable protocol send with the issue delay charged to the sender.
-    fn send_protocol(&self, from: NodeId, to: NodeId, port: u16, msg: DlmMsg) {
-        let cluster = self.inner.cluster.clone();
-        let issue = self.inner.cfg.grant_issue_ns;
-        let policy = self.inner.cfg.msg_retry;
-        self.inner.cluster.sim().spawn_detached(async move {
-            cluster.sim().sleep(issue).await;
-            cluster
-                .send_reliable_with(
-                    from,
-                    to,
-                    port,
-                    msg.encode_bytes(),
-                    Transport::RdmaSend,
-                    policy,
-                )
-                .await
-                .unwrap_or_else(|e| panic!("MCS {from:?}->{to:?} undeliverable: {e}"));
-        });
     }
 
     /// Home-agent: grant `ticket` of `lock` to the node that registered it,
     /// or park whichever half arrived first.
     fn match_and_grant(
         &self,
-        home: &Home,
+        home: &HomeLocks,
         lock: LockId,
         wait: Option<(u32, NodeId)>,
         serve: Option<u32>,
     ) {
         let granted = {
-            let mut locks = home.locks.borrow_mut();
+            let mut locks = home.borrow_mut();
             let hl = locks.entry(lock).or_default();
             if let Some((ticket, node)) = wait {
                 if let Some(i) = hl.ready.iter().position(|&s| s == ticket) {
@@ -212,55 +136,39 @@ impl McsDlm {
             }
         };
         if let Some(node) = granted {
-            self.inner.grants.inc();
-            self.inner.handoffs.inc();
-            self.inner.cluster.tracer().flow_start(
-                grant_flow_id(lock, node),
-                self.inner.home.0,
-                Subsys::Dlm,
-                "lock.grant",
-            );
-            let port = self.agent_port(node);
-            self.send_protocol(
-                self.inner.home,
-                node,
-                port,
-                DlmMsg::Grant {
-                    lock,
-                    exclusive: true,
-                },
-            );
+            let Inner {
+                mgr,
+                members,
+                handoffs,
+                ..
+            } = &*self.inner;
+            handoffs.inc();
+            members.open_grant(mgr.home, node, lock);
+            let grant = DlmMsg::Grant {
+                lock,
+                exclusive: true,
+            };
+            mgr.post(mgr.home, node, members.get(node).port, grant);
         }
     }
 
     fn spawn_home(&self) {
-        let spec = ServiceSpec {
-            name: "dlm.mcs.home",
-            subsys: Subsys::Dlm,
-            node: self.inner.home,
-            port: self.inner.home_port,
-            cost: Cost::Sleep(self.inner.cfg.agent_proc_ns),
-            mode: Mode::Serial,
-            queue_cap: None,
-        };
-        let home = Rc::new(Home {
-            locks: RefCell::new(HashMap::new()),
-        });
+        let Inner { mgr, home_port, .. } = &*self.inner;
+        let home: Rc<HomeLocks> = Rc::default();
         let wait_dlm = self.clone();
         let wait_home = Rc::clone(&home);
         let serve_dlm = self.clone();
-        let serve_home = Rc::clone(&home);
         let dispatcher = Dispatcher::new()
             .on(T_TICKET_WAIT, move |ctx: Ctx, msg| {
                 let dlm = wait_dlm.clone();
                 let home = Rc::clone(&wait_home);
                 async move {
                     let DlmMsg::TicketWait { lock, ticket, from } = DlmMsg::parse(&msg.data) else {
-                        unreachable!()
+                        unreachable!("tag-routed");
                     };
                     ctx.cluster.tracer().flow_end(
                         req_flow_id(lock, from),
-                        dlm.inner.home.0,
+                        dlm.inner.mgr.home.0,
                         Subsys::Dlm,
                         "lock.request",
                     );
@@ -269,128 +177,70 @@ impl McsDlm {
             })
             .on(T_TICKET_SERVE, move |_ctx: Ctx, msg| {
                 let dlm = serve_dlm.clone();
-                let home = Rc::clone(&serve_home);
+                let home = Rc::clone(&home);
                 async move {
                     let DlmMsg::TicketServe { lock, serving } = DlmMsg::parse(&msg.data) else {
-                        unreachable!()
+                        unreachable!("tag-routed");
                     };
                     dlm.match_and_grant(&home, lock, None, Some(serving));
                 }
             });
-        Service::spawn(&self.inner.cluster, spec, dispatcher);
-    }
-
-    fn spawn_agent(&self, agent: Rc<Agent>, port: u16) {
-        let spec = ServiceSpec {
-            name: "dlm.mcs.agent",
-            subsys: Subsys::Dlm,
-            node: agent.node,
-            port,
-            cost: Cost::Sleep(self.inner.cfg.agent_proc_ns),
-            mode: Mode::Serial,
-            queue_cap: None,
-        };
-        let dispatcher = Dispatcher::new().on(T_GRANT, move |ctx: Ctx, msg| {
-            let agent = Rc::clone(&agent);
-            async move {
-                let DlmMsg::Grant { lock, .. } = DlmMsg::parse(&msg.data) else {
-                    unreachable!()
-                };
-                ctx.cluster.tracer().flow_end(
-                    grant_flow_id(lock, agent.node),
-                    agent.node.0,
-                    Subsys::Dlm,
-                    "lock.grant",
-                );
-                let tx = agent
-                    .locks
-                    .borrow_mut()
-                    .entry(lock)
-                    .or_default()
-                    .wait_grant
-                    .take()
-                    .expect("MCS grant without waiter");
-                tx.send(());
-            }
-        });
-        Service::spawn(&self.inner.cluster, spec, dispatcher);
+        let cost = Cost::Sleep(mgr.cfg.agent_proc_ns);
+        mgr.spawn_home("dlm.mcs.home", *home_port, cost, dispatcher);
     }
 }
 
 /// Per-node MCS/ticket handle.
 pub struct McsClient {
     dlm: McsDlm,
-    node: NodeId,
+    agent: Rc<Member<()>>,
     /// Lock -> the ticket this client currently holds.
     tickets: RefCell<HashMap<LockId, u32>>,
 }
 
 impl McsClient {
     /// The node this client operates from.
-    pub fn node_id(&self) -> NodeId {
-        self.node
+    pub fn node(&self) -> NodeId {
+        self.agent.node
     }
 
     /// Acquire `lock`. No shared mode; `mode` is accepted for parity.
     pub async fn lock(&self, lock: LockId, mode: LockMode) {
         let _ = mode;
-        let cluster = self.dlm.inner.cluster.clone();
-        let t_start = cluster.sim().now();
-        let t0 = cluster.tracer().begin();
-        let addr = self.dlm.word_addr(lock);
-        let old = TicketWord::decode(cluster.atomic_faa(self.node, addr, TICKET_TAKE_DELTA).await);
+        let Inner {
+            mgr,
+            table,
+            home_port,
+            ..
+        } = &*self.dlm.inner;
+        let from = self.agent.node;
+        let acq = mgr.begin_acquire();
+        let addr = table.word_addr(lock);
+        let old = TicketWord::decode(mgr.cluster.atomic_faa(from, addr, TICKET_TAKE_DELTA).await);
         let ticket = old.next;
         let queued = old.serving != ticket;
         if queued {
-            let agent = Rc::clone(&self.dlm.inner.agents.borrow()[&self.node]);
-            let rx = {
-                let mut locks = agent.locks.borrow_mut();
-                let cw = locks.entry(lock).or_default();
-                assert!(cw.wait_grant.is_none(), "concurrent MCS ops on one lock");
-                let (tx, rx) = oneshot();
-                cw.wait_grant = Some(tx);
-                rx
-            };
-            cluster.tracer().flow_start(
-                req_flow_id(lock, self.node),
-                self.node.0,
+            let granted = self.agent.park(lock);
+            mgr.cluster.tracer().flow_start(
+                req_flow_id(lock, from),
+                from.0,
                 Subsys::Dlm,
                 "lock.request",
             );
-            self.dlm.send_protocol(
-                self.node,
-                self.dlm.inner.home,
-                self.dlm.inner.home_port,
-                DlmMsg::TicketWait {
-                    lock,
-                    ticket,
-                    from: self.node,
-                },
-            );
-            rx.await.expect("MCS grant channel closed");
+            let wait = DlmMsg::TicketWait { lock, ticket, from };
+            mgr.post(from, mgr.home, *home_port, wait);
+            granted.await;
         }
         assert!(
             self.tickets.borrow_mut().insert(lock, ticket).is_none(),
             "MCS re-lock of a held lock"
         );
-        self.dlm.inner.acquires.inc();
-        self.dlm
-            .inner
-            .lock_wait
-            .record(cluster.sim().now() - t_start);
-        if let Some(t0) = t0 {
-            cluster.tracer().complete(
-                t0,
-                self.node.0,
-                Subsys::Dlm,
-                "lock.acquire",
-                vec![
-                    ("lock", lock.into()),
-                    ("ticket", u64::from(ticket).into()),
-                    ("queued", u64::from(queued).into()),
-                ],
-            );
-        }
+        mgr.acquired(acq, from, lock, || {
+            [
+                ("ticket", u64::from(ticket).into()),
+                ("queued", u64::from(queued).into()),
+            ]
+        });
     }
 
     /// Release `lock`.
@@ -400,35 +250,23 @@ impl McsClient {
             .borrow_mut()
             .remove(&lock)
             .expect("MCS unlock of unheld lock");
-        let cluster = self.dlm.inner.cluster.clone();
-        if cluster.tracer().is_enabled() {
-            cluster.tracer().instant(
-                self.node.0,
-                Subsys::Dlm,
-                "lock.release",
-                vec![("lock", lock.into()), ("ticket", u64::from(ticket).into())],
-            );
-        }
-        let addr = self.dlm.word_addr(lock);
-        let old = TicketWord::decode(
-            cluster
-                .atomic_faa(self.node, addr, TICKET_SERVE_DELTA)
-                .await,
-        );
+        let Inner {
+            mgr,
+            table,
+            home_port,
+            ..
+        } = &*self.dlm.inner;
+        let node = self.agent.node;
+        mgr.released(node, lock, || [("ticket", u64::from(ticket).into())]);
+        let addr = table.word_addr(lock);
+        let old = TicketWord::decode(mgr.cluster.atomic_faa(node, addr, TICKET_SERVE_DELTA).await);
         assert_eq!(old.serving, ticket, "MCS serving counter out of step");
-        let now_serving = old.serving.wrapping_add(1);
+        let serving = old.serving.wrapping_add(1);
         // A successor ticket is already dispensed iff the dispenser moved
         // past the new serving number; only then is a handoff message owed.
-        if old.next != now_serving && old.next.wrapping_sub(now_serving) < u32::MAX / 2 {
-            self.dlm.send_protocol(
-                self.node,
-                self.dlm.inner.home,
-                self.dlm.inner.home_port,
-                DlmMsg::TicketServe {
-                    lock,
-                    serving: now_serving,
-                },
-            );
+        if old.next != serving && old.next.wrapping_sub(serving) < u32::MAX / 2 {
+            let serve = DlmMsg::TicketServe { lock, serving };
+            mgr.post(node, mgr.home, *home_port, serve);
         }
     }
 }
@@ -530,7 +368,7 @@ mod tests {
             b.unlock(1).await;
         });
         sim.run();
-        let w = TicketWord::decode(c.region(NodeId(0), dlm.inner.region).read_u64(8));
+        let w = TicketWord::decode(dlm.inner.table.peek(&c, 1));
         assert_eq!(
             w,
             TicketWord {

@@ -26,23 +26,19 @@ use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use dc_fabric::{Cluster, NodeId, RegionId, RemoteAddr, Transport};
-use dc_sim::sync::{oneshot, OneSender};
-use dc_svc::{Cost, Dispatcher, Mode, Service, ServiceSpec, Wire};
-use dc_trace::{Counter, HistHandle, Subsys};
+use dc_fabric::{Cluster, NodeId};
+use dc_svc::{Cost, Dispatcher};
+use dc_trace::Subsys;
 
 use crate::config::{DlmConfig, LockMode};
-use crate::msg::{
-    grant_flow_id, req_flow_id, DlmMsg, LockId, T_EXCL_REQ, T_GRANT, T_SH_RELEASE, T_SH_REQ,
-    T_WAIT_SHARED,
-};
+use crate::manager::{Manager, Member, Members, WordTable};
+use crate::msg::{req_flow_id, DlmMsg, LockId, T_EXCL_REQ, T_SH_RELEASE, T_SH_REQ, T_WAIT_SHARED};
 use crate::word::{LockWord, SHARED_FAA_DELTA};
 
-/// Per-lock, per-node protocol state.
+/// Per-lock, per-node protocol state. (The resolver of this node's own
+/// outstanding request is parked on the skeleton's [`Member`].)
 #[derive(Default)]
 struct LockLocal {
-    /// Resolver for an outstanding lock request by a process on this node.
-    wait_grant: Option<OneSender<()>>,
     /// Mode currently held by this node (at most one holder per node per
     /// lock — the manager supports no re-entrancy or upgrades).
     held: Option<LockMode>,
@@ -57,11 +53,10 @@ struct LockLocal {
     pending_excl: Option<(NodeId, u32)>,
 }
 
-struct Agent {
-    node: NodeId,
-    locks: RefCell<HashMap<LockId, LockLocal>>,
-}
+/// Per-node protocol state: one [`LockLocal`] per lock touched.
+type Locks = RefCell<HashMap<LockId, LockLocal>>;
 
+#[derive(Default)]
 struct HomeLock {
     /// Cumulative shared releases not yet consumed by an epoch grant.
     have: u32,
@@ -69,20 +64,15 @@ struct HomeLock {
     pending: Option<(NodeId, u32)>,
 }
 
+type HomeLocks = RefCell<HashMap<LockId, HomeLock>>;
+
 struct Inner {
-    cluster: Cluster,
-    cfg: DlmConfig,
-    home: NodeId,
-    region: RegionId,
-    num_locks: u32,
-    agents: RefCell<HashMap<NodeId, Rc<Agent>>>,
-    agent_ports: RefCell<HashMap<NodeId, u16>>,
+    mgr: Rc<Manager>,
+    table: WordTable,
+    members: Members<Locks>,
     home_port: u16,
     /// Grants issued (for tests/ablations).
     grants_sent: Cell<u64>,
-    acquires: Counter,
-    grants: Counter,
-    lock_wait: HistHandle,
 }
 
 /// The N-CoSED lock manager. One instance manages `num_locks` locks homed
@@ -102,23 +92,13 @@ impl NcosedDlm {
         num_locks: u32,
         members: &[NodeId],
     ) -> NcosedDlm {
-        let region = cluster.register(home, num_locks as usize * 8);
-        let home_port = cluster.alloc_port_for(home, "dlm.ncosed.home");
-        let metrics = cluster.metrics();
         let dlm = NcosedDlm {
             inner: Rc::new(Inner {
-                cluster: cluster.clone(),
-                cfg,
-                home,
-                region,
-                num_locks,
-                agents: RefCell::new(HashMap::new()),
-                agent_ports: RefCell::new(HashMap::new()),
-                home_port,
+                mgr: Manager::new(cluster, cfg, home),
+                table: WordTable::new(cluster, home, num_locks),
+                members: Members::new(cluster),
+                home_port: cluster.alloc_port_for(home, "dlm.ncosed.home"),
                 grants_sent: Cell::new(0),
-                acquires: metrics.counter("dlm.lock_acquires"),
-                grants: metrics.counter("dlm.grants"),
-                lock_wait: metrics.hist("dlm.lock_wait_ns"),
             }),
         };
         for &m in members {
@@ -130,53 +110,77 @@ impl NcosedDlm {
 
     /// Register another member node (spawns its agent).
     pub fn add_member(&self, node: NodeId) {
-        let port = self.inner.cluster.alloc_port_for(node, "dlm.ncosed.agent");
-        let agent = Rc::new(Agent {
-            node,
-            locks: RefCell::new(HashMap::new()),
-        });
-        let prev_a = self
-            .inner
-            .agents
-            .borrow_mut()
-            .insert(node, Rc::clone(&agent));
-        assert!(prev_a.is_none(), "{node:?} is already a DLM member");
-        self.inner.agent_ports.borrow_mut().insert(node, port);
-        self.spawn_agent(agent, port);
+        let cost = Cost::Sleep(self.inner.mgr.cfg.agent_proc_ns);
+        let (excl_dlm, sh_dlm) = (self.clone(), self.clone());
+        self.inner
+            .members
+            .add(node, "dlm.ncosed.agent", cost, Locks::default(), |agent| {
+                let (excl_agent, sh_agent) = (Rc::clone(agent), Rc::clone(agent));
+                Dispatcher::new()
+                    .on(T_EXCL_REQ, move |ctx, msg| {
+                        let dlm = excl_dlm.clone();
+                        let agent = Rc::clone(&excl_agent);
+                        async move {
+                            let DlmMsg::ExclReq {
+                                lock,
+                                from,
+                                shared_seen,
+                            } = DlmMsg::parse(&msg.data)
+                            else {
+                                unreachable!("tag-routed");
+                            };
+                            ctx.cluster.tracer().flow_end(
+                                req_flow_id(lock, from),
+                                agent.node.0,
+                                Subsys::Dlm,
+                                "lock.request",
+                            );
+                            {
+                                let mut locks = agent.state.borrow_mut();
+                                let ll = locks.entry(lock).or_default();
+                                assert!(
+                                    ll.pending_excl.is_none(),
+                                    "two exclusive successors queued on one node"
+                                );
+                                ll.pending_excl = Some((from, shared_seen));
+                            }
+                            dlm.try_progress(&agent, lock);
+                        }
+                    })
+                    .on(T_SH_REQ, move |ctx, msg| {
+                        let dlm = sh_dlm.clone();
+                        let agent = Rc::clone(&sh_agent);
+                        async move {
+                            let DlmMsg::ShReq { lock, from } = DlmMsg::parse(&msg.data) else {
+                                unreachable!("tag-routed");
+                            };
+                            ctx.cluster.tracer().flow_end(
+                                req_flow_id(lock, from),
+                                agent.node.0,
+                                Subsys::Dlm,
+                                "lock.request",
+                            );
+                            {
+                                let mut locks = agent.state.borrow_mut();
+                                locks.entry(lock).or_default().pending_shared.push(from);
+                            }
+                            dlm.try_progress(&agent, lock);
+                        }
+                    })
+            });
     }
 
     /// Handle for issuing lock operations from `node`.
     pub fn client(&self, node: NodeId) -> NcosedClient {
-        assert!(
-            self.inner.agents.borrow().contains_key(&node),
-            "{node:?} is not a DLM member"
-        );
         NcosedClient {
             dlm: self.clone(),
-            node,
+            agent: self.inner.members.get(node),
         }
     }
 
     /// Total peer/home grants issued so far.
     pub fn grants_sent(&self) -> u64 {
         self.inner.grants_sent.get()
-    }
-
-    fn word_addr(&self, lock: LockId) -> RemoteAddr {
-        assert!(lock < self.inner.num_locks, "lock id out of range");
-        RemoteAddr {
-            node: self.inner.home,
-            region: self.inner.region,
-            offset: lock as usize * 8,
-        }
-    }
-
-    fn agent(&self, node: NodeId) -> Rc<Agent> {
-        Rc::clone(&self.inner.agents.borrow()[&node])
-    }
-
-    fn agent_port(&self, node: NodeId) -> u16 {
-        self.inner.agent_ports.borrow()[&node]
     }
 
     /// Issue `msgs` from `from` to per-message destinations, serializing the
@@ -186,22 +190,20 @@ impl NcosedDlm {
         if msgs.is_empty() {
             return;
         }
-        let cluster = self.inner.cluster.clone();
-        let issue_ns = self.inner.cfg.grant_issue_ns;
-        let policy = self.inner.cfg.msg_retry;
-        self.inner
-            .grants_sent
-            .set(self.inner.grants_sent.get() + msgs.len() as u64);
+        let Inner {
+            mgr,
+            members,
+            grants_sent,
+            ..
+        } = &*self.inner;
+        grants_sent.set(grants_sent.get() + msgs.len() as u64);
         // Open a flow arrow per protocol message so a grant in the trace
         // links back to the CAS/FAA that queued its requester. Ids derive
         // from protocol state, so the receiving agent closes the same arrow.
-        let tracer = self.inner.cluster.tracer();
+        let tracer = mgr.cluster.tracer();
         for (to, _port, msg) in &msgs {
             match *msg {
-                DlmMsg::Grant { lock, .. } => {
-                    self.inner.grants.inc();
-                    tracer.flow_start(grant_flow_id(lock, *to), from.0, Subsys::Dlm, "lock.grant");
-                }
+                DlmMsg::Grant { lock, .. } => members.open_grant(from, *to, lock),
                 DlmMsg::ExclReq {
                     lock, from: req, ..
                 }
@@ -219,45 +221,31 @@ impl NcosedDlm {
                 _ => {}
             }
         }
-        self.inner.cluster.sim().spawn_detached(async move {
-            for (to, port, msg) in msgs {
-                cluster.sim().sleep(issue_ns).await;
-                let c2 = cluster.clone();
-                let data = msg.encode_bytes();
-                cluster.sim().spawn_detached(async move {
-                    // Grant authority is handed over exactly once; losing a
-                    // protocol message would orphan a waiter forever, so ride
-                    // the reliable transport and treat budget exhaustion as
-                    // fatal.
-                    c2.send_reliable_with(from, to, port, data, Transport::RdmaSend, policy)
-                        .await
-                        .unwrap_or_else(|e| {
-                            panic!("dlm message {from:?}->{to:?} undeliverable: {e}")
-                        });
-                });
-            }
-        });
+        mgr.post_batch(from, msgs);
     }
 
     /// Drive a lock's granter-side state machine after any event.
-    fn try_progress(&self, agent: &Agent, lock: LockId) {
+    fn try_progress(&self, agent: &Member<Locks>, lock: LockId) {
+        let Inner {
+            mgr,
+            members,
+            home_port,
+            ..
+        } = &*self.inner;
         let mut outgoing: Vec<(NodeId, u16, DlmMsg)> = Vec::new();
         {
-            let mut locks = agent.locks.borrow_mut();
+            let mut locks = agent.state.borrow_mut();
             let ll = locks.entry(lock).or_default();
             if !ll.released {
                 return;
             }
             // Grant every queued shared requester (the cascade of Fig 5a).
             for y in ll.pending_shared.drain(..) {
-                outgoing.push((
-                    y,
-                    self.agent_port(y),
-                    DlmMsg::Grant {
-                        lock,
-                        exclusive: false,
-                    },
-                ));
+                let grant = DlmMsg::Grant {
+                    lock,
+                    exclusive: false,
+                };
+                outgoing.push((y, members.get(y).port, grant));
                 ll.grants_given += 1;
             }
             // Hand over to the exclusive successor once every shared
@@ -266,32 +254,25 @@ impl NcosedDlm {
                 if ll.grants_given == shared_seen {
                     if shared_seen == 0 {
                         // Direct peer-to-peer handoff (Fig 5b chain).
-                        outgoing.push((
-                            z,
-                            self.agent_port(z),
-                            DlmMsg::Grant {
-                                lock,
-                                exclusive: true,
-                            },
-                        ));
+                        let grant = DlmMsg::Grant {
+                            lock,
+                            exclusive: true,
+                        };
+                        outgoing.push((z, members.get(z).port, grant));
                     } else {
                         // The epoch's shared holders must release first; the
                         // home agent counts their releases and grants.
-                        outgoing.push((
-                            self.inner.home,
-                            self.inner.home_port,
-                            DlmMsg::WaitShared {
-                                lock,
-                                waiter: z,
-                                need: shared_seen,
-                            },
-                        ));
+                        let wait = DlmMsg::WaitShared {
+                            lock,
+                            waiter: z,
+                            need: shared_seen,
+                        };
+                        outgoing.push((mgr.home, *home_port, wait));
                     }
                     // Authority has moved on; reset the granter-side state
-                    // for the next cycle. The requester-side fields
-                    // (wait_grant, held) must survive: this same node may
-                    // already be re-requesting the lock — including waiting
-                    // on the very handoff we just issued (anchor
+                    // for the next cycle. `held` must survive: this same
+                    // node may already be re-requesting the lock — including
+                    // waiting on the very handoff we just issued (anchor
                     // self-request).
                     ll.released = false;
                     ll.grants_given = 0;
@@ -303,109 +284,9 @@ impl NcosedDlm {
         self.issue(agent.node, outgoing);
     }
 
-    fn spawn_agent(&self, agent: Rc<Agent>, port: u16) {
-        let spec = ServiceSpec {
-            name: "dlm.ncosed.agent",
-            subsys: Subsys::Dlm,
-            node: agent.node,
-            port,
-            cost: Cost::Sleep(self.inner.cfg.agent_proc_ns),
-            mode: Mode::Serial,
-            queue_cap: None,
-        };
-        let excl_dlm = self.clone();
-        let excl_agent = Rc::clone(&agent);
-        let sh_dlm = self.clone();
-        let sh_agent = Rc::clone(&agent);
-        let dispatcher = Dispatcher::new()
-            .on(T_EXCL_REQ, move |ctx, msg| {
-                let dlm = excl_dlm.clone();
-                let agent = Rc::clone(&excl_agent);
-                async move {
-                    let DlmMsg::ExclReq {
-                        lock,
-                        from,
-                        shared_seen,
-                    } = DlmMsg::parse(&msg.data)
-                    else {
-                        unreachable!("tag-routed");
-                    };
-                    ctx.cluster.tracer().flow_end(
-                        req_flow_id(lock, from),
-                        agent.node.0,
-                        Subsys::Dlm,
-                        "lock.request",
-                    );
-                    {
-                        let mut locks = agent.locks.borrow_mut();
-                        let ll = locks.entry(lock).or_default();
-                        assert!(
-                            ll.pending_excl.is_none(),
-                            "two exclusive successors queued on one node"
-                        );
-                        ll.pending_excl = Some((from, shared_seen));
-                    }
-                    dlm.try_progress(&agent, lock);
-                }
-            })
-            .on(T_SH_REQ, move |ctx, msg| {
-                let dlm = sh_dlm.clone();
-                let agent = Rc::clone(&sh_agent);
-                async move {
-                    let DlmMsg::ShReq { lock, from } = DlmMsg::parse(&msg.data) else {
-                        unreachable!("tag-routed");
-                    };
-                    ctx.cluster.tracer().flow_end(
-                        req_flow_id(lock, from),
-                        agent.node.0,
-                        Subsys::Dlm,
-                        "lock.request",
-                    );
-                    {
-                        let mut locks = agent.locks.borrow_mut();
-                        locks.entry(lock).or_default().pending_shared.push(from);
-                    }
-                    dlm.try_progress(&agent, lock);
-                }
-            })
-            .on(T_GRANT, move |ctx, msg| {
-                let agent = Rc::clone(&agent);
-                async move {
-                    let DlmMsg::Grant { lock, .. } = DlmMsg::parse(&msg.data) else {
-                        unreachable!("tag-routed");
-                    };
-                    ctx.cluster.tracer().flow_end(
-                        grant_flow_id(lock, agent.node),
-                        agent.node.0,
-                        Subsys::Dlm,
-                        "lock.grant",
-                    );
-                    let tx = {
-                        let mut locks = agent.locks.borrow_mut();
-                        locks
-                            .entry(lock)
-                            .or_default()
-                            .wait_grant
-                            .take()
-                            .expect("grant without a waiting requester")
-                    };
-                    tx.send(());
-                }
-            });
-        Service::spawn(&self.inner.cluster, spec, dispatcher);
-    }
-
     fn spawn_home_agent(&self) {
-        let spec = ServiceSpec {
-            name: "dlm.ncosed.home",
-            subsys: Subsys::Dlm,
-            node: self.inner.home,
-            port: self.inner.home_port,
-            cost: Cost::Sleep(self.inner.cfg.agent_proc_ns),
-            mode: Mode::Serial,
-            queue_cap: None,
-        };
-        let locks: Rc<RefCell<HashMap<LockId, HomeLock>>> = Rc::default();
+        let Inner { mgr, home_port, .. } = &*self.inner;
+        let locks: Rc<HomeLocks> = Rc::default();
         let rel_dlm = self.clone();
         let rel_locks = Rc::clone(&locks);
         let wait_dlm = self.clone();
@@ -417,14 +298,7 @@ impl NcosedDlm {
                     let DlmMsg::ShRelease { lock } = DlmMsg::parse(&msg.data) else {
                         unreachable!("tag-routed");
                     };
-                    locks
-                        .borrow_mut()
-                        .entry(lock)
-                        .or_insert(HomeLock {
-                            have: 0,
-                            pending: None,
-                        })
-                        .have += 1;
+                    locks.borrow_mut().entry(lock).or_default().have += 1;
                     dlm.home_epoch_check(&locks, lock);
                 }
             })
@@ -437,16 +311,13 @@ impl NcosedDlm {
                     };
                     ctx.cluster.tracer().flow_end(
                         req_flow_id(lock, waiter),
-                        dlm.inner.home.0,
+                        dlm.inner.mgr.home.0,
                         Subsys::Dlm,
                         "lock.wait_shared",
                     );
                     {
                         let mut locks = locks.borrow_mut();
-                        let e = locks.entry(lock).or_insert(HomeLock {
-                            have: 0,
-                            pending: None,
-                        });
+                        let e = locks.entry(lock).or_default();
                         assert!(
                             e.pending.is_none(),
                             "two exclusive requesters waiting on one epoch"
@@ -456,12 +327,13 @@ impl NcosedDlm {
                     dlm.home_epoch_check(&locks, lock);
                 }
             });
-        Service::spawn(&self.inner.cluster, spec, dispatcher);
+        let cost = Cost::Sleep(mgr.cfg.agent_proc_ns);
+        mgr.spawn_home("dlm.ncosed.home", *home_port, cost, dispatcher);
     }
 
     /// Grant the waiting exclusive requester once every shared release of its
     /// epoch has been counted.
-    fn home_epoch_check(&self, locks: &RefCell<HashMap<LockId, HomeLock>>, lock: LockId) {
+    fn home_epoch_check(&self, locks: &HomeLocks, lock: LockId) {
         let granted = {
             let mut locks = locks.borrow_mut();
             let e = locks
@@ -477,18 +349,12 @@ impl NcosedDlm {
             }
         };
         if let Some(waiter) = granted {
-            let port = self.agent_port(waiter);
-            self.issue(
-                self.inner.home,
-                vec![(
-                    waiter,
-                    port,
-                    DlmMsg::Grant {
-                        lock,
-                        exclusive: true,
-                    },
-                )],
-            );
+            let Inner { mgr, members, .. } = &*self.inner;
+            let grant = DlmMsg::Grant {
+                lock,
+                exclusive: true,
+            };
+            self.issue(mgr.home, vec![(waiter, members.get(waiter).port, grant)]);
         }
     }
 }
@@ -496,13 +362,13 @@ impl NcosedDlm {
 /// Per-node handle for lock operations.
 pub struct NcosedClient {
     dlm: NcosedDlm,
-    node: NodeId,
+    agent: Rc<Member<Locks>>,
 }
 
 impl NcosedClient {
     /// The node this client operates from.
     pub fn node(&self) -> NodeId {
-        self.node
+        self.agent.node
     }
 
     /// Acquire `lock` in `mode`.
@@ -514,124 +380,88 @@ impl NcosedClient {
     /// namespace). Re-requesting after unlock returns is fully supported,
     /// including while the node still anchors a shared group.
     pub async fn lock(&self, lock: LockId, mode: LockMode) {
-        let cluster = self.dlm.inner.cluster.clone();
-        let t_start = cluster.sim().now();
-        let t0 = cluster.tracer().begin();
-        let mut queued = false;
-        let addr = self.dlm.word_addr(lock);
-        let agent = self.dlm.agent(self.node);
-        {
-            let locks = agent.locks.borrow();
-            if let Some(ll) = locks.get(&lock) {
-                assert!(
-                    ll.held.is_none() && ll.wait_grant.is_none(),
-                    "concurrent lock ops on {lock} from {:?}",
-                    self.node
-                );
-            }
-        }
-        match mode {
+        let Inner {
+            mgr,
+            table,
+            members,
+            home_port,
+            ..
+        } = &*self.dlm.inner;
+        let (agent, node) = (&*self.agent, self.agent.node);
+        let acq = mgr.begin_acquire();
+        let addr = table.word_addr(lock);
+        let held = agent.state.borrow().get(&lock).and_then(|ll| ll.held);
+        assert!(
+            held.is_none() && !agent.is_parked(lock),
+            "concurrent lock ops on {lock} from {node:?}"
+        );
+        // `Some(msg)`: queued behind a holder — tell it (or the home agent).
+        let request = match mode {
             LockMode::Exclusive => {
                 // Optimistic CAS loop: each failure returns the live word.
-                let swap = LockWord::with_excl_tail(self.node);
+                let swap = LockWord::with_excl_tail(node);
                 let mut expect = LockWord::FREE;
                 let prior = loop {
-                    let old = cluster.atomic_cas(self.node, addr, expect, swap).await;
+                    let old = mgr.cluster.atomic_cas(node, addr, expect, swap).await;
                     if old == expect {
                         break LockWord::decode(old);
                     }
                     expect = old;
                 };
                 match (prior.tail, prior.shared) {
-                    (None, 0) => {} // free: held immediately
-                    _ => {
-                        queued = true;
-                        let rx = {
-                            let mut locks = agent.locks.borrow_mut();
-                            let ll = locks.entry(lock).or_default();
-                            let (tx, rx) = oneshot();
-                            ll.wait_grant = Some(tx);
-                            rx
+                    (None, 0) => None, // free: held immediately
+                    (Some(t), shared_seen) => {
+                        let req = DlmMsg::ExclReq {
+                            lock,
+                            from: node,
+                            shared_seen,
                         };
-                        let msg = match prior.tail {
-                            Some(t) => (
-                                t,
-                                self.dlm.agent_port(t),
-                                DlmMsg::ExclReq {
-                                    lock,
-                                    from: self.node,
-                                    shared_seen: prior.shared,
-                                },
-                            ),
-                            None => (
-                                self.dlm.inner.home,
-                                self.dlm.inner.home_port,
-                                DlmMsg::WaitShared {
-                                    lock,
-                                    waiter: self.node,
-                                    need: prior.shared,
-                                },
-                            ),
+                        Some((t, members.get(t).port, req))
+                    }
+                    (None, need) => {
+                        let wait = DlmMsg::WaitShared {
+                            lock,
+                            waiter: node,
+                            need,
                         };
-                        self.dlm.issue(self.node, vec![msg]);
-                        rx.await.expect("grant channel closed");
+                        Some((mgr.home, *home_port, wait))
                     }
                 }
             }
             LockMode::Shared => {
-                let old = cluster.atomic_faa(self.node, addr, SHARED_FAA_DELTA).await;
-                let prior = LockWord::decode(old);
-                if let Some(t) = prior.tail {
-                    queued = true;
-                    let rx = {
-                        let mut locks = agent.locks.borrow_mut();
-                        let ll = locks.entry(lock).or_default();
-                        let (tx, rx) = oneshot();
-                        ll.wait_grant = Some(tx);
-                        rx
-                    };
-                    self.dlm.issue(
-                        self.node,
-                        vec![(
-                            t,
-                            self.dlm.agent_port(t),
-                            DlmMsg::ShReq {
-                                lock,
-                                from: self.node,
-                            },
-                        )],
-                    );
-                    rx.await.expect("grant channel closed");
-                }
+                let old = mgr.cluster.atomic_faa(node, addr, SHARED_FAA_DELTA).await;
+                LockWord::decode(old).tail.map(|t| {
+                    let req = DlmMsg::ShReq { lock, from: node };
+                    (t, members.get(t).port, req)
+                })
             }
+        };
+        let queued = request.is_some();
+        if let Some(msg) = request {
+            let granted = agent.park(lock);
+            self.dlm.issue(node, vec![msg]);
+            granted.await;
         }
-        agent.locks.borrow_mut().entry(lock).or_default().held = Some(mode);
-        self.dlm.inner.acquires.inc();
-        self.dlm
-            .inner
-            .lock_wait
-            .record(cluster.sim().now() - t_start);
-        if let Some(t0) = t0 {
-            cluster.tracer().complete(
-                t0,
-                self.node.0,
-                Subsys::Dlm,
-                "lock.acquire",
-                vec![
-                    ("lock", lock.into()),
-                    ("exclusive", u64::from(mode == LockMode::Exclusive).into()),
-                    ("queued", u64::from(queued).into()),
-                ],
-            );
-        }
+        agent.state.borrow_mut().entry(lock).or_default().held = Some(mode);
+        mgr.acquired(acq, node, lock, || {
+            [
+                ("exclusive", u64::from(mode == LockMode::Exclusive).into()),
+                ("queued", u64::from(queued).into()),
+            ]
+        });
     }
 
     /// Release `lock`.
     pub async fn unlock(&self, lock: LockId) {
-        let cluster = self.dlm.inner.cluster.clone();
-        let agent = self.dlm.agent(self.node);
+        let Inner {
+            mgr,
+            table,
+            home_port,
+            ..
+        } = &*self.dlm.inner;
+        let (agent, node) = (&*self.agent, self.agent.node);
         let mode = {
-            let mut locks = agent.locks.borrow_mut();
+            let mut locks = agent.state.borrow_mut();
             locks
                 .entry(lock)
                 .or_default()
@@ -639,58 +469,42 @@ impl NcosedClient {
                 .take()
                 .expect("unlock of a lock this node does not hold")
         };
-        if cluster.tracer().is_enabled() {
-            cluster.tracer().instant(
-                self.node.0,
-                Subsys::Dlm,
-                "lock.release",
-                vec![
-                    ("lock", lock.into()),
-                    ("exclusive", u64::from(mode == LockMode::Exclusive).into()),
-                ],
-            );
-        }
+        mgr.released(node, lock, || {
+            [("exclusive", u64::from(mode == LockMode::Exclusive).into())]
+        });
         match mode {
             LockMode::Shared => {
                 // Off-critical-path bookkeeping to the home agent.
-                self.dlm.issue(
-                    self.node,
-                    vec![(
-                        self.dlm.inner.home,
-                        self.dlm.inner.home_port,
-                        DlmMsg::ShRelease { lock },
-                    )],
-                );
+                let release = DlmMsg::ShRelease { lock };
+                self.dlm.issue(node, vec![(mgr.home, *home_port, release)]);
             }
             LockMode::Exclusive => {
-                {
-                    let mut locks = agent.locks.borrow_mut();
-                    locks.entry(lock).or_default().released = true;
-                }
                 // Fast path: if nobody has queued on us, free the word.
                 let no_known_waiters = {
-                    let locks = agent.locks.borrow();
-                    let ll = &locks[&lock];
+                    let mut locks = agent.state.borrow_mut();
+                    let ll = locks.entry(lock).or_default();
+                    ll.released = true;
                     ll.pending_excl.is_none() && ll.pending_shared.is_empty()
                 };
                 if no_known_waiters {
-                    let addr = self.dlm.word_addr(lock);
+                    let addr = table.word_addr(lock);
                     loop {
-                        let raw = cluster.rdma_read(self.node, addr, 8).await;
+                        let raw = mgr.cluster.rdma_read(node, addr, 8).await;
                         let raw = u64::from_le_bytes(raw[..].try_into().unwrap());
                         let w = LockWord::decode(raw);
-                        let grants_given = agent.locks.borrow()[&lock].grants_given;
+                        let grants_given = agent.state.borrow()[&lock].grants_given;
                         // Only free if no shared requester ever queued on us:
                         // once we've granted shared holders we are the
                         // epoch's anchor and must keep the word non-free so
                         // a new exclusive routes through us / the home agent.
-                        if w.tail == Some(self.node) && w.shared == 0 && grants_given == 0 {
+                        if w.tail == Some(node) && w.shared == 0 && grants_given == 0 {
                             // Nothing new since our grants: try to free.
-                            let old = cluster
-                                .atomic_cas(self.node, addr, raw, LockWord::FREE)
+                            let old = mgr
+                                .cluster
+                                .atomic_cas(node, addr, raw, LockWord::FREE)
                                 .await;
                             if old == raw {
-                                let mut locks = agent.locks.borrow_mut();
+                                let mut locks = agent.state.borrow_mut();
                                 *locks.entry(lock).or_default() = LockLocal::default();
                                 return;
                             }
@@ -702,7 +516,7 @@ impl NcosedClient {
                         break;
                     }
                 }
-                self.dlm.try_progress(&agent, lock);
+                self.dlm.try_progress(agent, lock);
             }
         }
     }
@@ -934,7 +748,7 @@ mod tests {
             client.unlock(0).await;
         });
         sim.run();
-        let raw = c.region(NodeId(0), dlm.inner.region).read_u64(0);
+        let raw = dlm.inner.table.peek(&c, 0);
         assert_eq!(raw, LockWord::FREE);
     }
 

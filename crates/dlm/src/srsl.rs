@@ -10,13 +10,13 @@ use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 
-use dc_fabric::{Cluster, NodeId, Transport};
-use dc_sim::sync::{oneshot, OneSender};
-use dc_svc::{Cost, Dispatcher, Mode, Service, ServiceSpec, Wire};
-use dc_trace::{Counter, HistHandle, Subsys};
+use dc_fabric::{Cluster, NodeId};
+use dc_svc::{Cost, Dispatcher};
+use dc_trace::Subsys;
 
 use crate::config::{DlmConfig, LockMode};
-use crate::msg::{grant_flow_id, req_flow_id, DlmMsg, LockId, T_GRANT, T_SRV_LOCK, T_SRV_UNLOCK};
+use crate::manager::{Manager, Member, Members};
+use crate::msg::{req_flow_id, DlmMsg, LockId, T_SRV_LOCK, T_SRV_UNLOCK};
 
 #[derive(Default)]
 struct ServerLock {
@@ -27,20 +27,12 @@ struct ServerLock {
     queue: VecDeque<(NodeId, bool)>,
 }
 
-struct ClientAgent {
-    waiting: RefCell<HashMap<LockId, OneSender<()>>>,
-}
-
 struct Inner {
-    cluster: Cluster,
-    cfg: DlmConfig,
-    server: NodeId,
+    /// `mgr.home` is the server node.
+    mgr: Rc<Manager>,
+    /// Clients' agents only listen for grants: no per-node protocol state.
+    members: Members<()>,
     server_port: u16,
-    agents: RefCell<HashMap<NodeId, Rc<ClientAgent>>>,
-    agent_ports: RefCell<HashMap<NodeId, u16>>,
-    acquires: Counter,
-    grants: Counter,
-    lock_wait: HistHandle,
 }
 
 /// The SRSL lock manager.
@@ -52,19 +44,11 @@ pub struct SrslDlm {
 impl SrslDlm {
     /// Create the manager with its server process on `server`.
     pub fn new(cluster: &Cluster, cfg: DlmConfig, server: NodeId, members: &[NodeId]) -> SrslDlm {
-        let server_port = cluster.alloc_port_for(server, "dlm.srsl.server");
-        let metrics = cluster.metrics();
         let dlm = SrslDlm {
             inner: Rc::new(Inner {
-                cluster: cluster.clone(),
-                cfg,
-                server,
-                server_port,
-                agents: RefCell::new(HashMap::new()),
-                agent_ports: RefCell::new(HashMap::new()),
-                acquires: metrics.counter("dlm.lock_acquires"),
-                grants: metrics.counter("dlm.grants"),
-                lock_wait: metrics.hist("dlm.lock_wait_ns"),
+                mgr: Manager::new(cluster, cfg, server),
+                members: Members::new(cluster),
+                server_port: cluster.alloc_port_for(server, "dlm.srsl.server"),
             }),
         };
         for &m in members {
@@ -76,72 +60,25 @@ impl SrslDlm {
 
     /// Register a member node (spawns its grant-listener service).
     pub fn add_member(&self, node: NodeId) {
-        let port = self.inner.cluster.alloc_port_for(node, "dlm.srsl.client");
-        let agent = Rc::new(ClientAgent {
-            waiting: RefCell::new(HashMap::new()),
-        });
-        assert!(
-            self.inner
-                .agents
-                .borrow_mut()
-                .insert(node, Rc::clone(&agent))
-                .is_none(),
-            "{node:?} already an SRSL member"
-        );
-        self.inner.agent_ports.borrow_mut().insert(node, port);
-        let spec = ServiceSpec {
-            name: "dlm.srsl.client",
-            subsys: Subsys::Dlm,
-            node,
-            port,
-            cost: Cost::None,
-            mode: Mode::Serial,
-            queue_cap: None,
-        };
-        let dispatcher = Dispatcher::new().on(T_GRANT, move |ctx, msg| {
-            let agent = Rc::clone(&agent);
-            async move {
-                let DlmMsg::Grant { lock, .. } = DlmMsg::parse(&msg.data) else {
-                    unreachable!("tag-routed");
-                };
-                ctx.cluster.tracer().flow_end(
-                    grant_flow_id(lock, node),
-                    node.0,
-                    Subsys::Dlm,
-                    "lock.grant",
-                );
-                let tx = agent
-                    .waiting
-                    .borrow_mut()
-                    .remove(&lock)
-                    .expect("SRSL grant without waiter");
-                tx.send(());
-            }
-        });
-        Service::spawn(&self.inner.cluster, spec, dispatcher);
+        self.inner
+            .members
+            .add(node, "dlm.srsl.client", Cost::None, (), |_| {
+                Dispatcher::new()
+            });
     }
 
     /// Client handle for `node`.
     pub fn client(&self, node: NodeId) -> SrslClient {
-        assert!(self.inner.agents.borrow().contains_key(&node));
         SrslClient {
             dlm: self.clone(),
-            node,
+            agent: self.inner.members.get(node),
         }
     }
 
     fn spawn_server(&self) {
-        // Server processing competes with any load on its node: the pump
-        // charges `server_cpu_ns` on the server CPU before each dispatch.
-        let spec = ServiceSpec {
-            name: "dlm.srsl.server",
-            subsys: Subsys::Dlm,
-            node: self.inner.server,
-            port: self.inner.server_port,
-            cost: Cost::Cpu(self.inner.cfg.server_cpu_ns),
-            mode: Mode::Serial,
-            queue_cap: None,
-        };
+        let Inner {
+            mgr, server_port, ..
+        } = &*self.inner;
         let locks: Rc<RefCell<HashMap<LockId, ServerLock>>> = Rc::default();
         let lock_inner = Rc::clone(&self.inner);
         let lock_locks = Rc::clone(&locks);
@@ -161,7 +98,7 @@ impl SrslDlm {
                     };
                     ctx.cluster.tracer().flow_end(
                         req_flow_id(lock, from),
-                        inner.server.0,
+                        inner.mgr.home.0,
                         Subsys::Dlm,
                         "lock.request",
                     );
@@ -224,123 +161,75 @@ impl SrslDlm {
                     issue_grants(&inner, grants).await;
                 }
             });
-        Service::spawn(&self.inner.cluster, spec, dispatcher);
+        // Server processing competes with any load on its node: the pump
+        // charges `server_cpu_ns` on the server CPU before each dispatch.
+        let cost = Cost::Cpu(mgr.cfg.server_cpu_ns);
+        mgr.spawn_home("dlm.srsl.server", *server_port, cost, dispatcher);
     }
 }
 
 /// Issue grants serially (one server process, one NIC doorbell at a time),
 /// flights overlapping. Runs inside the serial service handler, so grant
 /// issue occupies the server exactly as the hand-rolled loop did.
-async fn issue_grants(inner: &Rc<Inner>, grants: Vec<(NodeId, LockId, bool)>) {
-    let cluster = &inner.cluster;
-    let server = inner.server;
-    let cfg = inner.cfg;
+async fn issue_grants(inner: &Inner, grants: Vec<(NodeId, LockId, bool)>) {
+    let Inner { mgr, members, .. } = inner;
     for (to, lock, exclusive) in grants {
-        cluster.cpu(server).execute(cfg.grant_issue_ns).await;
-        inner.grants.inc();
-        cluster
-            .tracer()
-            .flow_start(grant_flow_id(lock, to), server.0, Subsys::Dlm, "lock.grant");
-        let port = inner.agent_ports.borrow()[&to];
-        let c2 = cluster.clone();
-        let data = DlmMsg::Grant { lock, exclusive }.encode_bytes();
-        cluster.sim().spawn_detached(async move {
-            // A lost grant would orphan the waiter: reliable or bust.
-            c2.send_reliable_with(server, to, port, data, Transport::RdmaSend, cfg.msg_retry)
-                .await
-                .unwrap_or_else(|e| panic!("SRSL grant {server:?}->{to:?} undeliverable: {e}"));
-        });
+        let issue = mgr.cfg.grant_issue_ns;
+        mgr.cluster.cpu(mgr.home).execute(issue).await;
+        members.open_grant(mgr.home, to, lock);
+        let grant = DlmMsg::Grant { lock, exclusive };
+        mgr.flight(mgr.home, to, members.get(to).port, grant);
     }
 }
 
 /// Per-node SRSL handle.
 pub struct SrslClient {
     dlm: SrslDlm,
-    node: NodeId,
+    agent: Rc<Member<()>>,
 }
 
 impl SrslClient {
     /// The node this client operates from.
-    pub fn node_id(&self) -> NodeId {
-        self.node
+    pub fn node(&self) -> NodeId {
+        self.agent.node
     }
 
     /// Acquire `lock` in `mode` through the server.
     pub async fn lock(&self, lock: LockId, mode: LockMode) {
-        let inner = &self.dlm.inner;
-        let t_start = inner.cluster.sim().now();
-        let t0 = inner.cluster.tracer().begin();
-        let agent = Rc::clone(&inner.agents.borrow()[&self.node]);
-        let (tx, rx) = oneshot();
-        let prev = agent.waiting.borrow_mut().insert(lock, tx);
-        assert!(prev.is_none(), "concurrent SRSL ops on one lock");
-        inner.cluster.tracer().flow_start(
-            req_flow_id(lock, self.node),
-            self.node.0,
+        let Inner {
+            mgr, server_port, ..
+        } = &*self.dlm.inner;
+        let from = self.agent.node;
+        let exclusive = mode == LockMode::Exclusive;
+        let acq = mgr.begin_acquire();
+        let granted = self.agent.park(lock);
+        mgr.cluster.tracer().flow_start(
+            req_flow_id(lock, from),
+            from.0,
             Subsys::Dlm,
             "lock.request",
         );
-        inner
-            .cluster
-            .send_reliable_with(
-                self.node,
-                inner.server,
-                inner.server_port,
-                DlmMsg::SrvLock {
-                    lock,
-                    from: self.node,
-                    exclusive: mode == LockMode::Exclusive,
-                }
-                .encode_bytes(),
-                Transport::RdmaSend,
-                inner.cfg.msg_retry,
-            )
-            .await
-            .unwrap_or_else(|e| panic!("SRSL lock request undeliverable: {e}"));
-        rx.await.expect("SRSL grant channel closed");
-        inner.acquires.inc();
-        inner.lock_wait.record(inner.cluster.sim().now() - t_start);
-        if let Some(t0) = t0 {
-            inner.cluster.tracer().complete(
-                t0,
-                self.node.0,
-                Subsys::Dlm,
-                "lock.acquire",
-                vec![
-                    ("lock", lock.into()),
-                    ("exclusive", u64::from(mode == LockMode::Exclusive).into()),
-                ],
-            );
-        }
+        let req = DlmMsg::SrvLock {
+            lock,
+            from,
+            exclusive,
+        };
+        mgr.deliver(from, mgr.home, *server_port, req).await;
+        granted.await;
+        mgr.acquired(acq, from, lock, || {
+            [("exclusive", u64::from(exclusive).into())]
+        });
     }
 
     /// Release `lock`.
     pub async fn unlock(&self, lock: LockId) {
-        let inner = &self.dlm.inner;
-        if inner.cluster.tracer().is_enabled() {
-            inner.cluster.tracer().instant(
-                self.node.0,
-                Subsys::Dlm,
-                "lock.release",
-                vec![("lock", lock.into())],
-            );
-        }
-        inner
-            .cluster
-            .send_reliable_with(
-                self.node,
-                inner.server,
-                inner.server_port,
-                DlmMsg::SrvUnlock {
-                    lock,
-                    from: self.node,
-                }
-                .encode_bytes(),
-                Transport::RdmaSend,
-                inner.cfg.msg_retry,
-            )
-            .await
-            .unwrap_or_else(|e| panic!("SRSL release undeliverable: {e}"));
+        let Inner {
+            mgr, server_port, ..
+        } = &*self.dlm.inner;
+        let from = self.agent.node;
+        mgr.released(from, lock, || []);
+        let release = DlmMsg::SrvUnlock { lock, from };
+        mgr.deliver(from, mgr.home, *server_port, release).await;
     }
 }
 

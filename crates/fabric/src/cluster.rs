@@ -443,7 +443,7 @@ impl Cluster {
         match &*self.inner.faults.borrow() {
             Some(p) => {
                 let dropped = p.should_drop();
-                if dropped {
+                if dropped && self.inner.tracer.is_enabled() {
                     self.inner.tracer.instant(
                         to.0,
                         Subsys::Fault,

@@ -287,7 +287,8 @@ pub struct ErpcCfg {
     pub client_qps: usize,
     /// Per-session outstanding-request window (credits and reply-cache
     /// depth share this value, so the server can always dedup anything the
-    /// client can still retransmit).
+    /// client can still retransmit). The window slides: request `n + window`
+    /// is sent only after request `n` has completed.
     pub window: u32,
     /// Retransmit a request once it has been outstanding this long.
     pub rto_ns: SimTime,
@@ -549,8 +550,8 @@ impl ErpcMux {
                     inner.feed_cc(&s, Some(rtt), msg.ecn || h.ece);
                     s.acks.set(s.acks.get() + 1);
                     // The slot stays the caller's until it has taken this
-                    // response: `call` returns the credit, so no credit
-                    // waiter can claim the slot (`seq % window`) first.
+                    // response: `call` admits a new request only into a slot
+                    // that is neither busy nor holding an untaken response.
                     *slot.resp.borrow_mut() = Some(msg.data);
                     slot.req.borrow_mut().take();
                     slot.busy.set(false);
@@ -723,27 +724,31 @@ impl ErpcSession {
     pub async fn call(&self, op: u8, payload: Bytes) -> Bytes {
         let s = &*self.s;
         let mux = &*self.mux;
-        loop {
-            if s.credits.borrow_mut().try_take() {
-                mux.m_credits.add(-1);
-                break;
+        // Sliding window: request `seq` enters slot `seq % window` only once
+        // request `seq - window` has handed its response to its caller. A
+        // free credit alone says only that *some* slot is free; after an
+        // out-of-order completion that is not the next sequence number's,
+        // and the server's reply cache (same indexing) assumes it is.
+        let (seq, slot) = loop {
+            let seq = s.next_seq.get();
+            let slot = &s.slots[(seq % mux.cfg.window) as usize];
+            if !slot.busy.get() && slot.resp.borrow().is_none() {
+                break (seq, slot);
             }
             mux.cluster.note_credit_stall(mux.node);
             s.credit_waiters.notified().await;
-        }
-        let seq = s.next_seq.get();
+        };
+        assert!(
+            s.credits.borrow_mut().try_take(),
+            "a free slot without a free credit"
+        );
+        mux.m_credits.add(-1);
         s.next_seq.set((seq + 1) & SEQ_MASK);
-        let slot = &s.slots[(seq % mux.cfg.window) as usize];
-        debug_assert!(!slot.busy.get(), "window credit admitted a busy slot");
         slot.busy.set(true);
         slot.seq.set(seq);
         slot.op.set(op);
         slot.retx.set(0);
         *slot.req.borrow_mut() = Some(payload.clone());
-        debug_assert!(
-            slot.resp.borrow().is_none(),
-            "slot holds an untaken response"
-        );
         // Pace to the session rate: reserve the next transmit instant
         // before sleeping so concurrent calls serialize their gaps.
         let sim = mux.cluster.sim().clone();
@@ -983,16 +988,27 @@ mod tests {
         assert!(cluster.ecn_marks() > 0);
     }
 
-    /// `callers` clones of one session call at once through a `window`-deep
-    /// credit window; every one must get its own response back.
-    fn concurrent_callers_all_complete(window: u32, callers: u8) {
+    /// `callers` clones of one session each make `calls` calls through a
+    /// `window`-deep window, 25 % of messages dropped when `lossy`; every
+    /// call must get its own response back.
+    fn concurrent_callers_all_complete(window: u32, callers: u8, calls: u8, lossy: bool) {
         let (sim, cluster) = setup(2);
-        let srv = ErpcServer::spawn(&cluster, NodeId(1), 1, 4, 0, Rc::new(|_, req| req));
+        if lossy {
+            cluster.install_faults(dc_fabric::FaultPlan::from_parts(
+                9,
+                vec![],
+                vec![],
+                vec![],
+                0.25,
+            ));
+        }
+        let srv = ErpcServer::spawn(&cluster, NodeId(1), 1, window, 0, Rc::new(|_, req| req));
         let mux = ErpcMux::new(
             &cluster,
             NodeId(0),
             ErpcCfg {
                 window,
+                rto_ns: 200_000,
                 ..ErpcCfg::default()
             },
         );
@@ -1001,8 +1017,10 @@ mod tests {
             .map(|i| {
                 let s = sess.clone();
                 sim.spawn(async move {
-                    let r = s.call(0, Bytes::from(vec![i; 8])).await;
-                    assert_eq!(r[0], i);
+                    for k in 0..calls {
+                        let r = s.call(0, Bytes::from(vec![i, k])).await;
+                        assert_eq!(&r[..], &[i, k], "caller {i} got another call's response");
+                    }
                 })
             })
             .collect();
@@ -1011,17 +1029,27 @@ mod tests {
                 h.await;
             }
         });
-        assert_eq!(sess.acks(), callers as u64);
+        assert_eq!(sess.acks(), callers as u64 * calls as u64);
         assert_eq!(sess.s.credits.borrow().available(), window);
     }
 
     #[test]
     fn credit_waiter_does_not_steal_the_slot_of_an_untaken_response() {
-        concurrent_callers_all_complete(1, 3);
+        concurrent_callers_all_complete(1, 3, 1, false);
     }
 
     #[test]
     fn eight_callers_share_a_two_deep_window() {
-        concurrent_callers_all_complete(2, 8);
+        concurrent_callers_all_complete(2, 8, 1, false);
+    }
+
+    /// Drops complete requests out of order, so a returned credit no longer
+    /// names the next sequence number's slot (`window = 2, 8`, fault seed 9:
+    /// the pre-sliding-window `call` overwrote a busy slot and hung).
+    #[test]
+    fn shared_window_survives_out_of_order_completion_under_drops() {
+        for window in [2, 8] {
+            concurrent_callers_all_complete(window, 6, 20, true);
+        }
     }
 }

@@ -206,11 +206,12 @@ impl Service {
                 depth_hwm.set_max((fifo.len() + ep.queued()) as i64);
                 // Queue wait: mailbox/FIFO residency from fabric delivery to
                 // this dequeue. Recorded unconditionally (metrics are always
-                // on); the span is tracer-gated and uses the explicit-bounds
-                // form, so tracing stays schedule-neutral.
+                // on); the span uses the explicit-bounds form, so tracing
+                // stays schedule-neutral, and is gated here, before its
+                // arguments are built, so the disabled path allocates nothing.
                 let wait = sim.now().saturating_sub(msg.arrived_ns);
                 queue_wait.record(wait);
-                if wait > 0 {
+                if wait > 0 && cluster.tracer().is_enabled() {
                     cluster.tracer().complete_at(
                         msg.arrived_ns,
                         wait,

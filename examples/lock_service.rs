@@ -7,7 +7,7 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use nextgen_datacenter::dlm::{DlmConfig, DqnlDlm, LockMode, NcosedDlm, SrslDlm};
+use nextgen_datacenter::dlm::{DesignKind, DlmConfig, LockMode};
 use nextgen_datacenter::fabric::{Cluster, FabricModel, NodeId};
 use nextgen_datacenter::sim::time::{as_ms, us};
 use nextgen_datacenter::sim::Sim;
@@ -22,70 +22,33 @@ fn run(scheme: &str) -> (f64, u64) {
     let cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), NODES);
     let members: Vec<NodeId> = (0..NODES as u32).map(NodeId).collect();
     let done: Rc<Cell<u64>> = Rc::default();
-
-    // One closure per manager kind to avoid a shared trait object.
-    enum Mgr {
-        N(NcosedDlm),
-        D(DqnlDlm),
-        S(SrslDlm),
-    }
-    let mgr = match scheme {
-        "N-CoSED" => Mgr::N(NcosedDlm::new(
-            &cluster,
-            DlmConfig::default(),
-            NodeId(0),
-            1,
-            &members,
-        )),
-        "DQNL" => Mgr::D(DqnlDlm::new(
-            &cluster,
-            DlmConfig::default(),
-            NodeId(0),
-            1,
-            &members,
-        )),
-        "SRSL" => Mgr::S(SrslDlm::new(
-            &cluster,
-            DlmConfig::default(),
-            NodeId(0),
-            &members,
-        )),
-        _ => unreachable!(),
-    };
+    let design = DesignKind::by_label(scheme).expect("a lock design's legend label");
+    let clients = design.build(&cluster, DlmConfig::default(), NodeId(0), 1, &members);
 
     let mut joins = Vec::new();
-    for n in 1..NODES as u32 {
+    // Node 0 is the home/server only; every other node runs a worker.
+    for client in clients.into_iter().skip(1) {
         let d = Rc::clone(&done);
         let h = sim.handle();
-        macro_rules! worker {
-            ($client:expr) => {{
-                let client = $client;
-                joins.push(sim.spawn(async move {
-                    for op in 0..OPS_PER_NODE {
-                        let mode = if op % (READ_FRACTION + 1) == READ_FRACTION {
-                            LockMode::Exclusive
-                        } else {
-                            LockMode::Shared
-                        };
-                        client.lock(0, mode).await;
-                        // Critical section: read ~50us, write ~200us.
-                        h.sleep(if mode == LockMode::Exclusive {
-                            us(200)
-                        } else {
-                            us(50)
-                        })
-                        .await;
-                        client.unlock(0).await;
-                        d.set(d.get() + 1);
-                    }
-                }));
-            }};
-        }
-        match &mgr {
-            Mgr::N(m) => worker!(m.client(NodeId(n))),
-            Mgr::D(m) => worker!(m.client(NodeId(n))),
-            Mgr::S(m) => worker!(m.client(NodeId(n))),
-        }
+        joins.push(sim.spawn(async move {
+            for op in 0..OPS_PER_NODE {
+                let mode = if op % (READ_FRACTION + 1) == READ_FRACTION {
+                    LockMode::Exclusive
+                } else {
+                    LockMode::Shared
+                };
+                client.lock(0, mode).await;
+                // Critical section: read ~50us, write ~200us.
+                h.sleep(if mode == LockMode::Exclusive {
+                    us(200)
+                } else {
+                    us(50)
+                })
+                .await;
+                client.unlock(0).await;
+                d.set(d.get() + 1);
+            }
+        }));
     }
     sim.run_to(async move {
         for j in joins {

@@ -345,3 +345,87 @@ fn stream_message_is_copied_at_most_once() {
         );
     }
 }
+
+/// A call through `LockClient` is the concrete client's own future with
+/// nothing boxed around it: for every design, the uncontended two-node
+/// lock/unlock loop allocates exactly as often per extra grant through
+/// `DesignKind::build`'s client as through the concrete manager's. (A
+/// type-erased client that boxes its futures costs two more per grant, one
+/// for `lock` and one for `unlock`.)
+#[test]
+fn lock_client_enum_allocates_like_the_concrete_client() {
+    use dc_dlm::{
+        CasSpinDlm, DesignKind, DlmConfig, DqnlDlm, LeaseDlm, LockMode, McsDlm, NcosedDlm, SrslDlm,
+    };
+    use dc_fabric::{Cluster, FabricModel, NodeId};
+    use dc_sim::Sim;
+
+    let cfg = DlmConfig::default();
+    let home = NodeId(0);
+    let members = [home, NodeId(1)];
+    // Allocations of one whole run of `$grants` grants by the client that
+    // `$client` builds on the fresh two-node cluster `$cluster`.
+    macro_rules! run_allocs {
+        ($grants:expr, |$cluster:ident| $client:expr) => {{
+            let counting = Counting::start();
+            let sim = Sim::new();
+            let $cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), 2);
+            let client = $client;
+            sim.run_to(async move {
+                for _ in 0..$grants {
+                    client.lock(1, LockMode::Exclusive).await;
+                    client.unlock(1).await;
+                }
+            });
+            counting.so_far().allocs
+        }};
+    }
+    // Two lengths cancel set-up: what 128 extra grants allocate.
+    macro_rules! extra_grant_allocs {
+        (|$cluster:ident| $client:expr) => {{
+            let _ = run_allocs!(8, |$cluster| $client); // warm allocator arenas
+            let short = run_allocs!(64, |$cluster| $client);
+            let long = run_allocs!(192, |$cluster| $client);
+            long - short
+        }};
+    }
+    for design in DesignKind::ALL {
+        let erased = extra_grant_allocs!(|c| design
+            .build(&c, cfg, home, 4, &members)
+            .pop()
+            .expect("one client per member"));
+        let concrete = match design {
+            DesignKind::Srsl => {
+                extra_grant_allocs!(|c| SrslDlm::new(&c, cfg, home, &members).client(NodeId(1)))
+            }
+            DesignKind::Dqnl => {
+                extra_grant_allocs!(|c| DqnlDlm::new(&c, cfg, home, 4, &members).client(NodeId(1)))
+            }
+            DesignKind::Ncosed => {
+                extra_grant_allocs!(|c| NcosedDlm::new(&c, cfg, home, 4, &members).client(NodeId(1)))
+            }
+            DesignKind::CasSpin => {
+                extra_grant_allocs!(
+                    |c| CasSpinDlm::new(&c, cfg, home, 4, &members).client(NodeId(1))
+                )
+            }
+            DesignKind::Lease => {
+                extra_grant_allocs!(|c| LeaseDlm::new(&c, cfg, home, 4, &members).client(NodeId(1)))
+            }
+            DesignKind::McsTicket => {
+                extra_grant_allocs!(|c| McsDlm::new(&c, cfg, home, 4, &members).client(NodeId(1)))
+            }
+        };
+        eprintln!(
+            "alloc_steady dlm {}: 128 extra grants, {erased} extra allocs through LockClient, \
+             {concrete} through the concrete client",
+            design.label()
+        );
+        assert_eq!(
+            erased,
+            concrete,
+            "{}: the design-erased client allocates differently from the concrete one",
+            design.label()
+        );
+    }
+}

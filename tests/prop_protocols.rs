@@ -185,7 +185,7 @@ proptest! {
     // Every case drives one whole cluster per lock design, so few cases.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The `LockClient` trait contract, checked for every design at once:
+    /// The `LockClient` contract, checked for every design at once:
     /// exclusive holders never overlap, and every request drains — under
     /// randomized arrivals and hold times, optionally with seeded message
     /// drops and latency storms. Hold times stay far below the lease
@@ -199,7 +199,7 @@ proptest! {
         faulted in any::<bool>(),
         fault_seed in any::<u64>(),
     ) {
-        // One outstanding request per (node, lock) — the trait contract.
+        // One outstanding request per (node, lock) — the client contract.
         let mut seen = std::collections::HashSet::new();
         let ops: Vec<LockOp> = ops
             .into_iter()

@@ -187,19 +187,38 @@ fn engine_schedule_matches_committed_golden() {
         env!("CARGO_MANIFEST_DIR"),
         "/tests/golden/engine_schedule.txt"
     );
-    let mut lines = Vec::new();
-    for (label, cfg) in golden_cases() {
-        let (res, a) = run_webfarm_traced(&cfg, TraceMode::Full);
-        lines.push(format!(
-            "{label} tps_bits={:016x} trace_fnv={:016x} trace_events={} \
-             metrics_fnv={:016x} polls={} events={} timers_fired={}",
-            res.tps.to_bits(),
+    let artifact_fields = |a: &nextgen_datacenter::core::TraceArtifacts| {
+        format!(
+            "trace_fnv={:016x} trace_events={} metrics_fnv={:016x} polls={} events={} \
+             timers_fired={}",
             fnv1a(a.trace_json.as_bytes()),
             a.events,
             fnv1a(a.metrics_json.as_bytes()),
             json_counter(&a.metrics_json, "sim.polls"),
             json_counter(&a.metrics_json, "sim.events"),
             json_counter(&a.metrics_json, "sim.timers_fired"),
+        )
+    };
+    let mut lines = Vec::new();
+    for (label, cfg) in golden_cases() {
+        let (res, a) = run_webfarm_traced(&cfg, TraceMode::Full);
+        lines.push(format!(
+            "{label} tps_bits={:016x} {}",
+            res.tps.to_bits(),
+            artifact_fields(&a)
+        ));
+    }
+    // One line per lock design on the shootout's middle cell: every design's
+    // spawns, sleeps, sends, spans and metrics are pinned, not just its table.
+    for design in nextgen_datacenter::dlm::DesignKind::ALL {
+        let cell = dc_bench::ext_shootout::CELLS[1];
+        let (s, a) = dc_bench::ext_shootout::run_cell_traced(design, cell, None, TraceMode::Full);
+        lines.push(format!(
+            "shootout_{} acquires={} p99_bits={:016x} {}",
+            design.label(),
+            s.acquires,
+            s.p99_wait_us.to_bits(),
+            artifact_fields(&a)
         ));
     }
     let actual = lines.join("\n") + "\n";
