@@ -24,8 +24,9 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use bytes::Bytes;
-use dc_core::{table::f, Table};
+use dc_core::{table::f, LatencyHist, Table};
 use dc_fabric::{Cluster, FabricModel, FaultPlan, NodeId};
+use dc_sim::time::as_us;
 use dc_sim::Sim;
 use dc_sockets::{connect, ErpcCfg, ErpcServer, SocketsConfig, StreamKind};
 
@@ -110,14 +111,6 @@ pub struct IncastPoint {
     pub qp_active: i64,
 }
 
-fn percentile(sorted: &[u64], p: f64) -> f64 {
-    assert!(!sorted.is_empty());
-    let idx = ((sorted.len() as f64 * p).ceil() as usize)
-        .saturating_sub(1)
-        .min(sorted.len() - 1);
-    sorted[idx] as f64 / 1e3
-}
-
 /// Run one (lane, fan-in) cell on a fresh cluster. `drop_rate > 0`
 /// installs a seeded uniform-drop fault plan (the determinism tests
 /// exercise recovery; the registered scenario runs clean).
@@ -138,7 +131,7 @@ pub fn run_cell(lane: IncastLane, fanin: usize, drop_rate: f64) -> IncastPoint {
         ));
     }
     let server = NodeId(0);
-    let latencies: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(Vec::new()));
+    let latencies = Rc::new(RefCell::new(LatencyHist::new()));
     let resp = Bytes::from(vec![0x5au8; RESP_BYTES]);
     let req = Bytes::from(vec![0x17u8; REQ_BYTES]);
     let h = sim.handle();
@@ -177,7 +170,7 @@ pub fn run_cell(lane: IncastLane, fanin: usize, drop_rate: f64) -> IncastPoint {
                     for _ in 0..REQS_PER_SESSION {
                         let t0 = h.now();
                         sess.call(0, req.clone()).await;
-                        lat.borrow_mut().push(h.now() - t0);
+                        lat.borrow_mut().record(h.now() - t0);
                     }
                 }));
             }
@@ -209,7 +202,7 @@ pub fn run_cell(lane: IncastLane, fanin: usize, drop_rate: f64) -> IncastPoint {
                         let t0 = h.now();
                         cli_end.send_bytes(req.clone()).await;
                         cli_end.recv().await;
-                        lat.borrow_mut().push(h.now() - t0);
+                        lat.borrow_mut().record(h.now() - t0);
                     }
                 }));
             }
@@ -224,20 +217,19 @@ pub fn run_cell(lane: IncastLane, fanin: usize, drop_rate: f64) -> IncastPoint {
     });
     drop(muxes);
 
-    let mut lats = latencies.borrow().clone();
+    let lats = latencies.borrow();
     assert_eq!(
-        lats.len(),
+        lats.count() as usize,
         fanin * REQS_PER_SESSION,
         "incast cell lost requests"
     );
-    lats.sort_unstable();
     IncastPoint {
         lane,
         fanin,
-        goodput_rps: lats.len() as f64 * 1e9 / elapsed_ns as f64,
-        p50_us: percentile(&lats, 0.50),
-        p99_us: percentile(&lats, 0.99),
-        p999_us: percentile(&lats, 0.999),
+        goodput_rps: lats.count() as f64 * 1e9 / elapsed_ns as f64,
+        p50_us: as_us(lats.p50_ns()),
+        p99_us: as_us(lats.p99_ns()),
+        p999_us: as_us(lats.p999_ns()),
         retransmits: cluster.stats().retransmits,
         marks: cluster.ecn_marks(),
         qp_active: cluster.qp_active(),

@@ -248,11 +248,6 @@ impl Sim {
         self.st.polls.get()
     }
 
-    /// Total ready-queue wake events consumed by the run loop so far.
-    pub fn events_processed(&self) -> u64 {
-        self.st.events.get()
-    }
-
     /// Total timer entries popped and fired so far.
     pub fn timers_fired(&self) -> u64 {
         self.st.timers_fired.get()

@@ -7,13 +7,11 @@
 //! arbitration (e.g. the per-node CPU model).
 
 mod mpsc;
-mod mutex;
 mod notify;
 mod oneshot;
 mod semaphore;
 
 pub use mpsc::{channel, Receiver, RecvError, Sender};
-pub use mutex::{SimMutex, SimMutexGuard};
 pub use notify::Notify;
 pub use oneshot::{oneshot, OneReceiver, OneSender, RecvClosed};
 pub use semaphore::{Semaphore, SemaphorePermit};

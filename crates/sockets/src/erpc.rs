@@ -55,9 +55,30 @@ pub const KIND_REQ: u8 = 1;
 /// Message kind: response.
 pub const KIND_RESP: u8 = 2;
 
-/// Sequence numbers are 21 bits — 2M outstanding-or-completed requests per
-/// session before wrap, far beyond any scenario's per-session volume.
+/// Sequence numbers are 21 bits on the wire and wrap: a session's
+/// 2,097,153rd request is numbered 0 again. Only the last `window` of them
+/// are ever live, so equality identifies a request, order is serial-number
+/// arithmetic over the circle (`seq_newer`), and `window` must be a power
+/// of two (`assert_window`).
 pub const SEQ_MASK: u32 = (1 << 21) - 1;
+
+/// Whether `a` was issued after `b`: ahead of it by less than half the
+/// 21-bit circle (RFC 1982 serial-number arithmetic).
+fn seq_newer(a: u32, b: u32) -> bool {
+    let ahead = a.wrapping_sub(b) & SEQ_MASK;
+    ahead != 0 && ahead <= SEQ_MASK / 2
+}
+
+/// Request `seq` lives in slot `seq % window` at both ends, and the sliding
+/// window relies on consecutive requests taking consecutive slots. Across
+/// the wrap from [`SEQ_MASK`] to 0 that holds only if `window` divides 2^21.
+fn assert_window(window: u32) {
+    assert!(
+        window.is_power_of_two(),
+        "erpc window must be a power of two (slots are seq % window and seq wraps at 2^21), \
+         got {window}"
+    );
+}
 
 /// Decoded immediate-data header. Layout (LSB-first):
 /// `[port:16][seq:21][session:16][op:8][ece:1][kind:2]`.
@@ -288,7 +309,8 @@ pub struct ErpcCfg {
     /// Per-session outstanding-request window (credits and reply-cache
     /// depth share this value, so the server can always dedup anything the
     /// client can still retransmit). The window slides: request `n + window`
-    /// is sent only after request `n` has completed.
+    /// is sent only after request `n` has completed. Must be a power of two,
+    /// so that slots stay consecutive when the sequence number wraps.
     pub window: u32,
     /// Retransmit a request once it has been outstanding this long.
     pub rto_ns: SimTime,
@@ -345,7 +367,7 @@ impl ErpcServer {
         handler: Rc<dyn Fn(u8, Bytes) -> Bytes>,
     ) -> ErpcServer {
         assert!(qps >= 1, "server needs at least one QP");
-        assert!(window >= 1, "window must be at least 1");
+        assert_window(window);
         let mut ports = Vec::with_capacity(qps);
         for _ in 0..qps {
             let port = cluster.alloc_port_for(node, "erpc.srv.qp");
@@ -374,7 +396,7 @@ impl ErpcServer {
                     let slot = (h.seq % window) as usize;
                     let resp = match &sess.cache[slot] {
                         Some((seq, cached)) if *seq == h.seq => cached.clone(),
-                        Some((seq, _)) if *seq > h.seq => continue, // stale dup
+                        Some((seq, _)) if seq_newer(*seq, h.seq) => continue, // stale dup
                         _ => {
                             cpu.execute(cpu_ns).await;
                             let resp = handler(h.op, msg.data);
@@ -509,7 +531,7 @@ impl ErpcMux {
     /// pumps and the shared retransmit sweeper.
     pub fn new(cluster: &Cluster, node: NodeId, cfg: ErpcCfg) -> ErpcMux {
         assert!(cfg.client_qps >= 1, "mux needs at least one QP");
-        assert!(cfg.window >= 1, "window must be at least 1");
+        assert_window(cfg.window);
         let reg = cluster.metrics();
         let inner = Rc::new(MuxInner {
             cluster: cluster.clone(),
@@ -989,9 +1011,16 @@ mod tests {
     }
 
     /// `callers` clones of one session each make `calls` calls through a
-    /// `window`-deep window, 25 % of messages dropped when `lossy`; every
-    /// call must get its own response back.
-    fn concurrent_callers_all_complete(window: u32, callers: u8, calls: u8, lossy: bool) {
+    /// `window`-deep window, the session's first request numbered
+    /// `first_seq`, 25 % of messages dropped when `lossy`; every call must
+    /// get its own response back.
+    fn concurrent_callers_all_complete(
+        window: u32,
+        callers: u8,
+        calls: u8,
+        lossy: bool,
+        first_seq: u32,
+    ) {
         let (sim, cluster) = setup(2);
         if lossy {
             cluster.install_faults(dc_fabric::FaultPlan::from_parts(
@@ -1013,6 +1042,7 @@ mod tests {
             },
         );
         let sess = mux.session(NodeId(1), srv.ports()[0], 1);
+        sess.s.next_seq.set(first_seq);
         let handles: Vec<_> = (0..callers)
             .map(|i| {
                 let s = sess.clone();
@@ -1035,12 +1065,12 @@ mod tests {
 
     #[test]
     fn credit_waiter_does_not_steal_the_slot_of_an_untaken_response() {
-        concurrent_callers_all_complete(1, 3, 1, false);
+        concurrent_callers_all_complete(1, 3, 1, false, 0);
     }
 
     #[test]
     fn eight_callers_share_a_two_deep_window() {
-        concurrent_callers_all_complete(2, 8, 1, false);
+        concurrent_callers_all_complete(2, 8, 1, false, 0);
     }
 
     /// Drops complete requests out of order, so a returned credit no longer
@@ -1049,7 +1079,53 @@ mod tests {
     #[test]
     fn shared_window_survives_out_of_order_completion_under_drops() {
         for window in [2, 8] {
-            concurrent_callers_all_complete(window, 6, 20, true);
+            concurrent_callers_all_complete(window, 6, 20, true, 0);
+        }
+    }
+
+    /// A session's 2,097,153rd request is numbered 0 again. The server's
+    /// reply cache used to order sequence numbers as plain integers, so it
+    /// discarded every post-wrap request as a stale duplicate of the slot's
+    /// pre-wrap occupant and the sweeper gave up after `max_retx` resends —
+    /// on a clean fabric.
+    #[test]
+    fn session_survives_the_sequence_number_wrap() {
+        let (sim, cluster) = setup(2);
+        let srv = ErpcServer::spawn(&cluster, NodeId(1), 1, 4, 0, Rc::new(|_, req| req));
+        let mux = ErpcMux::new(&cluster, NodeId(0), ErpcCfg::default());
+        let sess = mux.session(NodeId(1), srv.ports()[0], 1);
+        sess.s.next_seq.set(SEQ_MASK - 5);
+        let s2 = sess.clone();
+        sim.run_to(async move {
+            for i in 0..12u8 {
+                let r = s2.call(0, Bytes::from(vec![i; 8])).await;
+                assert_eq!(&r[..], &[i; 8]);
+            }
+        });
+        assert_eq!(sess.s.next_seq.get(), 6, "the run did not cross the wrap");
+        assert_eq!((sess.acks(), sess.retx()), (12, 0));
+    }
+
+    #[test]
+    fn sequence_order_is_serial_across_the_wrap() {
+        assert!(seq_newer(1, 0) && !seq_newer(0, 1) && !seq_newer(7, 7));
+        assert!(seq_newer(0, SEQ_MASK) && !seq_newer(SEQ_MASK, 0));
+        assert!(seq_newer(2, SEQ_MASK - 3) && !seq_newer(SEQ_MASK - 3, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "power of two")]
+    fn window_that_does_not_divide_the_sequence_space_is_refused() {
+        let (_sim, cluster) = setup(2);
+        ErpcServer::spawn(&cluster, NodeId(1), 1, 3, 0, Rc::new(|_, req| req));
+    }
+
+    /// The wrap under drops: retransmits and reply-cache hits on both sides
+    /// of it, with completions out of order.
+    #[test]
+    fn shared_window_survives_the_wrap_under_drops() {
+        for window in [2, 8] {
+            concurrent_callers_all_complete(window, 6, 20, true, SEQ_MASK - 50);
         }
     }
 }

@@ -74,8 +74,11 @@ impl LaneSender {
         let cluster = self.cluster.clone();
         let (from, to, port, transport, policy) =
             (self.from, self.to, self.port, self.transport, self.policy);
-        // Same loop as Cluster::send_reliable_imm, inlined so each lane
-        // retransmission is also counted in the sockets.retransmits metric.
+        // Same loop as Cluster::send_reliable_imm, written out on purpose:
+        // one of these futures is alive per in-flight chunk, and nesting
+        // the generic Cluster::retrying future under it grows it from 368 B
+        // to 656-680 B (`incast_rpc` peak RSS +14 %; ROADMAP item 5). It
+        // also owns the lane's accounting: sockets.retransmits, lane.backoff.
         async move {
             for attempt in 0..policy.max_attempts {
                 match cluster

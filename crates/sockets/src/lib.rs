@@ -21,6 +21,11 @@
 //!   in *bytes*, not buffers. The same pinned-memory budget sustains
 //!   thousands of small messages in flight.
 //!
+//! Credit-based and packetized flow control are one windowed sender and one
+//! receive pump that differ only in the window each is built with — what a
+//! chunk costs, how large it may be, when units return ([`stream`]; the
+//! contract is DESIGN.md §11).
+//!
 //! All four expose one message-oriented API: [`connect`] returns a pair of
 //! [`StreamEnd`]s with `send_bytes`/`send`/`recv`. (The paper's stacks are
 //! byte-stream sockets; every service in this workspace exchanges discrete

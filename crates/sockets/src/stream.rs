@@ -2,15 +2,23 @@
 //!
 //! [`connect`] wires two nodes together with a full-duplex pair of
 //! [`StreamEnd`]s. Each direction is an independent SPSC lane with its own
-//! data port (bound at the receiver) and feedback port (bound at the sender,
-//! carrying credit / ring-space returns for the flow-controlled kinds).
+//! data port, bound at the receiver. The four kinds differ in two places
+//! only: how a sender is *admitted* (host TCP waits for delivery, AZ-SDP
+//! takes a local in-flight slot, SDP and packetized flow control spend a
+//! receiver-granted window) and where `recv` finds its chunks (straight
+//! off the lane, or behind a stack-side pump). The two windowed kinds are
+//! one sender and one pump; everything that distinguishes credit-based
+//! from packetized flow control — the paper's §6 comparison — is the
+//! `Window` each is built with. Only they have something to return, so
+//! only they bind a feedback port (at the sender) per direction.
+//! DESIGN.md §11 is the contract.
 
 use std::cell::Cell;
 use std::rc::Rc;
 
 use bytes::Bytes;
-use dc_fabric::{Cluster, Endpoint, NodeId, RetryPolicy, Transport};
-use dc_sim::sync::{Notify, Semaphore};
+use dc_fabric::{Cluster, CpuModel, Endpoint, NodeId, RetryPolicy, Transport};
+use dc_sim::sync::{channel, Notify, Receiver, Semaphore};
 use dc_svc::bind_raw;
 
 use crate::config::SocketsConfig;
@@ -50,6 +58,77 @@ impl StreamKind {
     }
 }
 
+/// A receiver-granted send window: the one description of what differs
+/// between credit-based SDP and packetized flow control. The sender starts
+/// with `size` units, spends [`Window::units`] per chunk and stalls when
+/// short; the receiver's pump hands units back `return_at` at a time.
+#[derive(Clone, Copy)]
+struct Window {
+    /// Units granted up front: preposted buffers, or ring bytes.
+    size: usize,
+    /// Whether a chunk costs its framed length (ring bytes) or one unit
+    /// whatever its size (a whole preposted buffer).
+    per_byte: bool,
+    /// Largest framed chunk a message is cut into.
+    chunk_cap: usize,
+    /// Units the receiver accumulates before returning them in one message.
+    return_at: usize,
+    /// Receiver CPU per chunk for re-posting the buffer it arrived in.
+    repost_ns: u64,
+}
+
+impl Window {
+    /// The window `kind` runs under `cfg`; `None` for the kinds whose
+    /// admission involves no return traffic from the receiver.
+    fn of(kind: StreamKind, cfg: &SocketsConfig) -> Option<Window> {
+        match kind {
+            StreamKind::HostTcp | StreamKind::AzSdp => None,
+            // One credit per chunk, *regardless of chunk size* — this is the
+            // per-buffer accounting the paper's §6 criticizes. Returns are
+            // coalesced (real SDP stacks batch credit updates), and every
+            // consumed buffer is re-posted before its credit can return.
+            StreamKind::Sdp => Some(Window {
+                size: cfg.sdp_credits,
+                per_byte: false,
+                chunk_cap: cfg.sdp_buf_size,
+                return_at: (cfg.sdp_credits / 2).max(1),
+                repost_ns: cfg.prepost_ns,
+            }),
+            // Byte-accurate flow control: a chunk consumes exactly its own
+            // framed length of ring space (the sender packs data precisely
+            // because it manages the remote buffer with RDMA), freed space
+            // comes back in quarter-ring batches, and there is no per-buffer
+            // prepost. Fine-grained packing: small chunks keep the ring
+            // pipelined even for messages comparable to the ring size.
+            StreamKind::Packetized => Some(Window {
+                size: cfg.ring_bytes,
+                per_byte: true,
+                chunk_cap: (cfg.ring_bytes / 8).max(64),
+                return_at: cfg.ring_bytes / 4,
+                repost_ns: 0,
+            }),
+        }
+    }
+
+    /// Window units `chunk` occupies from send until its return.
+    fn units(&self, chunk: &Chunk) -> usize {
+        if self.per_byte {
+            chunk.wire_len()
+        } else {
+            1
+        }
+    }
+}
+
+/// The ports a connection binds on one node: what that node receives on.
+struct NodePorts {
+    node: NodeId,
+    data: u16,
+    /// Window returns for this node's outbound direction; only when the
+    /// kind has a window to return.
+    feedback: Option<u16>,
+}
+
 /// Create a connected full-duplex stream pair between `a` and `b`.
 ///
 /// Panics if `a == b` (loopback is a node-local IPC concern, handled by the
@@ -62,52 +141,23 @@ pub fn connect(
     cfg: SocketsConfig,
 ) -> (StreamEnd, StreamEnd) {
     assert_ne!(a, b, "sockets connect endpoints must be distinct nodes");
-    // Four ports per connection: each direction has a data port (bound at
-    // its receiver) and a feedback port (bound at its sender).
-    let data_into_a = cluster.alloc_port_for(a, "sockets.stream.data");
-    let fb_into_a = cluster.alloc_port_for(a, "sockets.stream.fb");
-    let data_into_b = cluster.alloc_port_for(b, "sockets.stream.data");
-    let fb_into_b = cluster.alloc_port_for(b, "sockets.stream.fb");
+    let window = Window::of(kind, &cfg);
+    // Each direction has a data port, bound at its receiver, and — only if
+    // there is a window to return — a feedback port, bound at its sender.
+    let ports_of = |node| NodePorts {
+        node,
+        data: cluster.alloc_port_for(node, "sockets.stream.data"),
+        feedback: window.map(|_| cluster.alloc_port_for(node, "sockets.stream.fb")),
+    };
+    let (at_a, at_b) = (ports_of(a), ports_of(b));
     // Every connection pins a QP at each end — this per-connection cost is
     // exactly what the eRPC lane's session multiplexing amortizes away
     // (compare `fabric.qp.active` across lanes in `ext_incast`).
     cluster.note_qp(2);
-    let end_a = StreamEnd::new_half(
-        cluster,
-        a,
-        b,
-        kind,
-        cfg,
-        LanePorts {
-            data_in: data_into_a,
-            fb_in: fb_into_a,
-            data_out: data_into_b,
-            fb_out: fb_into_b,
-        },
-    );
-    let end_b = StreamEnd::new_half(
-        cluster,
-        b,
-        a,
-        kind,
-        cfg,
-        LanePorts {
-            data_in: data_into_b,
-            fb_in: fb_into_b,
-            data_out: data_into_a,
-            fb_out: fb_into_a,
-        },
-    );
-    (end_a, end_b)
-}
-
-/// The four ports of one end's lanes: `data_in`/`fb_in` are bound locally;
-/// `data_out`/`fb_out` address the peer's bindings.
-struct LanePorts {
-    data_in: u16,
-    fb_in: u16,
-    data_out: u16,
-    fb_out: u16,
+    (
+        StreamEnd::new_half(cluster, kind, cfg, window, &at_a, &at_b),
+        StreamEnd::new_half(cluster, kind, cfg, window, &at_b, &at_a),
+    )
 }
 
 /// One end of a connected stream.
@@ -120,26 +170,62 @@ pub struct StreamEnd {
 }
 
 impl StreamEnd {
-    /// Build the `local` half of a connection to `peer` over the given port
-    /// assignment.
+    /// Build the half of a connection that lives on `mine.node`: bind what
+    /// `mine` names, address what `theirs` names.
     fn new_half(
         cluster: &Cluster,
-        local: NodeId,
-        peer: NodeId,
         kind: StreamKind,
         cfg: SocketsConfig,
-        ports: LanePorts,
+        window: Option<Window>,
+        mine: &NodePorts,
+        theirs: &NodePorts,
     ) -> StreamEnd {
-        let data_ep = bind_raw(cluster, local, ports.data_in);
-        let fb_ep = bind_raw(cluster, local, ports.fb_in);
-        let tx = Tx::new(cluster, local, peer, ports.data_out, fb_ep, kind, cfg);
-        let rx = Rx::new(cluster, local, peer, ports.fb_out, data_ep, kind, cfg);
+        let (local, peer) = (mine.node, theirs.node);
+        let lane_in = LaneReceiver::new(cluster, bind_raw(cluster, local, mine.data));
+        let lane_out = |transport| LaneSender::new(cluster, local, peer, theirs.data, transport);
+        let (tx, source) = match kind {
+            StreamKind::HostTcp => (
+                Tx::Tcp(lane_out(Transport::Tcp)),
+                ChunkSource::Lane {
+                    lane: lane_in,
+                    copy_out: None,
+                },
+            ),
+            StreamKind::AzSdp => (
+                Tx::Az(AzTx {
+                    cluster: cluster.clone(),
+                    local,
+                    lane: lane_out(Transport::RdmaSend),
+                    cfg,
+                    window: Semaphore::new(cfg.az_window),
+                }),
+                ChunkSource::Lane {
+                    lane: lane_in,
+                    copy_out: Some((cluster.cpu(local), cfg)),
+                },
+            ),
+            StreamKind::Sdp | StreamKind::Packetized => {
+                let ((w, fb_in), fb_out) = window
+                    .zip(mine.feedback)
+                    .zip(theirs.feedback)
+                    .expect("a windowed kind has feedback ports");
+                let fb_ep = bind_raw(cluster, local, fb_in);
+                let lane = lane_out(Transport::RdmaSend);
+                (
+                    Tx::Windowed(WindowTx::new(cluster, local, lane, fb_ep, cfg, w)),
+                    ChunkSource::Pump(spawn_rx_pump(cluster, local, peer, fb_out, lane_in, cfg, w)),
+                )
+            }
+        };
         StreamEnd {
             kind,
             local,
             peer,
             tx,
-            rx,
+            rx: Rx {
+                source,
+                reasm: Reassembler::new(),
+            },
         }
     }
 
@@ -166,7 +252,18 @@ impl StreamEnd {
     /// windows of `data`, and a single-chunk message reaches the peer's
     /// [`StreamEnd::recv`] as this very buffer.
     pub async fn send_bytes(&mut self, data: Bytes) {
-        self.tx.send(data).await;
+        // Each admission rule is a future of its own (the lane's,
+        // `AzTx::send`, `WindowTx::send`) rather than one body with three
+        // arms, so that a TCP or AZ-SDP task does not carry the windowed
+        // loop's locals.
+        match &mut self.tx {
+            // The kernel stack segments internally; at this abstraction one
+            // message travels whole, with stack CPU charged by the fabric.
+            // The lane retransmits on drops, as kernel TCP would.
+            Tx::Tcp(lane) => lane.send_tracked(Chunk::whole(data)).await,
+            Tx::Az(t) => t.send(data).await,
+            Tx::Windowed(t) => t.send(data).await,
+        }
     }
 
     /// [`StreamEnd::send_bytes`] for callers that do not own a buffer:
@@ -181,280 +278,12 @@ impl StreamEnd {
     }
 }
 
+/// The sending half, by admission rule.
 enum Tx {
-    Tcp(TcpTx),
-    Sdp(CreditTx),
+    /// Host TCP: no admission above the lane; a send completes at delivery.
+    Tcp(LaneSender),
     Az(AzTx),
-    Pack(PackTx),
-}
-
-impl Tx {
-    fn new(
-        cluster: &Cluster,
-        local: NodeId,
-        peer: NodeId,
-        data_port: u16,
-        fb_ep: Endpoint,
-        kind: StreamKind,
-        cfg: SocketsConfig,
-    ) -> Tx {
-        match kind {
-            StreamKind::HostTcp => {
-                drop(fb_ep); // TCP needs no feedback lane
-                Tx::Tcp(TcpTx {
-                    lane: LaneSender::new(cluster, local, peer, data_port, Transport::Tcp),
-                })
-            }
-            StreamKind::Sdp => Tx::Sdp(CreditTx::new(cluster, local, peer, data_port, fb_ep, cfg)),
-            StreamKind::AzSdp => {
-                drop(fb_ep); // window is locally managed
-                Tx::Az(AzTx {
-                    cluster: cluster.clone(),
-                    local,
-                    lane: LaneSender::new(cluster, local, peer, data_port, Transport::RdmaSend),
-                    cfg,
-                    window: Semaphore::new(cfg.az_window),
-                })
-            }
-            StreamKind::Packetized => {
-                Tx::Pack(PackTx::new(cluster, local, peer, data_port, fb_ep, cfg))
-            }
-        }
-    }
-
-    async fn send(&mut self, data: Bytes) {
-        match self {
-            Tx::Tcp(t) => t.send(data).await,
-            Tx::Sdp(t) => t.send(data).await,
-            Tx::Az(t) => t.send(data).await,
-            Tx::Pack(t) => t.send(data).await,
-        }
-    }
-}
-
-enum Rx {
-    Tcp(TcpRx),
-    Sdp(CreditRx),
-    Az(AzRx),
-    Pack(PackRx),
-}
-
-impl Rx {
-    fn new(
-        cluster: &Cluster,
-        local: NodeId,
-        peer: NodeId,
-        fb_port: u16,
-        data_ep: Endpoint,
-        kind: StreamKind,
-        cfg: SocketsConfig,
-    ) -> Rx {
-        match kind {
-            StreamKind::HostTcp => Rx::Tcp(TcpRx {
-                lane: LaneReceiver::new(cluster, data_ep),
-                reasm: Reassembler::new(),
-            }),
-            StreamKind::Sdp => Rx::Sdp(CreditRx::new(cluster, local, peer, fb_port, data_ep, cfg)),
-            StreamKind::AzSdp => Rx::Az(AzRx {
-                cluster: cluster.clone(),
-                local,
-                lane: LaneReceiver::new(cluster, data_ep),
-                reasm: Reassembler::new(),
-                cfg,
-            }),
-            StreamKind::Packetized => {
-                Rx::Pack(PackRx::new(cluster, local, peer, fb_port, data_ep, cfg))
-            }
-        }
-    }
-
-    async fn recv(&mut self) -> Bytes {
-        match self {
-            Rx::Tcp(r) => r.recv().await,
-            Rx::Sdp(r) => r.recv().await,
-            Rx::Az(r) => r.recv().await,
-            Rx::Pack(r) => r.recv().await,
-        }
-    }
-}
-
-// ---------------------------------------------------------------- Host TCP
-
-struct TcpTx {
-    lane: LaneSender,
-}
-
-impl TcpTx {
-    async fn send(&mut self, data: Bytes) {
-        // The kernel stack segments internally; at this abstraction one
-        // message travels whole, with stack CPU charged by the fabric. The
-        // lane retransmits on drops, as kernel TCP would.
-        self.lane.send_tracked(Chunk::whole(data)).await;
-    }
-}
-
-struct TcpRx {
-    lane: LaneReceiver,
-    reasm: Reassembler,
-}
-
-impl TcpRx {
-    async fn recv(&mut self) -> Bytes {
-        loop {
-            let chunk = self.lane.recv().await;
-            if let Some(m) = self.reasm.feed(chunk) {
-                return m;
-            }
-        }
-    }
-}
-
-// ------------------------------------------------- SDP (credit-based flow)
-
-struct CreditTx {
-    cluster: Cluster,
-    local: NodeId,
-    lane: LaneSender,
-    cfg: SocketsConfig,
-    credits: Rc<Cell<usize>>,
-    notify: Notify,
-}
-
-impl CreditTx {
-    fn new(
-        cluster: &Cluster,
-        local: NodeId,
-        peer: NodeId,
-        data_port: u16,
-        mut fb_ep: Endpoint,
-        cfg: SocketsConfig,
-    ) -> CreditTx {
-        let credits = Rc::new(Cell::new(cfg.sdp_credits));
-        let notify = Notify::new();
-        // Pump task: credits flow back from the receiver in batches.
-        let c2 = Rc::clone(&credits);
-        let n2 = notify.clone();
-        cluster.sim().spawn_detached(async move {
-            loop {
-                let msg = fb_ep.recv().await;
-                c2.set(c2.get() + msg.imm as usize);
-                n2.notify_all();
-            }
-        });
-        CreditTx {
-            cluster: cluster.clone(),
-            local,
-            lane: LaneSender::new(cluster, local, peer, data_port, Transport::RdmaSend),
-            cfg,
-            credits,
-            notify,
-        }
-    }
-
-    async fn send(&mut self, data: Bytes) {
-        let cpu = self.cluster.cpu(self.local);
-        for chunk in frame(data, self.cfg.sdp_buf_size) {
-            // One credit per chunk, *regardless of chunk size* — this is the
-            // per-buffer accounting the paper's §6 criticizes.
-            if self.credits.get() == 0 {
-                self.cluster.note_credit_stall(self.local);
-                while self.credits.get() == 0 {
-                    self.notify.notified().await;
-                }
-            }
-            self.credits.set(self.credits.get() - 1);
-            // Buffered SDP copies into a send buffer before posting.
-            cpu.execute(self.cfg.copy_cost(chunk.wire_len())).await;
-            self.cluster.sim().sleep(self.cfg.issue_overhead_ns).await;
-            self.lane.send_bg(chunk);
-        }
-    }
-}
-
-/// Return `n` credits / freed ring bytes to the sender's feedback port, in
-/// the background. Counts are cumulative, so ordering does not matter, but
-/// a *lost* return would strand the sender forever: use the reliable path.
-fn return_feedback(cluster: &Cluster, local: NodeId, peer: NodeId, fb_port: u16, n: usize) {
-    let cl = cluster.clone();
-    cluster.sim().spawn_detached(async move {
-        cl.send_reliable_imm(
-            local,
-            peer,
-            fb_port,
-            &Bytes::new(),
-            n as u64,
-            FEEDBACK_HDR,
-            Transport::RdmaSend,
-            RetryPolicy::default(),
-        )
-        .await
-        .unwrap_or_else(|e| panic!("flow-control return undeliverable: {e}"));
-    });
-}
-
-struct CreditRx {
-    rx_q: dc_sim::sync::Receiver<Chunk>,
-    reasm: Reassembler,
-}
-
-impl CreditRx {
-    /// The stack-side pump: drains preposted buffers as chunks arrive
-    /// (copying into the socket buffer and re-posting) and returns credits
-    /// coalesced — *independently of the application calling recv*. That is
-    /// what keeps bidirectional traffic deadlock-free in real SDP: credits
-    /// are a property of the stack's buffer pool, not of application reads.
-    /// The socket buffer is unbounded in the model; the flow-control costs
-    /// under study are the credit round trips.
-    fn new(
-        cluster: &Cluster,
-        local: NodeId,
-        peer: NodeId,
-        fb_port: u16,
-        ep: Endpoint,
-        cfg: SocketsConfig,
-    ) -> CreditRx {
-        let (tx_q, rx_q) = dc_sim::sync::channel();
-        let cl = cluster.clone();
-        let mut lane = LaneReceiver::new(cluster, ep);
-        cluster.sim().spawn_detached(async move {
-            let mut pending = 0usize;
-            loop {
-                let chunk = lane.recv().await;
-                // Copy out of the temporary buffer into the socket buffer,
-                // then re-post the buffer before its credit can return.
-                cl.cpu(local)
-                    .execute(cfg.copy_cost(chunk.wire_len()) + cfg.prepost_ns)
-                    .await;
-                pending += 1;
-                // Coalesced credit return (real SDP stacks batch updates).
-                let threshold = (cfg.sdp_credits / 2).max(1);
-                if pending >= threshold {
-                    return_feedback(&cl, local, peer, fb_port, pending);
-                    pending = 0;
-                }
-                if tx_q.send(chunk).is_err() {
-                    break; // application side dropped the stream
-                }
-            }
-        });
-        CreditRx {
-            rx_q,
-            reasm: Reassembler::new(),
-        }
-    }
-
-    async fn recv(&mut self) -> Bytes {
-        loop {
-            let chunk = self
-                .rx_q
-                .recv()
-                .await
-                .expect("stream pump terminated while receiving");
-            if let Some(m) = self.reasm.feed(chunk) {
-                return m;
-            }
-        }
-    }
+    Windowed(WindowTx),
 }
 
 // --------------------------------------------------- AZ-SDP (async 0-copy)
@@ -489,143 +318,168 @@ impl AzTx {
     }
 }
 
-struct AzRx {
-    cluster: Cluster,
-    local: NodeId,
-    lane: LaneReceiver,
-    reasm: Reassembler,
-    cfg: SocketsConfig,
-}
+// ------------------------- SDP and packetized: one windowed sender and pump
 
-impl AzRx {
-    async fn recv(&mut self) -> Bytes {
-        loop {
-            let chunk = self.lane.recv().await;
-            // Receive side still lands in a buffer and is copied out on
-            // recv() (the AZ-SDP design removes the *sender* copy).
-            self.cluster
-                .cpu(self.local)
-                .execute(self.cfg.copy_cost(chunk.wire_len()))
-                .await;
-            if let Some(m) = self.reasm.feed(chunk) {
-                return m;
-            }
-        }
-    }
-}
-
-// ---------------------------------------- Packetized (per-byte flow control)
-
-struct PackTx {
+struct WindowTx {
     cluster: Cluster,
     local: NodeId,
     lane: LaneSender,
     cfg: SocketsConfig,
-    space: Rc<Cell<usize>>,
-    notify: Notify,
+    w: Window,
+    /// Units of the window not in flight.
+    avail: Rc<Cell<usize>>,
+    refilled: Notify,
 }
 
-impl PackTx {
+impl WindowTx {
     fn new(
         cluster: &Cluster,
         local: NodeId,
-        peer: NodeId,
-        data_port: u16,
+        lane: LaneSender,
         mut fb_ep: Endpoint,
         cfg: SocketsConfig,
-    ) -> PackTx {
-        let space = Rc::new(Cell::new(cfg.ring_bytes));
-        let notify = Notify::new();
-        let s2 = Rc::clone(&space);
-        let n2 = notify.clone();
+        w: Window,
+    ) -> WindowTx {
+        let avail = Rc::new(Cell::new(w.size));
+        let refilled = Notify::new();
+        // Feedback pump: units flow back from the receiver in batches.
+        let (avail2, refilled2) = (Rc::clone(&avail), refilled.clone());
         cluster.sim().spawn_detached(async move {
             loop {
                 let msg = fb_ep.recv().await;
-                s2.set(s2.get() + msg.imm as usize);
-                n2.notify_all();
+                avail2.set(avail2.get() + msg.imm as usize);
+                refilled2.notify_all();
             }
         });
-        PackTx {
+        WindowTx {
             cluster: cluster.clone(),
             local,
-            lane: LaneSender::new(cluster, local, peer, data_port, Transport::RdmaSend),
+            lane,
             cfg,
-            space,
-            notify,
+            w,
+            avail,
+            refilled,
         }
     }
 
     async fn send(&mut self, data: Bytes) {
         let cpu = self.cluster.cpu(self.local);
-        // Fine-grained packing: small chunks keep the ring pipelined even
-        // for messages comparable to the ring size.
-        let cap = (self.cfg.ring_bytes / 8).max(64);
-        for chunk in frame(data, cap) {
-            // Byte-accurate flow control: a chunk consumes exactly its own
-            // framed length of ring space (the sender packs data precisely
-            // because it manages the remote buffer with RDMA).
-            let need = chunk.wire_len();
-            if self.space.get() < need {
+        for chunk in frame(data, self.w.chunk_cap) {
+            let need = self.w.units(&chunk);
+            if self.avail.get() < need {
                 self.cluster.note_credit_stall(self.local);
-                while self.space.get() < need {
-                    self.notify.notified().await;
+                while self.avail.get() < need {
+                    self.refilled.notified().await;
                 }
             }
-            self.space.set(self.space.get() - need);
-            cpu.execute(self.cfg.copy_cost(need)).await;
+            self.avail.set(self.avail.get() - need);
+            // Buffered copy into a send buffer (or the ring image) before
+            // posting.
+            cpu.execute(self.cfg.copy_cost(chunk.wire_len())).await;
             self.cluster.sim().sleep(self.cfg.issue_overhead_ns).await;
             self.lane.send_bg(chunk);
         }
     }
 }
 
-struct PackRx {
-    rx_q: dc_sim::sync::Receiver<Chunk>,
+/// The stack-side receive pump of a windowed kind: drains the receive
+/// buffers as chunks arrive (copying into the socket buffer, re-posting
+/// where the window says so) and returns window units coalesced —
+/// *independently of the application calling recv*. That is what keeps
+/// bidirectional traffic deadlock-free in real SDP: the window is a property
+/// of the stack's buffer pool, not of application reads. The socket buffer
+/// is unbounded in the model; the flow-control costs under study are the
+/// return round trips. Returns the queue `recv` reads.
+fn spawn_rx_pump(
+    cluster: &Cluster,
+    local: NodeId,
+    peer: NodeId,
+    fb_port: u16,
+    mut lane: LaneReceiver,
+    cfg: SocketsConfig,
+    w: Window,
+) -> Receiver<Chunk> {
+    let (tx_q, rx_q) = channel();
+    let cl = cluster.clone();
+    cluster.sim().spawn_detached(async move {
+        let mut pending = 0usize;
+        loop {
+            let chunk = lane.recv().await;
+            // Copy out of the receive buffer into the socket buffer, then
+            // re-post it before its units can return.
+            cl.cpu(local)
+                .execute(cfg.copy_cost(chunk.wire_len()) + w.repost_ns)
+                .await;
+            pending += w.units(&chunk);
+            if pending >= w.return_at {
+                return_feedback(&cl, local, peer, fb_port, pending);
+                pending = 0;
+            }
+            if tx_q.send(chunk).is_err() {
+                break; // application side dropped the stream
+            }
+        }
+    });
+    rx_q
+}
+
+/// Return `n` credits / freed ring bytes to the sender's feedback port, in
+/// the background. Counts are cumulative, so ordering does not matter, but
+/// a *lost* return would strand the sender forever: use the reliable path.
+fn return_feedback(cluster: &Cluster, local: NodeId, peer: NodeId, fb_port: u16, n: usize) {
+    let cl = cluster.clone();
+    cluster.sim().spawn_detached(async move {
+        cl.send_reliable_imm(
+            local,
+            peer,
+            fb_port,
+            &Bytes::new(),
+            n as u64,
+            FEEDBACK_HDR,
+            Transport::RdmaSend,
+            RetryPolicy::default(),
+        )
+        .await
+        .unwrap_or_else(|e| panic!("flow-control return undeliverable: {e}"));
+    });
+}
+
+// ------------------------------------------------------------ receive side
+
+/// Where `recv` finds the next in-order chunk.
+enum ChunkSource {
+    /// Window-less kinds read their lane directly. AZ-SDP sets `copy_out`:
+    /// its receive side still lands in a buffer and is copied out on recv()
+    /// (the design removes the *sender* copy), charged per chunk on this CPU.
+    Lane {
+        lane: LaneReceiver,
+        copy_out: Option<(CpuModel, SocketsConfig)>,
+    },
+    /// Windowed kinds read what their pump has already copied out.
+    Pump(Receiver<Chunk>),
+}
+
+struct Rx {
+    source: ChunkSource,
     reasm: Reassembler,
 }
 
-impl PackRx {
-    /// Stack-side pump, like `CreditRx::new` but with byte-granular ring
-    /// space returned in quarter-ring batches.
-    fn new(
-        cluster: &Cluster,
-        local: NodeId,
-        peer: NodeId,
-        fb_port: u16,
-        ep: Endpoint,
-        cfg: SocketsConfig,
-    ) -> PackRx {
-        let (tx_q, rx_q) = dc_sim::sync::channel();
-        let cl = cluster.clone();
-        let mut lane = LaneReceiver::new(cluster, ep);
-        cluster.sim().spawn_detached(async move {
-            let mut freed = 0usize;
-            loop {
-                let chunk = lane.recv().await;
-                cl.cpu(local).execute(cfg.copy_cost(chunk.wire_len())).await;
-                freed += chunk.wire_len();
-                if freed >= cfg.ring_bytes / 4 {
-                    return_feedback(&cl, local, peer, fb_port, freed);
-                    freed = 0;
-                }
-                if tx_q.send(chunk).is_err() {
-                    break;
-                }
-            }
-        });
-        PackRx {
-            rx_q,
-            reasm: Reassembler::new(),
-        }
-    }
-
+impl Rx {
     async fn recv(&mut self) -> Bytes {
         loop {
-            let chunk = self
-                .rx_q
-                .recv()
-                .await
-                .expect("stream pump terminated while receiving");
+            let chunk = match &mut self.source {
+                ChunkSource::Lane { lane, copy_out } => {
+                    let chunk = lane.recv().await;
+                    if let Some((cpu, cfg)) = copy_out {
+                        cpu.execute(cfg.copy_cost(chunk.wire_len())).await;
+                    }
+                    chunk
+                }
+                ChunkSource::Pump(queue) => queue
+                    .recv()
+                    .await
+                    .expect("stream pump terminated while receiving"),
+            };
             if let Some(m) = self.reasm.feed(chunk) {
                 return m;
             }
@@ -895,6 +749,29 @@ mod tests {
         let (m1, m2) = sim.run_to(async move { (b1.recv().await, b2.recv().await) });
         assert_eq!(&m1[..], b"one");
         assert_eq!(&m2[..], b"two");
+    }
+
+    /// A feedback port exists only where there is a window to return: the
+    /// window-less kinds used to allocate, bind and at once unbind one per
+    /// direction out of the 64,512-port space.
+    #[test]
+    fn only_windowed_kinds_take_feedback_ports() {
+        let ports_taken = |kind: StreamKind| {
+            let (_sim, cluster) = setup();
+            let before = cluster.alloc_port();
+            let _ends = connect(
+                &cluster,
+                NodeId(0),
+                NodeId(1),
+                kind,
+                SocketsConfig::default(),
+            );
+            cluster.alloc_port() - before - 1
+        };
+        assert_eq!(ports_taken(StreamKind::HostTcp), 2);
+        assert_eq!(ports_taken(StreamKind::AzSdp), 2);
+        assert_eq!(ports_taken(StreamKind::Sdp), 4);
+        assert_eq!(ports_taken(StreamKind::Packetized), 4);
     }
 
     #[test]

@@ -83,11 +83,6 @@ impl Tracer {
         self.inner.sample_counter.set(0);
     }
 
-    /// Turn recording off (events already recorded are kept).
-    pub fn disable(&self) {
-        self.inner.enabled.set(false);
-    }
-
     /// Whether recording is on. Instrumentation that must compute argument
     /// values should gate on this to keep the disabled path free.
     #[inline]

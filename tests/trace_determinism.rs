@@ -173,6 +173,76 @@ fn golden_cases() -> Vec<(&'static str, WebFarmCfg)> {
     ]
 }
 
+/// Message sizes of the stream golden's exchange: empty, 1 B, exactly one
+/// SDP buffer's payload and one byte more, two multi-chunk sizes, then a
+/// back-to-back burst of 3 B messages that outruns SDP's four credits.
+fn stream_golden_sizes() -> Vec<usize> {
+    let mut sizes = vec![0, 1, 8_183, 8_184, 70_000, 100_000];
+    sizes.extend([3; 16]);
+    sizes
+}
+
+/// A fixed two-node duplex exchange over one `kind` stream: node 0 sends the
+/// sizes above in order while node 1 sends them in reverse, then each end
+/// receives and checks the other's. Returns both ends' finish times and the
+/// traced artifacts.
+fn stream_exchange(
+    kind: nextgen_datacenter::sockets::StreamKind,
+    faults: Option<nextgen_datacenter::fabric::FaultPlan>,
+) -> ((u64, u64), nextgen_datacenter::core::TraceArtifacts) {
+    use nextgen_datacenter::fabric::{Cluster, FabricModel, NodeId};
+    use nextgen_datacenter::sim::Sim;
+    use nextgen_datacenter::sockets::{connect, SocketsConfig, StreamEnd};
+
+    let sim = Sim::new();
+    let cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), 2);
+    cluster.tracer().enable(TraceMode::Full);
+    if let Some(plan) = faults {
+        cluster.install_faults(plan);
+    }
+    let (a, b) = connect(
+        &cluster,
+        NodeId(0),
+        NodeId(1),
+        kind,
+        SocketsConfig::default(),
+    );
+    let body = |salt: usize, len: usize| -> Vec<u8> {
+        (0..len)
+            .map(|j| ((salt * 131 + j * 7) % 256) as u8)
+            .collect()
+    };
+    // Each end salts its payloads differently, so a message delivered to
+    // the wrong end or out of order fails the content check.
+    let run_end = |mut end: StreamEnd, (mine, my_salt): Side, (theirs, their_salt): Side| {
+        let h = sim.handle();
+        sim.spawn(async move {
+            for (i, &len) in mine.iter().enumerate() {
+                end.send(&body(my_salt + i, len)).await;
+            }
+            for (i, &len) in theirs.iter().enumerate() {
+                let got = end.recv().await;
+                assert_eq!(&got[..], &body(their_salt + i, len)[..], "{kind:?} msg {i}");
+            }
+            h.now()
+        })
+    };
+    type Side = (Vec<usize>, usize);
+    let fwd: Side = (stream_golden_sizes(), 0);
+    let rev: Side = (fwd.0.iter().rev().copied().collect(), 1_000);
+    let done_a = run_end(a, fwd.clone(), rev.clone());
+    let done_b = run_end(b, rev, fwd);
+    sim.run();
+    let finish = (
+        done_a.try_take().expect("node 0's end did not finish"),
+        done_b.try_take().expect("node 1's end did not finish"),
+    );
+    (
+        finish,
+        nextgen_datacenter::core::TraceArtifacts::collect(&cluster),
+    )
+}
+
 /// The engine-schedule golden: trace/metrics artifact hashes plus raw
 /// scheduler counters for fixed seeds, captured on the pre-timer-wheel
 /// `BinaryHeap` engine and committed. The hierarchical-wheel engine must
@@ -220,6 +290,21 @@ fn engine_schedule_matches_committed_golden() {
             s.p99_wait_us.to_bits(),
             artifact_fields(&a)
         ));
+    }
+    // Two lines per stream kind, clean and under 15 % drops: each kind's
+    // spawns, sleeps, CPU charges, sends, stalls and retransmissions.
+    for kind in nextgen_datacenter::sockets::StreamKind::ALL {
+        for (mode, drop_prob) in [("clean", None), ("lossy", Some(0.15))] {
+            let plan = drop_prob.map(|p| {
+                nextgen_datacenter::fabric::FaultPlan::from_parts(7, vec![], vec![], vec![], p)
+            });
+            let ((a_ns, b_ns), a) = stream_exchange(kind, plan);
+            lines.push(format!(
+                "stream_{}_{mode} a_done_ns={a_ns} b_done_ns={b_ns} {}",
+                kind.label(),
+                artifact_fields(&a)
+            ));
+        }
     }
     let actual = lines.join("\n") + "\n";
     if std::env::var("DC_BLESS_ENGINE_GOLDEN").is_ok() {
