@@ -30,6 +30,8 @@ pub struct LruStore {
     alloc: FreeListAllocator,
     next_seq: u64,
     bytes_used: usize,
+    /// Eviction buffer handed back through [`LruStore::recycle`].
+    spare: Vec<Evicted>,
 }
 
 impl LruStore {
@@ -41,6 +43,7 @@ impl LruStore {
             alloc: FreeListAllocator::new(capacity),
             next_seq: 0,
             bytes_used: 0,
+            spare: Vec::new(),
         }
     }
 
@@ -87,13 +90,13 @@ impl LruStore {
     /// Reserve space for `doc` of `size` bytes, evicting least-recently-used
     /// documents as needed. Returns the offset and the eviction list, or
     /// `None` if `size` exceeds the whole capacity. `doc` must not already
-    /// be cached.
+    /// be cached. Hand the list back with [`LruStore::recycle`] once read.
     pub fn insert(&mut self, doc: DocId, size: usize) -> Option<(usize, Vec<Evicted>)> {
         assert!(!self.map.contains_key(&doc), "insert of cached doc {doc}");
         if size == 0 || size > self.alloc.capacity() {
             return None;
         }
-        let mut evicted = Vec::new();
+        let mut evicted = std::mem::take(&mut self.spare);
         let offset = loop {
             if let Some(off) = self.alloc.allocate(size) {
                 break off;
@@ -111,6 +114,12 @@ impl LruStore {
         self.order.insert(seq, doc);
         self.bytes_used += size;
         Some((offset, evicted))
+    }
+
+    /// Take an eviction list back: the next insert reuses its buffer.
+    pub fn recycle(&mut self, mut evicted: Vec<Evicted>) {
+        evicted.clear();
+        self.spare = evicted;
     }
 
     /// Remove `doc` explicitly (e.g. invalidation). Returns its placement.

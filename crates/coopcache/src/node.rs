@@ -9,6 +9,7 @@
 //! loudly into the backend path rather than serve wrong bytes.
 
 use std::cell::{Cell, RefCell};
+use std::collections::hash_map::Entry;
 use std::rc::Rc;
 
 use bytes::Bytes;
@@ -58,7 +59,8 @@ struct Inner {
     data_region: RegionId,
     index_region: RegionId,
     store: RefCell<LruStore>,
-    inflight: RefCell<FxHashMap<DocId, Notify>>,
+    /// Documents being fetched; a `Notify` once a second requester waits.
+    inflight: RefCell<FxHashMap<DocId, Option<Notify>>>,
     directory: Directory,
     backend: Backend,
     client: SvcClient,
@@ -187,22 +189,30 @@ impl CacheNode {
             if let Some((offset, _)) = self.inner.store.borrow_mut().get(doc) {
                 return Some(offset);
             }
-            let waiter = self.inner.inflight.borrow().get(&doc).cloned();
-            match waiter {
-                Some(n) => {
-                    n.notified().await;
+            // Join the fetch in flight, or become it.
+            let fetching = match self.inner.inflight.borrow_mut().entry(doc) {
+                Entry::Occupied(e) => Some(e.into_mut().get_or_insert_with(Notify::new).notified()),
+                Entry::Vacant(e) => {
+                    e.insert(None);
+                    None
+                }
+            };
+            match fetching {
+                Some(fetched) => {
+                    fetched.await;
                     continue; // re-check the store
                 }
                 None => {
-                    self.inner.inflight.borrow_mut().insert(doc, Notify::new());
                     let result = self.fetch_and_install(doc, size).await;
-                    let n = self
+                    let waiters = self
                         .inner
                         .inflight
                         .borrow_mut()
                         .remove(&doc)
                         .expect("inflight entry vanished");
-                    n.notify_all();
+                    if let Some(n) = waiters {
+                        n.notify_all();
+                    }
                     return result;
                 }
             }
@@ -228,7 +238,7 @@ impl CacheNode {
         if let Some((offset, _)) = self.inner.store.borrow_mut().get(doc) {
             return Some(offset);
         }
-        let (offset, evicted) = self.inner.store.borrow_mut().insert(doc, total)?;
+        let (offset, mut evicted) = self.inner.store.borrow_mut().insert(doc, total)?;
         let region = self
             .inner
             .cluster
@@ -239,14 +249,15 @@ impl CacheNode {
             .region(self.inner.node, self.inner.index_region);
         // Invalidate victims: local index first, then the shared directory
         // (background — the directory is soft state).
-        for (victim, _, _) in &evicted {
-            index.write_u64(*victim as usize * 8, 0);
+        for (victim, _, _) in evicted.drain(..) {
+            index.write_u64(victim as usize * 8, 0);
             let dir = self.inner.directory.clone();
-            let (me, v) = (self.inner.node, *victim);
+            let me = self.inner.node;
             self.inner.cluster.sim().spawn_detached(async move {
-                dir.clear(me, v, me).await;
+                dir.clear(me, victim, me).await;
             });
         }
+        self.inner.store.borrow_mut().recycle(evicted);
         // The header is written; the content is held, not copied — the
         // modeled memcpy is still charged below.
         let mut hdr = [0u8; DOC_HDR];

@@ -3,7 +3,7 @@
 //! Ties the three layers of the paper's framework together:
 //! communication protocols (`dc-fabric`, `dc-sockets`), service primitives
 //! (`dc-ddss`, `dc-dlm`), and advanced services (`dc-coopcache`,
-//! `dc-resmon`, `dc-reconfig`) — and provides the two multi-tier experiment
+//! `dc-resmon`, `dc-reconfig`) — and provides the three multi-tier experiment
 //! engines the evaluation figures are built on:
 //!
 //! * [`webfarm::run_webfarm`] — Figure 6: Zipf clients → proxy tier with a

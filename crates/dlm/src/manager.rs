@@ -30,9 +30,9 @@ use std::future::Future;
 use std::rc::Rc;
 
 use dc_fabric::{Cluster, FabricError, NodeId, RegionId, RemoteAddr, Transport};
-use dc_sim::sync::{oneshot, OneSender};
+use dc_sim::sync::Rendezvous;
 use dc_sim::SimTime;
-use dc_svc::{Cost, Ctx, Dispatcher, Mode, Service, ServiceSpec, Wire};
+use dc_svc::{Cost, Ctx, Dispatcher, Mode, Route, Service, ServiceSpec, Wire};
 use dc_trace::{ArgVal, Counter, HistHandle, Subsys};
 
 use crate::config::DlmConfig;
@@ -72,7 +72,7 @@ fn spawn_service(
     node: NodeId,
     port: u16,
     cost: Cost,
-    dispatcher: Dispatcher,
+    dispatcher: Dispatcher<impl Route>,
 ) {
     let spec = ServiceSpec {
         name,
@@ -91,29 +91,23 @@ fn spawn_service(
 pub(crate) struct Member<S> {
     pub(crate) node: NodeId,
     pub(crate) port: u16,
-    /// Resolver per outstanding request of a process on this node; the
-    /// grant listener fires it.
-    parked: RefCell<HashMap<LockId, OneSender<()>>>,
+    /// Outstanding requests of processes on this node, by lock; the grant
+    /// listener serves them.
+    parked: Rendezvous<LockId, ()>,
     pub(crate) state: S,
 }
 
 impl<S> Member<S> {
     /// Park this node's request for `lock`; the returned future resolves
-    /// when the grant arrives. One outstanding request per `(node, lock)`.
-    pub(crate) fn park(&self, lock: LockId) -> impl Future<Output = ()> {
-        let (tx, rx) = oneshot();
-        let prev = self.parked.borrow_mut().insert(lock, tx);
-        assert!(
-            prev.is_none(),
-            "concurrent lock ops on {lock} from {:?}",
-            self.node
-        );
-        async move { rx.await.expect("grant channel closed") }
+    /// when the grant arrives. One outstanding request per `(node, lock)`:
+    /// a concurrent second one panics on the occupied key.
+    pub(crate) fn park(&self, lock: LockId) -> impl Future<Output = ()> + '_ {
+        self.parked.wait(lock)
     }
 
     /// Whether a request for `lock` is parked on this node.
     pub(crate) fn is_parked(&self, lock: LockId) -> bool {
-        self.parked.borrow().contains_key(&lock)
+        self.parked.contains(lock)
     }
 }
 
@@ -135,19 +129,19 @@ impl<S: 'static> Members<S> {
 
     /// Register `node` and spawn its agent service `name`: the design's
     /// `handlers` plus the grant listener.
-    pub(crate) fn add(
+    pub(crate) fn add<R: Route>(
         &self,
         node: NodeId,
         name: &'static str,
         cost: Cost,
         state: S,
-        handlers: impl FnOnce(&Rc<Member<S>>) -> Dispatcher,
+        handlers: impl FnOnce(&Rc<Member<S>>) -> Dispatcher<R>,
     ) {
         let port = self.cluster.alloc_port_for(node, name);
         let member = Rc::new(Member {
             node,
             port,
-            parked: RefCell::new(HashMap::new()),
+            parked: Rendezvous::new(),
             state,
         });
         let prev = self.map.borrow_mut().insert(node, Rc::clone(&member));
@@ -164,8 +158,8 @@ impl<S: 'static> Members<S> {
                     Subsys::Dlm,
                     "lock.grant",
                 );
-                let tx = member.parked.borrow_mut().remove(&lock);
-                tx.expect("grant without a waiting requester").send(());
+                let served = member.parked.fulfil(lock, ());
+                assert!(served, "grant without a waiting requester");
             }
         });
         spawn_service(&self.cluster, name, node, port, cost, dispatcher);
@@ -232,7 +226,13 @@ impl Manager {
     }
 
     /// Spawn the design's service on the home node (home agent or server).
-    pub(crate) fn spawn_home(&self, name: &'static str, port: u16, cost: Cost, d: Dispatcher) {
+    pub(crate) fn spawn_home(
+        &self,
+        name: &'static str,
+        port: u16,
+        cost: Cost,
+        d: Dispatcher<impl Route>,
+    ) {
         spawn_service(&self.cluster, name, self.home, port, cost, d);
     }
 

@@ -258,6 +258,14 @@ impl Sim {
         self.st.counters()
     }
 
+    /// Size in bytes of every live task's future, in slot order: what each
+    /// task (one per connection, per service, ...) holds while it lives.
+    pub fn task_bytes(&self) -> Vec<usize> {
+        let tasks = self.st.tasks.borrow();
+        let live = tasks.iter().filter_map(|slot| slot.fut.as_deref());
+        live.map(std::mem::size_of_val).collect()
+    }
+
     /// Spawn a task onto the executor; see [`SimHandle::spawn`].
     pub fn spawn<F>(&self, fut: F) -> JoinHandle<F::Output>
     where
@@ -505,10 +513,13 @@ impl SimHandle {
 
     /// Race `fut` against a `dur`-nanosecond virtual-time deadline. Resolves
     /// to `Ok(output)` if the future finishes first, `Err(Elapsed)` if the
-    /// deadline does. The loser is dropped (cancelled) either way.
-    pub fn timeout<F: Future>(&self, dur: SimTime, fut: F) -> Timeout<F> {
+    /// deadline does. `fut` is held inline, unboxed, so it must be `Unpin`:
+    /// pass an `async` block as `Box::pin(..)` or `std::pin::pin!(..)`. The
+    /// loser is dropped in place with the `Timeout` (cancelled); one lent
+    /// through `pin!` is only abandoned there and dropped with its own scope.
+    pub fn timeout<F: Future + Unpin>(&self, dur: SimTime, fut: F) -> Timeout<F> {
         Timeout {
-            fut: Box::pin(fut),
+            fut,
             sleep: self.sleep(dur),
         }
     }
@@ -531,12 +542,6 @@ impl SimHandle {
         F: Future<Output = ()> + 'static,
     {
         spawn_boxed_on(&self.state(), Box::pin(fut));
-    }
-
-    /// [`SimHandle::spawn_detached`] for a future that is already boxed
-    /// (e.g. a dispatcher handler): enqueues it without re-boxing.
-    pub fn spawn_boxed(&self, fut: Pin<Box<dyn Future<Output = ()>>>) {
-        spawn_boxed_on(&self.state(), fut);
     }
 }
 
@@ -577,22 +582,22 @@ impl std::fmt::Display for Elapsed {
 }
 
 /// Future returned by [`SimHandle::timeout`].
-pub struct Timeout<F: Future> {
-    fut: Pin<Box<F>>,
+pub struct Timeout<F> {
+    fut: F,
     sleep: Sleep,
 }
 
-impl<F: Future> Future for Timeout<F> {
+impl<F: Future + Unpin> Future for Timeout<F> {
     type Output = Result<F::Output, Elapsed>;
 
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
+        let this = self.get_mut();
         // The inner future is polled first so that a result ready exactly at
         // the deadline still wins over the timer.
-        if let Poll::Ready(v) = self.fut.as_mut().poll(cx) {
+        if let Poll::Ready(v) = Pin::new(&mut this.fut).poll(cx) {
             return Poll::Ready(Ok(v));
         }
-        let sleep = &mut self.sleep;
-        if Pin::new(sleep).poll(cx).is_ready() {
+        if Pin::new(&mut this.sleep).poll(cx).is_ready() {
             return Poll::Ready(Err(Elapsed));
         }
         Poll::Pending
@@ -856,11 +861,11 @@ mod tests {
         let h = sim.handle();
         let out = sim.run_to(async move {
             let hh = h.clone();
-            h.timeout(us(10), async move {
+            let fut = std::pin::pin!(async move {
                 hh.sleep(us(3)).await;
                 7u32
-            })
-            .await
+            });
+            h.timeout(us(10), fut).await
         });
         assert_eq!(out, Ok(7));
     }
@@ -871,12 +876,11 @@ mod tests {
         let h = sim.handle();
         let (out, t) = sim.run_to(async move {
             let hh = h.clone();
-            let r = h
-                .timeout(us(10), async move {
-                    hh.sleep(ms(1)).await;
-                    7u32
-                })
-                .await;
+            let fut = std::pin::pin!(async move {
+                hh.sleep(ms(1)).await;
+                7u32
+            });
+            let r = h.timeout(us(10), fut).await;
             (r, h.now())
         });
         assert_eq!(out, Err(Elapsed));
@@ -889,11 +893,11 @@ mod tests {
         let h = sim.handle();
         let out = sim.run_to(async move {
             let hh = h.clone();
-            h.timeout(us(10), async move {
+            let fut = std::pin::pin!(async move {
                 hh.sleep(us(10)).await;
                 1u32
-            })
-            .await
+            });
+            h.timeout(us(10), fut).await
         });
         assert_eq!(out, Ok(1));
     }

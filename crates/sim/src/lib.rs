@@ -15,7 +15,7 @@
 //!
 //! Protocol code is written as ordinary `async fn`s; [`Sim::spawn`] schedules
 //! them, [`SimHandle::sleep`] advances virtual time, and the primitives in
-//! [`sync`] (oneshot, mpsc, semaphore, notify) coordinate tasks
+//! [`sync`] (oneshot, rendezvous, mpsc, semaphore, notify) coordinate tasks
 //! with FIFO, deterministic wake order.
 //!
 //! ```

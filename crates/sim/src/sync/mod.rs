@@ -9,9 +9,11 @@
 mod mpsc;
 mod notify;
 mod oneshot;
+mod rendezvous;
 mod semaphore;
 
 pub use mpsc::{channel, Receiver, RecvError, Sender};
 pub use notify::Notify;
 pub use oneshot::{oneshot, OneReceiver, OneSender, RecvClosed};
+pub use rendezvous::{Rendezvous, Wait};
 pub use semaphore::{Semaphore, SemaphorePermit};

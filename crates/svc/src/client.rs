@@ -7,13 +7,13 @@
 //! A [`CallPolicy`] (response deadline + whole-call retry budget) replaces
 //! per-crate timeout copies.
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::rc::Rc;
 
 use bytes::Bytes;
-use dc_sim::fxhash::FxHashMap;
 
 use dc_fabric::{Cluster, NodeId, RetryPolicy, Transport};
+use dc_sim::sync::Rendezvous;
 use dc_sim::SimTime;
 
 use crate::frame::{request_imm, REQ_HDR};
@@ -58,7 +58,7 @@ impl Default for CallPolicy {
 /// calls.
 struct Shared {
     /// Calls awaiting a response, by correlation id.
-    pending: RefCell<FxHashMap<u64, dc_sim::sync::OneSender<Bytes>>>,
+    pending: Rendezvous<u64, Bytes>,
     next_id: Cell<u64>,
 }
 
@@ -85,7 +85,7 @@ impl SvcClient {
         let port = cluster.alloc_port_for(node, "svc.client");
         let mut ep = cluster.bind(node, port);
         let shared = Rc::new(Shared {
-            pending: RefCell::default(),
+            pending: Rendezvous::new(),
             next_id: Cell::new(1),
         });
         let pump = Rc::clone(&shared);
@@ -93,15 +93,13 @@ impl SvcClient {
         cluster.sim().spawn_detached(async move {
             loop {
                 let msg = ep.recv().await;
-                let taker = pump.pending.borrow_mut().remove(&msg.imm);
-                match taker {
-                    Some(tx) => tx.send(msg.data),
-                    // Response to a call that already timed out or whose
-                    // future was dropped: its pending slot is gone, so the
-                    // payload has no taker. Count it rather than losing the
-                    // signal — a climbing orphan rate means callers' response
-                    // deadlines are tighter than the servers they talk to.
-                    None => orphans.inc(),
+                // Response to a call that already timed out or whose future
+                // was dropped: its pending slot is gone, so the payload has
+                // no taker. Count it rather than losing the signal — a
+                // climbing orphan rate means callers' response deadlines are
+                // tighter than the servers they talk to.
+                if !pump.pending.fulfil(msg.imm, msg.data) {
+                    orphans.inc();
                 }
             }
         });
@@ -121,7 +119,7 @@ impl SvcClient {
 
     /// Calls currently awaiting a response (primarily for leak assertions).
     pub fn pending_calls(&self) -> usize {
-        self.shared.pending.borrow().len()
+        self.shared.pending.len()
     }
 
     /// One attempt against the policy deadline. The request travels over
@@ -138,16 +136,12 @@ impl SvcClient {
     ) -> Option<Bytes> {
         let id = self.shared.next_id.get();
         self.shared.next_id.set(id + 1);
-        let (tx, rx) = dc_sim::sync::oneshot();
-        self.shared.pending.borrow_mut().insert(id, tx);
-        // Guard, not manual removes: every exit path — send failure, response
-        // timeout, *and this future being dropped mid-await* (a caller racing
-        // the call against its own deadline) — evicts the pending slot, so the
-        // map cannot grow without bound under sustained timeouts.
-        let _guard = PendingGuard {
-            shared: &self.shared,
-            id,
-        };
+        // Parked before the request leaves. The wait owns the slot: every
+        // exit path — send failure, response timeout, *and this future being
+        // dropped mid-await* (a caller racing the call against its own
+        // deadline) — evicts it, so the table cannot grow without bound under
+        // sustained timeouts.
+        let response = self.shared.pending.wait(id);
         let imm = request_imm(self.port, id);
         let retry = RetryPolicy::default();
         if self
@@ -160,12 +154,10 @@ impl SvcClient {
         {
             return None;
         }
-        match self.cluster.sim().timeout(self.policy.timeout_ns, rx).await {
-            Ok(resp) => Some(resp.expect("response channel closed")),
-            // A late response arrives with an unknown id; the pump counts it
-            // under `rpc.orphan_responses`.
-            Err(_) => None,
-        }
+        // A late response arrives with an unknown id; the pump counts it
+        // under `rpc.orphan_responses`.
+        let deadline = self.policy.timeout_ns;
+        self.cluster.sim().timeout(deadline, response).await.ok()
     }
 
     /// Infallible call: retries per the policy, panics once the budget is
@@ -219,18 +211,6 @@ impl SvcClient {
         transport: Transport,
     ) -> Option<Bytes> {
         self.attempt(to, port, payload, transport).await
-    }
-}
-
-/// Evicts a call's pending slot when the call completes or is abandoned.
-struct PendingGuard<'a> {
-    shared: &'a Shared,
-    id: u64,
-}
-
-impl Drop for PendingGuard<'_> {
-    fn drop(&mut self) {
-        self.shared.pending.borrow_mut().remove(&self.id);
     }
 }
 
@@ -407,7 +387,8 @@ mod tests {
         let pending = sim.run_to(async move {
             // Abandon the call long before its own generous deadline: the
             // dropped future must still clean up its pending entry.
-            let call = client.try_call(NodeId(1), port, b"x", Transport::RdmaSend);
+            // Boxed, so the deadline owns the call and drops it on expiry.
+            let call = Box::pin(client.try_call(NodeId(1), port, b"x", Transport::RdmaSend));
             let _ = h.timeout(ms(1), call).await;
             client.pending_calls()
         });

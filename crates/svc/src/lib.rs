@@ -23,7 +23,7 @@ pub use client::{CallPolicy, SvcClient, DEFAULT_TIMEOUT_NS};
 pub use frame::{
     parse_request, request_imm, respond, respond_bytes, split_request_imm, RpcRequest,
 };
-pub use service::{Cost, Ctx, Dispatcher, Mode, Service, ServiceSpec};
+pub use service::{Cost, Ctx, Dispatcher, Mode, Route, Service, ServiceSpec};
 pub use wire::{Reader, Wire, Writer};
 
 // Trace lane ids, re-exported so service crates without a direct `dc-trace`

@@ -14,10 +14,8 @@
 //! executor's timer ordering. Metrics updates are synchronous and free.
 
 use std::collections::VecDeque;
-
-use dc_sim::fxhash::FxHashMap;
 use std::future::Future;
-use std::pin::Pin;
+use std::rc::Rc;
 
 use dc_fabric::{Cluster, Message, NodeId};
 use dc_trace::Subsys;
@@ -75,7 +73,65 @@ pub struct Ctx {
     pub node: NodeId,
 }
 
-type Handler = Box<dyn Fn(Ctx, Message) -> Pin<Box<dyn Future<Output = ()>>>>;
+/// A [`Dispatcher`]'s routing chain. Each registration wraps the chain so
+/// far in a [`Layer`] generic over its handler, so a routed request — key
+/// compare by key compare, down to the handler's own future — is one concrete
+/// `async` state machine: nothing is boxed per request.
+pub trait Route: 'static {
+    /// Whether a handler is registered under `key`: `Some(op)` by
+    /// [`Dispatcher::on`], `None` by [`Dispatcher::fallback`].
+    fn claims(&self, key: Option<u8>) -> bool;
+
+    /// Run the handler for a request whose first byte is `op` (`None`: it is
+    /// empty) to completion. The pump has checked that one takes it.
+    fn handle(&self, op: Option<u8>, ctx: Ctx, msg: Message) -> impl Future<Output = ()>;
+}
+
+/// The empty chain.
+#[derive(Default)]
+pub struct NoRoute;
+
+impl Route for NoRoute {
+    fn claims(&self, _key: Option<u8>) -> bool {
+        false
+    }
+
+    async fn handle(&self, op: Option<u8>, _ctx: Ctx, _msg: Message) {
+        unreachable!("request with opcode {op:?} routed past every handler");
+    }
+}
+
+/// One registration on top of the chain `prev`.
+pub struct Layer<F, P> {
+    key: Option<u8>,
+    f: F,
+    prev: P,
+}
+
+impl<F, Fut, P> Route for Layer<F, P>
+where
+    F: Fn(Ctx, Message) -> Fut + 'static,
+    Fut: Future<Output = ()> + 'static,
+    P: Route,
+{
+    fn claims(&self, key: Option<u8>) -> bool {
+        key == self.key || self.prev.claims(key)
+    }
+
+    async fn handle(&self, op: Option<u8>, ctx: Ctx, msg: Message) {
+        // An opcode layer takes its own opcode; the fallback takes what no
+        // opcode layer below it claims, whatever the registration order.
+        let mine = match self.key {
+            Some(_) => op == self.key,
+            None => op.is_none() || !self.prev.claims(op),
+        };
+        if mine {
+            (self.f)(ctx, msg).await
+        } else {
+            self.prev.handle(op, ctx, msg).await
+        }
+    }
+}
 
 /// Routes each request to a per-opcode async handler.
 ///
@@ -85,9 +141,8 @@ type Handler = Box<dyn Fn(Ctx, Message) -> Pin<Box<dyn Future<Output = ()>>>>;
 /// single-method services) register only a [`Dispatcher::fallback`] handler,
 /// which also serves as the explicit catch-all when opcodes are present.
 #[derive(Default)]
-pub struct Dispatcher {
-    by_op: FxHashMap<u8, Handler>,
-    fallback: Option<Handler>,
+pub struct Dispatcher<R = NoRoute> {
+    route: R,
 }
 
 impl Dispatcher {
@@ -96,50 +151,32 @@ impl Dispatcher {
     pub fn new() -> Dispatcher {
         Dispatcher::default()
     }
+}
 
+impl<R: Route> Dispatcher<R> {
     /// Route requests whose first byte is `op` to `f`.
-    pub fn on<F, Fut>(mut self, op: u8, f: F) -> Dispatcher
+    pub fn on<F, Fut>(self, op: u8, f: F) -> Dispatcher<Layer<F, R>>
     where
         F: Fn(Ctx, Message) -> Fut + 'static,
         Fut: Future<Output = ()> + 'static,
     {
-        let prev = self
-            .by_op
-            .insert(op, Box::new(move |ctx, msg| Box::pin(f(ctx, msg))));
-        assert!(prev.is_none(), "duplicate handler for opcode {op}");
-        self
+        let (key, prev) = (Some(op), self.route);
+        assert!(!prev.claims(key), "duplicate handler for opcode {op}");
+        let route = Layer { key, f, prev };
+        Dispatcher { route }
     }
 
     /// Handle every request not matched by an [`Dispatcher::on`] opcode —
     /// the sole handler for services without an opcode byte.
-    pub fn fallback<F, Fut>(mut self, f: F) -> Dispatcher
+    pub fn fallback<F, Fut>(self, f: F) -> Dispatcher<Layer<F, R>>
     where
         F: Fn(Ctx, Message) -> Fut + 'static,
         Fut: Future<Output = ()> + 'static,
     {
-        assert!(self.fallback.is_none(), "fallback handler already set");
-        self.fallback = Some(Box::new(move |ctx, msg| Box::pin(f(ctx, msg))));
-        self
-    }
-
-    fn route(&self, service: &str, msg: &Message) -> &Handler {
-        if self.by_op.is_empty() {
-            return self
-                .fallback
-                .as_ref()
-                .unwrap_or_else(|| panic!("svc {service}: dispatcher has no handlers"));
-        }
-        let op = *msg
-            .data
-            .first()
-            .unwrap_or_else(|| panic!("svc {service}: empty request has no opcode"));
-        match self.by_op.get(&op) {
-            Some(h) => h,
-            None => self
-                .fallback
-                .as_ref()
-                .unwrap_or_else(|| panic!("svc {service}: no handler for opcode {op}")),
-        }
+        let (key, prev) = (None, self.route);
+        assert!(!prev.claims(key), "fallback handler already set");
+        let route = Layer { key, f, prev };
+        Dispatcher { route }
     }
 }
 
@@ -152,7 +189,7 @@ impl Service {
     /// Call this exactly where the legacy daemon called `cluster.bind` +
     /// `spawn`: the executor's determinism is sensitive to bind/spawn order
     /// during setup.
-    pub fn spawn(cluster: &Cluster, spec: ServiceSpec, dispatcher: Dispatcher) {
+    pub fn spawn<R: Route>(cluster: &Cluster, spec: ServiceSpec, dispatcher: Dispatcher<R>) {
         let mut ep = cluster.bind(spec.node, spec.port);
         let ctx = Ctx {
             cluster: cluster.clone(),
@@ -182,6 +219,9 @@ impl Service {
         // Streaming (constant-memory) backing: queue waits are recorded per
         // request on the hot path and no golden table pins their quantiles.
         let queue_wait = metrics.hist_streaming(&key);
+        // Shared, not owned by the pump, so a Concurrent handler task can
+        // keep the route it runs on alive.
+        let route = Rc::new(dispatcher.route);
         let cluster = cluster.clone();
         let sim = cluster.sim().clone();
         let sim2 = sim.clone();
@@ -242,16 +282,24 @@ impl Service {
                 requests.inc();
                 let t0 = cluster.tracer().begin();
                 let start = sim.now();
-                let fut = dispatcher.route(spec.name, &msg)(ctx.clone(), msg);
+                let (op, ctx) = (msg.data.first().copied(), ctx.clone());
+                assert!(
+                    route.claims(op) || route.claims(None),
+                    "svc {}: no handler for opcode {op:?}",
+                    spec.name
+                );
                 match spec.mode {
+                    // Awaited in place: the handler's state lives inside
+                    // this pump's own future.
                     Mode::Serial => {
-                        fut.await;
+                        route.handle(op, ctx, msg).await;
                         busy.add(sim.now() - start);
                     }
+                    // The one allocation of a request: its handler task (no
+                    // join state).
                     Mode::Concurrent => {
-                        // The handler future is already boxed; hand it to
-                        // the executor as-is (no join state, no re-boxing).
-                        sim.spawn_boxed(fut);
+                        let route = Rc::clone(&route);
+                        sim.spawn_detached(async move { route.handle(op, ctx, msg).await });
                     }
                 }
                 if let Some(t0) = t0 {

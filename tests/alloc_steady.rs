@@ -429,3 +429,74 @@ fn lock_client_enum_allocates_like_the_concrete_client() {
         );
     }
 }
+
+/// A dc-svc round trip allocates nothing but the task a Concurrent handler
+/// runs in: the call's deadline holds the wait inline, the wait parks in the
+/// client's rendezvous table instead of a fresh oneshot, and the dispatcher
+/// routes to the handler's own future without boxing it — a Serial service
+/// awaits it inside the pump. Payloads travel as shared `Bytes`, so what is
+/// left is the plumbing: 128 extra calls cost exactly 0 allocations against
+/// a Serial echo service and exactly 128, the spawned handler tasks, against
+/// a Concurrent one. (A boxed deadline, a oneshot per attempt and a boxed
+/// handler future make it 3 per call in either mode.)
+#[test]
+fn svc_round_trip_allocates_only_the_handler_task() {
+    use bytes::Bytes;
+    use dc_fabric::{Cluster, FabricModel, NodeId, Transport};
+    use dc_sim::{time::us, Sim};
+    use dc_svc::{
+        parse_request, respond_bytes, CallPolicy, Cost, Dispatcher, Mode, Service, ServiceSpec,
+        Subsys, SvcClient,
+    };
+
+    let run_for = |mode: Mode, calls: usize| {
+        let counting = Counting::start();
+        let sim = Sim::new();
+        let cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), 2);
+        let port = cluster.alloc_port();
+        let spec = ServiceSpec {
+            name: "test.echo",
+            subsys: Subsys::App,
+            node: NodeId(1),
+            port,
+            cost: Cost::None,
+            mode,
+            queue_cap: None,
+        };
+        let echo = Dispatcher::new().fallback(|ctx, msg| async move {
+            let req = parse_request(&msg);
+            let payload = req.payload.clone();
+            respond_bytes(&ctx.cluster, ctx.node, &req, payload, Transport::RdmaSend).await;
+        });
+        Service::spawn(&cluster, spec, echo);
+        // A deadline a few round trips long: expired deadline timers hand
+        // their wheel nodes back during the run. (Default 500 ms deadlines
+        // would all outlive it and grow the wheel's arena with its length.)
+        let policy = CallPolicy {
+            timeout_ns: us(200),
+            ..CallPolicy::default()
+        };
+        let client = SvcClient::with_policy(&cluster, NodeId(0), policy);
+        let req = Bytes::from(vec![7u8; 256]);
+        sim.run_to(async move {
+            for _ in 0..calls {
+                let resp = client
+                    .call_bytes(NodeId(1), port, req.clone(), Transport::RdmaSend)
+                    .await;
+                assert_eq!(resp.as_ptr(), req.as_ptr(), "payload was copied");
+            }
+        });
+        counting.so_far().allocs
+    };
+
+    for (mode, per_call) in [(Mode::Serial, 0), (Mode::Concurrent, 1)] {
+        let _ = run_for(mode, 8); // warm allocator arenas
+        let extra = run_for(mode, 192) - run_for(mode, 64);
+        eprintln!("alloc_steady svc {mode:?}: 128 extra calls, {extra} extra allocs");
+        assert_eq!(
+            extra,
+            128 * per_call,
+            "{mode:?}: a round trip must allocate exactly {per_call} time(s)"
+        );
+    }
+}

@@ -1,0 +1,79 @@
+//! Committed sizes of the futures whose size is a per-entity memory cost.
+//!
+//! A task's future lives as long as the task does, so bytes added to the
+//! future of something that exists once per call, per lock request or per
+//! service show up as `peak_rss_mb` long after the change that added them.
+//! Each size below is `size_of_val` on this toolchain's layout; a change
+//! that moves one by more than [`TOLERANCE_PCT`] fails here, by name, and
+//! commits the new number on purpose.
+
+use bytes::Bytes;
+use dc_dlm::{DesignKind, DlmConfig, LockClient, LockMode};
+use dc_fabric::{Cluster, FabricModel, NodeId, Transport};
+use dc_sim::Sim;
+use dc_svc::SvcClient;
+
+/// A size may drift this far from its committed value (debug and release
+/// layouts differ by a few words) before the test fails.
+const TOLERANCE_PCT: usize = 15;
+
+fn check(what: &str, bytes: usize, committed: usize) {
+    eprintln!("future_sizes: {what} = {bytes} B (committed {committed} B)");
+    let slack = committed * TOLERANCE_PCT / 100;
+    assert!(
+        bytes.abs_diff(committed) <= slack,
+        "{what} is {bytes} B, committed {committed} B ± {TOLERANCE_PCT} %: \
+         a fatter future is paid per live call / request / service — \
+         shrink it or commit the new size here"
+    );
+}
+
+#[test]
+fn per_entity_futures_keep_their_committed_sizes() {
+    let sim = Sim::new();
+    let cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), 2);
+    let (home, members) = (NodeId(0), [NodeId(0), NodeId(1)]);
+
+    let client = SvcClient::new(&cluster, home);
+    let call = client.call_bytes(NodeId(1), 9, Bytes::new(), Transport::RdmaSend);
+    check("SvcClient::call_bytes", std::mem::size_of_val(&call), 776);
+    drop(call);
+
+    // Per design: the future of one lock request through the concrete
+    // client, and the largest task `build` spawns — a service pump with the
+    // design's handler futures inlined, since the dispatcher boxes none of
+    // them (CAS-Spin is all one-sided verbs and spawns no service: 0).
+    let mode = LockMode::Exclusive;
+    let committed = [
+        (DesignKind::Srsl, 856, 1584),
+        (DesignKind::Dqnl, 544, 1168),
+        (DesignKind::Ncosed, 592, 1344),
+        (DesignKind::CasSpin, 544, 0),
+        (DesignKind::Lease, 576, 992),
+        (DesignKind::McsTicket, 464, 1168),
+    ];
+    for (design, lock_bytes, pump_bytes) in committed {
+        let label = design.label();
+        let before = sim.task_bytes().len();
+        let mut clients = design.build(&cluster, DlmConfig::default(), home, 4, &members);
+        let pump = sim.task_bytes()[before..].iter().copied().max();
+        let pump = pump.unwrap_or(0);
+        check(&format!("largest service task ({label})"), pump, pump_bytes);
+        let lock = match clients.pop().expect("one client per member") {
+            LockClient::Srsl(c) => std::mem::size_of_val(&c.lock(1, mode)),
+            LockClient::Dqnl(c) => std::mem::size_of_val(&c.lock(1, mode)),
+            LockClient::Ncosed(c) => std::mem::size_of_val(&c.lock(1, mode)),
+            LockClient::CasSpin(c) => std::mem::size_of_val(&c.lock(1, mode)),
+            LockClient::Lease(c) => std::mem::size_of_val(&c.lock(1, mode)),
+            LockClient::McsTicket(c) => std::mem::size_of_val(&c.lock(1, mode)),
+        };
+        check(&format!("lock ({label})"), lock, lock_bytes);
+    }
+    // The design-erased client's future: the widest design's plus a tag.
+    let erased = DesignKind::Srsl
+        .build(&cluster, DlmConfig::default(), home, 4, &members)
+        .pop()
+        .expect("one client per member");
+    let erased = std::mem::size_of_val(&erased.lock(1, mode));
+    check("LockClient::lock", erased, 872);
+}
