@@ -10,50 +10,37 @@
 //! the fetched bytes against the per-document header and fall back to the
 //! backend on mismatch.
 
-use dc_fabric::{Cluster, NodeId, RegionId, RemoteAddr};
+use dc_fabric::{Cluster, NodeId, WordTable};
 
 use crate::lru::DocId;
 
 /// Handle to the shared directory.
 #[derive(Clone)]
 pub struct Directory {
-    cluster: Cluster,
-    home: NodeId,
-    region: RegionId,
-    num_docs: usize,
+    words: WordTable,
 }
 
 impl Directory {
     /// Create the directory for `num_docs` documents, homed on `home`.
-    /// Cache-node ids must be < 64 (one bitmap bit each).
     pub fn new(cluster: &Cluster, home: NodeId, num_docs: usize) -> Directory {
-        let region = cluster.register(home, num_docs * 8);
         Directory {
-            cluster: cluster.clone(),
-            home,
-            region,
-            num_docs,
+            words: WordTable::new(cluster, home, num_docs),
         }
     }
 
-    fn addr(&self, doc: DocId) -> RemoteAddr {
-        assert!((doc as usize) < self.num_docs, "doc id out of range");
-        RemoteAddr {
-            node: self.home,
-            region: self.region,
-            offset: doc as usize * 8,
-        }
-    }
-
-    fn bit(node: NodeId) -> u64 {
-        assert!(node.0 < 64, "directory bitmap supports 64 cache nodes");
+    /// `node`'s bit in a holder bitmap; panics for a node id the 64-bit
+    /// bitmap has no bit for.
+    pub(crate) fn bit(node: NodeId) -> u64 {
+        assert!(
+            node.0 < u64::BITS,
+            "holder bitmaps are 64 bits: no bit for {node:?}"
+        );
         1u64 << node.0
     }
 
     /// Read the holder bitmap for `doc` (one RDMA read).
     pub async fn lookup(&self, from: NodeId, doc: DocId) -> u64 {
-        let raw = self.cluster.rdma_read(from, self.addr(doc), 8).await;
-        u64::from_le_bytes(raw[..].try_into().unwrap())
+        self.words.read(from, doc as usize).await
     }
 
     /// Pick a holder from a bitmap, preferring `prefer` if set, else the
@@ -71,32 +58,18 @@ impl Directory {
         }
     }
 
-    /// Mark `holder` as caching `doc` (CAS loop).
+    /// Mark `holder` as caching `doc` (CAS loop; a read only when it
+    /// already is).
     pub async fn set(&self, from: NodeId, doc: DocId, holder: NodeId) {
-        self.update(from, doc, Self::bit(holder), true).await;
+        let bit = Self::bit(holder);
+        self.words.update(from, doc as usize, |w| w | bit).await;
     }
 
-    /// Clear `holder`'s bit for `doc` (CAS loop).
+    /// Clear `holder`'s bit for `doc` (CAS loop; a read only when it
+    /// already is).
     pub async fn clear(&self, from: NodeId, doc: DocId, holder: NodeId) {
-        self.update(from, doc, Self::bit(holder), false).await;
-    }
-
-    async fn update(&self, from: NodeId, doc: DocId, bit: u64, set: bool) {
-        let addr = self.addr(doc);
-        // Optimistic CAS loop seeded by a read.
-        let raw = self.cluster.rdma_read(from, addr, 8).await;
-        let mut expect = u64::from_le_bytes(raw[..].try_into().unwrap());
-        loop {
-            let desired = if set { expect | bit } else { expect & !bit };
-            if desired == expect {
-                return; // already in the desired state
-            }
-            let old = self.cluster.atomic_cas(from, addr, expect, desired).await;
-            if old == expect {
-                return;
-            }
-            expect = old;
-        }
+        let bit = Self::bit(holder);
+        self.words.update(from, doc as usize, |w| w & !bit).await;
     }
 }
 
@@ -106,17 +79,11 @@ mod tests {
     use dc_fabric::FabricModel;
     use dc_sim::Sim;
 
-    fn setup() -> (Sim, Cluster, Directory) {
-        let sim = Sim::new();
-        let cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), 4);
-        let dir = Directory::new(&cluster, NodeId(0), 16);
-        (sim, cluster, dir)
-    }
-
     #[test]
     fn set_lookup_clear_cycle() {
-        let (sim, _c, dir) = setup();
-        let d = dir.clone();
+        let sim = Sim::new();
+        let cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), 4);
+        let d = Directory::new(&cluster, NodeId(0), 16);
         sim.run_to(async move {
             assert_eq!(d.lookup(NodeId(1), 3).await, 0);
             d.set(NodeId(1), 3, NodeId(1)).await;
@@ -126,35 +93,6 @@ mod tests {
             d.clear(NodeId(1), 3, NodeId(1)).await;
             assert_eq!(d.lookup(NodeId(3), 3).await, 0b100);
         });
-    }
-
-    #[test]
-    fn concurrent_sets_do_not_lose_bits() {
-        let (sim, _c, dir) = setup();
-        for n in 0..4u32 {
-            let d = dir.clone();
-            sim.spawn(async move {
-                d.set(NodeId(n), 0, NodeId(n)).await;
-            });
-        }
-        sim.run();
-        let d = dir.clone();
-        let bm = sim.run_to(async move { d.lookup(NodeId(0), 0).await });
-        assert_eq!(bm, 0b1111, "a concurrent CAS lost an update");
-    }
-
-    #[test]
-    fn idempotent_updates_are_cheap() {
-        let (sim, c, dir) = setup();
-        let d = dir.clone();
-        sim.run_to(async move {
-            d.set(NodeId(1), 5, NodeId(1)).await;
-            let cas_before = 0; // first set: read + CAS
-            let _ = cas_before;
-            d.set(NodeId(1), 5, NodeId(1)).await; // no-op: read only
-        });
-        let s = c.stats();
-        assert_eq!(s.cas, 1, "idempotent set should skip the CAS");
     }
 
     #[test]
@@ -169,15 +107,5 @@ mod tests {
             Directory::pick_holder(0b010, Some(NodeId(3))),
             Some(NodeId(1))
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn out_of_range_doc_panics() {
-        let (sim, _c, dir) = setup();
-        let d = dir.clone();
-        sim.run_to(async move {
-            d.lookup(NodeId(0), 999).await;
-        });
     }
 }

@@ -17,29 +17,6 @@
 //! per document maintained with remote atomics). Misses pay the multi-tier
 //! backend price ([`backend::Backend`]).
 
-//! ```
-//! use dc_sim::Sim;
-//! use dc_fabric::{Cluster, FabricModel, NodeId};
-//! use dc_coopcache::{ActiveCache, DependencyTable};
-//! use bytes::Bytes;
-//!
-//! // Active caching: a cached dynamic page invalidates when any of its
-//! // dependencies is updated anywhere in the cluster.
-//! let sim = Sim::new();
-//! let cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), 2);
-//! let table = DependencyTable::new(&cluster, NodeId(1), 4);
-//! let cache = ActiveCache::new(NodeId(0), table.clone());
-//! let result = sim.run_to(async move {
-//!     cache.insert(1, Bytes::from_static(b"<page>"), vec![(2, table.peek(2))]);
-//!     let fresh = cache.get_validated(1).await.is_some();
-//!     table.bump(NodeId(1), 2).await;
-//!     let stale = cache.get_validated(1).await.is_none();
-//!     (fresh, stale)
-//! });
-//! assert_eq!(result, (true, true));
-//! ```
-
-pub mod active;
 pub mod backend;
 pub mod directory;
 pub mod lru;
@@ -47,7 +24,6 @@ pub mod node;
 pub mod scheme;
 pub mod service;
 
-pub use active::{ActiveCache, DepId, DependencyTable};
 pub use backend::{Backend, BackendCfg};
 pub use directory::Directory;
 pub use lru::{DocId, LruStore};

@@ -2,7 +2,7 @@
 //! reserve daemon used by the no-redundancy schemes.
 //!
 //! Layout: each node registers a *data region* (the cache memory remote
-//! proxies read with RDMA) and an *index region* of one u64 per document
+//! proxies read with RDMA) and an *index* of one shared word per document
 //! (`offset + 1`, 0 = absent). A cached document is stored as
 //! `[doc u32][size u32][content…]`; remote readers validate that header —
 //! the index and directory are soft state, so a stale pointer must fail
@@ -13,7 +13,7 @@ use std::collections::hash_map::Entry;
 use std::rc::Rc;
 
 use bytes::Bytes;
-use dc_fabric::{Cluster, NodeId, RegionId, RemoteAddr, Transport};
+use dc_fabric::{Cluster, NodeId, RegionId, RemoteAddr, Transport, WordTable};
 use dc_sim::fxhash::FxHashMap;
 use dc_sim::sync::Notify;
 use dc_svc::{
@@ -57,7 +57,8 @@ struct Inner {
     node: NodeId,
     cfg: CacheCfg,
     data_region: RegionId,
-    index_region: RegionId,
+    /// Per document: its data-region offset + 1, or 0 when not cached here.
+    index: WordTable,
     store: RefCell<LruStore>,
     /// Documents being fetched; a `Notify` once a second requester waits.
     inflight: RefCell<FxHashMap<DocId, Option<Notify>>>,
@@ -85,7 +86,7 @@ impl CacheNode {
         num_docs: usize,
     ) -> CacheNode {
         let data_region = cluster.register(node, cfg.per_node_bytes);
-        let index_region = cluster.register(node, num_docs * 8);
+        let index = WordTable::new(cluster, node, num_docs);
         let reserve_port = cluster.alloc_port_for(node, "coopcache.reserve");
         let cn = CacheNode {
             inner: Rc::new(Inner {
@@ -93,7 +94,7 @@ impl CacheNode {
                 node,
                 cfg,
                 data_region,
-                index_region,
+                index,
                 store: RefCell::new(LruStore::new(cfg.per_node_bytes)),
                 inflight: RefCell::default(),
                 directory,
@@ -120,15 +121,6 @@ impl CacheNode {
     /// The shared directory this node publishes into.
     pub fn directory(&self) -> Directory {
         self.inner.directory.clone()
-    }
-
-    /// Remote address of the index entry for `doc`.
-    pub fn index_addr(&self, doc: DocId) -> RemoteAddr {
-        RemoteAddr {
-            node: self.inner.node,
-            region: self.inner.index_region,
-            offset: doc as usize * 8,
-        }
     }
 
     /// Remote address of `offset` within the data region.
@@ -243,14 +235,11 @@ impl CacheNode {
             .inner
             .cluster
             .region(self.inner.node, self.inner.data_region);
-        let index = self
-            .inner
-            .cluster
-            .region(self.inner.node, self.inner.index_region);
+        let index = &self.inner.index;
         // Invalidate victims: local index first, then the shared directory
         // (background — the directory is soft state).
         for (victim, _, _) in evicted.drain(..) {
-            index.write_u64(victim as usize * 8, 0);
+            index.poke(victim as usize, 0);
             let dir = self.inner.directory.clone();
             let me = self.inner.node;
             self.inner.cluster.sim().spawn_detached(async move {
@@ -270,7 +259,7 @@ impl CacheNode {
             .cpu(self.inner.node)
             .execute(self.copy_cost(total))
             .await;
-        index.write_u64(doc as usize * 8, offset as u64 + 1);
+        index.poke(doc as usize, offset as u64 + 1);
         // Publish in the shared directory (background).
         let dir = self.inner.directory.clone();
         let me = self.inner.node;
@@ -295,11 +284,8 @@ impl CacheNode {
     ) -> Result<Bytes, ()> {
         let me = self.inner.node;
         let cluster = &self.inner.cluster;
-        let idx_raw = cluster
-            .try_rdma_read(me, holder.index_addr(doc), 8)
-            .await
-            .map_err(|_| ())?;
-        let entry = u64::from_le_bytes(idx_raw[..].try_into().unwrap());
+        let index = &holder.inner.index;
+        let entry = index.try_read(me, doc as usize).await.map_err(|_| ())?;
         if entry == 0 {
             return Err(());
         }

@@ -110,6 +110,10 @@ impl CoopCache {
         let directory = Directory::new(cluster, directory_home, fileset.len());
         let mut nodes = FxHashMap::default();
         for &n in proxies.iter().chain(app_nodes) {
+            // Every cache node needs its bit in the holder bitmaps: an id
+            // without one is refused here, not mid-run inside a detached
+            // directory-publish task.
+            let _ = Directory::bit(n);
             nodes.insert(
                 n,
                 CacheNode::new(
@@ -297,7 +301,7 @@ impl CoopCache {
         }
         // Consult the shared directory for a cooperative holder.
         let bm = node.directory().lookup(proxy, doc).await;
-        let holder = Directory::pick_holder(bm & !(1u64 << proxy.0), None);
+        let holder = Directory::pick_holder(bm & !Directory::bit(proxy), None);
         if let Some(h) = holder {
             if let Some(holder_node) = self.inner.nodes.get(&h) {
                 match node.remote_get(holder_node, doc, size).await {
@@ -398,6 +402,25 @@ mod tests {
         (0..size)
             .map(|off| FileSet::content_byte(doc as usize, off))
             .collect()
+    }
+
+    #[test]
+    #[should_panic(expected = "no bit for NodeId(64)")]
+    fn build_refuses_a_node_without_a_bitmap_bit() {
+        let sim = Sim::new();
+        let cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), 65);
+        let fs = Rc::new(FileSet::uniform(4, 4096));
+        let backend = Backend::spawn(&cluster, NodeId(0), BackendCfg::default(), Rc::clone(&fs));
+        CoopCache::build(
+            &cluster,
+            CacheScheme::Bcc,
+            &[NodeId(1), NodeId(64)],
+            &[],
+            backend,
+            fs,
+            CacheCfg::default(),
+            NodeId(0),
+        );
     }
 
     #[test]

@@ -1,10 +1,11 @@
-//! # dc-core — the framework facade and experiment engines
+//! # dc-core — the experiment engines
 //!
-//! Ties the three layers of the paper's framework together:
-//! communication protocols (`dc-fabric`, `dc-sockets`), service primitives
-//! (`dc-ddss`, `dc-dlm`), and advanced services (`dc-coopcache`,
-//! `dc-resmon`, `dc-reconfig`) — and provides the three multi-tier experiment
-//! engines the evaluation figures are built on:
+//! The three multi-tier experiment engines the evaluation figures are built
+//! on. They import `dc-sim`, `dc-fabric`, `dc-coopcache`, `dc-resmon`,
+//! `dc-workloads` and `dc-trace`; the manifest's `dc-sockets`, `dc-ddss`,
+//! `dc-dlm` and `dc-reconfig` edges are unused (no service scenario runs on
+//! a primitive yet — ROADMAP item 2) and stay only because dropping them
+//! would rewrite `benchmark/Cargo.lock`.
 //!
 //! * [`webfarm::run_webfarm`] — Figure 6: Zipf clients → proxy tier with a
 //!   cooperative caching scheme → backend.

@@ -8,10 +8,10 @@
 //! reads, reconfiguration state wants strict coherence — and then `get`/
 //! `put` them without involving the home node's CPU.
 //!
-//! Components, mirroring the paper's Figure 2:
+//! Components, after the paper's Figure 2 (its IPC-management module and
+//! the global memory aggregator are not carried: no evaluated figure
+//! exercises them — EXPERIMENTS.md "Known deviations"):
 //!
-//! * **IPC management** — [`ipc::LocalNamespace`], sharing segment keys
-//!   between processes on one node.
 //! * **Memory management** — [`alloc::FreeListAllocator`] carving each
 //!   node's registered heap.
 //! * **Data placement** — the `home` argument of
@@ -39,14 +39,10 @@
 //! assert_eq!(&value[..12], b"shared state");
 //! ```
 
-pub mod aggregator;
 pub mod alloc;
 pub mod coherence;
 pub mod ctrl;
-pub mod ipc;
 pub mod substrate;
 
-pub use aggregator::{GlobalMemoryAggregator, Placement};
 pub use coherence::Coherence;
-pub use ipc::LocalNamespace;
 pub use substrate::{Ddss, DdssClient, DdssConfig, SharedKey, BLOCK_HDR};

@@ -38,7 +38,7 @@ use bytes::Bytes;
 use dc_fabric::{Cluster, NodeId, RegionId, RemoteAddr, Transport};
 use dc_sim::SimTime;
 use dc_svc::{
-    parse_request, respond, CallPolicy, Cost, Ctx, Dispatcher, Mode, Service, ServiceSpec,
+    parse_request, respond, CallPolicy, Cost, Ctx, Dispatcher, Mode, Reader, Service, ServiceSpec,
     SvcClient, Wire,
 };
 use dc_trace::{Counter, HistHandle, Subsys};
@@ -356,8 +356,8 @@ impl DdssClient {
     }
 
     /// Allocate `len` bytes on `home` under `coherence`. Local allocations
-    /// short-circuit through shared memory (the IPC-management module);
-    /// remote ones are an RPC to the home daemon.
+    /// short-circuit through shared memory (the job of the paper's
+    /// IPC-management module); remote ones are an RPC to the home daemon.
     pub async fn allocate(
         &self,
         home: NodeId,
@@ -531,9 +531,8 @@ impl DdssClient {
             Coherence::Version => {
                 loop {
                     let raw = c.rdma_read(me, key.ver_addr(), 8 + key.len).await;
-                    let v1 = u64::from_le_bytes(raw[..8].try_into().unwrap());
-                    let v2raw = c.rdma_read(me, key.ver_addr(), 8).await;
-                    let v2 = u64::from_le_bytes(v2raw[..8].try_into().unwrap());
+                    let v1 = Reader::new(&raw).u64().expect("stamp in front of the data");
+                    let v2 = c.read_u64(me, key.ver_addr()).await;
                     if v1 == v2 {
                         return raw.slice(8..);
                     }
@@ -544,7 +543,7 @@ impl DdssClient {
             Coherence::Delta => {
                 let raw = c.rdma_read(me, key.ver_addr(), 8 + key.len).await;
                 // Confirm no delta landed mid-reconstruction.
-                c.rdma_read(me, key.ver_addr(), 8).await;
+                c.read_u64(me, key.ver_addr()).await;
                 raw.slice(8..)
             }
             Coherence::Temporal => {
@@ -597,8 +596,7 @@ impl DdssClient {
     /// Read the segment's version/stamp word.
     pub async fn version(&self, key: &SharedKey) -> u64 {
         self.overhead().await;
-        let raw = self.cluster().rdma_read(self.node, key.ver_addr(), 8).await;
-        u64::from_le_bytes(raw[..8].try_into().unwrap())
+        self.cluster().read_u64(self.node, key.ver_addr()).await
     }
 
     /// Compare-and-put: write `data` only if the current version equals
@@ -614,8 +612,7 @@ impl DdssClient {
         self.overhead().await;
         let c = self.cluster().clone();
         self.lock(key).await;
-        let raw = c.rdma_read(self.node, key.ver_addr(), 8).await;
-        let actual = u64::from_le_bytes(raw[..8].try_into().unwrap());
+        let actual = c.read_u64(self.node, key.ver_addr()).await;
         let result = if actual == expect {
             c.rdma_write(self.node, key.data_addr(), data).await;
             let new = expect + 1;

@@ -15,12 +15,12 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use dc_fabric::{Cluster, NodeId};
+use dc_fabric::{Cluster, NodeId, WordTable};
 use dc_sim::rng::splitmix64;
 use dc_trace::Counter;
 
 use crate::config::{DlmConfig, LockMode};
-use crate::manager::{Manager, WordTable};
+use crate::manager::Manager;
 use crate::msg::LockId;
 
 struct Inner {
@@ -50,7 +50,7 @@ impl CasSpinDlm {
         CasSpinDlm {
             inner: Rc::new(Inner {
                 mgr: Manager::new(cluster, cfg, home),
-                table: WordTable::new(cluster, home, num_locks),
+                table: WordTable::new(cluster, home, num_locks as usize),
                 retries: cluster.metrics().counter("dlm.cas_spin.retries"),
             }),
         }
@@ -89,11 +89,11 @@ impl CasSpinClient {
             retries,
         } = &*self.dlm.inner;
         let acq = mgr.begin_acquire();
-        let addr = table.word_addr(lock);
+        let word = lock as usize;
         let me = (self.node.0 + 1) as u64;
         let mut attempts = 0u64;
         loop {
-            let old = mgr.cluster.atomic_cas(self.node, addr, 0, me).await;
+            let old = table.cas(self.node, word, 0, me).await;
             if old == 0 {
                 break;
             }
@@ -121,10 +121,7 @@ impl CasSpinClient {
         let Inner { mgr, table, .. } = &*self.dlm.inner;
         mgr.released(self.node, lock, || []);
         let me = (self.node.0 + 1) as u64;
-        let old = mgr
-            .cluster
-            .atomic_cas(self.node, table.word_addr(lock), me, 0)
-            .await;
+        let old = table.cas(self.node, lock as usize, me, 0).await;
         assert_eq!(old, me, "CAS-spin word corrupted: owner {old:#x}");
     }
 }
@@ -181,11 +178,7 @@ mod tests {
             client.lock(1, LockMode::Exclusive).await;
             client.unlock(1).await;
         });
-        assert_eq!(
-            dlm.inner.table.peek(&cluster, 1),
-            0,
-            "release must free the word"
-        );
+        assert_eq!(dlm.inner.table.peek(1), 0, "release must free the word");
     }
 
     #[test]

@@ -12,12 +12,12 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use dc_fabric::{Cluster, NodeId};
+use dc_fabric::{Cluster, NodeId, WordTable};
 use dc_svc::{Cost, Ctx, Dispatcher};
 use dc_trace::Subsys;
 
 use crate::config::{DlmConfig, LockMode};
-use crate::manager::{Manager, Member, Members, WordTable};
+use crate::manager::{Manager, Member, Members};
 use crate::msg::{req_flow_id, DlmMsg, LockId, T_EXCL_REQ};
 
 #[derive(Default)]
@@ -54,7 +54,7 @@ impl DqnlDlm {
         let dlm = DqnlDlm {
             inner: Rc::new(Inner {
                 mgr: Manager::new(cluster, cfg, home),
-                table: WordTable::new(cluster, home, num_locks),
+                table: WordTable::new(cluster, home, num_locks as usize),
                 members: Members::new(cluster),
             }),
         };
@@ -150,11 +150,11 @@ impl DqnlClient {
         } = &*self.dlm.inner;
         let (agent, from) = (&*self.agent, self.agent.node);
         let acq = mgr.begin_acquire();
-        let addr = table.word_addr(lock);
+        let word = lock as usize;
         let me = (from.0 + 1) as u64;
         let mut expect = 0u64;
         let prior = loop {
-            let old = mgr.cluster.atomic_cas(from, addr, expect, me).await;
+            let old = table.cas(from, word, expect, me).await;
             if old == expect {
                 break old;
             }
@@ -204,10 +204,7 @@ impl DqnlClient {
         if !has_pending {
             // Try to free the tail word if we are still the tail.
             let me = (node.0 + 1) as u64;
-            let old = mgr
-                .cluster
-                .atomic_cas(node, table.word_addr(lock), me, 0)
-                .await;
+            let old = table.cas(node, lock as usize, me, 0).await;
             if old == me {
                 agent.state.borrow_mut().entry(lock).or_default().released = false;
                 return;
@@ -298,13 +295,13 @@ mod tests {
 
     #[test]
     fn word_freed_when_queue_empties() {
-        let (sim, c, dlm) = setup(2);
+        let (sim, _c, dlm) = setup(2);
         let client = dlm.client(NodeId(1));
         sim.run_to(async move {
             client.lock(1, LockMode::Exclusive).await;
             client.unlock(1).await;
         });
         sim.run();
-        assert_eq!(dlm.inner.table.peek(&c, 1), 0);
+        assert_eq!(dlm.inner.table.peek(1), 0);
     }
 }

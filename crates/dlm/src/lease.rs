@@ -24,13 +24,13 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use dc_fabric::{Cluster, NodeId};
+use dc_fabric::{Cluster, NodeId, WordTable};
 use dc_sim::rng::splitmix64;
 use dc_svc::{Cost, Ctx, Dispatcher};
 use dc_trace::Counter;
 
 use crate::config::{DlmConfig, LockMode};
-use crate::manager::{Manager, WordTable};
+use crate::manager::Manager;
 use crate::msg::{DlmMsg, LockId, T_LEASE_STEAL};
 use crate::word::LeaseWord;
 
@@ -65,7 +65,7 @@ impl LeaseDlm {
         let dlm = LeaseDlm {
             inner: Rc::new(Inner {
                 mgr: Manager::new(cluster, cfg, home),
-                table: WordTable::new(cluster, home, num_locks),
+                table: WordTable::new(cluster, home, num_locks as usize),
                 home_port,
                 lost: metrics.counter("dlm.lease.lost"),
             }),
@@ -132,14 +132,12 @@ impl LeaseClient {
         } = &*self.dlm.inner;
         let cluster = &mgr.cluster;
         let acq = mgr.begin_acquire();
-        let addr = table.word_addr(lock);
+        let word = lock as usize;
         let mut attempts = 0u64;
         let mut stole = false;
         loop {
             let mine = self.my_word(cluster.sim().now());
-            let old = cluster
-                .atomic_cas(self.node, addr, LeaseWord::FREE, mine)
-                .await;
+            let old = table.cas(self.node, word, LeaseWord::FREE, mine).await;
             if old == LeaseWord::FREE {
                 self.held.borrow_mut().insert(lock, mine);
                 break;
@@ -149,7 +147,7 @@ impl LeaseClient {
                 // The owner lapsed: steal with a targeted CAS on the exact
                 // stale word, so two thieves can never both succeed.
                 let mine = self.my_word(cluster.sim().now());
-                let prior = cluster.atomic_cas(self.node, addr, old, mine).await;
+                let prior = table.cas(self.node, word, old, mine).await;
                 if prior == old {
                     self.held.borrow_mut().insert(lock, mine);
                     stole = true;
@@ -193,9 +191,8 @@ impl LeaseClient {
             mgr, table, lost, ..
         } = &*self.dlm.inner;
         mgr.released(self.node, lock, || []);
-        let old = mgr
-            .cluster
-            .atomic_cas(self.node, table.word_addr(lock), mine, LeaseWord::FREE)
+        let old = table
+            .cas(self.node, lock as usize, mine, LeaseWord::FREE)
             .await;
         if old != mine {
             // Stolen while we held past expiry (or the thief's own word is

@@ -4,8 +4,8 @@
 //! messages) over a 64-bit word homed on one node — and differ only in word
 //! encoding and hand-off protocol. Everything else lives here, once:
 //!
-//! 1. [`WordTable`] — where lock words live: the registered region on the
-//!    home node and `word_addr(lock)`.
+//! 1. Where lock words live: a [`dc_fabric::WordTable`] on the home node,
+//!    word `lock` (the encodings are the designs', in `word.rs`).
 //! 2. [`Members`] — how a node's agent is addressed: node → ([`Member`]
 //!    state, port), and the one `T_GRANT` listener that closes the
 //!    `lock.grant` flow arrow and wakes the parked requester.
@@ -29,7 +29,7 @@ use std::collections::HashMap;
 use std::future::Future;
 use std::rc::Rc;
 
-use dc_fabric::{Cluster, FabricError, NodeId, RegionId, RemoteAddr, Transport};
+use dc_fabric::{Cluster, FabricError, NodeId, Transport};
 use dc_sim::sync::Rendezvous;
 use dc_sim::SimTime;
 use dc_svc::{Cost, Ctx, Dispatcher, Mode, Route, Service, ServiceSpec, Wire};
@@ -37,33 +37,6 @@ use dc_trace::{ArgVal, Counter, HistHandle, Subsys};
 
 use crate::config::DlmConfig;
 use crate::msg::{grant_flow_id, DlmMsg, LockId, T_GRANT};
-
-/// The lock words of one manager: `num_locks` 64-bit windows on `home`.
-pub(crate) struct WordTable {
-    home: NodeId,
-    region: RegionId,
-    num_locks: u32,
-}
-
-impl WordTable {
-    pub(crate) fn new(cluster: &Cluster, home: NodeId, num_locks: u32) -> WordTable {
-        WordTable {
-            home,
-            region: cluster.register(home, num_locks as usize * 8),
-            num_locks,
-        }
-    }
-
-    /// One-sided address of `lock`'s word.
-    pub(crate) fn word_addr(&self, lock: LockId) -> RemoteAddr {
-        assert!(lock < self.num_locks, "lock id out of range");
-        RemoteAddr {
-            node: self.home,
-            region: self.region,
-            offset: lock as usize * 8,
-        }
-    }
-}
 
 /// Spawn a DLM agent, home or server service: serial, unbounded mailbox.
 fn spawn_service(
@@ -355,14 +328,5 @@ impl Manager {
             let args = span_args(lock, extra());
             tracer.instant(node.0, Subsys::Dlm, "lock.release", args);
         }
-    }
-}
-
-#[cfg(test)]
-impl WordTable {
-    /// The raw word of `lock` as the home node stores it right now.
-    pub(crate) fn peek(&self, cluster: &Cluster, lock: LockId) -> u64 {
-        let addr = self.word_addr(lock);
-        cluster.region(addr.node, addr.region).read_u64(addr.offset)
     }
 }

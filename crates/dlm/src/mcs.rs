@@ -25,12 +25,12 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use dc_fabric::{Cluster, NodeId};
+use dc_fabric::{Cluster, NodeId, WordTable};
 use dc_svc::{Cost, Ctx, Dispatcher};
 use dc_trace::{Counter, Subsys};
 
 use crate::config::{DlmConfig, LockMode};
-use crate::manager::{Manager, Member, Members, WordTable};
+use crate::manager::{Manager, Member, Members};
 use crate::msg::{req_flow_id, DlmMsg, LockId, T_TICKET_SERVE, T_TICKET_WAIT};
 use crate::word::{TicketWord, TICKET_SERVE_DELTA, TICKET_TAKE_DELTA};
 
@@ -72,7 +72,7 @@ impl McsDlm {
         let dlm = McsDlm {
             inner: Rc::new(Inner {
                 mgr: Manager::new(cluster, cfg, home),
-                table: WordTable::new(cluster, home, num_locks),
+                table: WordTable::new(cluster, home, num_locks as usize),
                 members: Members::new(cluster),
                 home_port: cluster.alloc_port_for(home, "dlm.mcs.home"),
                 handoffs: cluster.metrics().counter("dlm.mcs.handoffs"),
@@ -215,8 +215,7 @@ impl McsClient {
         } = &*self.dlm.inner;
         let from = self.agent.node;
         let acq = mgr.begin_acquire();
-        let addr = table.word_addr(lock);
-        let old = TicketWord::decode(mgr.cluster.atomic_faa(from, addr, TICKET_TAKE_DELTA).await);
+        let old = TicketWord::decode(table.faa(from, lock as usize, TICKET_TAKE_DELTA).await);
         let ticket = old.next;
         let queued = old.serving != ticket;
         if queued {
@@ -258,8 +257,7 @@ impl McsClient {
         } = &*self.dlm.inner;
         let node = self.agent.node;
         mgr.released(node, lock, || [("ticket", u64::from(ticket).into())]);
-        let addr = table.word_addr(lock);
-        let old = TicketWord::decode(mgr.cluster.atomic_faa(node, addr, TICKET_SERVE_DELTA).await);
+        let old = TicketWord::decode(table.faa(node, lock as usize, TICKET_SERVE_DELTA).await);
         assert_eq!(old.serving, ticket, "MCS serving counter out of step");
         let serving = old.serving.wrapping_add(1);
         // A successor ticket is already dispensed iff the dispenser moved
@@ -358,7 +356,7 @@ mod tests {
 
     #[test]
     fn word_reflects_dispensed_and_served_tickets() {
-        let (sim, c, dlm) = setup(3);
+        let (sim, _c, dlm) = setup(3);
         let a = dlm.client(NodeId(1));
         let b = dlm.client(NodeId(2));
         sim.run_to(async move {
@@ -368,7 +366,7 @@ mod tests {
             b.unlock(1).await;
         });
         sim.run();
-        let w = TicketWord::decode(dlm.inner.table.peek(&c, 1));
+        let w = TicketWord::decode(dlm.inner.table.peek(1));
         assert_eq!(
             w,
             TicketWord {

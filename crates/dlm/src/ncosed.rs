@@ -26,12 +26,12 @@ use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use dc_fabric::{Cluster, NodeId};
+use dc_fabric::{Cluster, NodeId, WordTable};
 use dc_svc::{Cost, Dispatcher};
 use dc_trace::Subsys;
 
 use crate::config::{DlmConfig, LockMode};
-use crate::manager::{Manager, Member, Members, WordTable};
+use crate::manager::{Manager, Member, Members};
 use crate::msg::{req_flow_id, DlmMsg, LockId, T_EXCL_REQ, T_SH_RELEASE, T_SH_REQ, T_WAIT_SHARED};
 use crate::word::{LockWord, SHARED_FAA_DELTA};
 
@@ -95,7 +95,7 @@ impl NcosedDlm {
         let dlm = NcosedDlm {
             inner: Rc::new(Inner {
                 mgr: Manager::new(cluster, cfg, home),
-                table: WordTable::new(cluster, home, num_locks),
+                table: WordTable::new(cluster, home, num_locks as usize),
                 members: Members::new(cluster),
                 home_port: cluster.alloc_port_for(home, "dlm.ncosed.home"),
                 grants_sent: Cell::new(0),
@@ -376,9 +376,9 @@ impl NcosedClient {
     /// Contract: operations on one `(node, lock)` pair must be serialized —
     /// a new `lock` may only be issued after the previous `unlock` *call
     /// has returned* on that node (multiple processes on one node share the
-    /// node's agent and must coordinate locally, e.g. via the DDSS IPC
-    /// namespace). Re-requesting after unlock returns is fully supported,
-    /// including while the node still anchors a shared group.
+    /// node's agent and must coordinate locally). Re-requesting after unlock
+    /// returns is fully supported, including while the node still anchors a
+    /// shared group.
     pub async fn lock(&self, lock: LockId, mode: LockMode) {
         let Inner {
             mgr,
@@ -389,7 +389,7 @@ impl NcosedClient {
         } = &*self.dlm.inner;
         let (agent, node) = (&*self.agent, self.agent.node);
         let acq = mgr.begin_acquire();
-        let addr = table.word_addr(lock);
+        let word = lock as usize;
         let held = agent.state.borrow().get(&lock).and_then(|ll| ll.held);
         assert!(
             held.is_none() && !agent.is_parked(lock),
@@ -402,7 +402,7 @@ impl NcosedClient {
                 let swap = LockWord::with_excl_tail(node);
                 let mut expect = LockWord::FREE;
                 let prior = loop {
-                    let old = mgr.cluster.atomic_cas(node, addr, expect, swap).await;
+                    let old = table.cas(node, word, expect, swap).await;
                     if old == expect {
                         break LockWord::decode(old);
                     }
@@ -429,7 +429,7 @@ impl NcosedClient {
                 }
             }
             LockMode::Shared => {
-                let old = mgr.cluster.atomic_faa(node, addr, SHARED_FAA_DELTA).await;
+                let old = table.faa(node, word, SHARED_FAA_DELTA).await;
                 LockWord::decode(old).tail.map(|t| {
                     let req = DlmMsg::ShReq { lock, from: node };
                     (t, members.get(t).port, req)
@@ -487,10 +487,9 @@ impl NcosedClient {
                     ll.pending_excl.is_none() && ll.pending_shared.is_empty()
                 };
                 if no_known_waiters {
-                    let addr = table.word_addr(lock);
+                    let word = lock as usize;
                     loop {
-                        let raw = mgr.cluster.rdma_read(node, addr, 8).await;
-                        let raw = u64::from_le_bytes(raw[..].try_into().unwrap());
+                        let raw = table.read(node, word).await;
                         let w = LockWord::decode(raw);
                         let grants_given = agent.state.borrow()[&lock].grants_given;
                         // Only free if no shared requester ever queued on us:
@@ -499,10 +498,7 @@ impl NcosedClient {
                         // a new exclusive routes through us / the home agent.
                         if w.tail == Some(node) && w.shared == 0 && grants_given == 0 {
                             // Nothing new since our grants: try to free.
-                            let old = mgr
-                                .cluster
-                                .atomic_cas(node, addr, raw, LockWord::FREE)
-                                .await;
+                            let old = table.cas(node, word, raw, LockWord::FREE).await;
                             if old == raw {
                                 let mut locks = agent.state.borrow_mut();
                                 *locks.entry(lock).or_default() = LockLocal::default();
@@ -741,14 +737,14 @@ mod tests {
 
     #[test]
     fn lock_word_returns_to_free_after_quiescence() {
-        let (sim, c, dlm) = setup(3, 1);
+        let (sim, _c, dlm) = setup(3, 1);
         let client = dlm.client(NodeId(2));
         sim.run_to(async move {
             client.lock(0, LockMode::Exclusive).await;
             client.unlock(0).await;
         });
         sim.run();
-        let raw = dlm.inner.table.peek(&c, 0);
+        let raw = dlm.inner.table.peek(0);
         assert_eq!(raw, LockWord::FREE);
     }
 

@@ -609,11 +609,31 @@ impl Cluster {
         })
     }
 
+    /// One-sided read of the 8-byte-aligned little-endian word at `addr`:
+    /// [`Cluster::rdma_read`] of 8 bytes, decoded. Same retry/panic contract.
+    pub async fn read_u64(&self, from: NodeId, addr: RemoteAddr) -> u64 {
+        self.retrying(from, RetryPolicy::default(), || {
+            self.try_read_u64(from, addr)
+        })
+        .await
+        .unwrap_or_else(|e| panic!("read_u64 at {addr:?}: {e} (retry budget exhausted)"))
+    }
+
+    /// Fallible word read: [`Cluster::try_rdma_read`] of 8 bytes, decoded.
+    pub fn try_read_u64(
+        &self,
+        from: NodeId,
+        addr: RemoteAddr,
+    ) -> impl Future<Output = Result<u64, FabricError>> + '_ {
+        self.read_verb(from, addr, 8, move |region| region.read_u64(addr.offset))
+    }
+
     /// The one RDMA-read body. `sample` takes the `len` bytes out of the
-    /// target region when transmission begins; how many pieces it cuts them
-    /// into is all that differs between the plain and the scatter read, so
-    /// it is a parameter (not a second body, and not a wrapper that would
-    /// put a future level and an unused piece under every plain read).
+    /// target region when transmission begins; whether it cuts them into one
+    /// piece or two, or decodes them as a word, is all that differs between
+    /// the plain, the scatter and the word read, so it is a parameter (not a
+    /// second body, and not a wrapper that would put a future level and an
+    /// unused piece under every plain read).
     async fn read_verb<T>(
         &self,
         from: NodeId,
@@ -1268,6 +1288,38 @@ mod tests {
         );
         let s = c.stats();
         assert_eq!((s.reads, s.bytes_read), (2, 2 * 1032));
+    }
+
+    #[test]
+    fn word_read_is_the_eight_byte_read_verb() {
+        use dc_trace::TraceMode;
+        let run = |word: bool| {
+            let (sim, c) = setup(2);
+            let r = c.register(NodeId(1), 64);
+            let addr = RemoteAddr {
+                node: NodeId(1),
+                region: r,
+                offset: 16,
+            };
+            c.region(NodeId(1), r).write_u64(16, 0x0102_0304_0506_0708);
+            c.tracer().enable(TraceMode::Full);
+            let (cc, h) = (c.clone(), sim.handle());
+            let (v, t) = sim.run_to(async move {
+                let v = if word {
+                    cc.read_u64(NodeId(0), addr).await
+                } else {
+                    let raw = cc.rdma_read(NodeId(0), addr, 8).await;
+                    u64::from_le_bytes(raw[..].try_into().unwrap())
+                };
+                (v, h.now())
+            });
+            (v, t, c.stats(), c.tracer().events())
+        };
+        let (word, bytes) = (run(true), run(false));
+        assert_eq!(word.0, 0x0102_0304_0506_0708);
+        assert_eq!((word.2.reads, word.2.bytes_read), (1, 8));
+        assert_eq!(word.3.len(), 1, "one verb.read span");
+        assert_eq!(word, bytes);
     }
 
     #[test]

@@ -10,6 +10,9 @@
 //! * **Remote atomic operations** — [`Cluster::atomic_cas`]
 //!   (compare-and-swap) and [`Cluster::atomic_faa`] (fetch-and-add) on
 //!   64-bit words of registered memory, linearized at the target NIC.
+//! * **Shared words** — [`WordTable`], one `u64` per entity in a registered
+//!   region on a home node: the layout the lock words, the cache directory,
+//!   the cache index and the site map all stand on.
 //! * **Two-sided send/recv** — [`Cluster::send`] to a bound [`Endpoint`],
 //!   either as an RDMA send (NIC-delivered) or as host TCP, which charges
 //!   protocol-processing time on *both* CPUs and is therefore delayed when
@@ -51,6 +54,7 @@ pub mod faults;
 pub mod kstat;
 pub mod mem;
 pub mod model;
+pub mod words;
 
 pub use cluster::{Cluster, Endpoint, Message, NodeId, Transport, VerbStats};
 pub use cpu::{CpuConfig, CpuModel};
@@ -58,3 +62,4 @@ pub use faults::{FabricError, FaultConfig, FaultPlan, FaultStats, RetryPolicy};
 pub use kstat::KernelStats;
 pub use mem::{RegionId, RemoteAddr};
 pub use model::FabricModel;
+pub use words::WordTable;

@@ -1,12 +1,12 @@
 //! The shared cluster map: which website each back-end node serves.
 //!
-//! One u64 per node in a registered region: the low bits carry the site id,
-//! the top bit marks a node mid-reconfiguration (its server processes are
-//! restarting and it serves nobody). Reconfiguration agents move nodes with
+//! One shared word per node: the low bits carry the site id, the top bit
+//! marks a node mid-reconfiguration (its server processes are restarting
+//! and it serves nobody). Reconfiguration agents move nodes with
 //! compare-and-swap, so two agents never tug the same node in different
 //! directions — the paper's concurrency control against live-locks.
 
-use dc_fabric::{Cluster, NodeId, RegionId, RemoteAddr};
+use dc_fabric::{Cluster, NodeId, WordTable};
 use dc_svc::{Reader, Wire, Writer};
 
 /// Marks a node whose reassignment is still in progress.
@@ -57,9 +57,8 @@ impl Wire for Assignment {
 /// Handle to the shared site map.
 #[derive(Clone)]
 pub struct SiteMap {
-    cluster: Cluster,
-    home: NodeId,
-    region: RegionId,
+    /// One word per managed node, in `nodes` order.
+    words: WordTable,
     nodes: Vec<NodeId>,
 }
 
@@ -67,22 +66,16 @@ impl SiteMap {
     /// Create the map on `home` with every node in `initial` assigned to
     /// the given site.
     pub fn new(cluster: &Cluster, home: NodeId, initial: &[(NodeId, u32)]) -> SiteMap {
-        let region = cluster.register(home, initial.len() * 8);
-        let data = cluster.region(home, region);
+        let words = WordTable::new(cluster, home, initial.len());
         for (i, &(_, site)) in initial.iter().enumerate() {
-            data.write_u64(
-                i * 8,
-                Assignment {
-                    site,
-                    in_transition: false,
-                }
-                .encode(),
-            );
+            let serving = Assignment {
+                site,
+                in_transition: false,
+            };
+            words.poke(i, serving.encode());
         }
         SiteMap {
-            cluster: cluster.clone(),
-            home,
-            region,
+            words,
             nodes: initial.iter().map(|&(n, _)| n).collect(),
         }
     }
@@ -99,25 +92,15 @@ impl SiteMap {
             .unwrap_or_else(|| panic!("{node:?} is not in the site map"))
     }
 
-    fn addr(&self, node: NodeId) -> RemoteAddr {
-        RemoteAddr {
-            node: self.home,
-            region: self.region,
-            offset: self.slot(node) * 8,
-        }
-    }
-
     /// Read a node's assignment with a one-sided read (from `reader`).
     pub async fn read(&self, reader: NodeId, node: NodeId) -> Assignment {
-        let raw = self.cluster.rdma_read(reader, self.addr(node), 8).await;
-        Assignment::decode(u64::from_le_bytes(raw[..].try_into().unwrap()))
+        Assignment::decode(self.words.read(reader, self.slot(node)).await)
     }
 
     /// Local (home-side) snapshot of a node's assignment — what the load
     /// balancer colocated with the map reads for free.
     pub fn peek(&self, node: NodeId) -> Assignment {
-        let data = self.cluster.region(self.home, self.region);
-        Assignment::decode(data.read_u64(self.slot(node) * 8))
+        Assignment::decode(self.words.peek(self.slot(node)))
     }
 
     /// All nodes currently serving `site` (local snapshot).
@@ -147,8 +130,8 @@ impl SiteMap {
         }
         .encode();
         let old = self
-            .cluster
-            .atomic_cas(agent, self.addr(node), expect, desired)
+            .words
+            .cas(agent, self.slot(node), expect, desired)
             .await;
         old == expect
     }
@@ -166,8 +149,8 @@ impl SiteMap {
         }
         .encode();
         let old = self
-            .cluster
-            .atomic_cas(agent, self.addr(node), expect, desired)
+            .words
+            .cas(agent, self.slot(node), expect, desired)
             .await;
         assert_eq!(old, expect, "transition completed by someone else");
     }

@@ -131,8 +131,8 @@ struct NodePorts {
 
 /// Create a connected full-duplex stream pair between `a` and `b`.
 ///
-/// Panics if `a == b` (loopback is a node-local IPC concern, handled by the
-/// DDSS IPC layer, not the network stack).
+/// Panics if `a == b` (loopback is a node-local IPC concern, not the
+/// network stack's).
 pub fn connect(
     cluster: &Cluster,
     a: NodeId,

@@ -1,8 +1,9 @@
 //! Committed sizes of the futures whose size is a per-entity memory cost.
 //!
 //! A task's future lives as long as the task does, so bytes added to the
-//! future of something that exists once per call, per lock request or per
-//! service show up as `peak_rss_mb` long after the change that added them.
+//! future of something that exists once per call, per lock request, per
+//! service or per connection show up as `peak_rss_mb` long after the change
+//! that added them.
 //! Each size below is `size_of_val` on this toolchain's layout; a change
 //! that moves one by more than [`TOLERANCE_PCT`] fails here, by name, and
 //! commits the new number on purpose.
@@ -11,6 +12,9 @@ use bytes::Bytes;
 use dc_dlm::{DesignKind, DlmConfig, LockClient, LockMode};
 use dc_fabric::{Cluster, FabricModel, NodeId, Transport};
 use dc_sim::Sim;
+use dc_sockets::flow::Chunk;
+use dc_sockets::lane::LaneSender;
+use dc_sockets::{connect, SocketsConfig, StreamKind};
 use dc_svc::SvcClient;
 
 /// A size may drift this far from its committed value (debug and release
@@ -23,8 +27,8 @@ fn check(what: &str, bytes: usize, committed: usize) {
     assert!(
         bytes.abs_diff(committed) <= slack,
         "{what} is {bytes} B, committed {committed} B ± {TOLERANCE_PCT} %: \
-         a fatter future is paid per live call / request / service — \
-         shrink it or commit the new size here"
+         a fatter future is paid per live call / request / service / \
+         connection — shrink it or commit the new size here"
     );
 }
 
@@ -76,4 +80,25 @@ fn per_entity_futures_keep_their_committed_sizes() {
         .expect("one client per member");
     let erased = std::mem::size_of_val(&erased.lock(1, mode));
     check("LockClient::lock", erased, 872);
+    // One of each is alive per open connection (4,096 of them in
+    // `incast_rpc`), one `send_tracked` per chunk in flight. The stream
+    // futures are one type over the four kinds, so one kind measures all.
+    let (mut tx, mut rx) = connect(
+        &cluster,
+        home,
+        NodeId(1),
+        StreamKind::Sdp,
+        SocketsConfig::default(),
+    );
+    let send_bytes = std::mem::size_of_val(&tx.send_bytes(Bytes::new()));
+    check("StreamEnd::send_bytes", send_bytes, 416);
+    check("StreamEnd::send", std::mem::size_of_val(&tx.send(b"")), 448);
+    check("StreamEnd::recv", std::mem::size_of_val(&rx.recv()), 168);
+    let lane = LaneSender::new(&cluster, home, NodeId(1), 9, Transport::RdmaSend);
+    let tracked = lane.send_tracked(Chunk::whole(Bytes::new()));
+    check(
+        "LaneSender::send_tracked",
+        std::mem::size_of_val(&tracked),
+        368,
+    );
 }

@@ -1,6 +1,6 @@
 //! Property-based tests of the core data structures: allocator, LRU store,
-//! registered regions, framing, lock-word encoding, Zipf sampling, and
-//! executor timer ordering.
+//! registered regions, the shared-word table, framing, lock-word encoding,
+//! Zipf sampling, and executor timer ordering.
 
 use bytes::Bytes;
 use proptest::prelude::*;
@@ -9,7 +9,7 @@ use nextgen_datacenter::coopcache::LruStore;
 use nextgen_datacenter::ddss::alloc::FreeListAllocator;
 use nextgen_datacenter::dlm::LockWord;
 use nextgen_datacenter::fabric::mem::{RegionData, RemoteAddr};
-use nextgen_datacenter::fabric::{Cluster, FabricModel, NodeId};
+use nextgen_datacenter::fabric::{Cluster, FabricModel, NodeId, WordTable};
 use nextgen_datacenter::sim::Sim;
 use nextgen_datacenter::sockets::flow::{frame, Chunk, Reassembler, CONT_HDR, FIRST_HDR};
 use nextgen_datacenter::workloads::Zipf;
@@ -757,5 +757,100 @@ proptest! {
             prop_assert!(caught.is_err(), "an out-of-bounds access did not panic");
         }
         prop_assert_eq!(&region.read(0, REGION_LEN)[..], &model[..], "a refused access wrote");
+    }
+}
+
+/// Words in the table the word-table property drives.
+const WORDS: usize = 8;
+
+/// One step against a shared-word table, issued by node `from` on word `i`.
+#[derive(Debug, Clone)]
+enum WordOp {
+    Cas {
+        hit: bool,
+        swap: u64,
+    },
+    Faa {
+        add: u64,
+    },
+    Poke {
+        v: u64,
+    },
+    /// One `update` per amount, each from its own node and all in flight at
+    /// once, each adding its amount: the sum needs no order, and an update
+    /// lost to a concurrent CAS shows in it.
+    Update {
+        adds: Vec<u64>,
+    },
+}
+
+fn word_op() -> impl Strategy<Value = (u32, usize, WordOp)> {
+    (
+        (0u8..4, 0u32..4, 0..WORDS),
+        (any::<u64>(), any::<bool>()),
+        prop::collection::vec(any::<u64>(), 1..5),
+    )
+        .prop_map(|((kind, from, i), (v, hit), adds)| {
+            let op = match kind {
+                0 => WordOp::Cas { hit, swap: v },
+                1 => WordOp::Faa { add: v },
+                2 => WordOp::Poke { v },
+                _ => WordOp::Update { adds },
+            };
+            (from, i, op)
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// A `WordTable` is an array of `u64`: whatever mix of remote atomics, CAS
+    /// loops racing each other and home-local stores it sees, every word
+    /// reads — remotely and at home — as the model's.
+    #[test]
+    fn word_table_is_an_array_of_words(ops in prop::collection::vec(word_op(), 1..40)) {
+        let sim = Sim::new();
+        let cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), 4);
+        let table = WordTable::new(&cluster, NodeId(0), WORDS);
+        let mut model = [0u64; WORDS];
+        for (from, i, op) in ops {
+            let (node, t) = (NodeId(from), table.clone());
+            match op.clone() {
+                WordOp::Cas { hit, swap } => {
+                    let old = model[i];
+                    let expect = if hit { old } else { old.wrapping_add(1) };
+                    let got = sim.run_to(async move { t.cas(node, i, expect, swap).await });
+                    prop_assert_eq!(got, old, "{:?}", op);
+                    if hit {
+                        model[i] = swap;
+                    }
+                }
+                WordOp::Faa { add } => {
+                    let got = sim.run_to(async move { t.faa(node, i, add).await });
+                    prop_assert_eq!(got, model[i], "{:?}", op);
+                    model[i] = model[i].wrapping_add(add);
+                }
+                WordOp::Poke { v } => {
+                    table.poke(i, v);
+                    model[i] = v;
+                }
+                WordOp::Update { adds } => {
+                    for (n, &add) in adds.iter().enumerate() {
+                        let t = table.clone();
+                        sim.spawn(async move {
+                            t.update(NodeId(n as u32), i, |w| w.wrapping_add(add)).await
+                        });
+                        model[i] = model[i].wrapping_add(add);
+                    }
+                    sim.run();
+                }
+            }
+            for (w, &want) in model.iter().enumerate() {
+                prop_assert_eq!(table.peek(w), want, "word {} after {:?}", w, op);
+            }
+            let t = table.clone();
+            let read = sim.run_to(async move { t.read(node, i).await });
+            prop_assert_eq!(read, model[i], "remote read after {:?}", op);
+        }
     }
 }
