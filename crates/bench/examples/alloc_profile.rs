@@ -5,16 +5,24 @@
 //! cargo run --release -p dc-bench --example alloc_profile -- fig5a_lock_shared
 //! ```
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Mutex;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
 static TRACE: AtomicBool = AtomicBool::new(false);
 
+/// Allocations per call site, process-wide: the scenarios sweep their cells
+/// on worker threads (`sweep::parallel_map`), and a table kept per thread
+/// shows only what the main thread allocated — the table render.
+static SITES: Mutex<BTreeMap<String, u64>> = Mutex::new(BTreeMap::new());
+
 thread_local! {
+    /// Re-entrancy guard, per thread: set while this thread is inside
+    /// `record_site`, whose own allocations (the backtrace, the site name,
+    /// the map node) must not be recorded — or take `SITES` a second time.
     static IN_TRACE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-    static SITES: std::cell::RefCell<std::collections::HashMap<String, u64>> =
-        std::cell::RefCell::new(std::collections::HashMap::new());
 }
 
 /// With `DC_ALLOC_TRACE=1`, capture a backtrace for every allocation and
@@ -40,7 +48,9 @@ fn record_site() {
             }
         }
         let site = site.unwrap_or_else(|| "<non-workspace>".into());
-        SITES.with(|s| *s.borrow_mut().entry(site).or_insert(0) += 1);
+        // A worker that panicked mid-record poisons the lock, not the counts.
+        let mut sites = SITES.lock().unwrap_or_else(|e| e.into_inner());
+        *sites.entry(site).or_insert(0) += 1;
         flag.set(false);
     });
 }
@@ -62,14 +72,20 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static A: Counting = Counting;
 
+/// Print the 30 busiest sites, then what the rest add up to and the total,
+/// which is the allocation count an untraced run of the scenario prints.
 fn dump_sites() {
-    SITES.with(|s| {
-        let mut v: Vec<(String, u64)> = s.borrow_mut().drain().collect();
-        v.sort_by_key(|e| std::cmp::Reverse(e.1));
-        for (site, n) in v.iter().take(30) {
-            println!("{n:>7}  {site}");
-        }
-    });
+    let sites = std::mem::take(&mut *SITES.lock().unwrap_or_else(|e| e.into_inner()));
+    let mut v: Vec<(String, u64)> = sites.into_iter().collect();
+    v.sort_by_key(|e| std::cmp::Reverse(e.1));
+    let total: u64 = v.iter().map(|e| e.1).sum();
+    let shown = v.len().min(30);
+    for (site, n) in &v[..shown] {
+        println!("{n:>7}  {site}");
+    }
+    let rest: u64 = v[shown..].iter().map(|e| e.1).sum();
+    println!("{rest:>7}  ({} other sites)", v.len() - shown);
+    println!("{total:>7}  total");
 }
 
 fn measured<R>(label: &str, f: impl FnOnce() -> R) {

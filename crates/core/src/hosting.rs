@@ -18,7 +18,7 @@ use std::rc::Rc;
 use dc_fabric::{Cluster, FabricModel, FaultConfig, FaultPlan, NodeId};
 use dc_resmon::{Monitor, MonitorCfg, MonitorScheme};
 use dc_sim::rng::component_rng;
-use dc_sim::sync::{oneshot, Notify, OneSender};
+use dc_sim::sync::{Notify, Rendezvous};
 use dc_sim::{Sim, SimHandle, SimTime};
 use dc_workloads::{RubisMix, Zipf};
 
@@ -90,8 +90,13 @@ pub struct HostingResult {
 struct Job {
     cpu_ns: u64,
     resp_bytes: usize,
-    done: OneSender<()>,
+    /// Index of the closed-loop client waiting on this job.
+    client: usize,
 }
+
+/// Where clients wait for their responses, each parked under its own index
+/// (a closed-loop client has at most one job in flight).
+type Responses = Rc<Rendezvous<usize, ()>>;
 
 /// One back-end's worker pool over an accept queue, with kernel statistics
 /// kept live (accept-queue depth and connection count included).
@@ -104,7 +109,13 @@ struct AppServer {
 }
 
 impl AppServer {
-    fn spawn(cluster: &Cluster, sim: &SimHandle, node: NodeId, workers: usize) -> AppServer {
+    fn spawn(
+        cluster: &Cluster,
+        sim: &SimHandle,
+        node: NodeId,
+        workers: usize,
+        responses: &Responses,
+    ) -> AppServer {
         let srv = AppServer {
             cluster: cluster.clone(),
             node,
@@ -116,6 +127,7 @@ impl AppServer {
             let s = srv.clone();
             let model = model.clone();
             let sim2 = sim.clone();
+            let responses = Rc::clone(responses);
             sim.clone().spawn(async move {
                 let cpu = s.cluster.cpu(s.node);
                 cpu.thread_started();
@@ -131,7 +143,8 @@ impl AppServer {
                     // Response transmission costs (kernel send path).
                     cpu.execute(model.tcp_send_cpu(job.resp_bytes)).await;
                     sim2.sleep(model.tcp_bytes_time(job.resp_bytes)).await;
-                    job.done.send(());
+                    let delivered = responses.fulfil(job.client, ());
+                    debug_assert!(delivered, "client {} is not waiting", job.client);
                 }
             });
         }
@@ -160,9 +173,13 @@ pub fn run_hosting(cfg: &HostingCfg) -> HostingResult {
     }
     let backends: Vec<NodeId> = (1..=cfg.backends as u32).map(NodeId).collect();
     let monitor = Monitor::spawn(&cluster, cfg.scheme, cfg.monitor, frontend, &backends);
+    let responses: Responses = Rc::default();
     let servers: Vec<AppServer> = backends
         .iter()
-        .map(|&b| AppServer::spawn(&cluster, cluster.sim(), b, cfg.workers_per_backend))
+        .map(|&b| {
+            let workers = cfg.workers_per_backend;
+            AppServer::spawn(&cluster, cluster.sim(), b, workers, &responses)
+        })
         .collect();
 
     let zipf = Rc::new(Zipf::new(cfg.zipf_docs, cfg.zipf_alpha));
@@ -190,6 +207,7 @@ pub fn run_hosting(cfg: &HostingCfg) -> HostingResult {
         let measure_started = Rc::clone(&measure_started);
         let last_done = Rc::clone(&last_done);
         let hist = Rc::clone(&hist);
+        let responses = Rc::clone(&responses);
         let sim_h = sim.handle();
         let requests = cfg.requests;
         let think = cfg.think_ns;
@@ -220,13 +238,13 @@ pub fn run_hosting(cfg: &HostingCfg) -> HostingResult {
                 // Balance: the monitor probes every back-end in parallel
                 // and the lowest-loaded one (ties by id) wins.
                 let best = monitor.least_loaded().await;
-                let (txd, rxd) = oneshot();
+                let response = responses.wait(client);
                 servers[best.idx() - 1].submit(Job {
                     cpu_ns,
                     resp_bytes,
-                    done: txd,
+                    client,
                 });
-                rxd.await.expect("backend died");
+                response.await;
                 if in_measurement {
                     completed.set(completed.get() + 1);
                     hist.borrow_mut().record(sim_h.now() - t0);

@@ -34,7 +34,7 @@ use dc_sim::{SimHandle, SimTime};
 use dc_trace::{Counter, Gauge, Registry, Subsys, Tracer};
 
 use crate::faults::{inflate, FabricError, FaultPlan, FaultStats, RetryPolicy};
-use crate::kstat::KSTAT_REGION_LEN;
+use crate::kstat::{KernelStats, KSTAT_REGION_LEN};
 use crate::mem::{RegionData, RegionId, RemoteAddr};
 use crate::model::FabricModel;
 
@@ -628,12 +628,28 @@ impl Cluster {
         self.read_verb(from, addr, 8, move |region| region.read_u64(addr.offset))
     }
 
+    /// One-sided read of `node`'s kernel-statistics block, decoded:
+    /// [`Cluster::rdma_read`] of the [`KSTAT_REGION_LEN`] bytes at
+    /// [`Cluster::kstat_addr`] without the `Bytes` in between. Same
+    /// retry/panic contract.
+    pub async fn read_kstat(&self, from: NodeId, node: NodeId) -> KernelStats {
+        let addr = self.kstat_addr(node);
+        self.retrying(from, RetryPolicy::default(), || {
+            self.read_verb(from, addr, KSTAT_REGION_LEN, move |region| {
+                KernelStats::decode(&region.read_array::<KSTAT_REGION_LEN>(addr.offset))
+            })
+        })
+        .await
+        .unwrap_or_else(|e| panic!("read_kstat of {node:?}: {e} (retry budget exhausted)"))
+    }
+
     /// The one RDMA-read body. `sample` takes the `len` bytes out of the
     /// target region when transmission begins; whether it cuts them into one
-    /// piece or two, or decodes them as a word, is all that differs between
-    /// the plain, the scatter and the word read, so it is a parameter (not a
-    /// second body, and not a wrapper that would put a future level and an
-    /// unused piece under every plain read).
+    /// piece or two, or decodes them as a word or as the kernel-statistics
+    /// block, is all that differs between the plain, the scatter, the word
+    /// and the kstat read, so it is a parameter (not a second body, and not a
+    /// wrapper that would put a future level and an unused piece under every
+    /// plain read).
     async fn read_verb<T>(
         &self,
         from: NodeId,
@@ -1323,6 +1339,62 @@ mod tests {
     }
 
     #[test]
+    fn kstat_read_is_the_sixty_four_byte_read_verb() {
+        use crate::faults::{CrashWindow, FaultPlan};
+        use dc_trace::TraceMode;
+        // On a clean fabric, and with the target inside a crash window for
+        // the first 5 ms (the infallible read retries its way out of it).
+        let run = |decoding: bool, crashed: bool| {
+            let (sim, c) = setup(2);
+            let cpu = c.cpu(NodeId(1));
+            cpu.thread_started();
+            cpu.conn_opened();
+            cpu.accept_enqueued();
+            if crashed {
+                let window = CrashWindow {
+                    node: NodeId(1),
+                    start: 0,
+                    end: ms(5),
+                };
+                c.install_faults(FaultPlan::from_parts(0, vec![window], vec![], vec![], 0.0));
+            }
+            c.tracer().enable(TraceMode::Full);
+            let (cc, h) = (c.clone(), sim.handle());
+            let (v, t) = sim.run_to(async move {
+                let v = if decoding {
+                    cc.read_kstat(NodeId(0), NodeId(1)).await
+                } else {
+                    let addr = cc.kstat_addr(NodeId(1));
+                    let raw = cc.rdma_read(NodeId(0), addr, KSTAT_REGION_LEN).await;
+                    KernelStats::decode(&raw)
+                };
+                (v, h.now())
+            });
+            (
+                v,
+                t,
+                c.stats(),
+                c.fault_stats().retries,
+                c.tracer().events(),
+            )
+        };
+        for crashed in [false, true] {
+            let (kstat, bytes) = (run(true, crashed), run(false, crashed));
+            let v = kstat.0;
+            assert_eq!((v.app_threads, v.conns, v.accept_queue), (1, 1, 1));
+            assert_eq!((kstat.2.reads, kstat.2.bytes_read), (1, 64));
+            assert_eq!(
+                kstat.3 > 0,
+                crashed,
+                "retries iff the window was in the way"
+            );
+            let reads = kstat.4.iter().filter(|e| e.name == "verb.read").count();
+            assert_eq!(reads, 1, "one verb.read span");
+            assert_eq!(kstat, bytes);
+        }
+    }
+
+    #[test]
     fn small_read_latency_matches_calibration() {
         let (sim, c) = setup(2);
         let r = c.register(NodeId(1), 64);
@@ -1852,7 +1924,7 @@ mod tests {
         let cc = c.clone();
         let stats = sim.run_to(async move {
             let raw = cc.rdma_read(NodeId(0), addr, KSTAT_REGION_LEN).await;
-            crate::kstat::KernelStats::decode(&raw)
+            KernelStats::decode(&raw)
         });
         assert_eq!(stats.app_threads, 2);
     }

@@ -81,7 +81,8 @@ impl CpuModel {
     fn publish(&self) {
         let mut st = self.state.borrow_mut();
         st.stats.version += 1;
-        st.stats.encode_into(&self.kstat);
+        // One region write per state change, from a block built on the stack.
+        self.kstat.write(0, &st.stats.to_block());
     }
 
     fn update(&self, f: impl FnOnce(&mut KernelStats)) {

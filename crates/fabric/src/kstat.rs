@@ -7,8 +7,6 @@
 //! [`KSTAT_REGION_LEN`] bytes. Monitoring schemes `rdma_read` the block (or
 //! socket-query a user-level daemon that reads it locally).
 
-use crate::mem::RegionData;
-
 /// Byte length of the kernel statistics region.
 pub const KSTAT_REGION_LEN: usize = 64;
 
@@ -46,6 +44,24 @@ pub struct KernelStats {
 }
 
 impl KernelStats {
+    /// The snapshot as the bytes of a kstat region, zero-padded past the
+    /// last field — what the CPU model publishes into registered memory and
+    /// what a socket daemon sends back, built on the stack either way.
+    pub fn to_block(&self) -> [u8; KSTAT_REGION_LEN] {
+        let mut block = [0u8; KSTAT_REGION_LEN];
+        for (off, v) in [
+            (offsets::RUN_QUEUE, self.run_queue),
+            (offsets::APP_THREADS, self.app_threads),
+            (offsets::BUSY_NS, self.busy_ns),
+            (offsets::VERSION, self.version),
+            (offsets::CONNS, self.conns),
+            (offsets::ACCEPT_QUEUE, self.accept_queue),
+        ] {
+            block[off..off + 8].copy_from_slice(&v.to_le_bytes());
+        }
+        block
+    }
+
     /// Decode a snapshot from the raw bytes of a kstat region read.
     pub fn decode(bytes: &[u8]) -> KernelStats {
         assert!(
@@ -62,29 +78,12 @@ impl KernelStats {
             accept_queue: f(offsets::ACCEPT_QUEUE),
         }
     }
-
-    /// Encode the snapshot into a kstat region (bumps no version itself).
-    /// The fields are contiguous from offset 0, so the CPU model's
-    /// every-state-change publish is one region write, not one per field.
-    pub fn encode_into(&self, region: &RegionData) {
-        let mut block = [0u8; offsets::ACCEPT_QUEUE + 8];
-        for (off, v) in [
-            (offsets::RUN_QUEUE, self.run_queue),
-            (offsets::APP_THREADS, self.app_threads),
-            (offsets::BUSY_NS, self.busy_ns),
-            (offsets::VERSION, self.version),
-            (offsets::CONNS, self.conns),
-            (offsets::ACCEPT_QUEUE, self.accept_queue),
-        ] {
-            block[off..off + 8].copy_from_slice(&v.to_le_bytes());
-        }
-        region.write(0, &block);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mem::RegionData;
 
     #[test]
     fn encode_decode_round_trip() {
@@ -97,7 +96,7 @@ mod tests {
             conns: 8,
             accept_queue: 2,
         };
-        s.encode_into(&region);
+        region.write(0, &s.to_block());
         let bytes = region.read(0, KSTAT_REGION_LEN);
         assert_eq!(KernelStats::decode(&bytes), s);
     }
@@ -107,6 +106,24 @@ mod tests {
         let region = RegionData::new(KSTAT_REGION_LEN);
         let bytes = region.read(0, KSTAT_REGION_LEN);
         assert_eq!(KernelStats::decode(&bytes), KernelStats::default());
+    }
+
+    #[test]
+    fn block_is_the_region_image() {
+        let s = KernelStats {
+            run_queue: 1,
+            app_threads: 2,
+            busy_ns: 3,
+            version: 4,
+            conns: 5,
+            accept_queue: 6,
+        };
+        let block = s.to_block();
+        assert_eq!(KernelStats::decode(&block), s);
+        assert!(block[offsets::ACCEPT_QUEUE + 8..].iter().all(|&b| b == 0));
+        let region = RegionData::new(KSTAT_REGION_LEN);
+        region.write(0, &block);
+        assert_eq!(region.read_array::<KSTAT_REGION_LEN>(0), block);
     }
 
     #[test]

@@ -260,16 +260,23 @@ impl RegionData {
         }
     }
 
+    /// Copy the `N` bytes at `offset` out onto the stack: the fixed-size,
+    /// allocation-free variant of [`RegionData::read`] under the decoding
+    /// verbs (a lock word, the kernel-statistics block).
+    pub fn read_array<const N: usize>(&self, offset: usize) -> [u8; N] {
+        let s = self.store.borrow();
+        let end = s.end_of("read", offset, N);
+        let mut out: [u8; N] = s.flat[offset..end].try_into().unwrap();
+        if !s.extents.is_empty() {
+            s.overlay(offset, &mut out);
+        }
+        out
+    }
+
     /// Read a little-endian u64 at an 8-byte-aligned `offset`.
     pub fn read_u64(&self, offset: usize) -> u64 {
         assert_eq!(offset % 8, 0, "atomic access must be 8-byte aligned");
-        let s = self.store.borrow();
-        let end = s.end_of("read", offset, 8);
-        let mut word: [u8; 8] = s.flat[offset..end].try_into().unwrap();
-        if !s.extents.is_empty() {
-            s.overlay(offset, &mut word);
-        }
-        u64::from_le_bytes(word)
+        u64::from_le_bytes(self.read_array(offset))
     }
 
     /// Write a little-endian u64 at an 8-byte-aligned `offset`.

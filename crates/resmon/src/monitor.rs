@@ -7,13 +7,15 @@
 //! path*, not of the sampling rate.
 
 use std::cell::RefCell;
+use std::future::Future;
 use std::rc::Rc;
 
 use dc_fabric::kstat::{KernelStats, KSTAT_REGION_LEN};
 use dc_fabric::{Cluster, NodeId, Transport};
-use dc_sim::SimTime;
+use dc_sim::{join_all, SimTime};
 use dc_svc::{
-    parse_request, respond, Cost, Dispatcher, Mode, Service, ServiceSpec, Subsys, SvcClient, Wire,
+    parse_request, respond_bytes, Cost, Dispatcher, Mode, Service, ServiceSpec, Subsys, SvcClient,
+    Wire,
 };
 
 use crate::scheme::MonitorScheme;
@@ -43,7 +45,9 @@ impl Default for MonitorCfg {
 pub struct LoadView {
     /// The observed kernel statistics.
     pub stats: KernelStats,
-    /// When the observation was made (virtual time at the *target*).
+    /// When the observation reached the reader: the virtual instant the
+    /// read or the query completed at the front-end (for Socket-Async, the
+    /// instant the daemon sampled before pushing).
     pub observed_at: SimTime,
 }
 
@@ -142,12 +146,12 @@ impl Monitor {
         let i = targets
             .binary_search_by_key(&target, |&(t, _)| t)
             .unwrap_or_else(|_| panic!("{target:?} is not a monitored target"));
-        let st = Rc::clone(&targets[i].1);
+        let st = &targets[i].1;
         match self.inner.scheme {
             MonitorScheme::RdmaSync | MonitorScheme::ERdmaSync => {
                 self.rdma_read_stats(target).await
             }
-            MonitorScheme::SocketSync => self.socket_query(target, &st).await,
+            MonitorScheme::SocketSync => self.socket_query(target, st).await,
             MonitorScheme::RdmaAsync | MonitorScheme::SocketAsync => *st.cached.borrow(),
         }
     }
@@ -163,43 +167,38 @@ impl Monitor {
         self.inner.targets.iter().map(|&(t, _)| t)
     }
 
+    /// Probe every target at once, inside the calling task: one
+    /// [`join_all`] over the per-target [`Monitor::load`] futures, so the
+    /// sync schemes' round trips overlap and the async schemes' cached views
+    /// are read without suspending. Yields `(node, load)` in id order.
+    fn probe_all(&self) -> impl Future<Output = impl Iterator<Item = (NodeId, u64)> + '_> + '_ {
+        join_all(
+            self.targets()
+                .map(move |t| async move { (t, self.load(t).await) }),
+        )
+    }
+
     /// Observe every target (probes issued in parallel for the sync
     /// schemes) and return `(node, load)` pairs in id order.
     pub async fn cluster_view(&self) -> Vec<(NodeId, u64)> {
-        let sim = self.inner.cluster.sim().clone();
-        let mut probes = Vec::with_capacity(self.inner.targets.len());
-        for t in self.targets() {
-            let m = self.clone();
-            probes.push(sim.spawn(async move { (t, m.load(t).await) }));
-        }
-        let mut out = Vec::with_capacity(probes.len());
-        for p in probes {
-            out.push(p.await);
-        }
-        out
+        self.probe_all().await.collect()
     }
 
     /// The least-loaded target right now (ties broken by lowest node id).
     pub async fn least_loaded(&self) -> NodeId {
-        let view = self.cluster_view().await;
-        view.iter()
-            .min_by_key(|&&(n, l)| (l, n))
-            .map(|&(n, _)| n)
+        let view = self.probe_all().await;
+        view.min_by_key(|&(n, l)| (l, n))
+            .map(|(n, _)| n)
             .expect("monitor has no targets")
     }
 
     async fn rdma_read_stats(&self, target: NodeId) -> LoadView {
-        let addr = self.inner.cluster.kstat_addr(target);
-        let raw = self
-            .inner
-            .cluster
-            .rdma_read(self.inner.frontend, addr, KSTAT_REGION_LEN)
-            .await;
+        let cluster = &self.inner.cluster;
         LoadView {
-            stats: KernelStats::decode(&raw),
+            stats: cluster.read_kstat(self.inner.frontend, target).await,
             // The one-sided read samples at the target mid-flight; the
             // freshness error is half a round trip.
-            observed_at: self.inner.cluster.sim().now(),
+            observed_at: cluster.sim().now(),
         }
     }
 
@@ -278,9 +277,8 @@ fn spawn_daemon(cluster: &Cluster, node: NodeId, port: u16, cfg: MonitorCfg) {
     };
     let dispatcher = Dispatcher::new().fallback(move |ctx, msg| async move {
         let req = parse_request(&msg);
-        let buf = ctx.cluster.cpu(node).snapshot().encode();
-        debug_assert_eq!(buf.len(), KSTAT_REGION_LEN);
-        respond(&ctx.cluster, node, &req, &buf, Transport::Tcp).await;
+        let reply = ctx.cluster.cpu(node).snapshot().encode_bytes();
+        respond_bytes(&ctx.cluster, node, &req, reply, Transport::Tcp).await;
     });
     Service::spawn(cluster, spec, dispatcher);
 }
@@ -426,6 +424,68 @@ mod tests {
         assert_eq!(view[1].1, 0);
         assert_eq!(view[2].1, 1);
         assert_eq!(best, NodeId(2));
+    }
+
+    /// The in-task fan-out against the design it replaced, written out: one
+    /// spawned, joined task per target. Under every scheme, on back-ends
+    /// under different load (so the socket daemons answer out of id order),
+    /// both see the same `(node, load)` pairs at the same virtual instant.
+    #[test]
+    fn cluster_view_matches_the_spawned_probe_reference() {
+        let run = |scheme: MonitorScheme, spawned: bool| {
+            let sim = Sim::new();
+            let cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), 4);
+            let targets = [NodeId(1), NodeId(2), NodeId(3)];
+            let monitor =
+                Monitor::spawn(&cluster, scheme, MonitorCfg::default(), NodeId(0), &targets);
+            for (node, jobs) in [(NodeId(1), 5), (NodeId(3), 2)] {
+                for _ in 0..jobs {
+                    let cpu = cluster.cpu(node);
+                    cpu.accept_enqueued();
+                    sim.spawn(async move { cpu.execute(ms(200)).await });
+                }
+            }
+            // Past two refresh periods: the async schemes have cached views.
+            sim.run_until(ms(25));
+            let h = sim.handle();
+            sim.run_to(async move {
+                let view = if spawned {
+                    let probes: Vec<_> = monitor
+                        .targets()
+                        .map(|t| {
+                            let m = monitor.clone();
+                            h.spawn(async move { (t, m.load(t).await) })
+                        })
+                        .collect();
+                    let mut view = Vec::new();
+                    for p in probes {
+                        view.push(p.await);
+                    }
+                    view
+                } else {
+                    monitor.cluster_view().await
+                };
+                (view, monitor.least_loaded().await, h.now())
+            })
+        };
+        for scheme in [
+            MonitorScheme::SocketSync,
+            MonitorScheme::SocketAsync,
+            MonitorScheme::RdmaSync,
+            MonitorScheme::RdmaAsync,
+            MonitorScheme::ERdmaSync,
+        ] {
+            let (view, best, at) = run(scheme, false);
+            assert_eq!(
+                (view.clone(), best, at),
+                run(scheme, true),
+                "{}",
+                scheme.label()
+            );
+            assert_eq!(view.len(), 3);
+            assert!(view[0].1 > view[2].1 && view[2].1 > view[1].1, "{view:?}");
+            assert_eq!(best, NodeId(2));
+        }
     }
 
     /// Poller tasks are spawned in target-id order whatever order the

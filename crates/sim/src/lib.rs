@@ -14,9 +14,10 @@
 //!    of wall time, so benches can sweep wide parameter spaces.
 //!
 //! Protocol code is written as ordinary `async fn`s; [`Sim::spawn`] schedules
-//! them, [`SimHandle::sleep`] advances virtual time, and the primitives in
+//! them, [`SimHandle::sleep`] advances virtual time, the primitives in
 //! [`sync`] (oneshot, rendezvous, mpsc, semaphore, notify) coordinate tasks
-//! with FIFO, deterministic wake order.
+//! with FIFO, deterministic wake order, and [`join_all`] fans out inside one
+//! task where a spawn per child would only add scheduling hops.
 //!
 //! ```
 //! use dc_sim::{Sim, time::us};
@@ -32,6 +33,7 @@
 
 pub mod executor;
 pub mod fxhash;
+pub mod join;
 pub mod rng;
 pub mod shard;
 pub mod sync;
@@ -41,5 +43,6 @@ mod wheel;
 pub use executor::{
     add_thread_totals, thread_totals, Elapsed, JoinHandle, Sim, SimCounters, SimHandle, Timeout,
 };
+pub use join::join_all;
 pub use shard::{run_sharded, ShardCfg, ShardNet, ShardRun, ShardStats, Stamped};
 pub use time::{ms, ns, secs, us, SimTime};

@@ -155,19 +155,12 @@ impl<'a> Reader<'a> {
 }
 
 /// Kernel-statistics snapshots travel as the raw bytes of the registered
-/// kstat region (fixed [`KSTAT_REGION_LEN`] layout, zero-padded past the
-/// last field), whether read one-sided or returned by a socket daemon.
+/// kstat region ([`KernelStats::to_block`]: fixed [`KSTAT_REGION_LEN`]
+/// layout, zero-padded past the last field), whether read one-sided or
+/// returned by a socket daemon.
 impl Wire for KernelStats {
     fn encode_into(&self, out: &mut Vec<u8>) {
-        let start = out.len();
-        Writer::new(out)
-            .u64(self.run_queue)
-            .u64(self.app_threads)
-            .u64(self.busy_ns)
-            .u64(self.version)
-            .u64(self.conns)
-            .u64(self.accept_queue);
-        out.resize(start + KSTAT_REGION_LEN, 0);
+        out.extend_from_slice(&self.to_block());
     }
 
     fn decode(bytes: &[u8]) -> Option<KernelStats> {
@@ -175,6 +168,13 @@ impl Wire for KernelStats {
             return None;
         }
         Some(KernelStats::decode(bytes))
+    }
+
+    /// Straight from the stack block, not through the thread-local scratch:
+    /// the payload is the only buffer, and a sweep's allocation count does
+    /// not depend on how many worker threads happened to encode a snapshot.
+    fn encode_bytes(&self) -> Bytes {
+        Bytes::copy_from_slice(&self.to_block())
     }
 }
 
@@ -224,7 +224,8 @@ mod tests {
             accept_queue: 2,
         };
         let bytes = Wire::encode(&s);
-        assert_eq!(bytes.len(), KSTAT_REGION_LEN);
+        assert_eq!(bytes, s.to_block());
+        assert_eq!(&s.encode_bytes()[..], &bytes[..]);
         assert_eq!(<KernelStats as Wire>::decode(&bytes), Some(s));
         assert_eq!(<KernelStats as Wire>::decode(&bytes[..32]), None);
     }

@@ -500,3 +500,61 @@ fn svc_round_trip_allocates_only_the_handler_task() {
         );
     }
 }
+
+/// A hosted request (`run_hosting`: balance on the monitor's view, submit,
+/// wait for the response) allocates only the array its probes run in: the
+/// monitor fans out inside the client's task instead of spawning a joined
+/// task per back-end, a one-sided kstat read decodes on the stack instead of
+/// materialising a `Bytes`, and the client parks under its index in one
+/// rendezvous table instead of carrying a fresh oneshot per job. Two run
+/// lengths cancel set-up; what is left over one allocation per extra request
+/// is amortised growth (the latency samples doubling once: 801 for 800
+/// today; 1 % is allowed). Socket-Sync adds the daemons' replies, one `Bytes` (buffer + count)
+/// per back-end per request. (Spawned probes, a `Bytes` per read, a `Vec`
+/// grown per reply and a oneshot per job made it 19 per request.)
+#[test]
+fn hosted_request_allocates_at_most_the_probe_array() {
+    use dc_core::{run_hosting, HostingCfg};
+    use dc_resmon::MonitorScheme;
+
+    const BACKENDS: u64 = 3;
+    const EXTRA: u64 = 800;
+    let run_for = |scheme: MonitorScheme, requests: usize| {
+        let cfg = HostingCfg {
+            scheme,
+            backends: BACKENDS as usize,
+            clients: 12,
+            requests,
+            ..HostingCfg::default()
+        };
+        let counting = Counting::start();
+        let r = run_hosting(&cfg);
+        assert!(r.tps > 0.0);
+        counting.so_far().allocs
+    };
+    for scheme in [
+        MonitorScheme::RdmaSync,
+        MonitorScheme::ERdmaSync,
+        MonitorScheme::RdmaAsync,
+        MonitorScheme::SocketAsync,
+        MonitorScheme::SocketSync,
+    ] {
+        let _ = run_for(scheme, 200); // warm allocator arenas
+        let extra = run_for(scheme, 800 + EXTRA as usize) - run_for(scheme, 800);
+        let per_request = match scheme {
+            MonitorScheme::SocketSync => 1 + 2 * BACKENDS,
+            _ => 1,
+        };
+        eprintln!(
+            "alloc_steady hosting {}: {EXTRA} extra requests, {extra} extra allocs \
+             ({per_request} per request allowed)",
+            scheme.label()
+        );
+        assert!(
+            extra <= EXTRA * per_request + EXTRA / 100,
+            "{}: {extra} allocations for {EXTRA} extra hosted requests, \
+             {per_request} per request allowed",
+            scheme.label()
+        );
+    }
+}

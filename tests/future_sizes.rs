@@ -11,6 +11,8 @@
 use bytes::Bytes;
 use dc_dlm::{DesignKind, DlmConfig, LockClient, LockMode};
 use dc_fabric::{Cluster, FabricModel, NodeId, Transport};
+use dc_resmon::{Monitor, MonitorCfg, MonitorScheme};
+use dc_sim::sync::Rendezvous;
 use dc_sim::Sim;
 use dc_sockets::flow::Chunk;
 use dc_sockets::lane::LaneSender;
@@ -101,4 +103,27 @@ fn per_entity_futures_keep_their_committed_sizes() {
         std::mem::size_of_val(&tracked),
         368,
     );
+    // A view is one in-task fan-out, so each probe in flight is a `load`
+    // future in the join's child array (one array per hosted request in
+    // fig8b, back-ends × that future) and the view's own future holds the
+    // rest; a fatter `read_verb` or `SvcClient::call` fattens every one.
+    // The future is one type over the five schemes.
+    let monitor = Monitor::spawn(
+        &cluster,
+        MonitorScheme::RdmaSync,
+        MonitorCfg::default(),
+        home,
+        &[NodeId(1)],
+    );
+    let load = std::mem::size_of_val(&monitor.load(NodeId(1)));
+    check("Monitor::load (one probe)", load, 888);
+    let least = std::mem::size_of_val(&monitor.least_loaded());
+    check("Monitor::least_loaded", least, 96);
+    let view = std::mem::size_of_val(&monitor.cluster_view());
+    check("Monitor::cluster_view", view, 96);
+    // What a hosting client holds while its job is at a back-end: its key
+    // in the one response table, not a oneshot of its own.
+    let responses: Rendezvous<usize, ()> = Rendezvous::new();
+    let wait = std::mem::size_of_val(&responses.wait(0));
+    check("hosting client's Rendezvous wait", wait, 16);
 }
