@@ -25,8 +25,19 @@ thread_local! {
     static IN_TRACE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
+/// Frames that allocate on a caller's behalf — the executor boxing a task,
+/// a channel growing its queue, a `Bytes` taking ownership of a buffer. A
+/// site under one of these names the mechanism, not who asked for it.
+const PLUMBING: [&str; 3] = [
+    "/crates/sim/src/executor.rs",
+    "/crates/sim/src/sync/",
+    "/vendored/bytes/",
+];
+
 /// With `DC_ALLOC_TRACE=1`, capture a backtrace for every allocation and
-/// attribute it to the innermost workspace frame. Slow, but exact counts.
+/// attribute it to the innermost workspace frame outside [`PLUMBING`] (to
+/// the innermost workspace frame at all, if plumbing is all there is).
+/// Slow, but exact counts.
 fn record_site() {
     IN_TRACE.with(|flag| {
         if flag.get() {
@@ -34,19 +45,20 @@ fn record_site() {
         }
         flag.set(true);
         let bt = std::backtrace::Backtrace::force_capture().to_string();
-        let mut site = None;
-        for line in bt.lines() {
-            let l = line.trim();
-            if let Some(f) = l.strip_prefix("at ") {
-                if (f.contains("/crates/") || f.contains("/vendored/"))
-                    && !f.contains("alloc_profile.rs")
-                {
-                    let parts: Vec<&str> = f.rsplit('/').take(3).collect();
-                    site = Some(parts.into_iter().rev().collect::<Vec<_>>().join("/"));
-                    break;
-                }
-            }
-        }
+        let frames = bt.lines().filter_map(|l| l.trim().strip_prefix("at "));
+        let workspace = frames.filter(|f| {
+            (f.contains("/crates/") || f.contains("/vendored/")) && !f.contains("alloc_profile.rs")
+        });
+        let mut callers = workspace
+            .clone()
+            .filter(|f| !PLUMBING.iter().any(|p| f.contains(p)));
+        let site = callers
+            .next()
+            .or_else(|| workspace.clone().next())
+            .map(|f| {
+                let parts: Vec<&str> = f.rsplit('/').take(3).collect();
+                parts.into_iter().rev().collect::<Vec<_>>().join("/")
+            });
         let site = site.unwrap_or_else(|| "<non-workspace>".into());
         // A worker that panicked mid-record poisons the lock, not the counts.
         let mut sites = SITES.lock().unwrap_or_else(|e| e.into_inner());

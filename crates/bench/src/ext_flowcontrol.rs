@@ -38,7 +38,7 @@ pub fn bandwidth_mbs(kind: StreamKind, size: usize) -> f64 {
         h.now()
     });
     let payload = Bytes::from(vec![0x77u8; size]);
-    sim.spawn(async move {
+    sim.handle().spawn_detached(async move {
         for _ in 0..COUNT {
             tx.send_bytes(payload.clone()).await;
         }

@@ -187,7 +187,7 @@ pub fn run_cell(lane: IncastLane, fanin: usize, drop_rate: f64) -> IncastPoint {
                     connect(&cluster, client, server, kind, SocketsConfig::default());
                 let cpu = cluster.cpu(server);
                 let resp = resp.clone();
-                sim.spawn(async move {
+                h.spawn_detached(async move {
                     for _ in 0..REQS_PER_SESSION {
                         srv_end.recv().await;
                         cpu.execute(HANDLER_CPU_NS).await;

@@ -65,7 +65,7 @@ pub fn reaction(fine: bool) -> ReactionResult {
             h.sleep_until(burst_start).await;
             for _ in 0..6 {
                 let c = cpu.clone();
-                h.spawn(async move { c.execute(secs(3)).await });
+                h.spawn_detached(async move { c.execute(secs(3)).await });
             }
         });
     }

@@ -48,7 +48,7 @@ pub fn query_time_ns(records: usize, transport: StormTransport) -> u64 {
                 SocketsConfig::default(),
             );
             let cl = cluster.clone();
-            sim.spawn(async move {
+            sim.handle().spawn_detached(async move {
                 // Data node: receive the query, scan, stream the result.
                 let _query = server_end.recv().await;
                 cl.cpu(data_node).execute(q.scan_ns()).await;
@@ -82,7 +82,7 @@ pub fn query_time_ns(records: usize, transport: StormTransport) -> u64 {
             let mut query_ep = bind_raw(&cluster, data_node, query_port);
             let cl = cluster.clone();
             let ddss2 = Rc::clone(&ddss);
-            sim.spawn(async move {
+            sim.handle().spawn_detached(async move {
                 let _query = query_ep.recv().await;
                 cl.cpu(data_node).execute(q.scan_ns()).await;
                 // Publish result chunks as local DDSS segments (home = data

@@ -6,16 +6,34 @@
 //! earliest timer, wakes it, and repeats. Ties between timers fire in
 //! registration order, so a given program is fully deterministic.
 //!
-//! The hot path is allocation-free in steady state: each task slot caches
-//! its `Waker` (created once per slot, reused across polls and recycled
-//! spawns), the ready queue is a reused `VecDeque`, and timer entries live
-//! in the wheel's node arena, recycled through an intrusive free list.
+//! The hot path is allocation-free in steady state, spawning included: each
+//! task slot caches its `Waker` (created once per slot, reused across polls
+//! and recycled spawns), the ready queue is a reused `VecDeque`, timer
+//! entries live in the wheel's node arena, recycled through an intrusive
+//! free list, and a finished task's storage goes to the next task of its
+//! kind.
+//!
+//! A task's future lives in a heap cell, `Pin<Box<Option<F>>>`. When the
+//! task finishes, the future is dropped there and then and the empty cell is
+//! parked in a per-`Sim` registry keyed by `TypeId::of::<F>()`; the next
+//! spawn of the same future type refills a parked cell in place instead of
+//! calling the allocator, so a respawn of a finished kind allocates nothing.
+//! Parked cells live until the `Sim` drops, bounded by each kind's peak
+//! concurrency. A cell is not a slot: task ids are handed out as if every
+//! spawn were boxed, so nothing scheduled depends on what is parked. Every
+//! spawn is pooled, joined or detached — measured, not taste: a variant that
+//! recycled only `spawn_detached` and freed joined tasks' boxes at
+//! completion tipped `coopcache_farm` `peak_rss_mb` from 18.1 to 31.6 MiB
+//! (heap layout around the 2 MiB per-node `calloc`s; reproducible 2/2),
+//! while pooling both reads 18.1–18.2. (Rebuilt on this tree: 30.4 and
+//! 30.5 MiB against 18.3 and 18.4.)
 //!
 //! Tasks are `!Send` futures (`Rc`-based state sharing is the norm in this
 //! workspace), and the waker path is single-threaded too: wakers are built
 //! by hand over `Rc` state (see [`local_waker`]), so waking is a `RefCell`
 //! push with no atomics anywhere on the hot path.
 
+use std::any::{Any, TypeId};
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::future::Future;
@@ -29,7 +47,52 @@ use crate::wheel::TimerWheel;
 /// Identifier of a spawned task within one [`Sim`].
 pub type TaskId = usize;
 
-type BoxFuture = Pin<Box<dyn Future<Output = ()>>>;
+/// A task's heap cell, `Option<F>` seen without its type: `Some` while the
+/// task lives, `None` once it has finished and the cell is parked.
+trait TaskCell {
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()>;
+
+    /// Drop the finished future in place, leaving the cell empty.
+    fn clear(self: Pin<&mut Self>);
+
+    /// Move the future out of `fut` — an `Option<F>` of this cell's own `F`,
+    /// holding one — into this empty cell.
+    fn refill(self: Pin<&mut Self>, fut: &mut dyn Any);
+
+    /// Size of the future, whether or not one is held: what `Box::pin(fut)`
+    /// would have allocated.
+    fn future_bytes(&self) -> usize;
+}
+
+impl<F: Future<Output = ()> + 'static> TaskCell for Option<F> {
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        self.as_pin_mut().expect("empty task cell polled").poll(cx)
+    }
+
+    fn clear(mut self: Pin<&mut Self>) {
+        self.set(None);
+    }
+
+    fn refill(mut self: Pin<&mut Self>, fut: &mut dyn Any) {
+        debug_assert!(self.is_none(), "live task cell refilled");
+        let fut = fut.downcast_mut::<Option<F>>();
+        self.set(fut.expect("cell parked under another type's id").take());
+    }
+
+    fn future_bytes(&self) -> usize {
+        std::mem::size_of::<F>()
+    }
+}
+
+type BoxCell = Pin<Box<dyn TaskCell>>;
+
+/// The parked cells of one future type. Most kinds never have two tasks
+/// finished at once, so the first parked cell needs no list.
+struct Kind {
+    id: TypeId,
+    first: Option<BoxCell>,
+    more: Vec<BoxCell>,
+}
 
 /// FIFO wake queue shared between the executor and all task wakers.
 #[derive(Default)]
@@ -85,11 +148,13 @@ fn local_waker(w: Rc<TaskWaker>) -> Waker {
     unsafe { Waker::from_raw(RawWaker::new(Rc::into_raw(w) as *const (), &VTABLE)) }
 }
 
-/// One slab slot: the task's future (taken out while polling) and its
-/// cached waker, created once when the slot is first used and reused across
-/// every poll and every recycled spawn of the same slot.
+/// One slab slot: the task's cell (taken out while polling, gone to the
+/// registry once the task finishes), where in the registry that is, and the
+/// slot's cached waker, created once when the slot is first used and reused
+/// across every poll and every recycled spawn of the same slot.
 struct TaskSlot {
-    fut: Option<BoxFuture>,
+    cell: Option<BoxCell>,
+    kind: usize,
     waker: Waker,
 }
 
@@ -98,6 +163,9 @@ struct SimState {
     timers: RefCell<TimerWheel<Waker>>,
     tasks: RefCell<Vec<TaskSlot>>,
     free: RefCell<Vec<TaskId>>,
+    /// Empty cells of finished tasks by future type; an entry, once made,
+    /// keeps its index (`TaskSlot::kind`).
+    kinds: RefCell<Vec<Kind>>,
     ready: Rc<ReadyQueue>,
     seq: Cell<u64>,
     /// Number of tasks spawned and not yet completed.
@@ -116,6 +184,22 @@ impl SimState {
         let s = self.seq.get();
         self.seq.set(s + 1);
         s
+    }
+
+    /// Where future type `id` parks its cells (an entry is made on first
+    /// sight), and one of them if any is parked.
+    fn take_parked(&self, id: TypeId) -> (usize, Option<BoxCell>) {
+        let mut kinds = self.kinds.borrow_mut();
+        let kind = kinds.iter().position(|k| k.id == id).unwrap_or_else(|| {
+            kinds.push(Kind {
+                id,
+                first: None,
+                more: Vec::new(),
+            });
+            kinds.len() - 1
+        });
+        let k = &mut kinds[kind];
+        (kind, k.more.pop().or_else(|| k.first.take()))
     }
 
     fn counters(&self) -> SimCounters {
@@ -214,6 +298,7 @@ impl Sim {
                 timers: RefCell::new(TimerWheel::new()),
                 tasks: RefCell::new(Vec::new()),
                 free: RefCell::new(Vec::new()),
+                kinds: RefCell::new(Vec::new()),
                 ready: Rc::new(ReadyQueue::default()),
                 seq: Cell::new(0),
                 live: Cell::new(0),
@@ -260,10 +345,11 @@ impl Sim {
 
     /// Size in bytes of every live task's future, in slot order: what each
     /// task (one per connection, per service, ...) holds while it lives.
+    /// Parked cells hold no future and are not listed.
     pub fn task_bytes(&self) -> Vec<usize> {
         let tasks = self.st.tasks.borrow();
-        let live = tasks.iter().filter_map(|slot| slot.fut.as_deref());
-        live.map(std::mem::size_of_val).collect()
+        let live = tasks.iter().filter_map(|slot| slot.cell.as_deref());
+        live.map(TaskCell::future_bytes).collect()
     }
 
     /// Spawn a task onto the executor; see [`SimHandle::spawn`].
@@ -378,30 +464,39 @@ impl Sim {
         // Every dequeue from the ready queue lands here, so this counts the
         // wake events the run loop consumed (spurious ones included).
         self.st.events.set(self.st.events.get() + 1);
-        // Take the future out of its slot while polling so that re-entrant
+        // Take the cell out of its slot while polling so that re-entrant
         // spawns and wakes never observe a borrowed slab. The slot's cached
         // waker is cloned (a refcount bump, not an allocation) for the same
         // reason.
-        let fut = {
+        let task = {
             let mut tasks = self.st.tasks.borrow_mut();
             match tasks.get_mut(tid) {
-                Some(slot) => slot.fut.take().map(|f| (f, slot.waker.clone())),
+                Some(slot) => slot.cell.take().map(|c| (c, slot.kind, slot.waker.clone())),
                 None => None,
             }
         };
-        let Some((mut fut, waker)) = fut else {
+        let Some((mut cell, kind, waker)) = task else {
             // Spurious wake of a completed (or currently-polling) task.
             return;
         };
         self.st.polls.set(self.st.polls.get() + 1);
         let mut cx = Context::from_waker(&waker);
-        match fut.as_mut().poll(&mut cx) {
+        match cell.as_mut().poll(&mut cx) {
             Poll::Ready(()) => {
                 self.st.free.borrow_mut().push(tid);
                 self.st.live.set(self.st.live.get() - 1);
+                // The future goes now, as when its box was freed here (its
+                // `Drop` may spawn or wake); only storage is parked.
+                cell.as_mut().clear();
+                let mut kinds = self.st.kinds.borrow_mut();
+                let kind = &mut kinds[kind];
+                match kind.first {
+                    None => kind.first = Some(cell),
+                    Some(_) => kind.more.push(cell),
+                }
             }
             Poll::Pending => {
-                self.st.tasks.borrow_mut()[tid].fut = Some(fut);
+                self.st.tasks.borrow_mut()[tid].cell = Some(cell);
             }
         }
     }
@@ -418,38 +513,54 @@ where
         finished: false,
     }));
     let join2 = Rc::clone(&join);
-    spawn_boxed_on(
-        st,
-        Box::pin(async move {
-            let out = fut.await;
-            let mut j = join2.borrow_mut();
-            j.result = Some(out);
-            j.finished = true;
-            if let Some(w) = j.waker.take() {
-                w.wake();
-            }
-        }),
-    );
+    spawn_detached_on(st, async move {
+        let out = fut.await;
+        let mut j = join2.borrow_mut();
+        j.result = Some(out);
+        j.finished = true;
+        if let Some(w) = j.waker.take() {
+            w.wake();
+        }
+    });
     JoinHandle { join }
 }
 
-/// Enqueue an already-boxed task with no join state. Scheduling is identical
-/// to [`spawn_on`] — same slot reuse, same ready-queue push — so swapping a
+/// Enqueue a task with no join state. Scheduling is identical to
+/// [`spawn_on`] — same slot reuse, same ready-queue push — so swapping a
 /// discarded-handle `spawn` for this changes no event order, only the
-/// allocations (no `JoinState`, no second box around the future).
-fn spawn_boxed_on(st: &Rc<SimState>, fut: BoxFuture) {
+/// allocations (no `JoinState`). The future goes into a parked cell of its
+/// own type if there is one, else into a new box. Returns the task's id,
+/// which the model test compares with the always-boxing executor's.
+fn spawn_detached_on<F: Future<Output = ()> + 'static>(st: &Rc<SimState>, fut: F) -> TaskId {
+    let (kind, parked) = st.take_parked(TypeId::of::<F>());
+    let mut fut = Some(fut);
+    let cell = match parked {
+        Some(mut cell) => {
+            cell.as_mut().refill(&mut fut);
+            cell
+        }
+        None => Box::pin(fut),
+    };
+    enqueue(st, cell, kind)
+}
+
+/// Give `cell` a task id — the most recently freed one, else a new slot —
+/// and make it runnable.
+fn enqueue(st: &Rc<SimState>, cell: BoxCell, kind: usize) -> TaskId {
     let tid = {
         let mut tasks = st.tasks.borrow_mut();
         match st.free.borrow_mut().pop() {
             Some(id) => {
                 // Recycled slot: the cached waker still names this id.
-                tasks[id].fut = Some(fut);
+                tasks[id].cell = Some(cell);
+                tasks[id].kind = kind;
                 id
             }
             None => {
                 let id = tasks.len();
                 tasks.push(TaskSlot {
-                    fut: Some(fut),
+                    cell: Some(cell),
+                    kind,
                     waker: local_waker(Rc::new(TaskWaker {
                         id,
                         ready: Rc::clone(&st.ready),
@@ -461,6 +572,7 @@ fn spawn_boxed_on(st: &Rc<SimState>, fut: BoxFuture) {
     };
     st.live.set(st.live.get() + 1);
     st.ready.q.borrow_mut().push_back(tid);
+    tid
 }
 
 /// Cloneable accessor used inside tasks: clock reads, sleeping, spawning.
@@ -541,7 +653,7 @@ impl SimHandle {
     where
         F: Future<Output = ()> + 'static,
     {
-        spawn_boxed_on(&self.state(), Box::pin(fut));
+        spawn_detached_on(&self.state(), fut);
     }
 }
 
@@ -666,6 +778,7 @@ impl<T> Future for JoinHandle<T> {
 mod tests {
     use super::*;
     use crate::time::{ms, us};
+    use proptest::prelude::*;
 
     #[test]
     fn clock_starts_at_zero_and_advances_by_sleep() {
@@ -841,6 +954,374 @@ mod tests {
         }
         sim.run();
         assert_eq!(sim.st.tasks.borrow().len(), before);
+    }
+
+    /// Cells parked in the registry, over all kinds.
+    fn parked(sim: &Sim) -> usize {
+        let kinds = sim.st.kinds.borrow();
+        let per_kind = kinds
+            .iter()
+            .map(|k| usize::from(k.first.is_some()) + k.more.len());
+        per_kind.sum()
+    }
+
+    /// Appends its name to the log when dropped.
+    struct Probe(&'static str, Rc<RefCell<Vec<&'static str>>>);
+
+    impl Drop for Probe {
+        fn drop(&mut self) {
+            self.1.borrow_mut().push(self.0);
+        }
+    }
+
+    /// A hand-written future: what it holds goes when the future object is
+    /// dropped, not — as an `async` block's locals do — when it returns.
+    /// Logs the address it is polled at.
+    struct Holding<const KIND: u8> {
+        sleep: Sleep,
+        at: Rc<RefCell<Vec<usize>>>,
+        _held: Option<Probe>,
+    }
+
+    impl<const KIND: u8> Future for Holding<KIND> {
+        type Output = ();
+
+        fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+            let addr = &*self as *const Self as usize;
+            self.at.borrow_mut().push(addr);
+            Pin::new(&mut self.sleep).poll(cx)
+        }
+    }
+
+    #[test]
+    fn finished_task_is_dropped_at_completion_not_at_refill_or_sim_drop() {
+        let sim = Sim::new();
+        let h = sim.handle();
+        let log: Rc<RefCell<Vec<&'static str>>> = Rc::default();
+        let holding = |name, until| Holding::<0> {
+            sleep: h.sleep_until(until),
+            at: Rc::default(),
+            _held: Some(Probe(name, Rc::clone(&log))),
+        };
+        h.spawn_detached(holding("first dropped", us(5)));
+        let (l, hh) = (Rc::clone(&log), h.clone());
+        h.spawn_detached(async move {
+            // Same instant, polled right after the first task finished.
+            hh.sleep_until(us(5)).await;
+            l.borrow_mut().push("peer ran");
+        });
+        sim.run();
+        assert_eq!(parked(&sim), 2);
+        log.borrow_mut().push("refill");
+        h.spawn_detached(holding("second dropped", us(9)));
+        sim.run();
+        log.borrow_mut().push("sim dropped");
+        drop(sim);
+        assert_eq!(
+            *log.borrow(),
+            [
+                "first dropped",
+                "peer ran",
+                "refill",
+                "second dropped",
+                "sim dropped"
+            ]
+        );
+    }
+
+    /// Spawns the next link of its own kind from inside its poll.
+    struct Chain {
+        h: SimHandle,
+        left: u32,
+        at: Rc<RefCell<Vec<usize>>>,
+    }
+
+    impl Future for Chain {
+        type Output = ();
+
+        fn poll(self: Pin<&mut Self>, _: &mut Context<'_>) -> Poll<()> {
+            self.at.borrow_mut().push(&*self as *const Self as usize);
+            if self.left > 0 {
+                self.h.spawn_detached(Chain {
+                    h: self.h.clone(),
+                    left: self.left - 1,
+                    at: Rc::clone(&self.at),
+                });
+            }
+            Poll::Ready(())
+        }
+    }
+
+    #[test]
+    fn task_spawning_its_own_kind_mid_poll_gets_a_fresh_box() {
+        let sim = Sim::new();
+        let at: Rc<RefCell<Vec<usize>>> = Rc::default();
+        sim.handle().spawn_detached(Chain {
+            h: sim.handle(),
+            left: 5,
+            at: Rc::clone(&at),
+        });
+        sim.run();
+        let at = at.borrow();
+        // The cell being polled is not in the registry, so the first child
+        // lands in a second box; from then on the two take turns.
+        assert_ne!(at[0], at[1]);
+        assert_eq!(*at, [at[0], at[1], at[0], at[1], at[0], at[1]]);
+        assert_eq!(parked(&sim), 2);
+    }
+
+    #[test]
+    fn kinds_of_identical_layout_never_share_a_cell() {
+        use std::alloc::Layout;
+        assert_eq!(Layout::new::<Holding<0>>(), Layout::new::<Holding<1>>());
+        let sim = Sim::new();
+        let h = sim.handle();
+        let at: Rc<RefCell<Vec<usize>>> = Rc::default();
+        fn idle<const KIND: u8>(h: &SimHandle, at: &Rc<RefCell<Vec<usize>>>) -> Holding<KIND> {
+            Holding {
+                sleep: h.sleep(0),
+                at: Rc::clone(at),
+                _held: None,
+            }
+        }
+        // One task at a time: kind 0, kind 1, kind 0 again.
+        h.spawn_detached(idle::<0>(&h, &at));
+        sim.run();
+        h.spawn_detached(idle::<1>(&h, &at));
+        sim.run();
+        h.spawn_detached(idle::<0>(&h, &at));
+        sim.run();
+        let at = at.borrow();
+        assert_ne!(at[0], at[1], "kind 1 ran in kind 0's parked cell");
+        assert_eq!(at[0], at[2], "kind 0's respawn did not reuse its cell");
+        assert_eq!(parked(&sim), 2);
+    }
+
+    #[test]
+    fn sim_drop_drops_parked_and_live_futures_exactly_once() {
+        let sim = Sim::new();
+        let h = sim.handle();
+        let log: Rc<RefCell<Vec<&'static str>>> = Rc::default();
+        let holding = |name, until| Holding::<0> {
+            sleep: h.sleep_until(until),
+            at: Rc::default(),
+            _held: Some(Probe(name, Rc::clone(&log))),
+        };
+        h.spawn_detached(holding("finished", us(1)));
+        h.spawn_detached(holding("finished too", us(2)));
+        h.spawn_detached(holding("refilled, live", us(50)));
+        h.spawn_detached(holding("live", us(60)));
+        sim.run_until(us(3));
+        // The two finished tasks' cells: one refilled, one still parked.
+        h.spawn_detached(holding("late, live", us(70)));
+        assert_eq!((sim.live_tasks(), parked(&sim)), (3, 1));
+        drop(sim);
+        let mut dropped = log.borrow().clone();
+        dropped.sort_unstable();
+        assert_eq!(
+            dropped,
+            [
+                "finished",
+                "finished too",
+                "late, live",
+                "live",
+                "refilled, live"
+            ]
+        );
+    }
+
+    #[test]
+    fn live_tasks_and_task_bytes_ignore_parked_cells() {
+        let sim = Sim::new();
+        let h = sim.handle();
+        for i in 0..4u64 {
+            let hh = h.clone();
+            h.spawn_detached(async move { hh.sleep(us(1 + i)).await });
+        }
+        h.spawn_detached(std::future::pending::<()>());
+        assert_eq!(sim.live_tasks(), 5);
+        assert_eq!(sim.task_bytes().len(), 5);
+        sim.run();
+        assert_eq!(parked(&sim), 4);
+        assert_eq!(sim.live_tasks(), 1);
+        // What is listed is the live future at its own size, not the cell's.
+        let pending = std::mem::size_of::<std::future::Pending<()>>();
+        assert_eq!(sim.task_bytes(), [pending]);
+    }
+
+    // ---- model test: cell reuse against the always-`Box::pin` executor ----
+
+    /// The spawn of the executor before cells were kept, as the reference: a
+    /// new box every time. The parked cell it takes out is freed, as every
+    /// finished task's box was.
+    fn spawn_boxed_on<F: Future<Output = ()> + 'static>(st: &Rc<SimState>, fut: F) -> TaskId {
+        let (kind, _freed) = st.take_parked(TypeId::of::<F>());
+        enqueue(st, Box::pin(Some(fut)), kind)
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Sleep(SimTime),
+        Yield,
+        /// Wait for the earlier of two timers; the later one stays in the
+        /// wheel and fires at whatever task holds this task's id by then.
+        Race(SimTime, SimTime),
+        /// Spawn a task of kind `.0 % 3` running `.1`.
+        Spawn(u8, Vec<Op>),
+    }
+
+    #[derive(Debug, PartialEq)]
+    enum Event {
+        Spawned { task: u32, tid: TaskId },
+        Finished { task: u32, at: SimTime },
+    }
+
+    struct Model {
+        st: Weak<SimState>,
+        /// Spawn through [`spawn_boxed_on`] instead of the executor's own.
+        reference: bool,
+        log: RefCell<Vec<Event>>,
+        spawned: Cell<u32>,
+    }
+
+    impl Model {
+        fn spawn(self: &Rc<Self>, kind: u8, prog: Vec<Op>) {
+            let task = self.spawned.get();
+            self.spawned.set(task + 1);
+            let tid = match kind % 3 {
+                0 => self.spawn_as(Interp::<0>::new(self, task, prog)),
+                1 => self.spawn_as(Interp::<1>::new(self, task, prog)),
+                _ => self.spawn_as(Interp::<2>::new(self, task, prog)),
+            };
+            self.log.borrow_mut().push(Event::Spawned { task, tid });
+        }
+
+        fn spawn_as<F: Future<Output = ()> + 'static>(&self, fut: F) -> TaskId {
+            let st = self.st.upgrade().expect("model outlived its Sim");
+            if self.reference {
+                spawn_boxed_on(&st, fut)
+            } else {
+                spawn_detached_on(&st, fut)
+            }
+        }
+    }
+
+    enum Wait {
+        Sleep(Sleep),
+        Yield(YieldNow),
+        Race(Sleep, Sleep),
+    }
+
+    /// Runs one task's program; `KIND` only makes three future types of it.
+    struct Interp<const KIND: u8> {
+        model: Rc<Model>,
+        task: u32,
+        prog: Vec<Op>,
+        pc: usize,
+        wait: Option<Wait>,
+    }
+
+    impl<const KIND: u8> Interp<KIND> {
+        fn new(model: &Rc<Model>, task: u32, prog: Vec<Op>) -> Self {
+            Interp {
+                model: Rc::clone(model),
+                task,
+                prog,
+                pc: 0,
+                wait: None,
+            }
+        }
+    }
+
+    impl<const KIND: u8> Future for Interp<KIND> {
+        type Output = ();
+
+        fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+            let this = &mut *self;
+            let h = SimHandle {
+                st: this.model.st.clone(),
+            };
+            loop {
+                let waited = match &mut this.wait {
+                    None => Poll::Ready(()),
+                    Some(Wait::Sleep(s)) => Pin::new(s).poll(cx),
+                    Some(Wait::Yield(y)) => Pin::new(y).poll(cx),
+                    Some(Wait::Race(a, b)) => match Pin::new(a).poll(cx) {
+                        Poll::Ready(()) => Poll::Ready(()),
+                        Poll::Pending => Pin::new(b).poll(cx),
+                    },
+                };
+                if waited.is_pending() {
+                    return Poll::Pending;
+                }
+                let Some(op) = this.prog.get(this.pc) else {
+                    let (task, at) = (this.task, h.now());
+                    let finished = Event::Finished { task, at };
+                    this.model.log.borrow_mut().push(finished);
+                    return Poll::Ready(());
+                };
+                this.pc += 1;
+                this.wait = match op {
+                    Op::Sleep(d) => Some(Wait::Sleep(h.sleep(*d))),
+                    Op::Yield => Some(Wait::Yield(h.yield_now())),
+                    Op::Race(a, b) => Some(Wait::Race(h.sleep(*a), h.sleep(*b))),
+                    Op::Spawn(kind, prog) => {
+                        this.model.spawn(*kind, prog.clone());
+                        None
+                    }
+                };
+            }
+        }
+    }
+
+    fn run_model(prog: &[Op], reference: bool) -> (Vec<Event>, SimCounters) {
+        let sim = Sim::new();
+        let model = Rc::new(Model {
+            st: Rc::downgrade(&sim.st),
+            reference,
+            log: RefCell::default(),
+            spawned: Cell::new(0),
+        });
+        model.spawn(0, prog.to_vec());
+        sim.run();
+        assert_eq!(sim.live_tasks(), 0);
+        let log = model.log.take();
+        (log, sim.counters())
+    }
+
+    /// Programs three spawn levels deep; durations are small so that tasks
+    /// of all kinds finish and respawn around each other's stale timers.
+    fn program() -> impl Strategy<Value = Vec<Op>> {
+        fn level<S: Strategy<Value = Vec<Op>>>(child: S) -> impl Strategy<Value = Vec<Op>> {
+            let op =
+                (0u8..8, 0u64..40, 0u64..40, child).prop_map(|(which, a, b, child)| match which {
+                    0 | 1 => Op::Sleep(a),
+                    2 => Op::Yield,
+                    3 => Op::Race(a, b),
+                    _ => Op::Spawn(which, child),
+                });
+            prop::collection::vec(op, 0..10)
+        }
+        let leaf = (0u8..3, 0u64..40, 0u64..40).prop_map(|(which, a, b)| match which {
+            0 => Op::Sleep(a),
+            1 => Op::Yield,
+            _ => Op::Race(a, b),
+        });
+        level(level(prop::collection::vec(leaf, 0..5)))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Refilling a parked cell is not observable: the same completion
+        /// log, task ids and scheduler counters as boxing every spawn.
+        #[test]
+        fn cell_reuse_schedules_like_boxing_every_spawn(prog in program()) {
+            let (log, counters) = run_model(&prog, false);
+            let (ref_log, ref_counters) = run_model(&prog, true);
+            prop_assert_eq!(log, ref_log);
+            prop_assert_eq!(counters, ref_counters);
+        }
     }
 
     #[test]

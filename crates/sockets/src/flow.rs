@@ -119,14 +119,28 @@ impl Iterator for Frames {
 }
 
 /// Receiver-side reassembly of chunks back into application messages.
-/// Chunks must arrive in order (the streams are SPSC FIFO lanes). A
-/// single-chunk message comes back as the very buffer that was sent; a
-/// multi-chunk one is copied once into a buffer sized by its FIRST chunk.
+/// Chunks must arrive in order (the streams are SPSC FIFO lanes). [`frame`]
+/// cuts a message into adjacent windows of one buffer, and they rejoin
+/// here: a message of any chunk count comes back as the very buffer that
+/// was sent. Chunks that are not such windows — of an inline (≤ 30-byte) or
+/// static message, whose windows are values of their own, or built by hand
+/// from separate buffers — are copied once into a buffer sized by the FIRST
+/// chunk.
 #[derive(Default)]
 pub struct Reassembler {
-    buf: Vec<u8>,
+    partial: Partial,
     expected: usize,
-    in_message: bool,
+}
+
+/// The message being reassembled.
+#[derive(Default)]
+enum Partial {
+    #[default]
+    None,
+    /// Every chunk so far continued the one before: their union.
+    Window(Bytes),
+    /// Some chunk did not: everything so far, copied.
+    Copy(Vec<u8>),
 }
 
 impl Reassembler {
@@ -138,32 +152,55 @@ impl Reassembler {
     /// Feed one wire chunk; returns the completed message if this chunk
     /// finished one.
     pub fn feed(&mut self, chunk: Chunk) -> Option<Bytes> {
-        if chunk.first {
-            assert!(
-                !self.in_message,
-                "FIRST chunk arrived mid-message (framing violated)"
-            );
-            if chunk.data.len() == chunk.total {
-                return Some(chunk.data);
+        let got = match std::mem::take(&mut self.partial) {
+            Partial::None => {
+                assert!(chunk.first, "CONT chunk without a FIRST");
+                self.expected = chunk.total;
+                Partial::Window(chunk.data)
             }
-            self.expected = chunk.total;
-            self.buf = Vec::with_capacity(chunk.total);
-            self.in_message = true;
-        } else {
-            assert!(self.in_message, "CONT chunk without a FIRST");
-        }
-        self.buf.extend_from_slice(&chunk.data);
+            _ if chunk.first => panic!("FIRST chunk arrived mid-message (framing violated)"),
+            Partial::Window(mut head) => match head.try_unsplit(chunk.data) {
+                Ok(()) => Partial::Window(head),
+                Err(data) => {
+                    let mut buf = Vec::with_capacity(self.expected);
+                    buf.extend_from_slice(&head);
+                    buf.extend_from_slice(&data);
+                    Partial::Copy(buf)
+                }
+            },
+            Partial::Copy(mut buf) => {
+                buf.extend_from_slice(&chunk.data);
+                Partial::Copy(buf)
+            }
+        };
+        let len = got.len();
         assert!(
-            self.buf.len() <= self.expected,
-            "reassembly overflow: got {} of {}",
-            self.buf.len(),
+            len <= self.expected,
+            "reassembly overflow: got {len} of {}",
             self.expected
         );
-        if self.buf.len() == self.expected {
-            self.in_message = false;
-            Some(Bytes::from(std::mem::take(&mut self.buf)))
-        } else {
-            None
+        if len < self.expected {
+            self.partial = got;
+            return None;
+        }
+        Some(got.into_bytes())
+    }
+}
+
+impl Partial {
+    fn len(&self) -> usize {
+        match self {
+            Partial::None => 0,
+            Partial::Window(head) => head.len(),
+            Partial::Copy(buf) => buf.len(),
+        }
+    }
+
+    fn into_bytes(self) -> Bytes {
+        match self {
+            Partial::None => Bytes::new(),
+            Partial::Window(head) => head,
+            Partial::Copy(buf) => Bytes::from(buf),
         }
     }
 }
@@ -193,7 +230,17 @@ mod tests {
                 out = res;
             }
         }
-        assert_eq!(&out.expect("message did not complete")[..], &data[..]);
+        let out = out.expect("message did not complete");
+        assert_eq!(&out[..], &data[..]);
+        // `Bytes::from(Vec)` shares anything over 30 bytes: its chunks are
+        // windows of that buffer, and what comes back is that buffer.
+        if len > 30 {
+            assert_eq!(
+                out.as_ptr(),
+                data.as_ptr(),
+                "{len} B at cap {cap} was copied"
+            );
+        }
     }
 
     #[test]
@@ -209,6 +256,30 @@ mod tests {
         round_trip(1000, 64);
         round_trip(8192, 8192);
         round_trip(100_000, 8192);
+    }
+
+    #[test]
+    fn windows_that_do_not_rejoin_are_copied_once() {
+        // An inline message's windows are small values of their own.
+        round_trip(24, 12);
+        // Chunks built by hand from separate buffers, after two that rejoin.
+        let whole = Bytes::from(vec![1u8; 100]);
+        let foreign = Bytes::from(vec![2u8; 50]);
+        let mut r = Reassembler::new();
+        let chunk = |first, data| Chunk {
+            first,
+            total: 200,
+            data,
+        };
+        assert!(r.feed(chunk(true, whole.slice(..60))).is_none());
+        assert!(r.feed(chunk(false, whole.slice(60..))).is_none());
+        assert!(r.feed(chunk(false, foreign.clone())).is_none());
+        let got = r.feed(chunk(false, foreign.clone())).unwrap();
+        assert_eq!(got.len(), 200);
+        assert_eq!((&got[..100], &got[100..150]), (&whole[..], &foreign[..]));
+        assert_eq!(&got[150..], &foreign[..]);
+        // The reassembler is idle again, and back to rejoining.
+        round_trip(1000, 64);
     }
 
     #[test]

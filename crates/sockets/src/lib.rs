@@ -34,9 +34,9 @@
 //! once on the host — chunks are windows of that buffer, chunk headers ride
 //! the fabric's immediate word ([`flow`]), and every copy the modelled
 //! stacks make is charged in virtual time only. `send(&[u8])` copies the
-//! slice into a buffer once and delegates. `recv` returns a single-chunk
-//! message as the very buffer that was sent and a multi-chunk one as one
-//! freshly reassembled buffer.
+//! slice into a buffer once and delegates. `recv` returns a message of any
+//! chunk count as the very buffer that was sent: the receiver rejoins the
+//! windows ([`flow::Reassembler`]).
 
 //! ```
 //! use dc_sim::Sim;

@@ -249,8 +249,9 @@ impl StreamEnd {
     /// copied and flow control admits it; AzSdp completes after the memory
     /// protection, with the transfer in flight. The copies those stacks
     /// make are charged in virtual time only: on the host, chunks are
-    /// windows of `data`, and a single-chunk message reaches the peer's
-    /// [`StreamEnd::recv`] as this very buffer.
+    /// windows of `data` that the receiver rejoins, so a message of any
+    /// chunk count reaches the peer's [`StreamEnd::recv`] as this very
+    /// buffer (one of at most 30 bytes, or a static one, as an equal copy).
     pub async fn send_bytes(&mut self, data: Bytes) {
         // Each admission rule is a future of its own (the lane's,
         // `AzTx::send`, `WindowTx::send`) rather than one body with three

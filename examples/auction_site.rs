@@ -78,7 +78,7 @@ fn main() {
             h.sleep_until(ms(50)).await;
             for _ in 0..6 {
                 let c = cpu.clone();
-                h.spawn(async move { c.execute(secs(2)).await });
+                h.spawn_detached(async move { c.execute(secs(2)).await });
             }
         });
     }

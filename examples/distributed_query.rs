@@ -29,7 +29,7 @@ fn run_sockets(records: usize) -> u64 {
         SocketsConfig::default(),
     );
     let cl = cluster.clone();
-    sim.spawn(async move {
+    sim.handle().spawn_detached(async move {
         let _query = server.recv().await;
         cl.cpu(NodeId(1)).execute(q.scan_ns()).await;
         let result = Bytes::from(vec![1u8; CHUNK]);
@@ -67,7 +67,7 @@ fn run_ddss(records: usize) -> u64 {
     let mut query_ep = bind_raw(&cluster, NodeId(1), query_port);
     let server = ddss.client(NodeId(1));
     let cl = cluster.clone();
-    sim.spawn(async move {
+    sim.handle().spawn_detached(async move {
         let _query = query_ep.recv().await;
         cl.cpu(NodeId(1)).execute(q.scan_ns()).await;
         let mut notice = Vec::new();

@@ -28,7 +28,7 @@ fn stream(kind: StreamKind, size: usize, count: usize) -> (f64, f64) {
         h.now()
     });
     let payload = Bytes::from(vec![7u8; size]);
-    sim.spawn(async move {
+    sim.handle().spawn_detached(async move {
         for _ in 0..count {
             tx.send_bytes(payload.clone()).await;
         }
