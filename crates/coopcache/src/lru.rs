@@ -4,8 +4,12 @@
 //! what recency order; the bytes themselves live in the registered region so
 //! remote proxies can fetch them with one-sided RDMA. Placement reuses the
 //! DDSS free-list allocator.
-
-use std::collections::BTreeMap;
+//!
+//! Recency is a doubly linked list threaded through the map's own entries
+//! by document id — least recent at `head`, most recent at `tail` — so a
+//! touch is an unlink and a push to the back, an eviction pops the head, and
+//! neither allocates: the map is the only node storage, and it grows to the
+//! most documents ever resident once.
 
 use dc_ddss::alloc::FreeListAllocator;
 use dc_sim::fxhash::FxHashMap;
@@ -17,7 +21,10 @@ pub type DocId = u32;
 struct Entry {
     offset: usize,
     size: usize,
-    seq: u64,
+    /// Next less recently used document.
+    prev: Option<DocId>,
+    /// Next more recently used document.
+    next: Option<DocId>,
 }
 
 /// An evicted document: `(doc, offset, size)`.
@@ -26,9 +33,11 @@ pub type Evicted = (DocId, usize, usize);
 /// LRU bookkeeping for a cache region of fixed byte capacity.
 pub struct LruStore {
     map: FxHashMap<DocId, Entry>,
-    order: BTreeMap<u64, DocId>,
+    /// Least recently used document: the next victim.
+    head: Option<DocId>,
+    /// Most recently used document.
+    tail: Option<DocId>,
     alloc: FreeListAllocator,
-    next_seq: u64,
     bytes_used: usize,
     /// Eviction buffer handed back through [`LruStore::recycle`].
     spare: Vec<Evicted>,
@@ -39,9 +48,9 @@ impl LruStore {
     pub fn new(capacity: usize) -> LruStore {
         LruStore {
             map: FxHashMap::default(),
-            order: BTreeMap::new(),
+            head: None,
+            tail: None,
             alloc: FreeListAllocator::new(capacity),
-            next_seq: 0,
             bytes_used: 0,
             spare: Vec::new(),
         }
@@ -74,11 +83,11 @@ impl LruStore {
 
     /// Look up `doc`, refreshing its recency. Returns `(offset, size)`.
     pub fn get(&mut self, doc: DocId) -> Option<(usize, usize)> {
-        let seq = self.bump_seq();
-        let e = self.map.get_mut(&doc)?;
-        self.order.remove(&e.seq);
-        e.seq = seq;
-        self.order.insert(seq, doc);
+        let e = *self.map.get(&doc)?;
+        if e.next.is_some() {
+            self.unlink(e);
+            self.push_back(doc);
+        }
         Some((e.offset, e.size))
     }
 
@@ -102,16 +111,24 @@ impl LruStore {
                 break off;
             }
             // Evict the least recently used entry and retry.
-            let (&seq, &victim) = self.order.iter().next()?;
-            self.order.remove(&seq);
-            let e = self.map.remove(&victim).expect("order/map divergence");
+            let victim = self.head?;
+            let e = self
+                .map
+                .remove(&victim)
+                .expect("recency list/map divergence");
+            self.unlink(e);
             self.alloc.free(e.offset, e.size);
             self.bytes_used -= e.size;
             evicted.push((victim, e.offset, e.size));
         };
-        let seq = self.bump_seq();
-        self.map.insert(doc, Entry { offset, size, seq });
-        self.order.insert(seq, doc);
+        let e = Entry {
+            offset,
+            size,
+            prev: None,
+            next: None,
+        };
+        self.map.insert(doc, e);
+        self.push_back(doc);
         self.bytes_used += size;
         Some((offset, evicted))
     }
@@ -125,16 +142,40 @@ impl LruStore {
     /// Remove `doc` explicitly (e.g. invalidation). Returns its placement.
     pub fn remove(&mut self, doc: DocId) -> Option<(usize, usize)> {
         let e = self.map.remove(&doc)?;
-        self.order.remove(&e.seq);
+        self.unlink(e);
         self.alloc.free(e.offset, e.size);
         self.bytes_used -= e.size;
         Some((e.offset, e.size))
     }
 
-    fn bump_seq(&mut self) -> u64 {
-        let s = self.next_seq;
-        self.next_seq += 1;
-        s
+    /// The entry of `doc`, which the recency list names.
+    fn entry(&mut self, doc: DocId) -> &mut Entry {
+        self.map.get_mut(&doc).expect("recency list/map divergence")
+    }
+
+    /// Close the recency list over `e`'s place in it (`e` itself is left
+    /// as it was).
+    fn unlink(&mut self, e: Entry) {
+        match e.prev {
+            Some(p) => self.entry(p).next = e.next,
+            None => self.head = e.next,
+        }
+        match e.next {
+            Some(n) => self.entry(n).prev = e.prev,
+            None => self.tail = e.prev,
+        }
+    }
+
+    /// Link `doc`, already in the map, in as the most recently used.
+    fn push_back(&mut self, doc: DocId) {
+        let prev = self.tail.replace(doc);
+        match prev {
+            Some(t) => self.entry(t).next = Some(doc),
+            None => self.head = Some(doc),
+        }
+        let e = self.entry(doc);
+        e.prev = prev;
+        e.next = None;
     }
 }
 

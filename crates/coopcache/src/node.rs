@@ -15,7 +15,7 @@ use std::rc::Rc;
 use bytes::Bytes;
 use dc_fabric::{Cluster, NodeId, RegionId, RemoteAddr, Transport, WordTable};
 use dc_sim::fxhash::FxHashMap;
-use dc_sim::sync::Notify;
+use dc_sim::sync::Rendezvous;
 use dc_svc::{
     parse_request, respond, Cost, Dispatcher, Mode, Service, ServiceSpec, Subsys, SvcClient,
 };
@@ -60,8 +60,11 @@ struct Inner {
     /// Per document: its data-region offset + 1, or 0 when not cached here.
     index: WordTable,
     store: RefCell<LruStore>,
-    /// Documents being fetched; a `Notify` once a second requester waits.
-    inflight: RefCell<FxHashMap<DocId, Option<Notify>>>,
+    /// Documents being fetched, each with how many requesters joined the
+    /// fetch in flight.
+    inflight: RefCell<FxHashMap<DocId, u32>>,
+    /// Where joiners park: joiner `k` of a fetch of `doc` under `(doc, k)`.
+    joined: Rendezvous<(DocId, u32), ()>,
     directory: Directory,
     backend: Backend,
     client: SvcClient,
@@ -97,6 +100,7 @@ impl CacheNode {
                 index,
                 store: RefCell::new(LruStore::new(cfg.per_node_bytes)),
                 inflight: RefCell::default(),
+                joined: Rendezvous::new(),
                 directory,
                 backend,
                 client: SvcClient::new(cluster, node),
@@ -177,33 +181,43 @@ impl CacheNode {
     /// returns its data-region offset, or `None` if it cannot fit. Duplicate
     /// concurrent misses for one document coalesce into a single fetch.
     pub async fn ensure_local(&self, doc: DocId, size: usize) -> Option<usize> {
+        let inner = &*self.inner;
         loop {
-            if let Some((offset, _)) = self.inner.store.borrow_mut().get(doc) {
+            if let Some((offset, _)) = inner.store.borrow_mut().get(doc) {
                 return Some(offset);
             }
             // Join the fetch in flight, or become it.
-            let fetching = match self.inner.inflight.borrow_mut().entry(doc) {
-                Entry::Occupied(e) => Some(e.into_mut().get_or_insert_with(Notify::new).notified()),
+            let joiner = match inner.inflight.borrow_mut().entry(doc) {
+                Entry::Occupied(mut e) => {
+                    // A served joiner of the previous fetch that has not run
+                    // yet still holds its key: take the next free one.
+                    let mut k = *e.get();
+                    while inner.joined.contains((doc, k)) {
+                        k += 1;
+                    }
+                    *e.get_mut() = k + 1;
+                    Some(k)
+                }
                 Entry::Vacant(e) => {
-                    e.insert(None);
+                    e.insert(0);
                     None
                 }
             };
-            match fetching {
-                Some(fetched) => {
-                    fetched.await;
+            match joiner {
+                Some(k) => {
+                    inner.joined.wait((doc, k)).await;
                     continue; // re-check the store
                 }
                 None => {
                     let result = self.fetch_and_install(doc, size).await;
-                    let waiters = self
-                        .inner
+                    let joined = inner
                         .inflight
                         .borrow_mut()
                         .remove(&doc)
                         .expect("inflight entry vanished");
-                    if let Some(n) = waiters {
-                        n.notify_all();
+                    // Wake the joiners in the order they joined.
+                    for k in 0..joined {
+                        inner.joined.fulfil((doc, k), ());
                     }
                     return result;
                 }
@@ -425,6 +439,49 @@ mod tests {
         }
         sim.run();
         assert_eq!(a.backend_fetches(), 1, "coalescing failed");
+    }
+
+    /// Joiners a finished fetch has served hold their keys until they run,
+    /// which can be after the next fetch of the same document has gathered
+    /// joiners of its own. Here the document is uncacheable and the task
+    /// whose fetch ends goes straight on to two more requests for it — one
+    /// starts the next fetch, one joins it — before the two served joiners
+    /// run. The new joiner must take a key they do not hold, and each of
+    /// the five requests ends after fetching once.
+    #[test]
+    fn next_fetch_gathers_joiners_before_served_ones_run() {
+        use std::task::Poll;
+        let (sim, _c, a, _b, _fs) = setup(4 * 1024); // smaller than one doc
+        let first_done: Rc<Cell<bool>> = Rc::default();
+        let request = |fetcher: bool| {
+            let (a, first_done) = (a.clone(), Rc::clone(&first_done));
+            async move {
+                if !fetcher {
+                    std::future::poll_fn(|_| {
+                        if first_done.get() {
+                            Poll::Ready(())
+                        } else {
+                            Poll::Pending
+                        }
+                    })
+                    .await;
+                }
+                assert!(a.ensure_local(0, 8192).await.is_none());
+                first_done.set(true);
+            }
+        };
+        // One task: the first fetch, then (same wake-up) two more requests.
+        sim.spawn(dc_sim::join_all([
+            request(true),
+            request(false),
+            request(false),
+        ]));
+        for _ in 0..2 {
+            let a = a.clone();
+            sim.spawn(async move { assert!(a.ensure_local(0, 8192).await.is_none()) });
+        }
+        sim.run();
+        assert_eq!(a.backend_fetches(), 5);
     }
 
     #[test]

@@ -20,6 +20,10 @@
 //!    arguments, as a closure, so nothing is built with the tracer off.
 //! 5. [`Manager::spawn_home`] / [`Members::add`] — the one `ServiceSpec`
 //!    every agent, home and server service uses.
+//! 6. [`Manager::batch`] / [`Manager::recycle`] — where a design gets the
+//!    vector its outgoing messages travel in: a pool of emptied [`Batch`]es,
+//!    as large as the most batches ever alive at once, so a hand-off in
+//!    steady state allocates nothing.
 //!
 //! A design file holds only its protocol: word decode, message handlers,
 //! state machine and its own counters.
@@ -175,6 +179,9 @@ fn span_args<const N: usize>(lock: LockId, extra: Args<N>) -> Vec<(&'static str,
     args
 }
 
+/// Protocol messages posted together from one node: `(to, port, msg)`.
+pub(crate) type Batch = Vec<(NodeId, u16, DlmMsg)>;
+
 /// What every design shares besides lock words and membership: the
 /// cluster, the tunables, the home node, message posting and accounting.
 /// Held in an `Rc` so a posted message's task can carry it.
@@ -184,6 +191,8 @@ pub(crate) struct Manager {
     pub(crate) home: NodeId,
     acquires: Counter,
     lock_wait: HistHandle,
+    /// Emptied batches, handed out again by [`Manager::batch`].
+    spare: RefCell<Vec<Batch>>,
 }
 
 impl Manager {
@@ -195,7 +204,20 @@ impl Manager {
             home,
             acquires: metrics.counter("dlm.lock_acquires"),
             lock_wait: metrics.hist("dlm.lock_wait_ns"),
+            spare: RefCell::default(),
         })
+    }
+
+    /// An empty batch to fill: a recycled one when there is one.
+    pub(crate) fn batch(&self) -> Batch {
+        self.spare.borrow_mut().pop().unwrap_or_default()
+    }
+
+    /// Take a batch back once its messages are read: the next
+    /// [`Manager::batch`] hands out its buffer.
+    pub(crate) fn recycle(&self, mut batch: Batch) {
+        batch.clear();
+        self.spare.borrow_mut().push(batch);
     }
 
     /// Spawn the design's service on the home node (home agent or server).
@@ -263,14 +285,16 @@ impl Manager {
     }
 
     /// Post a batch from one node: the per-message issue delay serializes
-    /// (grants leave one by one) while the flights overlap.
-    pub(crate) fn post_batch(self: &Rc<Self>, from: NodeId, msgs: Vec<(NodeId, u16, DlmMsg)>) {
+    /// (grants leave one by one) while the flights overlap. The batch goes
+    /// back to the pool once the last message is in flight.
+    pub(crate) fn post_batch(self: &Rc<Self>, from: NodeId, msgs: Batch) {
         let mgr = Rc::clone(self);
         self.cluster.sim().spawn_detached(async move {
-            for (to, port, msg) in msgs {
+            for &(to, port, msg) in &msgs {
                 mgr.cluster.sim().sleep(mgr.cfg.grant_issue_ns).await;
                 mgr.flight(from, to, port, msg);
             }
+            mgr.recycle(msgs);
         });
     }
 

@@ -22,7 +22,7 @@
 //! `shared_seen` requesters counted by the successor's swap have been
 //! granted, so no request is ever orphaned by message/atomic races.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -31,7 +31,7 @@ use dc_svc::{Cost, Dispatcher};
 use dc_trace::Subsys;
 
 use crate::config::{DlmConfig, LockMode};
-use crate::manager::{Manager, Member, Members};
+use crate::manager::{Batch, Manager, Member, Members};
 use crate::msg::{req_flow_id, DlmMsg, LockId, T_EXCL_REQ, T_SH_RELEASE, T_SH_REQ, T_WAIT_SHARED};
 use crate::word::{LockWord, SHARED_FAA_DELTA};
 
@@ -71,8 +71,6 @@ struct Inner {
     table: WordTable,
     members: Members<Locks>,
     home_port: u16,
-    /// Grants issued (for tests/ablations).
-    grants_sent: Cell<u64>,
 }
 
 /// The N-CoSED lock manager. One instance manages `num_locks` locks homed
@@ -98,7 +96,6 @@ impl NcosedDlm {
                 table: WordTable::new(cluster, home, num_locks as usize),
                 members: Members::new(cluster),
                 home_port: cluster.alloc_port_for(home, "dlm.ncosed.home"),
-                grants_sent: Cell::new(0),
             }),
         };
         for &m in members {
@@ -178,25 +175,16 @@ impl NcosedDlm {
         }
     }
 
-    /// Total peer/home grants issued so far.
-    pub fn grants_sent(&self) -> u64 {
-        self.inner.grants_sent.get()
-    }
-
     /// Issue `msgs` from `from` to per-message destinations, serializing the
     /// per-message issue overhead (grants from one node leave one by one)
-    /// while their flights overlap.
-    fn issue(&self, from: NodeId, msgs: Vec<(NodeId, u16, DlmMsg)>) {
+    /// while their flights overlap. An empty batch goes straight back to
+    /// the pool.
+    fn issue(&self, from: NodeId, msgs: Batch) {
+        let Inner { mgr, members, .. } = &*self.inner;
         if msgs.is_empty() {
+            mgr.recycle(msgs);
             return;
         }
-        let Inner {
-            mgr,
-            members,
-            grants_sent,
-            ..
-        } = &*self.inner;
-        grants_sent.set(grants_sent.get() + msgs.len() as u64);
         // Open a flow arrow per protocol message so a grant in the trace
         // links back to the CAS/FAA that queued its requester. Ids derive
         // from protocol state, so the receiving agent closes the same arrow.
@@ -224,6 +212,13 @@ impl NcosedDlm {
         mgr.post_batch(from, msgs);
     }
 
+    /// [`NcosedDlm::issue`] of a single message.
+    fn issue_one(&self, from: NodeId, msg: (NodeId, u16, DlmMsg)) {
+        let mut batch = self.inner.mgr.batch();
+        batch.push(msg);
+        self.issue(from, batch);
+    }
+
     /// Drive a lock's granter-side state machine after any event.
     fn try_progress(&self, agent: &Member<Locks>, lock: LockId) {
         let Inner {
@@ -232,13 +227,13 @@ impl NcosedDlm {
             home_port,
             ..
         } = &*self.inner;
-        let mut outgoing: Vec<(NodeId, u16, DlmMsg)> = Vec::new();
-        {
+        let outgoing = {
             let mut locks = agent.state.borrow_mut();
             let ll = locks.entry(lock).or_default();
             if !ll.released {
                 return;
             }
+            let mut outgoing = mgr.batch();
             // Grant every queued shared requester (the cascade of Fig 5a).
             for y in ll.pending_shared.drain(..) {
                 let grant = DlmMsg::Grant {
@@ -280,7 +275,8 @@ impl NcosedDlm {
                     debug_assert!(ll.pending_shared.is_empty());
                 }
             }
-        }
+            outgoing
+        };
         self.issue(agent.node, outgoing);
     }
 
@@ -354,7 +350,7 @@ impl NcosedDlm {
                 lock,
                 exclusive: true,
             };
-            self.issue(mgr.home, vec![(waiter, members.get(waiter).port, grant)]);
+            self.issue_one(mgr.home, (waiter, members.get(waiter).port, grant));
         }
     }
 }
@@ -439,7 +435,7 @@ impl NcosedClient {
         let queued = request.is_some();
         if let Some(msg) = request {
             let granted = agent.park(lock);
-            self.dlm.issue(node, vec![msg]);
+            self.dlm.issue_one(node, msg);
             granted.await;
         }
         agent.state.borrow_mut().entry(lock).or_default().held = Some(mode);
@@ -476,7 +472,7 @@ impl NcosedClient {
             LockMode::Shared => {
                 // Off-critical-path bookkeeping to the home agent.
                 let release = DlmMsg::ShRelease { lock };
-                self.dlm.issue(node, vec![(mgr.home, *home_port, release)]);
+                self.dlm.issue_one(node, (mgr.home, *home_port, release));
             }
             LockMode::Exclusive => {
                 // Fast path: if nobody has queued on us, free the word.
@@ -524,6 +520,7 @@ mod tests {
     use dc_fabric::FabricModel;
     use dc_sim::time::{ms, us};
     use dc_sim::{Sim, SimTime};
+    use std::cell::Cell;
 
     fn setup(nodes: usize, num_locks: u32) -> (Sim, Cluster, NcosedDlm) {
         let sim = Sim::new();
@@ -548,11 +545,13 @@ mod tests {
             client.unlock(0).await;
         });
         sim.run();
-        // Acquire: 1 CAS. Release: read + CAS-to-free.
+        // Acquire: 1 CAS. Release: read + CAS-to-free. No protocol message
+        // leaves any node: no grant, and nothing sent at all.
         let s = c.stats();
         assert_eq!(s.cas, 2);
         assert_eq!(s.faa, 0);
-        assert_eq!(dlm.grants_sent(), 0);
+        assert_eq!(c.metrics().snapshot().counter("dlm.grants"), 0);
+        assert_eq!((s.sends_rdma, s.sends_tcp), (0, 0));
     }
 
     #[test]

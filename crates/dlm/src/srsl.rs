@@ -15,7 +15,7 @@ use dc_svc::{Cost, Dispatcher};
 use dc_trace::Subsys;
 
 use crate::config::{DlmConfig, LockMode};
-use crate::manager::{Manager, Member, Members};
+use crate::manager::{Batch, Manager, Member, Members};
 use crate::msg::{req_flow_id, DlmMsg, LockId, T_SRV_LOCK, T_SRV_UNLOCK};
 
 #[derive(Default)]
@@ -102,7 +102,7 @@ impl SrslDlm {
                         Subsys::Dlm,
                         "lock.request",
                     );
-                    let mut grants: Vec<(NodeId, LockId, bool)> = Vec::new();
+                    let mut grants = inner.mgr.batch();
                     {
                         let mut locks = locks.borrow_mut();
                         let st = locks.entry(lock).or_default();
@@ -114,12 +114,12 @@ impl SrslDlm {
                         if admissible {
                             st.holders += 1;
                             st.exclusive = exclusive;
-                            grants.push((from, lock, exclusive));
+                            grants.push(inner.grant(from, lock, exclusive));
                         } else {
                             st.queue.push_back((from, exclusive));
                         }
                     }
-                    issue_grants(&inner, grants).await;
+                    issue_grants(&inner, lock, grants).await;
                 }
             })
             .on(T_SRV_UNLOCK, move |_ctx, msg| {
@@ -129,7 +129,7 @@ impl SrslDlm {
                     let DlmMsg::SrvUnlock { lock, .. } = DlmMsg::parse(&msg.data) else {
                         unreachable!("tag-routed");
                     };
-                    let mut grants: Vec<(NodeId, LockId, bool)> = Vec::new();
+                    let mut grants = inner.mgr.batch();
                     {
                         let mut locks = locks.borrow_mut();
                         let st = locks.entry(lock).or_default();
@@ -143,7 +143,7 @@ impl SrslDlm {
                                     let (n, _) = st.queue.pop_front().unwrap();
                                     st.holders = 1;
                                     st.exclusive = true;
-                                    grants.push((n, lock, true));
+                                    grants.push(inner.grant(n, lock, true));
                                 } else {
                                     st.exclusive = false;
                                     while let Some(&(n, excl)) = st.queue.front() {
@@ -152,13 +152,13 @@ impl SrslDlm {
                                         }
                                         st.queue.pop_front();
                                         st.holders += 1;
-                                        grants.push((n, lock, false));
+                                        grants.push(inner.grant(n, lock, false));
                                     }
                                 }
                             }
                         }
                     }
-                    issue_grants(&inner, grants).await;
+                    issue_grants(&inner, lock, grants).await;
                 }
             });
         // Server processing competes with any load on its node: the pump
@@ -168,18 +168,27 @@ impl SrslDlm {
     }
 }
 
-/// Issue grants serially (one server process, one NIC doorbell at a time),
-/// flights overlapping. Runs inside the serial service handler, so grant
-/// issue occupies the server exactly as the hand-rolled loop did.
-async fn issue_grants(inner: &Inner, grants: Vec<(NodeId, LockId, bool)>) {
+impl Inner {
+    /// A batch entry granting `lock` to `to`'s agent.
+    fn grant(&self, to: NodeId, lock: LockId, exclusive: bool) -> (NodeId, u16, DlmMsg) {
+        let port = self.members.get(to).port;
+        (to, port, DlmMsg::Grant { lock, exclusive })
+    }
+}
+
+/// Issue the grants of `lock` serially (one server process, one NIC
+/// doorbell at a time), flights overlapping, then recycle the batch. Runs
+/// inside the serial service handler, so grant issue occupies the server
+/// exactly as the hand-rolled loop did.
+async fn issue_grants(inner: &Inner, lock: LockId, grants: Batch) {
     let Inner { mgr, members, .. } = inner;
-    for (to, lock, exclusive) in grants {
+    for &(to, port, grant) in &grants {
         let issue = mgr.cfg.grant_issue_ns;
         mgr.cluster.cpu(mgr.home).execute(issue).await;
         members.open_grant(mgr.home, to, lock);
-        let grant = DlmMsg::Grant { lock, exclusive };
-        mgr.flight(mgr.home, to, members.get(to).port, grant);
+        mgr.flight(mgr.home, to, port, grant);
     }
+    mgr.recycle(grants);
 }
 
 /// Per-node SRSL handle.

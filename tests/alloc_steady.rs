@@ -458,58 +458,181 @@ fn lock_client_enum_allocates_like_the_concrete_client() {
     }
 }
 
-/// The same proof for the DLM's `post` form (`Manager::post`: a task of its
-/// own sleeps the issue delay, then sends). Two MCS clients contend for one
-/// lock, so nearly every grant is a hand-off: the waiter posts its ticket to
-/// the home agent, the holder posts the serving number on release and the
-/// agent posts the grant — three posted tasks per grant, on three nodes, each
-/// into the storage the previous post left behind. Two lengths of the loop
-/// differ by exactly 0 allocations. Both lengths keep the samples of
-/// `dlm.lock_wait_ns` (one per grant, the loop's only amortised growth)
-/// between 128 and 256, where their buffer does not double. (A box per
-/// posted task made it one allocation per post, 3 per grant.)
-#[test]
-fn dlm_post_allocates_nothing() {
-    use dc_dlm::{DlmConfig, LockMode, McsDlm};
-    use dc_fabric::{Cluster, FabricModel, NodeId};
-    use dc_sim::{time::us, Sim};
+/// What a contended lock loop saw: hand-offs, exclusive releases that found
+/// at least two shared requesters waiting, and grant messages (`dlm.grants`).
+#[derive(Default)]
+struct LockTally {
+    last_holder: Cell<Option<u32>>,
+    handoffs: Cell<u64>,
+    shared_waiting: Cell<u32>,
+    cascades: Cell<u64>,
+    grants: Cell<u64>,
+}
 
-    let run_for = |grants_each: usize| {
-        let counting = Counting::start();
-        let sim = Sim::new();
-        let cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), 3);
-        let members = [NodeId(0), NodeId(1), NodeId(2)];
-        let dlm = McsDlm::new(&cluster, DlmConfig::default(), NodeId(0), 4, &members);
-        let contenders = [NodeId(1), NodeId(2)].map(|node| {
-            let (client, h) = (dlm.client(node), sim.handle());
+/// One contender of [`contended_lock_run`]: its node, its mode, and how long
+/// it holds the lock and then stays away, in ns.
+type Role = (u32, dc_dlm::LockMode, u64, u64);
+
+/// One run of `design` on a fresh four-node cluster (home on node 0): each
+/// of `roles` takes lock 1 `rounds` times. Returns what the run allocated,
+/// set-up included, and its tally.
+fn contended_lock_run(
+    design: dc_dlm::DesignKind,
+    roles: &[Role],
+    rounds: usize,
+) -> (u64, std::rc::Rc<LockTally>) {
+    use dc_dlm::{DlmConfig, LockMode};
+    use dc_fabric::{Cluster, FabricModel, NodeId};
+    use dc_sim::Sim;
+    use std::rc::Rc;
+
+    let counting = Counting::start();
+    let sim = Sim::new();
+    let cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), 4);
+    let members: Vec<NodeId> = (0..4).map(NodeId).collect();
+    let mut clients: Vec<_> = design
+        .build(&cluster, DlmConfig::default(), NodeId(0), 4, &members)
+        .into_iter()
+        .map(Some)
+        .collect();
+    let tally = Rc::new(LockTally::default());
+    let tasks: Vec<_> = roles
+        .iter()
+        .map(|&(node, mode, hold, think)| {
+            let client = clients[node as usize].take().expect("one role per node");
+            let (tally, h) = (Rc::clone(&tally), sim.handle());
+            let shared = u32::from(mode == LockMode::Shared);
             sim.spawn(async move {
-                for _ in 0..grants_each {
-                    client.lock(1, LockMode::Exclusive).await;
-                    h.sleep(us(5)).await;
+                for _ in 0..rounds {
+                    tally
+                        .shared_waiting
+                        .set(tally.shared_waiting.get() + shared);
+                    client.lock(1, mode).await;
+                    tally
+                        .shared_waiting
+                        .set(tally.shared_waiting.get() - shared);
+                    if tally.last_holder.replace(Some(node)) != Some(node) {
+                        tally.handoffs.set(tally.handoffs.get() + 1);
+                    }
+                    h.sleep(hold).await;
+                    if shared == 0 && tally.shared_waiting.get() >= 2 {
+                        tally.cascades.set(tally.cascades.get() + 1);
+                    }
                     client.unlock(1).await;
+                    h.sleep(think).await;
                 }
             })
-        });
-        sim.run_to(async move {
-            for c in contenders {
-                c.await;
-            }
-        });
-        let handoffs = cluster.metrics().snapshot().counter("dlm.mcs.handoffs");
-        (counting.so_far().allocs, handoffs)
-    };
-    let _ = run_for(8); // warm allocator arenas
-    let (short, long) = (run_for(80), run_for(112));
-    let (extra, extra_handoffs) = (long.0 - short.0, long.1 - short.1);
-    eprintln!(
-        "alloc_steady dlm post: 64 extra grants, {extra_handoffs} of them handed off, \
-         {extra} extra allocs"
-    );
-    assert!(
-        extra_handoffs >= 60,
-        "the contenders must hand the lock off"
-    );
-    assert_eq!(extra, 0, "a posted DLM message must allocate nothing");
+        })
+        .collect();
+    sim.run_to(async move {
+        for t in tasks {
+            t.await;
+        }
+    });
+    let allocs = counting.so_far().allocs;
+    let grants = cluster.metrics().snapshot().counter("dlm.grants");
+    tally.grants.set(grants);
+    (allocs, tally)
+}
+
+/// A lock hand-off allocates nothing, in every design. Two clients contend
+/// for one lock and hand it to each other on every grant: SRSL's server
+/// builds each grant batch, N-CoSED's requester, holder and home agent
+/// theirs, DQNL's and MCS's agents post one message per task, CAS-Spin and
+/// Lease retry verbs — and a batch comes out of the manager's pool, each
+/// posted task into the storage the previous one left behind. Two lengths of
+/// the loop, 64 hand-offs apart, differ by exactly 0 allocations. Both keep
+/// the samples of `dlm.lock_wait_ns` (one per grant, the loop's only
+/// amortised growth) between 128 and 256, where their buffer does not
+/// double. (A `Vec` per protocol message made it 64 extra on SRSL and 128 on
+/// N-CoSED before the pool; a box per posted task, 3 per grant on MCS before
+/// PR 24.)
+#[test]
+fn dlm_post_allocates_nothing() {
+    use dc_dlm::{DesignKind, LockMode};
+    use dc_sim::time::us;
+
+    for design in DesignKind::ALL {
+        // A queueing design parks the other contender at once, and every
+        // hand-off is a grant message; a retrying one gets in only while the
+        // holder stays away, so there the holder stays away longer than a
+        // retry pause.
+        let queued = !matches!(design, DesignKind::CasSpin | DesignKind::Lease);
+        let think = if queued { 0 } else { us(40) };
+        let roles = [1, 2].map(|node| (node, LockMode::Exclusive, us(5), think));
+        let _ = contended_lock_run(design, &roles, 8); // warm allocator arenas
+        let (short, short_tally) = contended_lock_run(design, &roles, 80);
+        let (long, long_tally) = contended_lock_run(design, &roles, 112);
+        let extra_handoffs = long_tally.handoffs.get() - short_tally.handoffs.get();
+        let extra_grants = long_tally.grants.get() - short_tally.grants.get();
+        let extra = long - short;
+        eprintln!(
+            "alloc_steady dlm {}: 64 extra grants, {extra_handoffs} of them handed off, \
+             {extra_grants} grant messages, {extra} extra allocs",
+            design.label()
+        );
+        assert_eq!(
+            extra_handoffs,
+            64,
+            "{}: the contenders must hand the lock off",
+            design.label()
+        );
+        assert_eq!(
+            extra_grants,
+            if queued { 64 } else { 0 },
+            "{}",
+            design.label()
+        );
+        assert_eq!(
+            extra,
+            0,
+            "{}: a lock hand-off must allocate nothing",
+            design.label()
+        );
+    }
+}
+
+/// A shared cascade allocates nothing either. A writer holds the lock while
+/// two readers queue behind it; its release grants both in one batch — one
+/// server batch on SRSL, one batch from the anchor on N-CoSED — and the
+/// writer's next request waits for both readers' releases. Two lengths, 32
+/// cascades apart, differ by exactly 0 allocations, with the lock-wait
+/// samples between 128 and 256 in both. (A `Vec` per batch and per protocol
+/// message made it 64 extra on SRSL and 256 on N-CoSED before the pool.)
+#[test]
+fn dlm_shared_cascade_allocates_nothing() {
+    use dc_dlm::{DesignKind, LockMode};
+    use dc_sim::time::us;
+
+    let roles = [
+        (1, LockMode::Exclusive, us(30), us(1)),
+        (2, LockMode::Shared, us(5), us(5)),
+        (3, LockMode::Shared, us(5), us(5)),
+    ];
+    for design in [DesignKind::Srsl, DesignKind::Ncosed] {
+        let _ = contended_lock_run(design, &roles, 8); // warm allocator arenas
+        let (short, short_tally) = contended_lock_run(design, &roles, 48);
+        let (long, long_tally) = contended_lock_run(design, &roles, 80);
+        let extra_cascades = long_tally.cascades.get() - short_tally.cascades.get();
+        let extra = long - short;
+        eprintln!(
+            "alloc_steady dlm {} cascade: 32 extra rounds, {extra_cascades} extra two-reader \
+             cascades, {extra} extra allocs",
+            design.label()
+        );
+        assert_eq!(
+            extra_cascades,
+            32,
+            "{}: every extra writer release must find both readers queued",
+            design.label()
+        );
+        assert_eq!(
+            extra,
+            0,
+            "{}: a shared cascade must allocate nothing",
+            design.label()
+        );
+    }
 }
 
 /// A dc-svc round trip allocates nothing: the call's deadline holds the wait
@@ -636,4 +759,116 @@ fn hosted_request_allocates_at_most_the_probe_array() {
             scheme.label()
         );
     }
+}
+
+/// Touching and evicting allocate nothing in the LRU store: recency is a
+/// list linked through the document map's own entries, so once the map has
+/// grown to the resident set, a `get` (unlink, push to the back) and an
+/// evicting `insert` (pop the head, link the newcomer) reuse what is there,
+/// and the eviction list is handed back through `recycle`. After warm-up,
+/// 4,096 touch + evicting-insert cycles on a 256-document store cost exactly
+/// 0 allocations. (An ordered map from touch number to document cost 1,317:
+/// a fresh tree node every few cycles.)
+#[test]
+fn lru_touch_and_evict_allocate_nothing() {
+    use dc_coopcache::LruStore;
+
+    const RESIDENT: u32 = 256;
+    const WARM: u32 = 16 * RESIDENT;
+    let mut s = LruStore::new(RESIDENT as usize * 1024);
+    // Cycle `i` touches one of the half of the store inserted last (at a
+    // scattered place in the recency order), then inserts document `i`,
+    // which evicts the least recently used one.
+    let mut cycle = |i: u32| {
+        if i >= RESIDENT {
+            let back = 1 + i.wrapping_mul(2_654_435_761) % (RESIDENT / 2);
+            assert!(s.get(i - back).is_some(), "doc {} not resident", i - back);
+        }
+        let (_, evicted) = s.insert(i, 1024).expect("fits");
+        assert_eq!(evicted.len(), usize::from(i >= RESIDENT));
+        s.recycle(evicted);
+    };
+    for i in 0..WARM {
+        cycle(i); // fill, then grow the map to its steady size
+    }
+    let counting = Counting::start();
+    for i in WARM..WARM + 4096 {
+        cycle(i);
+    }
+    let allocs = counting.so_far().allocs;
+    eprintln!("alloc_steady lru: 4096 touch + evict cycles, {allocs} allocs");
+    assert_eq!(allocs, 0, "an LRU touch or eviction allocated");
+}
+
+/// What `rounds` coalesced misses allocate, set-up included, and how many
+/// backend fetches they made: every 3 ms, three requesters ask one cache
+/// node for the same document — one fetches it, two join the fetch — and the
+/// cache holds four of the eight documents it cycles through, so every round
+/// misses and evicts.
+fn coalesced_miss_run(rounds: usize) -> (u64, u64) {
+    use dc_coopcache::{Backend, BackendCfg, CacheCfg, CacheNode, Directory, DOC_HDR};
+    use dc_fabric::{Cluster, FabricModel, NodeId};
+    use dc_sim::{time::ms, Sim};
+    use dc_workloads::FileSet;
+    use std::rc::Rc;
+
+    const DOCS: usize = 8;
+    let size = PAYLOAD_BYTES;
+    let counting = Counting::start();
+    let sim = Sim::new();
+    let cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), 3);
+    let fs = Rc::new(FileSet::uniform(DOCS, size));
+    let backend = Backend::spawn(&cluster, NodeId(2), BackendCfg::default(), fs);
+    let dir = Directory::new(&cluster, NodeId(0), DOCS);
+    let cfg = CacheCfg {
+        per_node_bytes: DOCS / 2 * (size + DOC_HDR),
+        ..CacheCfg::default()
+    };
+    let node = CacheNode::new(&cluster, NodeId(1), cfg, dir, backend, DOCS);
+    let requesters: Vec<_> = (0..3)
+        .map(|_| {
+            let (node, h) = (node.clone(), sim.handle());
+            sim.spawn(async move {
+                for r in 0..rounds {
+                    h.sleep_until(ms(3) * r as u64).await;
+                    let doc = (r % DOCS) as u32;
+                    node.ensure_local(doc, size).await.expect("fits");
+                }
+            })
+        })
+        .collect();
+    sim.run_to(async move {
+        for r in requesters {
+            r.await;
+        }
+    });
+    (counting.so_far().allocs, node.backend_fetches())
+}
+
+/// A coalesced cache miss allocates nothing: a requester that finds the
+/// document being fetched parks under its join index in the node's one
+/// rendezvous table, and the fetcher wakes the joiners in join order — no
+/// notifier, waiter queue or grant list per miss. Two lengths of a 3-way
+/// joined miss, 64 rounds apart and both past the fetch calls' 500 ms
+/// deadlines (which hold their timer-wheel nodes until they expire), differ
+/// by exactly 0 allocations, and each round is one backend fetch. (A fresh
+/// `Notify` per joined miss — its `Rc`, waiter queue and grant list — made it
+/// 192, 3 per round.)
+#[test]
+fn coalesced_miss_allocates_nothing() {
+    let _ = coalesced_miss_run(16); // warm allocator arenas
+    let (short, short_fetches) = coalesced_miss_run(200);
+    let (long, long_fetches) = coalesced_miss_run(264);
+    let extra = long - short;
+    eprintln!(
+        "alloc_steady coalesced miss: 64 extra 3-way joined misses, \
+         {} extra fetches, {extra} extra allocs",
+        long_fetches - short_fetches
+    );
+    assert_eq!(
+        (short_fetches, long_fetches),
+        (200, 264),
+        "misses did not coalesce"
+    );
+    assert_eq!(extra, 0, "a coalesced miss must allocate nothing");
 }

@@ -5,6 +5,7 @@
 use bytes::Bytes;
 use proptest::prelude::*;
 
+use nextgen_datacenter::coopcache::lru::Evicted;
 use nextgen_datacenter::coopcache::LruStore;
 use nextgen_datacenter::ddss::alloc::FreeListAllocator;
 use nextgen_datacenter::dlm::LockWord;
@@ -225,6 +226,162 @@ proptest! {
         sorted.sort_unstable();
         prop_assert_eq!(&*fired, &sorted);
         prop_assert_eq!(sim.now(), *sorted.last().unwrap());
+    }
+}
+
+/// The LRU store as it was before recency became a list linked through its
+/// entries: an ordered map from a strictly increasing touch number to the
+/// document. Kept as the reference [`LruStore`] must match step for step.
+struct SeqLru {
+    map: std::collections::HashMap<u32, (usize, usize, u64)>,
+    order: std::collections::BTreeMap<u64, u32>,
+    alloc: FreeListAllocator,
+    next_seq: u64,
+    bytes_used: usize,
+}
+
+impl SeqLru {
+    fn new(capacity: usize) -> SeqLru {
+        SeqLru {
+            map: Default::default(),
+            order: Default::default(),
+            alloc: FreeListAllocator::new(capacity),
+            next_seq: 0,
+            bytes_used: 0,
+        }
+    }
+
+    fn bump_seq(&mut self) -> u64 {
+        self.next_seq += 1;
+        self.next_seq
+    }
+
+    fn get(&mut self, doc: u32) -> Option<(usize, usize)> {
+        let seq = self.bump_seq();
+        let e = self.map.get_mut(&doc)?;
+        self.order.remove(&e.2);
+        e.2 = seq;
+        self.order.insert(seq, doc);
+        Some((e.0, e.1))
+    }
+
+    fn peek(&self, doc: u32) -> Option<(usize, usize)> {
+        self.map.get(&doc).map(|e| (e.0, e.1))
+    }
+
+    fn insert(&mut self, doc: u32, size: usize) -> Option<(usize, Vec<Evicted>)> {
+        if size == 0 || size > self.alloc.capacity() {
+            return None;
+        }
+        let mut evicted = Vec::new();
+        let offset = loop {
+            if let Some(off) = self.alloc.allocate(size) {
+                break off;
+            }
+            let (&seq, &victim) = self.order.iter().next()?;
+            self.order.remove(&seq);
+            let (off, len, _) = self.map.remove(&victim).unwrap();
+            self.alloc.free(off, len);
+            self.bytes_used -= len;
+            evicted.push((victim, off, len));
+        };
+        let seq = self.bump_seq();
+        self.map.insert(doc, (offset, size, seq));
+        self.order.insert(seq, doc);
+        self.bytes_used += size;
+        Some((offset, evicted))
+    }
+
+    fn remove(&mut self, doc: u32) -> Option<(usize, usize)> {
+        let (off, len, seq) = self.map.remove(&doc)?;
+        self.order.remove(&seq);
+        self.alloc.free(off, len);
+        self.bytes_used -= len;
+        Some((off, len))
+    }
+}
+
+/// One step of an LRU program.
+#[derive(Debug, Clone, Copy)]
+enum LruOp {
+    Get(u32),
+    Peek(u32),
+    /// Of a resident document, a `Get` (the store refuses a double insert).
+    Insert(u32, usize),
+    Remove(u32),
+    /// Hand the last eviction list back.
+    Recycle,
+}
+
+/// A step on a store of `cap` bytes: mostly small documents, some a third
+/// to all of the store (cascaded evictions), and some at or past its end —
+/// including sizes within the capacity that the allocator's 8-byte rounding
+/// pushes past it, which evict everything and are then refused.
+fn lru_op(cap: usize) -> impl Strategy<Value = LruOp> {
+    (0u8..10, 0u32..24, 0usize..100, 0usize..4096).prop_map(move |(kind, doc, class, raw)| {
+        let size = match class {
+            0 => 0,
+            1..=79 => 1 + raw % (cap / 6),
+            80..=94 => cap / 3 + raw % (cap * 2 / 3),
+            _ => cap - 8 + raw % 24,
+        };
+        match kind {
+            0..=2 => LruOp::Get(doc),
+            3 => LruOp::Peek(doc),
+            4..=6 => LruOp::Insert(doc, size),
+            7 | 8 => LruOp::Remove(doc),
+            _ => LruOp::Recycle,
+        }
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `LruStore` behaves exactly as the touch-ordered store it replaced:
+    /// over random get / peek / insert / remove / recycle programs on stores
+    /// of any byte capacity, every lookup and placement, every eviction list
+    /// in its order, and `len` / `bytes_used` after every step are the
+    /// reference's; and a final whole-store insert evicts what is left in
+    /// the same order.
+    #[test]
+    fn lru_matches_the_touch_ordered_reference(
+        (cap, ops) in (256usize..4096)
+            .prop_flat_map(|cap| (Just(cap), prop::collection::vec(lru_op(cap), 1..150)))
+    ) {
+        let mut store = LruStore::new(cap);
+        let mut reference = SeqLru::new(cap);
+        let mut last_evicted = None;
+        for op in ops {
+            match op {
+                LruOp::Get(doc) => prop_assert_eq!(store.get(doc), reference.get(doc), "{:?}", op),
+                LruOp::Peek(doc) => {
+                    prop_assert_eq!(store.peek(doc), reference.peek(doc), "{:?}", op)
+                }
+                LruOp::Insert(doc, _) if reference.peek(doc).is_some() => {
+                    prop_assert_eq!(store.get(doc), reference.get(doc), "{:?}", op)
+                }
+                LruOp::Insert(doc, size) => {
+                    let got = store.insert(doc, size);
+                    prop_assert_eq!(&got, &reference.insert(doc, size), "{:?}", op);
+                    if let Some((_, evicted)) = got {
+                        last_evicted = Some(evicted);
+                    }
+                }
+                LruOp::Remove(doc) => {
+                    prop_assert_eq!(store.remove(doc), reference.remove(doc), "{:?}", op)
+                }
+                LruOp::Recycle => {
+                    if let Some(evicted) = last_evicted.take() {
+                        store.recycle(evicted);
+                    }
+                }
+            }
+            prop_assert_eq!(store.len(), reference.map.len(), "after {:?}", op);
+            prop_assert_eq!(store.bytes_used(), reference.bytes_used, "after {:?}", op);
+        }
+        let whole = cap / 8 * 8;
+        prop_assert_eq!(store.insert(1000, whole), reference.insert(1000, whole));
     }
 }
 
