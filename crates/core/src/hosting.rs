@@ -18,11 +18,13 @@ use std::rc::Rc;
 use dc_fabric::{Cluster, FabricModel, FaultConfig, FaultPlan, NodeId};
 use dc_resmon::{Monitor, MonitorCfg, MonitorScheme};
 use dc_sim::rng::component_rng;
-use dc_sim::sync::{Notify, Rendezvous};
+use dc_sim::sync::{Rendezvous, Semaphore};
 use dc_sim::{Sim, SimHandle, SimTime};
 use dc_workloads::{RubisMix, Zipf};
 
-use dc_trace::{tps, LatencyHist};
+use dc_trace::{tps, LatencyHist, TraceMode};
+
+use crate::webfarm::TraceArtifacts;
 
 /// Configuration of one hosting run.
 #[derive(Debug, Clone)]
@@ -105,7 +107,8 @@ struct AppServer {
     cluster: Cluster,
     node: NodeId,
     queue: Rc<RefCell<VecDeque<Job>>>,
-    notify: Notify,
+    /// One permit per submitted job: what an idle worker parks on.
+    wake: Semaphore,
 }
 
 impl AppServer {
@@ -120,7 +123,7 @@ impl AppServer {
             cluster: cluster.clone(),
             node,
             queue: Rc::default(),
-            notify: Notify::new(),
+            wake: Semaphore::new(0),
         };
         let model = cluster.model().clone();
         for _ in 0..workers {
@@ -136,7 +139,7 @@ impl AppServer {
                         if let Some(j) = s.queue.borrow_mut().pop_front() {
                             break j;
                         }
-                        s.notify.notified().await;
+                        s.wake.acquire().await;
                     };
                     cpu.accept_dequeued();
                     cpu.execute(job.cpu_ns).await;
@@ -154,15 +157,32 @@ impl AppServer {
     fn submit(&self, job: Job) {
         self.cluster.cpu(self.node).accept_enqueued();
         self.queue.borrow_mut().push_back(job);
-        self.notify.notify_one();
+        self.wake.release();
     }
 }
 
 /// Run one hosting configuration and report throughput.
 pub fn run_hosting(cfg: &HostingCfg) -> HostingResult {
+    run_hosting_inner(cfg, None).0
+}
+
+/// [`run_hosting`] with the cluster tracer on in `mode`: the same schedule
+/// and result, plus the artifacts (as [`crate::run_webfarm_traced`]).
+pub fn run_hosting_traced(cfg: &HostingCfg, mode: TraceMode) -> (HostingResult, TraceArtifacts) {
+    let (result, artifacts) = run_hosting_inner(cfg, Some(mode));
+    (result, artifacts.expect("traced run returns artifacts"))
+}
+
+fn run_hosting_inner(
+    cfg: &HostingCfg,
+    trace: Option<TraceMode>,
+) -> (HostingResult, Option<TraceArtifacts>) {
     let sim = Sim::new();
     let total_nodes = 1 + cfg.backends;
     let cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), total_nodes);
+    if let Some(mode) = trace {
+        cluster.tracer().enable(mode);
+    }
     let frontend = NodeId(0);
     if let Some((fault_seed, fault_cfg)) = &cfg.faults {
         let mut fc = fault_cfg.clone();
@@ -263,12 +283,13 @@ pub fn run_hosting(cfg: &HostingCfg) -> HostingResult {
     });
     let span = last_done.get().saturating_sub(measure_start.get());
     let h = hist.borrow();
-    HostingResult {
+    let result = HostingResult {
         tps: tps(completed.get(), span),
         mean_latency_ns: h.mean_ns(),
         p99_latency_ns: h.quantile_ns(0.99),
         span_ns: span,
-    }
+    };
+    (result, trace.map(|_| TraceArtifacts::collect(&cluster)))
 }
 
 #[cfg(test)]

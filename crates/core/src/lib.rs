@@ -37,7 +37,7 @@ pub mod webfarm;
 pub mod webfarm_scale;
 
 pub use dc_trace::{tps, LatencyHist};
-pub use hosting::{run_hosting, HostingCfg, HostingResult};
+pub use hosting::{run_hosting, run_hosting_traced, HostingCfg, HostingResult};
 pub use table::Table;
 pub use webfarm::{
     run_webfarm, run_webfarm_observed, run_webfarm_traced, TraceArtifacts, WebFarmCfg,

@@ -52,7 +52,7 @@ use dc_fabric::faults::inflate;
 use dc_fabric::{FabricModel, FaultConfig, FaultPlan, NodeId};
 use dc_sim::rng::{derive_seed, splitmix64};
 use dc_sim::shard::{run_sharded, ShardCfg, ShardNet, ShardRun, ShardStats};
-use dc_sim::sync::Notify;
+use dc_sim::sync::Semaphore;
 use dc_sim::{Sim, SimTime};
 use dc_trace::{LatencyBreakdown, StageAgg, StreamHist, STAGES};
 use dc_workloads::{ArrivalKind, ArrivalProcess, MergedArrivals, Zipf};
@@ -308,7 +308,7 @@ enum Outcome {
 /// over plain memory; no per-client allocation after setup.
 struct ShardFarm {
     queues: Vec<RefCell<VecDeque<Req>>>,
-    wakeups: Vec<Notify>,
+    wakeups: Vec<Semaphore>,
     busy: Vec<Cell<u32>>,
     /// Proxy-local direct-mapped caches, `proxies * k` slots.
     local_cache: RefCell<Vec<u32>>,
@@ -317,13 +317,13 @@ struct ShardFarm {
     tier_cache: RefCell<Vec<u32>>,
     /// One in-flight probe reply slot per worker (`proxy * workers + w`).
     reply_slot: Vec<Cell<Option<Reply>>>,
-    reply_wake: Vec<Notify>,
+    reply_wake: Vec<Semaphore>,
     /// Per-proxy drop-draw counters for the deterministic per-stream
     /// fault draws ([`FaultPlan::stream_should_drop`]).
     probe_draws: Vec<Cell<u64>>,
     /// Backend station queue + wakeup (shard 0 only).
     station_q: RefCell<VecDeque<StationJob>>,
-    station_wake: Notify,
+    station_wake: Semaphore,
     // Measured-window counters.
     issued: Cell<u64>,
     shed_down: Cell<u64>,
@@ -350,7 +350,7 @@ impl ShardFarm {
             queues: (0..cfg.proxies)
                 .map(|_| RefCell::new(VecDeque::with_capacity(cfg.queue_cap + 1)))
                 .collect(),
-            wakeups: (0..cfg.proxies).map(|_| Notify::new()).collect(),
+            wakeups: (0..cfg.proxies).map(|_| Semaphore::new(0)).collect(),
             busy: (0..cfg.proxies).map(|_| Cell::new(0)).collect(),
             local_cache: RefCell::new(vec![EMPTY; cfg.proxies * k]),
             tier_cache: RefCell::new(vec![EMPTY; cfg.app_nodes * k]),
@@ -358,11 +358,11 @@ impl ShardFarm {
                 .map(|_| Cell::new(None))
                 .collect(),
             reply_wake: (0..cfg.proxies * cfg.proxy_workers)
-                .map(|_| Notify::new())
+                .map(|_| Semaphore::new(0))
                 .collect(),
             probe_draws: (0..cfg.proxies).map(|_| Cell::new(0)).collect(),
             station_q: RefCell::new(VecDeque::new()),
-            station_wake: Notify::new(),
+            station_wake: Semaphore::new(0),
             issued: Cell::new(0),
             shed_down: Cell::new(0),
             shed_queue: Cell::new(0),
@@ -714,7 +714,7 @@ fn build_farm_shard(ctx: BuildCtx<'_>) -> ShardRun<NetMsg, ShardTally> {
                 loop {
                     let req = st.queues[p].borrow_mut().pop_front();
                     let Some(req) = req else {
-                        st.wakeups[p].notified().await;
+                        st.wakeups[p].acquire().await;
                         continue;
                     };
                     st.busy[p].set(st.busy[p].get() + 1);
@@ -770,7 +770,7 @@ fn build_farm_shard(ctx: BuildCtx<'_>) -> ShardRun<NetMsg, ShardTally> {
                                 factor,
                             },
                         );
-                        st.reply_wake[wid as usize].notified().await;
+                        st.reply_wake[wid as usize].acquire().await;
                         let reply = st.reply_slot[wid as usize]
                             .take()
                             .expect("worker woken without a reply");
@@ -854,7 +854,7 @@ fn build_farm_shard(ctx: BuildCtx<'_>) -> ShardRun<NetMsg, ShardTally> {
                 loop {
                     let job = st.station_q.borrow_mut().pop_front();
                     let Some(job) = job else {
-                        st.station_wake.notified().await;
+                        st.station_wake.acquire().await;
                         continue;
                     };
                     let wait_ns = h.now() - job.ts;
@@ -945,7 +945,7 @@ fn build_farm_shard(ctx: BuildCtx<'_>) -> ShardRun<NetMsg, ShardTally> {
                     st.qdepth_hwm.set(depth);
                 }
                 drop(q);
-                st.wakeups[p].notify_one();
+                st.wakeups[p].release();
             }
         });
     }
@@ -986,13 +986,13 @@ fn build_farm_shard(ctx: BuildCtx<'_>) -> ShardRun<NetMsg, ShardTally> {
             }
             NetMsg::TierHit { worker } => {
                 st.reply_slot[worker as usize].set(Some(Reply::Peer));
-                st.reply_wake[worker as usize].notify_one();
+                st.reply_wake[worker as usize].release();
             }
             NetMsg::BackendReq { worker, factor } => {
                 st.station_q
                     .borrow_mut()
                     .push_back(StationJob { ts, worker, factor });
-                st.station_wake.notify_one();
+                st.station_wake.release();
             }
             NetMsg::Done {
                 worker,
@@ -1003,7 +1003,7 @@ fn build_farm_shard(ctx: BuildCtx<'_>) -> ShardRun<NetMsg, ShardTally> {
                     wait_ns,
                     service_ns,
                 }));
-                st.reply_wake[worker as usize].notify_one();
+                st.reply_wake[worker as usize].release();
             }
         })
     };

@@ -15,7 +15,7 @@
 //!
 //! Protocol code is written as ordinary `async fn`s; [`Sim::spawn`] schedules
 //! them, [`SimHandle::sleep`] advances virtual time, the primitives in
-//! [`sync`] (oneshot, rendezvous, mpsc, semaphore, notify) coordinate tasks
+//! [`sync`] (oneshot, rendezvous, mpsc, semaphore) coordinate tasks
 //! with FIFO, deterministic wake order, and [`join_all`] fans out inside one
 //! task where a spawn per child would only add scheduling hops.
 //!

@@ -4,6 +4,9 @@
 //! cores: "execute N ns of work" is acquire → sleep(N) → release. FIFO
 //! handoff (a released permit goes to the longest-waiting task, never to a
 //! barger) is what makes socket-processing delays under load deterministic.
+//! On 0 permits it is a wake-up signal (one `release` per item; one nobody
+//! waits for is kept), and with `acquire_many` / `release_many` a window of
+//! units whose queued head keeps its place until its whole request fits.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -14,16 +17,35 @@ use std::task::{Context, Poll, Waker};
 
 struct Waiter {
     ticket: u64,
+    need: usize,
     waker: Waker,
 }
 
 struct Inner {
     permits: usize,
     waiters: VecDeque<Waiter>,
-    /// Tickets whose permit has been handed over by `release` but whose task
-    /// has not yet observed the grant.
+    /// Tickets whose permits have been handed over by a release but whose
+    /// task has not yet observed the grant.
     granted: Vec<u64>,
     next_ticket: u64,
+}
+
+impl Inner {
+    fn release(&mut self, n: usize) {
+        self.permits += n;
+        self.grant();
+    }
+
+    /// Hand permits to the head of the queue for as long as its request
+    /// fits. Arrivals never call this, so a queued task is never passed.
+    fn grant(&mut self) {
+        while self.waiters.front().is_some_and(|w| w.need <= self.permits) {
+            let w = self.waiters.pop_front().expect("the head fits");
+            self.permits -= w.need;
+            self.granted.push(w.ticket);
+            w.waker.wake();
+        }
+    }
 }
 
 /// FIFO counting semaphore.
@@ -48,9 +70,17 @@ impl Semaphore {
     /// Acquire one permit, waiting FIFO behind earlier requesters.
     #[inline]
     pub fn acquire(&self) -> Acquire {
+        self.acquire_many(1)
+    }
+
+    /// Acquire `n` permits at once, waiting FIFO behind earlier requesters
+    /// (a later, smaller request does not pass this one).
+    #[inline]
+    pub fn acquire_many(&self, n: usize) -> Acquire {
         Acquire {
             sem: Rc::clone(&self.inner),
-            ticket: None,
+            ticket: UNQUEUED,
+            need: n,
         }
     }
 
@@ -65,7 +95,13 @@ impl Semaphore {
     /// Return one permit; hands it directly to the head waiter if any.
     #[inline]
     pub fn release(&self) {
-        release_inner(&self.inner);
+        self.release_many(1);
+    }
+
+    /// Return `n` permits, granting queued requests in order while the
+    /// head's fits.
+    pub fn release_many(&self, n: usize) {
+        self.inner.borrow_mut().release(n);
     }
 
     /// Permits currently available (not counting granted-but-unobserved
@@ -74,26 +110,23 @@ impl Semaphore {
         self.inner.borrow().permits
     }
 
-    /// Number of tasks queued waiting for a permit.
+    /// Number of tasks queued waiting for permits.
     pub fn waiting(&self) -> usize {
         self.inner.borrow().waiters.len()
     }
 }
 
-fn release_inner(inner: &Rc<RefCell<Inner>>) {
-    let mut i = inner.borrow_mut();
-    if let Some(w) = i.waiters.pop_front() {
-        i.granted.push(w.ticket);
-        w.waker.wake();
-    } else {
-        i.permits += 1;
-    }
-}
+const UNQUEUED: u64 = u64::MAX - 1;
+const DONE: u64 = u64::MAX;
 
-/// Future returned by [`Semaphore::acquire`].
+/// Future returned by [`Semaphore::acquire`] and
+/// [`Semaphore::acquire_many`]. Three words: every CPU charge holds one.
 pub struct Acquire {
     sem: Rc<RefCell<Inner>>,
-    ticket: Option<u64>,
+    /// [`UNQUEUED`] before the first poll, then the queue ticket, then
+    /// [`DONE`] once the caller owns the permits.
+    ticket: u64,
+    need: usize,
 }
 
 impl Future for Acquire {
@@ -101,61 +134,59 @@ impl Future for Acquire {
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
         let this = self.get_mut();
-        let sem = Rc::clone(&this.sem);
-        let mut i = sem.borrow_mut();
+        let mut i = this.sem.borrow_mut();
+        let need = this.need;
         match this.ticket {
-            None => {
-                if i.permits > 0 && i.waiters.is_empty() {
-                    i.permits -= 1;
-                    this.ticket = Some(u64::MAX); // sentinel: already granted
-                    Poll::Ready(())
-                } else {
-                    let t = i.next_ticket;
-                    i.next_ticket += 1;
-                    i.waiters.push_back(Waiter {
-                        ticket: t,
-                        waker: cx.waker().clone(),
-                    });
-                    drop(i);
-                    this.ticket = Some(t);
-                    Poll::Pending
-                }
+            DONE => Poll::Ready(()),
+            UNQUEUED if i.permits >= need && i.waiters.is_empty() => {
+                i.permits -= need;
+                this.ticket = DONE;
+                Poll::Ready(())
             }
-            Some(u64::MAX) => Poll::Ready(()),
-            Some(t) => {
-                if let Some(pos) = i.granted.iter().position(|&g| g == t) {
+            UNQUEUED => {
+                this.ticket = i.next_ticket;
+                i.next_ticket += 1;
+                i.waiters.push_back(Waiter {
+                    ticket: this.ticket,
+                    need,
+                    waker: cx.waker().clone(),
+                });
+                Poll::Pending
+            }
+            t => match i.granted.iter().position(|&g| g == t) {
+                Some(pos) => {
                     i.granted.swap_remove(pos);
-                    drop(i);
-                    this.ticket = Some(u64::MAX);
+                    this.ticket = DONE;
                     Poll::Ready(())
-                } else {
+                }
+                None => {
                     // Spurious wake: refresh the stored waker.
                     if let Some(w) = i.waiters.iter_mut().find(|w| w.ticket == t) {
                         w.waker = cx.waker().clone();
                     }
                     Poll::Pending
                 }
-            }
+            },
         }
     }
 }
 
 impl Drop for Acquire {
     fn drop(&mut self) {
-        // If we were queued but never granted, remove ourselves; if we were
-        // granted but never observed it, pass the permit on.
-        if let Some(t) = self.ticket {
-            if t == u64::MAX {
-                return; // Completed normally; permit owned by caller.
-            }
-            let mut i = self.sem.borrow_mut();
-            if let Some(pos) = i.waiters.iter().position(|w| w.ticket == t) {
-                i.waiters.remove(pos);
-            } else if let Some(pos) = i.granted.iter().position(|&g| g == t) {
-                i.granted.swap_remove(pos);
-                drop(i);
-                release_inner(&self.sem);
-            }
+        // If we were queued but never granted, leave the queue (a waiter
+        // behind a departing head may fit now); if we were granted but never
+        // observed it, pass the permits on.
+        let t = self.ticket;
+        if t == UNQUEUED || t == DONE {
+            return;
+        }
+        let mut i = self.sem.borrow_mut();
+        if let Some(pos) = i.waiters.iter().position(|w| w.ticket == t) {
+            i.waiters.remove(pos);
+            i.grant();
+        } else if let Some(pos) = i.granted.iter().position(|&g| g == t) {
+            i.granted.swap_remove(pos);
+            i.release(self.need);
         }
     }
 }
@@ -167,7 +198,7 @@ pub struct SemaphorePermit {
 
 impl Drop for SemaphorePermit {
     fn drop(&mut self) {
-        release_inner(&self.sem);
+        self.sem.borrow_mut().release(1);
     }
 }
 
@@ -289,9 +320,9 @@ mod tests {
         let h1 = h.clone();
         sim.spawn(async move {
             h1.sleep(us(1)).await;
-            let mut acq = Box::pin(s1.acquire());
+            let mut acq = s1.acquire();
             // Poll once to enqueue, then abandon.
-            futures_poll_once(&mut acq).await;
+            assert!(poll_once(&mut acq).await.is_pending());
             drop(acq);
         });
         // This waiter should still get the permit at t=10.
@@ -306,13 +337,67 @@ mod tests {
         assert_eq!(done.try_take(), Some(us(10)));
     }
 
-    /// Poll a future exactly once, discarding the result.
-    async fn futures_poll_once<F: Future + Unpin>(f: &mut F) {
-        use std::task::Poll;
-        std::future::poll_fn(|cx| {
-            let _ = Pin::new(&mut *f).poll(cx);
-            Poll::Ready(())
-        })
-        .await;
+    /// A permit handed to a waiter that is dropped before it observes the
+    /// grant goes on to the next queued waiter. The notifier this semaphore
+    /// replaced as a wake-up signal (`notify.rs`) turned it into a stored
+    /// permit instead: the queued second waiter stayed parked, and a third,
+    /// later wait took the permit at once.
+    #[test]
+    fn granted_then_abandoned_permit_goes_to_the_next_waiter() {
+        let sim = Sim::new();
+        sim.run_to(async {
+            let s = Semaphore::new(0);
+            let (mut first, mut second) = (s.acquire(), s.acquire());
+            assert!(poll_once(&mut first).await.is_pending());
+            assert!(poll_once(&mut second).await.is_pending());
+            s.release(); // granted to `first` ...
+            drop(first); // ... which never observes it
+            assert!(poll_once(&mut second).await.is_ready());
+            let mut later = s.acquire();
+            assert!(poll_once(&mut later).await.is_pending());
+            assert_eq!((s.available(), s.waiting()), (0, 1));
+        });
+    }
+
+    /// FIFO under `acquire_many`: a one-permit request queued behind a
+    /// three-permit head waits even while one permit would fit it.
+    #[test]
+    fn large_head_request_is_not_passed_by_a_smaller_one() {
+        let sim = Sim::new();
+        sim.run_to(async {
+            let s = Semaphore::new(1);
+            let (mut big, mut small) = (s.acquire_many(3), s.acquire());
+            assert!(poll_once(&mut big).await.is_pending());
+            assert!(poll_once(&mut small).await.is_pending());
+            s.release();
+            assert!(poll_once(&mut small).await.is_pending());
+            s.release();
+            assert!(poll_once(&mut big).await.is_ready());
+            assert!(poll_once(&mut small).await.is_pending());
+            s.release_many(2);
+            assert!(poll_once(&mut small).await.is_ready());
+            assert_eq!(s.available(), 1);
+        });
+    }
+
+    /// When a head that does not fit leaves the queue, the waiter behind it
+    /// is granted from the permits already there — nobody has to release.
+    #[test]
+    fn dropped_head_lets_a_fitting_waiter_behind_it_through() {
+        let sim = Sim::new();
+        sim.run_to(async {
+            let s = Semaphore::new(2);
+            let (mut big, mut small) = (s.acquire_many(3), s.acquire());
+            assert!(poll_once(&mut big).await.is_pending());
+            assert!(poll_once(&mut small).await.is_pending());
+            drop(big);
+            assert!(poll_once(&mut small).await.is_ready());
+            assert_eq!((s.available(), s.waiting()), (1, 0));
+        });
+    }
+
+    /// Poll a future exactly once.
+    async fn poll_once<F: Future + Unpin>(f: &mut F) -> Poll<F::Output> {
+        std::future::poll_fn(|cx| Poll::Ready(Pin::new(&mut *f).poll(cx))).await
     }
 }

@@ -1,11 +1,12 @@
 //! Property tests of the executor and synchronization primitives.
 
 use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 use proptest::prelude::*;
 
-use dc_sim::sync::{channel, Notify, Semaphore};
+use dc_sim::sync::{channel, Semaphore};
 use dc_sim::Sim;
 
 proptest! {
@@ -91,35 +92,93 @@ proptest! {
         });
         prop_assert_eq!(got, expected);
     }
+}
 
-    /// `notify_one` wakes exactly as many waiters as notifications (stored
-    /// permits included), FIFO.
+/// `(grants as (acquirer, instant) in grant order, permits left)` of a
+/// weighted FIFO semaphore, computed without the executor. At one instant
+/// arrivals come before releases, each in index order. An arrival takes its
+/// permits at once only if nobody queues and they fit; a release grants the
+/// head of the queue for as long as the head's request fits.
+fn reference_grants(
+    permits: usize,
+    acquirers: &[(u64, usize)],
+    releases: &[(u64, usize)],
+) -> (Vec<(usize, u64)>, usize) {
+    let arrivals = acquirers.iter().enumerate().map(|(i, &(t, _))| (t, 0, i));
+    let refills = releases.iter().enumerate().map(|(j, &(t, _))| (t, 1, j));
+    let mut events: Vec<(u64, u8, usize)> = arrivals.chain(refills).collect();
+    events.sort_unstable();
+    let (mut avail, mut queue, mut grants) = (permits, VecDeque::new(), Vec::new());
+    for (t, kind, k) in events {
+        if kind == 0 && queue.is_empty() && acquirers[k].1 <= avail {
+            avail -= acquirers[k].1;
+            grants.push((k, t));
+        } else if kind == 0 {
+            queue.push_back(k);
+        } else {
+            avail += releases[k].1;
+            while let Some(&head) = queue.front().filter(|&&h| acquirers[h].1 <= avail) {
+                avail -= acquirers[head].1;
+                grants.push((queue.pop_front().expect("head"), t));
+            }
+        }
+    }
+    (grants, avail)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `acquire_many` / `release_many` grant in the reference queue's order,
+    /// at its instants, and leave its count. When every request is for one
+    /// permit (`unit`), that is a plain FIFO semaphore: the k-th arrival is
+    /// the k-th woken, and exactly min(waiters, permits + released) wake.
     #[test]
-    fn notify_conserves_permits(waiters in 1usize..20, notifies in 1usize..25) {
+    fn weighted_semaphore_matches_the_reference_queue(
+        permits in 0usize..4,
+        acquirers in prop::collection::vec((0u64..50, 1usize..5), 1..20),
+        releases in prop::collection::vec((0u64..60, 1usize..6), 0..20),
+        unit in any::<bool>(),
+    ) {
+        let acquirers: Vec<(u64, usize)> = acquirers
+            .into_iter()
+            .map(|(t, need)| (t, if unit { 1 } else { need }))
+            .collect();
+        let releases: Vec<(u64, usize)> = releases
+            .into_iter()
+            .map(|(t, n)| (t, if unit { 1 } else { n }))
+            .collect();
         let sim = Sim::new();
-        let n = Notify::new();
-        let woken: Rc<RefCell<Vec<usize>>> = Rc::default();
-        for i in 0..waiters {
-            let n = n.clone();
-            let woken = Rc::clone(&woken);
+        let sem = Semaphore::new(permits);
+        let grants: Rc<RefCell<Vec<(usize, u64)>>> = Rc::default();
+        // Acquirers are spawned first, so at one instant their timers fire
+        // before the releases'.
+        for (i, &(at, need)) in acquirers.iter().enumerate() {
+            let (sem, grants, h) = (sem.clone(), Rc::clone(&grants), sim.handle());
             sim.spawn(async move {
-                n.notified().await;
-                woken.borrow_mut().push(i);
+                h.sleep(at).await;
+                sem.acquire_many(need).await;
+                grants.borrow_mut().push((i, h.now()));
             });
         }
-        let n2 = n.clone();
-        let h = sim.handle();
-        sim.spawn(async move {
-            h.sleep(10).await;
-            for _ in 0..notifies {
-                n2.notify_one();
-            }
-        });
+        for &(at, n) in &releases {
+            let (sem, h) = (sem.clone(), sim.handle());
+            sim.spawn(async move {
+                h.sleep(at).await;
+                sem.release_many(n);
+            });
+        }
         sim.run();
-        let woken = woken.borrow();
-        prop_assert_eq!(woken.len(), waiters.min(notifies));
-        // FIFO: waiters wake in registration order.
-        let sorted: Vec<usize> = (0..woken.len()).collect();
-        prop_assert_eq!(&*woken, &sorted);
+        let (want, left) = reference_grants(permits, &acquirers, &releases);
+        prop_assert_eq!(&*grants.borrow(), &want);
+        prop_assert_eq!(sem.available(), left);
+        if unit {
+            let mut by_arrival: Vec<usize> = (0..acquirers.len()).collect();
+            by_arrival.sort_by_key(|&i| acquirers[i].0);
+            let woken = want.len();
+            prop_assert_eq!(woken, acquirers.len().min(permits + releases.len()));
+            let order: Vec<usize> = want.iter().map(|&(i, _)| i).collect();
+            prop_assert_eq!(&order[..], &by_arrival[..woken]);
+        }
     }
 }

@@ -41,7 +41,7 @@ use std::task::{Context, Poll, Waker};
 use bytes::Bytes;
 use dc_fabric::{Cluster, NodeId, Transport};
 use dc_sim::fxhash::FxHashMap;
-use dc_sim::sync::Notify;
+use dc_sim::sync::Semaphore;
 use dc_sim::SimTime;
 use dc_svc::bind_raw;
 use dc_trace::{Counter, Gauge, Subsys};
@@ -476,7 +476,9 @@ struct SessionInner {
     reply_port: u16,
     next_seq: Cell<u32>,
     credits: RefCell<Credits>,
-    credit_waiters: Notify,
+    /// One permit per completed call: where `call` parks while the next
+    /// sequence number's slot is taken.
+    credit_waiters: Semaphore,
     cc: RefCell<CongestionState>,
     next_tx_ns: Cell<SimTime>,
     slots: Box<[Slot]>,
@@ -620,7 +622,7 @@ impl ErpcMux {
             reply_port: self.inner.qp_ports[id % self.inner.qp_ports.len()],
             next_seq: Cell::new(0),
             credits: RefCell::new(Credits::new(cfg.window)),
-            credit_waiters: Notify::new(),
+            credit_waiters: Semaphore::new(0),
             cc: RefCell::new(CongestionState::new(cfg.cc, seed)),
             next_tx_ns: Cell::new(0),
             slots: (0..cfg.window).map(|_| Slot::new()).collect(),
@@ -758,7 +760,7 @@ impl ErpcSession {
                 break (seq, slot);
             }
             mux.cluster.note_credit_stall(mux.node);
-            s.credit_waiters.notified().await;
+            s.credit_waiters.acquire().await;
         };
         assert!(
             s.credits.borrow_mut().try_take(),
@@ -805,7 +807,7 @@ impl ErpcSession {
         let resp = RespWait { slot }.await;
         s.credits.borrow_mut().release();
         mux.m_credits.add(1);
-        s.credit_waiters.notify_one();
+        s.credit_waiters.release();
         resp
     }
 

@@ -10,15 +10,15 @@
 //! one sender and one pump; everything that distinguishes credit-based
 //! from packetized flow control — the paper's §6 comparison — is the
 //! `Window` each is built with. Only they have something to return, so
-//! only they bind a feedback port (at the sender) per direction.
-//! DESIGN.md §11 is the contract.
-
-use std::cell::Cell;
-use std::rc::Rc;
+//! only they bind a feedback port (at the sender) per direction. Every
+//! send window is a counted `dc_sim::sync::Semaphore`: AZ-SDP's holds
+//! in-flight slots, one per message; a windowed kind's holds units, which a
+//! chunk takes with `acquire_many` and the feedback pump refills with
+//! `release_many`. DESIGN.md §11 is the contract.
 
 use bytes::Bytes;
 use dc_fabric::{Cluster, CpuModel, Endpoint, NodeId, RetryPolicy, Transport};
-use dc_sim::sync::{channel, Notify, Receiver, Semaphore};
+use dc_sim::sync::{channel, Receiver, Semaphore};
 use dc_svc::bind_raw;
 
 use crate::config::SocketsConfig;
@@ -327,9 +327,8 @@ struct WindowTx {
     lane: LaneSender,
     cfg: SocketsConfig,
     w: Window,
-    /// Units of the window not in flight.
-    avail: Rc<Cell<usize>>,
-    refilled: Notify,
+    /// One permit per unit of the window not in flight.
+    window: Semaphore,
 }
 
 impl WindowTx {
@@ -341,15 +340,13 @@ impl WindowTx {
         cfg: SocketsConfig,
         w: Window,
     ) -> WindowTx {
-        let avail = Rc::new(Cell::new(w.size));
-        let refilled = Notify::new();
+        let window = Semaphore::new(w.size);
         // Feedback pump: units flow back from the receiver in batches.
-        let (avail2, refilled2) = (Rc::clone(&avail), refilled.clone());
+        let refill = window.clone();
         cluster.sim().spawn_detached(async move {
             loop {
                 let msg = fb_ep.recv().await;
-                avail2.set(avail2.get() + msg.imm as usize);
-                refilled2.notify_all();
+                refill.release_many(msg.imm as usize);
             }
         });
         WindowTx {
@@ -358,8 +355,7 @@ impl WindowTx {
             lane,
             cfg,
             w,
-            avail,
-            refilled,
+            window,
         }
     }
 
@@ -367,13 +363,12 @@ impl WindowTx {
         let cpu = self.cluster.cpu(self.local);
         for chunk in frame(data, self.w.chunk_cap) {
             let need = self.w.units(&chunk);
-            if self.avail.get() < need {
+            if self.window.available() < need {
                 self.cluster.note_credit_stall(self.local);
-                while self.avail.get() < need {
-                    self.refilled.notified().await;
-                }
             }
-            self.avail.set(self.avail.get() - need);
+            // A return carries at least `return_at` units, never less than a
+            // chunk's, so one refill always admits a stalled chunk.
+            self.window.acquire_many(need).await;
             // Buffered copy into a send buffer (or the ring image) before
             // posting.
             cpu.execute(self.cfg.copy_cost(chunk.wire_len())).await;

@@ -852,7 +852,7 @@ fn coalesced_miss_run(rounds: usize) -> (u64, u64) {
 /// joined miss, 64 rounds apart and both past the fetch calls' 500 ms
 /// deadlines (which hold their timer-wheel nodes until they expire), differ
 /// by exactly 0 allocations, and each round is one backend fetch. (A fresh
-/// `Notify` per joined miss — its `Rc`, waiter queue and grant list — made it
+/// per-miss wait queue — its `Rc`, waiter queue and grant list — made it
 /// 192, 3 per round.)
 #[test]
 fn coalesced_miss_allocates_nothing() {

@@ -8,6 +8,8 @@
 //! that moves one by more than [`TOLERANCE_PCT`] fails here, by name, and
 //! commits the new number on purpose.
 
+use std::rc::Rc;
+
 use bytes::Bytes;
 use dc_dlm::{DesignKind, DlmConfig, LockClient, LockMode};
 use dc_fabric::{Cluster, FabricModel, NodeId, Transport};
@@ -16,7 +18,7 @@ use dc_sim::sync::Rendezvous;
 use dc_sim::Sim;
 use dc_sockets::flow::Chunk;
 use dc_sockets::lane::LaneSender;
-use dc_sockets::{connect, SocketsConfig, StreamKind};
+use dc_sockets::{connect, ErpcCfg, ErpcMux, ErpcServer, SocketsConfig, StreamKind};
 use dc_svc::SvcClient;
 
 /// A size may drift this far from its committed value (debug and release
@@ -103,6 +105,16 @@ fn per_entity_futures_keep_their_committed_sizes() {
         std::mem::size_of_val(&tracked),
         368,
     );
+    // One per call in flight (`incast_rpc` runs 2,048 sessions): the
+    // session's credit wait and the pacer's sleep live in it.
+    let srv = ErpcServer::spawn(&cluster, NodeId(1), 1, 2, 0, Rc::new(|_, req| req));
+    let sess =
+        ErpcMux::new(&cluster, home, ErpcCfg::default()).session(NodeId(1), srv.ports()[0], 1);
+    let call = std::mem::size_of_val(&sess.call(0, Bytes::new()));
+    check("ErpcSession::call", call, 360);
+    // Every CPU charge holds one: its core `Acquire` and a sleep.
+    let execute = std::mem::size_of_val(&cluster.cpu(home).execute(1));
+    check("CpuModel::execute", execute, 72);
     // A view is one in-task fan-out, so each probe in flight is a `load`
     // future in the join's child array (one array per hosted request in
     // fig8b, back-ends × that future) and the view's own future holds the

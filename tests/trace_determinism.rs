@@ -243,6 +243,51 @@ fn stream_exchange(
     )
 }
 
+/// Eight callers share one eRPC session through a two-deep window while 25 %
+/// of messages drop: credit waits, out-of-order completions, retransmits and
+/// reply-cache hits. Returns when the last call is answered, with the
+/// session's acks and retransmits.
+fn erpc_window2_lossy() -> (u64, u64, u64, nextgen_datacenter::core::TraceArtifacts) {
+    use bytes::Bytes;
+    use nextgen_datacenter::fabric::{Cluster, FabricModel, FaultPlan, NodeId};
+    use nextgen_datacenter::sim::Sim;
+    use nextgen_datacenter::sockets::{ErpcCfg, ErpcMux, ErpcServer};
+    use std::rc::Rc;
+
+    let sim = Sim::new();
+    let cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), 2);
+    cluster.tracer().enable(TraceMode::Full);
+    cluster.install_faults(FaultPlan::from_parts(9, vec![], vec![], vec![], 0.25));
+    let srv = ErpcServer::spawn(&cluster, NodeId(1), 1, 2, 1_000, Rc::new(|_, req| req));
+    let cfg = ErpcCfg {
+        window: 2,
+        rto_ns: 200_000,
+        ..ErpcCfg::default()
+    };
+    let sess = ErpcMux::new(&cluster, NodeId(0), cfg).session(NodeId(1), srv.ports()[0], 1);
+    let callers: Vec<_> = (0..8u8)
+        .map(|i| {
+            let s = sess.clone();
+            sim.spawn(async move {
+                for k in 0..4u8 {
+                    let r = s.call(0, Bytes::from(vec![i, k])).await;
+                    assert_eq!(&r[..], &[i, k], "caller {i} got another call's response");
+                }
+            })
+        })
+        .collect();
+    let h = sim.handle();
+    // The retransmit sweeper never quiesces: run until the callers are done.
+    let done_ns = sim.run_to(async move {
+        for c in callers {
+            c.await;
+        }
+        h.now()
+    });
+    let artifacts = nextgen_datacenter::core::TraceArtifacts::collect(&cluster);
+    (sess.acks(), sess.retx(), done_ns, artifacts)
+}
+
 /// The engine-schedule golden: trace/metrics artifact hashes plus raw
 /// scheduler counters for fixed seeds, captured on the pre-timer-wheel
 /// `BinaryHeap` engine and committed. The hierarchical-wheel engine must
@@ -306,6 +351,27 @@ fn engine_schedule_matches_committed_golden() {
             ));
         }
     }
+    let (acks, retx, done_ns, a) = erpc_window2_lossy();
+    lines.push(format!(
+        "erpc_window2_lossy acks={acks} retx={retx} done_ns={done_ns} {}",
+        artifact_fields(&a)
+    ));
+    // A small Figure 8b run: back-end workers parked on their accept queue,
+    // clients parked on their responses, the monitor's probes.
+    let hosting = nextgen_datacenter::core::HostingCfg {
+        backends: 2,
+        workers_per_backend: 2,
+        clients: 8,
+        requests: 200,
+        ..Default::default()
+    };
+    let (r, a) = nextgen_datacenter::core::run_hosting_traced(&hosting, TraceMode::Full);
+    lines.push(format!(
+        "hosting tps_bits={:016x} p99_ns={} {}",
+        r.tps.to_bits(),
+        r.p99_latency_ns,
+        artifact_fields(&a)
+    ));
     let actual = lines.join("\n") + "\n";
     if std::env::var("DC_BLESS_ENGINE_GOLDEN").is_ok() {
         std::fs::write(golden_path, &actual).expect("writing golden");
