@@ -138,7 +138,7 @@ struct ClusterInner {
     ports_bound: Gauge,
     /// Installed fault schedule, if any. `None` means the fabric is
     /// perfectly reliable and every `try_*` verb is infallible in practice.
-    faults: RefCell<Option<Rc<FaultPlan>>>,
+    faults: RefCell<Option<FaultPlan>>,
     /// ECN marking threshold: a message is marked congestion-experienced
     /// when its sender's outbound link has at least this many transmissions
     /// queued ahead of it. `None` (the default) disables marking entirely,
@@ -155,9 +155,10 @@ struct ClusterInner {
     metrics: Rc<Registry>,
 }
 
-/// Verb counters, backed by the unified metrics registry: `stats()` reads
-/// the same storage that `metrics().snapshot()` enumerates under the
-/// `fabric.*` / `sockets.*` names.
+/// Verb and fault counters, backed by the unified metrics registry:
+/// `stats()` and `fault_stats()` read the same storage that
+/// `metrics().snapshot()` enumerates under the `fabric.*` / `sockets.*` /
+/// `fault.*` names.
 struct VerbCounters {
     reads: Counter,
     writes: Counter,
@@ -171,6 +172,9 @@ struct VerbCounters {
     retransmits: Counter,
     reorder_hwm: Gauge,
     credit_stalls: Counter,
+    dropped_msgs: Counter,
+    unreachable_ops: Counter,
+    retries: Counter,
 }
 
 impl VerbCounters {
@@ -188,6 +192,11 @@ impl VerbCounters {
             retransmits: reg.counter("sockets.retransmits"),
             reorder_hwm: reg.gauge("sockets.reorder_hwm"),
             credit_stalls: reg.counter("sockets.credit_stalls"),
+            // Registered even on a faultless cluster, so its snapshot shows
+            // explicit zeros (absent ≠ zero in cross-run diffs).
+            dropped_msgs: reg.counter("fault.dropped_msgs"),
+            unreachable_ops: reg.counter("fault.unreachable_ops"),
+            retries: reg.counter("fault.retries"),
         }
     }
 }
@@ -203,9 +212,6 @@ impl Cluster {
     /// node's region 0 is its kernel-statistics block.
     pub fn new(sim: SimHandle, model: FabricModel, nodes: usize) -> Cluster {
         let metrics = Rc::new(Registry::new());
-        // Register the fault counters up front so faultless runs snapshot
-        // them as explicit zeros (absent ≠ zero in cross-run diffs).
-        FaultPlan::preregister_counters(&metrics);
         let tracer = Tracer::new(sim.clone());
         let cluster = Cluster {
             inner: Rc::new(ClusterInner {
@@ -346,7 +352,6 @@ impl Cluster {
             self.inner.faults.borrow().is_none(),
             "fault plan already installed"
         );
-        plan.bind_counters(&self.inner.metrics);
         // The whole schedule is known now, so export the windows with
         // explicit timestamps instead of spawning marker tasks at runtime —
         // extra tasks would shift executor timer ordering and perturb the
@@ -392,22 +397,17 @@ impl Cluster {
                 cpu.execute(dur).await;
             });
         }
-        *self.inner.faults.borrow_mut() = Some(Rc::new(plan));
-    }
-
-    /// The installed fault plan, if any.
-    pub fn faults(&self) -> Option<Rc<FaultPlan>> {
-        self.inner.faults.borrow().clone()
+        *self.inner.faults.borrow_mut() = Some(plan);
     }
 
     /// Fault-exercise counters (zeroes when no plan is installed).
     pub fn fault_stats(&self) -> FaultStats {
-        self.inner
-            .faults
-            .borrow()
-            .as_ref()
-            .map(|p| p.stats())
-            .unwrap_or_default()
+        let s = &self.inner.stats;
+        FaultStats {
+            dropped_msgs: s.dropped_msgs.get(),
+            unreachable_ops: s.unreachable_ops.get(),
+            retries: s.retries.get(),
+        }
     }
 
     /// Latency multiplier (milli) in force right now; 1000 when faultless.
@@ -424,7 +424,7 @@ impl Cluster {
             Some(p) => {
                 let down = p.is_down(node, self.inner.sim.now());
                 if down {
-                    p.note_unreachable();
+                    self.inner.stats.unreachable_ops.inc();
                     self.inner.tracer.instant(
                         node.0,
                         Subsys::Fault,
@@ -443,13 +443,16 @@ impl Cluster {
         match &*self.inner.faults.borrow() {
             Some(p) => {
                 let dropped = p.should_drop();
-                if dropped && self.inner.tracer.is_enabled() {
-                    self.inner.tracer.instant(
-                        to.0,
-                        Subsys::Fault,
-                        "fault.drop",
-                        vec![("src", from.0.into())],
-                    );
+                if dropped {
+                    self.inner.stats.dropped_msgs.inc();
+                    if self.inner.tracer.is_enabled() {
+                        self.inner.tracer.instant(
+                            to.0,
+                            Subsys::Fault,
+                            "fault.drop",
+                            vec![("src", from.0.into())],
+                        );
+                    }
                 }
                 dropped
             }
@@ -457,9 +460,12 @@ impl Cluster {
         }
     }
 
-    fn note_retry(&self) {
-        if let Some(p) = &*self.inner.faults.borrow() {
-            p.note_retry();
+    /// Record one retry by a reliable wrapper (`fault.retries`). Counted
+    /// only while a fault plan is installed: a retransmit on a faultless
+    /// fabric is congestion, not an exercised fault.
+    pub fn note_retry(&self) {
+        if self.inner.faults.borrow().is_some() {
+            self.inner.stats.retries.inc();
         }
     }
 
@@ -1881,8 +1887,20 @@ mod tests {
     }
 
     #[test]
-    fn fault_metrics_mirror_fault_stats() {
+    fn fault_stats_read_the_registry() {
         use crate::faults::FaultPlan;
+        // A retransmit on a faultless fabric is not an exercised fault.
+        let (_, clean) = setup(2);
+        clean.note_retransmit();
+        clean.note_retry();
+        assert_eq!(clean.fault_stats(), FaultStats::default());
+        let snap = clean.metrics().snapshot();
+        assert_eq!(
+            snap.get("fault.retries"),
+            Some(&dc_trace::MetricValue::Counter(0))
+        );
+        assert_eq!(snap.counter("sockets.retransmits"), 1);
+
         let (sim, c) = setup(2);
         c.install_faults(FaultPlan::from_parts(3, vec![], vec![], vec![], 0.5));
         let mut ep = c.bind(NodeId(1), 7);
@@ -1909,7 +1927,9 @@ mod tests {
         let fs = c.fault_stats();
         let snap = c.metrics().snapshot();
         assert!(fs.dropped_msgs > 0);
+        assert!(fs.retries > 0);
         assert_eq!(snap.counter("fault.dropped_msgs"), fs.dropped_msgs);
+        assert_eq!(snap.counter("fault.unreachable_ops"), 0);
         assert_eq!(snap.counter("fault.retries"), fs.retries);
         assert_eq!(snap.counter("fabric.delivered"), 10);
     }

@@ -15,12 +15,16 @@
 //! tasks survive the window (the "restart" rejoins with state intact), so
 //! protocols face the hard part — timeouts, retries, and duplicate
 //! suppression — without the simulator having to tear tasks down.
+//!
+//! A plan is the schedule plus the drop decision; it counts nothing. What
+//! a run actually exercised lives in the cluster's `fault.*` registry
+//! counters, which [`crate::Cluster::fault_stats`] reads as [`FaultStats`].
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 
+use dc_sim::rng::splitmix64;
 use dc_sim::time::ms;
 use dc_sim::SimTime;
-use dc_trace::Counter;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -183,8 +187,8 @@ pub struct StallWindow {
     pub dur: SimTime,
 }
 
-/// Counters of faults actually exercised, for asserting that a soak run
-/// really injected something.
+/// A reading of the `fault.*` counters: the faults a run actually
+/// exercised, for asserting that a soak run really injected something.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Messages dropped in flight.
@@ -195,16 +199,9 @@ pub struct FaultStats {
     pub retries: u64,
 }
 
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// A fully materialized, seeded fault schedule. Install on a cluster with
 /// [`crate::Cluster::install_faults`]; the cluster consults it on every verb
-/// and send.
+/// and send, and counts what it exercised under `fault.*`.
 pub struct FaultPlan {
     seed: u64,
     crashes: Vec<CrashWindow>,
@@ -214,29 +211,12 @@ pub struct FaultPlan {
     drop_threshold: u64,
     drop_salt: u64,
     msg_counter: Cell<u64>,
-    dropped_msgs: Cell<u64>,
-    unreachable_ops: Cell<u64>,
-    retries: Cell<u64>,
-    /// Registry counters mirroring the cells above, bound when the plan is
-    /// installed on a cluster so `fault.*` metrics appear alongside the
-    /// legacy [`FaultStats`] snapshot.
-    mirror: RefCell<Option<FaultMirror>>,
-}
-
-struct FaultMirror {
-    dropped_msgs: Counter,
-    unreachable_ops: Counter,
-    retries: Counter,
 }
 
 impl FaultPlan {
     /// Materialize the schedule for a `nodes`-node cluster from `seed`.
     /// Identical `(seed, cfg, nodes)` triples yield identical plans.
     pub fn generate(seed: u64, cfg: &FaultConfig, nodes: usize) -> FaultPlan {
-        assert!(
-            (0.0..=1.0).contains(&cfg.drop_prob),
-            "drop_prob out of range"
-        );
         assert!(
             cfg.latency_factor_min >= 1.0 && cfg.latency_factor_max >= cfg.latency_factor_min,
             "latency factors must be >= 1 and ordered"
@@ -284,25 +264,7 @@ impl FaultPlan {
                 factor_milli: (factor * 1000.0) as u64,
             });
         }
-        // drop_prob maps to a threshold over the full u64 hash range.
-        let drop_threshold = if cfg.drop_prob >= 1.0 {
-            u64::MAX
-        } else {
-            (cfg.drop_prob * (u64::MAX as f64)) as u64
-        };
-        FaultPlan {
-            seed,
-            crashes,
-            latency,
-            stalls,
-            drop_threshold,
-            drop_salt: splitmix64(seed ^ 0xD09F_5EED_0000_0001),
-            msg_counter: Cell::new(0),
-            dropped_msgs: Cell::new(0),
-            unreachable_ops: Cell::new(0),
-            retries: Cell::new(0),
-            mirror: RefCell::new(None),
-        }
+        FaultPlan::from_parts(seed, crashes, latency, stalls, cfg.drop_prob)
     }
 
     /// Hand-build a plan from explicit windows — for targeted tests and
@@ -316,6 +278,7 @@ impl FaultPlan {
         drop_prob: f64,
     ) -> FaultPlan {
         assert!((0.0..=1.0).contains(&drop_prob), "drop_prob out of range");
+        // drop_prob maps to a threshold over the full u64 hash range.
         let drop_threshold = if drop_prob >= 1.0 {
             u64::MAX
         } else {
@@ -329,38 +292,7 @@ impl FaultPlan {
             drop_threshold,
             drop_salt: splitmix64(seed ^ 0xD09F_5EED_0000_0001),
             msg_counter: Cell::new(0),
-            dropped_msgs: Cell::new(0),
-            unreachable_ops: Cell::new(0),
-            retries: Cell::new(0),
-            mirror: RefCell::new(None),
         }
-    }
-
-    /// Register the `fault.*` counters without binding them to any plan.
-    /// `Cluster::new` calls this so clean (faultless) runs export the keys
-    /// as explicit zeros — otherwise a metrics diff between a clean and a
-    /// faulted run can't tell "no faults exercised" from "fault counters
-    /// not wired", because absence and zero look the same.
-    pub fn preregister_counters(registry: &dc_trace::Registry) {
-        registry.counter("fault.dropped_msgs");
-        registry.counter("fault.unreachable_ops");
-        registry.counter("fault.retries");
-    }
-
-    /// Bind `fault.*` counters from `registry` so every exercised fault is
-    /// visible through the unified metrics as well as [`FaultPlan::stats`].
-    /// Called by `Cluster::install_faults`; past exercise (from a plan used
-    /// before installation) is carried over.
-    pub fn bind_counters(&self, registry: &dc_trace::Registry) {
-        let m = FaultMirror {
-            dropped_msgs: registry.counter("fault.dropped_msgs"),
-            unreachable_ops: registry.counter("fault.unreachable_ops"),
-            retries: registry.counter("fault.retries"),
-        };
-        m.dropped_msgs.add(self.dropped_msgs.get());
-        m.unreachable_ops.add(self.unreachable_ops.get());
-        m.retries.add(self.retries.get());
-        *self.mirror.borrow_mut() = Some(m);
     }
 
     /// The seed this plan was generated from.
@@ -387,20 +319,13 @@ impl FaultPlan {
             .max(1000)
     }
 
-    /// Decide (and record) whether the next message is dropped. Each call
-    /// consumes one counter value, so the decision sequence is a pure
-    /// function of the seed and the order of sends.
+    /// Decide whether the next message is dropped. Each call consumes one
+    /// counter value, so the decision sequence is a pure function of the
+    /// seed and the order of sends.
     pub fn should_drop(&self) -> bool {
         let c = self.msg_counter.get();
         self.msg_counter.set(c + 1);
-        let dropped = splitmix64(self.drop_salt ^ c) < self.drop_threshold;
-        if dropped {
-            self.dropped_msgs.set(self.dropped_msgs.get() + 1);
-            if let Some(m) = &*self.mirror.borrow() {
-                m.dropped_msgs.inc();
-            }
-        }
-        dropped
+        splitmix64(self.drop_salt ^ c) < self.drop_threshold
     }
 
     /// Pure per-stream drop draw: decides draw number `n` of logical
@@ -416,30 +341,7 @@ impl FaultPlan {
     /// drop *probability* per draw matches `should_drop` exactly.
     pub fn stream_should_drop(&self, stream: u64, n: u64) -> bool {
         let c = splitmix64(stream.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(n));
-        let dropped = splitmix64(self.drop_salt ^ c) < self.drop_threshold;
-        if dropped {
-            self.dropped_msgs.set(self.dropped_msgs.get() + 1);
-            if let Some(m) = &*self.mirror.borrow() {
-                m.dropped_msgs.inc();
-            }
-        }
-        dropped
-    }
-
-    /// Record an operation that failed on a crashed node.
-    pub fn note_unreachable(&self) {
-        self.unreachable_ops.set(self.unreachable_ops.get() + 1);
-        if let Some(m) = &*self.mirror.borrow() {
-            m.unreachable_ops.inc();
-        }
-    }
-
-    /// Record one retry performed by a reliable wrapper.
-    pub fn note_retry(&self) {
-        self.retries.set(self.retries.get() + 1);
-        if let Some(m) = &*self.mirror.borrow() {
-            m.retries.inc();
-        }
+        splitmix64(self.drop_salt ^ c) < self.drop_threshold
     }
 
     /// The scheduled crash windows.
@@ -455,15 +357,6 @@ impl FaultPlan {
     /// The scheduled CPU-stall windows.
     pub fn stall_windows(&self) -> &[StallWindow] {
         &self.stalls
-    }
-
-    /// Snapshot of the exercise counters.
-    pub fn stats(&self) -> FaultStats {
-        FaultStats {
-            dropped_msgs: self.dropped_msgs.get(),
-            unreachable_ops: self.unreachable_ops.get(),
-            retries: self.retries.get(),
-        }
     }
 }
 
@@ -565,7 +458,6 @@ mod tests {
         let drops = (0..n).filter(|_| p.should_drop()).count();
         let rate = drops as f64 / n as f64;
         assert!((0.08..0.12).contains(&rate), "rate={rate}");
-        assert_eq!(p.stats().dropped_msgs, drops as u64);
     }
 
     #[test]

@@ -54,12 +54,6 @@ impl MonitorScheme {
     pub fn needs_daemon(self) -> bool {
         matches!(self, MonitorScheme::SocketSync | MonitorScheme::SocketAsync)
     }
-
-    /// Whether queries return a locally cached (periodically refreshed)
-    /// view instead of a fresh round trip.
-    pub fn is_async(self) -> bool {
-        matches!(self, MonitorScheme::SocketAsync | MonitorScheme::RdmaAsync)
-    }
 }
 
 impl fmt::Display for MonitorScheme {
@@ -73,12 +67,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn daemon_and_async_classification() {
+    fn daemon_classification() {
         assert!(MonitorScheme::SocketSync.needs_daemon());
         assert!(MonitorScheme::SocketAsync.needs_daemon());
         assert!(!MonitorScheme::RdmaSync.needs_daemon());
-        assert!(MonitorScheme::RdmaAsync.is_async());
-        assert!(!MonitorScheme::ERdmaSync.is_async());
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! per-process seeds, which proves it), but a fixed order keeps debugging
 //! sessions and `--trace` diffs stable too.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Multiplier from the FNV/Firefox family; spreads low-entropy integer keys
@@ -87,12 +87,10 @@ pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 /// Drop-in `HashMap` with the deterministic fast hasher.
 pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 
-/// Drop-in `HashSet` with the deterministic fast hasher.
-pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
     use std::hash::{BuildHasher, Hash};
 
     fn hash_of<T: Hash>(v: T) -> u64 {
@@ -111,11 +109,11 @@ mod tests {
     #[test]
     fn distinguishes_nearby_keys() {
         let hashes: Vec<u64> = (0u16..64).map(hash_of).collect();
-        let distinct: FxHashSet<u64> = hashes.iter().copied().collect();
+        let distinct: HashSet<u64> = hashes.iter().copied().collect();
         assert_eq!(distinct.len(), hashes.len());
         // Bucket selection uses the high bits; ensure consecutive small
         // integers don't collapse there.
-        let top: FxHashSet<u64> = hashes.iter().map(|h| h >> 57).collect();
+        let top: HashSet<u64> = hashes.iter().map(|h| h >> 57).collect();
         assert!(top.len() > 16, "high bits poorly mixed: {}", top.len());
     }
 

@@ -21,12 +21,13 @@ struct Waiter {
     waker: Waker,
 }
 
+/// The wait queue is sorted by ticket, and a waiter leaves it only by a
+/// grant or by dropping its `Acquire`. So a queued ticket that is absent
+/// from `waiters` has been granted its permits: the queue is also the
+/// ledger of grants not yet observed.
 struct Inner {
     permits: usize,
     waiters: VecDeque<Waiter>,
-    /// Tickets whose permits have been handed over by a release but whose
-    /// task has not yet observed the grant.
-    granted: Vec<u64>,
     next_ticket: u64,
 }
 
@@ -42,7 +43,6 @@ impl Inner {
         while self.waiters.front().is_some_and(|w| w.need <= self.permits) {
             let w = self.waiters.pop_front().expect("the head fits");
             self.permits -= w.need;
-            self.granted.push(w.ticket);
             w.waker.wake();
         }
     }
@@ -61,7 +61,6 @@ impl Semaphore {
             inner: Rc::new(RefCell::new(Inner {
                 permits,
                 waiters: VecDeque::new(),
-                granted: Vec::new(),
                 next_ticket: 0,
             })),
         }
@@ -153,18 +152,15 @@ impl Future for Acquire {
                 });
                 Poll::Pending
             }
-            t => match i.granted.iter().position(|&g| g == t) {
-                Some(pos) => {
-                    i.granted.swap_remove(pos);
+            t => match i.waiters.binary_search_by_key(&t, |w| w.ticket) {
+                Ok(pos) => {
+                    // Spurious wake: refresh the stored waker.
+                    i.waiters[pos].waker.clone_from(cx.waker());
+                    Poll::Pending
+                }
+                Err(_) => {
                     this.ticket = DONE;
                     Poll::Ready(())
-                }
-                None => {
-                    // Spurious wake: refresh the stored waker.
-                    if let Some(w) = i.waiters.iter_mut().find(|w| w.ticket == t) {
-                        w.waker = cx.waker().clone();
-                    }
-                    Poll::Pending
                 }
             },
         }
@@ -181,12 +177,12 @@ impl Drop for Acquire {
             return;
         }
         let mut i = self.sem.borrow_mut();
-        if let Some(pos) = i.waiters.iter().position(|w| w.ticket == t) {
-            i.waiters.remove(pos);
-            i.grant();
-        } else if let Some(pos) = i.granted.iter().position(|&g| g == t) {
-            i.granted.swap_remove(pos);
-            i.release(self.need);
+        match i.waiters.binary_search_by_key(&t, |w| w.ticket) {
+            Ok(pos) => {
+                i.waiters.remove(pos);
+                i.grant();
+            }
+            Err(_) => i.release(self.need),
         }
     }
 }

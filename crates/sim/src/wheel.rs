@@ -43,10 +43,10 @@ const LEVELS: usize = 6;
 const SPAN: u64 = 1 << (BITS * LEVELS as u32);
 
 /// A stored timer: deadline, registration sequence, payload.
-pub struct Entry<T> {
-    pub at: u64,
-    pub seq: u64,
-    pub value: T,
+pub(crate) struct Entry<T> {
+    pub(crate) at: u64,
+    pub(crate) seq: u64,
+    pub(crate) value: T,
 }
 
 struct OverflowEntry<T> {
@@ -72,7 +72,7 @@ impl<T> Ord for OverflowEntry<T> {
     }
 }
 
-pub struct TimerWheel<T> {
+pub(crate) struct TimerWheel<T> {
     base: u64,
     /// Per-level occupancy bitmap: bit `s` ⇔ slot `l * SLOTS + s` nonempty.
     occ: [u64; LEVELS],
@@ -111,7 +111,7 @@ impl<T> Default for TimerWheel<T> {
 }
 
 impl<T> TimerWheel<T> {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         TimerWheel {
             base: 0,
             occ: [0; LEVELS],
@@ -126,18 +126,18 @@ impl<T> TimerWheel<T> {
 
     /// Number of stored (not yet popped) timers.
     #[cfg(test)]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
     #[cfg(test)]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
     }
 
     /// Store a timer. The caller must not insert behind the wheel origin
     /// (the executor registers timers strictly in the future).
-    pub fn insert(&mut self, at: u64, seq: u64, value: T) {
+    pub(crate) fn insert(&mut self, at: u64, seq: u64, value: T) {
         debug_assert!(at >= self.base, "timer registered behind the wheel");
         if self.heads.is_empty() {
             self.heads = vec![NIL; LEVELS * SLOTS];
@@ -213,7 +213,7 @@ impl<T> TimerWheel<T> {
     /// Pop the earliest `(at, seq)` timer whose deadline is `<= limit`, or
     /// return `None` — in which case neither the wheel origin nor any entry
     /// has moved past `limit`.
-    pub fn pop_next_at_or_before(&mut self, limit: u64) -> Option<Entry<T>> {
+    pub(crate) fn pop_next_at_or_before(&mut self, limit: u64) -> Option<Entry<T>> {
         loop {
             // Dispense the current same-instant batch first: everything else
             // in the wheel is strictly later.
@@ -371,7 +371,7 @@ impl<T> TimerWheel<T> {
     /// start, i.e. within one slot width below the true minimum. That is
     /// what the sharded engine's idle fast-forward needs: a time provably
     /// at-or-before the next timer, cheap to compute every window.
-    pub fn next_at_bound(&self) -> Option<u64> {
+    pub(crate) fn next_at_bound(&self) -> Option<u64> {
         let mut m = u64::MAX;
         if let Some(front) = self.pending.front() {
             m = m.min(front.at);

@@ -41,6 +41,7 @@ use std::task::{Context, Poll, Waker};
 use bytes::Bytes;
 use dc_fabric::{Cluster, NodeId, Transport};
 use dc_sim::fxhash::FxHashMap;
+use dc_sim::rng::splitmix64;
 use dc_sim::sync::Semaphore;
 use dc_sim::SimTime;
 use dc_svc::bind_raw;
@@ -216,15 +217,6 @@ impl Default for CcConfig {
             rtt_high_ns: 400_000,
         }
     }
-}
-
-/// SplitMix64 — a tiny seeded generator so session start rates are jittered
-/// deterministically without pulling a dependency into the hot path.
-fn splitmix64(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// One session's congestion state. Pure (no clock, no I/O): callers feed it
@@ -669,9 +661,7 @@ async fn sweep_session(mux: &MuxInner, s: &SessionInner) {
         s.retx.set(s.retx.get() + 1);
         mux.m_retx.inc();
         mux.cluster.note_retransmit();
-        if let Some(p) = mux.cluster.faults() {
-            p.note_retry();
-        }
+        mux.cluster.note_retry();
         mux.feed_cc(s, None, true);
         slot.sent_ns.set(now);
         let imm = encode_imm(ImmHeader {
@@ -969,6 +959,34 @@ mod tests {
         assert_eq!(n, 40);
         assert!(sess.retx() > 0, "no retransmission was exercised");
         assert_eq!(cluster.stats().retransmits, sess.retx());
+        assert_eq!(cluster.fault_stats().retries, sess.retx());
+    }
+
+    /// A service slower than the RTO makes the sweeper resend on a
+    /// faultless fabric: that is a transport retransmit, not a fault retry.
+    #[test]
+    fn rto_retransmits_without_a_fault_plan_are_not_fault_retries() {
+        let (sim, cluster) = setup(2);
+        let srv = ErpcServer::spawn(&cluster, NodeId(1), 1, 2, 600_000, Rc::new(|_, req| req));
+        let mux = ErpcMux::new(
+            &cluster,
+            NodeId(0),
+            ErpcCfg {
+                rto_ns: 200_000,
+                ..ErpcCfg::default()
+            },
+        );
+        let sess = mux.session(NodeId(1), srv.ports()[0], 1);
+        let s2 = sess.clone();
+        sim.run_to(async move {
+            for i in 0..4u8 {
+                assert_eq!(s2.call(0, Bytes::from(vec![i; 64])).await[0], i);
+            }
+        });
+        assert!(sess.retx() > 0, "no retransmission was exercised");
+        let snap = cluster.metrics().snapshot();
+        assert_eq!(snap.counter("sockets.retransmits"), sess.retx());
+        assert_eq!(snap.counter("fault.retries"), 0);
     }
 
     #[test]

@@ -91,9 +91,7 @@ impl LaneSender {
                     }
                     Err(_) => {
                         cluster.note_retransmit();
-                        if let Some(p) = cluster.faults() {
-                            p.note_retry();
-                        }
+                        cluster.note_retry();
                         // Retry-stage span around the backoff so lane
                         // retransmissions show up in latency attribution.
                         let tb = cluster.tracer().begin();

@@ -201,17 +201,6 @@ impl SvcClient {
         self.attempt(to, port, Bytes::copy_from_slice(payload), transport)
             .await
     }
-
-    /// [`SvcClient::try_call`] taking an owned `Bytes` payload.
-    pub async fn try_call_bytes(
-        &self,
-        to: NodeId,
-        port: u16,
-        payload: Bytes,
-        transport: Transport,
-    ) -> Option<Bytes> {
-        self.attempt(to, port, payload, transport).await
-    }
 }
 
 #[cfg(test)]
@@ -422,7 +411,7 @@ mod tests {
         let sent = req.clone();
         sim.spawn(async move {
             client
-                .try_call_bytes(NodeId(1), port, sent, Transport::RdmaSend)
+                .attempt(NodeId(1), port, sent, Transport::RdmaSend)
                 .await
         });
         let seen = sim.run_to(async move { parse_request(&ep.recv().await) });

@@ -216,9 +216,7 @@ impl Service {
         let busy = metrics.counter(&key);
         key.truncate(base);
         key.push_str(".queue_wait_ns");
-        // Streaming (constant-memory) backing: queue waits are recorded per
-        // request on the hot path and no golden table pins their quantiles.
-        let queue_wait = metrics.hist_streaming(&key);
+        let queue_wait = metrics.hist(&key);
         // Shared, not owned by the pump, so a Concurrent handler task can
         // keep the route it runs on alive.
         let route = Rc::new(dispatcher.route);

@@ -174,9 +174,6 @@ pub enum TraceMode {
     /// Keep only the most recent `N` events; older ones are dropped and
     /// counted.
     Ring(usize),
-    /// Keep every `N`-th event (counter-based, so sampling is deterministic);
-    /// skipped events are counted as dropped.
-    Sample(u64),
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@ use std::rc::Rc;
 
 use dc_sim::SimTime;
 
-use crate::hist::{HistSummary, LatencyHist, StreamHist};
+use crate::hist::{HistSummary, StreamHist};
 use crate::json::JsonWriter;
 
 /// Monotonically increasing event count.
@@ -76,68 +76,21 @@ impl Gauge {
     }
 }
 
-/// Storage behind a [`HistHandle`]: exact sample-keeping (figure-gated
-/// paths, where golden baselines pin nearest-rank quantiles bit-for-bit)
-/// or streaming log-bucketed (hot/at-scale paths, constant memory).
-#[derive(Debug)]
-enum HistBacking {
-    Exact(LatencyHist),
-    Stream(StreamHist),
-}
-
-impl Default for HistBacking {
-    fn default() -> Self {
-        HistBacking::Exact(LatencyHist::new())
-    }
-}
-
-/// Shared handle to a registered latency histogram.
+/// Shared handle to a registered latency histogram: a streaming
+/// constant-memory [`StreamHist`], so recording never allocates.
 #[derive(Clone, Debug, Default)]
-pub struct HistHandle(Rc<RefCell<HistBacking>>);
+pub struct HistHandle(Rc<RefCell<StreamHist>>);
 
 impl HistHandle {
     /// Record one latency sample.
     #[inline]
     pub fn record(&self, ns: SimTime) {
-        match &mut *self.0.borrow_mut() {
-            HistBacking::Exact(h) => h.record(ns),
-            HistBacking::Stream(h) => h.record(ns),
-        }
+        self.0.borrow_mut().record(ns);
     }
 
     /// Summarise the histogram's headline statistics.
     pub fn summary(&self) -> HistSummary {
-        match &*self.0.borrow() {
-            HistBacking::Exact(h) => h.summary(),
-            HistBacking::Stream(h) => h.summary(),
-        }
-    }
-
-    /// Whether this handle is backed by the streaming histogram.
-    pub fn is_streaming(&self) -> bool {
-        matches!(&*self.0.borrow(), HistBacking::Stream(_))
-    }
-
-    /// Read through to the underlying exact histogram. Panics on a
-    /// streaming-backed handle — raw samples only exist in exact mode.
-    pub fn with<R>(&self, f: impl FnOnce(&LatencyHist) -> R) -> R {
-        match &*self.0.borrow() {
-            HistBacking::Exact(h) => f(h),
-            HistBacking::Stream(_) => {
-                panic!("HistHandle::with on a streaming histogram (no raw samples kept)")
-            }
-        }
-    }
-
-    /// Read through to the underlying streaming histogram. Panics on an
-    /// exact-backed handle.
-    pub fn with_stream<R>(&self, f: impl FnOnce(&StreamHist) -> R) -> R {
-        match &*self.0.borrow() {
-            HistBacking::Stream(h) => f(h),
-            HistBacking::Exact(_) => {
-                panic!("HistHandle::with_stream on an exact histogram")
-            }
-        }
+        self.0.borrow().summary()
     }
 }
 
@@ -211,34 +164,14 @@ impl Registry {
         }
     }
 
-    /// Get or create the histogram named `name`, backed by the exact
-    /// sample-keeping [`LatencyHist`]. Figure-gated paths use this: golden
-    /// baselines pin its nearest-rank quantiles bit-for-bit.
+    /// Get or create the histogram named `name`.
     pub fn hist(&self, name: &str) -> HistHandle {
-        self.hist_with(name, false)
-    }
-
-    /// Get or create the histogram named `name`, backed by the streaming
-    /// constant-memory [`StreamHist`]. New/at-scale paths default to this.
-    /// Re-registering a name keeps the first backing: the two backings are
-    /// one metric kind, so a `hist`/`hist_streaming` mix on one name is
-    /// allowed and the first caller decides the storage.
-    pub fn hist_streaming(&self, name: &str) -> HistHandle {
-        self.hist_with(name, true)
-    }
-
-    fn hist_with(&self, name: &str, streaming: bool) -> HistHandle {
         let mut m = self.metrics.borrow_mut();
         match m.get(name) {
             Some(Metric::Hist(h)) => h.clone(),
             Some(_) => panic!("metric {name:?} already registered with a different kind"),
             None => {
-                let backing = if streaming {
-                    HistBacking::Stream(StreamHist::new())
-                } else {
-                    HistBacking::Exact(LatencyHist::new())
-                };
-                let h = HistHandle(Rc::new(RefCell::new(backing)));
+                let h = HistHandle::default();
                 m.insert(name.to_string(), Metric::Hist(h.clone()));
                 h
             }
@@ -371,7 +304,6 @@ mod tests {
         let s = h.summary();
         assert_eq!(s.count, 2);
         assert_eq!(s.mean_ns, us(15));
-        assert_eq!(h.with(|lh| lh.count()), 2);
     }
 
     #[test]
@@ -433,9 +365,8 @@ mod tests {
         r.counter("fault.dropped_msgs");
         r.gauge("idle.depth");
         r.hist("quiet.latency");
-        r.hist_streaming("quiet.stream");
         let snap = r.snapshot();
-        assert_eq!(snap.values.len(), 4);
+        assert_eq!(snap.values.len(), 3);
         assert_eq!(
             snap.get("fault.dropped_msgs"),
             Some(&MetricValue::Counter(0))
@@ -449,40 +380,5 @@ mod tests {
         assert!(json.contains("\"fault.dropped_msgs\":0"), "{json}");
         assert!(json.contains("\"idle.depth\":0"), "{json}");
         assert!(validate(&json).is_ok());
-    }
-
-    #[test]
-    fn streaming_hists_register_record_and_snapshot_like_exact() {
-        let r = Registry::new();
-        let h = r.hist_streaming("svc.cache.queue_wait_ns");
-        assert!(h.is_streaming());
-        assert!(!r.hist("app.latency").is_streaming());
-        for i in 1..=100u64 {
-            h.record(us(i));
-        }
-        let s = h.summary();
-        assert_eq!(s.count, 100);
-        assert_eq!(s.min_ns, us(1));
-        assert_eq!(s.max_ns, us(100));
-        // Re-registering under either constructor returns the same cell.
-        let again = r.hist("svc.cache.queue_wait_ns");
-        assert!(again.is_streaming());
-        again.record(us(7));
-        assert_eq!(h.summary().count, 101);
-        assert_eq!(h.with_stream(|sh| sh.count()), 101);
-        // Streaming summaries serialize through the same JSON shape.
-        let json = r.snapshot().to_json();
-        assert!(
-            json.contains("\"svc.cache.queue_wait_ns\":{\"count\":101"),
-            "{json}"
-        );
-        assert!(validate(&json).is_ok());
-    }
-
-    #[test]
-    #[should_panic(expected = "no raw samples")]
-    fn with_on_streaming_backing_panics() {
-        let r = Registry::new();
-        r.hist_streaming("s").with(|h| h.count());
     }
 }

@@ -23,11 +23,8 @@ struct TracerInner {
     enabled: Cell<bool>,
     mode: Cell<TraceMode>,
     events: RefCell<VecDeque<Event>>,
-    /// Events discarded by `Ring` eviction or `Sample` skipping.
+    /// Events discarded by `Ring` eviction.
     dropped: Cell<u64>,
-    /// Counts record attempts in `Sample` mode; event kept when
-    /// `counter % n == 0`.
-    sample_counter: Cell<u64>,
     /// Allocator for caller-requested flow ids (`fresh_flow_id`). Subsystems
     /// that can derive a deterministic id from protocol state (e.g. DLM
     /// lock word + node) should prefer that; this is for request/response
@@ -61,7 +58,6 @@ impl Tracer {
                 mode: Cell::new(TraceMode::Full),
                 events: RefCell::new(VecDeque::new()),
                 dropped: Cell::new(0),
-                sample_counter: Cell::new(0),
                 next_flow: Cell::new(1),
             }),
         }
@@ -73,14 +69,10 @@ impl Tracer {
         if let TraceMode::Ring(cap) = mode {
             assert!(cap > 0, "ring capacity must be nonzero");
         }
-        if let TraceMode::Sample(n) = mode {
-            assert!(n > 0, "sample period must be nonzero");
-        }
         self.inner.enabled.set(true);
         self.inner.mode.set(mode);
         self.inner.events.borrow_mut().clear();
         self.inner.dropped.set(0);
-        self.inner.sample_counter.set(0);
     }
 
     /// Whether recording is on. Instrumentation that must compute argument
@@ -100,7 +92,7 @@ impl Tracer {
         self.inner.events.borrow().is_empty()
     }
 
-    /// Events discarded by ring eviction or sampling.
+    /// Events discarded by ring eviction.
     pub fn dropped(&self) -> u64 {
         self.inner.dropped.get()
     }
@@ -122,15 +114,6 @@ impl Tracer {
                     self.inner.dropped.set(self.inner.dropped.get() + 1);
                 }
                 q.push_back(ev);
-            }
-            TraceMode::Sample(n) => {
-                let c = self.inner.sample_counter.get();
-                self.inner.sample_counter.set(c + 1);
-                if c.is_multiple_of(n) {
-                    self.inner.events.borrow_mut().push_back(ev);
-                } else {
-                    self.inner.dropped.set(self.inner.dropped.get() + 1);
-                }
             }
         }
     }
@@ -421,17 +404,6 @@ mod tests {
         assert_eq!(tr.dropped(), 2);
         let ts: Vec<_> = tr.events().iter().map(|e| e.ts).collect();
         assert_eq!(ts, vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn sample_mode_keeps_every_nth_deterministically() {
-        let (_sim, tr) = traced_sim(TraceMode::Sample(3));
-        for i in 0..10u64 {
-            tr.instant_at(i, 0, Subsys::App, "tick", vec![]);
-        }
-        let ts: Vec<_> = tr.events().iter().map(|e| e.ts).collect();
-        assert_eq!(ts, vec![0, 3, 6, 9]);
-        assert_eq!(tr.dropped(), 6);
     }
 
     #[test]

@@ -239,11 +239,6 @@ impl MergedArrivals {
         sift_down(&mut self.heap, 0);
         (t, idx)
     }
-
-    /// Time of the next arrival without consuming it.
-    pub fn peek_ns(&self) -> u64 {
-        self.heap[0].0
-    }
 }
 
 #[inline]
@@ -343,8 +338,11 @@ mod tests {
         let mut count = 0u64;
         let mut last = 0u64;
         let mut seen = [false; 64];
-        while m.peek_ns() < 10_000_000_000 {
+        loop {
             let (t, idx) = m.next();
+            if t >= 10_000_000_000 {
+                break;
+            }
             assert!(t >= prev, "merge emitted out of order");
             prev = t;
             last = t;

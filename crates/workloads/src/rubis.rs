@@ -98,16 +98,6 @@ impl RubisMix {
         }
         unreachable!("weights exhausted")
     }
-
-    /// Mean CPU demand of the mix, nanoseconds.
-    pub fn mean_cpu_ns(&self) -> u64 {
-        let wsum: u64 = self
-            .table
-            .iter()
-            .map(|&(op, w)| op.cpu_ns() * w as u64)
-            .sum();
-        wsum / self.total as u64
-    }
 }
 
 #[cfg(test)]
@@ -140,12 +130,5 @@ mod tests {
         let cheapest = RubisOp::Home.cpu_ns();
         let dearest = RubisOp::SearchItems.cpu_ns();
         assert!(dearest > 15 * cheapest);
-    }
-
-    #[test]
-    fn mean_cpu_is_between_extremes() {
-        let m = RubisMix::new().mean_cpu_ns();
-        assert!(m > RubisOp::Home.cpu_ns());
-        assert!(m < RubisOp::SearchItems.cpu_ns());
     }
 }

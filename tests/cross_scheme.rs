@@ -105,13 +105,13 @@ mod dc_bench_shim {
     use nextgen_datacenter::sim::Sim;
 
     #[derive(Clone, Copy)]
-    pub enum LockScheme {
+    pub(super) enum LockScheme {
         Ncosed,
         Dqnl,
         Srsl,
     }
 
-    pub fn cascade(scheme: LockScheme, waiters: usize, mode: LockMode) -> u64 {
+    pub(super) fn cascade(scheme: LockScheme, waiters: usize, mode: LockMode) -> u64 {
         let sim = Sim::new();
         let nodes = 2 + waiters;
         let cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), nodes);

@@ -24,6 +24,7 @@ use nextgen_datacenter::dlm::{DlmConfig, LockMode, NcosedDlm};
 use nextgen_datacenter::fabric::{
     Cluster, FabricModel, FaultConfig, FaultPlan, FaultStats, NodeId,
 };
+use nextgen_datacenter::sim::rng::splitmix64;
 use nextgen_datacenter::sim::time::{ms, us};
 use nextgen_datacenter::sim::Sim;
 use nextgen_datacenter::workloads::FileSet;
@@ -32,15 +33,6 @@ const DOCS: usize = 48;
 const DOC_SIZE: usize = 4 * 1024;
 const CACHE_REQS: usize = 36;
 const LOCK_CYCLES: usize = 3;
-
-/// splitmix64 — derives per-task workload randomness from the seed without
-/// dragging an RNG through every closure.
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
     let mut h = if h == 0 { 0xcbf2_9ce4_8422_2325 } else { h };
@@ -118,7 +110,7 @@ fn soak_run(wseed: u64, fseed: u64, drop_prob: f64) -> SoakOutcome {
         let h = sim.handle();
         joins.push(sim.spawn(async move {
             for i in 0..CACHE_REQS {
-                let r = mix(wseed ^ mix((t as u64) << 32 | i as u64));
+                let r = splitmix64(wseed ^ splitmix64((t as u64) << 32 | i as u64));
                 let doc = (r % DOCS as u64) as u32;
                 let (data, _) = cache.serve(proxy, doc).await;
                 if data[..] != fs.content(doc as usize, DOC_SIZE)[..] {
@@ -144,7 +136,7 @@ fn soak_run(wseed: u64, fseed: u64, drop_prob: f64) -> SoakOutcome {
         let h = sim.handle();
         joins.push(sim.spawn(async move {
             for c in 0..LOCK_CYCLES {
-                let r = mix(wseed ^ mix((n as u64) << 16 | c as u64));
+                let r = splitmix64(wseed ^ splitmix64((n as u64) << 16 | c as u64));
                 h.sleep(us(r % 120_000)).await;
                 client.lock(0, LockMode::Exclusive).await;
                 cur.set(cur.get() + 1);
@@ -167,7 +159,7 @@ fn soak_run(wseed: u64, fseed: u64, drop_prob: f64) -> SoakOutcome {
         let client = ddss.client(NodeId(w));
         let h = sim.handle();
         joins.push(sim.spawn(async move {
-            h.sleep(us(mix(wseed ^ w as u64) % 150_000)).await;
+            h.sleep(us(splitmix64(wseed ^ w as u64) % 150_000)).await;
             client.put(&key, &[w as u8; 64]).await;
         }));
     }
