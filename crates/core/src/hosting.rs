@@ -15,7 +15,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-use dc_fabric::{Cluster, FabricModel, FaultConfig, FaultPlan, NodeId};
+use dc_fabric::{Cluster, FabricModel, FaultConfig, NodeId};
 use dc_resmon::{Monitor, MonitorCfg, MonitorScheme};
 use dc_sim::rng::component_rng;
 use dc_sim::sync::{Rendezvous, Semaphore};
@@ -24,7 +24,12 @@ use dc_workloads::{RubisMix, Zipf};
 
 use dc_trace::{tps, LatencyHist, TraceMode};
 
-use crate::webfarm::TraceArtifacts;
+use crate::webfarm::{farm_fault_plan, TraceArtifacts};
+
+/// Documents in the Zipf service.
+const ZIPF_DOCS: usize = 256;
+/// Client think time between requests.
+const THINK_NS: u64 = 500_000;
 
 /// Configuration of one hosting run.
 #[derive(Debug, Clone)]
@@ -37,16 +42,12 @@ pub struct HostingCfg {
     pub workers_per_backend: usize,
     /// Zipf exponent of the document service's popularity.
     pub zipf_alpha: f64,
-    /// Documents in the Zipf service.
-    pub zipf_docs: usize,
     /// Concurrent closed-loop clients (split between the two services).
     pub clients: usize,
     /// Total requests (both services, including warm-up).
     pub requests: usize,
     /// Warm-up fraction excluded from metrics.
     pub warmup_fraction: f64,
-    /// Client think time between requests.
-    pub think_ns: u64,
     /// Experiment seed.
     pub seed: u64,
     /// Monitoring cadence etc.
@@ -64,11 +65,9 @@ impl Default for HostingCfg {
             backends: 4,
             workers_per_backend: 2,
             zipf_alpha: 0.75,
-            zipf_docs: 256,
             clients: 24,
             requests: 3_000,
             warmup_fraction: 0.2,
-            think_ns: 500_000,
             seed: 11,
             monitor: MonitorCfg::default(),
             faults: None,
@@ -185,11 +184,7 @@ fn run_hosting_inner(
     }
     let frontend = NodeId(0);
     if let Some((fault_seed, fault_cfg)) = &cfg.faults {
-        let mut fc = fault_cfg.clone();
-        if !fc.immune_nodes.contains(&frontend) {
-            fc.immune_nodes.push(frontend);
-        }
-        cluster.install_faults(FaultPlan::generate(*fault_seed, &fc, total_nodes));
+        cluster.install_faults(farm_fault_plan(*fault_seed, fault_cfg, total_nodes));
     }
     let backends: Vec<NodeId> = (1..=cfg.backends as u32).map(NodeId).collect();
     let monitor = Monitor::spawn(&cluster, cfg.scheme, cfg.monitor, frontend, &backends);
@@ -202,7 +197,7 @@ fn run_hosting_inner(
         })
         .collect();
 
-    let zipf = Rc::new(Zipf::new(cfg.zipf_docs, cfg.zipf_alpha));
+    let zipf = Rc::new(Zipf::new(ZIPF_DOCS, cfg.zipf_alpha));
     let rubis = Rc::new(RubisMix::new());
 
     let warmup = ((cfg.requests as f64 * cfg.warmup_fraction) as usize).min(cfg.requests);
@@ -230,7 +225,6 @@ fn run_hosting_inner(
         let responses = Rc::clone(&responses);
         let sim_h = sim.handle();
         let requests = cfg.requests;
-        let think = cfg.think_ns;
         client_handles.push(sim.spawn(async move {
             loop {
                 let seq = issued.get();
@@ -270,7 +264,7 @@ fn run_hosting_inner(
                     hist.borrow_mut().record(sim_h.now() - t0);
                     last_done.set(last_done.get().max(sim_h.now()));
                 }
-                sim_h.sleep(think).await;
+                sim_h.sleep(THINK_NS).await;
             }
         }));
     }

@@ -154,6 +154,18 @@ pub fn run_webfarm_observed(
 
 type Observer = (SimTime, Box<dyn FnMut(MetricsSnapshot)>);
 
+/// The fault plan every farm engine installs: `cfg` with node 0 forced
+/// immune to crashes and stalls. Node 0 is the station the rest of the farm
+/// depends on (the backend here and at scale, the balancer under hosting),
+/// and a down origin turns a degradation experiment into an outage.
+pub(crate) fn farm_fault_plan(seed: u64, cfg: &FaultConfig, nodes: usize) -> FaultPlan {
+    let mut cfg = cfg.clone();
+    if !cfg.immune_nodes.contains(&NodeId(0)) {
+        cfg.immune_nodes.push(NodeId(0));
+    }
+    FaultPlan::generate(seed, &cfg, nodes)
+}
+
 fn run_webfarm_inner(
     cfg: &WebFarmCfg,
     trace: Option<TraceMode>,
@@ -170,11 +182,7 @@ fn run_webfarm_inner(
     }
     let backend_node = NodeId(0);
     if let Some((fault_seed, fault_cfg)) = &cfg.faults {
-        let mut fc = fault_cfg.clone();
-        if !fc.immune_nodes.contains(&backend_node) {
-            fc.immune_nodes.push(backend_node);
-        }
-        cluster.install_faults(FaultPlan::generate(*fault_seed, &fc, total_nodes));
+        cluster.install_faults(farm_fault_plan(*fault_seed, fault_cfg, total_nodes));
     }
     let proxies: Vec<NodeId> = (1..=cfg.proxies as u32).map(NodeId).collect();
     let apps: Vec<NodeId> = (cfg.proxies as u32 + 1..total_nodes as u32)

@@ -49,13 +49,15 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 
 use dc_fabric::faults::inflate;
-use dc_fabric::{FabricModel, FaultConfig, FaultPlan, NodeId};
+use dc_fabric::{FabricModel, FaultConfig, NodeId};
 use dc_sim::rng::{derive_seed, splitmix64};
 use dc_sim::shard::{run_sharded, ShardCfg, ShardNet, ShardRun, ShardStats};
 use dc_sim::sync::Semaphore;
 use dc_sim::{Sim, SimTime};
 use dc_trace::{LatencyBreakdown, StageAgg, StreamHist, STAGES};
 use dc_workloads::{ArrivalKind, ArrivalProcess, MergedArrivals, Zipf};
+
+use crate::webfarm::farm_fault_plan;
 
 /// Configuration for one at-scale run (one offered-load point).
 #[derive(Debug, Clone)]
@@ -319,7 +321,7 @@ struct ShardFarm {
     reply_slot: Vec<Cell<Option<Reply>>>,
     reply_wake: Vec<Semaphore>,
     /// Per-proxy drop-draw counters for the deterministic per-stream
-    /// fault draws ([`FaultPlan::stream_should_drop`]).
+    /// fault draws ([`dc_fabric::FaultPlan::stream_should_drop`]).
     probe_draws: Vec<Cell<u64>>,
     /// Backend station queue + wakeup (shard 0 only).
     station_q: RefCell<VecDeque<StationJob>>,
@@ -678,15 +680,10 @@ fn build_farm_shard(ctx: BuildCtx<'_>) -> ShardRun<NetMsg, ShardTally> {
     // Each shard derives its own (identical) fault plan; all reads used
     // here are pure functions of (seed, node, time) or of explicit
     // per-stream draw counters, so shards agree without sharing state.
-    let plan = cfg.faults.as_ref().map(|(fseed, fcfg)| {
-        let mut fcfg = fcfg.clone();
-        // The origin/backend station must survive: a dead backend turns an
-        // overload experiment into an outage experiment.
-        if !fcfg.immune_nodes.contains(&NodeId(0)) {
-            fcfg.immune_nodes.push(NodeId(0));
-        }
-        Rc::new(FaultPlan::generate(*fseed, &fcfg, total_nodes))
-    });
+    let plan = cfg
+        .faults
+        .as_ref()
+        .map(|(fseed, fcfg)| Rc::new(farm_fault_plan(*fseed, fcfg, total_nodes)));
 
     let st = Rc::new(ShardFarm::new(cfg));
 

@@ -949,23 +949,9 @@ impl Cluster {
         data: Bytes,
         transport: Transport,
     ) {
-        let _ = self.try_send(from, to, port, data, transport).await;
-    }
-
-    /// Fallible send: `Ok(())` means the message was placed in the target
-    /// mailbox (or hit an unbound port); `Err` means it was provably *not*
-    /// delivered — either endpoint was crashed or the wire dropped it — so
-    /// retrying cannot duplicate it.
-    pub async fn try_send(
-        &self,
-        from: NodeId,
-        to: NodeId,
-        port: u16,
-        data: Bytes,
-        transport: Transport,
-    ) -> Result<(), FabricError> {
-        self.try_send_imm_ref(from, to, port, &data, 0, 0, transport)
-            .await
+        let _ = self
+            .try_send_imm_ref(from, to, port, &data, 0, 0, transport)
+            .await;
     }
 
     /// The one send body, carrying immediate data: `imm` rides the

@@ -19,13 +19,12 @@ use std::rc::Rc;
 
 use dc_sim::sync::Semaphore;
 use dc_sim::{SimHandle, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::kstat::KernelStats;
 use crate::mem::RegionData;
 
 /// Scheduling parameters of a node CPU.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CpuConfig {
     /// Number of cores (parallel execution slots).
     pub cores: usize,

@@ -6,15 +6,13 @@
 //! ≈ 50 µs with per-byte copy costs on both CPUs. Calibration notes per
 //! experiment are in `EXPERIMENTS.md`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::cpu::CpuConfig;
 
 /// Cost model for the simulated fabric and node CPUs.
 ///
 /// All latencies are nanoseconds, bandwidths are bytes per microsecond
 /// (1 byte/µs = 1 MB/s).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FabricModel {
     /// Round-trip completion latency of a minimal RDMA read.
     pub rdma_read_base_ns: u64,

@@ -18,7 +18,7 @@
 //!   increase on low-RTT acks, multiplicative decrease on ECN marks
 //!   ([`Message::ecn`], echoed by the server as an ECE bit) or high RTT
 //!   gradient, clamped to `[floor, link]`. Requests are paced to the
-//!   session rate; a per-session credit window ([`Credits`]) bounds
+//!   session rate; a per-session window of `window` slots bounds
 //!   outstanding requests.
 //! * **Session multiplexing.** An [`ErpcMux`] binds a handful of local
 //!   "queue pair" ports and maps any number of logical sessions onto them
@@ -125,54 +125,6 @@ pub fn decode_imm(imm: u64) -> ImmHeader {
         op: ((imm >> 53) & 0xFF) as u8,
         ece: (imm >> 61) & 1 == 1,
         kind: ((imm >> 62) & 0b11) as u8,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Credit accounting: a pure state machine (proptested in
-// tests/prop_primitives.rs).
-// ---------------------------------------------------------------------------
-
-/// Per-session request credits: `cap` preposted completion slots, one
-/// consumed per outstanding request. Never negative and never above `cap`
-/// by construction — `try_take` refuses at zero, `release` asserts at cap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Credits {
-    avail: u32,
-    cap: u32,
-}
-
-impl Credits {
-    /// A full window of `cap` credits (`cap >= 1`).
-    pub fn new(cap: u32) -> Credits {
-        assert!(cap >= 1, "a session needs at least one credit");
-        Credits { avail: cap, cap }
-    }
-
-    /// Consume one credit; `false` when none are available.
-    pub fn try_take(&mut self) -> bool {
-        if self.avail == 0 {
-            return false;
-        }
-        self.avail -= 1;
-        true
-    }
-
-    /// Return one credit. Panics on over-release — that is a protocol bug
-    /// (a response acked twice), not a recoverable condition.
-    pub fn release(&mut self) {
-        assert!(self.avail < self.cap, "credit over-release past window cap");
-        self.avail += 1;
-    }
-
-    /// Credits currently available.
-    pub fn available(&self) -> u32 {
-        self.avail
-    }
-
-    /// The window cap.
-    pub fn cap(&self) -> u32 {
-        self.cap
     }
 }
 
@@ -298,7 +250,7 @@ impl CongestionState {
 pub struct ErpcCfg {
     /// Local QP ports the mux binds; sessions map onto them round-robin.
     pub client_qps: usize,
-    /// Per-session outstanding-request window (credits and reply-cache
+    /// Per-session outstanding-request window (client slots and reply-cache
     /// depth share this value, so the server can always dedup anything the
     /// client can still retransmit). The window slides: request `n + window`
     /// is sent only after request `n` has completed. Must be a power of two,
@@ -435,10 +387,14 @@ impl ErpcServer {
 // Client: mux, sessions, sweeper.
 // ---------------------------------------------------------------------------
 
+/// One window position, the session's only record of a request: it is
+/// outstanding while the slot holds it in `req`, and the slot stays the
+/// caller's until the caller has taken `resp`.
+#[derive(Default)]
 struct Slot {
-    busy: Cell<bool>,
-    seq: Cell<u32>,
-    op: Cell<u8>,
+    /// The request's header, encoded once at admission; a retransmit
+    /// re-posts it as-is.
+    imm: Cell<u64>,
     sent_ns: Cell<SimTime>,
     retx: Cell<u32>,
     req: RefCell<Option<Bytes>>,
@@ -447,17 +403,14 @@ struct Slot {
 }
 
 impl Slot {
-    fn new() -> Slot {
-        Slot {
-            busy: Cell::new(false),
-            seq: Cell::new(0),
-            op: Cell::new(0),
-            sent_ns: Cell::new(0),
-            retx: Cell::new(0),
-            req: RefCell::new(None),
-            resp: RefCell::new(None),
-            waker: RefCell::new(None),
-        }
+    /// Sequence number of the request this slot holds (or last held).
+    fn seq(&self) -> u32 {
+        decode_imm(self.imm.get()).seq
+    }
+
+    /// Neither awaiting a response nor holding an untaken one.
+    fn is_idle(&self) -> bool {
+        self.req.borrow().is_none() && self.resp.borrow().is_none()
     }
 }
 
@@ -467,9 +420,9 @@ struct SessionInner {
     server_port: u16,
     reply_port: u16,
     next_seq: Cell<u32>,
-    credits: RefCell<Credits>,
-    /// One permit per completed call: where `call` parks while the next
-    /// sequence number's slot is taken.
+    /// Where `call` parks while the next sequence number's slot is taken. A
+    /// completion releases it only while a caller is parked, so it holds
+    /// waiters, never banked permits.
     credit_waiters: Semaphore,
     cc: RefCell<CongestionState>,
     next_tx_ns: Cell<SimTime>,
@@ -485,7 +438,7 @@ struct MuxInner {
     cfg: ErpcCfg,
     qp_ports: Box<[u16]>,
     sessions: RefCell<Vec<Rc<SessionInner>>>,
-    /// `erpc.credits`: available credits summed over all sessions.
+    /// `erpc.credits`: free window slots summed over all sessions.
     m_credits: Gauge,
     /// `erpc.rate_bps`: allowed send rate summed over all sessions.
     m_rate: Gauge,
@@ -559,18 +512,17 @@ impl ErpcMux {
                         }
                     };
                     let slot = &s.slots[(h.seq % inner.cfg.window) as usize];
-                    if !slot.busy.get() || slot.seq.get() != h.seq {
+                    if slot.req.borrow().is_none() || slot.seq() != h.seq {
                         continue; // duplicate response after a retransmit
                     }
                     let rtt = inner.cluster.sim().now() - slot.sent_ns.get();
                     inner.feed_cc(&s, Some(rtt), msg.ecn || h.ece);
                     s.acks.set(s.acks.get() + 1);
                     // The slot stays the caller's until it has taken this
-                    // response: `call` admits a new request only into a slot
-                    // that is neither busy nor holding an untaken response.
+                    // response: `call` admits a new request only into an
+                    // idle slot.
                     *slot.resp.borrow_mut() = Some(msg.data);
                     slot.req.borrow_mut().take();
-                    slot.busy.set(false);
                     let waker = slot.waker.borrow_mut().take();
                     if let Some(w) = waker {
                         w.wake();
@@ -613,11 +565,10 @@ impl ErpcMux {
             server_port,
             reply_port: self.inner.qp_ports[id % self.inner.qp_ports.len()],
             next_seq: Cell::new(0),
-            credits: RefCell::new(Credits::new(cfg.window)),
             credit_waiters: Semaphore::new(0),
             cc: RefCell::new(CongestionState::new(cfg.cc, seed)),
             next_tx_ns: Cell::new(0),
-            slots: (0..cfg.window).map(|_| Slot::new()).collect(),
+            slots: (0..cfg.window).map(|_| Slot::default()).collect(),
             marks: Cell::new(0),
             retx: Cell::new(0),
             acks: Cell::new(0),
@@ -643,20 +594,19 @@ impl ErpcMux {
 async fn sweep_session(mux: &MuxInner, s: &SessionInner) {
     let now = mux.cluster.sim().now();
     for slot in s.slots.iter() {
-        if !slot.busy.get() || now.saturating_sub(slot.sent_ns.get()) < mux.cfg.rto_ns {
-            continue;
-        }
+        let req = match &*slot.req.borrow() {
+            Some(req) if now.saturating_sub(slot.sent_ns.get()) >= mux.cfg.rto_ns => req.clone(),
+            _ => continue,
+        };
         assert!(
             slot.retx.get() < mux.cfg.max_retx,
             "erpc session {} to {:?}:{} undeliverable: seq {} exhausted {} retransmits",
             s.id,
             s.server,
             s.server_port,
-            slot.seq.get(),
+            slot.seq(),
             mux.cfg.max_retx,
         );
-        let req = slot.req.borrow().clone();
-        let Some(req) = req else { continue };
         slot.retx.set(slot.retx.get() + 1);
         s.retx.set(s.retx.get() + 1);
         mux.m_retx.inc();
@@ -664,14 +614,7 @@ async fn sweep_session(mux: &MuxInner, s: &SessionInner) {
         mux.cluster.note_retry();
         mux.feed_cc(s, None, true);
         slot.sent_ns.set(now);
-        let imm = encode_imm(ImmHeader {
-            kind: KIND_REQ,
-            ece: false,
-            op: slot.op.get(),
-            session: s.id,
-            seq: slot.seq.get(),
-            port: s.reply_port,
-        });
+        let imm = slot.imm.get();
         // Retry-stage span around the resend so retransmissions show up in
         // latency attribution, mirroring the stream lanes.
         let tb = mux.cluster.tracer().begin();
@@ -696,7 +639,7 @@ async fn sweep_session(mux: &MuxInner, s: &SessionInner) {
                 vec![
                     ("stage", "retry".into()),
                     ("session", (s.id as u64).into()),
-                    ("seq", (slot.seq.get() as u64).into()),
+                    ("seq", (decode_imm(imm).seq as u64).into()),
                 ],
             );
         }
@@ -731,36 +674,37 @@ pub struct ErpcSession {
 impl ErpcSession {
     /// Issue one request and await its response. Zero-copy: `payload` and
     /// the returned `Bytes` cross the fabric as shared buffers. Blocks on
-    /// the session window when all credits are outstanding and on the
-    /// congestion-controlled pacer; panics only if a request exhausts the
-    /// retransmit budget (an unreachable peer has no degraded mode here,
-    /// like the stream lanes).
+    /// the session window while the next sequence number's slot is taken
+    /// and on the congestion-controlled pacer; panics only if a request
+    /// exhausts the retransmit budget (an unreachable peer has no degraded
+    /// mode here, like the stream lanes).
     pub async fn call(&self, op: u8, payload: Bytes) -> Bytes {
         let s = &*self.s;
         let mux = &*self.mux;
         // Sliding window: request `seq` enters slot `seq % window` only once
-        // request `seq - window` has handed its response to its caller. A
-        // free credit alone says only that *some* slot is free; after an
-        // out-of-order completion that is not the next sequence number's,
-        // and the server's reply cache (same indexing) assumes it is.
+        // request `seq - window` has handed its response to its caller. Some
+        // other slot being free is not enough: after an out-of-order
+        // completion it is not the next sequence number's, and the server's
+        // reply cache (same indexing) assumes it is.
         let (seq, slot) = loop {
             let seq = s.next_seq.get();
             let slot = &s.slots[(seq % mux.cfg.window) as usize];
-            if !slot.busy.get() && slot.resp.borrow().is_none() {
+            if slot.is_idle() {
                 break (seq, slot);
             }
             mux.cluster.note_credit_stall(mux.node);
             s.credit_waiters.acquire().await;
         };
-        assert!(
-            s.credits.borrow_mut().try_take(),
-            "a free slot without a free credit"
-        );
         mux.m_credits.add(-1);
         s.next_seq.set((seq + 1) & SEQ_MASK);
-        slot.busy.set(true);
-        slot.seq.set(seq);
-        slot.op.set(op);
+        slot.imm.set(encode_imm(ImmHeader {
+            kind: KIND_REQ,
+            ece: false,
+            op,
+            session: s.id,
+            seq,
+            port: s.reply_port,
+        }));
         slot.retx.set(0);
         *slot.req.borrow_mut() = Some(payload.clone());
         // Pace to the session rate: reserve the next transmit instant
@@ -773,14 +717,6 @@ impl ErpcSession {
             sim.sleep_until(due).await;
         }
         slot.sent_ns.set(sim.now());
-        let imm = encode_imm(ImmHeader {
-            kind: KIND_REQ,
-            ece: false,
-            op,
-            session: s.id,
-            seq,
-            port: s.reply_port,
-        });
         // A failed first transmission is the sweeper's to recover.
         let _ = mux
             .cluster
@@ -789,15 +725,18 @@ impl ErpcSession {
                 s.server,
                 s.server_port,
                 &payload,
-                imm,
+                slot.imm.get(),
                 0,
                 Transport::RdmaSend,
             )
             .await;
         let resp = RespWait { slot }.await;
-        s.credits.borrow_mut().release();
         mux.m_credits.add(1);
-        s.credit_waiters.release();
+        // A permit banked for nobody would let the next blocked call spin
+        // through it and count a stall per completion it never waited on.
+        if s.credit_waiters.waiting() > 0 {
+            s.credit_waiters.release();
+        }
         resp
     }
 
@@ -1080,7 +1019,7 @@ mod tests {
             }
         });
         assert_eq!(sess.acks(), callers as u64 * calls as u64);
-        assert_eq!(sess.s.credits.borrow().available(), window);
+        assert!(sess.s.slots.iter().all(Slot::is_idle));
     }
 
     #[test]

@@ -14,7 +14,7 @@ use dc_sim::SimTime;
 /// `quantile_ns`, and the `summary()` struct) returns 0 when no sample has
 /// been recorded — callers never see the `u64::MAX` sentinel used
 /// internally for the running minimum.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct LatencyHist {
     count: u64,
     sum_ns: u128,
@@ -46,12 +46,22 @@ pub struct HistSummary {
     pub p999_ns: u64,
 }
 
+impl Default for LatencyHist {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl LatencyHist {
     /// An empty histogram.
     pub fn new() -> Self {
         LatencyHist {
+            count: 0,
+            sum_ns: 0,
             min_ns: u64::MAX,
-            ..Default::default()
+            max_ns: 0,
+            samples: Vec::new(),
+            sorted: RefCell::new(None),
         }
     }
 
@@ -418,6 +428,15 @@ mod tests {
         assert_eq!(h.p99_ns(), 0);
         assert_eq!(h.p999_ns(), 0);
         assert_eq!(h.summary(), HistSummary::default());
+    }
+
+    /// A default-built histogram is `new()`: its running minimum starts at
+    /// the sentinel, not at 0, so the first sample sets it.
+    #[test]
+    fn default_histogram_tracks_the_minimum_like_new() {
+        let mut h = LatencyHist::default();
+        h.record(us(7));
+        assert_eq!(h.min_ns(), us(7));
     }
 
     #[test]

@@ -5,10 +5,8 @@
 //! is a deterministic schedule of bursts: phases during which `threads`
 //! compute-bound threads run, separated by quieter phases.
 
-use serde::{Deserialize, Serialize};
-
 /// One phase of the load schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BurstPhase {
     /// Concurrent compute threads during the phase.
     pub threads: u32,
@@ -17,7 +15,7 @@ pub struct BurstPhase {
 }
 
 /// A repeating schedule of load phases.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BurstSchedule {
     phases: Vec<BurstPhase>,
 }

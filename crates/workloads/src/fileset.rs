@@ -6,12 +6,10 @@
 
 use std::sync::OnceLock;
 
-use serde::{Deserialize, Serialize};
-
 use crate::arrival::SplitMix;
 
 /// A set of documents, identified by dense ids with per-document sizes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FileSet {
     sizes: Vec<usize>,
 }

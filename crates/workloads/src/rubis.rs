@@ -8,10 +8,9 @@
 //! monitoring matter.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// One auction-site operation type.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RubisOp {
     /// Front page / static browse.
     Home,

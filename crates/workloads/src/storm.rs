@@ -6,10 +6,8 @@
 //! (1K … 100K). We model the same shape: a query selects `records` records
 //! of `record_bytes` each from a data node after a per-record scan cost.
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters of one STORM query workload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StormQuery {
     /// Records selected by the query.
     pub records: usize,

@@ -572,34 +572,46 @@ proptest! {
 }
 
 proptest! {
-    /// Credit accounting is a bounded counter: under any interleaving of
-    /// takes and (legal) releases, available credits stay in `[0, cap]`,
-    /// a take at zero refuses, and taken+available always equals cap.
+    /// `sockets.credit_stalls` counts calls that blocked on a full eRPC
+    /// window, once each. `warmup` sequential calls on a clean fabric block
+    /// nothing; then `window + extra` callers arrive at once, and exactly
+    /// the `extra` beyond the window wait. A completion nobody waited on
+    /// used to bank a wake-up permit, so the first blocked call spun
+    /// through one stall per warm-up call.
     #[test]
-    fn erpc_credits_never_go_negative_or_past_cap(
-        cap in 1u32..64,
-        ops in prop::collection::vec(any::<bool>(), 1..200),
+    fn erpc_credit_stalls_count_the_callers_beyond_the_window(
+        window in prop::sample::select(vec![1u32, 2, 4, 8]),
+        warmup in 0u32..=16,
+        extra in 1u32..=4,
     ) {
-        use nextgen_datacenter::sockets::erpc::Credits;
-        let mut c = Credits::new(cap);
-        let mut outstanding = 0u32;
-        for take in ops {
-            if take {
-                let had = c.available();
-                if c.try_take() {
-                    prop_assert!(had > 0, "take succeeded with no credits");
-                    outstanding += 1;
-                } else {
-                    prop_assert_eq!(had, 0, "take refused with credits available");
-                }
-            } else if outstanding > 0 {
-                c.release();
-                outstanding -= 1;
+        use std::rc::Rc;
+        use nextgen_datacenter::sockets::{ErpcCfg, ErpcMux, ErpcServer};
+
+        let sim = Sim::new();
+        let cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), 2);
+        let srv = ErpcServer::spawn(&cluster, NodeId(1), 1, window, 0, Rc::new(|_, req| req));
+        let cfg = ErpcCfg { window, ..ErpcCfg::default() };
+        let sess = ErpcMux::new(&cluster, NodeId(0), cfg).session(NodeId(1), srv.ports()[0], 1);
+        let h = sim.handle();
+        // The retransmit sweeper never quiesces: run until the calls are done.
+        sim.run_to(async move {
+            for _ in 0..warmup {
+                sess.call(0, Bytes::from_static(b"warm")).await;
             }
-            prop_assert!(c.available() <= c.cap());
-            prop_assert_eq!(c.available() + outstanding, cap,
-                "credits must be conserved");
-        }
+            let callers: Vec<_> = (0..window + extra)
+                .map(|_| {
+                    let s = sess.clone();
+                    h.spawn(async move { s.call(0, Bytes::from_static(b"load")).await })
+                })
+                .collect();
+            for c in callers {
+                c.await;
+            }
+        });
+        prop_assert_eq!(
+            cluster.metrics().snapshot().counter("sockets.credit_stalls"),
+            extra as u64
+        );
     }
 
     /// The AIMD rate machine never escapes `[floor_bps, link_bps]`, for any
