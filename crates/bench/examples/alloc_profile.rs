@@ -68,6 +68,10 @@ fn record_site() {
 }
 
 struct Counting;
+
+// SAFETY: both methods forward to `System` with the caller's arguments
+// unchanged. The counting touches only atomics, and `record_site`'s own
+// allocations re-enter `alloc` behind its thread-local guard.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, l: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
@@ -75,9 +79,11 @@ unsafe impl GlobalAlloc for Counting {
         if TRACE.load(Ordering::Relaxed) {
             record_site();
         }
+        // SAFETY: same layout the caller vouched for.
         unsafe { System.alloc(l) }
     }
     unsafe fn dealloc(&self, p: *mut u8, l: Layout) {
+        // SAFETY: `p` came from this allocator, which is `System`.
         unsafe { System.dealloc(p, l) }
     }
 }

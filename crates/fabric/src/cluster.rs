@@ -533,7 +533,12 @@ impl Cluster {
         self.node(node).cpu.clone()
     }
 
-    /// Register a zeroed memory region of `len` bytes on `node`.
+    /// Register a zeroed memory region of `len` bytes on `node`. It costs
+    /// what is written into it, not `len`: backing store comes a 4 KiB page
+    /// at a time with the first flat write into each page (payloads a region
+    /// holds take none; a region shorter than a page is allocated whole), so
+    /// a large heap or cache region is cheap to register and to leave mostly
+    /// empty.
     pub fn register(&self, node: NodeId, len: usize) -> RegionId {
         let n = self.node(node);
         let mut regions = n.regions.borrow_mut();

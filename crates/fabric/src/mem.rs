@@ -44,20 +44,75 @@ impl RemoteAddr {
 /// index entries and headers out of the map keeps it one entry per payload.
 const EXTENT_MIN: usize = 256;
 
+/// Granule of the flat bytes: a region of a page or more gets its backing
+/// store one page at a time, on the first flat write into each.
+const PAGE: usize = 4096;
+
+type Page = Box<[u8; PAGE]>;
+
+/// What an untouched page reads as.
+static ZEROS: [u8; PAGE] = [0; PAGE];
+
+thread_local! {
+    /// Pages of dropped regions, waiting for the next region to write one.
+    /// A page is allocated only when this list is empty, that is when every
+    /// page made on the thread is alive, so the list never holds more than
+    /// the most pages alive at once on it. Regions are `Rc`, so a region
+    /// drops on the thread that made its pages.
+    static FREE_PAGES: RefCell<Vec<Page>> = const { RefCell::new(Vec::new()) };
+}
+
+/// A zeroed page for a first write: a recycled one, zeroed again, else new.
+/// Out of line: the in-page paths stay a lookup and a copy.
+#[inline(never)]
+fn fresh_page() -> Page {
+    match FREE_PAGES.with(|free| free.borrow_mut().pop()) {
+        Some(mut page) => {
+            page.fill(0);
+            page
+        }
+        None => Box::new([0; PAGE]),
+    }
+}
+
+/// `start..start + len` cut at page boundaries, as `(offset, len)` pieces.
+fn pieces(start: usize, len: usize) -> impl Iterator<Item = (usize, usize)> {
+    let end = start + len;
+    let mut at = start;
+    std::iter::from_fn(move || {
+        let n = (end - at).min(PAGE - at % PAGE);
+        at += n;
+        (n > 0).then_some((at - n, n))
+    })
+}
+
+/// Payloads a region shares with whoever wrote them: non-overlapping
+/// `offset → payload` ranges inside the region.
+type Extents = BTreeMap<usize, Bytes>;
+
+/// A region's flat bytes, by region length.
+enum Flat {
+    /// A region shorter than a page, zeroed when registered: a lock-word
+    /// table or a kernel-statistics block costs its length, not a page, and
+    /// reaches its bytes with no page lookup.
+    Small(Box<[u8]>),
+    /// One entry per [`PAGE`] of the region; `None` reads as zeros and is
+    /// materialised by the first flat write that touches it.
+    Paged(Box<[Option<Page>]>),
+}
+
 /// What a region holds: flat bytes, and payloads it shares with whoever
 /// wrote them.
 ///
 /// The observable content is always that of one flat byte array. `extents`
-/// are non-overlapping `offset → payload` ranges that lie inside the region
-/// and take precedence over the flat bytes beneath them; the flat bytes are
+/// take precedence over the flat bytes beneath them; the flat bytes are
 /// authoritative everywhere else. Every write first *punches* its range out
 /// of the extents (trimming or splitting them with zero-copy slices), so a
 /// byte is never described twice.
 struct Store {
-    /// Lazily zeroed: `vec![0; len]` is one `calloc`, so a page is faulted
-    /// in only when a flat write touches it.
-    flat: Vec<u8>,
-    extents: BTreeMap<usize, Bytes>,
+    len: usize,
+    flat: Flat,
+    extents: Extents,
 }
 
 impl Store {
@@ -66,7 +121,7 @@ impl Store {
     #[inline]
     fn end_of(&self, what: &str, offset: usize, len: usize) -> usize {
         match offset.checked_add(len) {
-            Some(end) if end <= self.flat.len() => end,
+            Some(end) if end <= self.len => end,
             _ => self.refuse(what, offset, len),
         }
     }
@@ -80,73 +135,149 @@ impl Store {
             None => panic!("region {what} offset overflow"),
             Some(end) => panic!(
                 "region {what} out of bounds: {offset}..{end} > {}",
-                self.flat.len()
+                self.len
             ),
         }
     }
 
-    /// The extents that intersect `start..end`, in offset order.
-    fn overlapping(&self, start: usize, end: usize) -> impl Iterator<Item = (usize, &Bytes)> {
-        // At most one extent starting before `start` can reach into the range.
-        let head = self
-            .extents
-            .range(..start)
-            .next_back()
-            .filter(|&(&at, ext)| at + ext.len() > start);
-        head.into_iter()
-            .chain(self.extents.range(start..end))
-            .map(|(&at, ext)| (at, ext))
+    /// The flat bytes at `start..start + len` when they lie inside one page —
+    /// every lock word, header and kernel-statistics block — found with one
+    /// lookup; `None` when the range crosses a page boundary.
+    #[inline]
+    fn in_page(&self, start: usize, len: usize) -> Option<&[u8]> {
+        let pages = match &self.flat {
+            Flat::Small(bytes) => return Some(&bytes[start..start + len]),
+            Flat::Paged(pages) => pages,
+        };
+        let at = start % PAGE;
+        if at + len > PAGE {
+            return None;
+        }
+        // `get`: an empty access at the end of a region a whole number of
+        // pages long names the page past the table.
+        Some(match pages.get(start / PAGE) {
+            Some(Some(page)) => &page[at..at + len],
+            _ => &ZEROS[..len],
+        })
     }
 
-    /// Remove `start..end` from the extents: whatever they held there is
-    /// about to be overwritten in the flat bytes or by a new extent. Out of
-    /// line, like [`Store::overlay`]: the flat paths stay a bounds check, an
-    /// `is_empty()` and a copy.
-    #[inline(never)]
-    fn punch(&mut self, start: usize, end: usize) {
-        if let Some((&at, ext)) = self.extents.range_mut(..start).next_back() {
-            let ext_end = at + ext.len();
-            if ext_end > start {
-                let tail = (ext_end > end).then(|| ext.slice(end - at..));
-                *ext = ext.slice(..start - at);
-                if let Some(tail) = tail {
-                    // The range was strictly inside this one extent.
-                    self.extents.insert(end, tail);
-                    return;
-                }
-            }
+    /// [`Store::in_page`] for writing: the page is materialised. `None` also
+    /// for an empty range, which may name the page past the table.
+    #[inline]
+    fn in_page_mut(&mut self, start: usize, len: usize) -> Option<&mut [u8]> {
+        let pages = match &mut self.flat {
+            Flat::Small(bytes) => return Some(&mut bytes[start..start + len]),
+            Flat::Paged(pages) => pages,
+        };
+        let at = start % PAGE;
+        if at + len > PAGE || len == 0 {
+            return None;
         }
-        while let Some((at, len)) = self
-            .extents
-            .range(start..end)
-            .next()
-            .map(|(&at, ext)| (at, ext.len()))
-        {
-            let ext = self.extents.remove(&at).expect("extent just seen");
-            if at + len > end {
-                self.extents.insert(end, ext.slice(end - at..));
-            }
+        let page = pages[start / PAGE].get_or_insert_with(fresh_page);
+        Some(&mut page[at..at + len])
+    }
+
+    /// Copy the flat bytes at `start..start + dst.len()` into `dst`.
+    #[inline]
+    fn copy_out(&self, start: usize, dst: &mut [u8]) {
+        if let Some(src) = self.in_page(start, dst.len()) {
+            return dst.copy_from_slice(src);
+        }
+        for (at, n) in pieces(start, dst.len()) {
+            let src = self.in_page(at, n).expect("a piece lies in one page");
+            dst[at - start..at - start + n].copy_from_slice(src);
         }
     }
 
-    /// Lay the extents' bytes over `dst`, a copy of the flat bytes at
-    /// `start..start + dst.len()`.
-    #[inline(never)]
-    fn overlay(&self, start: usize, dst: &mut [u8]) {
-        let end = start + dst.len();
-        for (at, ext) in self.overlapping(start, end) {
-            let (lo, hi) = (at.max(start), (at + ext.len()).min(end));
-            dst[lo - start..hi - start].copy_from_slice(&ext[lo - at..hi - at]);
+    /// Copy `src` into the flat bytes at `start`, materialising each page it
+    /// touches.
+    #[inline]
+    fn copy_in(&mut self, start: usize, src: &[u8]) {
+        if let Some(dst) = self.in_page_mut(start, src.len()) {
+            return dst.copy_from_slice(src);
+        }
+        for (at, n) in pieces(start, src.len()) {
+            let dst = self.in_page_mut(at, n).expect("a piece lies in one page");
+            dst.copy_from_slice(&src[at - start..at - start + n]);
         }
     }
 
     /// The region's bytes at `start..end`, copied out.
     fn assemble(&self, start: usize, end: usize) -> Vec<u8> {
-        let mut out = self.flat[start..end].to_vec();
+        let mut out = vec![0; end - start];
+        self.copy_out(start, &mut out);
         if !self.extents.is_empty() {
-            self.overlay(start, &mut out);
+            overlay(&self.extents, start, &mut out);
         }
         out
+    }
+}
+
+impl Drop for Store {
+    fn drop(&mut self) {
+        if let Flat::Paged(pages) = &mut self.flat {
+            let pages = pages.iter_mut().filter_map(Option::take);
+            // `try_with`: a region dropped while the thread is being torn
+            // down frees its pages instead.
+            let _ = FREE_PAGES.try_with(|free| free.borrow_mut().extend(pages));
+        }
+    }
+}
+
+/// The extents that intersect `start..end`, in offset order.
+fn overlapping(
+    extents: &Extents,
+    start: usize,
+    end: usize,
+) -> impl Iterator<Item = (usize, &Bytes)> {
+    // At most one extent starting before `start` can reach into the range.
+    let head = extents
+        .range(..start)
+        .next_back()
+        .filter(|&(&at, ext)| at + ext.len() > start);
+    head.into_iter()
+        .chain(extents.range(start..end))
+        .map(|(&at, ext)| (at, ext))
+}
+
+/// Remove `start..end` from the extents: whatever they held there is about
+/// to be overwritten in the flat bytes or by a new extent. Out of line, like
+/// [`overlay`]: the flat paths stay a bounds check, an `is_empty()` and a
+/// copy.
+#[inline(never)]
+fn punch(extents: &mut Extents, start: usize, end: usize) {
+    if let Some((&at, ext)) = extents.range_mut(..start).next_back() {
+        let ext_end = at + ext.len();
+        if ext_end > start {
+            let tail = (ext_end > end).then(|| ext.slice(end - at..));
+            *ext = ext.slice(..start - at);
+            if let Some(tail) = tail {
+                // The range was strictly inside this one extent.
+                extents.insert(end, tail);
+                return;
+            }
+        }
+    }
+    while let Some((at, len)) = extents
+        .range(start..end)
+        .next()
+        .map(|(&at, ext)| (at, ext.len()))
+    {
+        let ext = extents.remove(&at).expect("extent just seen");
+        if at + len > end {
+            extents.insert(end, ext.slice(end - at..));
+        }
+    }
+}
+
+/// Lay the extents' bytes over `dst`, a copy of the flat bytes at
+/// `start..start + dst.len()`.
+#[inline(never)]
+fn overlay(extents: &Extents, start: usize, dst: &mut [u8]) {
+    let end = start + dst.len();
+    for (at, ext) in overlapping(extents, start, end) {
+        let (lo, hi) = (at.max(start), (at + ext.len()).min(end));
+        dst[lo - start..hi - start].copy_from_slice(&ext[lo - at..hi - at]);
     }
 }
 
@@ -172,19 +303,27 @@ pub struct RegionData {
 }
 
 impl RegionData {
-    /// Allocate a zeroed region of `len` bytes.
+    /// A zeroed region of `len` bytes. A region of a page or more allocates
+    /// only its page table: backing store comes a page at a time with the
+    /// first writes.
     pub fn new(len: usize) -> Self {
+        let flat = if len < PAGE {
+            Flat::Small(ZEROS[..len].into())
+        } else {
+            Flat::Paged(vec![None; len.div_ceil(PAGE)].into_boxed_slice())
+        };
         RegionData {
             store: Rc::new(RefCell::new(Store {
-                flat: vec![0; len],
-                extents: BTreeMap::new(),
+                len,
+                flat,
+                extents: Extents::new(),
             })),
         }
     }
 
     /// Region length in bytes.
     pub fn len(&self) -> usize {
-        self.store.borrow().flat.len()
+        self.store.borrow().len
     }
 
     /// Whether the region has zero length.
@@ -207,9 +346,9 @@ impl RegionData {
         let mut s = self.store.borrow_mut();
         let end = s.end_of("write", offset, buf.len());
         if !s.extents.is_empty() {
-            s.punch(offset, end);
+            punch(&mut s.extents, offset, end);
         }
-        s.flat[offset..end].copy_from_slice(buf);
+        s.copy_in(offset, buf);
     }
 
     /// Make the region hold `buf` at `offset` without copying it: the region
@@ -226,7 +365,7 @@ impl RegionData {
             // state of an LRU over equal-sized documents): nothing to trim.
             Some(ext) if ext.len() == buf.len() => *ext = buf.clone(),
             _ => {
-                s.punch(offset, end);
+                punch(&mut s.extents, offset, end);
                 s.extents.insert(offset, buf.clone());
             }
         }
@@ -249,14 +388,14 @@ impl RegionData {
         let first = if s.extents.is_empty() {
             None
         } else {
-            s.overlapping(offset, end).next()
+            overlapping(&s.extents, offset, end).next()
         };
-        match first {
-            None => Bytes::copy_from_slice(&s.flat[offset..end]),
-            Some((at, ext)) if at <= offset && end <= at + ext.len() => {
+        match (first, s.in_page(offset, len)) {
+            (None, Some(flat)) => Bytes::copy_from_slice(flat),
+            (Some((at, ext)), _) if at <= offset && end <= at + ext.len() => {
                 ext.slice(offset - at..end - at)
             }
-            Some(_) => Bytes::from(s.assemble(offset, end)),
+            _ => Bytes::from(s.assemble(offset, end)),
         }
     }
 
@@ -265,10 +404,11 @@ impl RegionData {
     /// verbs (a lock word, the kernel-statistics block).
     pub fn read_array<const N: usize>(&self, offset: usize) -> [u8; N] {
         let s = self.store.borrow();
-        let end = s.end_of("read", offset, N);
-        let mut out: [u8; N] = s.flat[offset..end].try_into().unwrap();
+        s.end_of("read", offset, N);
+        let mut out = [0; N];
+        s.copy_out(offset, &mut out);
         if !s.extents.is_empty() {
-            s.overlay(offset, &mut out);
+            overlay(&s.extents, offset, &mut out);
         }
         out
     }
@@ -288,18 +428,48 @@ impl RegionData {
     /// NIC-side compare-and-swap on the u64 at `offset`; returns the prior
     /// value (the swap happened iff the return equals `expect`).
     pub fn cas_u64(&self, offset: usize, expect: u64, swap: u64) -> u64 {
-        let old = self.read_u64(offset);
-        if old == expect {
-            self.write_u64(offset, swap);
-        }
-        old
+        self.update_u64(offset, |old| (old == expect).then_some(swap))
     }
 
     /// NIC-side fetch-and-add (wrapping) on the u64 at `offset`; returns the
     /// prior value.
     pub fn faa_u64(&self, offset: usize, add: u64) -> u64 {
-        let old = self.read_u64(offset);
-        self.write_u64(offset, old.wrapping_add(add));
+        self.update_u64(offset, |old| Some(old.wrapping_add(add)))
+    }
+
+    /// Read the u64 at an 8-byte-aligned `offset` and store `f`'s value for
+    /// it, if any, under one borrow and one page lookup (an aligned word
+    /// never crosses a page); returns the prior value.
+    #[inline]
+    fn update_u64(&self, offset: usize, f: impl FnOnce(u64) -> Option<u64>) -> u64 {
+        assert_eq!(offset % 8, 0, "atomic access must be 8-byte aligned");
+        let mut s = self.store.borrow_mut();
+        let end = s.end_of("read", offset, 8);
+        let Store { flat, extents, .. } = &mut *s;
+        // `None`: the word's page was never written.
+        let slot = match flat {
+            Flat::Small(bytes) => Some(&mut bytes[offset..end]),
+            Flat::Paged(pages) => pages[offset / PAGE]
+                .as_deref_mut()
+                .map(|page| &mut page[offset % PAGE..][..8]),
+        };
+        let mut word = [0; 8];
+        if let Some(bytes) = &slot {
+            word.copy_from_slice(bytes);
+        }
+        if !extents.is_empty() {
+            overlay(extents, offset, &mut word);
+        }
+        let old = u64::from_le_bytes(word);
+        if let Some(new) = f(old) {
+            if !extents.is_empty() {
+                punch(extents, offset, end);
+            }
+            match slot {
+                Some(bytes) => bytes.copy_from_slice(&new.to_le_bytes()),
+                None => s.copy_in(offset, &new.to_le_bytes()),
+            }
+        }
         old
     }
 }
@@ -432,6 +602,27 @@ mod tests {
         r.write_u64(0, u64::MAX);
         assert_eq!(r.faa_u64(0, 2), u64::MAX);
         assert_eq!(r.read_u64(0), 1);
+    }
+
+    #[test]
+    fn only_written_pages_are_materialised() {
+        let r = RegionData::new(8 << 20);
+        r.write_u64((8 << 20) - 8, 1);
+        r.write_bytes(PAGE, &Bytes::from(vec![7u8; 16 << 10]));
+        let s = r.store.borrow();
+        let Flat::Paged(pages) = &s.flat else {
+            panic!("an 8 MiB region is paged");
+        };
+        assert_eq!(pages.len(), (8 << 20) / PAGE);
+        let written: Vec<usize> = (0..pages.len()).filter(|&i| pages[i].is_some()).collect();
+        assert_eq!(
+            written,
+            vec![pages.len() - 1],
+            "a held payload takes no page"
+        );
+        // A region shorter than a page is its own bytes, no page table.
+        let small = RegionData::new(PAGE - 1);
+        assert!(matches!(&small.store.borrow().flat, Flat::Small(b) if b.len() == PAGE - 1));
     }
 
     #[test]

@@ -24,9 +24,10 @@
 //! spawn is pooled, joined or detached — measured, not taste: a variant that
 //! recycled only `spawn_detached` and freed joined tasks' boxes at
 //! completion tipped `coopcache_farm` `peak_rss_mb` from 18.1 to 31.6 MiB
-//! (heap layout around the 2 MiB per-node `calloc`s; reproducible 2/2),
-//! while pooling both reads 18.1–18.2. (Rebuilt on this tree: 30.4 and
-//! 30.5 MiB against 18.3 and 18.4.)
+//! (heap layout around each cache node's 2 MiB zeroed region; reproducible
+//! 2/2), while pooling both reads 18.1–18.2. (Rebuilt: 30.4 and 30.5 MiB
+//! against 18.3 and 18.4. All four readings were taken while a registered
+//! region was one flat allocation, before regions became 4 KiB pages.)
 //!
 //! Tasks are `!Send` futures (`Rc`-based state sharing is the norm in this
 //! workspace), and the waker path is single-threaded too: wakers are built
@@ -129,22 +130,35 @@ impl TaskWaker {
 /// another OS thread to break this, which no simulation code does (tasks
 /// model datacenter nodes inside one deterministic, single-threaded run).
 fn local_waker(w: Rc<TaskWaker>) -> Waker {
+    // Every `RawWaker` carrying `VTABLE` is built by `local_waker` or
+    // `clone_raw`, so its data pointer came from `Rc::into_raw` of a
+    // `TaskWaker`, and each such waker owns one strong count on it.
     unsafe fn clone_raw(p: *const ()) -> RawWaker {
+        // SAFETY: `p` is an `Rc::into_raw` pointer kept alive by the count of
+        // the waker being cloned; the count added here is the clone's.
         unsafe { Rc::increment_strong_count(p as *const TaskWaker) };
         RawWaker::new(p, &VTABLE)
     }
     unsafe fn wake_raw(p: *const ()) {
+        // SAFETY: waking by value consumes the waker, so the `Rc` rebuilt
+        // here takes over the one count that waker owned.
         let w = unsafe { Rc::from_raw(p as *const TaskWaker) };
         w.wake();
     }
     unsafe fn wake_by_ref_raw(p: *const ()) {
+        // SAFETY: the borrowed waker's count keeps the `TaskWaker` alive for
+        // the duration of this shared borrow, and no count changes.
         unsafe { &*(p as *const TaskWaker) }.wake();
     }
     unsafe fn drop_raw(p: *const ()) {
+        // SAFETY: the dropped waker's count is released exactly once, here.
         drop(unsafe { Rc::from_raw(p as *const TaskWaker) });
     }
     static VTABLE: RawWakerVTable =
         RawWakerVTable::new(clone_raw, wake_raw, wake_by_ref_raw, drop_raw);
+    // SAFETY: the four functions keep `RawWaker`'s contract for the pointer
+    // `Rc::into_raw` hands over with `w`'s count; the waker never leaves this
+    // thread (see `# Safety` above), so the non-atomic `Rc` count is sound.
     unsafe { Waker::from_raw(RawWaker::new(Rc::into_raw(w) as *const (), &VTABLE)) }
 }
 

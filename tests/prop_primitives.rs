@@ -699,12 +699,17 @@ proptest! {
     }
 }
 
-/// Bytes of the region the region-model property drives.
-const REGION_LEN: usize = 4096;
+/// Page size of a region's flat bytes.
+const PAGE: usize = 4096;
+
+/// Region lengths the region-model property draws from: inside one page, a
+/// byte short of it, exactly it, a byte past it, and several pages with a
+/// ragged last one.
+const REGION_LENS: [usize; 6] = [8, PAGE - 1, PAGE, PAGE + 1, 3 * PAGE + 24, 20_000];
 
 /// Source of the static-backed payloads.
-static STATIC_SRC: [u8; 2048] = {
-    let mut a = [0u8; 2048];
+static STATIC_SRC: [u8; 3 * PAGE] = {
+    let mut a = [0u8; 3 * PAGE];
     let mut i = 0;
     while i < a.len() {
         a[i] = (i * 7 + 3) as u8;
@@ -758,57 +763,72 @@ enum RegionOp {
     ReadU64 {
         off: usize,
     },
+    /// Drop the region and register a fresh one of the same length.
+    Renew,
 }
 
-/// Offsets on a 64-byte grid half the time and lengths from a short list
-/// most of the time, so ranges nest, abut, overlap and exactly replace each
-/// other; the listed lengths sit around the inline cap of `Bytes` (30) and
-/// the size below which `write_bytes` copies (256).
-fn region_op() -> impl Strategy<Value = RegionOp> {
+/// Offsets uniform, on a 64-byte grid, within 64 bytes of a page boundary,
+/// or at the very end (where every access is empty), and lengths from a
+/// short list most of the time, so ranges nest, abut, overlap, exactly
+/// replace each other and straddle pages; the listed lengths sit around the
+/// inline cap of `Bytes` (30) and the size below which `write_bytes` copies
+/// (256).
+fn region_op(region_len: usize) -> impl Strategy<Value = RegionOp> {
     const LENS: [usize; 14] = [
         0, 1, 8, 30, 31, 64, 255, 256, 257, 320, 512, 1000, 1024, 2048,
     ];
     (
-        0u8..12,
-        (any::<bool>(), 0..REGION_LEN),
-        (0usize..20, 0usize..2048),
+        0u8..13,
+        (0u8..8, 0..region_len, -64isize..64),
+        (0usize..20, 0usize..3 * PAGE),
         any::<u64>(),
         0u8..4,
     )
-        .prop_map(|(kind, (grid, at), (pick, any_len), v, backing)| {
-            let off = if grid { at / 64 * 64 } else { at };
-            let len = LENS
-                .get(pick)
-                .copied()
-                .unwrap_or(any_len)
-                .min(REGION_LEN - off);
-            let word = (off / 8 * 8).min(REGION_LEN - 8);
-            let fill = v as u8;
-            match kind {
-                0 | 1 => RegionOp::Write { off, len, fill },
-                2..=4 => RegionOp::WriteBytes {
-                    off,
-                    len,
-                    fill,
-                    backing,
-                },
-                5 => RegionOp::WriteU64 { off: word, v },
-                6 => RegionOp::Cas {
-                    off: word,
-                    hit: v % 2 == 0,
-                    swap: v,
-                },
-                7 => RegionOp::Faa { off: word, add: v },
-                8 => RegionOp::Read { off, len },
-                9 => RegionOp::ReadBytes { off, len },
-                10 => RegionOp::ReadSg {
-                    off,
-                    split: (v as usize >> 8) % (len + 1),
-                    len,
-                },
-                _ => RegionOp::ReadU64 { off: word },
-            }
-        })
+        .prop_map(
+            move |(kind, (place, at, skew), (pick, any_len), v, backing)| {
+                let off = match place {
+                    0 | 1 => at,
+                    2 | 3 => at / 64 * 64,
+                    4..=6 => {
+                        let boundary = at % (region_len / PAGE + 1) * PAGE;
+                        boundary.saturating_add_signed(skew).min(region_len)
+                    }
+                    _ => region_len,
+                };
+                let len = LENS
+                    .get(pick)
+                    .copied()
+                    .unwrap_or(any_len)
+                    .min(region_len - off);
+                let word = off.min(region_len - 8) / 8 * 8;
+                let fill = v as u8;
+                match kind {
+                    0 | 1 => RegionOp::Write { off, len, fill },
+                    2..=4 => RegionOp::WriteBytes {
+                        off,
+                        len,
+                        fill,
+                        backing,
+                    },
+                    5 => RegionOp::WriteU64 { off: word, v },
+                    6 => RegionOp::Cas {
+                        off: word,
+                        hit: v % 2 == 0,
+                        swap: v,
+                    },
+                    7 => RegionOp::Faa { off: word, add: v },
+                    8 => RegionOp::Read { off, len },
+                    9 => RegionOp::ReadBytes { off, len },
+                    10 => RegionOp::ReadSg {
+                        off,
+                        split: (v as usize >> 8) % (len + 1),
+                        len,
+                    },
+                    11 => RegionOp::ReadU64 { off: word },
+                    _ => RegionOp::Renew,
+                }
+            },
+        )
 }
 
 /// The payload a `WriteBytes` step writes.
@@ -831,22 +851,38 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     /// A registered region is byte-for-byte a flat array, whatever mix of
-    /// copied and held payloads it is made of: every read equals the same
-    /// read of a plain `Vec<u8>` model, a `Bytes` handed out keeps the
-    /// content it was sampled with, the held extents never overlap, a large
-    /// held payload reads back as the writer's own buffer, and an access
-    /// past the end still panics.
+    /// copied and held payloads it is made of and however its accesses fall
+    /// on its pages: every read equals the same read of a plain `Vec<u8>`
+    /// model, a `Bytes` handed out keeps the content it was sampled with,
+    /// the held extents never overlap, a large held payload reads back as
+    /// the writer's own buffer, a fresh region reads as zeros however dirty
+    /// the pages a dropped one left behind, and an access past the end still
+    /// panics.
     #[test]
-    fn region_is_a_flat_byte_array(ops in prop::collection::vec(region_op(), 1..60)) {
-        let sim = Sim::new();
-        let cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), 2);
-        let id = cluster.register(NodeId(1), REGION_LEN);
-        let region: RegionData = cluster.region(NodeId(1), id);
-        let mut model = vec![0u8; REGION_LEN];
+    fn region_is_a_flat_byte_array(
+        (region_len, ops) in prop::sample::select(REGION_LENS.to_vec())
+            .prop_flat_map(|len| (Just(len), prop::collection::vec(region_op(len), 1..60)))
+    ) {
+        let fresh = || {
+            let sim = Sim::new();
+            let cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), 2);
+            let id = cluster.register(NodeId(1), region_len);
+            let region: RegionData = cluster.region(NodeId(1), id);
+            (sim, cluster, id, region)
+        };
+        let (mut sim, mut cluster, mut id, mut region) = fresh();
+        let mut model = vec![0u8; region_len];
         let mut handed: Vec<(Bytes, Vec<u8>)> = Vec::new();
         let word = |m: &[u8], off: usize| u64::from_le_bytes(m[off..off + 8].try_into().unwrap());
         for op in ops {
             match op.clone() {
+                RegionOp::Renew => {
+                    // The old region's pages go back to be reused before
+                    // the new one writes any.
+                    drop((region, cluster, sim));
+                    (sim, cluster, id, region) = fresh();
+                    model.fill(0);
+                }
                 RegionOp::Write { off, len, fill } => {
                     let buf = vec![fill; len];
                     region.write(off, &buf);
@@ -903,11 +939,11 @@ proptest! {
             }
             let mut free_from = 0;
             for (at, len) in region.extents() {
-                prop_assert!(len > 0 && at >= free_from && at + len <= REGION_LEN,
+                prop_assert!(len > 0 && at >= free_from && at + len <= region_len,
                     "after {:?}: extent {}+{} overlaps its predecessor or the end", op, at, len);
                 free_from = at + len;
             }
-            prop_assert_eq!(&region.read(0, REGION_LEN)[..], &model[..], "after {:?}", op);
+            prop_assert_eq!(&region.read(0, region_len)[..], &model[..], "after {:?}", op);
         }
         for (got, sampled) in &handed {
             prop_assert_eq!(&got[..], &sampled[..], "a handed-out Bytes changed");
@@ -916,16 +952,16 @@ proptest! {
         // made up.
         let big = Bytes::from(vec![1u8; 1024]);
         let oob: [&dyn Fn(); 4] = [
-            &|| region.write(REGION_LEN - 4, &[0; 8]),
-            &|| region.write_bytes(REGION_LEN - 1000, &big),
-            &|| drop(region.read(REGION_LEN - 4, 8)),
-            &|| drop(region.read_bytes(1, REGION_LEN)),
+            &|| region.write(region_len - 4, &[0; 8]),
+            &|| region.write_bytes(region_len.saturating_sub(1000), &big),
+            &|| drop(region.read(region_len - 4, 8)),
+            &|| drop(region.read_bytes(1, region_len)),
         ];
         for access in oob {
             let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(access));
             prop_assert!(caught.is_err(), "an out-of-bounds access did not panic");
         }
-        prop_assert_eq!(&region.read(0, REGION_LEN)[..], &model[..], "a refused access wrote");
+        prop_assert_eq!(&region.read(0, region_len)[..], &model[..], "a refused access wrote");
     }
 }
 
