@@ -205,10 +205,7 @@ fn idle_overhead(scheme: MonitorScheme, period_ns: u64) -> u64 {
     let _monitor = Monitor::spawn(
         &cluster,
         scheme,
-        MonitorCfg {
-            period_ns,
-            ..MonitorCfg::default()
-        },
+        MonitorCfg { period_ns },
         NodeId(0),
         &[NodeId(1)],
     );

@@ -113,7 +113,6 @@ pub fn run_scheme_with_period(
         scheme,
         MonitorCfg {
             period_ns: refresh_period_ns,
-            ..MonitorCfg::default()
         },
         NodeId(0),
         &[target],

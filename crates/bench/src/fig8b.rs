@@ -32,7 +32,6 @@ pub fn cell_cfg(scheme: MonitorScheme, alpha: f64) -> HostingCfg {
         scheme,
         zipf_alpha: alpha,
         backends: 4,
-        workers_per_backend: 2,
         clients: 28,
         requests: 2_400,
         seed: 881_100,

@@ -18,44 +18,24 @@ use dc_workloads::FileSet;
 
 use crate::lru::DocId;
 
-/// Cost parameters of the backend tier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BackendCfg {
-    /// Query-processing CPU per request.
-    pub cpu_base_ns: u64,
-    /// Additional CPU per KiB of result.
-    pub cpu_per_kb_ns: u64,
-    /// Storage access latency (overlappable across requests).
-    pub io_ns: u64,
-}
-
-impl Default for BackendCfg {
-    fn default() -> Self {
-        BackendCfg {
-            cpu_base_ns: 150_000,
-            cpu_per_kb_ns: 2_000,
-            io_ns: 1_200_000,
-        }
-    }
-}
+/// Query-processing CPU per request.
+const CPU_BASE_NS: u64 = 150_000;
+/// Additional CPU per KiB of result.
+const CPU_PER_KB_NS: u64 = 2_000;
+/// Storage access latency (overlappable across requests).
+const IO_NS: u64 = 1_200_000;
 
 /// Handle to a running backend service.
 #[derive(Clone)]
 pub struct Backend {
     node: NodeId,
     port: u16,
-    cfg: BackendCfg,
     fileset: Rc<FileSet>,
 }
 
 impl Backend {
     /// Spawn the backend daemon on `node`, serving documents of `fileset`.
-    pub fn spawn(
-        cluster: &Cluster,
-        node: NodeId,
-        cfg: BackendCfg,
-        fileset: Rc<FileSet>,
-    ) -> Backend {
+    pub fn spawn(cluster: &Cluster, node: NodeId, fileset: Rc<FileSet>) -> Backend {
         let port = cluster.alloc_port_for(node, "coopcache.backend");
         // Query processing competes for the backend CPU; storage latency
         // overlaps across concurrent requests. Each request runs in its own
@@ -76,9 +56,9 @@ impl Backend {
                 let req = parse_request(&msg);
                 let doc = u32::from_le_bytes(req.payload[..4].try_into().unwrap()) as usize;
                 let size = fs.size(doc);
-                let cpu_ns = cfg.cpu_base_ns + (size as u64 * cfg.cpu_per_kb_ns).div_ceil(1024);
+                let cpu_ns = CPU_BASE_NS + (size as u64 * CPU_PER_KB_NS).div_ceil(1024);
                 ctx.cluster.cpu(node).execute(cpu_ns).await;
-                ctx.cluster.sim().sleep(cfg.io_ns).await;
+                ctx.cluster.sim().sleep(IO_NS).await;
                 // The document's window of the shared pattern is the
                 // response buffer: nothing is generated or copied here.
                 let content = Bytes::from_static(fs.content(doc, size));
@@ -89,7 +69,6 @@ impl Backend {
         Backend {
             node,
             port,
-            cfg,
             fileset,
         }
     }
@@ -97,11 +76,6 @@ impl Backend {
     /// The backend's node.
     pub fn node(&self) -> NodeId {
         self.node
-    }
-
-    /// The cost parameters.
-    pub fn cfg(&self) -> BackendCfg {
-        self.cfg
     }
 
     /// The working set served.
@@ -128,7 +102,7 @@ mod tests {
         let sim = Sim::new();
         let cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), 3);
         let fs = Rc::new(FileSet::uniform(16, 8192));
-        let backend = Backend::spawn(&cluster, NodeId(2), BackendCfg::default(), fs);
+        let backend = Backend::spawn(&cluster, NodeId(2), fs);
         (sim, cluster, backend)
     }
 

@@ -24,7 +24,7 @@ pub mod node;
 pub mod scheme;
 pub mod service;
 
-pub use backend::{Backend, BackendCfg};
+pub use backend::Backend;
 pub use directory::Directory;
 pub use lru::{DocId, LruStore};
 pub use node::{CacheCfg, CacheNode, DOC_HDR};

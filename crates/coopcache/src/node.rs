@@ -27,27 +27,20 @@ use crate::lru::{DocId, LruStore};
 /// Header bytes prepended to each cached document.
 pub const DOC_HDR: usize = 8;
 
-/// Cost knobs of the cache tier.
+/// Memory-copy CPU cost per KiB (serving a document out of local cache).
+const COPY_PER_KB_NS: u64 = 700;
+
+/// Shape of the cache tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheCfg {
     /// Cache memory per node, bytes.
     pub per_node_bytes: usize,
-    /// Memory-copy CPU cost per KiB (serving a document out of local cache).
-    pub copy_per_kb_ns: u64,
-    /// Fixed per-request handling overhead at a proxy.
-    pub handling_ns: u64,
-    /// HYBCC: documents at or below this size are duplicated locally
-    /// (BCC-style); larger ones stay single-copy (MTACC-style).
-    pub hyb_dup_threshold: usize,
 }
 
 impl Default for CacheCfg {
     fn default() -> Self {
         CacheCfg {
             per_node_bytes: 4 * 1024 * 1024,
-            copy_per_kb_ns: 700,
-            handling_ns: 20_000,
-            hyb_dup_threshold: 16 * 1024,
         }
     }
 }
@@ -55,7 +48,6 @@ impl Default for CacheCfg {
 struct Inner {
     cluster: Cluster,
     node: NodeId,
-    cfg: CacheCfg,
     data_region: RegionId,
     /// Per document: its data-region offset + 1, or 0 when not cached here.
     index: WordTable,
@@ -95,7 +87,6 @@ impl CacheNode {
             inner: Rc::new(Inner {
                 cluster: cluster.clone(),
                 node,
-                cfg,
                 data_region,
                 index,
                 store: RefCell::new(LruStore::new(cfg.per_node_bytes)),
@@ -153,7 +144,7 @@ impl CacheNode {
 
     /// CPU cost of copying `len` bytes on this node.
     fn copy_cost(&self, len: usize) -> u64 {
-        (len as u64 * self.inner.cfg.copy_per_kb_ns).div_ceil(1024)
+        (len as u64 * COPY_PER_KB_NS).div_ceil(1024)
     }
 
     /// Look up `doc` locally; on a hit, touch recency, charge the copy, and
@@ -382,7 +373,6 @@ impl CacheNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::BackendCfg;
     use dc_fabric::FabricModel;
     use dc_sim::Sim;
     use dc_workloads::FileSet;
@@ -398,11 +388,10 @@ mod tests {
         let sim = Sim::new();
         let cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), 4);
         let fs = Rc::new(FileSet::uniform(64, doc_size));
-        let backend = Backend::spawn(&cluster, NodeId(3), BackendCfg::default(), Rc::clone(&fs));
+        let backend = Backend::spawn(&cluster, NodeId(3), Rc::clone(&fs));
         let dir = Directory::new(&cluster, NodeId(0), 64);
         let cfg = CacheCfg {
             per_node_bytes: cache_bytes,
-            ..CacheCfg::default()
         };
         let a = CacheNode::new(&cluster, NodeId(1), cfg, dir.clone(), backend.clone(), 64);
         let b = CacheNode::new(&cluster, NodeId(2), cfg, dir, backend, 64);

@@ -12,7 +12,7 @@
 //!   so the aggregate cache holds no duplicates.
 //! * **MTACC** — CCWR with the owner set extended by application-tier
 //!   nodes whose memory joins the aggregate cache.
-//! * **HYBCC** — documents at or below `hyb_dup_threshold` take the BCC
+//! * **HYBCC** — documents at or below `HYB_DUP_THRESHOLD` take the BCC
 //!   path (duplicated, zero-hop hot hits); larger documents take the MTACC
 //!   path (no duplication of expensive bytes).
 
@@ -29,6 +29,10 @@ use crate::directory::Directory;
 use crate::lru::DocId;
 use crate::node::{CacheCfg, CacheNode};
 use crate::scheme::CacheScheme;
+
+/// HYBCC: documents at or below this size are duplicated locally
+/// (BCC-style); larger ones stay single-copy (MTACC-style).
+const HYB_DUP_THRESHOLD: usize = 16 * 1024;
 
 /// How a request was satisfied (for hit-rate accounting).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -76,7 +80,6 @@ struct Inner {
     proxies: Vec<NodeId>,
     owners: Vec<NodeId>,
     fileset: Rc<FileSet>,
-    cfg: CacheCfg,
     // Serve-outcome counters live in the cluster's unified metrics registry
     // so traced/bench runs enumerate them alongside fabric and DLM metrics;
     // `stats()` reads them back through the same handles.
@@ -140,7 +143,6 @@ impl CoopCache {
                 proxies: proxies.to_vec(),
                 owners,
                 fileset,
-                cfg,
                 local_hits: metrics.counter("coopcache.local_hits"),
                 remote_hits: metrics.counter("coopcache.remote_hits"),
                 backend_misses: metrics.counter("coopcache.backend_misses"),
@@ -242,7 +244,7 @@ impl CoopCache {
             CacheScheme::Bcc => self.serve_bcc(proxy, doc, size).await,
             CacheScheme::Ccwr | CacheScheme::Mtacc => self.serve_owner(proxy, doc, size).await,
             CacheScheme::Hybcc => {
-                if size <= self.inner.cfg.hyb_dup_threshold {
+                if size <= HYB_DUP_THRESHOLD {
                     self.serve_bcc(proxy, doc, size).await
                 } else {
                     self.serve_owner(proxy, doc, size).await
@@ -366,7 +368,6 @@ impl CoopCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::BackendCfg;
     use dc_fabric::FabricModel;
     use dc_sim::Sim;
 
@@ -380,11 +381,8 @@ mod tests {
         // 0: directory home + backend host, 1-2: proxies, 3: app tier.
         let cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), 4);
         let fs = Rc::new(FileSet::uniform(docs, doc_size));
-        let backend = Backend::spawn(&cluster, NodeId(0), BackendCfg::default(), Rc::clone(&fs));
-        let cfg = CacheCfg {
-            per_node_bytes,
-            ..CacheCfg::default()
-        };
+        let backend = Backend::spawn(&cluster, NodeId(0), Rc::clone(&fs));
+        let cfg = CacheCfg { per_node_bytes };
         let cache = CoopCache::build(
             &cluster,
             scheme,
@@ -410,7 +408,7 @@ mod tests {
         let sim = Sim::new();
         let cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), 65);
         let fs = Rc::new(FileSet::uniform(4, 4096));
-        let backend = Backend::spawn(&cluster, NodeId(0), BackendCfg::default(), Rc::clone(&fs));
+        let backend = Backend::spawn(&cluster, NodeId(0), Rc::clone(&fs));
         CoopCache::build(
             &cluster,
             CacheScheme::Bcc,
@@ -533,7 +531,7 @@ mod tests {
         let cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), 4);
         // Doc 0: small (duplicable); doc 1: large (single copy).
         let fs = Rc::new(FileSet::cycled(2, &[4 * 1024, 32 * 1024]));
-        let backend = Backend::spawn(&cluster, NodeId(0), BackendCfg::default(), Rc::clone(&fs));
+        let backend = Backend::spawn(&cluster, NodeId(0), Rc::clone(&fs));
         let cache = CoopCache::build(
             &cluster,
             CacheScheme::Hybcc,

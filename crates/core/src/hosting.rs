@@ -30,6 +30,10 @@ use crate::webfarm::{farm_fault_plan, TraceArtifacts};
 const ZIPF_DOCS: usize = 256;
 /// Client think time between requests.
 const THINK_NS: u64 = 500_000;
+/// Worker processes per back-end.
+const WORKERS_PER_BACKEND: usize = 2;
+/// Fraction of requests treated as warm-up (excluded from metrics).
+const WARMUP_FRACTION: f64 = 0.2;
 
 /// Configuration of one hosting run.
 #[derive(Debug, Clone)]
@@ -38,20 +42,14 @@ pub struct HostingCfg {
     pub scheme: MonitorScheme,
     /// Number of back-end application servers.
     pub backends: usize,
-    /// Worker processes per back-end.
-    pub workers_per_backend: usize,
     /// Zipf exponent of the document service's popularity.
     pub zipf_alpha: f64,
     /// Concurrent closed-loop clients (split between the two services).
     pub clients: usize,
     /// Total requests (both services, including warm-up).
     pub requests: usize,
-    /// Warm-up fraction excluded from metrics.
-    pub warmup_fraction: f64,
     /// Experiment seed.
     pub seed: u64,
-    /// Monitoring cadence etc.
-    pub monitor: MonitorCfg,
     /// Optional fault injection: `(fault_seed, shape)`, installed before any
     /// traffic. The front-end (node 0) is forced immune so the balancer
     /// itself stays reachable; back-ends may crash, stall, and lose messages.
@@ -63,13 +61,10 @@ impl Default for HostingCfg {
         HostingCfg {
             scheme: MonitorScheme::RdmaSync,
             backends: 4,
-            workers_per_backend: 2,
             zipf_alpha: 0.75,
             clients: 24,
             requests: 3_000,
-            warmup_fraction: 0.2,
             seed: 11,
-            monitor: MonitorCfg::default(),
             faults: None,
         }
     }
@@ -111,13 +106,7 @@ struct AppServer {
 }
 
 impl AppServer {
-    fn spawn(
-        cluster: &Cluster,
-        sim: &SimHandle,
-        node: NodeId,
-        workers: usize,
-        responses: &Responses,
-    ) -> AppServer {
+    fn spawn(cluster: &Cluster, sim: &SimHandle, node: NodeId, responses: &Responses) -> AppServer {
         let srv = AppServer {
             cluster: cluster.clone(),
             node,
@@ -125,7 +114,7 @@ impl AppServer {
             wake: Semaphore::new(0),
         };
         let model = cluster.model().clone();
-        for _ in 0..workers {
+        for _ in 0..WORKERS_PER_BACKEND {
             let s = srv.clone();
             let model = model.clone();
             let sim2 = sim.clone();
@@ -187,20 +176,23 @@ fn run_hosting_inner(
         cluster.install_faults(farm_fault_plan(*fault_seed, fault_cfg, total_nodes));
     }
     let backends: Vec<NodeId> = (1..=cfg.backends as u32).map(NodeId).collect();
-    let monitor = Monitor::spawn(&cluster, cfg.scheme, cfg.monitor, frontend, &backends);
+    let monitor = Monitor::spawn(
+        &cluster,
+        cfg.scheme,
+        MonitorCfg::default(),
+        frontend,
+        &backends,
+    );
     let responses: Responses = Rc::default();
     let servers: Vec<AppServer> = backends
         .iter()
-        .map(|&b| {
-            let workers = cfg.workers_per_backend;
-            AppServer::spawn(&cluster, cluster.sim(), b, workers, &responses)
-        })
+        .map(|&b| AppServer::spawn(&cluster, cluster.sim(), b, &responses))
         .collect();
 
     let zipf = Rc::new(Zipf::new(ZIPF_DOCS, cfg.zipf_alpha));
     let rubis = Rc::new(RubisMix::new());
 
-    let warmup = ((cfg.requests as f64 * cfg.warmup_fraction) as usize).min(cfg.requests);
+    let warmup = ((cfg.requests as f64 * WARMUP_FRACTION) as usize).min(cfg.requests);
     let issued: Rc<Cell<usize>> = Rc::default();
     let completed: Rc<Cell<u64>> = Rc::default();
     let measure_start: Rc<Cell<SimTime>> = Rc::new(Cell::new(0));
@@ -294,7 +286,6 @@ mod tests {
         HostingCfg {
             scheme,
             backends: 3,
-            workers_per_backend: 2,
             clients: 12,
             requests: 800,
             ..HostingCfg::default()

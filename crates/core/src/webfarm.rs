@@ -11,13 +11,17 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use dc_coopcache::{Backend, BackendCfg, CacheCfg, CacheScheme, CacheStats, CoopCache};
+use dc_coopcache::{Backend, CacheCfg, CacheScheme, CacheStats, CoopCache};
 use dc_fabric::{Cluster, FabricModel, FaultConfig, FaultPlan, NodeId};
 use dc_sim::rng::component_rng;
 use dc_sim::{Sim, SimTime};
 use dc_workloads::{FileSet, Zipf};
 
 use dc_trace::{tps, LatencyHist, MetricsSnapshot, Subsys, TraceMode};
+
+/// Fixed per-request handling overhead at a proxy (parsing, connection
+/// handling), charged before the caching scheme serves.
+const HANDLING_NS: u64 = 20_000;
 
 /// Configuration of one web-farm run.
 #[derive(Debug, Clone)]
@@ -44,10 +48,6 @@ pub struct WebFarmCfg {
     pub warmup_fraction: f64,
     /// Experiment seed.
     pub seed: u64,
-    /// Backend cost model.
-    pub backend: BackendCfg,
-    /// Cache-tier cost model.
-    pub cache: CacheCfg,
     /// Optional fault injection: `(fault_seed, shape)`. The plan is
     /// materialized from the seed and installed before any traffic. Node 0
     /// (backend + directory home) is forced immune — a down origin has no
@@ -69,8 +69,6 @@ impl Default for WebFarmCfg {
             requests: 4_000,
             warmup_fraction: 0.25,
             seed: 42,
-            backend: BackendCfg::default(),
-            cache: CacheCfg::default(),
             faults: None,
         }
     }
@@ -190,9 +188,7 @@ fn run_webfarm_inner(
         .collect();
 
     let fileset = Rc::new(FileSet::uniform(cfg.num_docs, cfg.doc_size));
-    let backend = Backend::spawn(&cluster, backend_node, cfg.backend, Rc::clone(&fileset));
-    let mut cache_cfg = cfg.cache;
-    cache_cfg.per_node_bytes = cfg.cache_bytes_per_node;
+    let backend = Backend::spawn(&cluster, backend_node, Rc::clone(&fileset));
     let cache = CoopCache::build(
         &cluster,
         cfg.scheme,
@@ -200,7 +196,9 @@ fn run_webfarm_inner(
         &apps,
         backend,
         Rc::clone(&fileset),
-        cache_cfg,
+        CacheCfg {
+            per_node_bytes: cfg.cache_bytes_per_node,
+        },
         backend_node,
     );
 
@@ -247,7 +245,6 @@ fn run_webfarm_inner(
             let last_done = Rc::clone(&last_done);
             let hist = Rc::clone(&hist);
             let model = model.clone();
-            let handling = cfg.cache.handling_ns;
             let requests = cfg.requests;
             let doc_size = cfg.doc_size;
             let sim_h = sim.handle();
@@ -272,7 +269,7 @@ fn run_webfarm_inner(
                     let tr = cluster.tracer().begin();
                     // Request parsing / connection handling at the proxy.
                     let tp = cluster.tracer().begin();
-                    cluster.cpu(proxy).execute(handling).await;
+                    cluster.cpu(proxy).execute(HANDLING_NS).await;
                     if let Some(tp) = tp {
                         cluster.tracer().complete(
                             tp,
@@ -373,8 +370,6 @@ mod tests {
             requests: 600,
             warmup_fraction: 0.3,
             seed: 7,
-            backend: BackendCfg::default(),
-            cache: CacheCfg::default(),
             faults: None,
         }
     }

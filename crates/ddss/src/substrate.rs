@@ -50,20 +50,21 @@ use crate::ctrl::{AllocReq, AllocResp, FreeReq, FreeResp, OP_ALLOC, OP_FREE};
 /// Block header: lock word + version word.
 pub const BLOCK_HDR: usize = 16;
 
+/// Software overhead charged per data-plane operation (marshalling, key
+/// lookup, IPC hand-off).
+const OP_OVERHEAD_NS: u64 = 2_000;
+/// Freshness window for `Temporal` reads.
+const TEMPORAL_TTL_NS: u64 = 1_000_000;
+/// Backoff between lock CAS retries (and between `Version` read retries).
+const LOCK_BACKOFF_NS: u64 = 12_500;
+
 /// Tuning knobs of the substrate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DdssConfig {
     /// Heap bytes registered per participating node.
     pub heap_bytes: usize,
-    /// Software overhead charged per data-plane operation (marshalling,
-    /// key lookup, IPC hand-off).
-    pub op_overhead_ns: u64,
     /// CPU time the DDSS daemon spends on one control-plane request.
     pub daemon_cpu_ns: u64,
-    /// Freshness window for `Temporal` reads.
-    pub temporal_ttl_ns: u64,
-    /// Backoff between lock CAS retries.
-    pub lock_backoff_ns: u64,
     /// Budget of CAS attempts before [`DdssClient::lock`] declares the lock
     /// wedged and panics (a holder that never unlocks is a protocol bug; a
     /// bounded budget turns a silent hang into a diagnosable failure).
@@ -78,10 +79,7 @@ impl Default for DdssConfig {
     fn default() -> Self {
         DdssConfig {
             heap_bytes: 8 * 1024 * 1024,
-            op_overhead_ns: 2_000,
             daemon_cpu_ns: 1_000,
-            temporal_ttl_ns: 1_000_000,
-            lock_backoff_ns: 12_500,
             lock_attempts: 20_000,
             ctrl_timeout_ns: 500_000_000,
         }
@@ -339,7 +337,7 @@ impl DdssClient {
     }
 
     async fn overhead(&self) {
-        self.cluster().sim().sleep(self.cfg().op_overhead_ns).await;
+        self.cluster().sim().sleep(OP_OVERHEAD_NS).await;
     }
 
     /// One control-plane call to a home daemon: `[op][Wire body]` over the
@@ -537,7 +535,7 @@ impl DdssClient {
                         return raw.slice(8..);
                     }
                     // Concurrent update: retry after the backoff.
-                    c.sim().sleep(self.cfg().lock_backoff_ns).await;
+                    c.sim().sleep(LOCK_BACKOFF_NS).await;
                 }
             }
             Coherence::Delta => {
@@ -549,7 +547,7 @@ impl DdssClient {
             Coherence::Temporal => {
                 let now = c.sim().now();
                 if let Some((data, at)) = self.temporal.borrow().get(&key.id) {
-                    if now.saturating_sub(*at) <= self.cfg().temporal_ttl_ns {
+                    if now.saturating_sub(*at) <= TEMPORAL_TTL_NS {
                         return data.clone();
                     }
                 }
@@ -574,7 +572,7 @@ impl DdssClient {
             if old == 0 {
                 return;
             }
-            c.sim().sleep(self.cfg().lock_backoff_ns).await;
+            c.sim().sleep(LOCK_BACKOFF_NS).await;
         }
         panic!(
             "ddss lock budget exhausted on segment {} ({} attempts): holder never released",

@@ -1,8 +1,9 @@
 //! Shared tunables of the lock-manager schemes.
 
-use dc_fabric::RetryPolicy;
-
-/// Cost constants for the DLM agents and the SRSL server.
+/// Cost constants for the DLM agents and the SRSL server. Every protocol
+/// message rides the reliable transport: grant authority travels
+/// peer-to-peer in these schemes, so a message undeliverable past the retry
+/// budget is a fatal protocol failure (the lock would be orphaned).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DlmConfig {
     /// Processing time an agent spends on one incoming message.
@@ -13,11 +14,6 @@ pub struct DlmConfig {
     /// CPU time the SRSL server consumes per request or release message
     /// (competes with any other load on the server node).
     pub server_cpu_ns: u64,
-    /// Retransmission budget for protocol messages. Grant authority travels
-    /// peer-to-peer in these schemes, so every protocol message rides the
-    /// reliable transport under this policy; a message undeliverable past
-    /// the budget is a fatal protocol failure (the lock would be orphaned).
-    pub msg_retry: RetryPolicy,
     /// CAS-spin design: pause between failed CAS attempts (plus a small
     /// deterministic per-node jitter so spinners do not phase-lock).
     pub spin_retry_ns: u64,
@@ -38,7 +34,6 @@ impl Default for DlmConfig {
             agent_proc_ns: 500,
             grant_issue_ns: 2_000,
             server_cpu_ns: 2_000,
-            msg_retry: RetryPolicy::default(),
             // One remote atomic is ~12.5us round trip; spinning much faster
             // than that only burns fabric, much slower starves the spinner.
             spin_retry_ns: 20_000,

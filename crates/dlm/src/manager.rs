@@ -238,9 +238,9 @@ impl Manager {
         port: u16,
         msg: DlmMsg,
     ) -> Result<(), FabricError> {
-        let (data, policy) = (msg.encode_bytes(), self.cfg.msg_retry);
+        let data = msg.encode_bytes();
         self.cluster
-            .send_reliable_with(from, to, port, data, Transport::RdmaSend, policy)
+            .send_reliable_imm(from, to, port, &data, 0, 0, Transport::RdmaSend)
             .await
     }
 

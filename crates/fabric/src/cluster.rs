@@ -33,7 +33,7 @@ use dc_sim::sync::{channel, Receiver, Semaphore, Sender};
 use dc_sim::{SimHandle, SimTime};
 use dc_trace::{Counter, Gauge, Registry, Subsys, Tracer};
 
-use crate::faults::{inflate, FabricError, FaultPlan, FaultStats, RetryPolicy};
+use crate::faults::{backoff_after, inflate, FabricError, FaultPlan, FaultStats, MAX_ATTEMPTS};
 use crate::kstat::{KernelStats, KSTAT_REGION_LEN};
 use crate::mem::{RegionData, RegionId, RemoteAddr};
 use crate::model::FabricModel;
@@ -153,6 +153,15 @@ struct ClusterInner {
     qp_active: Gauge,
     tracer: Tracer,
     metrics: Rc<Registry>,
+}
+
+/// A remote atomic verb's read-modify-write on its target word.
+#[derive(Clone, Copy)]
+enum Atomic {
+    /// Compare-and-swap: `swap` is written iff the word equals `expect`.
+    Cas { expect: u64, swap: u64 },
+    /// Fetch-and-add (wrapping).
+    Faa { add: u64 },
 }
 
 /// Verb and fault counters, backed by the unified metrics registry:
@@ -489,29 +498,26 @@ impl Cluster {
     }
 
     /// The one budgeted-retry loop under every retransmitting verb and send:
-    /// run `op` until it succeeds or `policy.max_attempts` are spent,
-    /// counting a retry and sleeping out the backoff between attempts (and
-    /// nothing after the last). Every `try_` form fails before it mutates
-    /// or delivers anything, so re-running it is always safe.
+    /// run `op` until it succeeds or [`MAX_ATTEMPTS`] are spent, counting a
+    /// retry and sleeping out the backoff between attempts (and nothing
+    /// after the last). Every `try_` form fails before it mutates or
+    /// delivers anything, so re-running it is always safe.
     async fn retrying<T, Fut>(
         &self,
         from: NodeId,
-        policy: RetryPolicy,
         mut op: impl FnMut() -> Fut,
     ) -> Result<T, FabricError>
     where
         Fut: Future<Output = Result<T, FabricError>>,
     {
-        assert!(policy.max_attempts >= 1, "need at least one attempt");
         let mut attempt = 0;
         loop {
             match op().await {
                 Ok(v) => return Ok(v),
-                Err(e) if attempt + 1 >= policy.max_attempts => return Err(e),
+                Err(e) if attempt + 1 >= MAX_ATTEMPTS => return Err(e),
                 Err(_) => {
                     self.note_retry();
-                    self.backoff_traced(from, policy.backoff_after(attempt))
-                        .await;
+                    self.backoff_traced(from, backoff_after(attempt)).await;
                     attempt += 1;
                 }
             }
@@ -570,14 +576,13 @@ impl Cluster {
     /// The target CPU is not involved.
     ///
     /// Infallible wrapper over [`Cluster::try_rdma_read`]: retries crash-
-    /// window failures on the default [`RetryPolicy`] and panics once the
-    /// budget is exhausted (callers that can degrade use the `try_` form).
+    /// window failures on the one retry schedule ([`MAX_ATTEMPTS`]) and
+    /// panics once it is exhausted (callers that can degrade use the `try_`
+    /// form).
     pub async fn rdma_read(&self, from: NodeId, addr: RemoteAddr, len: usize) -> Bytes {
-        self.retrying(from, RetryPolicy::default(), || {
-            self.try_rdma_read(from, addr, len)
-        })
-        .await
-        .unwrap_or_else(|e| panic!("rdma_read at {addr:?}: {e} (retry budget exhausted)"))
+        self.retrying(from, || self.try_rdma_read(from, addr, len))
+            .await
+            .unwrap_or_else(|e| panic!("rdma_read at {addr:?}: {e} (retry budget exhausted)"))
     }
 
     /// Fallible RDMA read: fails with [`FabricError::Unreachable`] when the
@@ -623,11 +628,9 @@ impl Cluster {
     /// One-sided read of the 8-byte-aligned little-endian word at `addr`:
     /// [`Cluster::rdma_read`] of 8 bytes, decoded. Same retry/panic contract.
     pub async fn read_u64(&self, from: NodeId, addr: RemoteAddr) -> u64 {
-        self.retrying(from, RetryPolicy::default(), || {
-            self.try_read_u64(from, addr)
-        })
-        .await
-        .unwrap_or_else(|e| panic!("read_u64 at {addr:?}: {e} (retry budget exhausted)"))
+        self.retrying(from, || self.try_read_u64(from, addr))
+            .await
+            .unwrap_or_else(|e| panic!("read_u64 at {addr:?}: {e} (retry budget exhausted)"))
     }
 
     /// Fallible word read: [`Cluster::try_rdma_read`] of 8 bytes, decoded.
@@ -645,7 +648,7 @@ impl Cluster {
     /// retry/panic contract.
     pub async fn read_kstat(&self, from: NodeId, node: NodeId) -> KernelStats {
         let addr = self.kstat_addr(node);
-        self.retrying(from, RetryPolicy::default(), || {
+        self.retrying(from, || {
             self.read_verb(from, addr, KSTAT_REGION_LEN, move |region| {
                 KernelStats::decode(&region.read_array::<KSTAT_REGION_LEN>(addr.offset))
             })
@@ -715,11 +718,9 @@ impl Cluster {
     /// Infallible wrapper over [`Cluster::try_rdma_write`]; see
     /// [`Cluster::rdma_read`] for the retry/panic contract.
     pub async fn rdma_write(&self, from: NodeId, addr: RemoteAddr, data: &[u8]) {
-        self.retrying(from, RetryPolicy::default(), || {
-            self.try_rdma_write(from, addr, data)
-        })
-        .await
-        .unwrap_or_else(|e| panic!("rdma_write at {addr:?}: {e} (retry budget exhausted)"))
+        self.retrying(from, || self.try_rdma_write(from, addr, data))
+            .await
+            .unwrap_or_else(|e| panic!("rdma_write at {addr:?}: {e} (retry budget exhausted)"))
     }
 
     /// Fallible RDMA write. On `Err` the target memory was *not* modified,
@@ -776,55 +777,21 @@ impl Cluster {
     /// Infallible wrapper over [`Cluster::try_atomic_cas`]; see
     /// [`Cluster::rdma_read`] for the retry/panic contract.
     pub async fn atomic_cas(&self, from: NodeId, addr: RemoteAddr, expect: u64, swap: u64) -> u64 {
-        self.retrying(from, RetryPolicy::default(), || {
-            self.try_atomic_cas(from, addr, expect, swap)
-        })
-        .await
-        .unwrap_or_else(|e| panic!("atomic_cas at {addr:?}: {e} (retry budget exhausted)"))
+        self.retrying(from, || self.try_atomic_cas(from, addr, expect, swap))
+            .await
+            .unwrap_or_else(|e| panic!("atomic_cas at {addr:?}: {e} (retry budget exhausted)"))
     }
 
     /// Fallible compare-and-swap. On `Err` the word was *not* touched (the
     /// operation fails before linearization), so retrying is safe.
-    pub async fn try_atomic_cas(
+    pub fn try_atomic_cas(
         &self,
         from: NodeId,
         addr: RemoteAddr,
         expect: u64,
         swap: u64,
-    ) -> Result<u64, FabricError> {
-        let m = &self.inner.model;
-        let sim = self.inner.sim.clone();
-        let f = self.fault_factor();
-        let t0 = self.inner.tracer.begin();
-        if self.fault_down(from) {
-            return Err(FabricError::Unreachable(from));
-        }
-        sim.sleep(inflate(m.post_overhead_ns + m.atomic_base_ns / 2, f))
-            .await;
-        if self.fault_down(addr.node) {
-            return Err(FabricError::Unreachable(addr.node));
-        }
-        let target = self.node(addr.node);
-        let old =
-            target.regions.borrow()[addr.region.0 as usize].cas_u64(addr.offset, expect, swap);
-        sim.sleep(inflate(m.atomic_base_ns - m.atomic_base_ns / 2, f))
-            .await;
-        self.inner.stats.cas.inc();
-        if let Some(t0) = t0 {
-            self.inner.tracer.complete(
-                t0,
-                from.0,
-                Subsys::Fabric,
-                "verb.cas",
-                vec![
-                    ("target", addr.node.0.into()),
-                    ("swapped", u64::from(old == expect).into()),
-                    ("remote_cpu_ns", 0u64.into()),
-                    ("stage", "wire".into()),
-                ],
-            );
-        }
-        Ok(old)
+    ) -> impl Future<Output = Result<u64, FabricError>> + '_ {
+        self.atomic_verb(from, addr, Atomic::Cas { expect, swap })
     }
 
     /// Remote fetch-and-add (wrapping) on the u64 at `addr`; returns the
@@ -833,50 +800,72 @@ impl Cluster {
     /// Infallible wrapper over [`Cluster::try_atomic_faa`]; see
     /// [`Cluster::rdma_read`] for the retry/panic contract.
     pub async fn atomic_faa(&self, from: NodeId, addr: RemoteAddr, add: u64) -> u64 {
-        self.retrying(from, RetryPolicy::default(), || {
-            self.try_atomic_faa(from, addr, add)
-        })
-        .await
-        .unwrap_or_else(|e| panic!("atomic_faa at {addr:?}: {e} (retry budget exhausted)"))
+        self.retrying(from, || self.try_atomic_faa(from, addr, add))
+            .await
+            .unwrap_or_else(|e| panic!("atomic_faa at {addr:?}: {e} (retry budget exhausted)"))
     }
 
     /// Fallible fetch-and-add. On `Err` the word was *not* touched, so
     /// retrying is safe (no double-add).
-    pub async fn try_atomic_faa(
+    pub fn try_atomic_faa(
         &self,
         from: NodeId,
         addr: RemoteAddr,
         add: u64,
+    ) -> impl Future<Output = Result<u64, FabricError>> + '_ {
+        self.atomic_verb(from, addr, Atomic::Faa { add })
+    }
+
+    /// The one remote-atomic body, shaped like [`Cluster::read_verb`]: `op`
+    /// is the read-modify-write on the target word, linearized at the target
+    /// NIC, and the prior value is returned. Which verb it is picks the
+    /// region operation, the counter, the span name and CAS's `swapped` arg,
+    /// and nothing else.
+    async fn atomic_verb(
+        &self,
+        from: NodeId,
+        addr: RemoteAddr,
+        op: Atomic,
     ) -> Result<u64, FabricError> {
         let m = &self.inner.model;
-        let sim = self.inner.sim.clone();
         let f = self.fault_factor();
         let t0 = self.inner.tracer.begin();
         if self.fault_down(from) {
             return Err(FabricError::Unreachable(from));
         }
+        let sim = &self.inner.sim;
         sim.sleep(inflate(m.post_overhead_ns + m.atomic_base_ns / 2, f))
             .await;
         if self.fault_down(addr.node) {
             return Err(FabricError::Unreachable(addr.node));
         }
         let target = self.node(addr.node);
-        let old = target.regions.borrow()[addr.region.0 as usize].faa_u64(addr.offset, add);
+        let old = {
+            let region = &target.regions.borrow()[addr.region.0 as usize];
+            match op {
+                Atomic::Cas { expect, swap } => region.cas_u64(addr.offset, expect, swap),
+                Atomic::Faa { add } => region.faa_u64(addr.offset, add),
+            }
+        };
         sim.sleep(inflate(m.atomic_base_ns - m.atomic_base_ns / 2, f))
             .await;
-        self.inner.stats.faa.inc();
+        let stats = &self.inner.stats;
+        let (counter, name) = match op {
+            Atomic::Cas { .. } => (&stats.cas, "verb.cas"),
+            Atomic::Faa { .. } => (&stats.faa, "verb.faa"),
+        };
+        counter.inc();
         if let Some(t0) = t0 {
-            self.inner.tracer.complete(
-                t0,
-                from.0,
-                Subsys::Fabric,
-                "verb.faa",
-                vec![
-                    ("target", addr.node.0.into()),
-                    ("remote_cpu_ns", 0u64.into()),
-                    ("stage", "wire".into()),
-                ],
-            );
+            let mut args = Vec::with_capacity(4);
+            args.push(("target", addr.node.0.into()));
+            if let Atomic::Cas { expect, .. } = op {
+                args.push(("swapped", u64::from(old == expect).into()));
+            }
+            args.push(("remote_cpu_ns", 0u64.into()));
+            args.push(("stage", "wire".into()));
+            self.inner
+                .tracer
+                .complete(t0, from.0, Subsys::Fabric, name, args);
         }
         Ok(old)
     }
@@ -945,7 +934,7 @@ impl Cluster {
     /// application load for the target CPU). Messages to unbound ports are
     /// silently dropped, like a network — and so are messages hit by an
     /// installed fault plan (unreliable-datagram semantics; use
-    /// [`Cluster::send_reliable_with`] for the RC-QP retransmitting flavor).
+    /// [`Cluster::send_reliable_imm`] for the RC-QP retransmitting flavor).
     pub async fn send(
         &self,
         from: NodeId,
@@ -1066,27 +1055,13 @@ impl Cluster {
     }
 
     /// Reliable-connection send (the simulated analogue of an InfiniBand RC
-    /// QP): retransmits on drop or crash with exponential backoff under
-    /// `policy`. `Ok(())` means delivered exactly once; `Err` means never
-    /// delivered — so protocol state machines built on this never see
+    /// QP): [`Cluster::try_send_imm_ref`] retransmitted on drop or crash
+    /// under the one retry schedule ([`MAX_ATTEMPTS`], exponential backoff),
+    /// so every retransmission re-posts the same header word and the same
+    /// payload buffer. `Ok(())` means delivered exactly once; `Err` means
+    /// never delivered — so protocol state machines built on this never see
     /// duplicates.
-    pub async fn send_reliable_with(
-        &self,
-        from: NodeId,
-        to: NodeId,
-        port: u16,
-        data: Bytes,
-        transport: Transport,
-        policy: RetryPolicy,
-    ) -> Result<(), FabricError> {
-        self.send_reliable_imm(from, to, port, &data, 0, 0, transport, policy)
-            .await
-    }
-
-    /// Reliable gather send: [`Cluster::send_reliable_with`] over
-    /// [`Cluster::try_send_imm_ref`], so every retransmission re-posts the
-    /// same header word and the same payload buffer.
-    #[allow(clippy::too_many_arguments)] // try_send_imm_ref's, plus the budget
+    #[allow(clippy::too_many_arguments)] // try_send_imm_ref's
     pub async fn send_reliable_imm(
         &self,
         from: NodeId,
@@ -1096,9 +1071,8 @@ impl Cluster {
         imm: u64,
         hdr_len: usize,
         transport: Transport,
-        policy: RetryPolicy,
     ) -> Result<(), FabricError> {
-        self.retrying(from, policy, || {
+        self.retrying(from, || {
             self.try_send_imm_ref(from, to, port, data, imm, hdr_len, transport)
         })
         .await
@@ -1730,13 +1704,14 @@ mod tests {
         let cc = c.clone();
         sim.spawn(async move {
             for i in 0..20u8 {
-                cc.send_reliable_with(
+                cc.send_reliable_imm(
                     NodeId(0),
                     NodeId(1),
                     7,
-                    Bytes::from(vec![i]),
+                    &Bytes::from(vec![i]),
+                    0,
+                    0,
                     Transport::RdmaSend,
-                    RetryPolicy::default(),
                 )
                 .await
                 .expect("reliable send failed");
@@ -1898,13 +1873,14 @@ mod tests {
         let cc = c.clone();
         sim.spawn(async move {
             for i in 0..10u8 {
-                cc.send_reliable_with(
+                cc.send_reliable_imm(
                     NodeId(0),
                     NodeId(1),
                     7,
-                    Bytes::from(vec![i]),
+                    &Bytes::from(vec![i]),
+                    0,
+                    0,
                     Transport::RdmaSend,
-                    RetryPolicy::default(),
                 )
                 .await
                 .unwrap();

@@ -49,37 +49,24 @@ impl std::fmt::Display for FabricError {
     }
 }
 
-/// Bounded retransmission schedule: exponential backoff from `backoff_ns`
-/// up to `backoff_cap_ns`, at most `max_attempts` tries. Never infinite.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts (first try included). Must be at least 1.
-    pub max_attempts: u32,
-    /// Backoff before the second attempt.
-    pub backoff_ns: SimTime,
-    /// Backoff ceiling for the exponential schedule.
-    pub backoff_cap_ns: SimTime,
-}
+// The one bounded retransmission schedule under every reliable send and
+// retrying verb: 24 attempts, 50us doubling to a 20ms cap. It rides out the
+// crash windows (tens of ms) with margin, yet gives up within ~0.5s of
+// simulated time instead of spinning forever.
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        // 24 attempts, 50us doubling to a 20ms cap: rides out the default
-        // crash windows (tens of ms) with margin, yet gives up within ~0.5s
-        // of simulated time instead of spinning forever.
-        RetryPolicy {
-            max_attempts: 24,
-            backoff_ns: 50_000,
-            backoff_cap_ns: 20_000_000,
-        }
-    }
-}
+/// Total attempts of a reliable operation, the first try included.
+pub const MAX_ATTEMPTS: u32 = 24;
+/// Backoff before the second attempt.
+const BACKOFF_NS: SimTime = 50_000;
+/// Ceiling of the exponential backoff.
+const BACKOFF_CAP_NS: SimTime = 20_000_000;
 
-impl RetryPolicy {
-    /// The backoff to sleep after failed attempt number `attempt` (0-based).
-    pub fn backoff_after(&self, attempt: u32) -> SimTime {
-        let shifted = self.backoff_ns.saturating_shl(attempt.min(40));
-        shifted.min(self.backoff_cap_ns)
-    }
+const _: () = assert!(MAX_ATTEMPTS >= 1, "need at least one attempt");
+
+/// The backoff to sleep after failed attempt number `attempt` (0-based).
+pub fn backoff_after(attempt: u32) -> SimTime {
+    let shifted = BACKOFF_NS.saturating_shl(attempt.min(40));
+    shifted.min(BACKOFF_CAP_NS)
 }
 
 trait SaturatingShl {
@@ -96,36 +83,45 @@ impl SaturatingShl for u64 {
     }
 }
 
+/// Crash-window duration bounds.
+const CRASH_MIN_NS: SimTime = ms(5);
+/// See [`CRASH_MIN_NS`].
+const CRASH_MAX_NS: SimTime = ms(40);
+/// Stall duration bounds (CPU time hogged per window).
+const STALL_MIN_NS: SimTime = ms(5);
+/// See [`STALL_MIN_NS`].
+const STALL_MAX_NS: SimTime = ms(20);
+/// Latency multiplication factor bounds.
+const LATENCY_FACTOR_MIN: f64 = 1.5;
+/// See [`LATENCY_FACTOR_MIN`].
+const LATENCY_FACTOR_MAX: f64 = 4.0;
+
+// The factor is drawn from the half-open range `MIN..MAX`, so it must not
+// be empty.
+const _: () = assert!(
+    LATENCY_FACTOR_MIN >= 1.0 && LATENCY_FACTOR_MAX > LATENCY_FACTOR_MIN,
+    "latency factors must be >= 1 and ordered"
+);
+
 /// Knobs for [`FaultPlan::generate`]. All windows are scheduled within
-/// `[0, horizon_ns)` of virtual time.
+/// `[0, horizon_ns)` of virtual time. Crash windows last 5–40 ms, stalls
+/// 5–20 ms, and latency windows inflate by 1.5–4×, whatever the config.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultConfig {
     /// Virtual-time horizon within which fault windows are placed.
     pub horizon_ns: SimTime,
     /// Upper bound on crash windows drawn per (non-immune) node.
     pub max_crashes_per_node: u32,
-    /// Crash-window duration bounds.
-    pub crash_min_ns: SimTime,
-    /// See `crash_min_ns`.
-    pub crash_max_ns: SimTime,
     /// Per-message drop probability on two-sided sends, in `[0, 1]`.
     pub drop_prob: f64,
     /// Number of global latency-inflation windows.
     pub latency_windows: u32,
-    /// Latency multiplication factor bounds (≥ 1.0).
-    pub latency_factor_min: f64,
-    /// See `latency_factor_min`.
-    pub latency_factor_max: f64,
     /// Latency-window duration bounds.
     pub latency_min_ns: SimTime,
     /// See `latency_min_ns`.
     pub latency_max_ns: SimTime,
     /// Upper bound on CPU-stall windows drawn per (non-immune) node.
     pub max_stalls_per_node: u32,
-    /// Stall duration bounds (CPU time hogged per window).
-    pub stall_min_ns: SimTime,
-    /// See `stall_min_ns`.
-    pub stall_max_ns: SimTime,
     /// Nodes exempt from crashes and stalls (e.g. a backend origin whose
     /// loss would make every outcome undefined). Drops and latency still
     /// apply to their traffic.
@@ -137,17 +133,11 @@ impl Default for FaultConfig {
         FaultConfig {
             horizon_ns: ms(1_000),
             max_crashes_per_node: 1,
-            crash_min_ns: ms(5),
-            crash_max_ns: ms(40),
             drop_prob: 0.02,
             latency_windows: 3,
-            latency_factor_min: 1.5,
-            latency_factor_max: 4.0,
             latency_min_ns: ms(10),
             latency_max_ns: ms(50),
             max_stalls_per_node: 2,
-            stall_min_ns: ms(5),
-            stall_max_ns: ms(20),
             immune_nodes: Vec::new(),
         }
     }
@@ -217,10 +207,6 @@ impl FaultPlan {
     /// Materialize the schedule for a `nodes`-node cluster from `seed`.
     /// Identical `(seed, cfg, nodes)` triples yield identical plans.
     pub fn generate(seed: u64, cfg: &FaultConfig, nodes: usize) -> FaultPlan {
-        assert!(
-            cfg.latency_factor_min >= 1.0 && cfg.latency_factor_max >= cfg.latency_factor_min,
-            "latency factors must be >= 1 and ordered"
-        );
         let mut rng = StdRng::seed_from_u64(splitmix64(seed));
         let mut crashes = Vec::new();
         let mut stalls = Vec::new();
@@ -230,7 +216,7 @@ impl FaultPlan {
             let n_crashes = rng.gen_range(0..=cfg.max_crashes_per_node);
             for _ in 0..n_crashes {
                 let start = rng.gen_range(0..cfg.horizon_ns.max(1));
-                let dur = rng.gen_range(cfg.crash_min_ns..=cfg.crash_max_ns);
+                let dur = rng.gen_range(CRASH_MIN_NS..=CRASH_MAX_NS);
                 if !immune {
                     crashes.push(CrashWindow {
                         node,
@@ -242,7 +228,7 @@ impl FaultPlan {
             let n_stalls = rng.gen_range(0..=cfg.max_stalls_per_node);
             for _ in 0..n_stalls {
                 let start = rng.gen_range(0..cfg.horizon_ns.max(1));
-                let dur = rng.gen_range(cfg.stall_min_ns..=cfg.stall_max_ns);
+                let dur = rng.gen_range(STALL_MIN_NS..=STALL_MAX_NS);
                 if !immune {
                     stalls.push(StallWindow { node, start, dur });
                 }
@@ -252,12 +238,7 @@ impl FaultPlan {
         for _ in 0..cfg.latency_windows {
             let start = rng.gen_range(0..cfg.horizon_ns.max(1));
             let dur = rng.gen_range(cfg.latency_min_ns..=cfg.latency_max_ns);
-            let factor = rng.gen_range(
-                cfg.latency_factor_min
-                    ..cfg
-                        .latency_factor_max
-                        .max(cfg.latency_factor_min + f64::EPSILON),
-            );
+            let factor = rng.gen_range(LATENCY_FACTOR_MIN..LATENCY_FACTOR_MAX);
             latency.push(LatencyWindow {
                 start,
                 end: start.saturating_add(dur),
@@ -484,12 +465,11 @@ mod tests {
 
     #[test]
     fn retry_policy_backoff_is_capped() {
-        let p = RetryPolicy::default();
-        assert_eq!(p.backoff_after(0), p.backoff_ns);
-        assert_eq!(p.backoff_after(1), p.backoff_ns * 2);
-        assert_eq!(p.backoff_after(63), p.backoff_cap_ns);
-        let total: u64 = (0..p.max_attempts).map(|a| p.backoff_after(a)).sum();
-        // The whole schedule must outlast the longest default crash window.
-        assert!(total > FaultConfig::default().crash_max_ns * 2);
+        assert_eq!(backoff_after(0), BACKOFF_NS);
+        assert_eq!(backoff_after(1), BACKOFF_NS * 2);
+        assert_eq!(backoff_after(63), BACKOFF_CAP_NS);
+        let total: u64 = (0..MAX_ATTEMPTS).map(backoff_after).sum();
+        // The whole schedule must outlast the longest crash window.
+        assert!(total > CRASH_MAX_NS * 2);
     }
 }

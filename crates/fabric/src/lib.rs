@@ -58,7 +58,7 @@ pub mod words;
 
 pub use cluster::{Cluster, Endpoint, Message, NodeId, Transport, VerbStats};
 pub use cpu::{CpuConfig, CpuModel};
-pub use faults::{FabricError, FaultConfig, FaultPlan, FaultStats, RetryPolicy};
+pub use faults::{FabricError, FaultConfig, FaultPlan, FaultStats};
 pub use kstat::KernelStats;
 pub use mem::{RegionId, RemoteAddr};
 pub use model::FabricModel;

@@ -10,7 +10,7 @@
 //! * **Concurrency control** — CAS claims mean concurrent agents cannot
 //!   live-lock or double-move a node.
 //! * **History-aware hysteresis** — a node that just moved is ineligible for
-//!   `hysteresis_ns`, preventing thrashing under oscillating load.
+//!   `HYSTERESIS_NS`, preventing thrashing under oscillating load.
 //! * **QoS guarantees** — each site keeps at least `min_nodes` nodes, and
 //!   loads are compared after dividing by the site's priority weight.
 
@@ -24,21 +24,22 @@ use dc_sim::{SimHandle, SimTime};
 
 use crate::sitemap::SiteMap;
 
+/// Move a node when `load(hot)/load(cold) > IMBALANCE_RATIO` (after
+/// priority weighting).
+const IMBALANCE_RATIO: f64 = 1.6;
+/// Minimum time between moves of the same node.
+const HYSTERESIS_NS: u64 = 40_000_000;
+/// Time a moved node spends in transition (process restart, cache warm
+/// handoff) before serving its new site.
+const SWITCH_COST_NS: u64 = 5_000_000;
+
 /// Tunables of the adaptation agent.
 #[derive(Debug, Clone)]
 pub struct AdaptCfg {
     /// How often load is evaluated.
     pub check_period_ns: u64,
-    /// Move a node when `load(hot)/load(cold) > imbalance_ratio` (after
-    /// priority weighting).
-    pub imbalance_ratio: f64,
-    /// Minimum time between moves of the same node.
-    pub hysteresis_ns: u64,
     /// Every site keeps at least this many serving nodes.
     pub min_nodes: usize,
-    /// Time a moved node spends in transition (process restart, cache warm
-    /// handoff) before serving its new site.
-    pub switch_cost_ns: u64,
     /// QoS priority weight per site (higher = more entitled to capacity).
     pub priorities: Vec<f64>,
 }
@@ -49,10 +50,7 @@ impl AdaptCfg {
     pub fn fine(num_sites: usize) -> AdaptCfg {
         AdaptCfg {
             check_period_ns: 2_000_000,
-            imbalance_ratio: 1.6,
-            hysteresis_ns: 40_000_000,
             min_nodes: 1,
-            switch_cost_ns: 5_000_000,
             priorities: vec![1.0; num_sites],
         }
     }
@@ -197,7 +195,7 @@ impl Reconfigurator {
             }
             let hot_load = site_load[hot];
             let cold_load = site_load[cold].max(1e-9);
-            if hot_load < 0.5 || hot_load / cold_load <= inner.cfg.imbalance_ratio {
+            if hot_load < 0.5 || hot_load / cold_load <= IMBALANCE_RATIO {
                 return None;
             }
             // Donor must keep its QoS minimum.
@@ -210,7 +208,7 @@ impl Reconfigurator {
                 .copied()
                 .filter(|n| {
                     now.saturating_sub(inner.last_move.borrow().get(n).copied().unwrap_or(0))
-                        >= inner.cfg.hysteresis_ns
+                        >= HYSTERESIS_NS
                         || !inner.last_move.borrow().contains_key(n)
                 })
                 .min_by_key(|n| inner.last_move.borrow().get(n).copied().unwrap_or(0))?;
@@ -229,7 +227,7 @@ impl Reconfigurator {
             return; // another agent got there first
         }
         inner.last_move.borrow_mut().insert(node, now);
-        inner.sim.sleep(inner.cfg.switch_cost_ns).await;
+        inner.sim.sleep(SWITCH_COST_NS).await;
         inner.map.complete(inner.agent, node, hot as u32).await;
         inner.moves.borrow_mut().push(MoveRecord {
             node,

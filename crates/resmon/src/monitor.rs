@@ -20,22 +20,22 @@ use dc_svc::{
 
 use crate::scheme::MonitorScheme;
 
+/// CPU the user-level daemon burns per query/push (reading /proc and
+/// formatting — the paper's "extra monitoring process" overhead).
+const DAEMON_CPU_NS: u64 = 80_000;
+
 /// Tunables of the monitoring service.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MonitorCfg {
     /// Refresh period of the async schemes (and the push period of
     /// Socket-Async).
     pub period_ns: u64,
-    /// CPU the user-level daemon burns per query/push (reading /proc and
-    /// formatting — the paper's "extra monitoring process" overhead).
-    pub daemon_cpu_ns: u64,
 }
 
 impl Default for MonitorCfg {
     fn default() -> Self {
         MonitorCfg {
             period_ns: 10_000_000, // 10 ms
-            daemon_cpu_ns: 80_000, // user-level /proc walk
         }
     }
 }
@@ -97,7 +97,7 @@ impl Monitor {
         for &t in targets {
             let daemon_port = scheme.needs_daemon().then(|| {
                 let port = cluster.alloc_port_for(t, "resmon.daemon");
-                spawn_daemon(cluster, t, port, cfg);
+                spawn_daemon(cluster, t, port);
                 port
             });
             sorted.push((
@@ -239,12 +239,12 @@ impl Monitor {
         for &(target, ref st) in &self.inner.targets {
             let st = Rc::clone(st);
             let cluster = self.inner.cluster.clone();
-            let cfg = self.inner.cfg;
+            let period = self.inner.cfg.period_ns;
             let sim = cluster.sim().clone();
             sim.clone().spawn_detached(async move {
                 loop {
                     // Daemon wakes, reads /proc (CPU), pushes the sample.
-                    cluster.cpu(target).execute(cfg.daemon_cpu_ns).await;
+                    cluster.cpu(target).execute(DAEMON_CPU_NS).await;
                     let stats = cluster.cpu(target).snapshot();
                     let observed_at = sim.now();
                     // Model the push as the TCP costs of a small message.
@@ -255,23 +255,23 @@ impl Monitor {
                         .await;
                     sim.sleep(m.tcp_base_ns).await;
                     *st.cached.borrow_mut() = LoadView { stats, observed_at };
-                    sim.sleep(cfg.period_ns).await;
+                    sim.sleep(period).await;
                 }
             });
         }
     }
 }
 
-fn spawn_daemon(cluster: &Cluster, node: NodeId, port: u16, cfg: MonitorCfg) {
+fn spawn_daemon(cluster: &Cluster, node: NodeId, port: u16) {
     // The user-level daemon must get the CPU to read /proc and reply — under
     // load this queueing is where the accuracy dies. The pump charges
-    // `daemon_cpu_ns` on the target's CPU before each reply.
+    // `DAEMON_CPU_NS` on the target's CPU before each reply.
     let spec = ServiceSpec {
         name: "resmon.daemon",
         subsys: Subsys::Resmon,
         node,
         port,
-        cost: Cost::Cpu(cfg.daemon_cpu_ns),
+        cost: Cost::Cpu(DAEMON_CPU_NS),
         mode: Mode::Serial,
         queue_cap: None,
     };

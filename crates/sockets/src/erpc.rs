@@ -132,50 +132,40 @@ pub fn decode_imm(imm: u64) -> ImmHeader {
 // Congestion control: seeded deterministic AIMD over RTT + ECN signals.
 // ---------------------------------------------------------------------------
 
-/// Tunables of the per-session rate machine. Integer arithmetic throughout
-/// so the trajectory is exactly reproducible.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CcConfig {
-    /// Rate never decreases below this (keeps every session live).
-    pub floor_bps: u64,
-    /// Rate never increases above this (the link's line rate).
-    pub link_bps: u64,
-    /// Additive increase per low-RTT ack.
-    pub additive_bps: u64,
-    /// Multiplicative-decrease numerator: on a mark or high RTT the rate
-    /// becomes `rate * md_num / md_den`.
-    pub md_num: u64,
-    /// Multiplicative-decrease denominator.
-    pub md_den: u64,
-    /// Acks with RTT at or below this are "uncongested" and earn additive
-    /// increase (Timely's T_low).
-    pub rtt_low_ns: u64,
-    /// Acks with RTT at or above this decrease the rate even without an
-    /// ECN mark (Timely's T_high / positive-gradient branch). Between the
-    /// two thresholds the rate holds.
-    pub rtt_high_ns: u64,
-}
+// The per-session rate machine's constants, matched to the calibrated 2007
+// fabric: 900 B/µs IB link = 7.2 Gb/s. Integer arithmetic throughout so the
+// trajectory is exactly reproducible.
 
-impl Default for CcConfig {
-    /// Matched to the calibrated 2007 fabric: 900 B/µs IB link = 7.2 Gb/s.
-    fn default() -> CcConfig {
-        CcConfig {
-            floor_bps: 50_000_000,
-            link_bps: 7_200_000_000,
-            additive_bps: 60_000_000,
-            md_num: 4,
-            md_den: 5,
-            rtt_low_ns: 60_000,
-            rtt_high_ns: 400_000,
-        }
-    }
-}
+/// Rate never decreases below this (keeps every session live).
+pub const FLOOR_BPS: u64 = 50_000_000;
+/// Rate never increases above this (the link's line rate).
+pub const LINK_BPS: u64 = 7_200_000_000;
+/// Additive increase per low-RTT ack.
+const ADDITIVE_BPS: u64 = 60_000_000;
+/// Multiplicative-decrease numerator: on a mark or high RTT the rate becomes
+/// `rate * MD_NUM / MD_DEN`.
+const MD_NUM: u64 = 4;
+/// Multiplicative-decrease denominator.
+const MD_DEN: u64 = 5;
+/// Acks with RTT at or below this are "uncongested" and earn additive
+/// increase (Timely's T_low).
+pub const RTT_LOW_NS: u64 = 60_000;
+/// Acks with RTT at or above this decrease the rate even without an ECN mark
+/// (Timely's T_high / positive-gradient branch). Between the two thresholds
+/// the rate holds.
+pub const RTT_HIGH_NS: u64 = 400_000;
+
+const _: () = {
+    assert!(FLOOR_BPS >= 1, "rate floor must be positive");
+    assert!(LINK_BPS >= FLOOR_BPS, "link below floor");
+    assert!(MD_NUM < MD_DEN, "decrease must decrease");
+    assert!(MD_DEN > 0, "md_den must be positive");
+};
 
 /// One session's congestion state. Pure (no clock, no I/O): callers feed it
 /// ack RTTs and marks, it answers with the paced rate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CongestionState {
-    cfg: CcConfig,
     rate_bps: u64,
 }
 
@@ -184,29 +174,19 @@ impl CongestionState {
     /// low enough that an incast of fresh sessions does not instantly
     /// overrun the bottleneck, jittered so symmetric sessions do not move
     /// in lockstep.
-    pub fn new(cfg: CcConfig, seed: u64) -> CongestionState {
-        assert!(cfg.floor_bps >= 1, "rate floor must be positive");
-        assert!(cfg.link_bps >= cfg.floor_bps, "link below floor");
-        assert!(cfg.md_num < cfg.md_den, "decrease must decrease");
-        assert!(cfg.md_den > 0, "md_den must be positive");
-        let span = (cfg.link_bps - cfg.floor_bps) / 4;
-        let jitter = if span == 0 {
-            0
-        } else {
-            splitmix64(seed) % (span + 1)
-        };
+    pub fn new(seed: u64) -> CongestionState {
+        let span = (LINK_BPS - FLOOR_BPS) / 4;
         CongestionState {
-            cfg,
-            rate_bps: cfg.floor_bps + jitter,
+            rate_bps: FLOOR_BPS + splitmix64(seed) % (span + 1),
         }
     }
 
-    /// Feed one ack's RTT: additive increase below `rtt_low_ns`, hold in
-    /// the middle band, multiplicative decrease at or above `rtt_high_ns`.
+    /// Feed one ack's RTT: additive increase below [`RTT_LOW_NS`], hold in
+    /// the middle band, multiplicative decrease at or above [`RTT_HIGH_NS`].
     pub fn on_ack(&mut self, rtt_ns: u64) {
-        if rtt_ns >= self.cfg.rtt_high_ns {
+        if rtt_ns >= RTT_HIGH_NS {
             self.decrease();
-        } else if rtt_ns <= self.cfg.rtt_low_ns {
+        } else if rtt_ns <= RTT_LOW_NS {
             self.increase();
         }
     }
@@ -218,11 +198,11 @@ impl CongestionState {
     }
 
     fn increase(&mut self) {
-        self.rate_bps = (self.rate_bps + self.cfg.additive_bps).min(self.cfg.link_bps);
+        self.rate_bps = (self.rate_bps + ADDITIVE_BPS).min(LINK_BPS);
     }
 
     fn decrease(&mut self) {
-        self.rate_bps = (self.rate_bps / self.cfg.md_den * self.cfg.md_num).max(self.cfg.floor_bps);
+        self.rate_bps = (self.rate_bps / MD_DEN * MD_NUM).max(FLOOR_BPS);
     }
 
     /// The current paced rate.
@@ -234,22 +214,22 @@ impl CongestionState {
     pub fn gap_ns(&self, bytes: usize) -> u64 {
         ((bytes as u64) * 8).saturating_mul(1_000_000_000) / self.rate_bps.max(1)
     }
-
-    /// The config this state was built with.
-    pub fn cfg(&self) -> &CcConfig {
-        &self.cfg
-    }
 }
 
 // ---------------------------------------------------------------------------
 // Runtime configuration.
 // ---------------------------------------------------------------------------
 
+/// Local QP ports a client mux binds; sessions map onto them round-robin.
+const CLIENT_QPS: usize = 4;
+/// Retransmits per request before declaring the peer unreachable.
+const MAX_RETX: u32 = 12;
+
+const _: () = assert!(CLIENT_QPS >= 1, "mux needs at least one QP");
+
 /// Shape of one eRPC mux (client side) and its sessions.
 #[derive(Debug, Clone, Copy)]
 pub struct ErpcCfg {
-    /// Local QP ports the mux binds; sessions map onto them round-robin.
-    pub client_qps: usize,
     /// Per-session outstanding-request window (client slots and reply-cache
     /// depth share this value, so the server can always dedup anything the
     /// client can still retransmit). The window slides: request `n + window`
@@ -258,20 +238,13 @@ pub struct ErpcCfg {
     pub window: u32,
     /// Retransmit a request once it has been outstanding this long.
     pub rto_ns: SimTime,
-    /// Retransmits per request before declaring the peer unreachable.
-    pub max_retx: u32,
-    /// Congestion-control tunables shared by this mux's sessions.
-    pub cc: CcConfig,
 }
 
 impl Default for ErpcCfg {
     fn default() -> ErpcCfg {
         ErpcCfg {
-            client_qps: 4,
             window: 2,
             rto_ns: 2_000_000,
-            max_retx: 12,
-            cc: CcConfig::default(),
         }
     }
 }
@@ -474,17 +447,16 @@ pub struct ErpcMux {
 }
 
 impl ErpcMux {
-    /// Bind `cfg.client_qps` local QP ports on `node`, spawn their response
+    /// Bind `CLIENT_QPS` (4) local QP ports on `node`, spawn their response
     /// pumps and the shared retransmit sweeper.
     pub fn new(cluster: &Cluster, node: NodeId, cfg: ErpcCfg) -> ErpcMux {
-        assert!(cfg.client_qps >= 1, "mux needs at least one QP");
         assert_window(cfg.window);
         let reg = cluster.metrics();
         let inner = Rc::new(MuxInner {
             cluster: cluster.clone(),
             node,
             cfg,
-            qp_ports: (0..cfg.client_qps)
+            qp_ports: (0..CLIENT_QPS)
                 .map(|_| cluster.alloc_port_for(node, "erpc.cli.qp"))
                 .collect(),
             sessions: RefCell::new(Vec::new()),
@@ -552,7 +524,7 @@ impl ErpcMux {
     }
 
     /// Open a logical session to `server`'s QP `server_port`. The session
-    /// id picks its local QP (`id mod client_qps`); `seed` jitters its
+    /// id picks its local QP (`id mod CLIENT_QPS`); `seed` jitters its
     /// initial congestion-control rate.
     pub fn session(&self, server: NodeId, server_port: u16, seed: u64) -> ErpcSession {
         let mut sessions = self.inner.sessions.borrow_mut();
@@ -566,7 +538,7 @@ impl ErpcMux {
             reply_port: self.inner.qp_ports[id % self.inner.qp_ports.len()],
             next_seq: Cell::new(0),
             credit_waiters: Semaphore::new(0),
-            cc: RefCell::new(CongestionState::new(cfg.cc, seed)),
+            cc: RefCell::new(CongestionState::new(seed)),
             next_tx_ns: Cell::new(0),
             slots: (0..cfg.window).map(|_| Slot::default()).collect(),
             marks: Cell::new(0),
@@ -599,13 +571,13 @@ async fn sweep_session(mux: &MuxInner, s: &SessionInner) {
             _ => continue,
         };
         assert!(
-            slot.retx.get() < mux.cfg.max_retx,
+            slot.retx.get() < MAX_RETX,
             "erpc session {} to {:?}:{} undeliverable: seq {} exhausted {} retransmits",
             s.id,
             s.server,
             s.server_port,
             slot.seq(),
-            mux.cfg.max_retx,
+            MAX_RETX,
         );
         slot.retx.set(slot.retx.get() + 1);
         s.retx.set(s.retx.get() + 1);
@@ -827,10 +799,7 @@ mod tests {
         // Same refcounted buffer end-to-end: the response the client holds
         // is the server's buffer, not a copy.
         assert_eq!(got.as_ptr(), resp_body.as_ptr());
-        assert_eq!(
-            cluster.qp_active(),
-            2 + ErpcCfg::default().client_qps as i64
-        );
+        assert_eq!(cluster.qp_active(), 2 + CLIENT_QPS as i64);
     }
 
     #[test]
@@ -861,7 +830,7 @@ mod tests {
         });
         assert_eq!(done, 64);
         // 64 sessions, but QP count stayed at the bound-port count.
-        assert_eq!(qp_before, 2 + ErpcCfg::default().client_qps as i64);
+        assert_eq!(qp_before, 2 + CLIENT_QPS as i64);
         assert_eq!(cluster.qp_active(), qp_before);
     }
 
@@ -997,7 +966,6 @@ mod tests {
             ErpcCfg {
                 window,
                 rto_ns: 200_000,
-                ..ErpcCfg::default()
             },
         );
         let sess = mux.session(NodeId(1), srv.ports()[0], 1);
@@ -1045,7 +1013,7 @@ mod tests {
     /// A session's 2,097,153rd request is numbered 0 again. The server's
     /// reply cache used to order sequence numbers as plain integers, so it
     /// discarded every post-wrap request as a stale duplicate of the slot's
-    /// pre-wrap occupant and the sweeper gave up after `max_retx` resends —
+    /// pre-wrap occupant and the sweeper gave up after `MAX_RETX` resends —
     /// on a clean fabric.
     #[test]
     fn session_survives_the_sequence_number_wrap() {

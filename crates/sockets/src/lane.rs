@@ -19,7 +19,8 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use dc_fabric::{Cluster, Endpoint, NodeId, RetryPolicy, Transport};
+use dc_fabric::faults::{backoff_after, MAX_ATTEMPTS};
+use dc_fabric::{Cluster, Endpoint, NodeId, Transport};
 use dc_sim::fxhash::FxHashMap;
 
 use crate::flow::{pack_imm, unpack_imm, Chunk};
@@ -37,7 +38,6 @@ pub struct LaneSender {
     to: NodeId,
     port: u16,
     transport: Transport,
-    policy: RetryPolicy,
     next_seq: Rc<Cell<u32>>,
 }
 
@@ -56,7 +56,6 @@ impl LaneSender {
             to,
             port,
             transport,
-            policy: RetryPolicy::default(),
             next_seq: Rc::new(Cell::new(0)),
         }
     }
@@ -72,21 +71,21 @@ impl LaneSender {
         let imm = pack_imm(seq, chunk.first, chunk.total);
         let hdr_len = SEQ_HDR + chunk.hdr_len();
         let cluster = self.cluster.clone();
-        let (from, to, port, transport, policy) =
-            (self.from, self.to, self.port, self.transport, self.policy);
+        let (from, to, port, transport) = (self.from, self.to, self.port, self.transport);
         // Same loop as Cluster::send_reliable_imm, written out on purpose:
         // one of these futures is alive per in-flight chunk, and nesting
-        // the generic Cluster::retrying future under it grows it from 368 B
-        // to 656-680 B (`incast_rpc` peak RSS +14 %; ROADMAP item 5). It
-        // also owns the lane's accounting: sockets.retransmits, lane.backoff.
+        // the generic Cluster::retrying future under it nearly doubled it
+        // (368 B -> 656-680 B when measured, `incast_rpc` peak RSS +14 %;
+        // ROADMAP item 3). It also owns the lane's accounting:
+        // sockets.retransmits, lane.backoff.
         async move {
-            for attempt in 0..policy.max_attempts {
+            for attempt in 0..MAX_ATTEMPTS {
                 match cluster
                     .try_send_imm_ref(from, to, port, &chunk.data, imm, hdr_len, transport)
                     .await
                 {
                     Ok(()) => return,
-                    Err(e) if attempt + 1 >= policy.max_attempts => {
+                    Err(e) if attempt + 1 >= MAX_ATTEMPTS => {
                         panic!("stream lane {from:?}->{to:?}:{port} undeliverable: {e}")
                     }
                     Err(_) => {
@@ -95,7 +94,7 @@ impl LaneSender {
                         // Retry-stage span around the backoff so lane
                         // retransmissions show up in latency attribution.
                         let tb = cluster.tracer().begin();
-                        cluster.sim().sleep(policy.backoff_after(attempt)).await;
+                        cluster.sim().sleep(backoff_after(attempt)).await;
                         if let Some(tb) = tb {
                             cluster.tracer().complete(
                                 tb,

@@ -59,5 +59,5 @@ pub mod lane;
 pub mod stream;
 
 pub use config::SocketsConfig;
-pub use erpc::{CcConfig, CongestionState, ErpcCfg, ErpcMux, ErpcServer, ErpcSession};
+pub use erpc::{CongestionState, ErpcCfg, ErpcMux, ErpcServer, ErpcSession};
 pub use stream::{connect, StreamEnd, StreamKind};

@@ -17,7 +17,7 @@
 //! `release_many`. DESIGN.md §11 is the contract.
 
 use bytes::Bytes;
-use dc_fabric::{Cluster, CpuModel, Endpoint, NodeId, RetryPolicy, Transport};
+use dc_fabric::{Cluster, CpuModel, Endpoint, NodeId, Transport};
 use dc_sim::sync::{channel, Receiver, Semaphore};
 use dc_svc::bind_raw;
 
@@ -433,7 +433,6 @@ fn return_feedback(cluster: &Cluster, local: NodeId, peer: NodeId, fb_port: u16,
             n as u64,
             FEEDBACK_HDR,
             Transport::RdmaSend,
-            RetryPolicy::default(),
         )
         .await
         .unwrap_or_else(|e| panic!("flow-control return undeliverable: {e}"));

@@ -12,7 +12,7 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 
-use dc_fabric::{Cluster, NodeId, RetryPolicy, Transport};
+use dc_fabric::{Cluster, NodeId, Transport};
 use dc_sim::sync::Rendezvous;
 use dc_sim::SimTime;
 
@@ -143,12 +143,9 @@ impl SvcClient {
         // sustained timeouts.
         let response = self.shared.pending.wait(id);
         let imm = request_imm(self.port, id);
-        let retry = RetryPolicy::default();
         if self
             .cluster
-            .send_reliable_imm(
-                self.node, to, port, &payload, imm, REQ_HDR, transport, retry,
-            )
+            .send_reliable_imm(self.node, to, port, &payload, imm, REQ_HDR, transport)
             .await
             .is_err()
         {

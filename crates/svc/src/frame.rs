@@ -12,7 +12,7 @@
 
 use bytes::Bytes;
 
-use dc_fabric::{Cluster, Message, NodeId, RetryPolicy, Transport};
+use dc_fabric::{Cluster, Message, NodeId, Transport};
 
 /// Wire bytes of a request header: reply port + correlation id.
 pub(crate) const REQ_HDR: usize = 2 + 8;
@@ -94,7 +94,6 @@ pub async fn respond_bytes(
     payload: Bytes,
     transport: Transport,
 ) {
-    let policy = RetryPolicy::default();
     let _ = cluster
         .send_reliable_imm(
             server,
@@ -104,7 +103,6 @@ pub async fn respond_bytes(
             req.id,
             RESP_HDR,
             transport,
-            policy,
         )
         .await;
 }

@@ -806,7 +806,7 @@ fn lru_touch_and_evict_allocate_nothing() {
 /// cache holds four of the eight documents it cycles through, so every round
 /// misses and evicts.
 fn coalesced_miss_run(rounds: usize) -> (u64, u64) {
-    use dc_coopcache::{Backend, BackendCfg, CacheCfg, CacheNode, Directory, DOC_HDR};
+    use dc_coopcache::{Backend, CacheCfg, CacheNode, Directory, DOC_HDR};
     use dc_fabric::{Cluster, FabricModel, NodeId};
     use dc_sim::{time::ms, Sim};
     use dc_workloads::FileSet;
@@ -818,11 +818,10 @@ fn coalesced_miss_run(rounds: usize) -> (u64, u64) {
     let sim = Sim::new();
     let cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), 3);
     let fs = Rc::new(FileSet::uniform(DOCS, size));
-    let backend = Backend::spawn(&cluster, NodeId(2), BackendCfg::default(), fs);
+    let backend = Backend::spawn(&cluster, NodeId(2), fs);
     let dir = Directory::new(&cluster, NodeId(0), DOCS);
     let cfg = CacheCfg {
         per_node_bytes: DOCS / 2 * (size + DOC_HDR),
-        ..CacheCfg::default()
     };
     let node = CacheNode::new(&cluster, NodeId(1), cfg, dir, backend, DOCS);
     let requesters: Vec<_> = (0..3)

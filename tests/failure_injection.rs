@@ -4,9 +4,7 @@
 
 use std::rc::Rc;
 
-use nextgen_datacenter::coopcache::{
-    Backend, BackendCfg, CacheCfg, CacheScheme, CoopCache, ServeOutcome,
-};
+use nextgen_datacenter::coopcache::{Backend, CacheCfg, CacheScheme, CoopCache, ServeOutcome};
 use nextgen_datacenter::ddss::{Coherence, Ddss, DdssConfig};
 use nextgen_datacenter::dlm::{DlmConfig, LockMode, NcosedDlm};
 use nextgen_datacenter::fabric::{Cluster, FabricModel, NodeId};
@@ -70,12 +68,7 @@ fn eviction_storm_preserves_correctness() {
     let sim = Sim::new();
     let cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), 4);
     let fileset = Rc::new(FileSet::uniform(256, 8 * 1024));
-    let backend = Backend::spawn(
-        &cluster,
-        NodeId(0),
-        BackendCfg::default(),
-        Rc::clone(&fileset),
-    );
+    let backend = Backend::spawn(&cluster, NodeId(0), Rc::clone(&fileset));
     // Tiny caches: ~3 docs per node against a 256-doc working set.
     let cache = CoopCache::build(
         &cluster,
@@ -86,7 +79,6 @@ fn eviction_storm_preserves_correctness() {
         Rc::clone(&fileset),
         CacheCfg {
             per_node_bytes: 25 * 1024,
-            ..CacheCfg::default()
         },
         NodeId(0),
     );
@@ -208,12 +200,7 @@ fn ccwr_fallback_never_duplicates() {
     let sim = Sim::new();
     let cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), 4);
     let fileset = Rc::new(FileSet::uniform(64, 8 * 1024));
-    let backend = Backend::spawn(
-        &cluster,
-        NodeId(0),
-        BackendCfg::default(),
-        Rc::clone(&fileset),
-    );
+    let backend = Backend::spawn(&cluster, NodeId(0), Rc::clone(&fileset));
     let cache = CoopCache::build(
         &cluster,
         CacheScheme::Ccwr,
@@ -223,7 +210,6 @@ fn ccwr_fallback_never_duplicates() {
         fileset,
         CacheCfg {
             per_node_bytes: 64 * 1024, // ~8 docs — constant churn
-            ..CacheCfg::default()
         },
         NodeId(0),
     );

@@ -18,7 +18,7 @@ use std::rc::Rc;
 
 use proptest::prelude::*;
 
-use nextgen_datacenter::coopcache::{Backend, BackendCfg, CacheCfg, CacheScheme, CoopCache};
+use nextgen_datacenter::coopcache::{Backend, CacheCfg, CacheScheme, CoopCache};
 use nextgen_datacenter::ddss::{Coherence, Ddss, DdssConfig};
 use nextgen_datacenter::dlm::{DlmConfig, LockMode, NcosedDlm};
 use nextgen_datacenter::fabric::{
@@ -78,12 +78,7 @@ fn soak_run(wseed: u64, fseed: u64, drop_prob: f64) -> SoakOutcome {
 
     // --- cooperative cache over a lossy fabric ---
     let fileset = Rc::new(FileSet::uniform(DOCS, DOC_SIZE));
-    let backend = Backend::spawn(
-        &cluster,
-        NodeId(0),
-        BackendCfg::default(),
-        Rc::clone(&fileset),
-    );
+    let backend = Backend::spawn(&cluster, NodeId(0), Rc::clone(&fileset));
     let cache = CoopCache::build(
         &cluster,
         CacheScheme::Bcc,
@@ -95,7 +90,6 @@ fn soak_run(wseed: u64, fseed: u64, drop_prob: f64) -> SoakOutcome {
             // ~16 docs per node against 48: remote fetches are the common
             // path, so drops and peer crashes are actually exercised.
             per_node_bytes: 64 * 1024,
-            ..CacheCfg::default()
         },
         NodeId(0),
     );

@@ -44,7 +44,7 @@ fn per_entity_futures_keep_their_committed_sizes() {
 
     let client = SvcClient::new(&cluster, home);
     let call = client.call_bytes(NodeId(1), 9, Bytes::new(), Transport::RdmaSend);
-    check("SvcClient::call_bytes", std::mem::size_of_val(&call), 776);
+    check("SvcClient::call_bytes", std::mem::size_of_val(&call), 704);
     drop(call);
 
     // Per design: the future of one lock request through the concrete
@@ -53,12 +53,12 @@ fn per_entity_futures_keep_their_committed_sizes() {
     // them (CAS-Spin is all one-sided verbs and spawns no service: 0).
     let mode = LockMode::Exclusive;
     let committed = [
-        (DesignKind::Srsl, 856, 1584),
-        (DesignKind::Dqnl, 544, 1168),
-        (DesignKind::Ncosed, 592, 1344),
-        (DesignKind::CasSpin, 544, 0),
-        (DesignKind::Lease, 576, 992),
-        (DesignKind::McsTicket, 464, 1168),
+        (DesignKind::Srsl, 704, 1584),
+        (DesignKind::Dqnl, 512, 1168),
+        (DesignKind::Ncosed, 560, 1344),
+        (DesignKind::CasSpin, 512, 0),
+        (DesignKind::Lease, 544, 992),
+        (DesignKind::McsTicket, 448, 1168),
     ];
     for (design, lock_bytes, pump_bytes) in committed {
         let label = design.label();
@@ -83,7 +83,7 @@ fn per_entity_futures_keep_their_committed_sizes() {
         .pop()
         .expect("one client per member");
     let erased = std::mem::size_of_val(&erased.lock(1, mode));
-    check("LockClient::lock", erased, 872);
+    check("LockClient::lock", erased, 720);
     // One of each is alive per open connection (4,096 of them in
     // `incast_rpc`), one `send_tracked` per chunk in flight. The stream
     // futures are one type over the four kinds, so one kind measures all.
@@ -95,15 +95,15 @@ fn per_entity_futures_keep_their_committed_sizes() {
         SocketsConfig::default(),
     );
     let send_bytes = std::mem::size_of_val(&tx.send_bytes(Bytes::new()));
-    check("StreamEnd::send_bytes", send_bytes, 416);
-    check("StreamEnd::send", std::mem::size_of_val(&tx.send(b"")), 448);
+    check("StreamEnd::send_bytes", send_bytes, 392);
+    check("StreamEnd::send", std::mem::size_of_val(&tx.send(b"")), 424);
     check("StreamEnd::recv", std::mem::size_of_val(&rx.recv()), 168);
     let lane = LaneSender::new(&cluster, home, NodeId(1), 9, Transport::RdmaSend);
     let tracked = lane.send_tracked(Chunk::whole(Bytes::new()));
     check(
         "LaneSender::send_tracked",
         std::mem::size_of_val(&tracked),
-        368,
+        344,
     );
     // One per call in flight (`incast_rpc` runs 2,048 sessions): the
     // session's credit wait and the pacer's sleep live in it.
@@ -128,7 +128,7 @@ fn per_entity_futures_keep_their_committed_sizes() {
         &[NodeId(1)],
     );
     let load = std::mem::size_of_val(&monitor.load(NodeId(1)));
-    check("Monitor::load (one probe)", load, 888);
+    check("Monitor::load (one probe)", load, 816);
     let least = std::mem::size_of_val(&monitor.least_loaded());
     check("Monitor::least_loaded", least, 96);
     let view = std::mem::size_of_val(&monitor.cluster_view());

@@ -5,7 +5,7 @@
 
 use std::rc::Rc;
 
-use nextgen_datacenter::coopcache::{Backend, BackendCfg, CacheCfg, CacheScheme, CoopCache};
+use nextgen_datacenter::coopcache::{Backend, CacheCfg, CacheScheme, CoopCache};
 use nextgen_datacenter::ddss::{Coherence, Ddss, DdssConfig};
 use nextgen_datacenter::dlm::{DlmConfig, LockMode, NcosedDlm};
 use nextgen_datacenter::fabric::{Cluster, FabricModel, NodeId};
@@ -31,12 +31,7 @@ fn full_stack_coexists_in_one_simulation() {
 
     // Services.
     let fileset = Rc::new(FileSet::uniform(64, 8 * 1024));
-    let backend = Backend::spawn(
-        &cluster,
-        NodeId(7),
-        BackendCfg::default(),
-        Rc::clone(&fileset),
-    );
+    let backend = Backend::spawn(&cluster, NodeId(7), Rc::clone(&fileset));
     let cache = CoopCache::build(
         &cluster,
         CacheScheme::Hybcc,
@@ -135,12 +130,7 @@ fn monitoring_stays_accurate_under_cache_load() {
     let sim = Sim::new();
     let cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), 5);
     let fileset = Rc::new(FileSet::uniform(128, 16 * 1024));
-    let backend = Backend::spawn(
-        &cluster,
-        NodeId(4),
-        BackendCfg::default(),
-        Rc::clone(&fileset),
-    );
+    let backend = Backend::spawn(&cluster, NodeId(4), Rc::clone(&fileset));
     let cache = CoopCache::build(
         &cluster,
         CacheScheme::Bcc,

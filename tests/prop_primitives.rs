@@ -614,7 +614,7 @@ proptest! {
         );
     }
 
-    /// The AIMD rate machine never escapes `[floor_bps, link_bps]`, for any
+    /// The AIMD rate machine never escapes `[FLOOR_BPS, LINK_BPS]`, for any
     /// seed and any interleaving of ack RTTs (spanning both Timely bands)
     /// and ECN marks.
     #[test]
@@ -622,20 +622,19 @@ proptest! {
         seed in any::<u64>(),
         events in prop::collection::vec((any::<bool>(), 0u64..2_000_000), 1..300),
     ) {
-        use nextgen_datacenter::sockets::erpc::{CcConfig, CongestionState};
-        let cfg = CcConfig::default();
-        let mut cs = CongestionState::new(cfg, seed);
-        prop_assert!(cs.rate_bps() >= cfg.floor_bps);
-        prop_assert!(cs.rate_bps() <= cfg.link_bps);
+        use nextgen_datacenter::sockets::erpc::{CongestionState, FLOOR_BPS, LINK_BPS};
+        let mut cs = CongestionState::new(seed);
+        prop_assert!(cs.rate_bps() >= FLOOR_BPS);
+        prop_assert!(cs.rate_bps() <= LINK_BPS);
         for (mark, rtt_ns) in events {
             if mark {
                 cs.on_mark();
             } else {
                 cs.on_ack(rtt_ns);
             }
-            prop_assert!(cs.rate_bps() >= cfg.floor_bps,
+            prop_assert!(cs.rate_bps() >= FLOOR_BPS,
                 "rate {} fell below the floor", cs.rate_bps());
-            prop_assert!(cs.rate_bps() <= cfg.link_bps,
+            prop_assert!(cs.rate_bps() <= LINK_BPS,
                 "rate {} exceeded the link", cs.rate_bps());
             prop_assert!(cs.gap_ns(8192) > 0, "pacing gap must stay positive");
         }
@@ -652,15 +651,16 @@ proptest! {
         seed_a in any::<u64>(),
         seed_b in any::<u64>(),
     ) {
-        use nextgen_datacenter::sockets::erpc::{CcConfig, CongestionState};
-        let cfg = CcConfig::default();
-        let mut a = CongestionState::new(cfg, seed_a);
-        let mut b = CongestionState::new(cfg, seed_b);
+        use nextgen_datacenter::sockets::erpc::{
+            CongestionState, LINK_BPS, RTT_HIGH_NS, RTT_LOW_NS,
+        };
+        let mut a = CongestionState::new(seed_a);
+        let mut b = CongestionState::new(seed_b);
         let rounds = 4_000usize;
         let (mut sum_a, mut sum_b) = (0u128, 0u128);
         for i in 0..rounds {
-            let congested = a.rate_bps() + b.rate_bps() > cfg.link_bps;
-            let rtt = if congested { cfg.rtt_high_ns } else { cfg.rtt_low_ns };
+            let congested = a.rate_bps() + b.rate_bps() > LINK_BPS;
+            let rtt = if congested { RTT_HIGH_NS } else { RTT_LOW_NS };
             a.on_ack(rtt);
             b.on_ack(rtt);
             if i >= rounds / 2 {

@@ -262,7 +262,6 @@ fn erpc_window2_lossy() -> (u64, u64, u64, nextgen_datacenter::core::TraceArtifa
     let cfg = ErpcCfg {
         window: 2,
         rto_ns: 200_000,
-        ..ErpcCfg::default()
     };
     let sess = ErpcMux::new(&cluster, NodeId(0), cfg).session(NodeId(1), srv.ports()[0], 1);
     let callers: Vec<_> = (0..8u8)
@@ -360,7 +359,6 @@ fn engine_schedule_matches_committed_golden() {
     // clients parked on their responses, the monitor's probes.
     let hosting = nextgen_datacenter::core::HostingCfg {
         backends: 2,
-        workers_per_backend: 2,
         clients: 8,
         requests: 200,
         ..Default::default()
