@@ -460,11 +460,10 @@ mod tests {
             }
         };
         // One task: the first fetch, then (same wake-up) two more requests.
-        sim.spawn(dc_sim::join_all([
-            request(true),
-            request(false),
-            request(false),
-        ]));
+        sim.spawn(
+            sim.handle()
+                .join_all([request(true), request(false), request(false)]),
+        );
         for _ in 0..2 {
             let a = a.clone();
             sim.spawn(async move { assert!(a.ensure_local(0, 8192).await.is_none()) });

@@ -10,12 +10,13 @@ use std::cell::RefCell;
 use std::future::Future;
 use std::rc::Rc;
 
+use bytes::Bytes;
 use dc_fabric::kstat::{KernelStats, KSTAT_REGION_LEN};
 use dc_fabric::{Cluster, NodeId, Transport};
-use dc_sim::{join_all, SimTime};
+use dc_sim::join::JoinAll;
+use dc_sim::SimTime;
 use dc_svc::{
     parse_request, respond_bytes, Cost, Dispatcher, Mode, Service, ServiceSpec, Subsys, SvcClient,
-    Wire,
 };
 
 use crate::scheme::MonitorScheme;
@@ -168,20 +169,16 @@ impl Monitor {
     }
 
     /// Probe every target at once, inside the calling task: one
-    /// [`join_all`] over the per-target [`Monitor::load`] futures, so the
-    /// sync schemes' round trips overlap and the async schemes' cached views
-    /// are read without suspending. Yields `(node, load)` in id order.
-    fn probe_all(&self) -> impl Future<Output = impl Iterator<Item = (NodeId, u64)> + '_> + '_ {
-        join_all(
-            self.targets()
-                .map(move |t| async move { (t, self.load(t).await) }),
-        )
-    }
-
-    /// Observe every target (probes issued in parallel for the sync
-    /// schemes) and return `(node, load)` pairs in id order.
-    pub async fn cluster_view(&self) -> Vec<(NodeId, u64)> {
-        self.probe_all().await.collect()
+    /// [`dc_sim::SimHandle::join_all`] over the per-target [`Monitor::load`]
+    /// futures, so the sync schemes' round trips overlap and the async
+    /// schemes' cached views are read without suspending. The probes' array
+    /// is the one the previous view left in the `Sim`'s store. Yields
+    /// `(node, load)` in id order.
+    fn probe_all(&self) -> JoinAll<impl Future<Output = (NodeId, u64)>> {
+        self.inner.cluster.sim().join_all(self.targets().map(|t| {
+            let monitor = self.clone();
+            async move { (t, monitor.load(t).await) }
+        }))
     }
 
     /// The least-loaded target right now (ties broken by lowest node id).
@@ -275,12 +272,34 @@ fn spawn_daemon(cluster: &Cluster, node: NodeId, port: u16) {
         mode: Mode::Serial,
         queue_cap: None,
     };
-    let dispatcher = Dispatcher::new().fallback(move |ctx, msg| async move {
-        let req = parse_request(&msg);
-        let reply = ctx.cluster.cpu(node).snapshot().encode_bytes();
-        respond_bytes(&ctx.cluster, node, &req, reply, Transport::Tcp).await;
+    // The daemon's replies, kept for reuse: each request rewrites the first
+    // one no client or wire still holds, so the list is as long as the most
+    // replies ever in flight at once.
+    let replies: Rc<RefCell<Vec<Bytes>>> = Rc::default();
+    let dispatcher = Dispatcher::new().fallback(move |ctx, msg| {
+        let replies = Rc::clone(&replies);
+        async move {
+            let req = parse_request(&msg);
+            let block = ctx.cluster.cpu(node).snapshot().to_block();
+            let reply = fill_reply(&mut replies.borrow_mut(), &block);
+            respond_bytes(&ctx.cluster, node, &req, reply, Transport::Tcp).await;
+        }
     });
     Service::spawn(cluster, spec, dispatcher);
+}
+
+/// `block` in the first of `replies` held by nothing else, rewritten in
+/// place; a new buffer, kept in `replies`, when every one is in flight.
+fn fill_reply(replies: &mut Vec<Bytes>, block: &[u8]) -> Bytes {
+    for reply in replies.iter_mut() {
+        if let Some(buf) = reply.try_mut() {
+            buf.copy_from_slice(block);
+            return reply.clone();
+        }
+    }
+    let reply = Bytes::from(block.to_vec());
+    replies.push(reply.clone());
+    reply
 }
 
 #[cfg(test)]
@@ -333,6 +352,26 @@ mod tests {
         let view = sim.run_to(async move { monitor.observe(NodeId(1)).await });
         assert_eq!(view.stats.app_threads, 0);
         assert!(cluster.cpu(NodeId(1)).snapshot().busy_ns >= 80_000);
+    }
+
+    /// The daemon reuses its reply buffers: a second probe, after the load
+    /// changed, must read the new statistics, not the first reply's bytes
+    /// handed out again unrewritten.
+    #[test]
+    fn socket_sync_replies_are_rewritten_when_reused() {
+        let (sim, cluster, monitor) = setup(MonitorScheme::SocketSync);
+        let m2 = monitor.clone();
+        let first = sim.run_to(async move { m2.observe(NodeId(1)).await });
+        let cpu = cluster.cpu(NodeId(1));
+        cpu.thread_started();
+        cpu.accept_enqueued();
+        let second = sim.run_to(async move { monitor.observe(NodeId(1)).await });
+        assert_eq!((first.stats.app_threads, first.stats.accept_queue), (0, 0));
+        assert_eq!(
+            (second.stats.app_threads, second.stats.accept_queue),
+            (1, 1)
+        );
+        assert_ne!(first.stats, second.stats);
     }
 
     #[test]
@@ -393,7 +432,7 @@ mod tests {
     }
 
     #[test]
-    fn cluster_view_and_least_loaded() {
+    fn probe_all_and_least_loaded() {
         let sim = Sim::new();
         let cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), 4);
         let monitor = Monitor::spawn(
@@ -414,8 +453,12 @@ mod tests {
         }
         sim.run_until(ms(1));
         let m2 = monitor.clone();
-        let (view, best) =
-            sim.run_to(async move { (m2.cluster_view().await, m2.least_loaded().await) });
+        let (view, best) = sim.run_to(async move {
+            (
+                m2.probe_all().await.collect::<Vec<_>>(),
+                m2.least_loaded().await,
+            )
+        });
         assert_eq!(
             view.iter().map(|&(n, _)| n).collect::<Vec<_>>(),
             vec![NodeId(1), NodeId(2), NodeId(3)]
@@ -431,7 +474,7 @@ mod tests {
     /// under different load (so the socket daemons answer out of id order),
     /// both see the same `(node, load)` pairs at the same virtual instant.
     #[test]
-    fn cluster_view_matches_the_spawned_probe_reference() {
+    fn probe_all_matches_the_spawned_probe_reference() {
         let run = |scheme: MonitorScheme, spawned: bool| {
             let sim = Sim::new();
             let cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), 4);
@@ -463,7 +506,7 @@ mod tests {
                     }
                     view
                 } else {
-                    monitor.cluster_view().await
+                    monitor.probe_all().await.collect()
                 };
                 (view, monitor.least_loaded().await, h.now())
             })

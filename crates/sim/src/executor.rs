@@ -29,6 +29,12 @@
 //! against 18.3 and 18.4. All four readings were taken while a registered
 //! region was one flat allocation, before regions became 4 KiB pages.)
 //!
+//! [`SimHandle::join_all`]'s child arrays are kept the same way, in a second
+//! per-`Sim` store keyed by the array's element type: a finished join hands
+//! its emptied array back and the next join of that type refills it, so the
+//! store holds at most as many arrays per type as joins of that type were
+//! ever alive at once.
+//!
 //! Tasks are `!Send` futures (`Rc`-based state sharing is the norm in this
 //! workspace), and the waker path is single-threaded too: wakers are built
 //! by hand over `Rc` state (see [`local_waker`]), so waking is a `RefCell`
@@ -180,6 +186,9 @@ struct SimState {
     /// Empty cells of finished tasks by future type; an entry, once made,
     /// keeps its index (`TaskSlot::kind`).
     kinds: RefCell<Vec<Kind>>,
+    /// Emptied join arrays by element type `T`; each value is the
+    /// `Vec<Vec<T>>` of that type's arrays.
+    joins: RefCell<Vec<(TypeId, Box<dyn Any>)>>,
     ready: Rc<ReadyQueue>,
     seq: Cell<u64>,
     /// Number of tasks spawned and not yet completed.
@@ -313,6 +322,7 @@ impl Sim {
                 tasks: RefCell::new(Vec::new()),
                 free: RefCell::new(Vec::new()),
                 kinds: RefCell::new(Vec::new()),
+                joins: RefCell::new(Vec::new()),
                 ready: Rc::new(ReadyQueue::default()),
                 seq: Cell::new(0),
                 live: Cell::new(0),
@@ -669,6 +679,42 @@ impl SimHandle {
     {
         spawn_detached_on(&self.state(), fut);
     }
+
+    /// An empty array for a join over elements `T`: one that an earlier
+    /// join of the same type handed back, else a new one, not yet allocated.
+    pub(crate) fn take_array<T: 'static>(&self) -> Vec<T> {
+        let st = self.state();
+        let mut joins = st.joins.borrow_mut();
+        let id = TypeId::of::<T>();
+        let pool = joins.iter_mut().find(|(k, _)| *k == id);
+        pool.and_then(|(_, arrays)| pool_of::<T>(arrays).pop())
+            .unwrap_or_default()
+    }
+
+    /// Hand an emptied join array back for the next join of its type. One
+    /// that never allocated, or one outliving its `Sim`, is dropped instead.
+    pub(crate) fn recycle_array<T: 'static>(&self, array: Vec<T>) {
+        debug_assert!(array.is_empty(), "join array recycled with elements");
+        let Some(st) = self.st.upgrade() else {
+            return;
+        };
+        if array.capacity() == 0 {
+            return;
+        }
+        let mut joins = st.joins.borrow_mut();
+        let id = TypeId::of::<T>();
+        let i = joins.iter().position(|(k, _)| *k == id).unwrap_or_else(|| {
+            joins.push((id, Box::new(Vec::<Vec<T>>::new())));
+            joins.len() - 1
+        });
+        pool_of::<T>(&mut joins[i].1).push(array);
+    }
+}
+
+fn pool_of<T: 'static>(arrays: &mut Box<dyn Any>) -> &mut Vec<Vec<T>> {
+    (**arrays)
+        .downcast_mut()
+        .expect("join arrays pooled under another type's id")
 }
 
 /// Future returned by [`SimHandle::sleep`].

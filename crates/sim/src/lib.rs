@@ -16,8 +16,8 @@
 //! Protocol code is written as ordinary `async fn`s; [`Sim::spawn`] schedules
 //! them, [`SimHandle::sleep`] advances virtual time, the primitives in
 //! [`sync`] (oneshot, rendezvous, mpsc, semaphore) coordinate tasks
-//! with FIFO, deterministic wake order, and [`join_all`] fans out inside one
-//! task where a spawn per child would only add scheduling hops.
+//! with FIFO, deterministic wake order, and [`SimHandle::join_all`] fans out
+//! inside one task where a spawn per child would only add scheduling hops.
 //!
 //! ```
 //! use dc_sim::{Sim, time::us};
@@ -43,6 +43,5 @@ mod wheel;
 pub use executor::{
     add_thread_totals, thread_totals, Elapsed, JoinHandle, Sim, SimCounters, SimHandle, Timeout,
 };
-pub use join::join_all;
 pub use shard::{run_sharded, ShardCfg, ShardNet, ShardRun, ShardStats, Stamped};
 pub use time::{ms, ns, secs, us, SimTime};

@@ -17,7 +17,6 @@
 //! serializing flights (chunk N+1 does not wait for chunk N's ack).
 
 use std::cell::Cell;
-use std::rc::Rc;
 
 use dc_fabric::faults::{backoff_after, MAX_ATTEMPTS};
 use dc_fabric::{Cluster, Endpoint, NodeId, Transport};
@@ -31,14 +30,13 @@ use crate::flow::{pack_imm, unpack_imm, Chunk};
 const SEQ_HDR: usize = 4;
 
 /// Sending half of an ordered lane.
-#[derive(Clone)]
 pub struct LaneSender {
     cluster: Cluster,
     from: NodeId,
     to: NodeId,
     port: u16,
     transport: Transport,
-    next_seq: Rc<Cell<u32>>,
+    next_seq: Cell<u32>,
 }
 
 impl LaneSender {
@@ -56,7 +54,7 @@ impl LaneSender {
             to,
             port,
             transport,
-            next_seq: Rc::new(Cell::new(0)),
+            next_seq: Cell::new(0),
         }
     }
 
