@@ -61,7 +61,7 @@ pub fn reaction(fine: bool) -> ReactionResult {
     for node in [NodeId(1), NodeId(2)] {
         let cpu = cluster.cpu(node);
         let h = sim.handle();
-        sim.spawn(async move {
+        sim.handle().spawn_detached(async move {
             h.sleep_until(burst_start).await;
             for _ in 0..6 {
                 let c = cpu.clone();

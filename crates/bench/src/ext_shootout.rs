@@ -157,7 +157,7 @@ fn run_cell_inner(
         let waits = Rc::clone(&waits);
         let hh = h.clone();
         let tracer = cluster.tracer().clone();
-        sim.spawn(async move {
+        h.spawn_detached(async move {
             loop {
                 hh.sleep(rng.gen_range(0..THINK_MAX_NS)).await;
                 let lock = zipf.sample(&mut rng) as u32;

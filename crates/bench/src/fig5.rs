@@ -75,7 +75,7 @@ fn cascade_inner(
 
     let ra = Rc::clone(&release_at);
     let hh = h.clone();
-    sim.spawn(async move {
+    h.spawn_detached(async move {
         holder.lock(0, LockMode::Exclusive).await;
         // Hold long enough for every waiter to be queued.
         hh.sleep(ms(5)).await;
@@ -88,7 +88,7 @@ fn cascade_inner(
         // Clients were popped from the back of the by-node vector.
         let node = (nodes - 1 - i) as u32;
         let tracer = cluster.tracer().clone();
-        sim.spawn(async move {
+        h.spawn_detached(async move {
             // Stagger request arrivals to fix the queue order.
             hh.sleep(ms(1) + (i as u64) * 50_000).await;
             // Sampled-request root span: issue to grant, one per waiter.

@@ -128,7 +128,7 @@ pub fn run_scheme_with_period(
         let updates = Rc::clone(&updates);
         let monitor = monitor.clone();
         let h = sim.handle();
-        sim.spawn(async move {
+        sim.handle().spawn_detached(async move {
             let mut scheduled = 0u64;
             while h.now() < duration {
                 h.sleep_until(scheduled).await;

@@ -119,7 +119,7 @@ impl AppServer {
             let model = model.clone();
             let sim2 = sim.clone();
             let responses = Rc::clone(responses);
-            sim.clone().spawn(async move {
+            sim.spawn_detached(async move {
                 let cpu = s.cluster.cpu(s.node);
                 cpu.thread_started();
                 loop {

@@ -28,8 +28,7 @@ use std::future::Future;
 use std::rc::Rc;
 
 use bytes::Bytes;
-use dc_sim::fxhash::FxHashMap;
-use dc_sim::sync::{channel, Receiver, Semaphore, Sender};
+use dc_sim::sync::Semaphore;
 use dc_sim::{SimHandle, SimTime};
 use dc_trace::{Counter, Gauge, Registry, Subsys, Tracer};
 
@@ -37,6 +36,7 @@ use crate::faults::{backoff_after, inflate, FabricError, FaultPlan, FaultStats, 
 use crate::kstat::{KernelStats, KSTAT_REGION_LEN};
 use crate::mem::{RegionData, RegionId, RemoteAddr};
 use crate::model::FabricModel;
+use crate::ports::PortTable;
 
 /// Identifier of a node in the cluster (dense, starting at 0).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -118,7 +118,7 @@ pub struct VerbStats {
 struct NodeInner {
     regions: RefCell<Vec<RegionData>>,
     cpu: crate::cpu::CpuModel,
-    ports: RefCell<FxHashMap<u16, Sender<Message>>>,
+    ports: RefCell<PortTable>,
     /// Outbound link: serializes payload transmission from this node.
     link: Semaphore,
 }
@@ -253,7 +253,7 @@ impl Cluster {
         let node = Rc::new(NodeInner {
             regions: RefCell::new(vec![kstat]),
             cpu,
-            ports: RefCell::new(FxHashMap::default()),
+            ports: RefCell::new(PortTable::new()),
             link: Semaphore::new(1),
         });
         let mut nodes = self.inner.nodes.borrow_mut();
@@ -914,16 +914,15 @@ impl Cluster {
     /// Bind a receive endpoint on `(node, port)`. Panics if the port is
     /// already bound.
     pub fn bind(&self, node: NodeId, port: u16) -> Endpoint {
-        let (tx, rx) = channel();
         let n = self.node(node);
-        let prev = n.ports.borrow_mut().insert(port, tx);
-        assert!(prev.is_none(), "port {port} already bound on {node:?}");
+        let slot = n.ports.borrow_mut().bind(port);
+        let slot = slot.unwrap_or_else(|| panic!("port {port} already bound on {node:?}"));
         self.inner.ports_bound.add(1);
         Endpoint {
-            node: Rc::downgrade(&n),
+            node: n,
             id: node,
             port,
-            rx,
+            slot,
             bound: self.inner.ports_bound.clone(),
         }
     }
@@ -1080,18 +1079,20 @@ impl Cluster {
 
     fn deliver(&self, from: NodeId, to: NodeId, port: u16, data: Bytes, imm: u64, ecn: bool) {
         let n = self.node(to);
-        let ports = n.ports.borrow();
-        if let Some(tx) = ports.get(&port) {
-            // A dead receiver (dropped endpoint) behaves like an unbound
-            // port: the message is dropped.
-            let _ = tx.send(Message {
-                src: from,
-                port,
-                data,
-                imm,
-                ecn,
-                arrived_ns: self.inner.sim.now(),
-            });
+        let mut ports = n.ports.borrow_mut();
+        // A dropped endpoint has unbound its port: the message is dropped.
+        if let Some(slot) = ports.slot(port) {
+            ports.push(
+                slot,
+                Message {
+                    src: from,
+                    port,
+                    data,
+                    imm,
+                    ecn,
+                    arrived_ns: self.inner.sim.now(),
+                },
+            );
             self.inner.stats.delivered.inc();
             if ecn {
                 self.inner.ecn_marks.inc();
@@ -1135,12 +1136,13 @@ impl Cluster {
     }
 }
 
-/// A bound receive endpoint; unbinds its port on drop.
+/// A bound receive endpoint: a mailbox slot in its node's port table (see
+/// `ports.rs`). Unbinds its port on drop.
 pub struct Endpoint {
-    node: std::rc::Weak<NodeInner>,
+    node: Rc<NodeInner>,
     id: NodeId,
     port: u16,
-    rx: Receiver<Message>,
+    slot: u32,
     bound: Gauge,
 }
 
@@ -1157,27 +1159,25 @@ impl Endpoint {
 
     /// Await the next message.
     pub async fn recv(&mut self) -> Message {
-        self.rx
-            .recv()
-            .await
-            .expect("endpoint channel closed while bound")
+        std::future::poll_fn(|cx| self.node.ports.borrow_mut().poll_pop(self.slot, cx)).await
     }
 
     /// Non-blocking receive.
     pub fn try_recv(&mut self) -> Option<Message> {
-        self.rx.try_recv()
+        self.node.ports.borrow_mut().pop(self.slot)
     }
 
     /// Messages currently queued.
     pub fn queued(&self) -> usize {
-        self.rx.len()
+        self.node.ports.borrow().len(self.slot)
     }
 }
 
 impl Drop for Endpoint {
     fn drop(&mut self) {
-        if let Some(n) = self.node.upgrade() {
-            n.ports.borrow_mut().remove(&self.port);
+        let waiting = self.node.ports.borrow_mut().unbind(self.port, self.slot);
+        if let Some(w) = waiting {
+            w.wake();
         }
         self.bound.add(-1);
     }
@@ -1209,6 +1209,117 @@ mod tests {
         assert_eq!(gauge(), 1);
         drop(e2);
         assert_eq!(gauge(), 0);
+    }
+
+    /// Counts its wakes: the task a receive would have parked.
+    #[derive(Default)]
+    struct WakeCount(std::sync::atomic::AtomicU32);
+
+    impl std::task::Wake for WakeCount {
+        fn wake(self: std::sync::Arc<Self>) {
+            self.wake_by_ref();
+        }
+        fn wake_by_ref(self: &std::sync::Arc<Self>) {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }
+    }
+
+    /// One port's state in the reference: its queue while bound, whether a
+    /// receive left its waker registered, and the wakes that should have
+    /// reached that waker.
+    #[derive(Default)]
+    struct RefPort {
+        queue: Option<std::collections::VecDeque<u64>>,
+        armed: bool,
+        wakes: u32,
+    }
+
+    /// Random bind, deliver, receive, non-blocking receive and drop steps
+    /// (`op % 5`) over three ports of one node, each step checked against a
+    /// `VecDeque` per bound port: FIFO order per port, a delivery to an
+    /// unbound port dropped and not counted, `queued()`, the bound-ports
+    /// gauge, a rebound port starting empty whatever the previous binding
+    /// left queued, and a receive's registered waker woken exactly once, by
+    /// the next delivery or by the endpoint's drop.
+    fn port_table_case(steps: &[(u8, usize)]) {
+        use std::future::Future;
+        use std::task::{Context, Poll, Waker};
+
+        let (_sim, c) = setup(2);
+        let node = NodeId(1);
+        let ports: Vec<u16> = (0..3).map(|_| c.alloc_port()).collect();
+        let counters: Vec<std::sync::Arc<WakeCount>> = (0..3).map(|_| Default::default()).collect();
+        let wakers: Vec<Waker> = counters.iter().map(|w| Waker::from(w.clone())).collect();
+        let mut eps: Vec<Option<Endpoint>> = (0..3).map(|_| None).collect();
+        let mut model: Vec<RefPort> = (0..3).map(|_| RefPort::default()).collect();
+        for (step, &(op, p)) in steps.iter().enumerate() {
+            let (ep, port) = (&mut eps[p], &mut model[p]);
+            match (op % 5, ep.as_mut()) {
+                (0, None) => {
+                    *ep = Some(c.bind(node, ports[p]));
+                    port.queue = Some(Default::default());
+                }
+                (1, _) => {
+                    let before = c.stats().delivered;
+                    c.deliver(NodeId(0), node, ports[p], Bytes::new(), step as u64, false);
+                    let counted = c.stats().delivered - before;
+                    match port.queue.as_mut() {
+                        Some(q) => {
+                            q.push_back(step as u64);
+                            port.wakes += u32::from(std::mem::take(&mut port.armed));
+                            assert_eq!(counted, 1, "step {step}: delivery not counted");
+                        }
+                        None => assert_eq!(counted, 0, "step {step}: unbound port delivered"),
+                    }
+                }
+                (2, Some(e)) => {
+                    let mut cx = Context::from_waker(&wakers[p]);
+                    let mut recv = std::pin::pin!(e.recv());
+                    let queue = port.queue.as_mut().expect("bound");
+                    match recv.as_mut().poll(&mut cx) {
+                        Poll::Ready(m) => assert_eq!(Some(m.imm), queue.pop_front(), "step {step}"),
+                        Poll::Pending => {
+                            assert!(
+                                queue.is_empty(),
+                                "step {step}: pending over a queued message"
+                            );
+                            port.armed = true;
+                        }
+                    }
+                }
+                (3, Some(e)) => {
+                    let got = e.try_recv().map(|m| m.imm);
+                    let want = port.queue.as_mut().expect("bound").pop_front();
+                    assert_eq!(got, want, "step {step}");
+                }
+                (4, Some(_)) => {
+                    *ep = None;
+                    port.queue = None;
+                    port.wakes += u32::from(std::mem::take(&mut port.armed));
+                }
+                _ => {}
+            }
+            let bound = eps.iter().filter(|e| e.is_some()).count();
+            assert_eq!(c.metrics().gauge("fabric.ports.bound").get(), bound as i64);
+            for ((e, port), count) in eps.iter().zip(&model).zip(&counters) {
+                if let (Some(e), Some(q)) = (e, &port.queue) {
+                    assert_eq!(e.queued(), q.len(), "step {step}: queued()");
+                }
+                let woken = count.0.load(std::sync::atomic::Ordering::Relaxed);
+                assert_eq!(woken, port.wakes, "step {step}: wakes");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn port_table_matches_a_queue_per_port(
+            steps in proptest::collection::vec((0u8..5, 0usize..3), 0..120)
+        ) {
+            port_table_case(&steps);
+        }
     }
 
     #[test]

@@ -54,6 +54,7 @@ pub mod faults;
 pub mod kstat;
 pub mod mem;
 pub mod model;
+mod ports;
 pub mod words;
 
 pub use cluster::{Cluster, Endpoint, Message, NodeId, Transport, VerbStats};

@@ -29,6 +29,15 @@
 //! against 18.3 and 18.4. All four readings were taken while a registered
 //! region was one flat allocation, before regions became 4 KiB pages.)
 //!
+//! A cell holds the task's future once. A joined task runs its future inside
+//! `Joined` (`join.rs`), which polls it in place and drops it the moment
+//! it is ready, then stores the output and wakes the joiner; the `async
+//! move` block it replaced captured the future and then awaited it, and so
+//! held it twice (a 1,744 B cell for an 864 B client future).
+//! [`SimHandle::spawn_then`] is the same wrapper with a caller's completion,
+//! and a spawn whose handle is discarded is a [`SimHandle::spawn_detached`],
+//! whose cell is the future alone.
+//!
 //! [`SimHandle::join_all`]'s child arrays are kept the same way, in a second
 //! per-`Sim` store keyed by the array's element type: a finished join hands
 //! its emptied array back and the next join of that type refills it, so the
@@ -44,10 +53,12 @@ use std::any::{Any, TypeId};
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::future::Future;
+use std::mem::ManuallyDrop;
 use std::pin::Pin;
 use std::rc::{Rc, Weak};
 use std::task::{Context, Poll, RawWaker, RawWakerVTable, Waker};
 
+use crate::join::Joined;
 use crate::time::SimTime;
 use crate::wheel::TimerWheel;
 
@@ -110,12 +121,47 @@ struct ReadyQueue {
 struct TaskWaker {
     id: TaskId,
     ready: Rc<ReadyQueue>,
+    /// The thread the waker was built on, its `Sim`'s (see [`this_thread`]).
+    #[cfg(debug_assertions)]
+    home: usize,
 }
 
 impl TaskWaker {
+    fn new(id: TaskId, ready: &Rc<ReadyQueue>) -> Self {
+        TaskWaker {
+            id,
+            ready: Rc::clone(ready),
+            #[cfg(debug_assertions)]
+            home: this_thread(),
+        }
+    }
+
     fn wake(&self) {
+        self.assert_home();
         self.ready.q.borrow_mut().push_back(self.id);
     }
+
+    /// In debug builds, panic unless called on the waker's home thread: the
+    /// check every wake, clone and drop of a task waker makes before it
+    /// touches the waker's non-atomic count or its `Sim`'s queue.
+    fn assert_home(&self) {
+        #[cfg(debug_assertions)]
+        assert!(
+            this_thread() == self.home,
+            "task waker used off its Sim's thread"
+        );
+    }
+}
+
+/// Names the calling thread: the address of a thread-local, distinct for
+/// every live thread, and read without allocating (as a `ThreadId` would on
+/// a thread whose handle was never built).
+#[cfg(debug_assertions)]
+fn this_thread() -> usize {
+    thread_local! {
+        static HOME: u8 = const { 0 };
+    }
+    HOME.with(|h| h as *const u8 as usize)
 }
 
 /// Build a `Waker` over `Rc`-backed state.
@@ -135,21 +181,26 @@ impl TaskWaker {
 /// thread; a task would have to smuggle its `Waker` through a channel to
 /// another OS thread to break this, which no simulation code does (tasks
 /// model datacenter nodes inside one deterministic, single-threaded run).
+/// Debug builds check it: a wake, clone or drop off the home thread panics
+/// before it touches the count, which is then leaked rather than released.
 fn local_waker(w: Rc<TaskWaker>) -> Waker {
     // Every `RawWaker` carrying `VTABLE` is built by `local_waker` or
     // `clone_raw`, so its data pointer came from `Rc::into_raw` of a
     // `TaskWaker`, and each such waker owns one strong count on it.
     unsafe fn clone_raw(p: *const ()) -> RawWaker {
         // SAFETY: `p` is an `Rc::into_raw` pointer kept alive by the count of
-        // the waker being cloned; the count added here is the clone's.
-        unsafe { Rc::increment_strong_count(p as *const TaskWaker) };
-        RawWaker::new(p, &VTABLE)
+        // the waker being cloned, and that count stays with it (the `Rc`
+        // rebuilt here is never dropped); the count added is the clone's.
+        let w = ManuallyDrop::new(unsafe { Rc::from_raw(p as *const TaskWaker) });
+        w.assert_home();
+        RawWaker::new(Rc::into_raw(Rc::clone(&w)) as *const (), &VTABLE)
     }
     unsafe fn wake_raw(p: *const ()) {
         // SAFETY: waking by value consumes the waker, so the `Rc` rebuilt
         // here takes over the one count that waker owned.
-        let w = unsafe { Rc::from_raw(p as *const TaskWaker) };
+        let w = ManuallyDrop::new(unsafe { Rc::from_raw(p as *const TaskWaker) });
         w.wake();
+        drop(ManuallyDrop::into_inner(w));
     }
     unsafe fn wake_by_ref_raw(p: *const ()) {
         // SAFETY: the borrowed waker's count keeps the `TaskWaker` alive for
@@ -158,7 +209,9 @@ fn local_waker(w: Rc<TaskWaker>) -> Waker {
     }
     unsafe fn drop_raw(p: *const ()) {
         // SAFETY: the dropped waker's count is released exactly once, here.
-        drop(unsafe { Rc::from_raw(p as *const TaskWaker) });
+        let w = ManuallyDrop::new(unsafe { Rc::from_raw(p as *const TaskWaker) });
+        w.assert_home();
+        drop(ManuallyDrop::into_inner(w));
     }
     static VTABLE: RawWakerVTable =
         RawWakerVTable::new(clone_raw, wake_raw, wake_by_ref_raw, drop_raw);
@@ -537,15 +590,15 @@ where
         finished: false,
     }));
     let join2 = Rc::clone(&join);
-    spawn_detached_on(st, async move {
-        let out = fut.await;
+    let done = move |out| {
         let mut j = join2.borrow_mut();
         j.result = Some(out);
         j.finished = true;
         if let Some(w) = j.waker.take() {
             w.wake();
         }
-    });
+    };
+    spawn_detached_on(st, Joined::new(fut, done));
     JoinHandle { join }
 }
 
@@ -585,10 +638,7 @@ fn enqueue(st: &Rc<SimState>, cell: BoxCell, kind: usize) -> TaskId {
                 tasks.push(TaskSlot {
                     cell: Some(cell),
                     kind,
-                    waker: local_waker(Rc::new(TaskWaker {
-                        id,
-                        ready: Rc::clone(&st.ready),
-                    })),
+                    waker: local_waker(Rc::new(TaskWaker::new(id, &st.ready))),
                 });
                 id
             }
@@ -678,6 +728,19 @@ impl SimHandle {
         F: Future<Output = ()> + 'static,
     {
         spawn_detached_on(&self.state(), fut);
+    }
+
+    /// Spawn `fut` detached and, when it is ready, drop it and call `done`
+    /// with its output, inside the same poll: what
+    /// `spawn_detached(async move { done(fut.await) })` does, without the
+    /// block's second copy of `fut`. Scheduling is that of
+    /// [`SimHandle::spawn_detached`].
+    pub fn spawn_then<F, D>(&self, fut: F, done: D)
+    where
+        F: Future + 'static,
+        D: FnOnce(F::Output) + 'static,
+    {
+        spawn_detached_on(&self.state(), Joined::new(fut, done));
     }
 
     /// An empty array for a join over elements `T`: one that an earlier
@@ -1382,6 +1445,48 @@ mod tests {
             prop_assert_eq!(log, ref_log);
             prop_assert_eq!(counters, ref_counters);
         }
+    }
+
+    /// A task waker taken out of a run: the one its task registered.
+    #[cfg(debug_assertions)]
+    fn task_waker(sim: &Sim) -> Waker {
+        let slot: Rc<RefCell<Option<Waker>>> = Rc::default();
+        let s = Rc::clone(&slot);
+        sim.handle().spawn_detached(std::future::poll_fn(move |cx| {
+            *s.borrow_mut() = Some(cx.waker().clone());
+            Poll::<()>::Pending
+        }));
+        sim.run();
+        let waker = slot.borrow_mut().take();
+        waker.expect("the task registered its waker")
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_task_waker_panics_when_used_off_its_sims_thread() {
+        type Misuse = fn(ManuallyDrop<Waker>);
+        let misuses: [(&str, Misuse); 4] = [
+            ("wake", |w| ManuallyDrop::into_inner(w).wake()),
+            ("wake_by_ref", |w| w.wake_by_ref()),
+            ("clone", |w| std::mem::forget((*w).clone())),
+            ("drop", |w| drop(ManuallyDrop::into_inner(w))),
+        ];
+        let sim = Sim::new();
+        for (what, misuse) in misuses {
+            // The waker that crosses is forgotten if the panic unwinds past
+            // it, so its count is leaked there, never released off-thread.
+            let crossing = ManuallyDrop::new(task_waker(&sim));
+            let panic = std::thread::spawn(move || misuse(crossing))
+                .join()
+                .expect_err(what);
+            let msg = panic.downcast_ref::<&str>().copied().unwrap_or_default();
+            assert_eq!(msg, "task waker used off its Sim's thread", "{what}");
+        }
+        // On its own thread a waker still works: the task is polled again.
+        let polls = sim.polls();
+        task_waker(&sim).wake();
+        sim.run();
+        assert_eq!(sim.polls(), polls + 2);
     }
 
     #[test]

@@ -18,6 +18,10 @@
 //! children must tolerate spurious polls — every future in this workspace
 //! does ([`crate::executor::Sleep`] registers its timer once, the `sync`
 //! waiters re-arm in place).
+//!
+//! [`Joined`], the wrapper every joined task runs in, lives here too: it is
+//! the crate's other structural pin, a future polled in place inside the
+//! task's own cell.
 
 use std::future::Future;
 use std::pin::Pin;
@@ -123,6 +127,59 @@ impl<F: Future + 'static> Future for JoinAll<F> {
         // Every slot is `Done`: no pinned future is left to move.
         let slots = this.slots.take().expect("checked above");
         Poll::Ready(Outputs { slots, next: 0 })
+    }
+}
+
+/// A task that hands its future's output to `done`: what
+/// [`SimHandle::spawn`] runs (`done` stores the output for the
+/// [`crate::JoinHandle`] and wakes its awaiter) and what
+/// [`SimHandle::spawn_then`] runs.
+///
+/// `fut` is polled where it lies, in the task's cell. An `async move` block
+/// that captured the future and awaited it held it twice, once as the
+/// captured value and once as the awaited one: an 864 B client future sat in
+/// a 1,744 B cell. When `fut` is ready it is dropped in place first, then
+/// `done` runs on the output and is dropped with what it captured, the order
+/// in which that block dropped its awaited future and then its captures.
+pub(crate) struct Joined<F, D> {
+    /// `None` once ready.
+    fut: Option<F>,
+    /// `None` once run.
+    done: Option<D>,
+}
+
+impl<F: Future, D: FnOnce(F::Output)> Joined<F, D> {
+    pub(crate) fn new(fut: F, done: D) -> Self {
+        Joined {
+            fut: Some(fut),
+            done: Some(done),
+        }
+    }
+}
+
+impl<F: Future, D: FnOnce(F::Output)> Future for Joined<F, D> {
+    type Output = ();
+
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        // SAFETY: `fut` is structurally pinned and `done` is not. `fut` is
+        // only ever reached through the `Pin` built here, and leaves its
+        // place only by `Pin::set(None)`, which drops it there; `Joined` has
+        // no `Drop` of its own and is `Unpin` only when `F` is. `done` is
+        // moved out, never pinned.
+        let (mut fut, done) = unsafe {
+            let this = self.get_unchecked_mut();
+            (Pin::new_unchecked(&mut this.fut), &mut this.done)
+        };
+        let running = fut.as_mut().as_pin_mut();
+        let Poll::Ready(out) = running
+            .expect("joined task polled after completion")
+            .poll(cx)
+        else {
+            return Poll::Pending;
+        };
+        fut.set(None);
+        (done.take().expect("a joined task completes once"))(out);
+        Poll::Ready(())
     }
 }
 

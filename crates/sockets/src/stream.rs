@@ -311,11 +311,11 @@ impl AzTx {
         // Zero copy: no CPU copy cost; the whole buffer travels at once.
         let delivered = self.lane.send_tracked(Chunk::whole(data));
         let window = self.window.clone();
-        self.cluster.sim().spawn_detached(async move {
-            delivered.await;
-            // Transfer complete: buffer unprotected, window slot reusable.
-            window.release();
-        });
+        // Transfer complete: buffer unprotected, window slot reusable. The
+        // task holds `delivered` once, not captured and then awaited.
+        self.cluster
+            .sim()
+            .spawn_then(delivered, move |()| window.release());
     }
 }
 

@@ -223,7 +223,7 @@ impl Service {
         let cluster = cluster.clone();
         let sim = cluster.sim().clone();
         let sim2 = sim.clone();
-        sim2.spawn(async move {
+        sim2.spawn_detached(async move {
             let mut fifo: VecDeque<Message> = VecDeque::new();
             loop {
                 let msg = match fifo.pop_front() {

@@ -44,21 +44,41 @@ fn per_entity_futures_keep_their_committed_sizes() {
 
     let client = SvcClient::new(&cluster, home);
     let call = client.call_bytes(NodeId(1), 9, Bytes::new(), Transport::RdmaSend);
-    check("SvcClient::call_bytes", std::mem::size_of_val(&call), 704);
+    let call_bytes = std::mem::size_of_val(&call);
+    check("SvcClient::call_bytes", call_bytes, 704);
+    // A joined task holds its future once, beside the join's completion
+    // (one `Rc`). A task that captured the future in an `async move` block
+    // and awaited it there held two copies: a 1,744 B cell for an 864 B
+    // client future.
     drop(call);
+    let owner = client.clone();
+    let call = async move {
+        let call = owner.call_bytes(NodeId(1), 9, Bytes::new(), Transport::RdmaSend);
+        call.await
+    };
+    let call_bytes = std::mem::size_of_val(&call);
+    let before = sim.task_bytes().len();
+    drop(sim.spawn(call));
+    let cell = sim.task_bytes()[before];
+    eprintln!("future_sizes: joined SvcClient::call_bytes task = {cell} B (future {call_bytes} B)");
+    assert!(
+        cell <= call_bytes + 16,
+        "a joined task's cell is {cell} B for a {call_bytes} B future: it holds the future twice"
+    );
 
     // Per design: the future of one lock request through the concrete
     // client, and the largest task `build` spawns — a service pump with the
     // design's handler futures inlined, since the dispatcher boxes none of
-    // them (CAS-Spin is all one-sided verbs and spawns no service: 0).
+    // them (CAS-Spin is all one-sided verbs and spawns no service: 0). The
+    // pump is spawned detached, so its task is its future, held once.
     let mode = LockMode::Exclusive;
     let committed = [
-        (DesignKind::Srsl, 704, 1584),
-        (DesignKind::Dqnl, 512, 1168),
-        (DesignKind::Ncosed, 560, 1344),
+        (DesignKind::Srsl, 704, 808),
+        (DesignKind::Dqnl, 512, 576),
+        (DesignKind::Ncosed, 560, 664),
         (DesignKind::CasSpin, 512, 0),
-        (DesignKind::Lease, 544, 992),
-        (DesignKind::McsTicket, 448, 1168),
+        (DesignKind::Lease, 544, 488),
+        (DesignKind::McsTicket, 448, 576),
     ];
     for (design, lock_bytes, pump_bytes) in committed {
         let label = design.label();
