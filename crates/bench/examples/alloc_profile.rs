@@ -199,7 +199,7 @@ fn main() {
         });
         return;
     }
-    let s = dc_bench::scenario::lookup(&name).expect("scenario");
+    let s = dc_bench::scenario::lookup(&name, |_| true).expect("scenario");
     if std::env::var("DC_ALLOC_TRACE").is_ok_and(|v| v == "1") {
         TRACE.store(true, Ordering::Relaxed);
         (s.run)();

@@ -10,7 +10,7 @@
 //! [`claims_for`] are transcribed from `EXPERIMENTS.md`'s
 //! paper-vs-measured figures; `tests/paper_claims.rs` (workspace root)
 //! runs every scenario in-process and asserts every claim, and the
-//! `dc-regress claims` subcommand does the same from the command line.
+//! `dc-bench claims` subcommand does the same from the command line.
 
 use dc_trace::ReportTable;
 
@@ -368,7 +368,7 @@ pub fn evaluate(tables: &[ReportTable], claims: &[Claim]) -> Vec<Violation> {
 
 /// The claim table for a bench, transcribed from the paper figures and
 /// the measured reproductions in `EXPERIMENTS.md`. Every scenario in
-/// `dc_bench::scenario::ALL` has at least one claim.
+/// `crate::scenario::ALL` has at least one claim.
 pub fn claims_for(bench: &str) -> Vec<Claim> {
     let row = Series::row;
     let col = Series::col;
@@ -1157,7 +1157,7 @@ mod tests {
 
     #[test]
     fn every_scenario_has_a_claim_table() {
-        for s in &dc_bench::scenario::ALL {
+        for s in &crate::scenario::ALL {
             assert!(
                 !claims_for(s.name).is_empty(),
                 "no claims transcribed for {}",

@@ -16,7 +16,7 @@
 //! * **max wait** — the single worst grant latency (µs), the
 //!   starvation-bound proxy.
 //!
-//! The dominance claims transcribed in `dc-regress` ride on these tables:
+//! The dominance claims transcribed in `crate::claims` ride on these tables:
 //! the FIFO ticket queue must beat the CAS spinner on fairness and tail
 //! wait once the key stream gets hot, while the spinner's bare-metal
 //! uncontended path must stay competitive with every queueing design in

@@ -18,6 +18,7 @@ use dc_trace::{Event, TraceMode};
 use crate::ext_shootout;
 use crate::fig5;
 use crate::fig6;
+use crate::scenario::{self, Scenario};
 
 /// Scenario names `flame` (and `top`) can trace, registry order.
 pub const TRACEABLE: [&str; 4] = [
@@ -27,17 +28,9 @@ pub const TRACEABLE: [&str; 4] = [
     "ext_lock_shootout",
 ];
 
-/// Resolve a possibly-abbreviated scenario name: exact match, else unique
-/// prefix (`fig5a` → `fig5a_lock_shared`). Ambiguous or unknown → `None`.
-pub fn resolve(name: &str) -> Option<&'static str> {
-    if let Some(s) = TRACEABLE.iter().find(|s| **s == name) {
-        return Some(s);
-    }
-    let mut hits = TRACEABLE.iter().filter(|s| s.starts_with(name));
-    match (hits.next(), hits.next()) {
-        (Some(s), None) => Some(s),
-        _ => None,
-    }
+/// Whether `flame` can trace `s` (its name is in [`TRACEABLE`]).
+pub fn traceable(s: &Scenario) -> bool {
+    TRACEABLE.contains(&s.name)
 }
 
 /// The profile of one traced scenario run.
@@ -56,11 +49,12 @@ pub struct FlameProfile {
     pub events: usize,
 }
 
-/// Trace `scenario` under `seed` and profile it. The name must already be
-/// resolved ([`resolve`]); unknown names panic.
+/// Trace `scenario` under `seed` and profile it. The name may be a unique
+/// prefix ([`scenario::lookup`]); an untraceable one panics.
 pub fn profile(scenario: &str, seed: u64) -> FlameProfile {
-    let scenario = resolve(scenario)
-        .unwrap_or_else(|| panic!("scenario `{scenario}` is not traceable: {TRACEABLE:?}"));
+    let scenario = scenario::lookup(scenario, traceable)
+        .unwrap_or_else(|| panic!("scenario `{scenario}` is not traceable: {TRACEABLE:?}"))
+        .name;
     // Each sub-run folds under a distinguishing root prefix so one profile
     // shows e.g. every lock scheme side by side.
     let mut folded: BTreeMap<String, u64> = BTreeMap::new();
@@ -108,7 +102,7 @@ pub fn profile(scenario: &str, seed: u64) -> FlameProfile {
                 events += take(&mut folded, &mut requests, &art.raw_events, design.label());
             }
         }
-        _ => unreachable!("resolve() returned an unregistered name"),
+        _ => unreachable!("lookup() returned an untraceable name"),
     }
     let breakdown = critical::aggregate(&requests);
     FlameProfile {
@@ -137,17 +131,6 @@ pub fn report(p: &FlameProfile) -> BenchReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn resolve_accepts_exact_and_unique_prefixes() {
-        assert_eq!(resolve("fig5a_lock_shared"), Some("fig5a_lock_shared"));
-        assert_eq!(resolve("fig5a"), Some("fig5a_lock_shared"));
-        assert_eq!(resolve("fig5b"), Some("fig5b_lock_exclusive"));
-        assert_eq!(resolve("ext"), Some("ext_lock_shootout"));
-        assert_eq!(resolve("fig5"), None, "ambiguous prefix must not resolve");
-        assert_eq!(resolve("fig3a_ddss_put"), None, "untraceable scenario");
-        assert_eq!(resolve(""), None);
-    }
 
     #[test]
     fn fig5a_profile_has_stacks_and_a_full_partition() {

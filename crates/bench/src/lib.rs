@@ -3,10 +3,12 @@
 //! One module per table/figure of the paper's evaluation (plus the §6
 //! work-in-progress experiments and our ablations), each exposing a `run()`
 //! that produces structured results and a `table()` that renders the
-//! paper-style rows. [`scenario`] registers them by name, and `dc-bench run
-//! [NAME...]` ([`run`]) is the one command that regenerates any of them as
-//! text tables or `dc-bench-report/v2` JSON. Host time is measured by the
-//! standalone `benchmark/` crate, not here.
+//! paper-style rows. [`scenario`] registers them by name, and `dc-bench`
+//! ([`cli`]) is the one front door: it regenerates any of them as text
+//! tables or `dc-bench-report/v2` JSON, blesses and checks the committed
+//! baselines ([`diff`]) and evaluates the paper's shape claims
+//! ([`claims`]). Host time is measured by the standalone `benchmark/`
+//! crate, not here.
 //!
 //! | module | artifact |
 //! |--------|----------|
@@ -23,6 +25,9 @@
 //! | [`ext_webfarm`] | at-scale open-loop webfarm across the saturation knee |
 //! | [`ext_incast`] | incast fan-in sweep, eRPC vs SDP vs AZ-SDP lanes |
 
+pub mod claims;
+pub mod cli;
+pub mod diff;
 pub mod ext_ablations;
 pub mod ext_flowcontrol;
 pub mod ext_incast;
@@ -36,7 +41,6 @@ pub mod fig6;
 pub mod fig8a;
 pub mod fig8b;
 pub mod flame;
-pub mod run;
 pub mod scenario;
 pub mod sweep;
 pub mod top;

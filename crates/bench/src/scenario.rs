@@ -1,12 +1,11 @@
 //! The scenario registry: every figure/extension experiment as a callable
 //! library function returning a finished [`BenchReport`].
 //!
-//! Everything that runs a scenario goes through these runners — `dc-bench
-//! run` ([`crate::run`]) for the text tables and the `--json` artifacts,
-//! `dc-regress` for the committed `baselines/` and the gate, the
-//! paper-claims conformance suite (`tests/paper_claims.rs`) and the
-//! `benchmark/` crate in-process — so the *same* code path produces all of
-//! them. Every report carries the calibration fingerprint of
+//! Everything that runs a scenario goes through these runners — `dc-bench`
+//! ([`crate::cli`]) for the text tables, the `--json` artifacts, the
+//! committed `baselines/` and the gate, the paper-claims conformance suite
+//! (`tests/paper_claims.rs`) and the `benchmark/` crate in-process — so the
+//! *same* code path produces all of them. Every report carries the calibration fingerprint of
 //! [`FabricModel::calibrated_2007`], so regression tooling can tell a
 //! model recalibration apart from a behavioral regression.
 
@@ -15,7 +14,7 @@ use dc_trace::{ArgVal, BenchReport};
 
 /// One registered scenario.
 pub struct Scenario {
-    /// Bench name — what `dc-bench run` and `dc-regress` take, and the
+    /// Bench name — what the `dc-bench` subcommands take, and the
     /// baseline file stem (`baselines/<name>.json`).
     pub name: &'static str,
     /// One-line description of what the scenario regenerates.
@@ -112,9 +111,22 @@ pub fn runnable() -> impl Iterator<Item = &'static Scenario> {
     ALL.iter().chain(UNGATED.iter())
 }
 
-/// Look up anything [`runnable`] by bench name.
-pub fn lookup(name: &str) -> Option<&'static Scenario> {
-    runnable().find(|s| s.name == name)
+/// Whether `s` is gated: in [`ALL`], with a baseline and claims.
+pub fn gated(s: &Scenario) -> bool {
+    by_name(s.name).is_some()
+}
+
+/// Resolve `name` among the [`runnable`] scenarios `admit` accepts: the
+/// exact name, else a unique prefix (`fig5a` → `fig5a_lock_shared`).
+/// Ambiguous or unknown → `None`.
+pub fn lookup(name: &str, admit: impl Fn(&Scenario) -> bool) -> Option<&'static Scenario> {
+    let hits: Vec<&'static Scenario> = runnable()
+        .filter(|s| admit(s) && s.name.starts_with(name))
+        .collect();
+    match hits[..] {
+        [s] => Some(s),
+        _ => hits.into_iter().find(|s| s.name == name),
+    }
 }
 
 /// Assemble a fingerprinted report from rendered tables.
@@ -138,7 +150,7 @@ pub fn fig3a_report() -> BenchReport {
 /// Figure 3a under an explicit fabric model — the report carries *that*
 /// model's fingerprint. Used by the paper-claims suite's negative control
 /// (a perturbed calibration must violate at least one claim) and by the
-/// `dc-regress` fingerprint-mismatch tests.
+/// differ's fingerprint-mismatch tests.
 pub fn fig3a_report_with(fabric: &FabricModel) -> BenchReport {
     let series = crate::fig3a::run_with(fabric);
     let mut r = BenchReport::new("fig3a_ddss_put");
@@ -371,13 +383,13 @@ mod tests {
             assert!(by_name(s.name).is_some());
         }
         for s in runnable() {
-            assert_eq!(lookup(s.name).map(|f| f.title), Some(s.title));
+            assert_eq!(lookup(s.name, |_| true).map(|f| f.title), Some(s.title));
         }
         for s in &UNGATED {
             assert!(by_name(s.name).is_none(), "{} must stay ungated", s.name);
         }
         assert!(by_name("fig9_imaginary").is_none());
-        assert!(lookup("fig9_imaginary").is_none());
+        assert!(lookup("fig9_imaginary", |_| true).is_none());
     }
 
     #[test]

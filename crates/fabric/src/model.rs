@@ -81,7 +81,7 @@ impl FabricModel {
     /// formatted `fm1-<16 hex digits>`.
     ///
     /// Bench reports embed it (`dc-bench-report/v2` `fingerprint`), and the
-    /// `dc-regress` differ refuses to compare reports produced under
+    /// `dc-bench` differ refuses to compare reports produced under
     /// different fingerprints: a calibration change invalidates committed
     /// baselines *loudly* instead of showing up as a wall of numeric
     /// deltas. Changing any field — including the CPU parameters — changes

@@ -1,30 +1,11 @@
-//! # dc-regress — paper-claims conformance and bench regression gate
-//!
-//! Two complementary defenses for the reproduction's numbers:
-//!
-//! - [`claims`] — a small DSL of *shape* claims (orderings, monotonicity,
-//!   crossovers, relative-factor bands) transcribed per figure from
-//!   `EXPERIMENTS.md`. These encode what the paper actually asserts —
-//!   "N-CoSED never loses to DQNL", "packetized flow control wins 4× at
-//!   small messages" — and are evaluated against live in-process runs of
-//!   the `dc-bench` scenarios by `tests/paper_claims.rs` at the workspace
-//!   root, so `cargo test` fails if a change breaks the *story*, not just
-//!   the numbers.
-//! - [`diff`] — a loader and cell-level differ for `dc-bench-report`
-//!   JSON. Committed baselines under `baselines/` pin the exact values;
-//!   the `dc-regress` CLI compares new `--json` runs against them under a
-//!   relative tolerance (with per-column overrides) and exits nonzero on
-//!   regression. Reports carry the fabric-calibration fingerprint
-//!   (`dc_fabric::FabricModel::fingerprint`), and cross-fingerprint
-//!   comparisons are refused outright (exit 3): recalibrating the model
-//!   means re-blessing baselines, not explaining a wall of deltas.
-//!
-//! The CLI surface lives in [`cli::run`] and is exercised end-to-end by
-//! unit tests; the `dc-regress` binary is a two-line wrapper.
+//! The four names `benchmark/` still imports from here, re-exported from
+//! `dc-bench`, where the claims DSL and the report differ live. ROADMAP
+//! item 2 deletes this crate, with `benchmark/`'s dependency on it, once the
+//! benchmark imports them from `dc-bench` directly.
 
-pub mod claims;
-pub mod cli;
-pub mod diff;
+pub use dc_bench::diff::{diff, LoadedReport, Tolerance};
 
-pub use claims::{claims_for, evaluate, At, Claim, Sel, Series, Violation};
-pub use diff::{diff, CellDelta, DiffError, DiffReport, LoadedReport, Tolerance};
+/// `dc_bench::claims`, as far as `benchmark/` reads it.
+pub mod claims {
+    pub use dc_bench::claims::parse_cell;
+}

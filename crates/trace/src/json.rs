@@ -7,7 +7,7 @@
 //!
 //! [`parse`] is a strict recursive-descent parser producing a [`JsonValue`]
 //! tree, used by the round-trip tests, the CI artifact job, and the
-//! `dc-regress` baseline loader — it accepts exactly the JSON grammar
+//! `dc-bench` baseline loader — it accepts exactly the JSON grammar
 //! (RFC 8259), no trailing commas, no comments. [`validate`] is the
 //! syntax-check-only wrapper around it.
 
@@ -155,7 +155,7 @@ fn write_escaped(buf: &mut String, s: &str) {
 ///
 /// Objects preserve key insertion order (the writer emits deterministic
 /// documents, so order is meaningful to the round-trip tests and the
-/// `dc-regress` baseline loader). Numbers are held as `f64`, which is exact
+/// `dc-bench` baseline loader). Numbers are held as `f64`, which is exact
 /// for every integer the exporters emit below 2^53.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {

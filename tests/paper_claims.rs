@@ -2,7 +2,7 @@
 //!
 //! Every `fig*`/`ext*` scenario runs in-process (same code path as the
 //! `--json` bins) and is checked against the claim tables transcribed
-//! from `EXPERIMENTS.md` in `dc_regress::claims`. This is tier-1: a
+//! from `EXPERIMENTS.md` in `dc_bench::claims`. This is tier-1: a
 //! change that breaks a figure's *shape* — an ordering flip, a lost
 //! crossover, a vanished 80x factor — fails `cargo test` directly,
 //! before the numeric baseline gate even looks at it.
@@ -13,8 +13,9 @@
 //! fault-seeded robustness claims (opt-in via `DC_CLAIMS_FAULTS=1`,
 //! exercised by CI).
 
+use dc_bench::claims::{claims_for, evaluate};
+use dc_bench::diff::{diff, DiffError, LoadedReport, Tolerance};
 use dc_bench::scenario;
-use dc_regress::{claims_for, diff, evaluate, LoadedReport, Tolerance};
 
 /// Run one scenario and assert its transcribed claims hold.
 fn assert_claims_hold(name: &str) {
@@ -148,10 +149,7 @@ fn perturbed_calibration_is_rejected_by_the_differ() {
     let healthy = LoadedReport::from_bench(&scenario::fig3a_report());
     let drifted = LoadedReport::from_bench(&scenario::fig3a_report_with(&bad));
     let err = diff(&healthy, &drifted, &Tolerance::pct(100.0)).unwrap_err();
-    assert!(matches!(
-        err,
-        dc_regress::DiffError::FingerprintMismatch(_, _)
-    ));
+    assert!(matches!(err, DiffError::FingerprintMismatch(_, _)));
 }
 
 /// A live run diffs cleanly against itself at zero tolerance — the
