@@ -24,11 +24,12 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use bytes::Bytes;
-use dc_core::{table::f, LatencyHist, Table};
+use dc_core::{table::f, Table};
 use dc_fabric::{Cluster, FabricModel, FaultPlan, NodeId};
 use dc_sim::time::as_us;
 use dc_sim::Sim;
 use dc_sockets::{connect, ErpcCfg, ErpcServer, SocketsConfig, StreamKind};
+use dc_trace::LatencyHist;
 
 /// Total concurrent sessions per cell (split evenly over the client nodes).
 pub const FANINS: [usize; 4] = [64, 256, 1024, 2048];

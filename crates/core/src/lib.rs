@@ -36,7 +36,6 @@ pub mod table;
 pub mod webfarm;
 pub mod webfarm_scale;
 
-pub use dc_trace::{tps, LatencyHist};
 pub use hosting::{run_hosting, run_hosting_traced, HostingCfg, HostingResult};
 pub use table::Table;
 pub use webfarm::{

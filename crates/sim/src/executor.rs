@@ -45,18 +45,22 @@
 //! ever alive at once.
 //!
 //! Tasks are `!Send` futures (`Rc`-based state sharing is the norm in this
-//! workspace), and the waker path is single-threaded too: wakers are built
-//! by hand over `Rc` state (see [`local_waker`]), so waking is a `RefCell`
-//! push with no atomics anywhere on the hot path.
+//! workspace); their wakers are std's, one `Arc<TaskWaker>` per slot through
+//! [`std::task::Wake`], naming the task and its `Sim` by id. A wake looks the
+//! ready queue up in a thread-local table of live `Sim`s, so a waker that
+//! outlives its `Sim` or leaves its thread wakes nothing. Clones and drops
+//! count atomically, so a poll lends the slot's waker out instead of cloning
+//! it, and a timer that a task sets from its own poll names the task by id.
 
 use std::any::{Any, TypeId};
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::future::Future;
-use std::mem::ManuallyDrop;
 use std::pin::Pin;
 use std::rc::{Rc, Weak};
-use std::task::{Context, Poll, RawWaker, RawWakerVTable, Waker};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::task::{Context, Poll, Wake, Waker};
 
 use crate::join::Joined;
 use crate::time::SimTime;
@@ -113,43 +117,48 @@ struct Kind {
 }
 
 /// FIFO wake queue shared between the executor and all task wakers.
-#[derive(Default)]
-struct ReadyQueue {
-    q: RefCell<VecDeque<TaskId>>,
+type ReadyQueue = RefCell<VecDeque<TaskId>>;
+
+thread_local! {
+    /// The ready queue of every live [`Sim`] on this thread, by sim id: how a
+    /// task waker, which holds no pointer into its `Sim`, finds its queue.
+    static QUEUES: RefCell<Vec<(u64, Rc<ReadyQueue>)>> = const { RefCell::new(Vec::new()) };
 }
 
+/// Sim ids, process-wide: a waker off its `Sim`'s thread, or kept past its
+/// `Sim`'s drop, finds no queue under its id.
+static NEXT_SIM: AtomicU64 = AtomicU64::new(0);
+
+/// A task's waker: its task and its `Sim`, by id. A wake pushes the task
+/// onto its `Sim`'s ready queue if that `Sim` lives on the calling thread and
+/// does nothing otherwise, as a wake of a finished task does nothing.
 struct TaskWaker {
     id: TaskId,
-    ready: Rc<ReadyQueue>,
+    sim: u64,
     /// The thread the waker was built on, its `Sim`'s (see [`this_thread`]).
     #[cfg(debug_assertions)]
     home: usize,
 }
 
-impl TaskWaker {
-    fn new(id: TaskId, ready: &Rc<ReadyQueue>) -> Self {
-        TaskWaker {
-            id,
-            ready: Rc::clone(ready),
-            #[cfg(debug_assertions)]
-            home: this_thread(),
-        }
+impl Wake for TaskWaker {
+    fn wake(self: Arc<Self>) {
+        self.wake_by_ref();
     }
 
-    fn wake(&self) {
-        self.assert_home();
-        self.ready.q.borrow_mut().push_back(self.id);
-    }
-
-    /// In debug builds, panic unless called on the waker's home thread: the
-    /// check every wake, clone and drop of a task waker makes before it
-    /// touches the waker's non-atomic count or its `Sim`'s queue.
-    fn assert_home(&self) {
+    fn wake_by_ref(self: &Arc<Self>) {
+        // Such a wake would be lost: a bug in the caller, loud in debug.
         #[cfg(debug_assertions)]
         assert!(
             this_thread() == self.home,
             "task waker used off its Sim's thread"
         );
+        // No queue during thread teardown either: nothing runs any more.
+        let _ = QUEUES.try_with(|queues| {
+            let queues = queues.borrow();
+            if let Some((_, ready)) = queues.iter().find(|(sim, _)| *sim == self.sim) {
+                ready.borrow_mut().push_back(self.id);
+            }
+        });
     }
 }
 
@@ -164,63 +173,6 @@ fn this_thread() -> usize {
     HOME.with(|h| h as *const u8 as usize)
 }
 
-/// Build a `Waker` over `Rc`-backed state.
-///
-/// `Waker` is nominally `Send + Sync`, but this executor is single-threaded
-/// by construction: `Sim` itself is `!Send` (its state is `Rc`-shared), every
-/// task is a `!Send` future polled on the owning thread, and nothing in this
-/// workspace moves a `Waker` off-thread. Under that invariant the usual
-/// `Arc<Mutex<_>>` waker is pure overhead — two atomic lock round-trips plus
-/// atomic refcounts per wake on the busiest path in the simulator — so the
-/// vtable below implements the `Waker` contract directly over `Rc`.
-///
-/// # Safety
-///
-/// Sound iff no `Waker` built here (nor any clone of one) is used from
-/// another thread. `Sim` being `!Send` pins the queue and all pollers to one
-/// thread; a task would have to smuggle its `Waker` through a channel to
-/// another OS thread to break this, which no simulation code does (tasks
-/// model datacenter nodes inside one deterministic, single-threaded run).
-/// Debug builds check it: a wake, clone or drop off the home thread panics
-/// before it touches the count, which is then leaked rather than released.
-fn local_waker(w: Rc<TaskWaker>) -> Waker {
-    // Every `RawWaker` carrying `VTABLE` is built by `local_waker` or
-    // `clone_raw`, so its data pointer came from `Rc::into_raw` of a
-    // `TaskWaker`, and each such waker owns one strong count on it.
-    unsafe fn clone_raw(p: *const ()) -> RawWaker {
-        // SAFETY: `p` is an `Rc::into_raw` pointer kept alive by the count of
-        // the waker being cloned, and that count stays with it (the `Rc`
-        // rebuilt here is never dropped); the count added is the clone's.
-        let w = ManuallyDrop::new(unsafe { Rc::from_raw(p as *const TaskWaker) });
-        w.assert_home();
-        RawWaker::new(Rc::into_raw(Rc::clone(&w)) as *const (), &VTABLE)
-    }
-    unsafe fn wake_raw(p: *const ()) {
-        // SAFETY: waking by value consumes the waker, so the `Rc` rebuilt
-        // here takes over the one count that waker owned.
-        let w = ManuallyDrop::new(unsafe { Rc::from_raw(p as *const TaskWaker) });
-        w.wake();
-        drop(ManuallyDrop::into_inner(w));
-    }
-    unsafe fn wake_by_ref_raw(p: *const ()) {
-        // SAFETY: the borrowed waker's count keeps the `TaskWaker` alive for
-        // the duration of this shared borrow, and no count changes.
-        unsafe { &*(p as *const TaskWaker) }.wake();
-    }
-    unsafe fn drop_raw(p: *const ()) {
-        // SAFETY: the dropped waker's count is released exactly once, here.
-        let w = ManuallyDrop::new(unsafe { Rc::from_raw(p as *const TaskWaker) });
-        w.assert_home();
-        drop(ManuallyDrop::into_inner(w));
-    }
-    static VTABLE: RawWakerVTable =
-        RawWakerVTable::new(clone_raw, wake_raw, wake_by_ref_raw, drop_raw);
-    // SAFETY: the four functions keep `RawWaker`'s contract for the pointer
-    // `Rc::into_raw` hands over with `w`'s count; the waker never leaves this
-    // thread (see `# Safety` above), so the non-atomic `Rc` count is sound.
-    unsafe { Waker::from_raw(RawWaker::new(Rc::into_raw(w) as *const (), &VTABLE)) }
-}
-
 /// One slab slot: the task's cell (taken out while polling, gone to the
 /// registry once the task finishes), where in the registry that is, and the
 /// slot's cached waker, created once when the slot is first used and reused
@@ -228,12 +180,23 @@ fn local_waker(w: Rc<TaskWaker>) -> Waker {
 struct TaskSlot {
     cell: Option<BoxCell>,
     kind: usize,
-    waker: Waker,
+    /// `None` only while the task is polled: lent to [`SimState::polling`].
+    waker: Option<Waker>,
+}
+
+/// What a timer wakes when it fires. A task that sleeps from its own poll is
+/// named by id, which costs no waker clone and no atomic count.
+enum Alarm {
+    Task(TaskId),
+    Waker(Waker),
 }
 
 struct SimState {
     now: Cell<SimTime>,
-    timers: RefCell<TimerWheel<Waker>>,
+    timers: RefCell<TimerWheel<Alarm>>,
+    /// The task being polled and its waker, lent out of its slot; borrowed
+    /// for the whole poll.
+    polling: RefCell<Option<(TaskId, Waker)>>,
     tasks: RefCell<Vec<TaskSlot>>,
     free: RefCell<Vec<TaskId>>,
     /// Empty cells of finished tasks by future type; an entry, once made,
@@ -242,6 +205,8 @@ struct SimState {
     /// Emptied join arrays by element type `T`; each value is the
     /// `Vec<Vec<T>>` of that type's arrays.
     joins: RefCell<Vec<(TypeId, Box<dyn Any>)>>,
+    /// This `Sim`'s id in [`QUEUES`], which holds `ready` too while it lives.
+    id: u64,
     ready: Rc<ReadyQueue>,
     seq: Cell<u64>,
     /// Number of tasks spawned and not yet completed.
@@ -290,6 +255,8 @@ impl SimState {
 
 impl Drop for SimState {
     fn drop(&mut self) {
+        // From here on this `Sim`'s wakers wake nothing, dropped tasks' too.
+        let _ = QUEUES.try_with(|queues| queues.borrow_mut().retain(|(sim, _)| *sim != self.id));
         // Fold this executor's counters into the per-thread running totals so
         // harnesses can meter scenarios that construct their `Sim` internally.
         THREAD_TOTALS.with(|t| {
@@ -368,15 +335,20 @@ impl Default for Sim {
 impl Sim {
     /// Create an executor with the clock at zero and no tasks.
     pub fn new() -> Self {
+        let id = NEXT_SIM.fetch_add(1, Ordering::Relaxed);
+        let ready = Rc::new(ReadyQueue::default());
+        QUEUES.with(|queues| queues.borrow_mut().push((id, Rc::clone(&ready))));
         Sim {
             st: Rc::new(SimState {
                 now: Cell::new(0),
                 timers: RefCell::new(TimerWheel::new()),
+                polling: RefCell::new(None),
                 tasks: RefCell::new(Vec::new()),
                 free: RefCell::new(Vec::new()),
                 kinds: RefCell::new(Vec::new()),
                 joins: RefCell::new(Vec::new()),
-                ready: Rc::new(ReadyQueue::default()),
+                id,
+                ready,
                 seq: Cell::new(0),
                 live: Cell::new(0),
                 polls: Cell::new(0),
@@ -443,14 +415,14 @@ impl Sim {
     /// Tasks that are blocked forever (e.g. awaiting a channel nobody will
     /// ever write) simply remain live; they are dropped with the `Sim`.
     pub fn run(&self) {
-        self.run_inner(SimTime::MAX);
+        self.run_inner(SimTime::MAX, || false);
     }
 
     /// Run until the virtual clock would pass `deadline`. The clock is left
     /// at `deadline` (if the simulation got that far) so a subsequent
     /// `run_until` continues seamlessly. Returns the time actually reached.
     pub fn run_until(&self, deadline: SimTime) -> SimTime {
-        self.run_inner(deadline);
+        self.run_inner(deadline, || false);
         // After run_inner the ready queue is empty and every pending timer is
         // strictly beyond the deadline, so parking the clock at the deadline
         // is always safe and lets callers treat `run_until` as "advance to".
@@ -480,44 +452,24 @@ impl Sim {
     /// indicates a deadlock in the code under test).
     pub fn run_to<T: 'static>(&self, fut: impl Future<Output = T> + 'static) -> T {
         let jh = self.spawn(fut);
-        loop {
-            // Drain all runnable tasks at the current instant.
-            loop {
-                if jh.is_finished() {
-                    return jh.try_take().expect("root output already taken");
-                }
-                let next = self.st.ready.q.borrow_mut().pop_front();
-                match next {
-                    Some(tid) => self.poll_task(tid),
-                    None => break,
-                }
-            }
-            if jh.is_finished() {
-                return jh.try_take().expect("root output already taken");
-            }
-            let fired = self
-                .st
-                .timers
-                .borrow_mut()
-                .pop_next_at_or_before(SimTime::MAX);
-            match fired {
-                Some(e) => {
-                    self.st.timers_fired.set(self.st.timers_fired.get() + 1);
-                    self.st.now.set(e.at);
-                    e.value.wake();
-                }
-                None => {
-                    panic!("simulation quiesced before the root future completed (deadlock?)")
-                }
-            }
-        }
+        self.run_inner(SimTime::MAX, || jh.is_finished());
+        assert!(
+            jh.is_finished(),
+            "simulation quiesced before the root future completed (deadlock?)"
+        );
+        jh.try_take().expect("root output already taken")
     }
 
-    fn run_inner(&self, deadline: SimTime) {
+    /// Run until `done()`, asked before every poll, holds, or until no task
+    /// is runnable and no timer is due by `deadline`.
+    fn run_inner(&self, deadline: SimTime, done: impl Fn() -> bool) {
         loop {
             // Drain all runnable tasks at the current instant.
             loop {
-                let next = self.st.ready.q.borrow_mut().pop_front();
+                if done() {
+                    return;
+                }
+                let next = self.st.ready.borrow_mut().pop_front();
                 match next {
                     Some(tid) => self.poll_task(tid),
                     None => break,
@@ -530,7 +482,10 @@ impl Sim {
                     debug_assert!(e.at >= self.st.now.get(), "timers never move backwards");
                     self.st.timers_fired.set(self.st.timers_fired.get() + 1);
                     self.st.now.set(e.at);
-                    e.value.wake();
+                    match e.value {
+                        Alarm::Task(tid) => self.st.ready.borrow_mut().push_back(tid),
+                        Alarm::Waker(waker) => waker.wake(),
+                    }
                 }
                 None => break,
             }
@@ -542,39 +497,46 @@ impl Sim {
         // wake events the run loop consumed (spurious ones included).
         self.st.events.set(self.st.events.get() + 1);
         // Take the cell out of its slot while polling so that re-entrant
-        // spawns and wakes never observe a borrowed slab. The slot's cached
-        // waker is cloned (a refcount bump, not an allocation) for the same
-        // reason.
-        let task = {
+        // spawns and wakes never observe a borrowed slab. The slot's waker is
+        // lent to `polling` rather than cloned, which would cost an atomic
+        // count per poll; [`Sleep`] recognises it there.
+        let (mut cell, kind) = {
             let mut tasks = self.st.tasks.borrow_mut();
-            match tasks.get_mut(tid) {
-                Some(slot) => slot.cell.take().map(|c| (c, slot.kind, slot.waker.clone())),
-                None => None,
-            }
-        };
-        let Some((mut cell, kind, waker)) = task else {
-            // Spurious wake of a completed (or currently-polling) task.
-            return;
+            let slot = &mut tasks[tid];
+            let Some(cell) = slot.cell.take() else {
+                // Spurious wake of a completed (or currently-polling) task.
+                return;
+            };
+            *self.st.polling.borrow_mut() = slot.waker.take().map(|w| (tid, w));
+            (cell, slot.kind)
         };
         self.st.polls.set(self.st.polls.get() + 1);
-        let mut cx = Context::from_waker(&waker);
-        match cell.as_mut().poll(&mut cx) {
-            Poll::Ready(()) => {
-                self.st.free.borrow_mut().push(tid);
-                self.st.live.set(self.st.live.get() - 1);
-                // The future goes now, as when its box was freed here (its
-                // `Drop` may spawn or wake); only storage is parked.
-                cell.as_mut().clear();
-                let mut kinds = self.st.kinds.borrow_mut();
-                let kind = &mut kinds[kind];
-                match kind.first {
-                    None => kind.first = Some(cell),
-                    Some(_) => kind.more.push(cell),
-                }
-            }
-            Poll::Pending => {
-                self.st.tasks.borrow_mut()[tid].cell = Some(cell);
-            }
+        let poll = {
+            let polling = self.st.polling.borrow();
+            let (_, waker) = polling
+                .as_ref()
+                .expect("a live task's slot holds its waker");
+            cell.as_mut().poll(&mut Context::from_waker(waker))
+        };
+        let mut tasks = self.st.tasks.borrow_mut();
+        let slot = &mut tasks[tid];
+        // The waker goes back before the slot can be freed and reused.
+        slot.waker = self.st.polling.take().map(|(_, w)| w);
+        if poll.is_pending() {
+            slot.cell = Some(cell);
+            return;
+        }
+        drop(tasks);
+        self.st.free.borrow_mut().push(tid);
+        self.st.live.set(self.st.live.get() - 1);
+        // The future goes now, as when its box was freed here (its `Drop` may
+        // spawn or wake); only storage is parked.
+        cell.as_mut().clear();
+        let mut kinds = self.st.kinds.borrow_mut();
+        let kind = &mut kinds[kind];
+        match kind.first {
+            None => kind.first = Some(cell),
+            Some(_) => kind.more.push(cell),
         }
     }
 }
@@ -638,14 +600,19 @@ fn enqueue(st: &Rc<SimState>, cell: BoxCell, kind: usize) -> TaskId {
                 tasks.push(TaskSlot {
                     cell: Some(cell),
                     kind,
-                    waker: local_waker(Rc::new(TaskWaker::new(id, &st.ready))),
+                    waker: Some(Waker::from(Arc::new(TaskWaker {
+                        id,
+                        sim: st.id,
+                        #[cfg(debug_assertions)]
+                        home: this_thread(),
+                    }))),
                 });
                 id
             }
         }
     };
     st.live.set(st.live.get() + 1);
-    st.ready.q.borrow_mut().push_back(tid);
+    st.ready.borrow_mut().push_back(tid);
     tid
 }
 
@@ -674,12 +641,7 @@ impl SimHandle {
 
     /// Resolve after `dur` nanoseconds of virtual time.
     pub fn sleep(&self, dur: SimTime) -> Sleep {
-        let st = self.state();
-        Sleep {
-            at: st.now.get().saturating_add(dur),
-            st: self.st.clone(),
-            registered: false,
-        }
+        self.sleep_until(self.now().saturating_add(dur))
     }
 
     /// Resolve once the virtual clock reaches the absolute instant `at`
@@ -797,9 +759,11 @@ impl Future for Sleep {
         }
         if !self.registered {
             let seq = st.next_seq();
-            st.timers
-                .borrow_mut()
-                .insert(self.at, seq, cx.waker().clone());
+            let alarm = match &*st.polling.borrow() {
+                Some((tid, waker)) if waker.will_wake(cx.waker()) => Alarm::Task(*tid),
+                _ => Alarm::Waker(cx.waker().clone()),
+            };
+            st.timers.borrow_mut().insert(self.at, seq, alarm);
             self.registered = true;
         }
         Poll::Pending
@@ -1238,7 +1202,10 @@ mod tests {
         // The two finished tasks' cells: one refilled, one still parked.
         h.spawn_detached(holding("late, live", us(70)));
         assert_eq!((sim.live_tasks(), parked(&sim)), (3, 1));
+        let id = sim.st.id;
         drop(sim);
+        // Its ready queue left the wakers' table with it.
+        assert!(QUEUES.with(|q| q.borrow().iter().all(|(sim, _)| *sim != id)));
         let mut dropped = log.borrow().clone();
         dropped.sort_unstable();
         assert_eq!(
@@ -1447,46 +1414,44 @@ mod tests {
         }
     }
 
-    /// A task waker taken out of a run: the one its task registered.
-    #[cfg(debug_assertions)]
-    fn task_waker(sim: &Sim) -> Waker {
-        let slot: Rc<RefCell<Option<Waker>>> = Rc::default();
-        let s = Rc::clone(&slot);
-        sim.handle().spawn_detached(std::future::poll_fn(move |cx| {
-            *s.borrow_mut() = Some(cx.waker().clone());
-            Poll::<()>::Pending
-        }));
-        sim.run();
-        let waker = slot.borrow_mut().take();
-        waker.expect("the task registered its waker")
+    /// Every program whose spawns nest at most `levels` deep, with at most
+    /// three ops per task and `budget` ops in all, each with its op count.
+    /// The timings let a task finish, and its id and cell be taken, between
+    /// a stale timer's registration and its firing.
+    fn every_program(levels: u32, budget: usize) -> Vec<(usize, Vec<Op>)> {
+        let leaves = [Op::Sleep(1), Op::Sleep(2), Op::Yield, Op::Race(1, 2)];
+        let mut ops: Vec<(usize, Op)> = leaves.map(|op| (1, op)).into();
+        if levels > 0 && budget > 0 {
+            for (size, child) in every_program(levels - 1, budget - 1) {
+                ops.extend((0..3).map(|kind| (size + 1, Op::Spawn(kind, child.clone()))));
+            }
+        }
+        // Each pass appends every one-op extension of the previous pass's.
+        let (mut all, mut from) = (vec![(0, Vec::new())], 0);
+        for _ in 0..3 {
+            let to = all.len();
+            for i in from..to {
+                let (size, prog) = all[i].clone();
+                for (op_size, op) in ops.iter().filter(|(s, _)| size + s <= budget) {
+                    let longer = [&prog[..], std::slice::from_ref(op)].concat();
+                    all.push((size + op_size, longer));
+                }
+            }
+            from = to;
+        }
+        all
     }
 
-    #[cfg(debug_assertions)]
+    /// The model test's comparison over every small program instead of
+    /// random ones: two spawn levels, three ops per task, three kinds and
+    /// four leaf ops, five ops in all.
     #[test]
-    fn a_task_waker_panics_when_used_off_its_sims_thread() {
-        type Misuse = fn(ManuallyDrop<Waker>);
-        let misuses: [(&str, Misuse); 4] = [
-            ("wake", |w| ManuallyDrop::into_inner(w).wake()),
-            ("wake_by_ref", |w| w.wake_by_ref()),
-            ("clone", |w| std::mem::forget((*w).clone())),
-            ("drop", |w| drop(ManuallyDrop::into_inner(w))),
-        ];
-        let sim = Sim::new();
-        for (what, misuse) in misuses {
-            // The waker that crosses is forgotten if the panic unwinds past
-            // it, so its count is leaked there, never released off-thread.
-            let crossing = ManuallyDrop::new(task_waker(&sim));
-            let panic = std::thread::spawn(move || misuse(crossing))
-                .join()
-                .expect_err(what);
-            let msg = panic.downcast_ref::<&str>().copied().unwrap_or_default();
-            assert_eq!(msg, "task waker used off its Sim's thread", "{what}");
+    fn cell_reuse_schedules_like_boxing_every_spawn_for_every_small_program() {
+        let programs = every_program(2, 5);
+        assert_eq!(programs.len(), 84_307);
+        for (_, prog) in &programs {
+            assert_eq!(run_model(prog, false), run_model(prog, true), "{prog:?}");
         }
-        // On its own thread a waker still works: the task is polled again.
-        let polls = sim.polls();
-        task_waker(&sim).wake();
-        sim.run();
-        assert_eq!(sim.polls(), polls + 2);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! deterministic lockstep.
 //!
 //! The executor in [`crate::executor`] is single-threaded by construction
-//! (Rc-based wakers, `Cell` state). This module scales it out without
+//! (`!Send` tasks, `Rc` and `Cell` state). This module scales it out without
 //! touching its hot path: the model's entities are partitioned across N
 //! *shards*, each shard owns a private `Sim` (tasks, timers, wakers all
 //! stay thread-local), and shards exchange **time-stamped events** through

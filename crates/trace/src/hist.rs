@@ -1,7 +1,6 @@
 //! Latency accounting shared by the experiment engines and the metrics
-//! registry. Moved here from `dc-core` so every layer (fabric upward) can
-//! register histograms without a dependency cycle; `dc-core` re-exports the
-//! types for compatibility.
+//! registry. It lives here, not in `dc-core`, so every layer (fabric upward)
+//! can register histograms without a dependency cycle.
 
 use std::cell::RefCell;
 
