@@ -779,7 +779,7 @@ mod tests {
     fn remote_control_calls_consume_no_ports() {
         let (sim, c, ddss) = setup(2);
         let client = ddss.client(NodeId(0));
-        let before = c.alloc_port();
+        let before = c.alloc_port_for(NodeId(0), "test.before");
         sim.run_to(async move {
             for _ in 0..33_000 {
                 let key = client
@@ -789,7 +789,7 @@ mod tests {
                 assert!(client.free(key).await);
             }
         });
-        assert_eq!(c.alloc_port() - before, 1);
+        assert_eq!(c.alloc_port_for(NodeId(0), "test.after") - before, 1);
     }
 
     #[test]

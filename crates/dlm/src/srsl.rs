@@ -286,6 +286,30 @@ mod tests {
         assert_eq!(violations.get(), 0);
     }
 
+    /// Exclusive requests queue at the server in arrival order, and each
+    /// release hands the lock to the oldest waiter.
+    #[test]
+    fn exclusive_waiters_are_granted_in_arrival_order() {
+        let (sim, _c, dlm) = setup(6);
+        let order: Rc<RefCell<Vec<u32>>> = Rc::default();
+        let h = sim.handle();
+        for n in 1..6u32 {
+            let client = dlm.client(NodeId(n));
+            let order = Rc::clone(&order);
+            let hh = h.clone();
+            sim.spawn(async move {
+                // Arrivals far apart next to a request's flight.
+                hh.sleep(us(100 * n as u64)).await;
+                client.lock(0, LockMode::Exclusive).await;
+                order.borrow_mut().push(n);
+                hh.sleep(ms(2)).await;
+                client.unlock(0).await;
+            });
+        }
+        sim.run();
+        assert_eq!(*order.borrow(), vec![1, 2, 3, 4, 5]);
+    }
+
     #[test]
     fn shared_holders_admitted_together() {
         let (sim, _c, dlm) = setup(5);

@@ -870,26 +870,16 @@ impl Cluster {
         Ok(old)
     }
 
-    /// Allocate a cluster-unique port number (usable on any node). Ports
-    /// below 1024 are reserved for well-known services. Prefer
-    /// [`Cluster::alloc_port_for`], which makes exhaustion diagnosable.
+    /// [`Cluster::alloc_port_for`] with no owner to name. Only
+    /// `benchmark/`'s probes still call it; everything else names its owner.
     pub fn alloc_port(&self) -> u16 {
-        let p = self.inner.next_port.get();
-        assert!(
-            p < u16::MAX,
-            "port space exhausted ({} dynamic ports allocated; last labeled \
-             owner: {}) — some subsystem allocates per-call ports without \
-             reusing a multiplexed client",
-            p - 1024,
-            self.inner.last_port_owner.borrow(),
-        );
-        self.inner.next_port.set(p + 1);
-        p
+        self.alloc_port_for(NodeId(0), "an unlabeled caller")
     }
 
-    /// Allocate a cluster-unique port, recording the owning node and
-    /// subsystem label so a port-space exhaustion panic names the culprit
-    /// instead of failing with a bare assertion.
+    /// Allocate a cluster-unique port number (usable on any node; ports
+    /// below 1024 are reserved for well-known services), recording the
+    /// owning node and subsystem label so a port-space exhaustion panic
+    /// names the culprit instead of failing with a bare assertion.
     pub fn alloc_port_for(&self, node: NodeId, label: &str) -> u16 {
         let p = self.inner.next_port.get();
         assert!(
@@ -1247,7 +1237,9 @@ mod tests {
 
         let (_sim, c) = setup(2);
         let node = NodeId(1);
-        let ports: Vec<u16> = (0..3).map(|_| c.alloc_port()).collect();
+        let ports: Vec<u16> = (0..3)
+            .map(|_| c.alloc_port_for(node, "test.port"))
+            .collect();
         let counters: Vec<std::sync::Arc<WakeCount>> = (0..3).map(|_| Default::default()).collect();
         let wakers: Vec<Waker> = counters.iter().map(|w| Waker::from(w.clone())).collect();
         let mut eps: Vec<Option<Endpoint>> = (0..3).map(|_| None).collect();
@@ -1322,12 +1314,26 @@ mod tests {
         }
     }
 
+    /// The dynamic port space ends at `u16::MAX - 1`: the allocation after
+    /// the last port panics, naming the owner of the one before it.
     #[test]
-    fn labeled_and_plain_port_allocation_share_one_space() {
+    fn port_space_exhaustion_names_the_previous_owner() {
         let (_sim, c) = setup(1);
-        let a = c.alloc_port();
-        let b = c.alloc_port_for(NodeId(0), "test.labeled");
-        assert_eq!(b, a + 1);
+        c.inner.next_port.set(u16::MAX - 1);
+        assert_eq!(c.alloc_port_for(NodeId(0), "test.last"), u16::MAX - 1);
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            c.alloc_port_for(NodeId(0), "test.one_too_many")
+        }))
+        .expect_err("a port past the end was handed out");
+        let msg = panic.downcast_ref::<String>().expect("a formatted panic");
+        assert!(
+            msg.starts_with("port space exhausted allocating 'test.one_too_many'"),
+            "{msg}"
+        );
+        assert!(
+            msg.contains("previous labeled owner: test.last for NodeId(0)"),
+            "{msg}"
+        );
     }
 
     #[test]
@@ -1802,6 +1808,33 @@ mod tests {
         // The read only completes once the node is back up.
         assert!(t >= ms(5), "completed at {t} inside the crash window");
         assert!(c.fault_stats().retries > 0);
+    }
+
+    /// The retry budget holds: on a fabric that drops every message, a
+    /// reliable send gives up after [`MAX_ATTEMPTS`] attempts, with a
+    /// backoff between each two and none after the last.
+    #[test]
+    fn reliable_send_gives_up_after_max_attempts() {
+        use crate::faults::{backoff_after, FaultPlan};
+        let (sim, c) = setup(2);
+        c.install_faults(FaultPlan::from_parts(3, vec![], vec![], vec![], 1.0));
+        let _ep = c.bind(NodeId(1), 7);
+        let cc = c.clone();
+        let h = sim.handle();
+        let sent = sim.spawn(async move {
+            let data = Bytes::from_static(b"lost");
+            let sent = cc
+                .send_reliable_imm(NodeId(0), NodeId(1), 7, &data, 0, 0, Transport::RdmaSend)
+                .await;
+            (sent, h.now())
+        });
+        let backoffs: u64 = (0..MAX_ATTEMPTS - 1).map(backoff_after).sum();
+        // Twice the schedule: a send still retrying then would never stop.
+        sim.run_until(2 * backoffs);
+        let (sent, at) = sent.try_take().expect("still retrying past the budget");
+        assert_eq!(sent, Err(crate::faults::FabricError::Dropped));
+        assert_eq!(c.fault_stats().retries, u64::from(MAX_ATTEMPTS - 1));
+        assert!(at >= backoffs && at < backoffs + ms(1), "gave up at {at}");
     }
 
     #[test]

@@ -834,6 +834,9 @@ mod tests {
         assert_eq!(cluster.qp_active(), qp_before);
     }
 
+    /// Lost requests and lost responses are both resent, and a resent
+    /// request whose response was lost is answered from the reply cache:
+    /// the handler runs once per call.
     #[test]
     fn drops_are_recovered_by_retransmit_and_reply_cache() {
         let (sim, cluster) = setup(2);
@@ -844,7 +847,13 @@ mod tests {
             vec![],
             0.25,
         ));
-        let srv = ErpcServer::spawn(&cluster, NodeId(1), 1, 4, 0, Rc::new(|_, req| req));
+        let runs: Rc<std::cell::Cell<u32>> = Rc::default();
+        let counted = Rc::clone(&runs);
+        let handler = Rc::new(move |_, req| {
+            counted.set(counted.get() + 1);
+            req
+        });
+        let srv = ErpcServer::spawn(&cluster, NodeId(1), 1, 4, 0, handler);
         let mux = ErpcMux::new(
             &cluster,
             NodeId(0),
@@ -865,6 +874,7 @@ mod tests {
             n
         });
         assert_eq!(n, 40);
+        assert_eq!(runs.get(), 40, "a resent request ran its handler again");
         assert!(sess.retx() > 0, "no retransmission was exercised");
         assert_eq!(cluster.stats().retransmits, sess.retx());
         assert_eq!(cluster.fault_stats().retries, sess.retx());

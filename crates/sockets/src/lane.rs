@@ -176,7 +176,7 @@ mod tests {
     fn lane_preserves_order_without_faults() {
         let sim = Sim::new();
         let cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), 2);
-        let port = cluster.alloc_port();
+        let port = cluster.alloc_port_for(NodeId(1), "test.lane");
         let mut rx = LaneReceiver::new(&cluster, dc_svc::bind_raw(&cluster, NodeId(1), port));
         let tx = LaneSender::new(&cluster, NodeId(0), NodeId(1), port, Transport::RdmaSend);
         for i in 0..20u8 {
@@ -199,7 +199,7 @@ mod tests {
         // Drops force retransmissions, which arrive after later sequence
         // numbers; the receiver must still deliver 0..n in order.
         cluster.install_faults(FaultPlan::from_parts(3, vec![], vec![], vec![], 0.35));
-        let port = cluster.alloc_port();
+        let port = cluster.alloc_port_for(NodeId(1), "test.lane");
         let mut rx = LaneReceiver::new(&cluster, dc_svc::bind_raw(&cluster, NodeId(1), port));
         let tx = LaneSender::new(&cluster, NodeId(0), NodeId(1), port, Transport::RdmaSend);
         for i in 0..50u8 {
@@ -229,7 +229,7 @@ mod tests {
         let sim = Sim::new();
         let cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), 2);
         cluster.install_faults(FaultPlan::from_parts(3, vec![], vec![], vec![], 0.35));
-        let port = cluster.alloc_port();
+        let port = cluster.alloc_port_for(NodeId(1), "test.lane");
         let mut rx = LaneReceiver::new(&cluster, dc_svc::bind_raw(&cluster, NodeId(1), port));
         let tx = LaneSender::new(&cluster, NodeId(0), NodeId(1), port, Transport::RdmaSend);
         // Chunks are windows of one buffer, so one that was dropped and
@@ -264,7 +264,7 @@ mod tests {
         if drop_prob > 0.0 {
             cluster.install_faults(FaultPlan::from_parts(3, vec![], vec![], vec![], drop_prob));
         }
-        let port = cluster.alloc_port();
+        let port = cluster.alloc_port_for(NodeId(1), "test.lane");
         let mut rx = LaneReceiver::new(&cluster, dc_svc::bind_raw(&cluster, NodeId(1), port));
         let tx = LaneSender::new(&cluster, NodeId(0), NodeId(1), port, Transport::RdmaSend);
         let msg: Bytes = (0..4096).map(|i| (i % 251) as u8).collect();

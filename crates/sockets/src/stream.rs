@@ -753,7 +753,7 @@ mod tests {
     fn only_windowed_kinds_take_feedback_ports() {
         let ports_taken = |kind: StreamKind| {
             let (_sim, cluster) = setup();
-            let before = cluster.alloc_port();
+            let before = cluster.alloc_port_for(NodeId(0), "test.before");
             let _ends = connect(
                 &cluster,
                 NodeId(0),
@@ -761,7 +761,7 @@ mod tests {
                 kind,
                 SocketsConfig::default(),
             );
-            cluster.alloc_port() - before - 1
+            cluster.alloc_port_for(NodeId(0), "test.after") - before - 1
         };
         assert_eq!(ports_taken(StreamKind::HostTcp), 2);
         assert_eq!(ports_taken(StreamKind::AzSdp), 2);

@@ -217,7 +217,7 @@ mod tests {
 
     /// Answers `echo:<payload>` after `delay_ns` of think time.
     fn echo_server(cluster: &Cluster, node: NodeId, delay_ns: u64) -> u16 {
-        let port = cluster.alloc_port();
+        let port = cluster.alloc_port_for(node, "test.server");
         let mut ep = cluster.bind(node, port);
         let cl = cluster.clone();
         cluster.sim().clone().spawn(async move {
@@ -237,7 +237,7 @@ mod tests {
 
     /// Answers every request with (a clone of) one buffer.
     fn fixed_response_server(cluster: &Cluster, node: NodeId, resp: Bytes, tr: Transport) -> u16 {
-        let port = cluster.alloc_port();
+        let port = cluster.alloc_port_for(node, "test.server");
         let mut ep = cluster.bind(node, port);
         let cl = cluster.clone();
         cluster.sim().clone().spawn(async move {
@@ -401,7 +401,7 @@ mod tests {
     #[test]
     fn request_buffer_reaches_the_handler_uncopied() {
         let (sim, cluster) = setup(2);
-        let port = cluster.alloc_port();
+        let port = cluster.alloc_port_for(NodeId(1), "test.server");
         let mut ep = cluster.bind(NodeId(1), port);
         let client = deadline_client(&cluster, ms(1));
         let req = Bytes::from(vec![7u8; 4096]);

@@ -659,7 +659,7 @@ fn svc_round_trip_allocates_nothing() {
         let counting = Counting::start();
         let sim = Sim::new();
         let cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), 2);
-        let port = cluster.alloc_port();
+        let port = cluster.alloc_port_for(NodeId(1), "alloc_steady.echo");
         let spec = ServiceSpec {
             name: "test.echo",
             subsys: Subsys::App,
