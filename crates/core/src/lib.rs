@@ -4,8 +4,8 @@
 //! on. They import `dc-sim`, `dc-fabric`, `dc-coopcache`, `dc-resmon`,
 //! `dc-workloads` and `dc-trace`; the manifest's `dc-sockets`, `dc-ddss`,
 //! `dc-dlm` and `dc-reconfig` edges are unused (no service scenario runs on
-//! a primitive yet — ROADMAP item 5) and stay only because dropping them
-//! would rewrite `benchmark/Cargo.lock`.
+//! a primitive yet) and stay only because dropping them would rewrite
+//! `benchmark/Cargo.lock`.
 //!
 //! * [`webfarm::run_webfarm`] — Figure 6: Zipf clients → proxy tier with a
 //!   cooperative caching scheme → backend.

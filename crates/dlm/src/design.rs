@@ -19,7 +19,7 @@
 //!   bounded exception: the lease design's guarantee is conditional on
 //!   critical sections finishing within [`DlmConfig::lease_ns`] — a lapsed
 //!   holder can be displaced. Scenarios comparing designs must keep hold
-//!   times under that bound (see DESIGN.md §10).
+//!   times under that bound (see DESIGN.md §13).
 //! * `mode` is honored by N-CoSED and SRSL; the other four designs have no
 //!   shared mode and treat every request as exclusive.
 

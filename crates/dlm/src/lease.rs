@@ -13,7 +13,7 @@
 //! **Contract caveat**: mutual exclusion holds only for critical sections
 //! shorter than [`DlmConfig::lease_ns`]. A holder that sleeps past its
 //! expiry can coexist with the thief — that is the design's documented
-//! trade, not a bug (see DESIGN.md §10, "The `LockClient` contract").
+//! trade, not a bug (see DESIGN.md §13, "The `LockClient` contract").
 //!
 //! Steals are reported to a home-agent service with a fire-and-forget
 //! [`DlmMsg::LeaseSteal`] notice so operators can see contention-driven

@@ -1,7 +1,7 @@
 //! The four names `benchmark/` still imports from here, re-exported from
-//! `dc-bench`, where the claims DSL and the report differ live. ROADMAP
-//! item 2 deletes this crate, with `benchmark/`'s dependency on it, once the
-//! benchmark imports them from `dc-bench` directly.
+//! `dc-bench`, where the claims DSL and the report differ live. The crate
+//! goes, with `benchmark/`'s dependency on it, once the benchmark imports
+//! them from `dc-bench` directly.
 
 pub use dc_bench::diff::{diff, LoadedReport, Tolerance};
 

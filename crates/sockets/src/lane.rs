@@ -73,9 +73,9 @@ impl LaneSender {
         // Same loop as Cluster::send_reliable_imm, written out on purpose:
         // one of these futures is alive per in-flight chunk, and nesting
         // the generic Cluster::retrying future under it nearly doubled it
-        // (368 B -> 656-680 B when measured, `incast_rpc` peak RSS +14 %;
-        // ROADMAP item 3). It also owns the lane's accounting:
-        // sockets.retransmits, lane.backoff.
+        // (368 B -> 656-680 B when measured, `incast_rpc` peak RSS +14 %),
+        // so it stays until that future is flattened. It also owns the
+        // lane's accounting: sockets.retransmits, lane.backoff.
         async move {
             for attempt in 0..MAX_ATTEMPTS {
                 match cluster

@@ -24,7 +24,7 @@
 //! Credit-based and packetized flow control are one windowed sender and one
 //! receive pump that differ only in the window each is built with — what a
 //! chunk costs, how large it may be, when units return ([`stream`]; the
-//! contract is DESIGN.md §11).
+//! contract is DESIGN.md §11.2).
 //!
 //! All four expose one message-oriented API: [`connect`] returns a pair of
 //! [`StreamEnd`]s with `send_bytes`/`send`/`recv`. (The paper's stacks are

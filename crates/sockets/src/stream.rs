@@ -14,7 +14,7 @@
 //! send window is a counted `dc_sim::sync::Semaphore`: AZ-SDP's holds
 //! in-flight slots, one per message; a windowed kind's holds units, which a
 //! chunk takes with `acquire_many` and the feedback pump refills with
-//! `release_many`. DESIGN.md §11 is the contract.
+//! `release_many`. DESIGN.md §11.2 is the contract.
 
 use bytes::Bytes;
 use dc_fabric::{Cluster, CpuModel, Endpoint, NodeId, Transport};

@@ -22,7 +22,7 @@
 //!   (coefficient of variation > 1) — the squared-CV is what drives tail
 //!   latency at equal utilisation.
 //!
-//! Contract (see DESIGN.md "Open-loop generators"): generators are seeded
+//! Contract (DESIGN.md §17): generators are seeded
 //! and byte-deterministic — the same `(seed, rate, kind)` yields the same
 //! arrival stream forever; `next_ns` never allocates and returns
 //! non-decreasing absolute virtual-time nanoseconds; all state lives in a
