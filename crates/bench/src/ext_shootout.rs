@@ -40,8 +40,6 @@ pub struct CellCfg {
     pub clients: usize,
     /// Zipf skew of the key stream (0 = uniform).
     pub alpha: f64,
-    /// Locks in the table.
-    pub locks: u32,
     /// Workload seed (per-client streams derive from it).
     pub seed: u64,
 }
@@ -51,23 +49,22 @@ pub const CELLS: [CellCfg; 3] = [
     CellCfg {
         clients: 4,
         alpha: 0.0,
-        locks: 16,
         seed: 0x51007,
     },
     CellCfg {
         clients: 8,
         alpha: 0.9,
-        locks: 16,
         seed: 0x51007,
     },
     CellCfg {
         clients: 16,
         alpha: 1.2,
-        locks: 16,
         seed: 0x51007,
     },
 ];
 
+/// Locks in the table, in every cell.
+pub const LOCKS: u32 = 16;
 /// Critical-section hold time. Far below the lease bound, so the lease
 /// design's conditional mutual exclusion holds throughout (DESIGN.md).
 pub const HOLD_NS: u64 = 5_000;
@@ -137,14 +134,8 @@ fn run_cell_inner(
     // Node 0 is home/server and a member (it runs agents where the design
     // needs them) but drives no workload.
     let members: Vec<NodeId> = (0..nodes as u32).map(NodeId).collect();
-    let clients = design.build(
-        &cluster,
-        DlmConfig::default(),
-        NodeId(0),
-        cell.locks,
-        &members,
-    );
-    let zipf = Rc::new(Zipf::new(cell.locks as usize, cell.alpha));
+    let clients = design.build(&cluster, DlmConfig::default(), NodeId(0), LOCKS, &members);
+    let zipf = Rc::new(Zipf::new(LOCKS as usize, cell.alpha));
     // Per client: (all grant waits, waits on the hottest lock — rank 0).
     type ClientWaits = (Vec<u64>, Vec<u64>);
     let waits: Rc<RefCell<Vec<ClientWaits>>> =
@@ -241,7 +232,7 @@ pub fn table(cell: CellCfg, stats: &[CellStats]) -> dc_core::Table {
     let mut t = dc_core::Table::new(
         &format!(
             "Shootout — {} clients, zipf(a={}), {} locks",
-            cell.clients, cell.alpha, cell.locks
+            cell.clients, cell.alpha, LOCKS
         ),
         &[
             "design",

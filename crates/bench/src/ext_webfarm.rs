@@ -19,7 +19,7 @@
 
 use dc_core::webfarm_scale::{run_webfarm_scale, ScaleFarmCfg, ScalePoint};
 use dc_core::{table::f, Table};
-use dc_workloads::{ArrivalKind, BurstyCfg};
+use dc_workloads::ArrivalKind;
 
 /// Offered-load multiples of the saturation estimate along the sweep.
 pub const LOADS: [f64; 5] = [0.3, 0.6, 0.9, 1.2, 1.5];
@@ -56,7 +56,7 @@ pub fn cells() -> Vec<SweepCell> {
         v.push(SweepCell {
             load_x,
             arrival: "bursty",
-            kind: ArrivalKind::Bursty(BurstyCfg::default()),
+            kind: ArrivalKind::Bursty,
             gateways_per_proxy: 3,
         });
     }
@@ -72,17 +72,10 @@ pub fn gate_cfg() -> ScaleFarmCfg {
         app_nodes: 60,
         clients: 60_000,
         num_docs: 65_536,
-        doc_size: 16 * 1024,
-        cache_docs_per_node: 256,
-        zipf_alpha: 0.9,
         arrival: ArrivalKind::Poisson,
         gateways_per_proxy: 0,
         offered_rps: 0.0, // set per sweep cell
-        proxy_workers: 4,
-        queue_cap: 8,
         backend_workers: 2,
-        backend_ns: 300_000,
-        handling_ns: 20_000,
         horizon_ns: 1_500_000_000,
         warmup_ns: 500_000_000,
         seed: 42,

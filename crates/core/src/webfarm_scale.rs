@@ -32,8 +32,8 @@
 //!   lookahead window is wide (tens of µs) and the result is **bit-
 //!   identical at every shard count** — `(ts, src_key, seq)` merge keys
 //!   use stable entity ids (proxy id, tier slot, station), never shard
-//!   indices. The shard count comes from [`ScaleFarmCfg::shards`] or
-//!   `DC_SIM_SHARDS` (see [`resolved_shards`]).
+//!   indices. The shard count comes from [`ScaleFarmCfg::shards`] (see
+//!   [`resolved_shards`]).
 //!
 //! Request lifecycle: arrival → admission (shed if the proxy is down or its
 //! bounded queue is full while all workers are busy) → parse CPU → cache
@@ -59,6 +59,24 @@ use dc_workloads::{ArrivalKind, ArrivalProcess, MergedArrivals, Zipf};
 
 use crate::webfarm::farm_fault_plan;
 
+/// Document size in bytes (drives wire + copy costs).
+const DOC_SIZE: usize = 16 * 1024;
+/// Direct-mapped cache slots per node (local tier per proxy, and per app
+/// node in the shared tier).
+const CACHE_DOCS_PER_NODE: usize = 256;
+/// Zipf exponent of document popularity.
+const ZIPF_ALPHA: f64 = 0.9;
+/// Worker tasks per proxy (in-flight requests a proxy can hold).
+const PROXY_WORKERS: usize = 4;
+/// Bounded admission queue per proxy; arrivals beyond
+/// `PROXY_WORKERS + QUEUE_CAP` in-station are shed.
+const QUEUE_CAP: usize = 8;
+/// Backend origin service CPU+IO per miss, ns (before SAN transfer).
+const BACKEND_NS: u64 = 300_000;
+/// Proxy parse/connection-handling CPU per request, ns.
+const HANDLING_NS: u64 = 20_000;
+const _: () = assert!(PROXY_WORKERS > 0 && DOC_SIZE > 0);
+
 /// Configuration for one at-scale run (one offered-load point).
 #[derive(Debug, Clone)]
 pub struct ScaleFarmCfg {
@@ -73,13 +91,6 @@ pub struct ScaleFarmCfg {
     pub clients: usize,
     /// Document corpus size.
     pub num_docs: usize,
-    /// Document size in bytes (drives wire + copy costs).
-    pub doc_size: usize,
-    /// Direct-mapped cache slots per node (local tier per proxy, and per
-    /// app node in the shared tier).
-    pub cache_docs_per_node: usize,
-    /// Zipf exponent of document popularity.
-    pub zipf_alpha: f64,
     /// Interarrival process each client runs.
     pub arrival: ArrivalKind,
     /// Open-loop streams per proxy: 0 (the default) gives every client its
@@ -92,17 +103,8 @@ pub struct ScaleFarmCfg {
     pub gateways_per_proxy: usize,
     /// Aggregate offered load across the whole population, requests/s.
     pub offered_rps: f64,
-    /// Worker tasks per proxy (in-flight requests a proxy can hold).
-    pub proxy_workers: usize,
-    /// Bounded admission queue per proxy; arrivals beyond
-    /// `proxy_workers + queue_cap` in-station are shed.
-    pub queue_cap: usize,
     /// Concurrent request slots at the shared backend/origin station.
     pub backend_workers: usize,
-    /// Backend origin service CPU+IO per miss, ns (before SAN transfer).
-    pub backend_ns: u64,
-    /// Proxy parse/connection-handling CPU per request, ns.
-    pub handling_ns: u64,
     /// Virtual run length, ns.
     pub horizon_ns: u64,
     /// Measurement starts here; earlier requests warm caches and queues.
@@ -113,10 +115,9 @@ pub struct ScaleFarmCfg {
     /// station (NodeId 0) is always immune so the farm degrades instead of
     /// halting.
     pub faults: Option<(u64, FaultConfig)>,
-    /// Worker shards for the parallel driver. `None` defers to the
-    /// `DC_SIM_SHARDS` environment knob; see [`resolved_shards`]. Results
-    /// are bit-identical at every shard count, so this only trades
-    /// wall-clock for threads.
+    /// Worker shards for the parallel driver; `None` is one. Results are
+    /// bit-identical at every shard count, so this only trades wall-clock
+    /// for threads.
     pub shards: Option<usize>,
 }
 
@@ -127,17 +128,10 @@ impl Default for ScaleFarmCfg {
             app_nodes: 4,
             clients: 2_000,
             num_docs: 8_192,
-            doc_size: 16 * 1024,
-            cache_docs_per_node: 256,
-            zipf_alpha: 0.9,
             arrival: ArrivalKind::Poisson,
             gateways_per_proxy: 0,
             offered_rps: 2_000.0,
-            proxy_workers: 4,
-            queue_cap: 8,
             backend_workers: 2,
-            backend_ns: 300_000,
-            handling_ns: 20_000,
             horizon_ns: 2_000_000_000,
             warmup_ns: 500_000_000,
             seed: 42,
@@ -147,19 +141,11 @@ impl Default for ScaleFarmCfg {
     }
 }
 
-/// The shard count a run of `cfg` will use: `cfg.shards`, else
-/// `DC_SIM_SHARDS`, else 1 — clamped to `[1, proxies]` (a shard with no
-/// proxies would only spin the barrier).
+/// The shard count a run of `cfg` will use: `cfg.shards`, else 1 —
+/// clamped to `[1, proxies]` (a shard with no proxies would only spin the
+/// barrier).
 pub fn resolved_shards(cfg: &ScaleFarmCfg) -> usize {
-    let n = cfg
-        .shards
-        .or_else(|| {
-            std::env::var("DC_SIM_SHARDS")
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-        })
-        .unwrap_or(1);
-    n.clamp(1, cfg.proxies.max(1))
+    cfg.shards.unwrap_or(1).clamp(1, cfg.proxies.max(1))
 }
 
 impl ScaleFarmCfg {
@@ -171,20 +157,20 @@ impl ScaleFarmCfg {
     /// actually lands.
     pub fn saturation_rps(&self) -> f64 {
         let m = FabricModel::calibrated_2007();
-        let z = Zipf::new(self.num_docs, self.zipf_alpha);
+        let z = Zipf::new(self.num_docs, ZIPF_ALPHA);
         // Direct-mapped tiers hold at most `slots` docs but conflict-evict
         // within the head; 0.75 discounts the analytic residency mass.
-        let local_slots = self.cache_docs_per_node.min(self.num_docs);
-        let tier_slots = (self.app_nodes * self.cache_docs_per_node).min(self.num_docs);
+        let local_slots = CACHE_DOCS_PER_NODE.min(self.num_docs);
+        let tier_slots = (self.app_nodes * CACHE_DOCS_PER_NODE).min(self.num_docs);
         let h_local = 0.75 * z.cdf(local_slots - 1);
         let h_tier = 0.75 * z.cdf(tier_slots - 1);
         let h_peer = (h_tier - h_local).max(0.0);
         let miss = (1.0 - h_local - h_peer).max(0.01);
-        let c = ScaleCosts::new(&m, self);
+        let c = ScaleCosts::new(&m);
         let t_busy_ns = (c.parse + c.send_cpu + c.resp_wire) as f64
             + h_peer * c.peer_fetch as f64
             + miss * (c.dir_read + c.backend) as f64;
-        let proxy_cap = (self.proxies * self.proxy_workers) as f64 / (t_busy_ns / 1e9);
+        let proxy_cap = (self.proxies * PROXY_WORKERS) as f64 / (t_busy_ns / 1e9);
         let backend_cap = self.backend_workers as f64 / (miss * c.backend as f64 / 1e9);
         proxy_cap.min(backend_cap)
     }
@@ -212,15 +198,15 @@ struct ScaleCosts {
 }
 
 impl ScaleCosts {
-    fn new(m: &FabricModel, cfg: &ScaleFarmCfg) -> ScaleCosts {
+    fn new(m: &FabricModel) -> ScaleCosts {
         ScaleCosts {
-            parse: cfg.handling_ns,
+            parse: HANDLING_NS,
             dir_read: m.rdma_read_base_ns,
-            peer_bytes: m.ib_bytes_time(cfg.doc_size),
-            peer_fetch: m.rdma_read_base_ns + m.ib_bytes_time(cfg.doc_size),
-            backend: cfg.backend_ns + m.ib_bytes_time(cfg.doc_size) + m.rdma_send_base_ns,
-            send_cpu: m.tcp_send_cpu(cfg.doc_size),
-            resp_wire: m.tcp_bytes_time(cfg.doc_size),
+            peer_bytes: m.ib_bytes_time(DOC_SIZE),
+            peer_fetch: m.rdma_read_base_ns + m.ib_bytes_time(DOC_SIZE),
+            backend: BACKEND_NS + m.ib_bytes_time(DOC_SIZE) + m.rdma_send_base_ns,
+            send_cpu: m.tcp_send_cpu(DOC_SIZE),
+            resp_wire: m.tcp_bytes_time(DOC_SIZE),
             retry: 2 * m.rdma_read_base_ns,
         }
     }
@@ -347,19 +333,19 @@ struct ShardFarm {
 
 impl ShardFarm {
     fn new(cfg: &ScaleFarmCfg) -> ShardFarm {
-        let k = cfg.cache_docs_per_node;
+        let k = CACHE_DOCS_PER_NODE;
         ShardFarm {
             queues: (0..cfg.proxies)
-                .map(|_| RefCell::new(VecDeque::with_capacity(cfg.queue_cap + 1)))
+                .map(|_| RefCell::new(VecDeque::with_capacity(QUEUE_CAP + 1)))
                 .collect(),
             wakeups: (0..cfg.proxies).map(|_| Semaphore::new(0)).collect(),
             busy: (0..cfg.proxies).map(|_| Cell::new(0)).collect(),
             local_cache: RefCell::new(vec![EMPTY; cfg.proxies * k]),
             tier_cache: RefCell::new(vec![EMPTY; cfg.app_nodes * k]),
-            reply_slot: (0..cfg.proxies * cfg.proxy_workers)
+            reply_slot: (0..cfg.proxies * PROXY_WORKERS)
                 .map(|_| Cell::new(None))
                 .collect(),
-            reply_wake: (0..cfg.proxies * cfg.proxy_workers)
+            reply_wake: (0..cfg.proxies * PROXY_WORKERS)
                 .map(|_| Semaphore::new(0))
                 .collect(),
             probe_draws: (0..cfg.proxies).map(|_| Cell::new(0)).collect(),
@@ -489,15 +475,14 @@ pub fn run_webfarm_scale_stats(cfg: &ScaleFarmCfg) -> (ScalePoint, ShardStats) {
         cfg.warmup_ns < cfg.horizon_ns,
         "warmup must precede horizon"
     );
-    assert!(cfg.proxy_workers > 0 && cfg.backend_workers > 0);
-    assert!(cfg.doc_size > 0, "zero-byte documents have no wire cost");
+    assert!(cfg.backend_workers > 0);
 
     let shards = resolved_shards(cfg);
     let model = FabricModel::calibrated_2007();
-    let costs = ScaleCosts::new(&model, cfg);
-    let zipf = Zipf::new(cfg.num_docs, cfg.zipf_alpha);
+    let costs = ScaleCosts::new(&model);
+    let zipf = Zipf::new(cfg.num_docs, ZIPF_ALPHA);
     let total_nodes = 1 + cfg.proxies + cfg.app_nodes;
-    let k = cfg.cache_docs_per_node;
+    let k = CACHE_DOCS_PER_NODE;
     let tier_len = cfg.app_nodes * k;
     let proxies = cfg.proxies;
 
@@ -675,7 +660,7 @@ fn build_farm_shard(ctx: BuildCtx<'_>) -> ShardRun<NetMsg, ShardTally> {
         per_stream_rps,
     } = ctx;
     let proxies = cfg.proxies;
-    let workers = cfg.proxy_workers;
+    let workers = PROXY_WORKERS;
 
     // Each shard derives its own (identical) fault plan; all reads used
     // here are pure functions of (seed, node, time) or of explicit
@@ -892,7 +877,7 @@ fn build_farm_shard(ctx: BuildCtx<'_>) -> ShardRun<NetMsg, ShardTally> {
                 let s = derive_seed(cfg.seed, start_gid + i as u64);
                 match cfg.arrival {
                     ArrivalKind::Poisson => ArrivalProcess::poisson(s, per_stream_rps),
-                    ArrivalKind::Bursty(b) => ArrivalProcess::bursty(s, per_stream_rps, b),
+                    ArrivalKind::Bursty => ArrivalProcess::bursty(s, per_stream_rps),
                 }
             })
             .collect();
@@ -903,7 +888,7 @@ fn build_farm_shard(ctx: BuildCtx<'_>) -> ShardRun<NetMsg, ShardTally> {
         let zipf = zipf.clone();
         let plan = plan.clone();
         let (warmup, horizon) = (cfg.warmup_ns, cfg.horizon_ns);
-        let (max_busy, qcap) = (cfg.proxy_workers as u32, cfg.queue_cap);
+        let (max_busy, qcap) = (PROXY_WORKERS as u32, QUEUE_CAP);
         sim.handle().spawn_detached(async move {
             loop {
                 let (t, _client) = arrivals.next();
@@ -1141,21 +1126,14 @@ mod tests {
     }
 
     #[test]
-    fn shard_resolution_prefers_cfg_then_env_then_one() {
+    fn shard_resolution_prefers_cfg_then_one() {
         let cfg = tiny(1_000.0);
         let explicit = ScaleFarmCfg {
             shards: Some(3),
             ..cfg.clone()
         };
-        assert_eq!(resolved_shards(&explicit), 3, "cfg wins over the env");
-        // No cfg value: DC_SIM_SHARDS (CI's sharded leg sets it), else 1.
-        let env = std::env::var("DC_SIM_SHARDS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok());
-        assert_eq!(
-            resolved_shards(&cfg),
-            env.unwrap_or(1).clamp(1, cfg.proxies)
-        );
+        assert_eq!(resolved_shards(&explicit), 3);
+        assert_eq!(resolved_shards(&cfg), 1, "no cfg value means one shard");
         // Clamped to the proxy count.
         let few = ScaleFarmCfg {
             shards: Some(64),

@@ -116,6 +116,7 @@ impl DqnlDlm {
             }
         };
         if let Some(z) = next {
+            agent.handed_off(lock);
             let Inner { mgr, members, .. } = &*self.inner;
             members.open_grant(agent.node, z, lock);
             let grant = DlmMsg::Grant {
@@ -150,6 +151,17 @@ impl DqnlClient {
         } = &*self.dlm.inner;
         let (agent, from) = (&*self.agent, self.agent.node);
         let acq = mgr.begin_acquire();
+        // A release that found its successor's request in flight still owes
+        // it the lock; enqueueing first would name this node twice in the
+        // tail word, and its grant would go to whoever queues behind.
+        if agent
+            .state
+            .borrow()
+            .get(&lock)
+            .is_some_and(|ll| ll.released)
+        {
+            agent.await_handoff(lock).await;
+        }
         let word = lock as usize;
         let me = (from.0 + 1) as u64;
         let mut expect = 0u64;

@@ -71,6 +71,10 @@ pub(crate) struct Member<S> {
     /// Outstanding requests of processes on this node, by lock; the grant
     /// listener serves them.
     parked: Rendezvous<LockId, ()>,
+    /// This node's next request for a lock whose hand-off its agent still
+    /// owes (a queue design's release that found its successor's request
+    /// in flight), by lock; the agent wakes it once the lock is passed on.
+    owed: Rendezvous<LockId, ()>,
     pub(crate) state: S,
 }
 
@@ -85,6 +89,18 @@ impl<S> Member<S> {
     /// Whether a request for `lock` is parked on this node.
     pub(crate) fn is_parked(&self, lock: LockId) -> bool {
         self.parked.contains(lock)
+    }
+
+    /// Wait until this node's agent has handed `lock` on. A queue design's
+    /// request waits here before it enqueues again, so no tail word names
+    /// the node twice.
+    pub(crate) fn await_handoff(&self, lock: LockId) -> impl Future<Output = ()> + '_ {
+        self.owed.wait(lock)
+    }
+
+    /// The agent has handed `lock` on: wake the request waiting for that.
+    pub(crate) fn handed_off(&self, lock: LockId) {
+        self.owed.fulfil(lock, ());
     }
 }
 
@@ -119,6 +135,7 @@ impl<S: 'static> Members<S> {
             node,
             port,
             parked: Rendezvous::new(),
+            owed: Rendezvous::new(),
             state,
         });
         let prev = self.map.borrow_mut().insert(node, Rc::clone(&member));

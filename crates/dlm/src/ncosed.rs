@@ -273,6 +273,7 @@ impl NcosedDlm {
                     ll.grants_given = 0;
                     ll.pending_excl = None;
                     debug_assert!(ll.pending_shared.is_empty());
+                    agent.handed_off(lock);
                 }
             }
             outgoing
@@ -401,6 +402,20 @@ impl NcosedClient {
                     let old = table.cas(node, word, expect, swap).await;
                     if old == expect {
                         break LockWord::decode(old);
+                    }
+                    // As in DQNL: a release whose exclusive successor's
+                    // request is still in flight hands the lock on before
+                    // this node queues again. (Still the tail, it is the
+                    // anchor of its own shared group and queues on itself.)
+                    let owes = || {
+                        agent
+                            .state
+                            .borrow()
+                            .get(&lock)
+                            .is_some_and(|ll| ll.released)
+                    };
+                    if LockWord::decode(old).tail != Some(node) && owes() {
+                        agent.await_handoff(lock).await;
                     }
                     expect = old;
                 };

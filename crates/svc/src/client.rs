@@ -254,6 +254,36 @@ mod tests {
         SvcClient::with_policy(cluster, NodeId(0), CallPolicy::one_shot(timeout_ns))
     }
 
+    /// Started at the edge of the 48-bit header field, the last id that fits
+    /// round-trips, and the next call panics before it could spill into the
+    /// reply-port bits.
+    #[test]
+    fn the_last_id_that_fits_the_header_is_the_last_one_issued() {
+        let (sim, cluster) = setup(2);
+        let port = echo_server(&cluster, NodeId(1), 0);
+        let client = SvcClient::new(&cluster, NodeId(0));
+        client.shared.next_id.set((1 << 48) - 1);
+        let c = client.clone();
+        let resp = sim.run_to(async move {
+            c.try_call(NodeId(1), port, b"edge", Transport::RdmaSend)
+                .await
+        });
+        assert_eq!(resp.as_deref(), Some(&b"echo:edge"[..]));
+        let next = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            sim.run_to(async move {
+                client
+                    .try_call(NodeId(1), port, b"over", Transport::RdmaSend)
+                    .await
+            })
+        }));
+        let err = next.expect_err("id 2^48 was issued");
+        let msg = err.downcast_ref::<String>().map_or("", String::as_str);
+        assert!(
+            msg.contains("does not fit the 48-bit header field"),
+            "{msg}"
+        );
+    }
+
     #[test]
     fn call_round_trips_on_both_transports() {
         for transport in [Transport::RdmaSend, Transport::Tcp] {

@@ -16,7 +16,7 @@
 //! * [`ArrivalProcess::bursty`] — a two-state Markov-modulated Poisson
 //!   process (MMPP-2): the client alternates between a *calm* and a
 //!   *burst* phase with exponentially distributed dwell times, emitting at
-//!   a low rate in calm phases and `burst_intensity`× that in bursts. The
+//!   a low rate in calm phases and `BURST_INTENSITY`× that in bursts. The
 //!   phase rates are normalised so the long-run mean rate equals the
 //!   requested one, but interarrival variance exceeds Poisson's
 //!   (coefficient of variation > 1) — the squared-CV is what drives tail
@@ -63,36 +63,24 @@ impl SplitMix {
     }
 }
 
-/// Shape of the bursty (MMPP-2) process. All knobs are normalised so the
-/// long-run mean rate still equals the rate handed to
-/// [`ArrivalProcess::bursty`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BurstyCfg {
-    /// Burst-phase rate as a multiple of the calm-phase rate (> 1).
-    pub burst_intensity: f64,
-    /// Mean dwell time in the calm phase, ns.
-    pub calm_mean_ns: u64,
-    /// Mean dwell time in the burst phase, ns.
-    pub burst_mean_ns: u64,
-}
-
-impl Default for BurstyCfg {
-    fn default() -> Self {
-        BurstyCfg {
-            burst_intensity: 9.0,
-            calm_mean_ns: 160_000_000,
-            burst_mean_ns: 40_000_000,
-        }
-    }
-}
+/// Burst-phase rate of the bursty (MMPP-2) process as a multiple of its
+/// calm-phase rate (> 1); the long-run mean rate still equals the rate
+/// handed to [`ArrivalProcess::bursty`].
+const BURST_INTENSITY: f64 = 9.0;
+/// Mean dwell time in the calm phase, ns.
+const CALM_MEAN_NS: u64 = 160_000_000;
+/// Mean dwell time in the burst phase, ns.
+const BURST_MEAN_NS: u64 = 40_000_000;
+const _: () = assert!(BURST_INTENSITY > 1.0 && CALM_MEAN_NS > 0 && BURST_MEAN_NS > 0);
 
 /// Which interarrival process a generator runs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArrivalKind {
     /// Exponential interarrivals at the configured rate.
     Poisson,
-    /// Two-state MMPP with the given burst shape.
-    Bursty(BurstyCfg),
+    /// Two-state MMPP: calm and burst phases, bursts `BURST_INTENSITY`×
+    /// hotter.
+    Bursty,
 }
 
 /// One client's seeded open-loop arrival stream.
@@ -137,23 +125,22 @@ impl ArrivalProcess {
 
     /// An MMPP-2 process with long-run mean rate `rate_rps`.
     ///
-    /// With calm/burst dwell means `Tc`/`Tb` and burst intensity `k`, the
+    /// With calm/burst dwell means `Tc`/`Tb` (`CALM_MEAN_NS`,
+    /// `BURST_MEAN_NS`) and burst intensity `k` (`BURST_INTENSITY`), the
     /// calm rate solves `(rc·Tc + k·rc·Tb) / (Tc + Tb) = rate`, so the
     /// time-averaged rate is exactly the requested one while bursts run
     /// `k`× hotter than calms.
-    pub fn bursty(seed: u64, rate_rps: f64, cfg: BurstyCfg) -> ArrivalProcess {
+    pub fn bursty(seed: u64, rate_rps: f64) -> ArrivalProcess {
         assert!(rate_rps > 0.0 && rate_rps.is_finite(), "invalid rate");
-        assert!(cfg.burst_intensity > 1.0, "burst must run hotter than calm");
-        assert!(cfg.calm_mean_ns > 0 && cfg.burst_mean_ns > 0);
         let rate_per_ns = rate_rps / 1e9;
-        let (tc, tb) = (cfg.calm_mean_ns as f64, cfg.burst_mean_ns as f64);
-        let calm_rate = rate_per_ns * (tc + tb) / (tc + cfg.burst_intensity * tb);
+        let (tc, tb) = (CALM_MEAN_NS as f64, BURST_MEAN_NS as f64);
+        let calm_rate = rate_per_ns * (tc + tb) / (tc + BURST_INTENSITY * tb);
         let mut p = ArrivalProcess {
             rng: SplitMix::new(seed),
             now_ns: 0.0,
             phase_rate: calm_rate,
             calm_rate,
-            burst_rate: calm_rate * cfg.burst_intensity,
+            burst_rate: calm_rate * BURST_INTENSITY,
             phase_end_ns: 0.0,
             dwell_ns: (tc, tb),
             in_burst: false,
@@ -301,10 +288,7 @@ mod tests {
 
     #[test]
     fn bursty_preserves_mean_rate_but_is_overdispersed() {
-        let gaps = interarrivals(
-            ArrivalProcess::bursty(11, 1000.0, BurstyCfg::default()),
-            60_000,
-        );
+        let gaps = interarrivals(ArrivalProcess::bursty(11, 1000.0), 60_000);
         let (mean, cv) = mean_cv(&gaps);
         assert!((mean - 1e6).abs() < 0.06 * 1e6, "mean {mean}");
         assert!(cv > 1.3, "bursty stream should be overdispersed, cv {cv}");
@@ -314,7 +298,7 @@ mod tests {
     fn streams_are_byte_identical_per_seed() {
         let mks: [fn(u64) -> ArrivalProcess; 2] = [
             |s| ArrivalProcess::poisson(s, 250.0),
-            |s| ArrivalProcess::bursty(s, 250.0, BurstyCfg::default()),
+            |s| ArrivalProcess::bursty(s, 250.0),
         ];
         for mk in mks {
             let (mut a, mut b) = (mk(42), mk(42));

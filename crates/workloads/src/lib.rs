@@ -24,7 +24,7 @@ pub mod rubis;
 pub mod storm;
 pub mod zipf;
 
-pub use arrival::{ArrivalKind, ArrivalProcess, BurstyCfg, MergedArrivals};
+pub use arrival::{ArrivalKind, ArrivalProcess, MergedArrivals};
 pub use burst::{BurstPhase, BurstSchedule};
 pub use fileset::FileSet;
 pub use rubis::{RubisMix, RubisOp};

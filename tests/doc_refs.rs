@@ -22,7 +22,7 @@
 //!
 //! DESIGN.md also gives every crate one contract section, and
 //! EXPERIMENTS.md's metric table lists every metric that non-test code
-//! registers. A rename re-aims the docs in the same change (DESIGN.md §6).
+//! registers, its span table every span, instant and flow name it records. A rename re-aims the docs in the same change (DESIGN.md §6).
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fs;
@@ -50,6 +50,16 @@ const STD_HEADS: [&str; 2] = ["std", "Waker"];
 const THIS_FILE: &str = "tests/doc_refs.rs";
 /// The one `dc-…` word that names a report schema, not a crate.
 const REPORT_SCHEMA: &str = "dc-bench-report";
+/// `Tracer` methods that name what they record, and which argument the
+/// name is.
+const TRACER_CALLS: [(&str, usize); 6] = [
+    (".complete(", 3),
+    (".complete_at(", 4),
+    (".instant(", 2),
+    (".instant_at(", 3),
+    (".flow_start(", 3),
+    (".flow_end(", 3),
+];
 /// The one crate exempt from having a contract: an 11-line re-export shim.
 const SHIM_CRATE: &str = "dc-regress";
 /// The file that builds dc-svc's per-service metric names.
@@ -81,6 +91,8 @@ struct Tree {
     namespaces: HashSet<String>,
     /// Metric names non-test code in `crates/*/src` registers.
     registered: BTreeSet<String>,
+    /// Literal span, instant and flow names non-test code passes the tracer.
+    traced: BTreeSet<String>,
     mutants: HashSet<String>,
     ci_steps: HashSet<String>,
     ci_jobs: HashSet<String>,
@@ -199,6 +211,27 @@ fn lex(text: &str) -> Lexed {
         literals,
         comments,
     }
+}
+
+/// The top-level arguments of a call whose `(` `rest` follows, trimmed.
+fn call_args(rest: &str) -> Vec<&str> {
+    let (mut args, mut depth, mut start) = (Vec::new(), 0, 0);
+    for (i, c) in rest.char_indices() {
+        match c {
+            '(' | '[' | '{' => depth += 1,
+            ')' | ']' | '}' if depth == 0 => {
+                args.push(rest[start..i].trim());
+                break;
+            }
+            ')' | ']' | '}' => depth -= 1,
+            ',' if depth == 0 => {
+                args.push(rest[start..i].trim());
+                start = i + 1;
+            }
+            _ => {}
+        }
+    }
+    args
 }
 
 fn idents_of(text: &str) -> impl Iterator<Item = &str> {
@@ -362,6 +395,7 @@ impl Tree {
             dotted: Vec::new(),
             namespaces: HashSet::new(),
             registered: BTreeSet::new(),
+            traced: BTreeSet::new(),
             mutants: HashSet::new(),
             ci_steps: HashSet::new(),
             ci_jobs: HashSet::new(),
@@ -414,6 +448,19 @@ impl Tree {
                         let arg = code_part[at + call.len()..].trim_start();
                         if let Some(lit) = arg.strip_prefix('"').and_then(|a| a.split('"').next()) {
                             t.registered.insert(lit.to_string());
+                        }
+                    }
+                }
+                // The `Tracer` method and the position of its name argument.
+                for (call, pos) in TRACER_CALLS {
+                    for (at, _) in code_part.match_indices(call) {
+                        let args = call_args(&code_part[at + call.len()..]);
+                        if let Some(lit) = args
+                            .get(pos)
+                            .and_then(|a| a.strip_prefix('"'))
+                            .and_then(|a| a.split('"').next())
+                        {
+                            t.traced.insert(lit.to_string());
                         }
                     }
                 }
@@ -873,6 +920,39 @@ fn every_registered_metric_is_in_the_catalogue() {
     assert!(
         missing.is_empty(),
         "registered but not in EXPERIMENTS.md's metric table: {missing:?}"
+    );
+}
+
+/// The span table in EXPERIMENTS.md "Tracing a run" lists every literal
+/// name non-test code passes the tracer; a new span, instant or flow gets
+/// its row in the same change.
+#[test]
+fn every_traced_name_is_in_the_catalogue() {
+    let doc = read("EXPERIMENTS.md");
+    let table: HashSet<String> = doc
+        .lines()
+        .skip_while(|l| !l.starts_with("| name | kind |"))
+        .take_while(|l| l.starts_with('|'))
+        .filter_map(|l| l.split('`').nth(1))
+        .flat_map(expand_braces)
+        .collect();
+    assert!(
+        !table.is_empty(),
+        "EXPERIMENTS.md has no `| name | kind |` table"
+    );
+    assert!(
+        tree().traced.len() >= 25,
+        "{} traced names found: the scan lost its calls",
+        tree().traced.len()
+    );
+    let missing: Vec<&String> = tree()
+        .traced
+        .iter()
+        .filter(|m| !table.contains(*m))
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "traced but not in EXPERIMENTS.md's span table: {missing:?}"
     );
 }
 

@@ -75,7 +75,7 @@ fn per_entity_futures_keep_their_committed_sizes() {
     let committed = [
         (DesignKind::Srsl, 704, 808),
         (DesignKind::Dqnl, 512, 576),
-        (DesignKind::Ncosed, 560, 664),
+        (DesignKind::Ncosed, 544, 664),
         (DesignKind::CasSpin, 512, 0),
         (DesignKind::Lease, 544, 488),
         (DesignKind::McsTicket, 448, 576),

@@ -5,7 +5,9 @@
 //! from `EXPERIMENTS.md` in `dc_bench::claims`. This is tier-1: a
 //! change that breaks a figure's *shape* — an ordering flip, a lost
 //! crossover, a vanished 80x factor — fails `cargo test` directly,
-//! before the numeric baseline gate even looks at it.
+//! before the numeric baseline gate even looks at it. Each scenario runs
+//! once per test binary: its claims test and the live-vs-baseline diff
+//! read the same report.
 //!
 //! Also here: the negative control (a deliberately perturbed fabric
 //! calibration must violate claims — proving the claims actually
@@ -13,16 +15,30 @@
 //! fault-seeded robustness claims (opt-in via `DC_CLAIMS_FAULTS=1`,
 //! exercised by CI).
 
+use std::sync::OnceLock;
+
 use dc_bench::claims::{claims_for, evaluate};
 use dc_bench::diff::{diff, DiffError, LoadedReport, Tolerance};
 use dc_bench::scenario;
+use dc_trace::BenchReport;
 
-/// Run one scenario and assert its transcribed claims hold.
+/// The report of registered scenario `name`, run once per test binary:
+/// its claims test and the baseline diff share it.
+fn report(name: &str) -> &'static BenchReport {
+    const N: usize = scenario::ALL.len();
+    static REPORTS: [OnceLock<BenchReport>; N] = [const { OnceLock::new() }; N];
+    let i = scenario::ALL
+        .iter()
+        .position(|s| s.name == name)
+        .expect("scenario registered");
+    REPORTS[i].get_or_init(|| (scenario::ALL[i].run)())
+}
+
+/// Assert the transcribed claims of scenario `name` hold on its report.
 fn assert_claims_hold(name: &str) {
-    let s = scenario::by_name(name).expect("scenario registered");
     let claims = claims_for(name);
     assert!(!claims.is_empty(), "no claims transcribed for {name}");
-    let report = (s.run)();
+    let report = report(name);
     let violations = evaluate(report.tables(), &claims);
     assert!(
         violations.is_empty(),
@@ -182,7 +198,7 @@ fn live_runs_match_committed_baselines() {
     for s in &scenario::ALL {
         let base =
             LoadedReport::from_path(&dir.join(format!("{}.json", s.name))).expect("baseline loads");
-        let live = LoadedReport::from_bench(&(s.run)());
+        let live = LoadedReport::from_bench(report(s.name));
         let d =
             diff(&base, &live, &Tolerance::pct(0.0)).unwrap_or_else(|e| panic!("{}: {e}", s.name));
         assert_eq!(

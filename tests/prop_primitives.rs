@@ -488,9 +488,9 @@ proptest! {
     /// overdispersed: interarrival CV strictly above the Poisson value.
     #[test]
     fn arrival_bursty_preserves_rate_but_is_overdispersed(seed in any::<u64>()) {
-        use nextgen_datacenter::workloads::{ArrivalProcess, BurstyCfg};
+        use nextgen_datacenter::workloads::ArrivalProcess;
         let rate = 1_000.0;
-        let mut b = ArrivalProcess::bursty(seed, rate, BurstyCfg::default());
+        let mut b = ArrivalProcess::bursty(seed, rate);
         // Gaps are phase-correlated, so the rate estimator converges like
         // sqrt(phase cycles), not sqrt(draws): 60k draws ≈ 300 cycles.
         let n = 60_000usize;
@@ -519,9 +519,9 @@ proptest! {
         seed in any::<u64>(),
         bursty in any::<bool>(),
     ) {
-        use nextgen_datacenter::workloads::{ArrivalProcess, BurstyCfg};
+        use nextgen_datacenter::workloads::ArrivalProcess;
         let mk = |s: u64| if bursty {
-            ArrivalProcess::bursty(s, 800.0, BurstyCfg::default())
+            ArrivalProcess::bursty(s, 800.0)
         } else {
             ArrivalProcess::poisson(s, 800.0)
         };

@@ -193,18 +193,25 @@ proptest! {
     /// unconditional here (DESIGN.md). Crash and stall windows are
     /// excluded by construction: one-sided atomics cannot ride out a
     /// crashed home.
+    ///
+    /// One outstanding request per (node, lock) is the client contract, so
+    /// a node's ops run in turn: its first arrives at `arrive_us`, and a
+    /// second one `arrive_us / 30` (under 100 µs) after the first unlock —
+    /// soon enough to find its own release still handing off.
     #[test]
     fn every_lock_design_is_safe_and_drains(
-        ops in prop::collection::vec(lock_op(7), 2..7),
+        ops in prop::collection::vec(lock_op(7), 2..9),
         faulted in any::<bool>(),
         fault_seed in any::<u64>(),
     ) {
-        // One outstanding request per (node, lock) — the client contract.
-        let mut seen = std::collections::HashSet::new();
-        let ops: Vec<LockOp> = ops
-            .into_iter()
-            .filter(|op| seen.insert(op.node))
-            .collect();
+        let mut per_node: Vec<Vec<LockOp>> = vec![Vec::new(); 7];
+        for op in ops {
+            let mine = &mut per_node[op.node as usize];
+            if mine.len() < 2 {
+                mine.push(op);
+            }
+        }
+        let requests: usize = per_node.iter().map(Vec::len).sum();
         for design in DesignKind::ALL {
             let sim = Sim::new();
             let cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), 7);
@@ -230,27 +237,33 @@ proptest! {
             let in_cs: Rc<Cell<i64>> = Rc::default();
             let violations: Rc<Cell<u32>> = Rc::default();
             let granted: Rc<Cell<usize>> = Rc::default();
-            for op in &ops {
-                let client = clients[op.node as usize].take().expect("one op per node");
+            for (node, mine) in per_node.iter().enumerate() {
+                if mine.is_empty() {
+                    continue;
+                }
+                let client = clients[node].take().expect("one task per node");
                 let in_cs = Rc::clone(&in_cs);
                 let violations = Rc::clone(&violations);
                 let granted = Rc::clone(&granted);
                 let h = sim.handle();
-                let op = *op;
+                let mine = mine.clone();
                 sim.spawn(async move {
-                    h.sleep(us(op.arrive_us)).await;
-                    // Exclusive only: CAS-Spin, Lease, and MCS-FAA treat
-                    // every request as exclusive, so a shared overlap
-                    // would read as a false violation.
-                    client.lock(0, LockMode::Exclusive).await;
-                    if in_cs.get() > 0 {
-                        violations.set(violations.get() + 1);
+                    for (k, op) in mine.into_iter().enumerate() {
+                        let wait = if k == 0 { op.arrive_us } else { op.arrive_us / 30 };
+                        h.sleep(us(wait)).await;
+                        // Exclusive only: CAS-Spin, Lease, and MCS-FAA treat
+                        // every request as exclusive, so a shared overlap
+                        // would read as a false violation.
+                        client.lock(0, LockMode::Exclusive).await;
+                        if in_cs.get() > 0 {
+                            violations.set(violations.get() + 1);
+                        }
+                        in_cs.set(in_cs.get() + 1);
+                        h.sleep(us(op.hold_us)).await;
+                        in_cs.set(in_cs.get() - 1);
+                        client.unlock(0).await;
+                        granted.set(granted.get() + 1);
                     }
-                    in_cs.set(in_cs.get() + 1);
-                    h.sleep(us(op.hold_us)).await;
-                    in_cs.set(in_cs.get() - 1);
-                    client.unlock(0).await;
-                    granted.set(granted.get() + 1);
                 });
             }
             let reached = sim.run_until(ms(400));
@@ -260,7 +273,7 @@ proptest! {
                 "{:?}: mutual exclusion violated (faulted={})", design, faulted
             );
             prop_assert_eq!(
-                granted.get(), ops.len(),
+                granted.get(), requests,
                 "{:?}: a request was never granted (faulted={})", design, faulted
             );
             prop_assert_eq!(in_cs.get(), 0, "{:?}", design);
@@ -355,4 +368,62 @@ proptest! {
             threads_per_node
         );
     }
+}
+
+/// A release that finds its successor's request still in flight keeps the
+/// grant it owes that successor. Node 1 holds lock 0. At 99 µs node 2
+/// starts a 4 MiB write, which holds its outbound link, and at 100 µs it
+/// queues behind node 1: its request reaches node 1 late. At 130 µs node 1
+/// releases and requests again, before that request arrives; at 200 µs
+/// node 3 queues last. Every design grants all four requests.
+#[test]
+fn a_release_with_its_successor_in_flight_loses_no_waiter() {
+    use nextgen_datacenter::fabric::RemoteAddr;
+    use std::cell::RefCell;
+    let mut lost = Vec::new();
+    for design in DesignKind::ALL {
+        let sim = Sim::new();
+        let cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), 4);
+        let members: Vec<NodeId> = (0..4).map(NodeId).collect();
+        let clients: Vec<Rc<_>> = design
+            .build(&cluster, DlmConfig::default(), NodeId(0), 4, &members)
+            .into_iter()
+            .map(Rc::new)
+            .collect();
+        let grants: Rc<RefCell<Vec<(u32, u64)>>> = Rc::default();
+        let h = sim.handle();
+        // (node, first request, release times): a release at 0 holds the
+        // lock 10 µs; node 1's second request follows its first unlock.
+        for (node, start_us, releases) in [(1, 0, &[130, 0][..]), (2, 100, &[0]), (3, 200, &[0])] {
+            let (client, grants, h) = (Rc::clone(&clients[node]), Rc::clone(&grants), h.clone());
+            sim.spawn(async move {
+                h.sleep(us(start_us)).await;
+                for &release_us in releases {
+                    client.lock(0, LockMode::Exclusive).await;
+                    grants.borrow_mut().push((node as u32, h.now()));
+                    let until = us(release_us).max(h.now() + us(10));
+                    h.sleep(until - h.now()).await;
+                    client.unlock(0).await;
+                }
+            });
+        }
+        let region = cluster.register(NodeId(0), 4 << 20);
+        let c = cluster.clone();
+        let hh = h.clone();
+        sim.spawn(async move {
+            hh.sleep(us(99)).await;
+            let addr = RemoteAddr {
+                node: NodeId(0),
+                region,
+                offset: 0,
+            };
+            c.rdma_write(NodeId(2), addr, &vec![7u8; 4 << 20]).await;
+        });
+        sim.run_until(ms(50));
+        let grants = grants.borrow();
+        if grants.len() != 4 {
+            lost.push(format!("{design:?} granted only (node, ns) {grants:?}"));
+        }
+    }
+    assert!(lost.is_empty(), "a waiter was lost:\n{}", lost.join("\n"));
 }
