@@ -128,13 +128,7 @@ fn fig5_setup_only(waiters: usize) {
     let nodes = 2 + waiters;
     let cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), nodes);
     let members: Vec<NodeId> = (0..nodes as u32).map(NodeId).collect();
-    let dlm = dc_dlm::DqnlDlm::new(
-        &cluster,
-        dc_dlm::DlmConfig::default(),
-        NodeId(0),
-        1,
-        &members,
-    );
+    let dlm = dc_dlm::DqnlDlm::new(&cluster, NodeId(0), 1, &members);
     let clients: Vec<_> = members.iter().map(|&n| dlm.client(n)).collect();
     std::hint::black_box(&clients);
 }

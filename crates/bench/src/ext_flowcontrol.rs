@@ -23,13 +23,7 @@ pub const COUNT: usize = 200;
 pub fn bandwidth_mbs(kind: StreamKind, size: usize) -> f64 {
     let sim = Sim::new();
     let cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), 2);
-    let (mut tx, mut rx) = connect(
-        &cluster,
-        NodeId(0),
-        NodeId(1),
-        kind,
-        SocketsConfig::default(),
-    );
+    let (mut tx, mut rx) = connect(&cluster, NodeId(0), NodeId(1), kind, SocketsConfig);
     let h = sim.handle();
     let recv_done = sim.spawn(async move {
         for _ in 0..COUNT {

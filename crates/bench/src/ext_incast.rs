@@ -185,7 +185,7 @@ pub fn run_cell(lane: IncastLane, fanin: usize, drop_rate: f64) -> IncastPoint {
             for i in 0..fanin {
                 let client = NodeId(1 + (i % CLIENT_NODES) as u32);
                 let (mut cli_end, mut srv_end) =
-                    connect(&cluster, client, server, kind, SocketsConfig::default());
+                    connect(&cluster, client, server, kind, SocketsConfig);
                 let cpu = cluster.cpu(server);
                 let resp = resp.clone();
                 h.spawn_detached(async move {

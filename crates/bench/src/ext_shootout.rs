@@ -134,7 +134,7 @@ fn run_cell_inner(
     // Node 0 is home/server and a member (it runs agents where the design
     // needs them) but drives no workload.
     let members: Vec<NodeId> = (0..nodes as u32).map(NodeId).collect();
-    let clients = design.build(&cluster, DlmConfig::default(), NodeId(0), LOCKS, &members);
+    let clients = design.build(&cluster, DlmConfig, NodeId(0), LOCKS, &members);
     let zipf = Rc::new(Zipf::new(LOCKS as usize, cell.alpha));
     // Per client: (all grant waits, waits on the hottest lock — rank 0).
     type ClientWaits = (Vec<u64>, Vec<u64>);

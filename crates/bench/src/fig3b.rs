@@ -45,7 +45,7 @@ pub fn query_time_ns(records: usize, transport: StormTransport) -> u64 {
                 client_node,
                 data_node,
                 StreamKind::HostTcp,
-                SocketsConfig::default(),
+                SocketsConfig,
             );
             let cl = cluster.clone();
             sim.handle().spawn_detached(async move {

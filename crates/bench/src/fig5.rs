@@ -61,7 +61,7 @@ fn cascade_inner(
         cluster.tracer().enable(tmode);
     }
     let members: Vec<NodeId> = (0..nodes as u32).map(NodeId).collect();
-    let mut clients = scheme.build(&cluster, DlmConfig::default(), NodeId(0), 1, &members);
+    let mut clients = scheme.build(&cluster, DlmConfig, NodeId(0), 1, &members);
     // Index clients by node id; remove from the back to keep indices valid.
     let mut waiter_clients = Vec::new();
     for _ in 0..waiters {

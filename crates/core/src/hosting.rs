@@ -11,7 +11,7 @@
 //! accurate, fresh, CPU-free views route around hotspots; stale or
 //! perturbed views herd requests and lose throughput.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
@@ -22,9 +22,9 @@ use dc_sim::sync::{Rendezvous, Semaphore};
 use dc_sim::{Sim, SimHandle, SimTime};
 use dc_workloads::{RubisMix, Zipf};
 
-use dc_trace::{tps, LatencyHist, TraceMode};
+use dc_trace::TraceMode;
 
-use crate::webfarm::{farm_fault_plan, TraceArtifacts};
+use crate::webfarm::{farm_fault_plan, TraceArtifacts, Window};
 
 /// Documents in the Zipf service.
 const ZIPF_DOCS: usize = 256;
@@ -192,13 +192,7 @@ fn run_hosting_inner(
     let zipf = Rc::new(Zipf::new(ZIPF_DOCS, cfg.zipf_alpha));
     let rubis = Rc::new(RubisMix::new());
 
-    let warmup = ((cfg.requests as f64 * WARMUP_FRACTION) as usize).min(cfg.requests);
-    let issued: Rc<Cell<usize>> = Rc::default();
-    let completed: Rc<Cell<u64>> = Rc::default();
-    let measure_start: Rc<Cell<SimTime>> = Rc::new(Cell::new(0));
-    let measure_started: Rc<Cell<bool>> = Rc::default();
-    let last_done: Rc<Cell<SimTime>> = Rc::default();
-    let hist: Rc<RefCell<LatencyHist>> = Rc::new(RefCell::new(LatencyHist::new()));
+    let window = Window::new(cfg.requests, WARMUP_FRACTION);
 
     let mut client_handles = Vec::new();
     for client in 0..cfg.clients {
@@ -208,27 +202,11 @@ fn run_hosting_inner(
         let rubis = Rc::clone(&rubis);
         let servers = servers.clone();
         let monitor = monitor.clone();
-        let issued = Rc::clone(&issued);
-        let completed = Rc::clone(&completed);
-        let measure_start = Rc::clone(&measure_start);
-        let measure_started = Rc::clone(&measure_started);
-        let last_done = Rc::clone(&last_done);
-        let hist = Rc::clone(&hist);
+        let window = Rc::clone(&window);
         let responses = Rc::clone(&responses);
         let sim_h = sim.handle();
-        let requests = cfg.requests;
         client_handles.push(sim.spawn(async move {
-            loop {
-                let seq = issued.get();
-                if seq >= requests {
-                    break;
-                }
-                issued.set(seq + 1);
-                let in_measurement = seq >= warmup;
-                if in_measurement && !measure_started.get() {
-                    measure_started.set(true);
-                    measure_start.set(sim_h.now());
-                }
+            while let Some(claim) = window.claim(sim_h.now()) {
                 // Compose the request.
                 let (cpu_ns, resp_bytes) = if zipf_service {
                     let doc = zipf.sample(&mut rng);
@@ -240,7 +218,6 @@ fn run_hosting_inner(
                     let op = rubis.sample(&mut rng);
                     (op.cpu_ns(), op.response_bytes())
                 };
-                let t0 = sim_h.now();
                 // Balance: the monitor probes every back-end in parallel
                 // and the lowest-loaded one (ties by id) wins.
                 let best = monitor.least_loaded().await;
@@ -251,11 +228,7 @@ fn run_hosting_inner(
                     client,
                 });
                 response.await;
-                if in_measurement {
-                    completed.set(completed.get() + 1);
-                    hist.borrow_mut().record(sim_h.now() - t0);
-                    last_done.set(last_done.get().max(sim_h.now()));
-                }
+                window.complete(claim, sim_h.now());
                 sim_h.sleep(THINK_NS).await;
             }
         }));
@@ -267,13 +240,12 @@ fn run_hosting_inner(
             c.await;
         }
     });
-    let span = last_done.get().saturating_sub(measure_start.get());
-    let h = hist.borrow();
+    let (tps, mean_latency_ns, p99_latency_ns, span_ns) = window.finish();
     let result = HostingResult {
-        tps: tps(completed.get(), span),
-        mean_latency_ns: h.mean_ns(),
-        p99_latency_ns: h.quantile_ns(0.99),
-        span_ns: span,
+        tps,
+        mean_latency_ns,
+        p99_latency_ns,
+        span_ns,
     };
     (result, trace.map(|_| TraceArtifacts::collect(&cluster)))
 }

@@ -164,6 +164,71 @@ pub(crate) fn farm_fault_plan(seed: u64, cfg: &FaultConfig, nodes: usize) -> Fau
     FaultPlan::generate(seed, &cfg, nodes)
 }
 
+/// The measured window of a closed-loop farm: clients claim requests until
+/// `requests` are issued, and the ones claimed after the first `warmup`
+/// count toward throughput and latency. Shared by every client of one run.
+pub(crate) struct Window {
+    requests: usize,
+    warmup: usize,
+    issued: Cell<usize>,
+    /// When the first measured request was claimed.
+    start: Cell<SimTime>,
+    last_done: Cell<SimTime>,
+    /// Latency of every measured completion.
+    hist: RefCell<LatencyHist>,
+}
+
+/// A request claimed from a [`Window`]: when, and whether it is measured.
+pub(crate) struct Claim {
+    t0: SimTime,
+    measured: bool,
+}
+
+impl Window {
+    /// `requests` in all, the first `warmup_fraction` of them unmeasured.
+    pub(crate) fn new(requests: usize, warmup_fraction: f64) -> Rc<Window> {
+        Rc::new(Window {
+            requests,
+            warmup: ((requests as f64 * warmup_fraction) as usize).min(requests),
+            issued: Cell::new(0),
+            start: Cell::new(0),
+            last_done: Cell::new(0),
+            hist: RefCell::new(LatencyHist::new()),
+        })
+    }
+
+    /// Claim the next request at `now`; `None` once all are issued.
+    pub(crate) fn claim(&self, now: SimTime) -> Option<Claim> {
+        let seq = self.issued.get();
+        if seq >= self.requests {
+            return None;
+        }
+        self.issued.set(seq + 1);
+        if seq == self.warmup {
+            self.start.set(now);
+        }
+        Some(Claim {
+            t0: now,
+            measured: seq >= self.warmup,
+        })
+    }
+
+    /// Record `claim` completed at `now`.
+    pub(crate) fn complete(&self, claim: Claim, now: SimTime) {
+        if claim.measured {
+            self.hist.borrow_mut().record(now - claim.t0);
+            self.last_done.set(self.last_done.get().max(now));
+        }
+    }
+
+    /// `(tps, mean latency, p99 latency, measured span)` of the run.
+    pub(crate) fn finish(&self) -> (f64, u64, u64, SimTime) {
+        let span = self.last_done.get().saturating_sub(self.start.get());
+        let h = self.hist.borrow();
+        (tps(h.count(), span), h.mean_ns(), h.quantile_ns(0.99), span)
+    }
+}
+
 fn run_webfarm_inner(
     cfg: &WebFarmCfg,
     trace: Option<TraceMode>,
@@ -221,13 +286,7 @@ fn run_webfarm_inner(
     });
 
     let zipf = Rc::new(Zipf::new(cfg.num_docs, cfg.zipf_alpha));
-    let warmup = ((cfg.requests as f64 * cfg.warmup_fraction) as usize).min(cfg.requests);
-    let issued: Rc<Cell<usize>> = Rc::default();
-    let completed_measured: Rc<Cell<u64>> = Rc::default();
-    let measure_start: Rc<Cell<SimTime>> = Rc::new(Cell::new(0));
-    let measure_started: Rc<Cell<bool>> = Rc::default();
-    let last_done: Rc<Cell<SimTime>> = Rc::default();
-    let hist: Rc<RefCell<LatencyHist>> = Rc::new(RefCell::new(LatencyHist::new()));
+    let window = Window::new(cfg.requests, cfg.warmup_fraction);
 
     let model = cluster.model().clone();
     let mut clients = Vec::new();
@@ -238,30 +297,13 @@ fn run_webfarm_inner(
             let zipf = Rc::clone(&zipf);
             let cache = cache.clone();
             let cluster = cluster.clone();
-            let issued = Rc::clone(&issued);
-            let completed = Rc::clone(&completed_measured);
-            let measure_start = Rc::clone(&measure_start);
-            let measure_started = Rc::clone(&measure_started);
-            let last_done = Rc::clone(&last_done);
-            let hist = Rc::clone(&hist);
+            let window = Rc::clone(&window);
             let model = model.clone();
-            let requests = cfg.requests;
             let doc_size = cfg.doc_size;
             let sim_h = sim.handle();
             clients.push(sim.spawn(async move {
-                loop {
-                    let seq = issued.get();
-                    if seq >= requests {
-                        break;
-                    }
-                    issued.set(seq + 1);
-                    let in_measurement = seq >= warmup;
-                    if in_measurement && !measure_started.get() {
-                        measure_started.set(true);
-                        measure_start.set(sim_h.now());
-                    }
+                while let Some(claim) = window.claim(sim_h.now()) {
                     let doc = zipf.sample(&mut rng) as u32;
-                    let t0 = sim_h.now();
                     // Root span of the whole client transaction; its
                     // `stage: request` arg marks it for critical-path
                     // attribution. All begin/complete pairs below are
@@ -316,11 +358,7 @@ fn run_webfarm_inner(
                             vec![("stage", "request".into()), ("doc", doc.into())],
                         );
                     }
-                    if in_measurement {
-                        completed.set(completed.get() + 1);
-                        hist.borrow_mut().record(sim_h.now() - t0);
-                        last_done.set(last_done.get().max(sim_h.now()));
-                    }
+                    window.complete(claim, sim_h.now());
                 }
             }));
         }
@@ -340,14 +378,13 @@ fn run_webfarm_inner(
         cluster.sync_sim_metrics();
         (cb.borrow_mut())(cluster.metrics().snapshot());
     }
-    let span = last_done.get().saturating_sub(measure_start.get());
-    let h = hist.borrow();
+    let (tps, mean_latency_ns, p99_latency_ns, span_ns) = window.finish();
     let result = WebFarmResult {
-        tps: tps(completed_measured.get(), span),
-        mean_latency_ns: h.mean_ns(),
-        p99_latency_ns: h.quantile_ns(0.99),
+        tps,
+        mean_latency_ns,
+        p99_latency_ns,
         cache: cache.stats(),
-        span_ns: span,
+        span_ns,
     };
     let artifacts = trace.map(|_| TraceArtifacts::collect(&cluster));
     (result, artifacts)

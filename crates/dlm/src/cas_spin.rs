@@ -19,9 +19,17 @@ use dc_fabric::{Cluster, NodeId, WordTable};
 use dc_sim::rng::splitmix64;
 use dc_trace::Counter;
 
-use crate::config::{DlmConfig, LockMode};
+use crate::config::LockMode;
 use crate::manager::Manager;
 use crate::msg::LockId;
+
+/// Pause between failed CAS attempts, plus a deterministic per-node jitter
+/// of up to half of it so spinners do not phase-lock. One remote atomic is
+/// ~12.5µs round trip; spinning much faster than that only burns fabric,
+/// much slower starves the spinner.
+const SPIN_RETRY_NS: u64 = 20_000;
+// Half of it is the jitter's modulus.
+const _: () = assert!(SPIN_RETRY_NS >= 2);
 
 struct Inner {
     mgr: Rc<Manager>,
@@ -39,17 +47,11 @@ impl CasSpinDlm {
     /// Create the manager with lock words homed on `home`. `members` is
     /// accepted for interface parity with the agent-based designs; the
     /// spin lock needs no per-node services.
-    pub fn new(
-        cluster: &Cluster,
-        cfg: DlmConfig,
-        home: NodeId,
-        num_locks: u32,
-        members: &[NodeId],
-    ) -> CasSpinDlm {
+    pub fn new(cluster: &Cluster, home: NodeId, num_locks: u32, members: &[NodeId]) -> CasSpinDlm {
         let _ = members;
         CasSpinDlm {
             inner: Rc::new(Inner {
-                mgr: Manager::new(cluster, cfg, home),
+                mgr: Manager::new(cluster, home),
                 table: WordTable::new(cluster, home, num_locks as usize),
                 retries: cluster.metrics().counter("dlm.cas_spin.retries"),
             }),
@@ -101,9 +103,9 @@ impl CasSpinClient {
             attempts += 1;
             // Deterministic per-(node, attempt) jitter keeps concurrent
             // spinners from phase-locking into a fixed retry order.
-            let base = mgr.cfg.spin_retry_ns;
-            let jitter = splitmix64(((self.node.0 as u64) << 32) ^ attempts) % (base / 2).max(1);
-            mgr.backoff(self.node, base + jitter, attempts).await;
+            let jitter = splitmix64(((self.node.0 as u64) << 32) ^ attempts) % (SPIN_RETRY_NS / 2);
+            mgr.backoff(self.node, SPIN_RETRY_NS + jitter, attempts)
+                .await;
         }
         assert!(
             self.held.borrow_mut().insert(lock, true).is_none(),
@@ -139,7 +141,7 @@ mod tests {
         let sim = Sim::new();
         let cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), 6);
         let members: Vec<NodeId> = (0..6).map(NodeId).collect();
-        let dlm = CasSpinDlm::new(&cluster, DlmConfig::default(), NodeId(0), 2, &members);
+        let dlm = CasSpinDlm::new(&cluster, NodeId(0), 2, &members);
         let in_cs: Rc<Cell<u32>> = Rc::default();
         let violations: Rc<Cell<u32>> = Rc::default();
         let done: Rc<Cell<u32>> = Rc::default();
@@ -172,7 +174,7 @@ mod tests {
     fn word_freed_after_release() {
         let sim = Sim::new();
         let cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), 2);
-        let dlm = CasSpinDlm::new(&cluster, DlmConfig::default(), NodeId(0), 2, &[]);
+        let dlm = CasSpinDlm::new(&cluster, NodeId(0), 2, &[]);
         let client = dlm.client(NodeId(1));
         sim.run_to(async move {
             client.lock(1, LockMode::Exclusive).await;
@@ -185,7 +187,7 @@ mod tests {
     fn uncontended_acquire_is_one_atomic() {
         let sim = Sim::new();
         let cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), 2);
-        let dlm = CasSpinDlm::new(&cluster, DlmConfig::default(), NodeId(0), 1, &[]);
+        let dlm = CasSpinDlm::new(&cluster, NodeId(0), 1, &[]);
         let client = dlm.client(NodeId(1));
         let h = sim.handle();
         let elapsed = sim.run_to(async move {

@@ -17,9 +17,9 @@
 //!   outstanding operation per `(client, lock)` at a time.
 //! * All designs guarantee mutual exclusion for exclusive holders, with one
 //!   bounded exception: the lease design's guarantee is conditional on
-//!   critical sections finishing within [`DlmConfig::lease_ns`] — a lapsed
-//!   holder can be displaced. Scenarios comparing designs must keep hold
-//!   times under that bound (see DESIGN.md §13).
+//!   critical sections finishing within [`LEASE_NS`](crate::lease::LEASE_NS)
+//!   — a lapsed holder can be displaced. Scenarios comparing designs must
+//!   keep hold times under that bound (see DESIGN.md §13).
 //! * `mode` is honored by N-CoSED and SRSL; the other four designs have no
 //!   shared mode and treat every request as exclusive.
 
@@ -139,7 +139,7 @@ impl DesignKind {
     pub fn build(
         self,
         cluster: &Cluster,
-        cfg: DlmConfig,
+        _: DlmConfig,
         home: NodeId,
         num_locks: u32,
         members: &[NodeId],
@@ -147,27 +147,27 @@ impl DesignKind {
         let nodes = members.iter().copied();
         match self {
             DesignKind::Srsl => {
-                let dlm = SrslDlm::new(cluster, cfg, home, members);
+                let dlm = SrslDlm::new(cluster, home, members);
                 nodes.map(|n| LockClient::Srsl(dlm.client(n))).collect()
             }
             DesignKind::Dqnl => {
-                let dlm = DqnlDlm::new(cluster, cfg, home, num_locks, members);
+                let dlm = DqnlDlm::new(cluster, home, num_locks, members);
                 nodes.map(|n| LockClient::Dqnl(dlm.client(n))).collect()
             }
             DesignKind::Ncosed => {
-                let dlm = NcosedDlm::new(cluster, cfg, home, num_locks, members);
+                let dlm = NcosedDlm::new(cluster, home, num_locks, members);
                 nodes.map(|n| LockClient::Ncosed(dlm.client(n))).collect()
             }
             DesignKind::CasSpin => {
-                let dlm = CasSpinDlm::new(cluster, cfg, home, num_locks, members);
+                let dlm = CasSpinDlm::new(cluster, home, num_locks, members);
                 nodes.map(|n| LockClient::CasSpin(dlm.client(n))).collect()
             }
             DesignKind::Lease => {
-                let dlm = LeaseDlm::new(cluster, cfg, home, num_locks, members);
+                let dlm = LeaseDlm::new(cluster, home, num_locks, members);
                 nodes.map(|n| LockClient::Lease(dlm.client(n))).collect()
             }
             DesignKind::McsTicket => {
-                let dlm = McsDlm::new(cluster, cfg, home, num_locks, members);
+                let dlm = McsDlm::new(cluster, home, num_locks, members);
                 nodes
                     .map(|n| LockClient::McsTicket(dlm.client(n)))
                     .collect()
@@ -199,7 +199,7 @@ mod tests {
             let sim = Sim::new();
             let cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), 4);
             let members: Vec<NodeId> = (0..4).map(NodeId).collect();
-            let clients = design.build(&cluster, DlmConfig::default(), NodeId(0), 4, &members);
+            let clients = design.build(&cluster, DlmConfig, NodeId(0), 4, &members);
             assert_eq!(clients.len(), 4, "{design:?}");
             for (i, c) in clients.iter().enumerate() {
                 assert_eq!(c.node(), NodeId(i as u32), "{design:?}");

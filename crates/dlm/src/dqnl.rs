@@ -16,14 +16,17 @@ use dc_fabric::{Cluster, NodeId, WordTable};
 use dc_svc::{Cost, Ctx, Dispatcher};
 use dc_trace::Subsys;
 
-use crate::config::{DlmConfig, LockMode};
-use crate::manager::{Manager, Member, Members};
+use crate::config::LockMode;
+use crate::manager::{Manager, Member, Members, AGENT_PROC_NS};
 use crate::msg::{req_flow_id, DlmMsg, LockId, T_EXCL_REQ};
 
 #[derive(Default)]
 struct LockLocal {
     held: bool,
-    pending: Vec<NodeId>,
+    /// The node queued behind this one. A node that owes a hand-off waits
+    /// for it before enqueueing again, so no tail word names a node twice
+    /// and an agent never has a second successor.
+    successor: Option<NodeId>,
     released: bool,
 }
 
@@ -44,16 +47,10 @@ pub struct DqnlDlm {
 
 impl DqnlDlm {
     /// Create the manager with lock tail-words homed on `home`.
-    pub fn new(
-        cluster: &Cluster,
-        cfg: DlmConfig,
-        home: NodeId,
-        num_locks: u32,
-        members: &[NodeId],
-    ) -> DqnlDlm {
+    pub fn new(cluster: &Cluster, home: NodeId, num_locks: u32, members: &[NodeId]) -> DqnlDlm {
         let dlm = DqnlDlm {
             inner: Rc::new(Inner {
-                mgr: Manager::new(cluster, cfg, home),
+                mgr: Manager::new(cluster, home),
                 table: WordTable::new(cluster, home, num_locks as usize),
                 members: Members::new(cluster),
             }),
@@ -67,7 +64,7 @@ impl DqnlDlm {
     /// Register a member node. Agent processing is a fixed per-message
     /// delay (NIC-level agent, not host CPU), serialized per agent.
     pub fn add_member(&self, node: NodeId) {
-        let cost = Cost::Sleep(self.inner.mgr.cfg.agent_proc_ns);
+        let cost = Cost::Sleep(AGENT_PROC_NS);
         let dlm = self.clone();
         self.inner
             .members
@@ -86,9 +83,15 @@ impl DqnlDlm {
                             Subsys::Dlm,
                             "lock.request",
                         );
-                        let mut locks = agent.state.borrow_mut();
-                        locks.entry(lock).or_default().pending.push(from);
-                        drop(locks); // try_progress borrows again
+                        {
+                            let mut locks = agent.state.borrow_mut();
+                            let ll = locks.entry(lock).or_default();
+                            assert!(
+                                ll.successor.is_none(),
+                                "two DQNL successors queued on one node"
+                            );
+                            ll.successor = Some(from);
+                        }
                         dlm.try_progress(&agent, lock);
                     }
                 })
@@ -108,11 +111,11 @@ impl DqnlDlm {
         let next = {
             let mut locks = agent.state.borrow_mut();
             let ll = locks.entry(lock).or_default();
-            if !ll.released || ll.pending.is_empty() {
+            if !ll.released || ll.successor.is_none() {
                 None
             } else {
                 ll.released = false;
-                Some(ll.pending.remove(0))
+                ll.successor.take()
             }
         };
         if let Some(z) = next {
@@ -205,15 +208,15 @@ impl DqnlClient {
         let Inner { mgr, table, .. } = &*self.dlm.inner;
         let (agent, node) = (&*self.agent, self.agent.node);
         mgr.released(node, lock, || [("exclusive", 1u64.into())]);
-        let has_pending = {
+        let has_successor = {
             let mut locks = agent.state.borrow_mut();
             let ll = locks.entry(lock).or_default();
             assert!(ll.held, "DQNL unlock of unheld lock");
             ll.held = false;
             ll.released = true;
-            !ll.pending.is_empty()
+            ll.successor.is_some()
         };
-        if !has_pending {
+        if !has_successor {
             // Try to free the tail word if we are still the tail.
             let me = (node.0 + 1) as u64;
             let old = table.cas(node, lock as usize, me, 0).await;
@@ -239,7 +242,7 @@ mod tests {
         let sim = Sim::new();
         let cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), nodes);
         let members: Vec<NodeId> = (0..nodes as u32).map(NodeId).collect();
-        let dlm = DqnlDlm::new(&cluster, DlmConfig::default(), NodeId(0), 4, &members);
+        let dlm = DqnlDlm::new(&cluster, NodeId(0), 4, &members);
         (sim, cluster, dlm)
     }
 

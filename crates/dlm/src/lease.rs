@@ -11,7 +11,7 @@
 //! a no-op (counted in `dlm.lease.lost`).
 //!
 //! **Contract caveat**: mutual exclusion holds only for critical sections
-//! shorter than [`DlmConfig::lease_ns`]. A holder that sleeps past its
+//! shorter than [`LEASE_NS`]. A holder that sleeps past its
 //! expiry can coexist with the thief — that is the design's documented
 //! trade, not a bug (see DESIGN.md §13, "The `LockClient` contract").
 //!
@@ -29,10 +29,24 @@ use dc_sim::rng::splitmix64;
 use dc_svc::{Cost, Ctx, Dispatcher};
 use dc_trace::Counter;
 
-use crate::config::{DlmConfig, LockMode};
-use crate::manager::Manager;
+use crate::config::LockMode;
+use crate::manager::{Manager, AGENT_PROC_NS};
 use crate::msg::{DlmMsg, LockId, T_LEASE_STEAL};
 use crate::word::LeaseWord;
+
+/// Initial backoff after a failed acquisition attempt; doubles per
+/// consecutive failure up to [`BACKOFF_MAX_NS`].
+const BACKOFF_BASE_NS: u64 = 15_000;
+/// Exponential-backoff ceiling.
+const BACKOFF_MAX_NS: u64 = 240_000;
+/// Ownership duration granted per acquisition. Mutual exclusion holds only
+/// for critical sections shorter than this bound (the `LockClient`
+/// contract, DESIGN.md §13).
+pub const LEASE_NS: u64 = 2_000_000;
+const _: () = assert!(0 < BACKOFF_BASE_NS && BACKOFF_BASE_NS <= BACKOFF_MAX_NS);
+// A lease must comfortably outlast the backoff cadence, or healthy holders
+// would be stolen from mid-critical-section.
+const _: () = assert!(LEASE_NS > 4 * BACKOFF_MAX_NS);
 
 struct Inner {
     mgr: Rc<Manager>,
@@ -51,20 +65,14 @@ impl LeaseDlm {
     /// Create the manager with lease words homed on `home`. `members` is
     /// accepted for interface parity; only the home runs a service (the
     /// steal-notice sink).
-    pub fn new(
-        cluster: &Cluster,
-        cfg: DlmConfig,
-        home: NodeId,
-        num_locks: u32,
-        members: &[NodeId],
-    ) -> LeaseDlm {
+    pub fn new(cluster: &Cluster, home: NodeId, num_locks: u32, members: &[NodeId]) -> LeaseDlm {
         let _ = members;
         let home_port = cluster.alloc_port_for(home, "dlm.lease.home");
         let metrics = cluster.metrics();
         let steals = metrics.counter("dlm.lease.steals");
         let dlm = LeaseDlm {
             inner: Rc::new(Inner {
-                mgr: Manager::new(cluster, cfg, home),
+                mgr: Manager::new(cluster, home),
                 table: WordTable::new(cluster, home, num_locks as usize),
                 home_port,
                 lost: metrics.counter("dlm.lease.lost"),
@@ -79,7 +87,7 @@ impl LeaseDlm {
                 steals.inc();
             }
         });
-        let cost = Cost::Sleep(cfg.agent_proc_ns);
+        let cost = Cost::Sleep(AGENT_PROC_NS);
         dlm.inner
             .mgr
             .spawn_home("dlm.lease.home", home_port, cost, dispatcher);
@@ -112,7 +120,7 @@ impl LeaseClient {
     }
 
     fn my_word(&self, now_ns: u64) -> u64 {
-        let expiry_us = now_ns / 1_000 + self.dlm.inner.mgr.cfg.lease_ns / 1_000;
+        let expiry_us = now_ns / 1_000 + LEASE_NS / 1_000;
         assert!(expiry_us <= u32::MAX as u64, "sim ran past the lease epoch");
         LeaseWord {
             owner: Some(self.node),
@@ -163,12 +171,11 @@ impl LeaseClient {
                 // Lost the steal race; treat as a normal failed attempt.
             }
             attempts += 1;
-            let cfg = &mgr.cfg;
             let exp = attempts.min(6) as u32;
-            let ceiling = (cfg.backoff_base_ns << exp).min(cfg.backoff_max_ns);
+            let ceiling = (BACKOFF_BASE_NS << exp).min(BACKOFF_MAX_NS);
             let jitter =
                 splitmix64(((self.node.0 as u64) << 40) ^ (u64::from(lock) << 20) ^ attempts)
-                    % cfg.backoff_base_ns.max(1);
+                    % BACKOFF_BASE_NS;
             mgr.backoff(self.node, ceiling + jitter, attempts).await;
         }
         mgr.acquired(acq, self.node, lock, || {
@@ -214,7 +221,7 @@ mod tests {
         let sim = Sim::new();
         let cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), nodes);
         let members: Vec<NodeId> = (0..nodes as u32).map(NodeId).collect();
-        let dlm = LeaseDlm::new(&cluster, DlmConfig::default(), NodeId(0), 2, &members);
+        let dlm = LeaseDlm::new(&cluster, NodeId(0), 2, &members);
         (sim, cluster, dlm)
     }
 

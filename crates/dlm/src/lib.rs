@@ -38,12 +38,12 @@
 //! ```
 //! use dc_sim::Sim;
 //! use dc_fabric::{Cluster, FabricModel, NodeId};
-//! use dc_dlm::{DlmConfig, LockMode, NcosedDlm};
+//! use dc_dlm::{LockMode, NcosedDlm};
 //!
 //! let sim = Sim::new();
 //! let cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), 3);
 //! let members = [NodeId(0), NodeId(1), NodeId(2)];
-//! let dlm = NcosedDlm::new(&cluster, DlmConfig::default(), NodeId(0), 16, &members);
+//! let dlm = NcosedDlm::new(&cluster, NodeId(0), 16, &members);
 //! let client = dlm.client(NodeId(1));
 //! sim.run_to(async move {
 //!     client.lock(3, LockMode::Exclusive).await;

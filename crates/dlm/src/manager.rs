@@ -39,8 +39,14 @@ use dc_sim::SimTime;
 use dc_svc::{Cost, Ctx, Dispatcher, Mode, Route, Service, ServiceSpec, Wire};
 use dc_trace::{ArgVal, Counter, HistHandle, Subsys};
 
-use crate::config::DlmConfig;
 use crate::msg::{grant_flow_id, DlmMsg, LockId, T_GRANT};
+
+/// Processing time an agent spends on one incoming message.
+pub(crate) const AGENT_PROC_NS: u64 = 500;
+/// Per-outgoing-message issue time at a granter (descriptor prep +
+/// doorbell, charged serially when a node grants a batch).
+pub(crate) const GRANT_ISSUE_NS: u64 = 2_000;
+const _: () = assert!(AGENT_PROC_NS < GRANT_ISSUE_NS);
 
 /// Spawn a DLM agent, home or server service: serial, unbounded mailbox.
 fn spawn_service(
@@ -200,11 +206,10 @@ fn span_args<const N: usize>(lock: LockId, extra: Args<N>) -> Vec<(&'static str,
 pub(crate) type Batch = Vec<(NodeId, u16, DlmMsg)>;
 
 /// What every design shares besides lock words and membership: the
-/// cluster, the tunables, the home node, message posting and accounting.
+/// cluster, the home node, message posting and accounting.
 /// Held in an `Rc` so a posted message's task can carry it.
 pub(crate) struct Manager {
     pub(crate) cluster: Cluster,
-    pub(crate) cfg: DlmConfig,
     pub(crate) home: NodeId,
     acquires: Counter,
     lock_wait: HistHandle,
@@ -213,11 +218,10 @@ pub(crate) struct Manager {
 }
 
 impl Manager {
-    pub(crate) fn new(cluster: &Cluster, cfg: DlmConfig, home: NodeId) -> Rc<Manager> {
+    pub(crate) fn new(cluster: &Cluster, home: NodeId) -> Rc<Manager> {
         let metrics = cluster.metrics();
         Rc::new(Manager {
             cluster: cluster.clone(),
-            cfg,
             home,
             acquires: metrics.counter("dlm.lock_acquires"),
             lock_wait: metrics.hist("dlm.lock_wait_ns"),
@@ -285,7 +289,7 @@ impl Manager {
     pub(crate) fn post(self: &Rc<Self>, from: NodeId, to: NodeId, port: u16, msg: DlmMsg) {
         let mgr = Rc::clone(self);
         self.cluster.sim().spawn_detached(async move {
-            mgr.cluster.sim().sleep(mgr.cfg.grant_issue_ns).await;
+            mgr.cluster.sim().sleep(GRANT_ISSUE_NS).await;
             mgr.deliver(from, to, port, msg).await;
         });
     }
@@ -296,7 +300,7 @@ impl Manager {
     pub(crate) fn post_lossy(self: &Rc<Self>, from: NodeId, to: NodeId, port: u16, msg: DlmMsg) {
         let mgr = Rc::clone(self);
         self.cluster.sim().spawn_detached(async move {
-            mgr.cluster.sim().sleep(mgr.cfg.grant_issue_ns).await;
+            mgr.cluster.sim().sleep(GRANT_ISSUE_NS).await;
             let _ = mgr.send(from, to, port, msg).await;
         });
     }
@@ -308,7 +312,7 @@ impl Manager {
         let mgr = Rc::clone(self);
         self.cluster.sim().spawn_detached(async move {
             for &(to, port, msg) in &msgs {
-                mgr.cluster.sim().sleep(mgr.cfg.grant_issue_ns).await;
+                mgr.cluster.sim().sleep(GRANT_ISSUE_NS).await;
                 mgr.flight(from, to, port, msg);
             }
             mgr.recycle(msgs);

@@ -29,8 +29,8 @@ use dc_fabric::{Cluster, NodeId, WordTable};
 use dc_svc::{Cost, Ctx, Dispatcher};
 use dc_trace::{Counter, Subsys};
 
-use crate::config::{DlmConfig, LockMode};
-use crate::manager::{Manager, Member, Members};
+use crate::config::LockMode;
+use crate::manager::{Manager, Member, Members, AGENT_PROC_NS};
 use crate::msg::{req_flow_id, DlmMsg, LockId, T_TICKET_SERVE, T_TICKET_WAIT};
 use crate::word::{TicketWord, TICKET_SERVE_DELTA, TICKET_TAKE_DELTA};
 
@@ -62,16 +62,10 @@ pub struct McsDlm {
 
 impl McsDlm {
     /// Create the manager with ticket words homed on `home`.
-    pub fn new(
-        cluster: &Cluster,
-        cfg: DlmConfig,
-        home: NodeId,
-        num_locks: u32,
-        members: &[NodeId],
-    ) -> McsDlm {
+    pub fn new(cluster: &Cluster, home: NodeId, num_locks: u32, members: &[NodeId]) -> McsDlm {
         let dlm = McsDlm {
             inner: Rc::new(Inner {
-                mgr: Manager::new(cluster, cfg, home),
+                mgr: Manager::new(cluster, home),
                 table: WordTable::new(cluster, home, num_locks as usize),
                 members: Members::new(cluster),
                 home_port: cluster.alloc_port_for(home, "dlm.mcs.home"),
@@ -87,7 +81,7 @@ impl McsDlm {
 
     /// Register a member node (spawns its grant-listener agent).
     pub fn add_member(&self, node: NodeId) {
-        let cost = Cost::Sleep(self.inner.mgr.cfg.agent_proc_ns);
+        let cost = Cost::Sleep(AGENT_PROC_NS);
         self.inner
             .members
             .add(node, "dlm.mcs.agent", cost, (), |_| Dispatcher::new());
@@ -185,7 +179,7 @@ impl McsDlm {
                     dlm.match_and_grant(&home, lock, None, Some(serving));
                 }
             });
-        let cost = Cost::Sleep(mgr.cfg.agent_proc_ns);
+        let cost = Cost::Sleep(AGENT_PROC_NS);
         mgr.spawn_home("dlm.mcs.home", *home_port, cost, dispatcher);
     }
 }
@@ -281,7 +275,7 @@ mod tests {
         let sim = Sim::new();
         let cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), nodes);
         let members: Vec<NodeId> = (0..nodes as u32).map(NodeId).collect();
-        let dlm = McsDlm::new(&cluster, DlmConfig::default(), NodeId(0), 2, &members);
+        let dlm = McsDlm::new(&cluster, NodeId(0), 2, &members);
         (sim, cluster, dlm)
     }
 

@@ -30,8 +30,8 @@ use dc_fabric::{Cluster, NodeId, WordTable};
 use dc_svc::{Cost, Dispatcher};
 use dc_trace::Subsys;
 
-use crate::config::{DlmConfig, LockMode};
-use crate::manager::{Batch, Manager, Member, Members};
+use crate::config::LockMode;
+use crate::manager::{Batch, Manager, Member, Members, AGENT_PROC_NS};
 use crate::msg::{req_flow_id, DlmMsg, LockId, T_EXCL_REQ, T_SH_RELEASE, T_SH_REQ, T_WAIT_SHARED};
 use crate::word::{LockWord, SHARED_FAA_DELTA};
 
@@ -83,16 +83,10 @@ pub struct NcosedDlm {
 impl NcosedDlm {
     /// Create the manager: lock words live on `home`; every node in
     /// `members` runs an agent and may request locks.
-    pub fn new(
-        cluster: &Cluster,
-        cfg: DlmConfig,
-        home: NodeId,
-        num_locks: u32,
-        members: &[NodeId],
-    ) -> NcosedDlm {
+    pub fn new(cluster: &Cluster, home: NodeId, num_locks: u32, members: &[NodeId]) -> NcosedDlm {
         let dlm = NcosedDlm {
             inner: Rc::new(Inner {
-                mgr: Manager::new(cluster, cfg, home),
+                mgr: Manager::new(cluster, home),
                 table: WordTable::new(cluster, home, num_locks as usize),
                 members: Members::new(cluster),
                 home_port: cluster.alloc_port_for(home, "dlm.ncosed.home"),
@@ -107,7 +101,7 @@ impl NcosedDlm {
 
     /// Register another member node (spawns its agent).
     pub fn add_member(&self, node: NodeId) {
-        let cost = Cost::Sleep(self.inner.mgr.cfg.agent_proc_ns);
+        let cost = Cost::Sleep(AGENT_PROC_NS);
         let (excl_dlm, sh_dlm) = (self.clone(), self.clone());
         self.inner
             .members
@@ -324,7 +318,7 @@ impl NcosedDlm {
                     dlm.home_epoch_check(&locks, lock);
                 }
             });
-        let cost = Cost::Sleep(mgr.cfg.agent_proc_ns);
+        let cost = Cost::Sleep(AGENT_PROC_NS);
         mgr.spawn_home("dlm.ncosed.home", *home_port, cost, dispatcher);
     }
 
@@ -541,13 +535,7 @@ mod tests {
         let sim = Sim::new();
         let cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), nodes);
         let members: Vec<NodeId> = (0..nodes as u32).map(NodeId).collect();
-        let dlm = NcosedDlm::new(
-            &cluster,
-            DlmConfig::default(),
-            NodeId(0),
-            num_locks,
-            &members,
-        );
+        let dlm = NcosedDlm::new(&cluster, NodeId(0), num_locks, &members);
         (sim, cluster, dlm)
     }
 

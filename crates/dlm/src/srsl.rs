@@ -14,9 +14,14 @@ use dc_fabric::{Cluster, NodeId};
 use dc_svc::{Cost, Dispatcher};
 use dc_trace::Subsys;
 
-use crate::config::{DlmConfig, LockMode};
-use crate::manager::{Batch, Manager, Member, Members};
+use crate::config::LockMode;
+use crate::manager::{Batch, Manager, Member, Members, GRANT_ISSUE_NS};
 use crate::msg::{req_flow_id, DlmMsg, LockId, T_SRV_LOCK, T_SRV_UNLOCK};
+
+/// CPU time the server consumes per request or release message (competes
+/// with any other load on the server node).
+const SERVER_CPU_NS: u64 = 2_000;
+const _: () = assert!(SERVER_CPU_NS > 0);
 
 #[derive(Default)]
 struct ServerLock {
@@ -43,10 +48,10 @@ pub struct SrslDlm {
 
 impl SrslDlm {
     /// Create the manager with its server process on `server`.
-    pub fn new(cluster: &Cluster, cfg: DlmConfig, server: NodeId, members: &[NodeId]) -> SrslDlm {
+    pub fn new(cluster: &Cluster, server: NodeId, members: &[NodeId]) -> SrslDlm {
         let dlm = SrslDlm {
             inner: Rc::new(Inner {
-                mgr: Manager::new(cluster, cfg, server),
+                mgr: Manager::new(cluster, server),
                 members: Members::new(cluster),
                 server_port: cluster.alloc_port_for(server, "dlm.srsl.server"),
             }),
@@ -162,8 +167,8 @@ impl SrslDlm {
                 }
             });
         // Server processing competes with any load on its node: the pump
-        // charges `server_cpu_ns` on the server CPU before each dispatch.
-        let cost = Cost::Cpu(mgr.cfg.server_cpu_ns);
+        // charges `SERVER_CPU_NS` on the server CPU before each dispatch.
+        let cost = Cost::Cpu(SERVER_CPU_NS);
         mgr.spawn_home("dlm.srsl.server", *server_port, cost, dispatcher);
     }
 }
@@ -183,8 +188,7 @@ impl Inner {
 async fn issue_grants(inner: &Inner, lock: LockId, grants: Batch) {
     let Inner { mgr, members, .. } = inner;
     for &(to, port, grant) in &grants {
-        let issue = mgr.cfg.grant_issue_ns;
-        mgr.cluster.cpu(mgr.home).execute(issue).await;
+        mgr.cluster.cpu(mgr.home).execute(GRANT_ISSUE_NS).await;
         members.open_grant(mgr.home, to, lock);
         mgr.flight(mgr.home, to, port, grant);
     }
@@ -254,7 +258,7 @@ mod tests {
         let sim = Sim::new();
         let cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), nodes);
         let members: Vec<NodeId> = (0..nodes as u32).map(NodeId).collect();
-        let dlm = SrslDlm::new(&cluster, DlmConfig::default(), NodeId(0), &members);
+        let dlm = SrslDlm::new(&cluster, NodeId(0), &members);
         (sim, cluster, dlm)
     }
 

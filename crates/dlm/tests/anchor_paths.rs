@@ -4,7 +4,7 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use dc_dlm::{DlmConfig, LockMode, NcosedDlm};
+use dc_dlm::{LockMode, NcosedDlm};
 use dc_fabric::{Cluster, FabricModel, NodeId};
 use dc_sim::time::{ms, us};
 use dc_sim::Sim;
@@ -13,7 +13,7 @@ fn setup(nodes: usize) -> (Sim, Cluster, NcosedDlm) {
     let sim = Sim::new();
     let cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), nodes);
     let members: Vec<NodeId> = (0..nodes as u32).map(NodeId).collect();
-    let dlm = NcosedDlm::new(&cluster, DlmConfig::default(), NodeId(0), 2, &members);
+    let dlm = NcosedDlm::new(&cluster, NodeId(0), 2, &members);
     (sim, cluster, dlm)
 }
 

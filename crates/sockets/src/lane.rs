@@ -225,6 +225,39 @@ mod tests {
     }
 
     #[test]
+    fn lane_sequence_wraps_past_u32_max_under_drop() {
+        let sim = Sim::new();
+        let cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), 2);
+        cluster.install_faults(FaultPlan::from_parts(3, vec![], vec![], vec![], 0.35));
+        let port = cluster.alloc_port_for(NodeId(1), "test.lane");
+        let mut rx = LaneReceiver::new(&cluster, dc_svc::bind_raw(&cluster, NodeId(1), port));
+        let tx = LaneSender::new(&cluster, NodeId(0), NodeId(1), port, Transport::RdmaSend);
+        // Start both halves four chunks short of the wrap, so the message's
+        // sequence numbers run u32::MAX - 3 ..= u32::MAX, 0, 1, ...
+        tx.next_seq.set(u32::MAX - 3);
+        rx.next_seq = u32::MAX - 3;
+        let msg = Bytes::from(vec![0x5Au8; 4096]);
+        let chunks: Vec<Chunk> = crate::flow::frame(msg, 80).collect();
+        let want: Vec<*const u8> = chunks.iter().map(|c| c.data.as_ptr()).collect();
+        let n = chunks.len();
+        for chunk in chunks {
+            tx.send_bg(chunk);
+        }
+        let got = sim.run_to(async move {
+            let mut v = Vec::new();
+            for _ in 0..n {
+                v.push(rx.recv().await.data.as_ptr());
+            }
+            v
+        });
+        assert_eq!(got, want);
+        assert!(n > 4, "the message does not cross the wrap");
+        let s = cluster.stats();
+        assert!(s.retransmits > 0, "no chunk was retransmitted");
+        assert!(s.reorder_hwm > 0, "no chunk was parked");
+    }
+
+    #[test]
     fn retransmitted_chunk_arrives_as_the_sent_buffer_in_order() {
         let sim = Sim::new();
         let cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), 2);

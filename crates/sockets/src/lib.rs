@@ -7,14 +7,14 @@
 //!   stack processing and copies charged to both CPUs, high base latency.
 //! * **SDP** ([`StreamKind::Sdp`]) — buffered-copy Sockets Direct Protocol
 //!   with *credit-based flow control*: the receiver preposts
-//!   `sdp_credits` temporary buffers of `sdp_buf_size` bytes; every message
+//!   `SDP_CREDITS` temporary buffers of `SDP_BUF_SIZE` bytes; every message
 //!   consumes one buffer **regardless of its size**, so a stream of small
 //!   messages wastes almost the entire prepost budget and stalls on credit
 //!   round trips (the §6 motivation).
 //! * **AZ-SDP** ([`StreamKind::AzSdp`]) — asynchronous zero-copy SDP: the
-//!   sender memory-protects the user buffer (a fixed `az_protect_ns` cost),
+//!   sender memory-protects the user buffer (a fixed `AZ_PROTECT_NS` cost),
 //!   posts the transfer, and returns immediately while keeping synchronous
-//!   sockets semantics; up to `az_window` sends are in flight.
+//!   sockets semantics; up to `AZ_WINDOW` sends are in flight.
 //! * **Packetized flow control** ([`StreamKind::Packetized`]) — the §6
 //!   work-in-progress design: the sender manages both sides' buffers via
 //!   RDMA and packs transmitted data precisely, so flow control is charged
@@ -46,18 +46,16 @@
 //! let sim = Sim::new();
 //! let cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), 2);
 //! let (mut a, mut b) = connect(&cluster, NodeId(0), NodeId(1), StreamKind::AzSdp,
-//!                              SocketsConfig::default());
+//!                              SocketsConfig);
 //! sim.spawn(async move { a.send(b"hello over AZ-SDP").await });
 //! let msg = sim.run_to(async move { b.recv().await });
 //! assert_eq!(&msg[..], b"hello over AZ-SDP");
 //! ```
 
-pub mod config;
 pub mod erpc;
 pub mod flow;
 pub mod lane;
 pub mod stream;
 
-pub use config::SocketsConfig;
 pub use erpc::{CongestionState, ErpcCfg, ErpcMux, ErpcServer, ErpcSession};
-pub use stream::{connect, StreamEnd, StreamKind};
+pub use stream::{connect, SocketsConfig, StreamEnd, StreamKind};

@@ -28,7 +28,7 @@ proptest! {
             NodeId(0),
             NodeId(1),
             kind,
-            SocketsConfig::default(),
+            SocketsConfig,
         );
         let expected: Vec<Vec<u8>> = sizes
             .iter()
@@ -66,7 +66,7 @@ proptest! {
             NodeId(0),
             NodeId(1),
             kind,
-            SocketsConfig::default(),
+            SocketsConfig,
         );
         let done_a = sim.spawn(async move {
             let mut got = Vec::new();
@@ -110,7 +110,7 @@ proptest! {
             NodeId(0),
             NodeId(1),
             kind,
-            SocketsConfig::default(),
+            SocketsConfig,
         );
         sim.spawn(async move {
             for _ in 0..count {

@@ -26,7 +26,7 @@ fn run_sockets(records: usize) -> u64 {
         NodeId(0),
         NodeId(1),
         StreamKind::HostTcp,
-        SocketsConfig::default(),
+        SocketsConfig,
     );
     let cl = cluster.clone();
     sim.handle().spawn_detached(async move {

@@ -13,13 +13,7 @@ use nextgen_datacenter::sockets::{connect, SocketsConfig, StreamKind};
 fn stream(kind: StreamKind, size: usize, count: usize) -> (f64, f64) {
     let sim = Sim::new();
     let cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), 2);
-    let (mut tx, mut rx) = connect(
-        &cluster,
-        NodeId(0),
-        NodeId(1),
-        kind,
-        SocketsConfig::default(),
-    );
+    let (mut tx, mut rx) = connect(&cluster, NodeId(0), NodeId(1), kind, SocketsConfig);
     let h = sim.handle();
     let done = sim.spawn(async move {
         for _ in 0..count {

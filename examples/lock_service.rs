@@ -23,7 +23,7 @@ fn run(scheme: &str) -> (f64, u64) {
     let members: Vec<NodeId> = (0..NODES as u32).map(NodeId).collect();
     let done: Rc<Cell<u64>> = Rc::default();
     let design = DesignKind::by_label(scheme).expect("a lock design's legend label");
-    let clients = design.build(&cluster, DlmConfig::default(), NodeId(0), 1, &members);
+    let clients = design.build(&cluster, DlmConfig, NodeId(0), 1, &members);
 
     let mut joins = Vec::new();
     // Node 0 is the home/server only; every other node runs a worker.

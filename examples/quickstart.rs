@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use nextgen_datacenter::ddss::{Coherence, Ddss, DdssConfig};
-use nextgen_datacenter::dlm::{DlmConfig, LockMode, NcosedDlm};
+use nextgen_datacenter::dlm::{LockMode, NcosedDlm};
 use nextgen_datacenter::fabric::{Cluster, FabricModel, NodeId};
 use nextgen_datacenter::sim::time::fmt_time;
 use nextgen_datacenter::sim::Sim;
@@ -19,7 +19,7 @@ fn main() {
     // Layer 2a: the distributed data sharing substrate.
     let ddss = Ddss::new(&cluster, DdssConfig::default(), &nodes);
     // Layer 2b: the distributed lock manager (locks homed on node 0).
-    let dlm = NcosedDlm::new(&cluster, DlmConfig::default(), NodeId(0), 8, &nodes);
+    let dlm = NcosedDlm::new(&cluster, NodeId(0), 8, &nodes);
 
     // Node 1 publishes a versioned segment; nodes 2 and 3 update it under
     // an exclusive lock; node 1 reads the result.

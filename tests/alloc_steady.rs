@@ -287,13 +287,7 @@ fn stream_ping_pong(kind: dc_sockets::StreamKind, round_trips: usize) -> Counts 
     let counting = Counting::start();
     let sim = Sim::new();
     let cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), 2);
-    let (mut cli, mut srv) = connect(
-        &cluster,
-        NodeId(0),
-        NodeId(1),
-        kind,
-        SocketsConfig::default(),
-    );
+    let (mut cli, mut srv) = connect(&cluster, NodeId(0), NodeId(1), kind, SocketsConfig);
     let resp = Bytes::from(vec![0xA5u8; PAYLOAD_BYTES]);
     let sent = resp.clone();
     sim.handle().spawn_detached(async move {
@@ -388,7 +382,6 @@ fn lock_client_enum_allocates_like_the_concrete_client() {
     use dc_fabric::{Cluster, FabricModel, NodeId};
     use dc_sim::Sim;
 
-    let cfg = DlmConfig::default();
     let home = NodeId(0);
     let members = [home, NodeId(1)];
     // Allocations of one whole run of `$grants` grants by the client that
@@ -419,29 +412,27 @@ fn lock_client_enum_allocates_like_the_concrete_client() {
     }
     for design in DesignKind::ALL {
         let erased = extra_grant_allocs!(|c| design
-            .build(&c, cfg, home, 4, &members)
+            .build(&c, DlmConfig, home, 4, &members)
             .pop()
             .expect("one client per member"));
         let concrete = match design {
             DesignKind::Srsl => {
-                extra_grant_allocs!(|c| SrslDlm::new(&c, cfg, home, &members).client(NodeId(1)))
+                extra_grant_allocs!(|c| SrslDlm::new(&c, home, &members).client(NodeId(1)))
             }
             DesignKind::Dqnl => {
-                extra_grant_allocs!(|c| DqnlDlm::new(&c, cfg, home, 4, &members).client(NodeId(1)))
+                extra_grant_allocs!(|c| DqnlDlm::new(&c, home, 4, &members).client(NodeId(1)))
             }
             DesignKind::Ncosed => {
-                extra_grant_allocs!(|c| NcosedDlm::new(&c, cfg, home, 4, &members).client(NodeId(1)))
+                extra_grant_allocs!(|c| NcosedDlm::new(&c, home, 4, &members).client(NodeId(1)))
             }
             DesignKind::CasSpin => {
-                extra_grant_allocs!(
-                    |c| CasSpinDlm::new(&c, cfg, home, 4, &members).client(NodeId(1))
-                )
+                extra_grant_allocs!(|c| CasSpinDlm::new(&c, home, 4, &members).client(NodeId(1)))
             }
             DesignKind::Lease => {
-                extra_grant_allocs!(|c| LeaseDlm::new(&c, cfg, home, 4, &members).client(NodeId(1)))
+                extra_grant_allocs!(|c| LeaseDlm::new(&c, home, 4, &members).client(NodeId(1)))
             }
             DesignKind::McsTicket => {
-                extra_grant_allocs!(|c| McsDlm::new(&c, cfg, home, 4, &members).client(NodeId(1)))
+                extra_grant_allocs!(|c| McsDlm::new(&c, home, 4, &members).client(NodeId(1)))
             }
         };
         eprintln!(
@@ -491,7 +482,7 @@ fn contended_lock_run(
     let cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), 4);
     let members: Vec<NodeId> = (0..4).map(NodeId).collect();
     let mut clients: Vec<_> = design
-        .build(&cluster, DlmConfig::default(), NodeId(0), 4, &members)
+        .build(&cluster, DlmConfig, NodeId(0), 4, &members)
         .into_iter()
         .map(Some)
         .collect();

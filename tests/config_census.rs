@@ -16,10 +16,9 @@
 //!   none: a knob is a field some caller sets, never a variable a process
 //!   inherits.
 //!
-//! `ALLOWED` names the types exempt from the field check, each with the
-//! reason; an entry that excuses nothing is reported as stale.
+//! Neither check has exceptions.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fs;
 use std::path::Path;
 
@@ -29,11 +28,6 @@ const SCAN_DIRS: [&str; 5] = ["crates", "src", "tests", "examples", "benchmark/s
 const SKIPPED_DIRS: [&str; 2] = ["target", ".git"];
 /// The suffixes that make a struct a config type.
 const CONFIG_SUFFIXES: [&str; 4] = ["Cfg", "Config", "Policy", "Spec"];
-/// Config types exempt from the field check, and why.
-const ALLOWED: [(&str, &str); 2] = [
-    ("DlmConfig", "`benchmark/` builds it"),
-    ("SocketsConfig", "`benchmark/` builds it"),
-];
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Kind {
@@ -510,8 +504,6 @@ struct Findings {
     unvaried: Vec<String>,
     /// `path:line: env::var`, one per environment read.
     env_reads: Vec<String>,
-    /// Allowlist entries that excuse nothing.
-    stale_allowed: Vec<String>,
 }
 
 fn census_of(files: &[(String, String)]) -> Findings {
@@ -538,38 +530,22 @@ fn census_of(files: &[(String, String)]) -> Findings {
     for (path, toks) in &lexed {
         record_setters(&mut census, path, toks);
     }
-    let mut unvaried = Vec::new();
-    let mut stale_allowed = Vec::new();
-    for (ty, fields) in &census {
-        let found: Vec<String> = fields
-            .iter()
-            .filter(|(_, f)| f.setters.len() <= 1)
-            .map(|(name, f)| match f.setters.iter().next() {
-                Some((expr, at)) => format!(
-                    "{ty}.{name} = {expr} ({} setters: {})",
-                    at.len(),
-                    at.join(", ")
-                ),
-                None => format!("{ty}.{name} is never set ({})", f.at),
-            })
-            .collect();
-        match ALLOWED.iter().find(|(t, _)| t == ty) {
-            Some(_) if found.is_empty() => stale_allowed.push(ty.clone()),
-            Some(_) => {}
-            None => unvaried.extend(found),
-        }
-    }
-    let defined: BTreeSet<&String> = census.keys().collect();
-    stale_allowed.extend(
-        ALLOWED
-            .iter()
-            .filter(|(t, _)| !defined.contains(&t.to_string()))
-            .map(|(t, _)| t.to_string()),
-    );
+    let unvaried = census
+        .iter()
+        .flat_map(|(ty, fields)| fields.iter().map(move |(name, f)| (ty, name, f)))
+        .filter(|(_, _, f)| f.setters.len() <= 1)
+        .map(|(ty, name, f)| match f.setters.iter().next() {
+            Some((expr, at)) => format!(
+                "{ty}.{name} = {expr} ({} setters: {})",
+                at.len(),
+                at.join(", ")
+            ),
+            None => format!("{ty}.{name} is never set ({})", f.at),
+        })
+        .collect();
     Findings {
         unvaried,
         env_reads,
-        stale_allowed,
     }
 }
 
@@ -598,11 +574,6 @@ fn every_config_field_is_varied_by_some_caller() {
          reads it and delete the field (DESIGN.md §4 item 4):\n{}",
         found.unvaried.join("\n")
     );
-    assert!(
-        found.stale_allowed.is_empty(),
-        "allowlisted config types that no longer need it: {:?}",
-        found.stale_allowed
-    );
 }
 
 #[test]
@@ -617,8 +588,7 @@ fn no_crate_reads_an_environment_variable() {
 }
 
 /// The checks above can fail: on a two-file tree, each kind of setter is
-/// read, a pattern sets nothing, test code may read the environment, and
-/// an allowlist entry for a type that is gone is stale.
+/// read, a pattern sets nothing, and test code may read the environment.
 #[test]
 fn census_reads_each_kind_of_setter() {
     let lib = r#"
@@ -655,5 +625,4 @@ fn f(b: u32) -> KnobCfg {
         "a, b, d and FlagSpec.on are varied; e is not `pub`"
     );
     assert_eq!(found.env_reads, ["crates/x/src/lib.rs:8: env::var"]);
-    assert_eq!(found.stale_allowed, ["DlmConfig", "SocketsConfig"]);
 }

@@ -99,7 +99,7 @@ mod dc_bench_shim {
     use std::cell::{Cell, RefCell};
     use std::rc::Rc;
 
-    use nextgen_datacenter::dlm::{DlmConfig, DqnlDlm, LockMode, NcosedDlm, SrslDlm};
+    use nextgen_datacenter::dlm::{DqnlDlm, LockMode, NcosedDlm, SrslDlm};
     use nextgen_datacenter::fabric::{Cluster, FabricModel, NodeId};
     use nextgen_datacenter::sim::time::ms;
     use nextgen_datacenter::sim::Sim;
@@ -147,30 +147,13 @@ mod dc_bench_shim {
         }
         match scheme {
             LockScheme::Ncosed => {
-                drive!(NcosedDlm::new(
-                    &cluster,
-                    DlmConfig::default(),
-                    NodeId(0),
-                    1,
-                    &members
-                ))
+                drive!(NcosedDlm::new(&cluster, NodeId(0), 1, &members))
             }
             LockScheme::Dqnl => {
-                drive!(DqnlDlm::new(
-                    &cluster,
-                    DlmConfig::default(),
-                    NodeId(0),
-                    1,
-                    &members
-                ))
+                drive!(DqnlDlm::new(&cluster, NodeId(0), 1, &members))
             }
             LockScheme::Srsl => {
-                drive!(SrslDlm::new(
-                    &cluster,
-                    DlmConfig::default(),
-                    NodeId(0),
-                    &members
-                ))
+                drive!(SrslDlm::new(&cluster, NodeId(0), &members))
             }
         }
         sim.run();

@@ -6,7 +6,7 @@ use std::rc::Rc;
 
 use nextgen_datacenter::coopcache::{Backend, CacheCfg, CacheScheme, CoopCache, ServeOutcome};
 use nextgen_datacenter::ddss::{Coherence, Ddss, DdssConfig};
-use nextgen_datacenter::dlm::{DlmConfig, LockMode, NcosedDlm};
+use nextgen_datacenter::dlm::{LockMode, NcosedDlm};
 use nextgen_datacenter::fabric::{Cluster, FabricModel, NodeId};
 use nextgen_datacenter::reconfig::{AdaptCfg, Reconfigurator, SiteMap};
 use nextgen_datacenter::resmon::{Monitor, MonitorCfg, MonitorScheme};
@@ -21,7 +21,7 @@ fn stalled_lock_holder_delays_but_never_orphans() {
     let sim = Sim::new();
     let cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), 6);
     let members: Vec<NodeId> = (0..6).map(NodeId).collect();
-    let dlm = NcosedDlm::new(&cluster, DlmConfig::default(), NodeId(0), 1, &members);
+    let dlm = NcosedDlm::new(&cluster, NodeId(0), 1, &members);
 
     // The holder sits on the lock for a full simulated second.
     let holder = dlm.client(NodeId(1));

@@ -20,7 +20,7 @@ use proptest::prelude::*;
 
 use nextgen_datacenter::coopcache::{Backend, CacheCfg, CacheScheme, CoopCache};
 use nextgen_datacenter::ddss::{Coherence, Ddss, DdssConfig};
-use nextgen_datacenter::dlm::{DlmConfig, LockMode, NcosedDlm};
+use nextgen_datacenter::dlm::{LockMode, NcosedDlm};
 use nextgen_datacenter::fabric::{
     Cluster, FabricModel, FaultConfig, FaultPlan, FaultStats, NodeId,
 };
@@ -118,7 +118,7 @@ fn soak_run(wseed: u64, fseed: u64, drop_prob: f64) -> SoakOutcome {
     }
 
     // --- exclusive lock cycles: never two holders, everyone drains ---
-    let dlm = NcosedDlm::new(&cluster, DlmConfig::default(), NodeId(0), 1, &members);
+    let dlm = NcosedDlm::new(&cluster, NodeId(0), 1, &members);
     let excl_cur: Rc<Cell<i32>> = Rc::default();
     let excl_peak: Rc<Cell<i32>> = Rc::default();
     let grants: Rc<Cell<u32>> = Rc::default();

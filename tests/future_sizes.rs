@@ -83,7 +83,7 @@ fn per_entity_futures_keep_their_committed_sizes() {
     for (design, lock_bytes, pump_bytes) in committed {
         let label = design.label();
         let before = sim.task_bytes().len();
-        let mut clients = design.build(&cluster, DlmConfig::default(), home, 4, &members);
+        let mut clients = design.build(&cluster, DlmConfig, home, 4, &members);
         let pump = sim.task_bytes()[before..].iter().copied().max();
         let pump = pump.unwrap_or(0);
         check(&format!("largest service task ({label})"), pump, pump_bytes);
@@ -99,7 +99,7 @@ fn per_entity_futures_keep_their_committed_sizes() {
     }
     // The design-erased client's future: the widest design's plus a tag.
     let erased = DesignKind::Srsl
-        .build(&cluster, DlmConfig::default(), home, 4, &members)
+        .build(&cluster, DlmConfig, home, 4, &members)
         .pop()
         .expect("one client per member");
     let erased = std::mem::size_of_val(&erased.lock(1, mode));
@@ -107,13 +107,7 @@ fn per_entity_futures_keep_their_committed_sizes() {
     // One of each is alive per open connection (4,096 of them in
     // `incast_rpc`), one `send_tracked` per chunk in flight. The stream
     // futures are one type over the four kinds, so one kind measures all.
-    let (mut tx, mut rx) = connect(
-        &cluster,
-        home,
-        NodeId(1),
-        StreamKind::Sdp,
-        SocketsConfig::default(),
-    );
+    let (mut tx, mut rx) = connect(&cluster, home, NodeId(1), StreamKind::Sdp, SocketsConfig);
     let send_bytes = std::mem::size_of_val(&tx.send_bytes(Bytes::new()));
     check("StreamEnd::send_bytes", send_bytes, 392);
     check("StreamEnd::send", std::mem::size_of_val(&tx.send(b"")), 424);

@@ -7,7 +7,7 @@ use std::rc::Rc;
 
 use nextgen_datacenter::coopcache::{Backend, CacheCfg, CacheScheme, CoopCache};
 use nextgen_datacenter::ddss::{Coherence, Ddss, DdssConfig};
-use nextgen_datacenter::dlm::{DlmConfig, LockMode, NcosedDlm};
+use nextgen_datacenter::dlm::{LockMode, NcosedDlm};
 use nextgen_datacenter::fabric::{Cluster, FabricModel, NodeId};
 use nextgen_datacenter::reconfig::{AdaptCfg, Reconfigurator, SiteMap};
 use nextgen_datacenter::resmon::{Monitor, MonitorCfg, MonitorScheme};
@@ -27,7 +27,7 @@ fn full_stack_coexists_in_one_simulation() {
 
     // Primitives.
     let ddss = Ddss::new(&cluster, DdssConfig::default(), &all);
-    let dlm = NcosedDlm::new(&cluster, DlmConfig::default(), NodeId(0), 4, &all);
+    let dlm = NcosedDlm::new(&cluster, NodeId(0), 4, &all);
 
     // Services.
     let fileset = Rc::new(FileSet::uniform(64, 8 * 1024));

@@ -153,14 +153,14 @@ proptest! {
     ) {
         use std::cell::Cell;
         use std::rc::Rc;
-        use nextgen_datacenter::dlm::{DlmConfig, LockMode, NcosedDlm};
+        use nextgen_datacenter::dlm::{LockMode, NcosedDlm};
         use nextgen_datacenter::fabric::{Cluster, FabricModel};
         use nextgen_datacenter::sim::time::{ms, us};
 
         let sim = nextgen_datacenter::sim::Sim::new();
         let cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), 9);
         let members: Vec<NodeId> = (0..9).map(NodeId).collect();
-        let dlm = NcosedDlm::new(&cluster, DlmConfig::default(), NodeId(0), 3, &members);
+        let dlm = NcosedDlm::new(&cluster, NodeId(0), 3, &members);
 
         // Per-lock count of concurrent exclusive holders.
         let excl: Rc<[Cell<i32>; 3]> = Rc::default();

@@ -55,7 +55,7 @@ proptest! {
         let sim = Sim::new();
         let cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), 10);
         let members: Vec<NodeId> = (0..10).map(NodeId).collect();
-        let dlm = NcosedDlm::new(&cluster, DlmConfig::default(), NodeId(0), 1, &members);
+        let dlm = NcosedDlm::new(&cluster, NodeId(0), 1, &members);
 
         let readers: Rc<Cell<i64>> = Rc::default();
         let writers: Rc<Cell<i64>> = Rc::default();
@@ -230,7 +230,7 @@ proptest! {
             }
             let members: Vec<NodeId> = (0..7).map(NodeId).collect();
             let mut clients: Vec<_> = design
-                .build(&cluster, DlmConfig::default(), NodeId(0), 4, &members)
+                .build(&cluster, DlmConfig, NodeId(0), 4, &members)
                 .into_iter()
                 .map(Some)
                 .collect();
@@ -386,7 +386,7 @@ fn a_release_with_its_successor_in_flight_loses_no_waiter() {
         let cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), 4);
         let members: Vec<NodeId> = (0..4).map(NodeId).collect();
         let clients: Vec<Rc<_>> = design
-            .build(&cluster, DlmConfig::default(), NodeId(0), 4, &members)
+            .build(&cluster, DlmConfig, NodeId(0), 4, &members)
             .into_iter()
             .map(Rc::new)
             .collect();

@@ -200,13 +200,7 @@ fn stream_exchange(
     if let Some(plan) = faults {
         cluster.install_faults(plan);
     }
-    let (a, b) = connect(
-        &cluster,
-        NodeId(0),
-        NodeId(1),
-        kind,
-        SocketsConfig::default(),
-    );
+    let (a, b) = connect(&cluster, NodeId(0), NodeId(1), kind, SocketsConfig);
     let body = |salt: usize, len: usize| -> Vec<u8> {
         (0..len)
             .map(|j| ((salt * 131 + j * 7) % 256) as u8)
