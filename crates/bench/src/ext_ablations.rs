@@ -6,6 +6,7 @@
 //! * Monitoring granularity: staleness vs monitoring-induced CPU overhead
 //!   across refresh periods.
 
+use bytes::Bytes;
 use dc_coopcache::CacheScheme;
 use dc_core::{run_webfarm, WebFarmCfg};
 use dc_ddss::{Coherence, Ddss, DdssConfig};
@@ -40,10 +41,10 @@ pub fn verb_profile(model: Coherence, rounds: u64) -> VerbProfile {
     let (before, after): (VerbStats, VerbStats) = sim.run_to(async move {
         let key = client.allocate(NodeId(1), 64, model).await.unwrap();
         // Settle allocation traffic before counting.
-        client.put(&key, &[1u8; 64]).await;
+        client.put(&key, &Bytes::from_static(&[1u8; 64])).await;
         let before = cl.stats();
         for _ in 0..rounds {
-            client.put(&key, &[2u8; 64]).await;
+            client.put(&key, &Bytes::from_static(&[2u8; 64])).await;
             client.get(&key).await;
         }
         (before, cl.stats())

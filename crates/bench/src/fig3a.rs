@@ -4,6 +4,7 @@
 //! achieved is only around 55µs", with the models ordering from Null
 //! (cheapest, one RDMA write) up to Strict (lock + write + stamp + unlock).
 
+use bytes::Bytes;
 use dc_ddss::{Coherence, Ddss, DdssConfig};
 use dc_fabric::{Cluster, FabricModel, NodeId};
 use dc_sim::time::as_us;
@@ -40,7 +41,7 @@ pub fn put_latency_ns_with(fabric: &FabricModel, model: Coherence, size: usize) 
             .allocate(NodeId(1), size, model)
             .await
             .expect("allocation failed");
-        let payload = vec![0xA5u8; size];
+        let payload = Bytes::from(vec![0xA5u8; size]);
         // Warm once (metadata/agents settled), then measure.
         client.put(&key, &payload).await;
         let t0 = h.now();

@@ -88,13 +88,14 @@ pub fn query_time_ns(records: usize, transport: StormTransport) -> u64 {
                 // Publish result chunks as local DDSS segments (home = data
                 // node: puts are node-local writes), then notify.
                 let server = ddss2.client(data_node);
+                let result = Bytes::from(vec![0x5Au8; CHUNK]);
                 let mut keys = Vec::new();
                 for chunk in q.chunks(CHUNK) {
                     let key = server
                         .allocate(data_node, chunk, Coherence::Read)
                         .await
                         .expect("ddss heap exhausted");
-                    server.put(&key, &vec![0x5Au8; chunk]).await;
+                    server.put(&key, &result.slice(..chunk)).await;
                     keys.push(key);
                 }
                 let mut notice = Vec::new();

@@ -45,4 +45,4 @@ pub mod ctrl;
 pub mod substrate;
 
 pub use coherence::Coherence;
-pub use substrate::{Ddss, DdssClient, DdssConfig, SharedKey, BLOCK_HDR};
+pub use substrate::{Ddss, DdssClient, DdssConfig, PutData, SharedKey, BLOCK_HDR};

@@ -86,6 +86,33 @@ impl Default for DdssConfig {
     }
 }
 
+/// What [`DdssClient::put`] writes. A [`Bytes`] is what the home segment
+/// then holds, the writer's own buffer, never copied on the host: a later
+/// get returns a window of it. Borrowed bytes are copied into a `Bytes`
+/// first.
+pub trait PutData {
+    /// The payload as the buffer the segment holds.
+    fn to_bytes(&self) -> Bytes;
+}
+
+impl PutData for Bytes {
+    fn to_bytes(&self) -> Bytes {
+        self.clone()
+    }
+}
+
+impl PutData for [u8] {
+    fn to_bytes(&self) -> Bytes {
+        Bytes::copy_from_slice(self)
+    }
+}
+
+impl<const N: usize> PutData for [u8; N] {
+    fn to_bytes(&self) -> Bytes {
+        Bytes::copy_from_slice(self)
+    }
+}
+
 /// Handle to a shared segment. `Copy`-able; safe to pass between clients.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SharedKey {
@@ -409,12 +436,14 @@ impl DdssClient {
     }
 
     /// Write `data` (≤ the segment length) under the segment's coherence
-    /// model.
-    pub async fn put(&self, key: &SharedKey, data: &[u8]) {
+    /// model. The segment holds the payload rather than a copy of it
+    /// ([`Cluster::rdma_write_bytes`]).
+    pub async fn put(&self, key: &SharedKey, data: &(impl PutData + ?Sized)) {
+        let data = data.to_bytes();
         let c = self.cluster().clone();
         let t_start = c.sim().now();
         let t0 = c.tracer().begin();
-        self.put_inner(key, data).await;
+        self.put_inner(key, &data).await;
         self.ddss.inner.puts.inc();
         self.ddss.inner.put_ns.record(c.sim().now() - t_start);
         if let Some(t0) = t0 {
@@ -432,7 +461,7 @@ impl DdssClient {
         }
     }
 
-    async fn put_inner(&self, key: &SharedKey, data: &[u8]) {
+    async fn put_inner(&self, key: &SharedKey, data: &Bytes) {
         assert!(
             data.len() <= key.len,
             "put of {} bytes into a {}-byte segment",
@@ -445,10 +474,10 @@ impl DdssClient {
         let now_stamp = |c: &Cluster| c.sim().now().max(1);
         match key.coherence {
             Coherence::Null => {
-                c.rdma_write(me, key.data_addr(), data).await;
+                c.rdma_write_bytes(me, key.data_addr(), data).await;
             }
             Coherence::Read | Coherence::Temporal => {
-                c.rdma_write(me, key.data_addr(), data).await;
+                c.rdma_write_bytes(me, key.data_addr(), data).await;
                 let stamp = now_stamp(&c);
                 c.rdma_write(me, key.ver_addr(), &stamp.to_le_bytes()).await;
                 if key.coherence == Coherence::Temporal {
@@ -459,26 +488,26 @@ impl DdssClient {
                 // Serialize writers through the lock word used as a
                 // fetch-and-add sequencer (ordering, not mutual exclusion).
                 c.atomic_faa(me, key.lock_addr(), 1).await;
-                c.rdma_write(me, key.data_addr(), data).await;
+                c.rdma_write_bytes(me, key.data_addr(), data).await;
                 let stamp = now_stamp(&c);
                 c.rdma_write(me, key.ver_addr(), &stamp.to_le_bytes()).await;
             }
             Coherence::Strict => {
                 self.lock(key).await;
-                c.rdma_write(me, key.data_addr(), data).await;
+                c.rdma_write_bytes(me, key.data_addr(), data).await;
                 let stamp = now_stamp(&c);
                 c.rdma_write(me, key.ver_addr(), &stamp.to_le_bytes()).await;
                 self.unlock(key).await;
             }
             Coherence::Version => {
-                c.rdma_write(me, key.data_addr(), data).await;
+                c.rdma_write_bytes(me, key.data_addr(), data).await;
                 c.atomic_faa(me, key.ver_addr(), 1).await;
             }
             Coherence::Delta => {
                 // Read the version the delta applies to, append the delta
                 // (modelled as the data write), publish by bumping.
                 c.rdma_read(me, key.ver_addr(), 8).await;
-                c.rdma_write(me, key.data_addr(), data).await;
+                c.rdma_write_bytes(me, key.data_addr(), data).await;
                 c.atomic_faa(me, key.ver_addr(), 1).await;
             }
         }
@@ -514,12 +543,9 @@ impl DdssClient {
         let me = self.node;
         match key.coherence {
             Coherence::Null => c.rdma_read(me, key.data_addr(), key.len).await,
-            Coherence::Read | Coherence::Write => {
-                // One read covering stamp + data: the stamp lets the caller
-                // detect staleness; in-simulator snapshots are not torn.
-                let raw = c.rdma_read(me, key.ver_addr(), 8 + key.len).await;
-                raw.slice(8..)
-            }
+            // The stamp lets the caller detect staleness; in-simulator
+            // snapshots are not torn.
+            Coherence::Read | Coherence::Write => self.read_stamped(key).await.1,
             Coherence::Strict => {
                 self.lock(key).await;
                 let data = c.rdma_read(me, key.data_addr(), key.len).await;
@@ -528,21 +554,20 @@ impl DdssClient {
             }
             Coherence::Version => {
                 loop {
-                    let raw = c.rdma_read(me, key.ver_addr(), 8 + key.len).await;
-                    let v1 = Reader::new(&raw).u64().expect("stamp in front of the data");
+                    let (v1, data) = self.read_stamped(key).await;
                     let v2 = c.read_u64(me, key.ver_addr()).await;
                     if v1 == v2 {
-                        return raw.slice(8..);
+                        return data;
                     }
                     // Concurrent update: retry after the backoff.
                     c.sim().sleep(LOCK_BACKOFF_NS).await;
                 }
             }
             Coherence::Delta => {
-                let raw = c.rdma_read(me, key.ver_addr(), 8 + key.len).await;
+                let (_, data) = self.read_stamped(key).await;
                 // Confirm no delta landed mid-reconstruction.
                 c.read_u64(me, key.ver_addr()).await;
-                raw.slice(8..)
+                data
             }
             Coherence::Temporal => {
                 let now = c.sim().now();
@@ -558,6 +583,20 @@ impl DdssClient {
                 data
             }
         }
+    }
+
+    /// `[stamp][data]` in one scatter read: one verb of `8 + len` bytes
+    /// whose data piece is a window of the payload the segment holds, not
+    /// an assembled copy.
+    async fn read_stamped(&self, key: &SharedKey) -> (u64, Bytes) {
+        let (stamp, data) = self
+            .cluster()
+            .rdma_read_sg(self.node, key.ver_addr(), 8, 8 + key.len)
+            .await;
+        let stamp = Reader::new(&stamp)
+            .u64()
+            .expect("stamp in front of the data");
+        (stamp, data)
     }
 
     /// Acquire the segment's lock (basic locking service). Spins with
@@ -603,16 +642,17 @@ impl DdssClient {
     pub async fn put_versioned(
         &self,
         key: &SharedKey,
-        data: &[u8],
+        data: &(impl PutData + ?Sized),
         expect: u64,
     ) -> Result<u64, u64> {
+        let data = data.to_bytes();
         assert!(data.len() <= key.len);
         self.overhead().await;
         let c = self.cluster().clone();
         self.lock(key).await;
         let actual = c.read_u64(self.node, key.ver_addr()).await;
         let result = if actual == expect {
-            c.rdma_write(self.node, key.data_addr(), data).await;
+            c.rdma_write_bytes(self.node, key.data_addr(), &data).await;
             let new = expect + 1;
             c.rdma_write(self.node, key.ver_addr(), &new.to_le_bytes())
                 .await;
@@ -651,6 +691,39 @@ mod tests {
                 client.get(&key).await
             });
             assert_eq!(&got[..20], b"the quick brown fox!", "model {coh}");
+        }
+    }
+
+    /// A put's payload is held by the home segment, not copied into it, and
+    /// every model's get hands back a window of the writer's buffer: the
+    /// Read family through one scatter read of `[stamp][data]`, Temporal on
+    /// its first get. A payload too short to hold is copied, and reads back
+    /// the same.
+    #[test]
+    fn a_segment_holds_what_is_put_into_it() {
+        for coh in Coherence::ALL {
+            let (sim, _c, ddss) = setup(2);
+            let client = ddss.client(NodeId(0));
+            let held = Bytes::from((0..1024u32).map(|i| i as u8).collect::<Vec<u8>>());
+            let small = Bytes::copy_from_slice(&[0x3Cu8; 64]);
+            let (big, short) = sim.run_to({
+                let (held, small) = (held.clone(), small.clone());
+                async move {
+                    let key = client.allocate(NodeId(1), 1024, coh).await.unwrap();
+                    client.put(&key, &held).await;
+                    let big = client.get(&key).await;
+                    let key = client.allocate(NodeId(1), 64, coh).await.unwrap();
+                    client.put(&key, &small).await;
+                    (big, client.get(&key).await)
+                }
+            });
+            assert_eq!(big, held, "model {coh}");
+            assert_eq!(
+                big.as_ptr(),
+                held.as_ptr(),
+                "model {coh} copied the payload"
+            );
+            assert_eq!(short, small, "model {coh}");
         }
     }
 

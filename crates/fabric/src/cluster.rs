@@ -601,6 +601,23 @@ impl Cluster {
         })
     }
 
+    /// One-sided RDMA read of `len` bytes at `addr` into two pieces, split
+    /// at `split` (see [`Cluster::try_rdma_read_sg`]).
+    ///
+    /// Infallible wrapper over [`Cluster::try_rdma_read_sg`]; see
+    /// [`Cluster::rdma_read`] for the retry/panic contract.
+    pub async fn rdma_read_sg(
+        &self,
+        from: NodeId,
+        addr: RemoteAddr,
+        split: usize,
+        len: usize,
+    ) -> (Bytes, Bytes) {
+        self.retrying(from, || self.try_rdma_read_sg(from, addr, split, len))
+            .await
+            .unwrap_or_else(|e| panic!("rdma_read_sg at {addr:?}: {e} (retry budget exhausted)"))
+    }
+
     /// RDMA read with the two-element scatter list of a READ work request:
     /// `len` bytes at `addr` arrive as the pieces `addr..addr + split` and
     /// `addr + split..addr + len`. However it is split it is one verb — one
@@ -712,8 +729,9 @@ impl Cluster {
         Ok(data)
     }
 
-    /// One-sided RDMA write of `data` to `addr`, issued by `from`.
-    /// Completes after the NIC-level acknowledgement.
+    /// One-sided RDMA write of `data` to `addr`, issued by `from`: the
+    /// target region copies the bytes. Completes after the NIC-level
+    /// acknowledgement.
     ///
     /// Infallible wrapper over [`Cluster::try_rdma_write`]; see
     /// [`Cluster::rdma_read`] for the retry/panic contract.
@@ -723,13 +741,46 @@ impl Cluster {
             .unwrap_or_else(|e| panic!("rdma_write at {addr:?}: {e} (retry budget exhausted)"))
     }
 
+    /// [`Cluster::rdma_write`] of a payload the target region then holds
+    /// ([`RegionData::write_bytes`]): the NIC moves bytes the host never
+    /// copies, so later reads inside the range return windows of `data`
+    /// itself. Same timing, faults and retry/panic contract as the copying
+    /// write; payloads too short to be worth holding are copied.
+    pub async fn rdma_write_bytes(&self, from: NodeId, addr: RemoteAddr, data: &Bytes) {
+        self.retrying(from, || {
+            self.write_verb(from, addr, data.len(), move |region| {
+                region.write_bytes(addr.offset, data)
+            })
+        })
+        .await
+        .unwrap_or_else(|e| panic!("rdma_write_bytes at {addr:?}: {e} (retry budget exhausted)"))
+    }
+
     /// Fallible RDMA write. On `Err` the target memory was *not* modified,
     /// so retrying is always safe.
-    pub async fn try_rdma_write(
+    pub fn try_rdma_write<'a>(
+        &'a self,
+        from: NodeId,
+        addr: RemoteAddr,
+        data: &'a [u8],
+    ) -> impl Future<Output = Result<(), FabricError>> + 'a {
+        self.write_verb(from, addr, data.len(), move |region| {
+            region.write(addr.offset, data)
+        })
+    }
+
+    /// The one RDMA-write body, shaped like [`Cluster::read_verb`]: `land`
+    /// puts the `len` bytes into the target region at the instant they
+    /// become visible there. Copying them or holding them is all that
+    /// differs between [`Cluster::rdma_write`] and
+    /// [`Cluster::rdma_write_bytes`], so it is a parameter, not a second
+    /// body.
+    async fn write_verb(
         &self,
         from: NodeId,
         addr: RemoteAddr,
-        data: &[u8],
+        len: usize,
+        land: impl FnOnce(&RegionData),
     ) -> Result<(), FabricError> {
         let m = &self.inner.model;
         let sim = self.inner.sim.clone();
@@ -741,7 +792,7 @@ impl Cluster {
         sim.sleep(inflate(m.post_overhead_ns, f)).await;
         let src = self.node(from);
         let permit = src.link.acquire_permit().await;
-        sim.sleep(inflate(m.ib_bytes_time(data.len()), f)).await;
+        sim.sleep(inflate(m.ib_bytes_time(len), f)).await;
         drop(permit);
         sim.sleep(inflate(m.rdma_write_base_ns / 2, f)).await;
         // The payload is about to land: the target must be up.
@@ -749,11 +800,11 @@ impl Cluster {
             return Err(FabricError::Unreachable(addr.node));
         }
         let target = self.node(addr.node);
-        target.regions.borrow()[addr.region.0 as usize].write(addr.offset, data);
+        land(&target.regions.borrow()[addr.region.0 as usize]);
         sim.sleep(inflate(m.rdma_write_base_ns - m.rdma_write_base_ns / 2, f))
             .await;
         self.inner.stats.writes.inc();
-        self.inner.stats.bytes_written.add(data.len() as u64);
+        self.inner.stats.bytes_written.add(len as u64);
         if let Some(t0) = t0 {
             self.inner.tracer.complete(
                 t0,
@@ -761,7 +812,7 @@ impl Cluster {
                 Subsys::Fabric,
                 "verb.write",
                 vec![
-                    ("bytes", data.len().into()),
+                    ("bytes", len.into()),
                     ("target", addr.node.0.into()),
                     ("remote_cpu_ns", 0u64.into()),
                     ("stage", "wire".into()),

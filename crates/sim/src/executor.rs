@@ -64,7 +64,7 @@ use std::task::{Context, Poll, Wake, Waker};
 
 use crate::join::Joined;
 use crate::time::SimTime;
-use crate::wheel::TimerWheel;
+use crate::wheel::{Timer, TimerWheel};
 
 /// Identifier of a spawned task within one [`Sim`].
 pub type TaskId = usize;
@@ -650,7 +650,7 @@ impl SimHandle {
         Sleep {
             at,
             st: self.st.clone(),
-            registered: false,
+            timer: None,
         }
     }
 
@@ -743,10 +743,17 @@ fn pool_of<T: 'static>(arrays: &mut Box<dyn Any>) -> &mut Vec<Vec<T>> {
 }
 
 /// Future returned by [`SimHandle::sleep`].
+///
+/// Its timer lives no longer than it does: a `Sleep` dropped before its
+/// deadline fires (a [`Timeout`] whose future won, a loser of a race)
+/// cancels its entry, so it neither fires nor wakes whatever task holds its
+/// task's id by then.
 pub struct Sleep {
     at: SimTime,
     st: Weak<SimState>,
-    registered: bool,
+    /// The wheel entry set by the first pending poll; cancelled on drop,
+    /// where it finds nothing if it fired.
+    timer: Option<Timer>,
 }
 
 impl Future for Sleep {
@@ -757,16 +764,28 @@ impl Future for Sleep {
         if st.now.get() >= self.at {
             return Poll::Ready(());
         }
-        if !self.registered {
+        if self.timer.is_none() {
             let seq = st.next_seq();
             let alarm = match &*st.polling.borrow() {
                 Some((tid, waker)) if waker.will_wake(cx.waker()) => Alarm::Task(*tid),
                 _ => Alarm::Waker(cx.waker().clone()),
             };
-            st.timers.borrow_mut().insert(self.at, seq, alarm);
-            self.registered = true;
+            self.timer = Some(st.timers.borrow_mut().insert(self.at, seq, alarm));
         }
         Poll::Pending
+    }
+}
+
+impl Drop for Sleep {
+    fn drop(&mut self) {
+        let Some(t) = self.timer else {
+            return;
+        };
+        // No `Sim` left means no wheel left to clean.
+        if let Some(st) = self.st.upgrade() {
+            let alarm = st.timers.borrow_mut().cancel(t);
+            drop(alarm);
+        }
     }
 }
 
@@ -1253,8 +1272,8 @@ mod tests {
     enum Op {
         Sleep(SimTime),
         Yield,
-        /// Wait for the earlier of two timers; the later one stays in the
-        /// wheel and fires at whatever task holds this task's id by then.
+        /// Wait for the earlier of two timers; the later one is cancelled
+        /// as the race drops it.
         Race(SimTime, SimTime),
         /// Spawn a task of kind `.0 % 3` running `.1`.
         Spawn(u8, Vec<Op>),

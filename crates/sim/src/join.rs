@@ -334,11 +334,13 @@ mod tests {
         assert_eq!(finished.get(), 1);
         assert_eq!(drops.get(), 3, "every child dropped with the join");
         assert_eq!(sim.live_tasks(), 0);
-        // The two abandoned sleeps still sit in the wheel under the dead
-        // task's waker; when they fire nothing is polled.
-        let polls = sim.polls();
+        // The two abandoned sleeps took their timers out of the wheel as
+        // they were dropped: nothing is left to fire, or to poll whatever
+        // task holds the dead task's id.
+        let (polls, fired) = (sim.polls(), sim.timers_fired());
         sim.run();
-        assert_eq!(sim.now(), us(80));
+        assert_eq!(sim.now(), us(10), "a dropped sleep's timer still fired");
+        assert_eq!(sim.timers_fired(), fired);
         assert_eq!(sim.polls(), polls, "a stale timer polled something");
         assert_eq!(finished.get(), 1);
     }

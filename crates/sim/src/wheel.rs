@@ -26,6 +26,21 @@
 //!   wait in an overflow min-heap and migrate into the wheel as `base`
 //!   advances.
 //!
+//! ## Cancellation
+//!
+//! [`TimerWheel::insert`] returns a [`Timer`] handle (node and generation;
+//! a node's generation changes each time it is reused, so a handle to an
+//! entry that already fired or was cancelled finds nothing), and
+//! [`TimerWheel::cancel`] drops the entry's value in O(1), leaving its node
+//! where it waits as a tombstone. The tombstone cascades like any entry and
+//! is freed, never fired, when its instant is dispensed; a wheel with no
+//! live entry pops nothing without moving `base`, so `base` never runs
+//! ahead of a clock that no entry fired. Unlinking at once would
+//! cost either a back link, a store on every insert and cascade (≈ 30 %
+//! slower pop-and-reinsert churn over 100 live timers on a 2-vCPU x86 VM),
+//! or a walk of the slot's chain per cancel (33 nodes on average in
+//! `fig6_coopcache`, whose timed-out calls share 16 ms slots).
+//!
 //! Cascading picks the minimum *candidate* across levels — the first
 //! occupied slot's window start, except for the slot containing `base`
 //! itself, whose entries may straddle two wheel rotations and are therefore
@@ -35,6 +50,7 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::num::NonZeroU32;
 
 const BITS: u32 = 6;
 const SLOTS: usize = 1 << BITS; // 64 slots per level
@@ -42,34 +58,19 @@ const LEVELS: usize = 6;
 /// One past the largest `at - base` the wheel can hold: `64^6` ns.
 const SPAN: u64 = 1 << (BITS * LEVELS as u32);
 
-/// A stored timer: deadline, registration sequence, payload.
+/// A fired timer: deadline and payload.
 pub(crate) struct Entry<T> {
     pub(crate) at: u64,
-    pub(crate) seq: u64,
     pub(crate) value: T,
 }
 
-struct OverflowEntry<T> {
-    at: u64,
-    seq: u64,
-    value: T,
-}
-
-impl<T> PartialEq for OverflowEntry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<T> Eq for OverflowEntry<T> {}
-impl<T> PartialOrd for OverflowEntry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for OverflowEntry<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
+/// Handle to a stored timer, for [`TimerWheel::cancel`]: its node and the
+/// node's generation when the timer was stored. Eight bytes, and an
+/// `Option<Timer>` too.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Timer {
+    node: u32,
+    gen: NonZeroU32,
 }
 
 pub(crate) struct TimerWheel<T> {
@@ -79,28 +80,32 @@ pub(crate) struct TimerWheel<T> {
     /// Head node index per slot (`NIL` = empty), lazily allocated on first
     /// insert so an executor that never arms a timer never pays for it.
     heads: Vec<u32>,
-    /// Node storage for every slotted entry. Nodes are never freed back to
-    /// the allocator while the wheel lives: cascading relinks them between
-    /// slots in place, and fired nodes chain onto the `free` list for reuse,
-    /// so steady-state insert/pop churn costs zero allocations.
+    /// Node storage for every entry. Nodes are never freed back to the
+    /// allocator while the wheel lives: cascading relinks them between
+    /// slots in place, and fired or cancelled nodes chain onto the `free`
+    /// list for reuse, so steady-state insert/pop/cancel churn costs zero
+    /// allocations.
     arena: Vec<Node<T>>,
     /// Head of the free-node chain through `Node::next` (`NIL` = empty).
     free: u32,
-    overflow: BinaryHeap<Reverse<OverflowEntry<T>>>,
-    /// The level-0 batch currently being dispensed, sorted by `seq`. All
-    /// entries share one deadline (== `base`).
-    pending: VecDeque<Entry<T>>,
+    /// `(at, seq, node)` of the entries beyond the wheel span.
+    overflow: BinaryHeap<Reverse<(u64, u64, u32)>>,
+    /// Nodes of the level-0 batch currently being dispensed, sorted by
+    /// `seq`. All share one deadline (== `base`).
+    pending: VecDeque<u32>,
+    /// Live (stored, neither fired nor cancelled) entries.
     len: usize,
 }
 
 const NIL: u32 = u32::MAX;
 
-/// One slotted timer in the arena. `value` is `None` only while the node
-/// rests on the free list.
+/// One timer in the arena. `value` is `None` while the node rests on the
+/// free list, and in a cancelled entry's tombstone.
 struct Node<T> {
     at: u64,
     seq: u64,
     next: u32,
+    gen: NonZeroU32,
     value: Option<T>,
 }
 
@@ -135,24 +140,41 @@ impl<T> TimerWheel<T> {
         self.len == 0
     }
 
-    /// Store a timer. The caller must not insert behind the wheel origin
-    /// (the executor registers timers strictly in the future).
-    pub(crate) fn insert(&mut self, at: u64, seq: u64, value: T) {
+    /// Store a timer and return its handle. The caller must not insert
+    /// behind the wheel origin (the executor registers timers strictly in
+    /// the future).
+    pub(crate) fn insert(&mut self, at: u64, seq: u64, value: T) -> Timer {
         debug_assert!(at >= self.base, "timer registered behind the wheel");
         if self.heads.is_empty() {
             self.heads = vec![NIL; LEVELS * SLOTS];
         }
         self.len += 1;
+        let n = self.alloc_node(at, seq, value);
         if at - self.base >= SPAN {
-            self.overflow
-                .push(Reverse(OverflowEntry { at, seq, value }));
+            self.overflow.push(Reverse((at, seq, n)));
         } else {
-            let n = self.alloc_node(at, seq, value);
             self.link(n);
+        }
+        Timer {
+            node: n,
+            gen: self.arena[n as usize].gen,
         }
     }
 
-    /// Take a node off the free list, or grow the arena by one.
+    /// Cancel the timer `t` and return its value; `None` when it already
+    /// fired or was cancelled.
+    pub(crate) fn cancel(&mut self, t: Timer) -> Option<T> {
+        let node = self.arena.get_mut(t.node as usize)?;
+        if node.gen != t.gen {
+            return None;
+        }
+        let value = node.value.take()?;
+        self.len -= 1;
+        Some(value)
+    }
+
+    /// Take a node off the free list (a new generation of it), or grow the
+    /// arena by one.
     fn alloc_node(&mut self, at: u64, seq: u64, value: T) -> u32 {
         if self.free != NIL {
             let n = self.free;
@@ -160,6 +182,7 @@ impl<T> TimerWheel<T> {
             self.free = node.next;
             node.at = at;
             node.seq = seq;
+            node.gen = node.gen.checked_add(1).unwrap_or(NonZeroU32::MIN);
             node.value = Some(value);
             n
         } else {
@@ -168,6 +191,7 @@ impl<T> TimerWheel<T> {
                 at,
                 seq,
                 next: NIL,
+                gen: NonZeroU32::MIN,
                 value: Some(value),
             });
             (self.arena.len() - 1) as u32
@@ -178,6 +202,15 @@ impl<T> TimerWheel<T> {
         debug_assert!(self.arena[n as usize].value.is_none());
         self.arena[n as usize].next = self.free;
         self.free = n;
+    }
+
+    /// Free node `n` and return its entry: `None` for a tombstone.
+    fn fire(&mut self, n: u32) -> Option<Entry<T>> {
+        let node = &mut self.arena[n as usize];
+        let e = node.value.take().map(|value| Entry { at: node.at, value });
+        self.free_node(n);
+        self.len -= usize::from(e.is_some());
+        e
     }
 
     /// Chain node `n` onto the slot its deadline belongs to (relative to the
@@ -200,35 +233,41 @@ impl<T> TimerWheel<T> {
 
     /// Move every overflow entry that now fits the wheel span into its slot.
     fn migrate_overflow(&mut self) {
-        while let Some(Reverse(e)) = self.overflow.peek() {
-            if e.at - self.base >= SPAN {
+        while let Some(&Reverse((at, _, n))) = self.overflow.peek() {
+            if at - self.base >= SPAN {
                 break;
             }
-            let Reverse(e) = self.overflow.pop().expect("peeked");
-            let n = self.alloc_node(e.at, e.seq, e.value);
+            self.overflow.pop();
             self.link(n);
         }
     }
 
-    /// Pop the earliest `(at, seq)` timer whose deadline is `<= limit`, or
-    /// return `None` — in which case neither the wheel origin nor any entry
-    /// has moved past `limit`.
+    /// Pop the earliest live `(at, seq)` timer whose deadline is
+    /// `<= limit`, or return `None` — in which case neither the wheel origin
+    /// nor any entry has moved past `limit`, and with no live entry the
+    /// origin has not moved at all.
     pub(crate) fn pop_next_at_or_before(&mut self, limit: u64) -> Option<Entry<T>> {
         loop {
+            if self.len == 0 {
+                return None;
+            }
             // Dispense the current same-instant batch first: everything else
             // in the wheel is strictly later.
-            if let Some(front) = self.pending.front() {
-                if front.at > limit {
+            if let Some(&front) = self.pending.front() {
+                if self.arena[front as usize].at > limit {
                     return None;
                 }
-                self.len -= 1;
-                return self.pending.pop_front();
+                self.pending.pop_front();
+                match self.fire(front) {
+                    Some(e) => return Some(e),
+                    None => continue,
+                }
             }
             self.migrate_overflow();
             if self.occ.iter().all(|&o| o == 0) {
                 // Wheel empty: the next deadline (if any) is far future.
                 let next_at = match self.overflow.peek() {
-                    Some(Reverse(e)) => e.at,
+                    Some(&Reverse((at, _, _))) => at,
                     None => return None,
                 };
                 if next_at > limit {
@@ -312,18 +351,14 @@ impl<T> TimerWheel<T> {
             if self.arena[head as usize].next == NIL {
                 let at = self.arena[head as usize].at;
                 if at <= limit && at < second {
-                    let node = &mut self.arena[head as usize];
-                    let e = Entry {
-                        at: node.at,
-                        seq: node.seq,
-                        value: node.value.take().expect("live node holds a value"),
-                    };
                     self.heads[idx] = NIL;
-                    self.free_node(head);
                     self.occ[lvl] &= !(1u64 << slot);
-                    self.base = at;
-                    self.len -= 1;
-                    return Some(e);
+                    // A tombstone goes without moving the origin.
+                    if let Some(e) = self.fire(head) {
+                        self.base = at;
+                        return Some(e);
+                    }
+                    continue;
                 }
             }
             let mut i = std::mem::replace(&mut self.heads[idx], NIL);
@@ -335,20 +370,20 @@ impl<T> TimerWheel<T> {
                 // 1 ns slots: the whole batch shares one instant; sorting by
                 // seq restores registration order.
                 while i != NIL {
-                    let node = &mut self.arena[i as usize];
+                    let node = &self.arena[i as usize];
                     debug_assert_eq!(node.at, cand);
-                    self.pending.push_back(Entry {
-                        at: node.at,
-                        seq: node.seq,
-                        value: node.value.take().expect("live node holds a value"),
-                    });
                     let next = node.next;
-                    self.free_node(i);
+                    if node.value.is_some() {
+                        self.pending.push_back(i);
+                    } else {
+                        self.free_node(i);
+                    }
                     i = next;
                 }
+                let arena = &self.arena;
                 self.pending
                     .make_contiguous()
-                    .sort_unstable_by_key(|e| e.seq);
+                    .sort_unstable_by_key(|&n| arena[n as usize].seq);
             } else {
                 // Cascade: relink every node of the batch against the new
                 // origin. Nodes move between slots by pointer surgery only.
@@ -361,23 +396,27 @@ impl<T> TimerWheel<T> {
         }
     }
 
-    /// A lower bound on the earliest pending deadline, or `None` when the
-    /// wheel is empty. Strictly read-only — no cascade, no origin motion —
-    /// so it is safe at any point between pops (a pop-based peek would
-    /// advance `base` and corrupt later inserts behind it).
+    /// A lower bound on the earliest pending deadline, or `None` when no
+    /// live entry is stored. Strictly read-only — no cascade, no origin
+    /// motion — so it is safe at any point between pops (a pop-based peek
+    /// would advance `base` and corrupt later inserts behind it).
     ///
     /// The bound is exact for the origin slot, the same-instant batch, and
-    /// the overflow heap; for other occupied slots it is the slot's window
-    /// start, i.e. within one slot width below the true minimum. That is
-    /// what the sharded engine's idle fast-forward needs: a time provably
-    /// at-or-before the next timer, cheap to compute every window.
+    /// the overflow heap, tombstones aside; for other occupied slots it is
+    /// the slot's window start, i.e. within one slot width below the true
+    /// minimum. That is what the sharded engine's idle fast-forward needs:
+    /// a time provably at-or-before the next timer, cheap to compute every
+    /// window.
     pub(crate) fn next_at_bound(&self) -> Option<u64> {
-        let mut m = u64::MAX;
-        if let Some(front) = self.pending.front() {
-            m = m.min(front.at);
+        if self.len == 0 {
+            return None;
         }
-        if let Some(Reverse(e)) = self.overflow.peek() {
-            m = m.min(e.at);
+        let mut m = u64::MAX;
+        if let Some(&front) = self.pending.front() {
+            m = m.min(self.arena[front as usize].at);
+        }
+        if let Some(&Reverse((at, _, _))) = self.overflow.peek() {
+            m = m.min(at);
         }
         if !self.heads.is_empty() {
             for lvl in 0..LEVELS {
@@ -415,22 +454,6 @@ impl<T> TimerWheel<T> {
             Some(m)
         }
     }
-
-    /// The earliest pending deadline `<= limit`, without popping.
-    #[cfg(test)]
-    fn peek_next_at(&mut self, limit: u64) -> Option<u64> {
-        match self.pop_next_at_or_before(limit) {
-            Some(e) => {
-                let at = e.at;
-                // Re-dispense at the front: the batch is sorted by seq and
-                // this entry was its minimum.
-                self.pending.push_front(e);
-                self.len += 1;
-                Some(at)
-            }
-            None => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -440,35 +463,54 @@ mod tests {
     use std::cmp::Reverse as Rev;
 
     /// The reference implementation the wheel must match pop-for-pop: the
-    /// executor's previous `BinaryHeap` keyed by `(at, seq)`.
+    /// executor's previous `BinaryHeap` keyed by `(at, seq)`, with
+    /// cancellation as a set of tags to skip.
     #[derive(Default)]
     struct HeapRef {
         heap: BinaryHeap<Rev<(u64, u64, u32)>>,
+        /// Tags stored and neither popped nor cancelled.
+        live: std::collections::HashSet<u32>,
     }
 
     impl HeapRef {
         fn insert(&mut self, at: u64, seq: u64, tag: u32) {
             self.heap.push(Rev((at, seq, tag)));
+            self.live.insert(tag);
+        }
+        fn cancel(&mut self, tag: u32) -> Option<u32> {
+            self.live.remove(&tag).then_some(tag)
         }
         fn pop_at_or_before(&mut self, limit: u64) -> Option<(u64, u64, u32)> {
-            match self.heap.peek() {
-                Some(Rev((at, _, _))) if *at <= limit => self.heap.pop().map(|Rev(e)| e),
-                _ => None,
+            while let Some(&Rev((at, _, tag))) = self.heap.peek() {
+                if !self.live.contains(&tag) {
+                    self.heap.pop();
+                    continue;
+                }
+                if at > limit {
+                    return None;
+                }
+                self.live.remove(&tag);
+                return self.heap.pop().map(|Rev(e)| e);
             }
+            None
         }
     }
 
     /// One scripted interaction: a batch of insertions (deadline offsets
-    /// relative to the current clock), then a number of pops.
+    /// relative to the current clock), a number of pops, or the cancel of
+    /// one timer ever stored (by index, modulo how many), whether it is
+    /// still waiting, already fired or already cancelled.
     #[derive(Debug, Clone)]
     enum Op {
         Insert(Vec<u64>),
         Pop(usize),
+        Cancel(usize),
     }
 
     fn run_script(ops: &[Op]) {
         let mut wheel = TimerWheel::new();
         let mut heap = HeapRef::default();
+        let mut handles = Vec::new();
         let mut seq = 0u64;
         let mut now = 0u64;
         let mut tag = 0u32;
@@ -479,11 +521,23 @@ mod tests {
                         // Strictly-future deadlines, like the executor's
                         // `Sleep` registration path.
                         let at = now + 1 + off;
-                        wheel.insert(at, seq, tag);
+                        handles.push(wheel.insert(at, seq, tag));
                         heap.insert(at, seq, tag);
                         seq += 1;
                         tag += 1;
                     }
+                }
+                Op::Cancel(i) => {
+                    if handles.is_empty() {
+                        continue;
+                    }
+                    let i = i % handles.len();
+                    assert_eq!(
+                        wheel.cancel(handles[i]),
+                        heap.cancel(i as u32),
+                        "cancel of timer {i} disagrees with the heap"
+                    );
+                    assert_eq!(wheel.len(), heap.live.len());
                 }
                 Op::Pop(n) => {
                     for _ in 0..*n {
@@ -491,10 +545,10 @@ mod tests {
                         let got = wheel.pop_next_at_or_before(u64::MAX);
                         match (expect, got) {
                             (None, None) => break,
-                            (Some((at, s, t)), Some(e)) => {
+                            (Some((at, _, t)), Some(e)) => {
                                 assert_eq!(
-                                    (e.at, e.seq, e.value),
-                                    (at, s, t),
+                                    (e.at, e.value),
+                                    (at, t),
                                     "wheel pop diverged from heap order"
                                 );
                                 assert!(at >= now, "time went backwards");
@@ -502,7 +556,7 @@ mod tests {
                             }
                             (e, g) => panic!(
                                 "presence mismatch: heap={e:?} wheel={:?}",
-                                g.map(|x| (x.at, x.seq, x.value))
+                                g.map(|x| (x.at, x.value))
                             ),
                         }
                     }
@@ -515,12 +569,12 @@ mod tests {
             let got = wheel.pop_next_at_or_before(u64::MAX);
             match (expect, got) {
                 (None, None) => break,
-                (Some((at, s, t)), Some(e)) => {
-                    assert_eq!((e.at, e.seq, e.value), (at, s, t));
+                (Some((at, _, t)), Some(e)) => {
+                    assert_eq!((e.at, e.value), (at, t));
                 }
                 (e, g) => panic!(
                     "tail mismatch: heap={e:?} wheel={:?}",
-                    g.map(|x| (x.at, x.seq, x.value))
+                    g.map(|x| (x.at, x.value))
                 ),
             }
         }
@@ -543,16 +597,14 @@ mod tests {
 
     fn ops_strategy() -> impl Strategy<Value = Vec<Op>> {
         let op = (
-            0u32..5,
+            0u32..7,
             prop::collection::vec(offset_strategy(), 1..20),
             1usize..30,
         )
-            .prop_map(|(which, inserts, pops)| {
-                if which < 3 {
-                    Op::Insert(inserts)
-                } else {
-                    Op::Pop(pops)
-                }
+            .prop_map(|(which, inserts, n)| match which {
+                0..=2 => Op::Insert(inserts),
+                3 | 4 => Op::Pop(n),
+                _ => Op::Cancel(n * 7919),
             });
         prop::collection::vec(op, 1..24)
     }
@@ -561,8 +613,9 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// The tentpole contract: arbitrary interleavings of insertions
-        /// (same-tick ties, every level, overflow) and pops produce exactly
-        /// the `(deadline, seq)` order of the old binary heap.
+        /// (same-tick ties, every level, overflow), pops and cancels
+        /// produce exactly the `(deadline, seq)` order of the old binary
+        /// heap, less what was cancelled.
         #[test]
         fn wheel_pop_order_matches_heap(ops in ops_strategy()) {
             run_script(&ops);
@@ -591,28 +644,28 @@ mod tests {
         w.insert(10_000, 2, "fine");
         let a = w.pop_next_at_or_before(u64::MAX).unwrap();
         let b = w.pop_next_at_or_before(u64::MAX).unwrap();
-        assert_eq!((a.at, a.seq, a.value), (10_000, 0, "coarse"));
-        assert_eq!((b.at, b.seq, b.value), (10_000, 2, "fine"));
+        assert_eq!((a.at, a.value), (10_000, "coarse"));
+        assert_eq!((b.at, b.value), (10_000, "fine"));
         assert!(w.is_empty());
     }
 
     #[test]
     fn limit_is_respected_and_never_moves_entries_past_it() {
         let mut w = TimerWheel::new();
-        w.insert(500, 0, ());
+        w.insert(500, 0, 0);
         assert!(w.pop_next_at_or_before(499).is_none());
         assert_eq!(w.len(), 1);
         let e = w.pop_next_at_or_before(500).unwrap();
         assert_eq!(e.at, 500);
         // Far-future entry: a small limit must not drag base anywhere near it.
-        w.insert(SPAN * 3, 1, ());
+        w.insert(SPAN * 3, 1, 1);
         assert!(w.pop_next_at_or_before(1_000).is_none());
         // A later, nearer registration must still be accepted and win.
-        w.insert(2_000, 2, ());
+        w.insert(2_000, 2, 2);
         let e = w.pop_next_at_or_before(u64::MAX).unwrap();
-        assert_eq!((e.at, e.seq), (2_000, 2));
+        assert_eq!((e.at, e.value), (2_000, 2));
         let e = w.pop_next_at_or_before(u64::MAX).unwrap();
-        assert_eq!((e.at, e.seq), (SPAN * 3, 1));
+        assert_eq!((e.at, e.value), (SPAN * 3, 1));
     }
 
     #[test]
@@ -648,9 +701,9 @@ mod tests {
             seq += 1;
         }
         for _ in 0..200_000 {
-            let (at, s, t) = heap.pop_at_or_before(u64::MAX).unwrap();
+            let (at, _, t) = heap.pop_at_or_before(u64::MAX).unwrap();
             let e = wheel.pop_next_at_or_before(u64::MAX).unwrap();
-            assert_eq!((e.at, e.seq, e.value), (at, s, t));
+            assert_eq!((e.at, e.value), (at, t));
             rng = rng
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
@@ -662,12 +715,48 @@ mod tests {
     }
 
     #[test]
-    fn peek_does_not_consume() {
+    fn a_cancelled_timer_never_fires_and_never_moves_the_origin() {
         let mut w = TimerWheel::new();
-        w.insert(42, 0, "x");
-        assert_eq!(w.peek_next_at(u64::MAX), Some(42));
-        assert_eq!(w.len(), 1);
+        // A lone slot entry, a chain of three sharing one slot, an overflow
+        // entry and a same-instant batch of two.
+        let lone = w.insert(5, 0, "lone");
+        let chain: Vec<Timer> = ["c1", "c2", "c3"]
+            .iter()
+            .zip(1..)
+            .map(|(&v, s)| w.insert(4_000, s, v))
+            .collect();
+        let far = w.insert(SPAN * 2, 4, "far");
+        let a = w.insert(9_000, 5, "a");
+        let b = w.insert(9_000, 6, "b");
+        assert_eq!(w.cancel(lone), Some("lone"));
+        assert_eq!(w.cancel(lone), None, "a second cancel finds nothing");
+        assert_eq!(w.cancel(chain[1]), Some("c2"), "middle of a chain");
+        assert_eq!(w.cancel(far), Some("far"));
+        assert_eq!(w.len(), 4);
         let e = w.pop_next_at_or_before(u64::MAX).unwrap();
-        assert_eq!((e.at, e.value), (42, "x"));
+        assert_eq!((e.at, e.value), (4_000, "c1"));
+        let e = w.pop_next_at_or_before(u64::MAX).unwrap();
+        assert_eq!((e.at, e.value), (4_000, "c3"));
+        assert_eq!(w.cancel(chain[0]), None, "a fired timer is gone");
+        // `a` fires from the batch; `b` waits there and is cancelled.
+        let e = w.pop_next_at_or_before(u64::MAX).unwrap();
+        assert_eq!(e.value, "a");
+        assert_eq!(w.cancel(b), Some("b"));
+        assert_eq!(w.cancel(a), None);
+        assert!(w.is_empty());
+        assert!(w.pop_next_at_or_before(u64::MAX).is_none());
+        assert_eq!(w.next_at_bound(), None, "a tombstone is no deadline");
+        // The clock stopped at 9 µs; had the origin run on to `far`'s
+        // tombstone, this insert would land behind it.
+        let near = w.insert(9_001, 7, "near");
+        let e = w.pop_next_at_or_before(u64::MAX).unwrap();
+        assert_eq!((e.at, e.value), (9_001, "near"));
+        assert!(w.pop_next_at_or_before(u64::MAX).is_none());
+        // A reused node is a new generation: old handles stay dead.
+        let again = w.insert(10_000, 8, "again");
+        for old in [lone, chain[0], chain[1], chain[2], a, b, near] {
+            assert_eq!(w.cancel(old), None);
+        }
+        assert_eq!(w.cancel(again), Some("again"));
     }
 }

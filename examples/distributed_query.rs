@@ -70,13 +70,14 @@ fn run_ddss(records: usize) -> u64 {
     sim.handle().spawn_detached(async move {
         let _query = query_ep.recv().await;
         cl.cpu(NodeId(1)).execute(q.scan_ns()).await;
+        let result = Bytes::from(vec![1u8; CHUNK]);
         let mut notice = Vec::new();
         for chunk in q.chunks(CHUNK) {
             let key = server
                 .allocate(NodeId(1), chunk, Coherence::Read)
                 .await
                 .expect("heap");
-            server.put(&key, &vec![1u8; chunk]).await;
+            server.put(&key, &result.slice(..chunk)).await;
             notice.extend_from_slice(&key.id.to_le_bytes());
             notice.extend_from_slice(&(key.block_off as u64).to_le_bytes());
             notice.extend_from_slice(&(key.len as u64).to_le_bytes());

@@ -262,42 +262,93 @@ struct Field {
 /// Every config type under `crates/*/src`: type → field → its setters.
 type Census = BTreeMap<String, BTreeMap<String, Field>>;
 
-/// Read the config types `toks` (non-test code of `path`) defines.
+/// Read the config types `toks` (non-test code of `path`) defines: the
+/// named fields of `pub struct Name<..> where .. { .. }` (generics and
+/// `where` optional), and those of a tuple struct `pub struct Name<..>(..);`
+/// as `0`, `1`, and so on.
 fn define_configs(census: &mut Census, path: &str, toks: &[Tok]) {
     for i in 0..toks.len().saturating_sub(3) {
         let name = toks[i + 2].text;
         let is_config = toks[i].is("pub")
             && toks[i + 1].is("struct")
-            && toks[i + 3].is("{")
             && CONFIG_SUFFIXES.iter().any(|s| name.ends_with(s));
-        if !is_config {
+        let Some(open) = is_config.then(|| fields_open(toks, i + 3)).flatten() else {
             continue;
-        }
+        };
+        let tuple = toks[open].is("(");
         let derived_default = derives_default(toks, i);
-        let close = matching(toks, i + 3);
+        let close = matching(toks, open);
         let fields = census.entry(name.to_string()).or_default();
-        for e in entries(toks, i + 4, close) {
+        for (n, e) in entries(toks, open + 1, close).into_iter().enumerate() {
             // Skip attributes; keep `pub name: T` but not `pub(crate) name: T`.
             let mut k = 0;
             while k < e.len() && e[k].is("#") {
                 k += 1 + (matching(e, k + 1) - k);
             }
             let e = &e[k..];
-            if e.len() >= 3 && e[0].is("pub") && e[1].kind == Kind::Ident && e[2].is(":") {
-                let mut f = Field {
-                    at: format!("{path}:{}", e[1].line),
-                    setters: BTreeMap::new(),
-                };
-                if derived_default {
-                    f.setters
-                        .entry("<#[derive(Default)]>".to_string())
-                        .or_default()
-                        .push(f.at.clone());
+            let field = match e {
+                [vis, ty, ..] if tuple && vis.is("pub") && !ty.is("(") => n.to_string(),
+                [vis, f, colon, ..]
+                    if !tuple && vis.is("pub") && f.kind == Kind::Ident && colon.is(":") =>
+                {
+                    f.text.to_string()
                 }
-                fields.insert(e[1].text.to_string(), f);
+                _ => continue,
+            };
+            let mut f = Field {
+                at: format!("{path}:{}", e[0].line),
+                setters: BTreeMap::new(),
+            };
+            if derived_default {
+                f.setters
+                    .entry("<#[derive(Default)]>".to_string())
+                    .or_default()
+                    .push(f.at.clone());
             }
+            fields.insert(field, f);
         }
     }
+}
+
+/// Where the fields of the struct whose name ends before `at` open: the
+/// `{` or `(` after its generics and any `where` clause, or `None` for a
+/// unit struct.
+fn fields_open(toks: &[Tok], mut at: usize) -> Option<usize> {
+    if toks.get(at)?.is("<") {
+        let mut angle = 0;
+        loop {
+            let t = toks.get(at)?;
+            if t.is("<") {
+                angle += 1;
+            } else if t.is(">") && !toks[at - 1].is("-") {
+                angle -= 1;
+                if angle == 0 {
+                    break;
+                }
+            }
+            at += 1;
+        }
+        at += 1;
+    }
+    let t = toks.get(at)?;
+    if t.is("{") || t.is("(") {
+        return Some(at);
+    }
+    if !t.is("where") {
+        return None;
+    }
+    // A bound's own brackets (`Fn(u8) -> u8`) are stepped over.
+    while !toks.get(at)?.is("{") {
+        if toks[at].is(";") {
+            return None;
+        }
+        at = if opens(&toks[at]) {
+            matching(toks, at) + 1
+        } else {
+            at + 1
+        };
+    }
+    Some(at)
 }
 
 /// Whether the item starting at `item` carries `#[derive(.., Default, ..)]`.
@@ -342,8 +393,9 @@ fn record_setters(census: &mut Census, path: &str, toks: &[Tok]) {
             pending_impl = None;
         }
         let next_is = |k: usize, s: &str| toks.get(i + k).is_some_and(|t| t.is(s));
-        // `T { … }` (or `Self { … }` in `impl T`).
-        if t.kind == Kind::Ident && next_is(1, "{") {
+        // `T { … }` (or `Self { … }` in `impl T`), and `T(…)` of a tuple
+        // config type.
+        if t.kind == Kind::Ident && (next_is(1, "{") || next_is(1, "(")) {
             let ty = if t.text == "Self" {
                 impls.last().map_or("", |&(_, ty)| ty)
             } else {
@@ -353,12 +405,19 @@ fn record_setters(census: &mut Census, path: &str, toks: &[Tok]) {
             let declares = ["struct", "enum", "union", "impl", "for", "trait", "mod"]
                 .contains(&prev(1))
                 || prev(1) == ">" && prev(2) == "-";
-            if !declares && census.contains_key(ty) {
+            let shape_fits = census
+                .get(ty)
+                .is_some_and(|fields| next_is(1, "(") == fields.contains_key("0"));
+            if !declares && shape_fits {
                 literal(census, path, ty, toks, i + 1);
             }
         }
-        // `.f = e` and `.f op= e`.
-        if t.is(".") && toks.get(i + 1).is_some_and(|f| f.kind == Kind::Ident) {
+        // `.f = e` and `.f op= e`, `.0 = e` for a tuple field.
+        let field_name = |f: &Tok| {
+            f.kind == Kind::Ident
+                || f.kind == Kind::Lit && f.text.bytes().all(|c| c.is_ascii_digit())
+        };
+        if t.is(".") && toks.get(i + 1).is_some_and(field_name) {
             let f = toks[i + 1].text;
             let mut k = i + 2;
             let mut op = "";
@@ -436,7 +495,9 @@ fn expr_end(toks: &[Tok], from: usize) -> usize {
 }
 
 /// Record the fields a struct literal of `ty`, braces opening at `open`,
-/// sets. A pattern (`T { a, .. } =`, `=> `, a bare `..`) sets nothing.
+/// sets; a parenthesis there opens a tuple literal, whose entries set `0`,
+/// `1`, and so on. A pattern (`T { a, .. } =`, `=> `, a bare `..`) sets
+/// nothing.
 fn literal(census: &mut Census, path: &str, ty: &str, toks: &[Tok], open: usize) {
     let close = matching(toks, open);
     let after = |k: usize| toks.get(close + k).map_or("", |t| t.text);
@@ -451,18 +512,20 @@ fn literal(census: &mut Census, path: &str, ty: &str, toks: &[Tok], open: usize)
         return;
     }
     let fields = census.get_mut(ty).expect("a config type");
-    for e in parts {
+    let tuple = toks[open].is("(");
+    for (n, e) in parts.into_iter().enumerate() {
         let (name, expr) = match e {
-            [f] if f.kind == Kind::Ident => (f.text, f.text.to_string()),
+            _ if tuple => (n.to_string(), join(e)),
+            [f] if f.kind == Kind::Ident => (f.text.to_string(), f.text.to_string()),
             [f, colon, rest @ ..] if f.kind == Kind::Ident && colon.is(":") && !rest.is_empty() => {
                 if rest[0].is(":") {
                     continue;
                 }
-                (f.text, join(rest))
+                (f.text.to_string(), join(rest))
             }
             _ => continue,
         };
-        if let Some(field) = fields.get_mut(name) {
+        if let Some(field) = fields.get_mut(&name) {
             field
                 .setters
                 .entry(expr)
@@ -625,4 +688,43 @@ fn f(b: u32) -> KnobCfg {
         "a, b, d and FlagSpec.on are varied; e is not `pub`"
     );
     assert_eq!(found.env_reads, ["crates/x/src/lib.rs:8: env::var"]);
+}
+
+/// A generic config type, with or without a `where` clause, and a tuple
+/// config type (fields `0`, `1`, …) are read like a plain one: each
+/// default-only field is reported, and a varied one is not.
+#[test]
+fn census_reads_generic_and_tuple_config_types() {
+    let lib = r#"
+pub struct PlainCfg { pub a: u32 }
+impl Default for PlainCfg { fn default() -> Self { Self { a: 1 } } }
+pub struct GenCfg<T> { pub a: u32, pub b: T }
+impl<T: Default> Default for GenCfg<T> { fn default() -> Self { Self { a: 2, b: T::default() } } }
+pub struct WhereCfg<F> where F: Fn(u8) -> u8 { pub f: F }
+pub struct TupCfg(pub u32, pub u32, pub(crate) u32);
+impl Default for TupCfg { fn default() -> Self { Self(3, 4, 5) } }
+"#;
+    let caller = r#"
+fn g() -> TupCfg {
+    let _ = GenCfg { b: 7u8, ..GenCfg::default() };
+    let _ = (WhereCfg { f: |x| x }, WhereCfg { f: |x| x + 1 });
+    let TupCfg(_, b, _) = TupCfg::default();
+    let mut t = TupCfg::default();
+    t.1 = b + 1;
+    t
+}
+"#;
+    let files = [
+        ("crates/x/src/lib.rs".to_string(), lib.to_string()),
+        ("tests/caller.rs".to_string(), caller.to_string()),
+    ];
+    assert_eq!(
+        census_of(&files).unvaried,
+        [
+            "GenCfg.a = 2 (1 setters: crates/x/src/lib.rs:5)",
+            "PlainCfg.a = 1 (1 setters: crates/x/src/lib.rs:3)",
+            "TupCfg.0 = 3 (1 setters: crates/x/src/lib.rs:8)",
+        ],
+        "GenCfg.b, WhereCfg.f and TupCfg.1 are varied; TupCfg.2 is not `pub`"
+    );
 }

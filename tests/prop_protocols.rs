@@ -129,7 +129,7 @@ proptest! {
             sim.spawn(async move {
                 h.sleep(us(delay)).await;
                 let pattern = vec![(w as u8) + 1; len];
-                client.put(&key, &pattern).await;
+                client.put(&key, &pattern[..]).await;
             });
         }
         sim.run();
