@@ -173,6 +173,15 @@ impl<T> TimerWheel<T> {
         Some(value)
     }
 
+    /// Move the node behind `t` to generation `gen` and return its handle
+    /// there, so a test can start a node near the generation wrap.
+    #[cfg(test)]
+    fn regenerate(&mut self, t: Timer, gen: u32) -> Timer {
+        let gen = NonZeroU32::new(gen).expect("a generation is nonzero");
+        self.arena[t.node as usize].gen = gen;
+        Timer { node: t.node, gen }
+    }
+
     /// Take a node off the free list (a new generation of it), or grow the
     /// arena by one.
     fn alloc_node(&mut self, at: u64, seq: u64, value: T) -> u32 {
@@ -758,5 +767,30 @@ mod tests {
             assert_eq!(w.cancel(old), None);
         }
         assert_eq!(w.cancel(again), Some("again"));
+    }
+
+    /// A reused node's generation wraps from `u32::MAX` to 1: nothing
+    /// panics, no handle from an earlier generation cancels the timer the
+    /// node holds now, and the live handle cancels it.
+    #[test]
+    fn timer_generation_wraps_past_u32_max() {
+        let mut w = TimerWheel::new();
+        let first = w.insert(1, 0, 0u32);
+        let mut live = w.regenerate(first, u32::MAX - 1);
+        let mut stale = Vec::new();
+        // Each round fires the live timer, freeing its node, and stores the
+        // next one there: generations `MAX`, then 1, 2 and 3.
+        for round in 1..=4u32 {
+            let fired = w.pop_next_at_or_before(u64::MAX).map(|e| e.value);
+            assert_eq!(fired, Some(round - 1));
+            stale.push(live);
+            live = w.insert(u64::from(round) + 1, u64::from(round), round);
+            assert_eq!(live.node, first.node, "the freed node is reused");
+            for &old in &stale {
+                assert_eq!(w.cancel(old), None, "{old:?} cancelled {live:?}'s timer");
+            }
+        }
+        assert_eq!(w.cancel(live), Some(4));
+        assert!(w.is_empty());
     }
 }

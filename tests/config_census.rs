@@ -18,238 +18,16 @@
 //!
 //! Neither check has exceptions.
 
-use std::collections::BTreeMap;
-use std::fs;
-use std::path::Path;
+mod common;
 
-/// Where setters are looked for.
-const SCAN_DIRS: [&str; 5] = ["crates", "src", "tests", "examples", "benchmark/src"];
-/// Build output: never walked.
-const SKIPPED_DIRS: [&str; 2] = ["target", ".git"];
+use common::{attrs_before, entries, matching, scan_to, sources, Kind, Source, Tok};
+use std::collections::BTreeMap;
+
 /// The suffixes that make a struct a config type.
 const CONFIG_SUFFIXES: [&str; 4] = ["Cfg", "Config", "Policy", "Spec"];
 
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Kind {
-    Ident,
-    Lit,
-    Punct,
-}
-
-#[derive(Clone, Copy, Debug)]
-struct Tok<'a> {
-    kind: Kind,
-    text: &'a str,
-    line: usize,
-}
-
-impl Tok<'_> {
-    fn is(&self, text: &str) -> bool {
-        self.text == text && self.kind != Kind::Lit
-    }
-}
-
-fn is_ident_char(c: u8) -> bool {
-    c.is_ascii_alphanumeric() || c == b'_'
-}
-
-/// Rust source as tokens: comments dropped, every string, char and number
-/// literal one token, every other punctuation character its own token.
-fn tokens(src: &str) -> Vec<Tok<'_>> {
-    let b = src.as_bytes();
-    let mut out = Vec::new();
-    let (mut i, mut line) = (0, 1);
-    while i < b.len() {
-        let c = b[i];
-        let start = (i, line);
-        let kind = if c == b'\n' {
-            line += 1;
-            i += 1;
-            continue;
-        } else if c.is_ascii_whitespace() {
-            i += 1;
-            continue;
-        } else if b[i..].starts_with(b"//") {
-            while i < b.len() && b[i] != b'\n' {
-                i += 1;
-            }
-            continue;
-        } else if b[i..].starts_with(b"/*") {
-            let mut depth = 0;
-            while i < b.len() {
-                if b[i..].starts_with(b"/*") {
-                    depth += 1;
-                    i += 2;
-                } else if b[i..].starts_with(b"*/") {
-                    depth -= 1;
-                    i += 2;
-                    if depth == 0 {
-                        break;
-                    }
-                } else {
-                    line += usize::from(b[i] == b'\n');
-                    i += 1;
-                }
-            }
-            continue;
-        } else if let Some(end) = string_end(b, i) {
-            line += b[i..end].iter().filter(|&&c| c == b'\n').count();
-            i = end;
-            Kind::Lit
-        } else if c == b'\'' {
-            // A char literal (`'x'`, `'\n'`) or a lifetime (`'a`).
-            if b.get(i + 1) == Some(&b'\\') {
-                i += 2;
-                while i < b.len() && b[i] != b'\'' {
-                    i += 1;
-                }
-                i += 1;
-            } else if b.get(i + 2) == Some(&b'\'') {
-                i += 3;
-            } else {
-                i += 1;
-                while i < b.len() && is_ident_char(b[i]) {
-                    i += 1;
-                }
-            }
-            Kind::Lit
-        } else if c.is_ascii_digit() {
-            while i < b.len()
-                && (is_ident_char(b[i])
-                    || b[i] == b'.' && b.get(i + 1).is_some_and(u8::is_ascii_digit))
-            {
-                i += 1;
-            }
-            Kind::Lit
-        } else if is_ident_char(c) {
-            while i < b.len() && is_ident_char(b[i]) {
-                i += 1;
-            }
-            Kind::Ident
-        } else {
-            i += src[i..].chars().next().map_or(1, char::len_utf8);
-            Kind::Punct
-        };
-        out.push(Tok {
-            kind,
-            text: &src[start.0..i],
-            line: start.1,
-        });
-    }
-    out
-}
-
-/// The end of a string literal starting at `i` (`"…"`, `b"…"`, `r#"…"#`,
-/// `br"…"`), if one starts there.
-fn string_end(b: &[u8], i: usize) -> Option<usize> {
-    if i > 0 && is_ident_char(b[i - 1]) {
-        return None;
-    }
-    let mut j = i;
-    if b[j] == b'b' {
-        j += 1;
-    }
-    let raw = b.get(j) == Some(&b'r');
-    if raw {
-        j += 1;
-    }
-    let hashes = b[j..].iter().take_while(|&&c| c == b'#').count();
-    if !raw && hashes > 0 || b.get(j + hashes) != Some(&b'"') {
-        return None;
-    }
-    j += hashes + 1;
-    while j < b.len() {
-        if !raw && b[j] == b'\\' {
-            j += 2;
-        } else if b[j] == b'"'
-            && b[j + 1..]
-                .iter()
-                .take(hashes)
-                .filter(|&&c| c == b'#')
-                .count()
-                == hashes
-        {
-            return Some(j + 1 + hashes);
-        } else {
-            j += 1;
-        }
-    }
-    Some(b.len())
-}
-
-fn opens(t: &Tok) -> bool {
-    t.kind == Kind::Punct && matches!(t.text, "(" | "[" | "{")
-}
-
-fn closes(t: &Tok) -> bool {
-    t.kind == Kind::Punct && matches!(t.text, ")" | "]" | "}")
-}
-
-/// Index of the token closing the bracket opened at `open`.
-fn matching(toks: &[Tok], open: usize) -> usize {
-    let mut depth = 0;
-    for (j, t) in toks.iter().enumerate().skip(open) {
-        if opens(t) {
-            depth += 1;
-        } else if closes(t) {
-            depth -= 1;
-            if depth == 0 {
-                return j;
-            }
-        }
-    }
-    toks.len()
-}
-
-/// The comma-separated entries of `toks[from..to]`, split at depth 0.
-fn entries<'t, 'a>(toks: &'t [Tok<'a>], from: usize, to: usize) -> Vec<&'t [Tok<'a>]> {
-    let (mut out, mut depth, mut start) = (Vec::new(), 0, from);
-    for j in from..to {
-        let t = &toks[j];
-        if opens(t) {
-            depth += 1;
-        } else if closes(t) {
-            depth -= 1;
-        } else if depth == 0 && t.is(",") {
-            out.push(&toks[start..j]);
-            start = j + 1;
-        }
-    }
-    out.push(&toks[start..to]);
-    out.into_iter().filter(|e| !e.is_empty()).collect()
-}
-
 fn join(toks: &[Tok]) -> String {
     toks.iter().map(|t| t.text).collect::<Vec<_>>().join(" ")
-}
-
-/// `toks` without its `#[cfg(test)]` items.
-fn without_tests<'a>(toks: &[Tok<'a>]) -> Vec<Tok<'a>> {
-    let mut out = Vec::with_capacity(toks.len());
-    let mut i = 0;
-    while i < toks.len() {
-        let attr: Vec<&str> = toks[i..].iter().take(7).map(|t| t.text).collect();
-        if attr == ["#", "[", "cfg", "(", "test", ")", "]"] {
-            // Skip the item: up to its `;`, or through its `{ … }` body.
-            let mut j = i + 7;
-            while j < toks.len() && !toks[j].is(";") && !toks[j].is("{") {
-                j += if opens(&toks[j]) {
-                    matching(toks, j) + 1 - j
-                } else {
-                    1
-                };
-            }
-            i = if j < toks.len() && toks[j].is("{") {
-                matching(toks, j) + 1
-            } else {
-                j + 1
-            };
-            continue;
-        }
-        out.push(toks[i]);
-        i += 1;
-    }
-    out
 }
 
 /// One `pub` field of a config type.
@@ -276,7 +54,10 @@ fn define_configs(census: &mut Census, path: &str, toks: &[Tok]) {
             continue;
         };
         let tuple = toks[open].is("(");
-        let derived_default = derives_default(toks, i);
+        // `#[derive(.., Default, ..)]` gives every field its type's default.
+        let derived_default = attrs_before(toks, i)
+            .iter()
+            .any(|a| a.iter().any(|t| t.is("derive")) && a.iter().any(|t| t.is("Default")));
         let close = matching(toks, open);
         let fields = census.entry(name.to_string()).or_default();
         for (n, e) in entries(toks, open + 1, close).into_iter().enumerate() {
@@ -315,59 +96,21 @@ fn define_configs(census: &mut Census, path: &str, toks: &[Tok]) {
 /// unit struct.
 fn fields_open(toks: &[Tok], mut at: usize) -> Option<usize> {
     if toks.get(at)?.is("<") {
+        // Past the generics: a `>` closes a `<` unless it ends a `->`.
         let mut angle = 0;
-        loop {
-            let t = toks.get(at)?;
-            if t.is("<") {
-                angle += 1;
-            } else if t.is(">") && !toks[at - 1].is("-") {
-                angle -= 1;
-                if angle == 0 {
-                    break;
-                }
-            }
-            at += 1;
-        }
-        at += 1;
+        let mut pairs = toks[at..].iter().zip(&toks[at - 1..]);
+        at += 1 + pairs.position(|(t, prev)| {
+            angle += i32::from(t.is("<")) - i32::from(t.is(">") && !prev.is("-"));
+            angle == 0
+        })?;
     }
     let t = toks.get(at)?;
     if t.is("{") || t.is("(") {
         return Some(at);
     }
-    if !t.is("where") {
-        return None;
-    }
-    // A bound's own brackets (`Fn(u8) -> u8`) are stepped over.
-    while !toks.get(at)?.is("{") {
-        if toks[at].is(";") {
-            return None;
-        }
-        at = if opens(&toks[at]) {
-            matching(toks, at) + 1
-        } else {
-            at + 1
-        };
-    }
-    Some(at)
-}
-
-/// Whether the item starting at `item` carries `#[derive(.., Default, ..)]`.
-fn derives_default(toks: &[Tok], item: usize) -> bool {
-    let mut end = item;
-    while end >= 2 && toks[end - 1].is("]") {
-        let Some(open) = (0..end - 1)
-            .rev()
-            .find(|&j| toks[j].is("[") && matching(toks, j) == end - 1)
-        else {
-            return false;
-        };
-        let attr = &toks[open..end];
-        if attr.iter().any(|t| t.is("derive")) && attr.iter().any(|t| t.is("Default")) {
-            return true;
-        }
-        end = open.saturating_sub(1);
-    }
-    false
+    // A `where` clause; a bound's own brackets (`Fn(u8) -> u8`) are stepped over.
+    let open = scan_to(toks, at, |t| t.is("{") || t.is(";"));
+    (t.is("where") && toks.get(open)?.is("{")).then_some(open)
 }
 
 /// Record every setter `toks` (all of `path`, tests included) holds.
@@ -431,7 +174,7 @@ fn record_setters(census: &mut Census, path: &str, toks: &[Tok]) {
             let assigns = toks.get(k).is_some_and(|e| e.is("="))
                 && !toks.get(k + 1).is_some_and(|e| e.is("=") || e.is(">"));
             if assigns {
-                let end = expr_end(toks, k + 1);
+                let end = scan_to(toks, k + 1, |e| e.is(";") || e.is(","));
                 let expr = format!("{op}= {}", join(&toks[k + 1..end]));
                 let at = format!("{path}:{}", t.line);
                 for fields in census.values_mut() {
@@ -470,28 +213,6 @@ fn impl_type<'a>(toks: &[Tok<'a>], at: usize) -> Option<&'a str> {
         j += 1;
     }
     ty
-}
-
-/// One past the last token of the expression starting at `from`: the first
-/// `;` or `,` at depth 0, or the bracket that closes around it.
-fn expr_end(toks: &[Tok], from: usize) -> usize {
-    let mut depth = 0;
-    let mut j = from;
-    while j < toks.len() {
-        let t = &toks[j];
-        if opens(t) {
-            depth += 1;
-        } else if closes(t) {
-            if depth == 0 {
-                break;
-            }
-            depth -= 1;
-        } else if depth == 0 && (t.is(";") || t.is(",")) {
-            break;
-        }
-        j += 1;
-    }
-    j
 }
 
 /// Record the fields a struct literal of `ty`, braces opening at `open`,
@@ -535,26 +256,6 @@ fn literal(census: &mut Census, path: &str, ty: &str, toks: &[Tok], open: usize)
     }
 }
 
-/// Every `.rs` file under `dir`, relative to `root`.
-fn rust_files(root: &Path, dir: &str, out: &mut Vec<String>) {
-    let Ok(entries) = fs::read_dir(root.join(dir)) else {
-        return;
-    };
-    let mut entries: Vec<_> = entries.flatten().collect();
-    entries.sort_by_key(|e| e.file_name());
-    for entry in entries {
-        let name = entry.file_name().to_string_lossy().into_owned();
-        let rel = format!("{dir}/{name}");
-        if entry.path().is_dir() {
-            if !SKIPPED_DIRS.contains(&name.as_str()) {
-                rust_files(root, &rel, out);
-            }
-        } else if name.ends_with(".rs") {
-            out.push(rel);
-        }
-    }
-}
-
 fn in_crate_src(path: &str) -> bool {
     path.strip_prefix("crates/")
         .and_then(|p| p.split_once('/'))
@@ -569,16 +270,16 @@ struct Findings {
     env_reads: Vec<String>,
 }
 
-fn census_of(files: &[(String, String)]) -> Findings {
-    let lexed: Vec<(&str, Vec<Tok>)> = files.iter().map(|(p, t)| (p.as_str(), tokens(t))).collect();
+fn census_of(files: &[Source]) -> Findings {
+    let files: Vec<&Source> = files
+        .iter()
+        .filter(|s| !s.path.starts_with("vendored/"))
+        .collect();
     let mut census = Census::new();
     let mut env_reads = Vec::new();
-    for (path, toks) in &lexed {
-        if !in_crate_src(path) {
-            continue;
-        }
-        let live = without_tests(toks);
-        define_configs(&mut census, path, &live);
+    for s in files.iter().filter(|s| in_crate_src(&s.path)) {
+        let live: Vec<Tok> = s.toks.iter().filter(|t| !t.test).copied().collect();
+        define_configs(&mut census, &s.path, &live);
         for w in live.windows(4) {
             let read = match [w[0].text, w[1].text, w[2].text, w[3].text] {
                 ["env", ":", ":", f @ ("var" | "var_os" | "vars" | "vars_os")] => {
@@ -587,11 +288,11 @@ fn census_of(files: &[(String, String)]) -> Findings {
                 ["option_env", "!", ..] => "option_env!".to_string(),
                 _ => continue,
             };
-            env_reads.push(format!("{path}:{}: {read}", w[0].line));
+            env_reads.push(format!("{}:{}: {read}", s.path, w[0].line));
         }
     }
-    for (path, toks) in &lexed {
-        record_setters(&mut census, path, toks);
+    for s in &files {
+        record_setters(&mut census, &s.path, &s.toks);
     }
     let unvaried = census
         .iter()
@@ -612,25 +313,9 @@ fn census_of(files: &[(String, String)]) -> Findings {
     }
 }
 
-fn repo_files() -> Vec<(String, String)> {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let mut paths = Vec::new();
-    for dir in SCAN_DIRS {
-        rust_files(root, dir, &mut paths);
-    }
-    paths
-        .into_iter()
-        .map(|p| {
-            let text =
-                fs::read_to_string(root.join(&p)).unwrap_or_else(|e| panic!("reading {p}: {e}"));
-            (p, text)
-        })
-        .collect()
-}
-
 #[test]
 fn every_config_field_is_varied_by_some_caller() {
-    let found = census_of(&repo_files());
+    let found = census_of(sources());
     assert!(
         found.unvaried.is_empty(),
         "config fields no caller varies; make each a `const` in the module that \
@@ -641,7 +326,7 @@ fn every_config_field_is_varied_by_some_caller() {
 
 #[test]
 fn no_crate_reads_an_environment_variable() {
-    let found = census_of(&repo_files());
+    let found = census_of(sources());
     assert!(
         found.env_reads.is_empty(),
         "non-test code under crates/*/src reads the environment; make it a \
@@ -678,8 +363,8 @@ fn f(b: u32) -> KnobCfg {
 }
 "#;
     let files = [
-        ("crates/x/src/lib.rs".to_string(), lib.to_string()),
-        ("tests/caller.rs".to_string(), caller.to_string()),
+        Source::new("crates/x/src/lib.rs", lib),
+        Source::new("tests/caller.rs", caller),
     ];
     let found = census_of(&files);
     assert_eq!(
@@ -715,8 +400,8 @@ fn g() -> TupCfg {
 }
 "#;
     let files = [
-        ("crates/x/src/lib.rs".to_string(), lib.to_string()),
-        ("tests/caller.rs".to_string(), caller.to_string()),
+        Source::new("crates/x/src/lib.rs", lib),
+        Source::new("tests/caller.rs", caller),
     ];
     assert_eq!(
         census_of(&files).unvaried,

@@ -19,28 +19,22 @@
 //!   `crates/*/src`);
 //! * a `DESIGN.md §N` cite, anywhere in the tree's docs, code or CI, names
 //!   a heading that exists.
+//! * a number a figure section of EXPERIMENTS.md quotes on its `**Measured**`
+//!   lines or tables, an integer of at least 1,000 or a `k` number, is a
+//!   cell or header of its scenario's baseline.
 //!
 //! DESIGN.md also gives every crate one contract section, and
 //! EXPERIMENTS.md's metric table lists every metric that non-test code
 //! registers, its span table every span, instant and flow name it records. A rename re-aims the docs in the same change (DESIGN.md §6).
 
+mod common;
+
+use common::{entries, is_ident_char, matching, read, root, sources, test_fns, walk};
+use common::{Kind, Source, Tok, SKIPPED_DIRS};
+use dc_bench::diff::LoadedReport;
 use std::collections::{BTreeSet, HashMap, HashSet};
-use std::fs;
-use std::path::Path;
 use std::sync::OnceLock;
 
-/// Directories whose Rust sources define the names the docs may cite.
-const SOURCE_DIRS: [&str; 6] = [
-    "crates",
-    "src",
-    "tests",
-    "examples",
-    "benchmark/src",
-    "vendored",
-];
-/// Build output and version control: not walked, and a doc path into them
-/// names something a run makes, not a file of the tree.
-const SKIPPED_DIRS: [&str; 2] = ["target", ".git"];
 /// A slash-separated word ending in one of these is a file path.
 const FILE_EXTS: [&str; 8] = ["rs", "md", "json", "txt", "toml", "yml", "lock", "sh"];
 /// Heads of `A::b` chains that are std's to check, not the workspace's.
@@ -53,38 +47,36 @@ const REPORT_SCHEMA: &str = "dc-bench-report";
 /// `Tracer` methods that name what they record, and which argument the
 /// name is.
 const TRACER_CALLS: [(&str, usize); 6] = [
-    (".complete(", 3),
-    (".complete_at(", 4),
-    (".instant(", 2),
-    (".instant_at(", 3),
-    (".flow_start(", 3),
-    (".flow_end(", 3),
+    ("complete", 3),
+    ("complete_at", 4),
+    ("instant", 2),
+    ("instant_at", 3),
+    ("flow_start", 3),
+    ("flow_end", 3),
 ];
 /// The one crate exempt from having a contract: an 11-line re-export shim.
 const SHIM_CRATE: &str = "dc-regress";
 /// The file that builds dc-svc's per-service metric names.
 const SVC_FAMILY_FILE: &str = "crates/svc/src/service.rs";
 
-/// One Rust source file and the names it defines.
-struct Source {
-    path: String,
+/// One Rust source file, with the crate and the modules it is.
+struct File {
+    src: &'static Source,
     /// The package whose `src/` holds the file (`dc-sim`, `bytes`), if any.
     krate: Option<String>,
     /// The modules the file is, below its crate's `src/` (`sync`, `semaphore`).
     modules: Vec<String>,
-    defs: HashSet<String>,
-    types: Vec<String>,
 }
 
 /// What the docs may point at, read once from the tree.
+#[derive(Default)]
 struct Tree {
     /// Every file, and every directory with a trailing `/`, relative to the root.
     paths: HashSet<String>,
-    sources: Vec<Source>,
+    files: Vec<File>,
     crates: HashSet<String>,
     /// Every identifier in code and string literals of the Rust sources.
     idents: HashSet<String>,
-    test_fns: HashSet<String>,
     /// Dotted literals of non-test code, format holes as `*`.
     dotted: Vec<String>,
     /// First segments of `dotted`: a doc name in one of these is checked.
@@ -99,217 +91,14 @@ struct Tree {
     scenarios: HashSet<&'static str>,
 }
 
-fn root() -> &'static Path {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-}
-
-fn read(rel: &str) -> String {
-    fs::read_to_string(root().join(rel)).unwrap_or_else(|e| panic!("reading {rel}: {e}"))
-}
-
 fn tree() -> &'static Tree {
     static TREE: OnceLock<Tree> = OnceLock::new();
     TREE.get_or_init(Tree::load)
 }
 
-fn is_ident_char(c: char) -> bool {
-    c.is_ascii_alphanumeric() || c == '_'
-}
-
-/// Every path under `dir` (relative to the root), directories with a `/`.
-fn walk(dir: &str, out: &mut Vec<String>) {
-    let Ok(entries) = fs::read_dir(root().join(dir)) else {
-        return;
-    };
-    for entry in entries.flatten() {
-        let name = entry.file_name().to_string_lossy().into_owned();
-        let rel = if dir.is_empty() {
-            name.clone()
-        } else {
-            format!("{dir}/{name}")
-        };
-        if entry.path().is_dir() {
-            if !SKIPPED_DIRS.contains(&name.as_str()) {
-                out.push(format!("{rel}/"));
-                walk(&rel, out);
-            }
-        } else {
-            out.push(rel);
-        }
-    }
-}
-
-/// A Rust file split into code (string literals blanked, comments dropped),
-/// its string literals, and its comment text.
-struct Lexed {
-    code: String,
-    literals: Vec<String>,
-    comments: String,
-}
-
-fn lex(text: &str) -> Lexed {
-    let (mut code, mut literals, mut comments) = (String::new(), Vec::new(), String::new());
-    let chars: Vec<char> = text.chars().collect();
-    let mut i = 0;
-    while i < chars.len() {
-        let c = chars[i];
-        if c == '/' && chars.get(i + 1) == Some(&'/') {
-            while i < chars.len() && chars[i] != '\n' {
-                comments.push(chars[i]);
-                i += 1;
-            }
-            comments.push(' ');
-        } else if c == '"'
-            || (c == 'r'
-                && matches!(chars.get(i + 1), Some('"' | '#'))
-                && !(i > 0 && is_ident_char(chars[i - 1])))
-        {
-            // `r"…"` and `r#"…"#` end at the first `"` followed by as many `#`.
-            let raw = c == 'r';
-            let mut j = i + usize::from(raw);
-            let mut hashes = 0;
-            while raw && chars.get(j) == Some(&'#') {
-                hashes += 1;
-                j += 1;
-            }
-            if chars.get(j) != Some(&'"') {
-                code.push(c);
-                i += 1;
-                continue;
-            }
-            j += 1;
-            let mut lit = String::new();
-            while j < chars.len() {
-                if !raw && chars[j] == '\\' {
-                    lit.push(chars[j]);
-                    lit.extend(chars.get(j + 1));
-                    j += 2;
-                    continue;
-                }
-                if chars[j] == '"' && (0..hashes).all(|h| chars.get(j + 1 + h) == Some(&'#')) {
-                    j += 1 + hashes;
-                    break;
-                }
-                lit.push(chars[j]);
-                j += 1;
-            }
-            code.push_str("\"\"");
-            literals.push(lit);
-            i = j;
-        } else if c == '\'' && (chars.get(i + 2) == Some(&'\'') || chars.get(i + 1) == Some(&'\\'))
-        {
-            // A char literal (`'"'`, `'\n'`), not a lifetime.
-            let end = (i + 1..chars.len()).find(|&j| j > i + 1 && chars[j] == '\'');
-            i = end.map_or(i + 1, |e| e + 1);
-        } else {
-            code.push(c);
-            i += 1;
-        }
-    }
-    Lexed {
-        code,
-        literals,
-        comments,
-    }
-}
-
-/// The top-level arguments of a call whose `(` `rest` follows, trimmed.
-fn call_args(rest: &str) -> Vec<&str> {
-    let (mut args, mut depth, mut start) = (Vec::new(), 0, 0);
-    for (i, c) in rest.char_indices() {
-        match c {
-            '(' | '[' | '{' => depth += 1,
-            ')' | ']' | '}' if depth == 0 => {
-                args.push(rest[start..i].trim());
-                break;
-            }
-            ')' | ']' | '}' => depth -= 1,
-            ',' if depth == 0 => {
-                args.push(rest[start..i].trim());
-                start = i + 1;
-            }
-            _ => {}
-        }
-    }
-    args
-}
-
 fn idents_of(text: &str) -> impl Iterator<Item = &str> {
     text.split(|c: char| !is_ident_char(c))
         .filter(|w| w.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_'))
-}
-
-/// The identifier after each of `keywords` in `code`.
-fn named_after<'a>(code: &'a str, keywords: &'a [&str]) -> impl Iterator<Item = String> + 'a {
-    keywords.iter().flat_map(move |kw| {
-        code.match_indices(kw)
-            .filter(|&(at, _)| !code[..at].ends_with(is_ident_char))
-            .map(|(at, _)| {
-                code[at + kw.len()..]
-                    .trim_start()
-                    .chars()
-                    .take_while(|&c| is_ident_char(c))
-                    .collect::<String>()
-            })
-            .filter(|name| !name.is_empty())
-    })
-}
-
-/// The names `code` defines: items after their keyword, and what starts a
-/// line the way a field or a variant does (`name: T,`, `Variant(..)`).
-fn defs_of(code: &str) -> HashSet<String> {
-    const KEYWORDS: [&str; 10] = [
-        "fn ",
-        "struct ",
-        "enum ",
-        "trait ",
-        "type ",
-        "const ",
-        "static ",
-        "mod ",
-        "union ",
-        "macro_rules! ",
-    ];
-    let mut out: HashSet<String> = named_after(code, &KEYWORDS).collect();
-    for line in code.lines() {
-        let mut l = line.trim_start();
-        if let Some(rest) = l.strip_prefix("pub") {
-            l = rest.trim_start();
-            if l.starts_with('(') {
-                l = l.split_once(')').map_or("", |(_, r)| r).trim_start();
-            }
-        }
-        let name: String = l.chars().take_while(|&c| is_ident_char(c)).collect();
-        let rest = l[name.len()..].trim_start();
-        let field_or_variant = rest.is_empty()
-            || (rest.starts_with(':') && !rest.starts_with("::"))
-            || rest.starts_with([',', '(', '{'])
-            || (rest.starts_with('=') && !rest.starts_with("=="));
-        if !name.is_empty() && field_or_variant {
-            out.insert(name);
-        }
-    }
-    out
-}
-
-/// Functions carrying `#[test]` among the attributes right above them
-/// (`proptest!` blocks write theirs the same way).
-fn test_fns_of(code: &str) -> Vec<String> {
-    let lines: Vec<&str> = code.lines().map(str::trim).collect();
-    let mut out = Vec::new();
-    for (i, line) in lines.iter().enumerate() {
-        let Some(rest) = line.strip_prefix("fn ") else {
-            continue;
-        };
-        let attrs = lines[..i]
-            .iter()
-            .rev()
-            .take_while(|l| l.starts_with("#[") || l.is_empty());
-        if attrs.clone().any(|l| l.starts_with("#[test]")) {
-            out.push(rest.chars().take_while(|&c| is_ident_char(c)).collect());
-        }
-    }
-    out
 }
 
 /// `{a,b}x{c,d}` → `axc`, `axd`, `bxc`, `bxd`; text outside braces is kept.
@@ -367,8 +156,7 @@ fn dotted_match(doc: &str, known: &str) -> bool {
 
 impl Tree {
     fn load() -> Tree {
-        let mut all = Vec::new();
-        walk("", &mut all);
+        let all = walk("");
         // `crates/x/src/` and `vendored/x/src/` → the package's name.
         let crate_dirs: Vec<(String, String)> = all
             .iter()
@@ -387,39 +175,26 @@ impl Tree {
             })
             .collect();
         let mut t = Tree {
-            paths: HashSet::new(),
-            sources: Vec::new(),
             crates: crate_dirs.iter().map(|(_, name)| name.clone()).collect(),
-            idents: HashSet::new(),
-            test_fns: HashSet::new(),
-            dotted: Vec::new(),
-            namespaces: HashSet::new(),
-            registered: BTreeSet::new(),
-            traced: BTreeSet::new(),
-            mutants: HashSet::new(),
-            ci_steps: HashSet::new(),
-            ci_jobs: HashSet::new(),
             scenarios: dc_bench::scenario::runnable().map(|s| s.name).collect(),
+            ..Tree::default()
         };
 
-        let rust = all
-            .iter()
-            .filter(|p| p.ends_with(".rs") && SOURCE_DIRS.iter().any(|d| p.starts_with(d)));
-        for p in rust {
-            let text = read(p);
-            let lexed = lex(&text);
-            t.idents.extend(idents_of(&lexed.code).map(String::from));
-            if p != THIS_FILE {
-                for lit in &lexed.literals {
-                    t.idents.extend(idents_of(lit).map(String::from));
+        for src in sources() {
+            let p = src.path.as_str();
+            for tok in &src.toks {
+                if tok.kind == Kind::Ident {
+                    t.idents.insert(tok.text.to_string());
                 }
+                let lit = tok.str_lit().filter(|_| p != THIS_FILE);
+                t.idents
+                    .extend(lit.into_iter().flat_map(idents_of).map(String::from));
             }
-            t.test_fns.extend(test_fns_of(&lexed.code));
             let home = crate_dirs
                 .iter()
                 .find(|(dir, _)| p.starts_with(dir.as_str()));
-            t.sources.push(Source {
-                path: p.clone(),
+            t.files.push(File {
+                src,
                 krate: home.map(|(_, name)| name.clone()),
                 modules: home.map_or(Vec::new(), |(dir, _)| {
                     p[dir.len()..]
@@ -428,8 +203,6 @@ impl Tree {
                         .map(String::from)
                         .collect()
                 }),
-                defs: defs_of(&lexed.code),
-                types: named_after(&lexed.code, &["struct ", "enum ", "trait ", "type "]).collect(),
             });
 
             // Names non-test code defines and registers.
@@ -438,35 +211,29 @@ impl Tree {
             if !in_scope {
                 continue;
             }
-            let code_part = text.split("#[cfg(test)]").next().unwrap();
-            let live = lex(code_part);
+            let live: Vec<Tok> = src.toks.iter().filter(|t| !t.test).copied().collect();
             t.dotted
-                .extend(live.literals.iter().filter_map(|l| as_pattern(l)));
-            if p.starts_with("crates/") {
-                for call in [".counter(", ".gauge(", ".hist("] {
-                    for (at, _) in code_part.match_indices(call) {
-                        let arg = code_part[at + call.len()..].trim_start();
-                        if let Some(lit) = arg.strip_prefix('"').and_then(|a| a.split('"').next()) {
-                            t.registered.insert(lit.to_string());
-                        }
-                    }
+                .extend(live.iter().filter_map(|l| as_pattern(l.str_lit()?)));
+            for (i, w) in live.windows(3).enumerate() {
+                if !(p.starts_with("crates/") && w[0].is(".") && w[2].is("(")) {
+                    continue;
                 }
-                // The `Tracer` method and the position of its name argument.
-                for (call, pos) in TRACER_CALLS {
-                    for (at, _) in code_part.match_indices(call) {
-                        let args = call_args(&code_part[at + call.len()..]);
-                        if let Some(lit) = args
-                            .get(pos)
-                            .and_then(|a| a.strip_prefix('"'))
-                            .and_then(|a| a.split('"').next())
-                        {
-                            t.traced.insert(lit.to_string());
-                        }
-                    }
+                // The method's arguments, and the literal one at `pos`.
+                let args = entries(&live, i + 3, matching(&live, i + 2));
+                let lit = |pos: usize| args.get(pos).and_then(|a| a[0].str_lit()).map(String::from);
+                if matches!(w[1].text, "counter" | "gauge" | "hist") {
+                    t.registered.extend(lit(0));
+                }
+                if let Some(&(_, pos)) = TRACER_CALLS.iter().find(|(name, _)| w[1].is(name)) {
+                    t.traced.extend(lit(pos));
                 }
             }
             if p == SVC_FAMILY_FILE {
-                for suffix in live.literals.iter().filter(|l| l.starts_with('.')) {
+                for suffix in live
+                    .iter()
+                    .filter_map(|l| l.str_lit())
+                    .filter(|l| l.starts_with('.'))
+                {
                     t.registered.insert(format!("svc.<name>{suffix}"));
                     t.dotted.push(format!("svc.*{suffix}"));
                 }
@@ -517,10 +284,10 @@ impl Tree {
 
     /// Whether the source files `which` selects define `name` (an item or a
     /// module); `None` when it selects none.
-    fn defined_in(&self, which: impl Fn(&Source) -> bool, name: &str) -> Option<bool> {
-        let mut files = self.sources.iter().filter(|s| which(s)).peekable();
+    fn defined_in(&self, which: impl Fn(&File) -> bool, name: &str) -> Option<bool> {
+        let mut files = self.files.iter().filter(|f| which(f)).peekable();
         files.peek()?;
-        Some(files.any(|s| s.defs.contains(name) || s.modules.iter().any(|m| m == name)))
+        Some(files.any(|f| f.src.defs.names.contains(name) || f.modules.iter().any(|m| m == name)))
     }
 
     fn crate_defines(&self, krate: &str, name: &str) -> bool {
@@ -693,8 +460,8 @@ fn span_problems(t: &Tree, span: &str) -> Vec<String> {
                 out.push(bad(&format!("no path `{p}` in the repository")));
             } else if let Some(item) = item {
                 let item = item.trim_end_matches("()");
-                let file = |s: &Source| {
-                    s.path == p || !p.contains('/') && s.path.ends_with(&format!("/{p}"))
+                let file = |f: &File| {
+                    f.src.path == p || !p.contains('/') && f.src.path.ends_with(&format!("/{p}"))
                 };
                 if t.defined_in(file, item) != Some(true) {
                     out.push(bad(&format!("`{p}` defines no `{item}`")));
@@ -728,10 +495,10 @@ fn span_problems(t: &Tree, span: &str) -> Vec<String> {
             continue;
         } else if head.starts_with(|c: char| c.is_ascii_uppercase()) {
             let homes: Vec<&str> = t
-                .sources
+                .files
                 .iter()
-                .filter(|s| s.types.iter().any(|ty| ty == head))
-                .filter_map(|s| s.krate.as_deref())
+                .filter(|f| f.src.defs.types.iter().any(|ty| ty == head))
+                .filter_map(|f| f.krate.as_deref())
                 .collect();
             if homes.is_empty() {
                 out.push(bad(&format!("no type `{head}` in the workspace")));
@@ -743,7 +510,7 @@ fn span_problems(t: &Tree, span: &str) -> Vec<String> {
                 out.push(bad(&format!("`{head}` defines no `{}`", rest[0])));
             }
         } else {
-            let module = |s: &Source| s.path.rsplit('/').next() == Some(&format!("{head}.rs"));
+            let module = |f: &File| f.src.path.rsplit('/').next() == Some(&format!("{head}.rs"));
             match t.defined_in(module, &rest[0]) {
                 None => out.push(bad(&format!("no module `{head}`"))),
                 Some(false) => out.push(bad(&format!("`{head}` defines no `{}`", rest[0]))),
@@ -896,27 +663,106 @@ fn readme_references_resolve() {
     assert_resolves("README.md");
 }
 
+/// The numbers a line quotes as written: integers of at least 1,000 (commas
+/// allowed) and `k` numbers (`75.2k`, `8k`).
+fn quoted_numbers(line: &str) -> impl Iterator<Item = &str> {
+    line.split(|c: char| !is_ident_char(c) && c != ',' && c != '.')
+        .map(|w| w.trim_end_matches([',', '.']))
+        .filter(|w| {
+            let digits = w.strip_suffix('k').unwrap_or(w).replace(',', "");
+            w.starts_with(|c: char| c.is_ascii_digit())
+                && if w.ends_with('k') {
+                    digits.parse::<f64>().is_ok()
+                } else {
+                    digits.parse::<u64>().is_ok_and(|v| v >= 1_000)
+                }
+        })
+}
+
+/// Whether a quoted number is one of `cells` as the doc writes it: the same
+/// text, an integer by value, or a `k` number rounded to the decimals shown.
+fn is_cell(n: &str, cells: &[&str]) -> bool {
+    let n = n.replace(',', "");
+    let decimals = n.split_once('.').map_or(0, |(_, d)| d.len() - 1);
+    cells.iter().any(|&c| {
+        let value = c.replace(',', "").parse::<f64>();
+        c == n || value.is_ok_and(|v| v.to_string() == n || format!("{:.decimals$}k", v / 1e3) == n)
+    })
+}
+
+/// Each number a figure section of `doc` quotes on its `**Measured**` lines
+/// and table rows that is no cell or header of the baseline of the scenario
+/// its `*Regenerate:*` line names.
+fn stale_numbers(doc: &str) -> Vec<String> {
+    let mut out = Vec::new();
+    for section in doc.split("\n## ").skip(1) {
+        let Some(scenario) = section
+            .split_once("*Regenerate:* `")
+            .and_then(|(_, rest)| rest.split('`').next()?.split_whitespace().last())
+        else {
+            continue;
+        };
+        let baseline = root().join(format!("baselines/{scenario}.json"));
+        let report = LoadedReport::from_path(&baseline).unwrap_or_else(|e| panic!("{e}"));
+        let cells: Vec<&str> = report
+            .tables
+            .iter()
+            .flat_map(|t| t.headers.iter().chain(t.rows.iter().flatten()))
+            .map(String::as_str)
+            .collect();
+        let mut measured = false;
+        for line in section.lines() {
+            if line.is_empty() || line.starts_with("**") {
+                measured = line.starts_with("**Measured");
+            }
+            if measured || line.starts_with('|') {
+                out.extend(
+                    quoted_numbers(line)
+                        .filter(|n| !is_cell(n, &cells))
+                        .map(|n| format!("{scenario}: {n}")),
+                );
+            }
+        }
+    }
+    out
+}
+
+/// Every number EXPERIMENTS.md quotes from a figure's measurement is the
+/// committed baseline's: a re-bless that moves one fails here until the doc
+/// moves with it.
+#[test]
+fn experiments_md_quotes_the_baselines_numbers() {
+    let stale = stale_numbers(&read("EXPERIMENTS.md"));
+    assert!(
+        stale.is_empty(),
+        "EXPERIMENTS.md quotes numbers its baselines do not hold; copy each from \
+         baselines/<scenario>.json:\n{}",
+        stale.join("\n")
+    );
+}
+
+/// The check above can fail: on a made-up section, a stale integer, a stale
+/// `k` number and a stale table cell are reported, and the numbers the
+/// baseline holds, the prose outside `**Measured**` and small integers are not.
+#[test]
+fn a_stale_quoted_number_is_reported() {
+    let doc = "# x\n\n## Figure 6\n*Regenerate:* `… dc-bench -- run fig6_coopcache`\n\n\
+               AC 99999 in prose is not checked.\n\
+               **Measured** (8k/16k): AC 10046/10,188 (10.0k, 10k), 12 runs;\n\
+               BCC 12939 and 13.3k.\n**Verdict:** 99999 is not checked either.\n\n\
+               | scheme | 8k |\n|---|---|\n| AC | 5,361 |\n| BCC | 7,325 |\n";
+    let stale = stale_numbers(doc).join(", ");
+    assert_eq!(
+        stale,
+        "fig6_coopcache: 12939, fig6_coopcache: 13.3k, fig6_coopcache: 7,325"
+    );
+}
+
 /// The metric table in EXPERIMENTS.md "Tracing a run" lists every name
 /// non-test code registers; a new metric gets its row in the same change.
 #[test]
 fn every_registered_metric_is_in_the_catalogue() {
-    let doc = read("EXPERIMENTS.md");
-    let table: HashSet<String> = doc
-        .lines()
-        .skip_while(|l| !l.starts_with("| metric |"))
-        .take_while(|l| l.starts_with('|'))
-        .filter_map(|l| l.split('`').nth(1))
-        .flat_map(expand_braces)
-        .collect();
-    assert!(
-        !table.is_empty(),
-        "EXPERIMENTS.md has no `| metric |` table"
-    );
-    let missing: Vec<&String> = tree()
-        .registered
-        .iter()
-        .filter(|m| !table.contains(*m))
-        .collect();
+    let missing = unlisted("| metric |", &tree().registered);
     assert!(
         missing.is_empty(),
         "registered but not in EXPERIMENTS.md's metric table: {missing:?}"
@@ -928,32 +774,29 @@ fn every_registered_metric_is_in_the_catalogue() {
 /// its row in the same change.
 #[test]
 fn every_traced_name_is_in_the_catalogue() {
-    let doc = read("EXPERIMENTS.md");
-    let table: HashSet<String> = doc
-        .lines()
-        .skip_while(|l| !l.starts_with("| name | kind |"))
-        .take_while(|l| l.starts_with('|'))
-        .filter_map(|l| l.split('`').nth(1))
-        .flat_map(expand_braces)
-        .collect();
-    assert!(
-        !table.is_empty(),
-        "EXPERIMENTS.md has no `| name | kind |` table"
-    );
     assert!(
         tree().traced.len() >= 25,
         "{} traced names found: the scan lost its calls",
         tree().traced.len()
     );
-    let missing: Vec<&String> = tree()
-        .traced
-        .iter()
-        .filter(|m| !table.contains(*m))
-        .collect();
+    let missing = unlisted("| name | kind |", &tree().traced);
     assert!(
         missing.is_empty(),
         "traced but not in EXPERIMENTS.md's span table: {missing:?}"
     );
+}
+
+/// The `names` that the EXPERIMENTS.md table under `header` does not list.
+fn unlisted<'a>(header: &str, names: &'a BTreeSet<String>) -> Vec<&'a String> {
+    let table: HashSet<String> = read("EXPERIMENTS.md")
+        .lines()
+        .skip_while(|l| !l.starts_with(header))
+        .take_while(|l| l.starts_with('|'))
+        .filter_map(|l| l.split('`').nth(1))
+        .flat_map(expand_braces)
+        .collect();
+    assert!(!table.is_empty(), "EXPERIMENTS.md has no `{header}` table");
+    names.iter().filter(|m| !table.contains(*m)).collect()
 }
 
 /// Every crate but the re-export shim has exactly one `## N. `dc-x` …`
@@ -961,7 +804,7 @@ fn every_traced_name_is_in_the_catalogue() {
 /// mutant entry that guards it.
 #[test]
 fn every_crate_has_one_contract() {
-    let t = tree();
+    let (t, tests) = (tree(), test_fns());
     let doc = read("DESIGN.md");
     let mut sections: HashMap<&str, Vec<&str>> = HashMap::new();
     for section in doc.split("\n## ").skip(1) {
@@ -989,7 +832,7 @@ fn every_crate_has_one_contract() {
         let spans = code_spans(found[0]);
         if !spans
             .iter()
-            .any(|s| t.test_fns.contains(s.rsplit("::").next().unwrap()))
+            .any(|s| tests.contains(s.rsplit("::").next().unwrap()))
         {
             problems.push(format!("{name}: the contract names no test function"));
         }
@@ -1020,25 +863,19 @@ fn every_crate_has_one_contract() {
 #[test]
 fn design_section_cites_resolve() {
     let outline = design_outline();
-    let mut files = vec![
-        "DESIGN.md".to_string(),
-        "EXPERIMENTS.md".to_string(),
-        "README.md".to_string(),
-        "tests/mutants.txt".to_string(),
-        ".github/workflows/ci.yml".to_string(),
-        ".claude/skills/verify/SKILL.md".to_string(),
+    let docs = [
+        "DESIGN.md",
+        "EXPERIMENTS.md",
+        "README.md",
+        "tests/mutants.txt",
+        ".github/workflows/ci.yml",
+        ".claude/skills/verify/SKILL.md",
     ];
-    let mut all = Vec::new();
-    for dir in ["crates", "src", "tests", "examples"] {
-        walk(dir, &mut all);
-    }
-    files.extend(
-        all.into_iter()
-            .filter(|p| p.ends_with(".rs") && p != THIS_FILE),
-    );
+    let code = sources().iter().filter(|s| s.path != THIS_FILE);
+    let code = code.map(|s| (s.path.as_str(), s.text.to_string()));
     let mut problems = Vec::new();
-    for file in &files {
-        for (sec, item) in section_cites(&read(file), file == "DESIGN.md") {
+    for (file, text) in docs.map(|d| (d, read(d))).into_iter().chain(code) {
+        for (sec, item) in section_cites(&text, file == "DESIGN.md") {
             match (outline.get(&sec), item) {
                 (None, _) => problems.push(format!("{file}: §{sec} is no heading of DESIGN.md")),
                 (Some(items), Some(n)) if !items.contains(&n) => {
@@ -1058,21 +895,18 @@ fn design_section_cites_resolve() {
 /// Comments in `crates/*/src` give reasons, not ROADMAP item numbers.
 #[test]
 fn code_comments_cite_no_roadmap_item_numbers() {
-    let mut all = Vec::new();
-    walk("crates", &mut all);
-    let offenders: Vec<&String> = all
+    let offenders: Vec<&str> = sources()
         .iter()
-        .filter(|p| p.contains("/src/") && p.ends_with(".rs"))
-        .filter(|p| {
-            flat(
-                &lex(&read(p))
-                    .comments
-                    .replace("//!", " ")
-                    .replace("///", " ")
-                    .replace("//", " "),
-            )
-            .contains("ROADMAP item")
+        .filter(|s| s.path.starts_with("crates/") && s.path.contains("/src/"))
+        .filter(|s| {
+            let text: Vec<&str> = s
+                .comments
+                .iter()
+                .map(|c| c.trim_start_matches(['/', '!']))
+                .collect();
+            flat(&text.join(" ")).contains("ROADMAP item")
         })
+        .map(|s| s.path.as_str())
         .collect();
     assert!(
         offenders.is_empty(),

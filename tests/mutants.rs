@@ -3,9 +3,9 @@
 //!
 //! `catalogue_still_aims_at_the_code` runs with every `cargo test`: each
 //! entry's `find` snippet occurs exactly once in its file, its `replace`
-//! differs, and the test function its `kill` names exists. A refactor that
-//! moves or rewrites a snippet fails here, and the entry is re-aimed at the
-//! code's new shape, not deleted.
+//! differs, and its `kill` names a `#[test]` function of the tree. A
+//! refactor that moves or rewrites a snippet fails here, and the entry is
+//! re-aimed at the code's new shape, not deleted.
 //!
 //! `every_mutant_is_killed` is the runner, ignored by default because it
 //! builds the tree once per entry:
@@ -21,17 +21,16 @@
 //! only if the mutated tree compiles (`cargo test --no-run` with its `kill`
 //! arguments) and its `kill` test then fails; a compile error is not a kill.
 
+mod common;
+
+use common::{read, root, test_fns, walk};
 use std::collections::HashSet;
 use std::fs::{self, File};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Command, ExitStatus};
 use std::time::Instant;
 
 const CATALOGUE: &str = "tests/mutants.txt";
-
-/// Where test functions are looked for, and what a tree copy leaves out.
-const SOURCE_DIRS: [&str; 4] = ["crates", "src", "tests", "examples"];
-const SKIPPED_DIRS: [&str; 2] = ["target", ".git"];
 
 /// Seconds a build, or a kill test run, may take before it is stopped.
 const BUILD_TIMEOUT_S: u32 = 1_800;
@@ -125,56 +124,10 @@ fn parse(text: &str) -> Result<Vec<Mutant>, String> {
     Ok(mutants)
 }
 
-/// Every `.rs` file under `dir`, skipping build output.
-fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
-    let Ok(entries) = fs::read_dir(dir) else {
-        return;
-    };
-    for entry in entries.flatten() {
-        let path = entry.path();
-        if path.is_dir() {
-            if !SKIPPED_DIRS.iter().any(|s| path.ends_with(s)) {
-                rust_files(&path, out);
-            }
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            out.push(path);
-        }
-    }
-}
-
-fn is_ident_char(c: char) -> bool {
-    c.is_ascii_alphanumeric() || c == '_'
-}
-
-/// The name of every `fn` in the tree's Rust sources.
-fn fn_names(root: &Path) -> HashSet<String> {
-    let mut files = Vec::new();
-    for dir in SOURCE_DIRS {
-        rust_files(&root.join(dir), &mut files);
-    }
-    let mut names = HashSet::new();
-    for file in files {
-        let text = fs::read_to_string(&file).unwrap_or_default();
-        for (at, _) in text.match_indices("fn ") {
-            if text[..at].ends_with(is_ident_char) {
-                continue;
-            }
-            let name: String = text[at + 3..]
-                .chars()
-                .take_while(|&c| is_ident_char(c))
-                .collect();
-            if !name.is_empty() {
-                names.insert(name);
-            }
-        }
-    }
-    names
-}
-
-/// What is wrong with the catalogue against the tree at `root`: one line per
-/// problem, empty when every entry still aims at its code.
-fn problems(root: &Path, mutants: &[Mutant]) -> Vec<String> {
-    let fns = fn_names(root);
+/// What is wrong with the catalogue against the tree: one line per problem,
+/// empty when every entry still aims at its code.
+fn problems(mutants: &[Mutant]) -> Vec<String> {
+    let tests = test_fns();
     let mut seen = HashSet::new();
     let mut out = Vec::new();
     for m in mutants {
@@ -185,7 +138,7 @@ fn problems(root: &Path, mutants: &[Mutant]) -> Vec<String> {
         if m.find == m.replace {
             out.push(format!("{at}: `replace` equals `find`"));
         }
-        match fs::read_to_string(root.join(&m.file)) {
+        match fs::read_to_string(root().join(&m.file)) {
             Err(e) => out.push(format!("{at}: reading {}: {e}", m.file)),
             Ok(text) => match text.matches(m.find.as_str()).count() {
                 1 => {}
@@ -194,9 +147,9 @@ fn problems(root: &Path, mutants: &[Mutant]) -> Vec<String> {
             },
         }
         let test = m.test_fn();
-        if !fns.contains(test) {
+        if !tests.contains(test) {
             out.push(format!(
-                "{at}: `kill` must end with a test's name; no `fn {test}` in {SOURCE_DIRS:?}"
+                "{at}: `kill` must end with a test's name; no `#[test] fn {test}` in the tree"
             ));
         }
         if m.source.trim().is_empty() {
@@ -206,13 +159,8 @@ fn problems(root: &Path, mutants: &[Mutant]) -> Vec<String> {
     out
 }
 
-fn repo_root() -> &'static Path {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-}
-
 fn catalogue() -> Vec<Mutant> {
-    let text = fs::read_to_string(repo_root().join(CATALOGUE)).expect("reading the catalogue");
-    parse(&text).unwrap_or_else(|e| panic!("{e}"))
+    parse(&read(CATALOGUE)).unwrap_or_else(|e| panic!("{e}"))
 }
 
 #[test]
@@ -223,7 +171,7 @@ fn catalogue_still_aims_at_the_code() {
         "{} entries: the catalogue shrank",
         mutants.len()
     );
-    let problems = problems(repo_root(), &mutants);
+    let problems = problems(&mutants);
     assert!(
         problems.is_empty(),
         "the catalogue no longer matches the tree; re-aim each entry:\n{}",
@@ -232,8 +180,8 @@ fn catalogue_still_aims_at_the_code() {
 }
 
 /// The check above can fail: a snippet that moved, one that is no longer
-/// unique, a no-op replacement and a test that does not exist are each
-/// reported.
+/// unique, a no-op replacement, a test that does not exist and a `kill` that
+/// names a helper, not a test, are each reported.
 #[test]
 fn catalogue_check_reports_each_kind_of_stale_entry() {
     let real = "catalogue_still_aims_at_the_code";
@@ -243,6 +191,7 @@ fn catalogue_check_reports_each_kind_of_stale_entry() {
         ("ambiguous", "workspace", "x", real),
         ("no_op", "[workspace]\\n", "[workspace]\\n", real),
         ("no_test", "[workspace]\\n", "x", "renamed_away"),
+        ("helper", "[workspace]\\n", "x", "copy_tree"),
     ];
     let text: String = entries
         .iter()
@@ -254,7 +203,7 @@ fn catalogue_check_reports_each_kind_of_stale_entry() {
         })
         .collect();
     let mutants = parse(&text).unwrap();
-    let found = problems(repo_root(), &mutants);
+    let found = problems(&mutants);
     let flagged = |name: &str, what: &str| {
         found
             .iter()
@@ -264,21 +213,20 @@ fn catalogue_check_reports_each_kind_of_stale_entry() {
     assert!(flagged("moved", "no longer occurs"), "{found:?}");
     assert!(flagged("ambiguous", "times in"), "{found:?}");
     assert!(flagged("no_op", "equals"), "{found:?}");
-    assert!(flagged("no_test", "no `fn "), "{found:?}");
-    assert_eq!(found.len(), 4, "{found:?}");
+    assert!(flagged("no_test", "no `#[test] fn "), "{found:?}");
+    assert!(flagged("helper", "no `#[test] fn "), "{found:?}");
+    assert_eq!(found.len(), 5, "{found:?}");
 }
 
-/// Copy `from` to `to`, leaving out build output and version control.
-fn copy_tree(from: &Path, to: &Path) {
+/// Copy the tree to `to`, leaving out build output and version control.
+fn copy_tree(to: &Path) {
     fs::create_dir_all(to).unwrap();
-    for entry in fs::read_dir(from).unwrap().flatten() {
-        let (src, dst) = (entry.path(), to.join(entry.file_name()));
-        if src.is_dir() {
-            if !SKIPPED_DIRS.iter().any(|s| src.ends_with(s)) {
-                copy_tree(&src, &dst);
-            }
-        } else {
-            fs::copy(&src, &dst).unwrap_or_else(|e| panic!("copying {}: {e}", src.display()));
+    for p in walk("") {
+        let (src, dst) = (root().join(&p), to.join(&p));
+        if p.ends_with('/') {
+            fs::create_dir_all(dst).unwrap();
+        } else if let Err(e) = fs::copy(src, dst) {
+            panic!("copying {p}: {e}");
         }
     }
 }
@@ -320,7 +268,7 @@ fn cargo_test(
 fn every_mutant_is_killed() {
     let started = Instant::now();
     let mutants = catalogue();
-    let problems = problems(repo_root(), &mutants);
+    let problems = problems(&mutants);
     assert!(
         problems.is_empty(),
         "stale catalogue:\n{}",
@@ -335,7 +283,7 @@ fn every_mutant_is_killed() {
         }
     }
     fs::create_dir_all(&logs).unwrap();
-    copy_tree(repo_root(), &tree);
+    copy_tree(&tree);
     eprintln!(
         "mutants: {} entries, tree copied to {}",
         mutants.len(),
