@@ -9,6 +9,8 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use dc_bench::scenario::RunCtx;
+
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
 static TRACE: AtomicBool = AtomicBool::new(false);
@@ -157,7 +159,13 @@ fn main() {
             }
         });
         measured("one dqnl cascade w=16 (full)", || {
-            dc_bench::fig5::cascade_ns(dc_dlm::DesignKind::Dqnl, 16, dc_dlm::LockMode::Exclusive)
+            let ctx = RunCtx::pinned();
+            dc_bench::fig5::cascade_ns(
+                &ctx,
+                dc_dlm::DesignKind::Dqnl,
+                16,
+                dc_dlm::LockMode::Exclusive,
+            )
         });
         return;
     }
@@ -196,10 +204,10 @@ fn main() {
     let s = dc_bench::scenario::lookup(&name, |_| true).expect("scenario");
     if std::env::var("DC_ALLOC_TRACE").is_ok_and(|v| v == "1") {
         TRACE.store(true, Ordering::Relaxed);
-        (s.run)();
+        (s.report)(&RunCtx::pinned());
         TRACE.store(false, Ordering::Relaxed);
         dump_sites();
         return;
     }
-    measured(&name, || (s.run)());
+    measured(&name, || (s.report)(&RunCtx::pinned()));
 }

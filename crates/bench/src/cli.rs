@@ -10,11 +10,11 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use dc_core::Table;
-use dc_trace::BenchReport;
+use dc_trace::{render_collapsed, BenchReport};
 
 use crate::claims::{claims_for, evaluate};
 use crate::diff::{diff, DiffError, LoadedReport, Tolerance};
-use crate::scenario::{self, Scenario};
+use crate::scenario::{self, RunCtx, Scenario};
 use crate::{flame, top};
 
 /// A subcommand's outcome: its exit code, or a usage or I/O error (exit 2).
@@ -86,11 +86,11 @@ against the reports stored in DIR.",
     Command {
         name: "flame",
         synopsis: "--scenario NAME [--seed N] [--out PATH] [--report PATH]",
-        about: "Trace a scenario (fig5a, fig5b, fig6 or ext_lock_shootout) and fold its
-span tree into collapsed-stack lines weighted by span self time in ns,
-to stdout or PATH. --report also writes a report whose latency_breakdown
-attributes each sampled request to critical-path stages. The same
-(scenario, seed) emits the same bytes; the seed defaults to 42.",
+        about: "Run a gated scenario with its sub-runs traced and fold their span trees
+into collapsed-stack lines weighted by span self time in ns, to stdout or
+PATH. --report also writes the scenario's report plus a latency_breakdown
+attributing each sampled request to critical-path stages. The same
+(scenario, seed) emits the same bytes; seed 0 (default) is the baseline's run.",
         handler: flame,
     },
     Command {
@@ -169,7 +169,9 @@ struct Opts {
     report: Option<PathBuf>,
     verbose: bool,
     scenario: Option<String>,
-    /// `--seed` (flame's too), `--interval-us`, `--requests`, `--once`.
+    /// `--seed`: flame's (default 0) and top's (default its own).
+    seed: Option<u64>,
+    /// `--interval-us`, `--requests`, `--once`.
     top: top::TopCfg,
 }
 
@@ -206,7 +208,7 @@ fn parse(cmd: &Command, args: &[String]) -> Result<Opts, String> {
                         let (col, n) = v.split_once('=').ok_or("--tol wants COL=N")?;
                         o.tol.per_column.push((col.to_string(), number(flag, n)?));
                     }
-                    "--seed" => o.top.seed = number(flag, v)?,
+                    "--seed" => o.seed = Some(number(flag, v)?),
                     "--interval-us" => o.top.interval_us = at_least_1(flag, v)?,
                     "--requests" => o.top.requests = at_least_1(flag, v)?,
                     _ => return Err(format!("unknown flag `{flag}`")),
@@ -325,10 +327,10 @@ fn run_scenarios(o: &Opts, w: &mut dyn Write) -> Outcome {
         }
         // `--series` comes with fig8a alone: run it by hand and keep the
         // samples the report is built from.
-        let series = o.series.then(crate::fig8a::run);
+        let series = o.series.then(|| crate::fig8a::run(&RunCtx::pinned()));
         let report = match &series {
             Some(results) => scenario::fig8a_report_from(results),
-            None => (s.run)(),
+            None => (s.report)(&RunCtx::pinned()),
         };
         emit(&report, o, w)?;
         if let (Some(results), true) = (&series, text) {
@@ -350,7 +352,7 @@ fn bless(o: &Opts, w: &mut dyn Write) -> Outcome {
     std::fs::create_dir_all(&o.dir).map_err(|e| format!("creating {}: {e}", o.dir.display()))?;
     for s in scenarios {
         let path = report_path(&o.dir, s);
-        write_report(&path, &(s.run)())?;
+        write_report(&path, &(s.report)(&RunCtx::pinned()))?;
         writeln!(w, "blessed {}", path.display())?;
     }
     Ok(0)
@@ -440,7 +442,8 @@ fn check(o: &Opts, w: &mut dyn Write) -> Outcome {
     for s in select(&o.names, scenario::gated)? {
         let base = LoadedReport::from_path(&report_path(&o.dir, s))
             .map_err(|e| format!("{e} (run `dc-bench bless` first?)"))?;
-        loaded.push((base, LoadedReport::from_bench(&(s.run)())));
+        let live = LoadedReport::from_bench(&(s.report)(&RunCtx::pinned()));
+        loaded.push((base, live));
     }
     gate(o, &loaded, w)
 }
@@ -450,7 +453,7 @@ fn claims(o: &Opts, w: &mut dyn Write) -> Outcome {
     for s in select(&o.names, scenario::gated)? {
         let tables = match &o.from {
             Some(dir) => LoadedReport::from_path(&report_path(dir, s))?.tables,
-            None => (s.run)().tables().to_vec(),
+            None => (s.report)(&RunCtx::pinned()).tables().to_vec(),
         };
         let table_claims = claims_for(s.name);
         let v = evaluate(&tables, &table_claims);
@@ -474,31 +477,30 @@ fn flame(o: &Opts, w: &mut dyn Write) -> Outcome {
         .scenario
         .as_deref()
         .ok_or("flame requires --scenario NAME")?;
-    let s = scenario::lookup(name, flame::traceable).ok_or_else(|| {
-        let traceable = flame::TRACEABLE.join(", ");
-        format!("scenario `{name}` is unknown or not traceable; traceable: {traceable}")
-    })?;
-    let p = flame::profile(s.name, o.top.seed);
+    let (report, p) = flame::profile(name, o.seed.unwrap_or(0))?;
+    let collapsed = render_collapsed(&p.stacks);
     match &o.out {
-        Some(path) => write_file(path, &p.collapsed)?,
-        None => w.write_all(p.collapsed.as_bytes())?,
+        Some(path) => write_file(path, &collapsed)?,
+        None => w.write_all(collapsed.as_bytes())?,
     }
     if let Some(path) = &o.report {
-        write_report(path, &flame::report(&p))?;
+        write_report(path, &report)?;
     }
     eprintln!(
         "flame: {} — {} events, {} stacks, {} requests attributed",
-        p.scenario,
+        report.bench(),
         p.events,
-        p.collapsed.lines().count(),
-        p.breakdown.requests,
+        p.stacks.len(),
+        report.latency_breakdown().map_or(0, |b| b.requests),
     );
     Ok(0)
 }
 
 fn watch(o: &Opts, _: &mut dyn Write) -> Outcome {
     no_operands(o)?;
-    top::run(o.top.clone());
+    let mut cfg = o.top.clone();
+    cfg.seed = o.seed.unwrap_or(cfg.seed);
+    top::run(cfg);
     Ok(0)
 }
 
@@ -561,14 +563,14 @@ mod tests {
 
     #[test]
     fn resolve_accepts_exact_and_unique_prefixes() {
-        let traced = |n: &str| scenario::lookup(n, flame::traceable).map(|s| s.name);
-        assert_eq!(traced("fig5a_lock_shared"), Some("fig5a_lock_shared"));
-        assert_eq!(traced("fig5a"), Some("fig5a_lock_shared"));
-        assert_eq!(traced("fig5b"), Some("fig5b_lock_exclusive"));
-        assert_eq!(traced("ext"), Some("ext_lock_shootout"));
-        assert_eq!(traced("fig5"), None, "ambiguous prefix must not resolve");
-        assert_eq!(traced("fig3a_ddss_put"), None, "untraceable scenario");
-        assert_eq!(traced(""), None);
+        let gated = |n: &str| scenario::lookup(n, scenario::gated).map(|s| s.name);
+        assert_eq!(gated("fig5a_lock_shared"), Some("fig5a_lock_shared"));
+        assert_eq!(gated("fig5a"), Some("fig5a_lock_shared"));
+        assert_eq!(gated("fig5b"), Some("fig5b_lock_exclusive"));
+        assert_eq!(gated("ext_l"), Some("ext_lock_shootout"));
+        assert_eq!(gated("fig5"), None, "ambiguous prefix must not resolve");
+        assert_eq!(gated("ext"), None, "ambiguous prefix must not resolve");
+        assert_eq!(gated(""), None);
 
         // An exact name wins over the longer names it prefixes.
         let s = select(&sv(&["ext_webfarm_scale"]), scenario::gated).unwrap();
@@ -622,7 +624,9 @@ mod tests {
         assert!(o.series && !o.json);
 
         let o = parse(command("top"), &sv(&["--seed", "7", "--once"])).unwrap();
-        assert!(o.top.seed == 7 && o.top.once);
+        assert!(o.seed == Some(7) && o.top.once);
+        let o = parse(command("flame"), &sv(&["--scenario", "fig5a"])).unwrap();
+        assert_eq!(o.seed, None, "flame's default seed is its own");
         // A flag is accepted only by the subcommands whose synopsis names it.
         assert!(parse(command("top"), &sv(&["--json"])).is_err());
         assert!(parse(command("claims"), &sv(&["--dir", "d"])).is_err());
@@ -709,7 +713,7 @@ mod tests {
 
         let mut text = Vec::new();
         assert_eq!(run(&sv(&["run", "fig5a_lock_shared"]), &mut text), 0);
-        let rendered: Vec<String> = scenario::fig5a_report()
+        let rendered: Vec<String> = scenario::fig5a_report(&RunCtx::pinned())
             .tables()
             .iter()
             .map(|t| Table::from_report(t).render())
@@ -835,11 +839,25 @@ mod tests {
         // flame and top: reachable now that they return instead of exiting.
         assert_eq!(code(&["flame"]), 2);
         assert_eq!(code(&["flame", "--scenario"]), 2);
-        assert_eq!(code(&["flame", "--scenario", "fig3a_ddss_put"]), 2);
+        assert_eq!(code(&["flame", "--scenario", "fig9"]), 2);
+        assert_eq!(code(&["flame", "--scenario", "ext_webfarm_scale_full"]), 2);
         assert_eq!(code(&["flame", "--scenario", "fig5a", "--seed", "x"]), 2);
         assert_eq!(code(&["top", "--seed", "x"]), 2);
         assert_eq!(code(&["top", "--interval-us", "0"]), 2);
         assert_eq!(code(&["top", "--requests", "0"]), 2);
         assert_eq!(code(&["top", "--once", "extra"]), 2);
+    }
+
+    /// The one gated scenario without a cluster: flame says so and exits 2.
+    #[test]
+    fn flame_refuses_a_scenario_that_builds_no_cluster() {
+        let args = ["flame", "--scenario", "ext_webfarm_scale"];
+        assert_eq!(code(&args), 2);
+        let err = flame(
+            &parse(command("flame"), &sv(&args[1..])).unwrap(),
+            &mut Vec::new(),
+        );
+        let err = err.unwrap_err().to_string();
+        assert!(err.contains("builds no `Cluster`"), "{err}");
     }
 }

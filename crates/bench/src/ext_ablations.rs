@@ -8,12 +8,14 @@
 
 use bytes::Bytes;
 use dc_coopcache::CacheScheme;
-use dc_core::{run_webfarm, WebFarmCfg};
+use dc_core::{run_webfarm, run_webfarm_traced, WebFarmCfg};
 use dc_ddss::{Coherence, Ddss, DdssConfig};
-use dc_fabric::{Cluster, FabricModel, NodeId, VerbStats};
+use dc_fabric::{NodeId, VerbStats};
 use dc_resmon::{Monitor, MonitorCfg, MonitorScheme};
-use dc_sim::time::{ms, secs};
+use dc_sim::time::{fmt_time, ms, secs};
 use dc_sim::Sim;
+
+use crate::scenario::RunCtx;
 
 // ------------------------------------------------------ coherence ablation
 
@@ -32,9 +34,9 @@ pub struct VerbProfile {
 
 /// Count the verbs a put+get pair issues under `model` (averaged over
 /// `rounds` uncontended rounds, which is exact for these protocols).
-pub fn verb_profile(model: Coherence, rounds: u64) -> VerbProfile {
+pub fn verb_profile(ctx: &RunCtx, model: Coherence, rounds: u64) -> VerbProfile {
     let sim = Sim::new();
-    let cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), 2);
+    let cluster = ctx.cluster(&sim, 2);
     let ddss = Ddss::new(&cluster, DdssConfig::default(), &[NodeId(0), NodeId(1)]);
     let client = ddss.client(NodeId(0));
     let cl = cluster.clone();
@@ -49,6 +51,7 @@ pub fn verb_profile(model: Coherence, rounds: u64) -> VerbProfile {
         }
         (before, cl.stats())
     });
+    ctx.fold(&cluster, || format!("verbs;{model}"));
     VerbProfile {
         model,
         reads: (after.reads - before.reads) / rounds,
@@ -75,10 +78,10 @@ pub fn coherence_table(profiles: &[VerbProfile]) -> dc_core::Table {
 }
 
 /// Run the coherence ablation over all Figure 3a models.
-pub fn run_coherence() -> Vec<VerbProfile> {
+pub fn run_coherence(ctx: &RunCtx) -> Vec<VerbProfile> {
     Coherence::FIG3A
         .iter()
-        .map(|&m| verb_profile(m, 10))
+        .map(|&m| verb_profile(ctx, m, 10))
         .collect()
 }
 
@@ -105,7 +108,7 @@ pub struct CapacityCell {
 pub const CACHE_SIZES: [usize; 4] = [512 * 1024, 1024 * 1024, 2 * 1024 * 1024, 4 * 1024 * 1024];
 
 /// Run the sweep for BCC and CCWR.
-pub fn run_capacity() -> Vec<CapacityCell> {
+pub fn run_capacity(ctx: &RunCtx) -> Vec<CapacityCell> {
     let mut cells = Vec::new();
     for &scheme in &[CacheScheme::Bcc, CacheScheme::Ccwr] {
         for &per_node in &CACHE_SIZES {
@@ -119,10 +122,11 @@ pub fn run_capacity() -> Vec<CapacityCell> {
                 zipf_alpha: 0.9,
                 clients_per_proxy: 6,
                 requests: 1_500,
-                seed: 7_411,
+                seed: ctx.seed_for(cells.len(), 7_411),
                 ..WebFarmCfg::default()
             };
-            let r = run_webfarm(&cfg);
+            let label = || format!("capacity;{};{}k", scheme.label(), per_node / 1024);
+            let r = ctx.farm(label, || run_webfarm(&cfg), |m| run_webfarm_traced(&cfg, m));
             cells.push(CapacityCell {
                 scheme,
                 per_node,
@@ -156,7 +160,7 @@ pub fn capacity_table(cells: &[CapacityCell]) -> dc_core::Table {
             dc_core::table::pct(c.hit_rate),
             format!("{:.0}", c.misses_per_k),
             format!("{:.0}", c.tps),
-            dc_sim::time::fmt_time(c.mean_latency_ns),
+            fmt_time(c.mean_latency_ns),
         ]);
     }
     t
@@ -181,14 +185,14 @@ pub struct GranularityCell {
 pub const PERIODS: [u64; 4] = [1_000_000, 10_000_000, 100_000_000, 1_000_000_000];
 
 /// Run the sweep for the two async schemes.
-pub fn run_granularity() -> Vec<GranularityCell> {
+pub fn run_granularity(ctx: &RunCtx) -> Vec<GranularityCell> {
     let mut cells = Vec::new();
     for &scheme in &[MonitorScheme::RdmaAsync, MonitorScheme::SocketAsync] {
         for &period in &PERIODS {
             // Accuracy under load.
-            let acc = crate::fig8a::run_scheme_with_period(scheme, secs(1), ms(10), period);
+            let acc = crate::fig8a::run_scheme(ctx, scheme, secs(1), ms(10), period);
             // Overhead on an idle node.
-            let overhead = idle_overhead(scheme, period);
+            let overhead = idle_overhead(ctx, scheme, period);
             cells.push(GranularityCell {
                 scheme,
                 period_ns: period,
@@ -200,9 +204,9 @@ pub fn run_granularity() -> Vec<GranularityCell> {
     cells
 }
 
-fn idle_overhead(scheme: MonitorScheme, period_ns: u64) -> u64 {
+fn idle_overhead(ctx: &RunCtx, scheme: MonitorScheme, period_ns: u64) -> u64 {
     let sim = Sim::new();
-    let cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), 2);
+    let cluster = ctx.cluster(&sim, 2);
     let _monitor = Monitor::spawn(
         &cluster,
         scheme,
@@ -211,6 +215,8 @@ fn idle_overhead(scheme: MonitorScheme, period_ns: u64) -> u64 {
         &[NodeId(1)],
     );
     sim.run_until(secs(1));
+    let label = || format!("idle;{};{}", scheme.label(), fmt_time(period_ns));
+    ctx.fold(&cluster, label);
     cluster.cpu(NodeId(1)).snapshot().busy_ns
 }
 
@@ -223,7 +229,7 @@ pub fn granularity_table(cells: &[GranularityCell]) -> dc_core::Table {
     for c in cells {
         t.row(vec![
             c.scheme.label().to_string(),
-            dc_sim::time::fmt_time(c.period_ns),
+            fmt_time(c.period_ns),
             format!("{:.2}", c.mean_deviation),
             format!("{:.1}", c.overhead_ns_per_s as f64 / 1e3),
         ]);
@@ -237,14 +243,14 @@ mod tests {
 
     #[test]
     fn verb_counts_match_the_documented_protocols() {
-        let null = verb_profile(Coherence::Null, 5);
+        let null = verb_profile(&RunCtx::pinned(), Coherence::Null, 5);
         assert_eq!((null.reads, null.writes, null.atomics), (1, 1, 0));
-        let strict = verb_profile(Coherence::Strict, 5);
+        let strict = verb_profile(&RunCtx::pinned(), Coherence::Strict, 5);
         // put: CAS + write + write + CAS; get: CAS + read + CAS.
         assert_eq!(strict.atomics, 4);
         assert_eq!(strict.writes, 2);
         assert_eq!(strict.reads, 1);
-        let version = verb_profile(Coherence::Version, 5);
+        let version = verb_profile(&RunCtx::pinned(), Coherence::Version, 5);
         // put: write + FAA; get: read + verify-read.
         assert_eq!(version.atomics, 1);
         assert_eq!(version.reads, 2);
@@ -283,10 +289,13 @@ mod tests {
 
     #[test]
     fn slower_cadence_means_staler_views_but_less_overhead() {
-        let fast = idle_overhead(MonitorScheme::SocketAsync, 10_000_000);
-        let slow = idle_overhead(MonitorScheme::SocketAsync, 1_000_000_000);
+        let fast = idle_overhead(&RunCtx::pinned(), MonitorScheme::SocketAsync, 10_000_000);
+        let slow = idle_overhead(&RunCtx::pinned(), MonitorScheme::SocketAsync, 1_000_000_000);
         assert!(fast > 10 * slow, "fast {fast} vs slow {slow}");
         // RDMA polling costs the target nothing at any cadence.
-        assert_eq!(idle_overhead(MonitorScheme::RdmaAsync, 1_000_000), 0);
+        assert_eq!(
+            idle_overhead(&RunCtx::pinned(), MonitorScheme::RdmaAsync, 1_000_000),
+            0
+        );
     }
 }

@@ -8,9 +8,11 @@
 //! magnitude bandwidth improvement for some message sizes."
 
 use bytes::Bytes;
-use dc_fabric::{Cluster, FabricModel, NodeId};
+use dc_fabric::NodeId;
 use dc_sim::Sim;
 use dc_sockets::{connect, SocketsConfig, StreamKind};
+
+use crate::scenario::RunCtx;
 
 /// Message sizes swept (bytes).
 pub const SIZES: [usize; 7] = [16, 64, 256, 1024, 4096, 16384, 65536];
@@ -20,9 +22,9 @@ pub const COUNT: usize = 200;
 
 /// Measure achieved application bandwidth (MB/s) streaming `COUNT`
 /// messages of `size` bytes over `kind`.
-pub fn bandwidth_mbs(kind: StreamKind, size: usize) -> f64 {
+pub fn bandwidth_mbs(ctx: &RunCtx, kind: StreamKind, size: usize) -> f64 {
     let sim = Sim::new();
-    let cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), 2);
+    let cluster = ctx.cluster(&sim, 2);
     let (mut tx, mut rx) = connect(&cluster, NodeId(0), NodeId(1), kind, SocketsConfig);
     let h = sim.handle();
     let recv_done = sim.spawn(async move {
@@ -38,6 +40,7 @@ pub fn bandwidth_mbs(kind: StreamKind, size: usize) -> f64 {
         }
     });
     sim.run();
+    ctx.fold(&cluster, || format!("{};{size}B", kind.label()));
     let elapsed_ns = recv_done.try_take().expect("receiver did not finish");
     let bytes = (COUNT * size) as f64;
     bytes / (elapsed_ns as f64 / 1e3) // bytes per µs == MB/s
@@ -53,12 +56,12 @@ pub struct BwSeries {
 }
 
 /// Run all four stream kinds over the sweep.
-pub fn run() -> Vec<BwSeries> {
+pub fn run(ctx: &RunCtx) -> Vec<BwSeries> {
     StreamKind::ALL
         .iter()
         .map(|&kind| BwSeries {
             kind,
-            mbs: SIZES.iter().map(|&s| bandwidth_mbs(kind, s)).collect(),
+            mbs: SIZES.iter().map(|&s| bandwidth_mbs(ctx, kind, s)).collect(),
         })
         .collect()
 }
@@ -86,8 +89,8 @@ mod tests {
 
     #[test]
     fn packetized_dominates_credit_for_small_messages() {
-        let sdp = bandwidth_mbs(StreamKind::Sdp, 64);
-        let pack = bandwidth_mbs(StreamKind::Packetized, 64);
+        let sdp = bandwidth_mbs(&RunCtx::pinned(), StreamKind::Sdp, 64);
+        let pack = bandwidth_mbs(&RunCtx::pinned(), StreamKind::Packetized, 64);
         // Paper: "close to an order of magnitude for some message sizes".
         assert!(
             pack > 5.0 * sdp,
@@ -97,9 +100,9 @@ mod tests {
 
     #[test]
     fn large_messages_converge_to_link_limits() {
-        let sdp = bandwidth_mbs(StreamKind::Sdp, 65536);
-        let pack = bandwidth_mbs(StreamKind::Packetized, 65536);
-        let az = bandwidth_mbs(StreamKind::AzSdp, 65536);
+        let sdp = bandwidth_mbs(&RunCtx::pinned(), StreamKind::Sdp, 65536);
+        let pack = bandwidth_mbs(&RunCtx::pinned(), StreamKind::Packetized, 65536);
+        let az = bandwidth_mbs(&RunCtx::pinned(), StreamKind::AzSdp, 65536);
         // At 64KB everyone is within the link/copy envelope; AZ-SDP (no
         // sender copy) reaches the highest rate.
         assert!(az >= sdp, "az {az:.1} vs sdp {sdp:.1}");
@@ -109,8 +112,8 @@ mod tests {
 
     #[test]
     fn tcp_is_slowest_for_small_messages() {
-        let tcp = bandwidth_mbs(StreamKind::HostTcp, 64);
-        let az = bandwidth_mbs(StreamKind::AzSdp, 64);
+        let tcp = bandwidth_mbs(&RunCtx::pinned(), StreamKind::HostTcp, 64);
+        let az = bandwidth_mbs(&RunCtx::pinned(), StreamKind::AzSdp, 64);
         assert!(az > tcp, "az {az:.1} vs tcp {tcp:.1}");
     }
 }

@@ -25,11 +25,13 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 use dc_core::{table::f, Table};
-use dc_fabric::{Cluster, FabricModel, FaultPlan, NodeId};
+use dc_fabric::{FaultPlan, NodeId};
 use dc_sim::time::as_us;
 use dc_sim::Sim;
 use dc_sockets::{connect, ErpcCfg, ErpcServer, SocketsConfig, StreamKind};
 use dc_trace::LatencyHist;
+
+use crate::scenario::RunCtx;
 
 /// Total concurrent sessions per cell (split evenly over the client nodes).
 pub const FANINS: [usize; 4] = [64, 256, 1024, 2048];
@@ -55,7 +57,7 @@ pub const HANDLER_CPU_NS: u64 = 2_000;
 /// unset there.
 pub const ECN_THRESHOLD: usize = 4;
 
-/// Base RNG seed for session rate-start jitter.
+/// Pinned RNG seed for session rate-start jitter and the drop plan.
 pub const SEED: u64 = 42;
 
 /// Retransmission timeout for the eRPC cells. At the largest fan-in the
@@ -112,19 +114,19 @@ pub struct IncastPoint {
     pub qp_active: i64,
 }
 
-/// Run one (lane, fan-in) cell on a fresh cluster. `drop_rate > 0`
-/// installs a seeded uniform-drop fault plan (the determinism tests
-/// exercise recovery; the registered scenario runs clean).
+/// Run one (lane, fan-in) cell on a fresh cluster at the pinned [`SEED`].
+/// `drop_rate > 0` installs a seeded uniform-drop fault plan (the
+/// determinism tests exercise recovery; the registered scenario runs clean).
 pub fn run_cell(lane: IncastLane, fanin: usize, drop_rate: f64) -> IncastPoint {
+    cell(&RunCtx::pinned(), SEED, lane, fanin, drop_rate)
+}
+
+fn cell(ctx: &RunCtx, seed: u64, lane: IncastLane, fanin: usize, drop_rate: f64) -> IncastPoint {
     let sim = Sim::new();
-    let cluster = Cluster::new(
-        sim.handle(),
-        FabricModel::calibrated_2007(),
-        1 + CLIENT_NODES,
-    );
+    let cluster = ctx.cluster(&sim, 1 + CLIENT_NODES);
     if drop_rate > 0.0 {
         cluster.install_faults(FaultPlan::from_parts(
-            SEED,
+            seed,
             vec![],
             vec![],
             vec![],
@@ -162,7 +164,7 @@ pub fn run_cell(lane: IncastLane, fanin: usize, drop_rate: f64) -> IncastPoint {
                 let sess = muxes[i % CLIENT_NODES].session(
                     server,
                     srv.ports()[i % srv.ports().len()],
-                    SEED.wrapping_add(i as u64),
+                    seed.wrapping_add(i as u64),
                 );
                 let req = req.clone();
                 let lat = latencies.clone();
@@ -224,6 +226,7 @@ pub fn run_cell(lane: IncastLane, fanin: usize, drop_rate: f64) -> IncastPoint {
         fanin * REQS_PER_SESSION,
         "incast cell lost requests"
     );
+    ctx.fold(&cluster, || format!("{};f{fanin}", lane.label()));
     IncastPoint {
         lane,
         fanin,
@@ -237,12 +240,14 @@ pub fn run_cell(lane: IncastLane, fanin: usize, drop_rate: f64) -> IncastPoint {
     }
 }
 
-/// Run the full lane × fan-in sweep.
-pub fn run(drop_rate: f64) -> Vec<IncastPoint> {
+/// Run the full lane × fan-in sweep; the `i`-th cell, lane-major, runs at
+/// `ctx.seed_for(i, SEED)`.
+pub fn run(ctx: &RunCtx, drop_rate: f64) -> Vec<IncastPoint> {
     let mut points = Vec::new();
     for lane in IncastLane::ALL {
         for &fanin in &FANINS {
-            points.push(run_cell(lane, fanin, drop_rate));
+            let seed = ctx.seed_for(points.len(), SEED);
+            points.push(cell(ctx, seed, lane, fanin, drop_rate));
         }
     }
     points

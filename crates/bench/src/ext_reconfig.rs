@@ -6,11 +6,13 @@
 //! reaction time: a load burst hits one site at a known instant; how long
 //! until the adaptation agent has moved a node to it?
 
-use dc_fabric::{Cluster, FabricModel, NodeId};
+use dc_fabric::NodeId;
 use dc_reconfig::{AdaptCfg, Reconfigurator, SiteMap};
 use dc_resmon::{Monitor, MonitorCfg, MonitorScheme};
 use dc_sim::time::{ms, secs};
 use dc_sim::{Sim, SimTime};
+
+use crate::scenario::RunCtx;
 
 /// Result of one reaction-time measurement.
 #[derive(Debug, Clone, Copy)]
@@ -28,9 +30,9 @@ pub struct ReactionResult {
 
 /// Run one profile. `fine` selects RDMA monitoring at a 2 ms cadence;
 /// coarse selects the traditional socket daemon at 500 ms.
-pub fn reaction(fine: bool) -> ReactionResult {
+pub fn reaction(ctx: &RunCtx, fine: bool) -> ReactionResult {
     let sim = Sim::new();
-    let cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), 5);
+    let cluster = ctx.cluster(&sim, 5);
     let backends = [NodeId(1), NodeId(2), NodeId(3), NodeId(4)];
     let map = SiteMap::new(
         &cluster,
@@ -70,6 +72,7 @@ pub fn reaction(fine: bool) -> ReactionResult {
         });
     }
     sim.run_until(secs(2));
+    ctx.fold(&cluster, || if fine { "fine" } else { "coarse" }.into());
     let moves = agent.moves();
     ReactionResult {
         fine,
@@ -113,8 +116,8 @@ mod tests {
 
     #[test]
     fn fine_reacts_an_order_of_magnitude_faster() {
-        let fine = reaction(true);
-        let coarse = reaction(false);
+        let fine = reaction(&RunCtx::pinned(), true);
+        let coarse = reaction(&RunCtx::pinned(), false);
         let f = fine.reaction_ns.expect("fine profile never reacted");
         let c = coarse.reaction_ns.expect("coarse profile never reacted");
         assert!(

@@ -33,6 +33,8 @@ use dc_sim::Sim;
 use dc_workloads::Zipf;
 use rand::Rng;
 
+use crate::scenario::RunCtx;
+
 /// One contention cell of the sweep.
 #[derive(Debug, Clone, Copy)]
 pub struct CellCfg {
@@ -214,17 +216,18 @@ fn run_cell_inner(
     (stats, artifacts)
 }
 
-/// Run every design through `cell`, legend order.
-pub fn run_cell_all(cell: CellCfg) -> Vec<CellStats> {
-    DesignKind::ALL
-        .into_iter()
-        .map(|d| run_cell(d, cell, None))
-        .collect()
-}
-
-/// Run the whole sweep: one `Vec<CellStats>` per entry of [`CELLS`].
-pub fn run() -> Vec<Vec<CellStats>> {
-    CELLS.into_iter().map(run_cell_all).collect()
+/// Run the whole sweep: one `Vec<CellStats>` per entry of [`CELLS`], rows
+/// in [`DesignKind::ALL`] order. Seeded sub-runs are numbered design-major.
+pub fn run(ctx: &RunCtx) -> Vec<Vec<CellStats>> {
+    let sub_run = |c: usize, d: usize| {
+        let (design, mut cell) = (DesignKind::ALL[d], CELLS[c]);
+        cell.seed = ctx.seed_for(d * CELLS.len() + c, cell.seed);
+        let label = || format!("{};c{}", design.label(), cell.clients);
+        let traced = |mode| run_cell_traced(design, cell, None, mode);
+        ctx.farm(label, || run_cell(design, cell, None), traced)
+    };
+    let row = |c| (0..DesignKind::ALL.len()).map(|d| sub_run(c, d)).collect();
+    (0..CELLS.len()).map(row).collect()
 }
 
 /// Render one cell's table (rows in [`DesignKind::ALL`] order).
@@ -261,7 +264,7 @@ mod tests {
     #[test]
     fn cold_cell_runs_every_design_and_everyone_progresses() {
         let cell = CELLS[0];
-        for s in run_cell_all(cell) {
+        for s in DesignKind::ALL.map(|d| run_cell(d, cell, None)) {
             // 4 clients, ~45us/cycle uncontended, 30ms horizon: hundreds of
             // grants minimum even for the slowest design.
             assert!(
@@ -290,7 +293,7 @@ mod tests {
     #[test]
     fn table_rows_follow_legend_order() {
         let cell = CELLS[0];
-        let stats = run_cell_all(cell);
+        let stats = DesignKind::ALL.map(|d| run_cell(d, cell, None));
         let t = table(cell, &stats).to_report();
         assert_eq!(t.rows.len(), DesignKind::ALL.len());
         for (row, d) in t.rows.iter().zip(DesignKind::ALL) {

@@ -21,6 +21,8 @@ use dc_core::webfarm_scale::{run_webfarm_scale, ScaleFarmCfg, ScalePoint};
 use dc_core::{table::f, Table};
 use dc_workloads::ArrivalKind;
 
+use crate::scenario::RunCtx;
+
 /// Offered-load multiples of the saturation estimate along the sweep.
 pub const LOADS: [f64; 5] = [0.3, 0.6, 0.9, 1.2, 1.5];
 
@@ -99,16 +101,23 @@ pub fn full_cfg() -> ScaleFarmCfg {
     }
 }
 
-/// Run one sweep over `base`, returning each cell's result.
-pub fn run_sweep(base: &ScaleFarmCfg, sweep: &[SweepCell]) -> Vec<(SweepCell, ScalePoint)> {
+/// Run one sweep over `base`, returning each cell's result. The `i`-th
+/// cell runs at `ctx.seed_for(i, base.seed)`.
+pub fn run_sweep(
+    ctx: &RunCtx,
+    base: &ScaleFarmCfg,
+    sweep: &[SweepCell],
+) -> Vec<(SweepCell, ScalePoint)> {
     let sat = base.saturation_rps();
     sweep
         .iter()
-        .map(|&cell| {
+        .enumerate()
+        .map(|(i, &cell)| {
             let cfg = ScaleFarmCfg {
                 offered_rps: cell.load_x * sat,
                 arrival: cell.kind,
                 gateways_per_proxy: cell.gateways_per_proxy,
+                seed: ctx.seed_for(i, base.seed),
                 ..base.clone()
             };
             (cell, run_webfarm_scale(&cfg))

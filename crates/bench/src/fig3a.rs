@@ -10,6 +10,8 @@ use dc_fabric::{Cluster, FabricModel, NodeId};
 use dc_sim::time::as_us;
 use dc_sim::Sim;
 
+use crate::scenario::RunCtx;
+
 /// Message sizes swept (bytes).
 pub const SIZES: [usize; 6] = [1, 64, 256, 1024, 4096, 16384];
 
@@ -22,21 +24,16 @@ pub struct PutSeries {
     pub latency_us: Vec<f64>,
 }
 
-/// Measure a single put latency for `model` and `size`.
-pub fn put_latency_ns(model: Coherence, size: usize) -> u64 {
-    put_latency_ns_with(&FabricModel::calibrated_2007(), model, size)
-}
-
-/// [`put_latency_ns`] under an explicit fabric model. The paper-claims
-/// suite runs this with a deliberately perturbed calibration to prove the
-/// claims actually constrain the model (a broken calibration must fail).
-pub fn put_latency_ns_with(fabric: &FabricModel, model: Coherence, size: usize) -> u64 {
+/// Measure a single put latency for `model` and `size` under `fabric` (the
+/// paper-claims suite perturbs the calibration to prove the claims
+/// constrain the model).
+pub fn put_latency_ns(ctx: &RunCtx, fabric: &FabricModel, model: Coherence, size: usize) -> u64 {
     let sim = Sim::new();
-    let cluster = Cluster::new(sim.handle(), fabric.clone(), 2);
+    let cluster = ctx.watch(Cluster::new(sim.handle(), fabric.clone(), 2));
     let ddss = Ddss::new(&cluster, DdssConfig::default(), &[NodeId(0), NodeId(1)]);
     let client = ddss.client(NodeId(0));
     let h = sim.handle();
-    sim.run_to(async move {
+    let ns = sim.run_to(async move {
         let key = client
             .allocate(NodeId(1), size, model)
             .await
@@ -47,23 +44,20 @@ pub fn put_latency_ns_with(fabric: &FabricModel, model: Coherence, size: usize) 
         let t0 = h.now();
         client.put(&key, &payload).await;
         h.now() - t0
-    })
+    });
+    ctx.fold(&cluster, || format!("{model};{size}B"));
+    ns
 }
 
-/// Run the full sweep.
-pub fn run() -> Vec<PutSeries> {
-    run_with(&FabricModel::calibrated_2007())
-}
-
-/// Run the full sweep under an explicit fabric model.
-pub fn run_with(fabric: &FabricModel) -> Vec<PutSeries> {
+/// Run the full sweep under `fabric`.
+pub fn run(ctx: &RunCtx, fabric: &FabricModel) -> Vec<PutSeries> {
     Coherence::FIG3A
         .iter()
         .map(|&model| PutSeries {
             model,
             latency_us: SIZES
                 .iter()
-                .map(|&s| as_us(put_latency_ns_with(fabric, model, s)))
+                .map(|&s| as_us(put_latency_ns(ctx, fabric, model, s)))
                 .collect(),
         })
         .collect()
@@ -90,11 +84,20 @@ pub fn table(series: &[PutSeries]) -> dc_core::Table {
 mod tests {
     use super::*;
 
+    fn put_latency(model: Coherence, size: usize) -> u64 {
+        put_latency_ns(
+            &RunCtx::pinned(),
+            &FabricModel::calibrated_2007(),
+            model,
+            size,
+        )
+    }
+
     #[test]
     fn one_byte_ordering_and_ceiling() {
-        let null = put_latency_ns(Coherence::Null, 1);
-        let strict = put_latency_ns(Coherence::Strict, 1);
-        let version = put_latency_ns(Coherence::Version, 1);
+        let null = put_latency(Coherence::Null, 1);
+        let strict = put_latency(Coherence::Strict, 1);
+        let version = put_latency(Coherence::Version, 1);
         assert!(null < version, "null {null} version {version}");
         assert!(version < strict, "version {version} strict {strict}");
         // The paper's ceiling: worst 1-byte put stays around 55us.
@@ -104,14 +107,14 @@ mod tests {
 
     #[test]
     fn latency_grows_with_size() {
-        let small = put_latency_ns(Coherence::Null, 1);
-        let big = put_latency_ns(Coherence::Null, 16384);
+        let small = put_latency(Coherence::Null, 1);
+        let big = put_latency(Coherence::Null, 16384);
         assert!(big > small + 15_000, "16KB should add ~18us of wire time");
     }
 
     #[test]
     fn full_sweep_has_expected_shape() {
-        let series = run();
+        let series = run(&RunCtx::pinned(), &FabricModel::calibrated_2007());
         assert_eq!(series.len(), 6);
         for s in &series {
             assert_eq!(s.latency_us.len(), SIZES.len());

@@ -11,12 +11,14 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 use dc_ddss::{Coherence, Ddss, DdssConfig};
-use dc_fabric::{Cluster, FabricModel, NodeId, Transport};
+use dc_fabric::{NodeId, Transport};
 use dc_sim::time::as_ms;
 use dc_sim::Sim;
 use dc_sockets::{connect, SocketsConfig, StreamKind};
 use dc_svc::bind_raw;
 use dc_workloads::StormQuery;
+
+use crate::scenario::RunCtx;
 
 /// Transfer chunk used by both transports.
 pub const CHUNK: usize = 32 * 1024;
@@ -31,14 +33,14 @@ pub enum StormTransport {
 }
 
 /// Execute one query and return its completion time in nanoseconds.
-pub fn query_time_ns(records: usize, transport: StormTransport) -> u64 {
+pub fn query_time_ns(ctx: &RunCtx, records: usize, transport: StormTransport) -> u64 {
     let q = StormQuery::with_records(records);
     let sim = Sim::new();
-    let cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), 2);
+    let cluster = ctx.cluster(&sim, 2);
     let client_node = NodeId(0);
     let data_node = NodeId(1);
     let h = sim.handle();
-    match transport {
+    let ns = match transport {
         StormTransport::Sockets => {
             let (mut client_end, mut server_end) = connect(
                 &cluster,
@@ -152,7 +154,9 @@ pub fn query_time_ns(records: usize, transport: StormTransport) -> u64 {
                 h.now()
             })
         }
-    }
+    };
+    ctx.fold(&cluster, || format!("{transport:?};{records}"));
+    ns
 }
 
 /// Result row: record count, traditional ms, DDSS ms.
@@ -174,13 +178,13 @@ impl StormRow {
 }
 
 /// Run the paper's record sweep.
-pub fn run() -> Vec<StormRow> {
+pub fn run(ctx: &RunCtx) -> Vec<StormRow> {
     StormQuery::FIG3B_RECORDS
         .iter()
         .map(|&records| StormRow {
             records,
-            storm_ms: as_ms(query_time_ns(records, StormTransport::Sockets)),
-            ddss_ms: as_ms(query_time_ns(records, StormTransport::Ddss)),
+            storm_ms: as_ms(query_time_ns(ctx, records, StormTransport::Sockets)),
+            ddss_ms: as_ms(query_time_ns(ctx, records, StormTransport::Ddss)),
         })
         .collect()
 }
@@ -206,12 +210,16 @@ pub fn table(rows: &[StormRow]) -> dc_core::Table {
 mod tests {
     use super::*;
 
+    fn query_ns(records: usize, transport: StormTransport) -> u64 {
+        query_time_ns(&RunCtx::pinned(), records, transport)
+    }
+
     #[test]
     fn ddss_beats_sockets_at_scale() {
         let row = StormRow {
             records: 10_000,
-            storm_ms: as_ms(query_time_ns(10_000, StormTransport::Sockets)),
-            ddss_ms: as_ms(query_time_ns(10_000, StormTransport::Ddss)),
+            storm_ms: as_ms(query_ns(10_000, StormTransport::Sockets)),
+            ddss_ms: as_ms(query_ns(10_000, StormTransport::Ddss)),
         };
         assert!(
             row.ddss_ms < row.storm_ms,
@@ -226,8 +234,8 @@ mod tests {
 
     #[test]
     fn both_transports_scale_with_records() {
-        let small = query_time_ns(1_000, StormTransport::Ddss);
-        let large = query_time_ns(10_000, StormTransport::Ddss);
+        let small = query_ns(1_000, StormTransport::Ddss);
+        let large = query_ns(10_000, StormTransport::Ddss);
         assert!(large > 5 * small, "small {small} large {large}");
     }
 }

@@ -17,9 +17,11 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use dc_dlm::{DesignKind, DlmConfig, LockMode};
-use dc_fabric::{Cluster, FabricModel, NodeId};
+use dc_fabric::NodeId;
 use dc_sim::time::{as_us, ms};
 use dc_sim::{Sim, SimTime};
+
+use crate::scenario::RunCtx;
 
 /// The lock-manager schemes of Figure 5, in legend order.
 pub const SCHEMES: [DesignKind; 3] = [DesignKind::Srsl, DesignKind::Dqnl, DesignKind::Ncosed];
@@ -29,37 +31,11 @@ pub const WAITERS: [usize; 5] = [1, 2, 4, 8, 16];
 
 /// Run one cascade: returns the time from the holder's release until the
 /// last of `waiters` waiters (requesting `mode`) has been granted, in ns.
-pub fn cascade_ns(scheme: DesignKind, waiters: usize, mode: LockMode) -> u64 {
-    cascade_inner(scheme, waiters, mode, None).0
-}
-
-/// [`cascade_ns`] with the cluster tracer enabled: also returns the retained
-/// trace events for offline analysis (flame folding, latency attribution).
-/// Tracing is recording-only, so the measured cascade time is identical to
-/// the untraced run's.
-pub fn cascade_traced(
-    scheme: DesignKind,
-    waiters: usize,
-    mode: LockMode,
-    tmode: dc_trace::TraceMode,
-) -> (u64, Vec<dc_trace::Event>) {
-    let (ns, events) = cascade_inner(scheme, waiters, mode, Some(tmode));
-    (ns, events.expect("traced run returns events"))
-}
-
-fn cascade_inner(
-    scheme: DesignKind,
-    waiters: usize,
-    mode: LockMode,
-    trace: Option<dc_trace::TraceMode>,
-) -> (u64, Option<Vec<dc_trace::Event>>) {
+pub fn cascade_ns(ctx: &RunCtx, scheme: DesignKind, waiters: usize, mode: LockMode) -> u64 {
     let sim = Sim::new();
     // Node 0: home/server; node 1: holder; nodes 2..: waiters.
     let nodes = 2 + waiters;
-    let cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), nodes);
-    if let Some(tmode) = trace {
-        cluster.tracer().enable(tmode);
-    }
+    let cluster = ctx.cluster(&sim, nodes);
     let members: Vec<NodeId> = (0..nodes as u32).map(NodeId).collect();
     let mut clients = scheme.build(&cluster, DlmConfig, NodeId(0), 1, &members);
     // Index clients by node id; remove from the back to keep indices valid.
@@ -115,7 +91,8 @@ fn cascade_inner(
         assert_eq!(times.len(), waiters, "not all waiters were granted");
         times.iter().max().unwrap() - release_at.get()
     };
-    (cascade, trace.map(|_| cluster.tracer().events()))
+    ctx.fold(&cluster, || format!("{};w{waiters:02}", scheme.label()));
+    cascade
 }
 
 /// One scheme's cascade series over [`WAITERS`], µs.
@@ -128,14 +105,14 @@ pub struct CascadeSeries {
 }
 
 /// Run panel (a) — shared waiters — or panel (b) — exclusive waiters.
-pub fn run(mode: LockMode) -> Vec<CascadeSeries> {
+pub fn run(ctx: &RunCtx, mode: LockMode) -> Vec<CascadeSeries> {
     SCHEMES
         .iter()
         .map(|&scheme| CascadeSeries {
             scheme,
             latency_us: WAITERS
                 .iter()
-                .map(|&n| as_us(cascade_ns(scheme, n, mode)))
+                .map(|&n| as_us(cascade_ns(ctx, scheme, n, mode)))
                 .collect(),
         })
         .collect()
@@ -159,11 +136,15 @@ pub fn table(panel: &str, series: &[CascadeSeries]) -> dc_core::Table {
 mod tests {
     use super::*;
 
+    fn cascade(scheme: DesignKind, waiters: usize, mode: LockMode) -> u64 {
+        cascade_ns(&RunCtx::pinned(), scheme, waiters, mode)
+    }
+
     #[test]
     fn shared_cascade_ncosed_flat_dqnl_linear() {
-        let n1 = cascade_ns(DesignKind::Ncosed, 1, LockMode::Shared);
-        let n16 = cascade_ns(DesignKind::Ncosed, 16, LockMode::Shared);
-        let d16 = cascade_ns(DesignKind::Dqnl, 16, LockMode::Shared);
+        let n1 = cascade(DesignKind::Ncosed, 1, LockMode::Shared);
+        let n16 = cascade(DesignKind::Ncosed, 16, LockMode::Shared);
+        let d16 = cascade(DesignKind::Dqnl, 16, LockMode::Shared);
         // DQNL at 16 shared waiters is several times worse (paper: ~317%).
         assert!(
             d16 > 3 * n16,
@@ -175,9 +156,9 @@ mod tests {
 
     #[test]
     fn exclusive_cascade_srsl_slowest() {
-        let n = cascade_ns(DesignKind::Ncosed, 8, LockMode::Exclusive);
-        let d = cascade_ns(DesignKind::Dqnl, 8, LockMode::Exclusive);
-        let s = cascade_ns(DesignKind::Srsl, 8, LockMode::Exclusive);
+        let n = cascade(DesignKind::Ncosed, 8, LockMode::Exclusive);
+        let d = cascade(DesignKind::Dqnl, 8, LockMode::Exclusive);
+        let s = cascade(DesignKind::Srsl, 8, LockMode::Exclusive);
         assert!(s > n, "SRSL {s} should exceed N-CoSED {n}");
         // DQNL and N-CoSED are structurally identical for exclusive chains.
         let ratio = d as f64 / n as f64;
@@ -186,9 +167,9 @@ mod tests {
 
     #[test]
     fn shared_cascade_srsl_between() {
-        let n = cascade_ns(DesignKind::Ncosed, 16, LockMode::Shared);
-        let s = cascade_ns(DesignKind::Srsl, 16, LockMode::Shared);
-        let d = cascade_ns(DesignKind::Dqnl, 16, LockMode::Shared);
+        let n = cascade(DesignKind::Ncosed, 16, LockMode::Shared);
+        let s = cascade(DesignKind::Srsl, 16, LockMode::Shared);
+        let d = cascade(DesignKind::Dqnl, 16, LockMode::Shared);
         assert!(s > n, "SRSL {s} vs N-CoSED {n}");
         assert!(d > s, "DQNL {d} vs SRSL {s}");
     }

@@ -8,7 +8,12 @@
 //! better policy per document size.
 
 use dc_coopcache::CacheScheme;
-use dc_core::{run_webfarm, WebFarmCfg};
+use dc_core::{run_webfarm, run_webfarm_traced, WebFarmCfg};
+
+use crate::scenario::RunCtx;
+
+/// Proxy counts of the two panels.
+pub const PROXIES: [usize; 2] = [2, 8];
 
 /// File sizes swept (bytes), matching the paper's x-axis.
 pub const SIZES: [usize; 4] = [8 * 1024, 16 * 1024, 32 * 1024, 64 * 1024];
@@ -49,24 +54,32 @@ pub fn cell_cfg(proxies: usize, scheme: CacheScheme, size: usize) -> WebFarmCfg 
     }
 }
 
-/// Run one panel (one proxy count) across all schemes and sizes.
+/// Run both panels across all schemes and sizes: one `Vec` per entry of
+/// [`PROXIES`].
 ///
 /// Each cell is an independent deterministic simulation, so the sweep fans
 /// out across OS threads; results are identical to a sequential run.
-pub fn run_panel(proxies: usize) -> Vec<TpsCell> {
-    let combos: Vec<(CacheScheme, usize)> = CacheScheme::ALL
+pub fn run(ctx: &RunCtx) -> Vec<Vec<TpsCell>> {
+    let combos: Vec<(usize, CacheScheme, usize)> = PROXIES
         .iter()
-        .flat_map(|&scheme| SIZES.iter().map(move |&size| (scheme, size)))
+        .flat_map(|&p| CacheScheme::ALL.map(|scheme| SIZES.map(|size| (p, scheme, size))))
+        .flatten()
         .collect();
-    crate::sweep::parallel_map(&combos, |&(scheme, size)| {
-        let r = run_webfarm(&cell_cfg(proxies, scheme, size));
+    let cells = crate::sweep::parallel_map(&Vec::from_iter(0..combos.len()), |&i| {
+        let (proxies, scheme, size) = combos[i];
+        let mut cfg = cell_cfg(proxies, scheme, size);
+        cfg.seed = ctx.seed_for(i, cfg.seed);
+        let label = || format!("p{proxies};{};{}k", scheme.label(), size / 1024);
+        let r = ctx.farm(label, || run_webfarm(&cfg), |m| run_webfarm_traced(&cfg, m));
         TpsCell {
             scheme,
             size,
             tps: r.tps,
             hit_rate: r.cache.hit_rate(),
         }
-    })
+    });
+    let per_panel = combos.len() / PROXIES.len();
+    cells.chunks(per_panel).map(<[_]>::to_vec).collect()
 }
 
 /// Render one panel as the paper-style table.

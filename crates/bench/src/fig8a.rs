@@ -10,11 +10,13 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use dc_fabric::{Cluster, FabricModel, NodeId};
+use dc_fabric::NodeId;
 use dc_resmon::{BurstLoad, Monitor, MonitorCfg, MonitorScheme};
-use dc_sim::time::{ms, secs};
+use dc_sim::time::{fmt_time, ms, secs};
 use dc_sim::{Sim, SimTime};
 use dc_workloads::BurstSchedule;
+
+use crate::scenario::RunCtx;
 
 /// One sample of the accuracy experiment.
 #[derive(Debug, Clone, Copy)]
@@ -78,19 +80,9 @@ impl AccuracyResult {
     }
 }
 
-/// Run the accuracy experiment for one scheme with the default refresh
-/// period.
-pub fn run_scheme(scheme: MonitorScheme, duration: SimTime, sample_period: u64) -> AccuracyResult {
-    run_scheme_with_period(
-        scheme,
-        duration,
-        sample_period,
-        MonitorCfg::default().period_ns,
-    )
-}
-
-/// Run the accuracy experiment with an explicit async refresh period (used
-/// by the monitoring-granularity ablation).
+/// Run the accuracy experiment for one scheme, refreshing the async
+/// schemes' views every `refresh_period_ns` (the figure runs the
+/// [`MonitorCfg`] default; the monitoring-granularity ablation sweeps it).
 ///
 /// Semantics match the paper's plot: a *reporter* keeps the monitor's view
 /// as fresh as the scheme allows (issuing a query every `sample_period`, or
@@ -99,14 +91,15 @@ pub fn run_scheme(scheme: MonitorScheme, duration: SimTime, sample_period: u64) 
 /// monitor's **last known value** against the actual thread count at fixed
 /// wall-clock instants. Sample-and-hold is exactly what a load balancer
 /// consuming the monitor sees.
-pub fn run_scheme_with_period(
+pub fn run_scheme(
+    ctx: &RunCtx,
     scheme: MonitorScheme,
     duration: SimTime,
     sample_period: u64,
     refresh_period_ns: u64,
 ) -> AccuracyResult {
     let sim = Sim::new();
-    let cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), 2);
+    let cluster = ctx.cluster(&sim, 2);
     let target = NodeId(1);
     let monitor = Monitor::spawn(
         &cluster,
@@ -161,6 +154,8 @@ pub fn run_scheme_with_period(
         })
     };
     sim.run_to(sampler);
+    let label = || format!("{};{}", scheme.label(), fmt_time(refresh_period_ns));
+    ctx.fold(&cluster, label);
     let samples = Rc::try_unwrap(samples)
         .map(RefCell::into_inner)
         .unwrap_or_else(|_| panic!("samples still shared"));
@@ -172,10 +167,10 @@ pub fn run_scheme_with_period(
 }
 
 /// Run all four schemes of the figure.
-pub fn run() -> Vec<AccuracyResult> {
+pub fn run(ctx: &RunCtx) -> Vec<AccuracyResult> {
     MonitorScheme::FIG8A
         .iter()
-        .map(|&s| run_scheme(s, secs(2), ms(10)))
+        .map(|&s| run_scheme(ctx, s, secs(2), ms(10), MonitorCfg::default().period_ns))
         .collect()
 }
 
@@ -201,10 +196,15 @@ pub fn table(results: &[AccuracyResult]) -> dc_core::Table {
 mod tests {
     use super::*;
 
+    fn run_1s(scheme: MonitorScheme) -> AccuracyResult {
+        let period = MonitorCfg::default().period_ns;
+        run_scheme(&RunCtx::pinned(), scheme, secs(1), ms(10), period)
+    }
+
     #[test]
     fn rdma_sync_tracks_truth_socket_lags() {
-        let rdma = run_scheme(MonitorScheme::RdmaSync, secs(1), ms(10));
-        let socket = run_scheme(MonitorScheme::SocketSync, secs(1), ms(10));
+        let rdma = run_1s(MonitorScheme::RdmaSync);
+        let socket = run_1s(MonitorScheme::SocketSync);
         assert!(rdma.samples.len() >= 90);
         // The paper's claim: RDMA-based schemes report very little or no
         // deviation; socket-based schemes diverge under load.
@@ -226,8 +226,8 @@ mod tests {
     fn socket_refresh_cadence_stretches_under_load() {
         // Socket-Sync replies queue behind load, so the reporter completes
         // fewer view refreshes in the same virtual time.
-        let rdma = run_scheme(MonitorScheme::RdmaSync, secs(1), ms(10));
-        let socket = run_scheme(MonitorScheme::SocketSync, secs(1), ms(10));
+        let rdma = run_1s(MonitorScheme::RdmaSync);
+        let socket = run_1s(MonitorScheme::SocketSync);
         assert!(
             socket.updates < rdma.updates,
             "socket {} vs rdma {}",
@@ -240,7 +240,7 @@ mod tests {
 
     #[test]
     fn async_schemes_report_stale_but_bounded_views() {
-        let r = run_scheme(MonitorScheme::RdmaAsync, secs(1), ms(10));
+        let r = run_1s(MonitorScheme::RdmaAsync);
         // Staleness bounded by the poll period: deviations happen right at
         // transitions but remain small on average.
         assert!(r.mean_deviation() < 3.0, "mean dev {}", r.mean_deviation());

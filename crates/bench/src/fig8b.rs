@@ -7,8 +7,10 @@
 //! α ∈ {0.9, 0.75, 0.5, 0.25}. Paper claim: close to 35% improvement with
 //! the RDMA-based schemes.
 
-use dc_core::{run_hosting, HostingCfg};
+use dc_core::{run_hosting, run_hosting_traced, HostingCfg};
 use dc_resmon::MonitorScheme;
+
+use crate::scenario::RunCtx;
 
 /// The α sweep of the figure.
 pub const ALPHAS: [f64; 4] = [0.9, 0.75, 0.5, 0.25];
@@ -43,17 +45,20 @@ pub fn cell_cfg(scheme: MonitorScheme, alpha: f64) -> HostingCfg {
 ///
 /// The 20 independent simulations fan out across OS threads; results are
 /// identical to a sequential run (each cell is seeded and single-threaded).
-pub fn run() -> Vec<ThroughputCell> {
-    let mut combos: Vec<(Option<MonitorScheme>, f64)> = Vec::new();
+pub fn run(ctx: &RunCtx) -> Vec<ThroughputCell> {
+    let mut combos: Vec<(usize, Option<MonitorScheme>, f64)> = Vec::new();
     for &alpha in &ALPHAS {
-        combos.push((None, alpha)); // the Socket-Async baseline
+        combos.push((combos.len(), None, alpha)); // the Socket-Async baseline
         for &scheme in &MonitorScheme::FIG8B {
-            combos.push((Some(scheme), alpha));
+            combos.push((combos.len(), Some(scheme), alpha));
         }
     }
-    let tps_out = crate::sweep::parallel_map(&combos, |&(scheme, alpha)| {
-        let actual = scheme.unwrap_or(MonitorScheme::SocketAsync);
-        run_hosting(&cell_cfg(actual, alpha)).tps
+    let tps_out = crate::sweep::parallel_map(&combos, |&(i, scheme, alpha)| {
+        let mut cfg = cell_cfg(scheme.unwrap_or(MonitorScheme::SocketAsync), alpha);
+        cfg.seed = ctx.seed_for(i, cfg.seed);
+        let label = || format!("{};a={alpha}", scheme.map_or("base", |s| s.label()));
+        let r = ctx.farm(label, || run_hosting(&cfg), |m| run_hosting_traced(&cfg, m));
+        r.tps
     });
 
     let mut cells = Vec::new();

@@ -1,167 +1,74 @@
-//! `dc-bench flame` — virtual-time profiling of traceable scenarios.
-//!
-//! Runs a scenario with the cluster tracer on, folds the per-node span tree
-//! into collapsed-stack (inferno/flamegraph.pl) lines weighted by span
-//! *self* time, and attributes each sampled request's end-to-end latency to
-//! critical-path stages (`dc_trace::critical`). Both outputs are pure
-//! functions of `(scenario, seed)`: two runs emit byte-identical bytes,
-//! which `tests/trace_determinism.rs` pins.
+//! `dc-bench flame` — virtual-time profiling of a registered scenario: its
+//! registered run in a traced [`RunCtx`], whose sub-runs fold their span
+//! trees into collapsed stacks weighted by span *self* time and attribute
+//! each sampled request to critical-path stages (`dc_trace::critical`).
+//! Tracing only records, so the report is the untraced run's plus a
+//! `latency_breakdown`, and both outputs are pure functions of
+//! `(scenario, seed)` (`tests/trace_determinism.rs` pins this).
 
-use std::collections::BTreeMap;
+use dc_trace::{critical, BenchReport, RequestBreakdown};
 
-use dc_coopcache::CacheScheme;
-use dc_dlm::LockMode;
-use dc_trace::critical;
-use dc_trace::{fold_into, render_collapsed, BenchReport, LatencyBreakdown, RequestBreakdown};
-use dc_trace::{Event, TraceMode};
+use crate::scenario::{self, Profile, RunCtx};
 
-use crate::ext_shootout;
-use crate::fig5;
-use crate::fig6;
-use crate::scenario::{self, Scenario};
-
-/// Scenario names `flame` (and `top`) can trace, registry order.
-pub const TRACEABLE: [&str; 4] = [
-    "fig5a_lock_shared",
-    "fig5b_lock_exclusive",
-    "fig6_coopcache",
-    "ext_lock_shootout",
-];
-
-/// Whether `flame` can trace `s` (its name is in [`TRACEABLE`]).
-pub fn traceable(s: &Scenario) -> bool {
-    TRACEABLE.contains(&s.name)
-}
-
-/// The profile of one traced scenario run.
-pub struct FlameProfile {
-    /// Resolved scenario name.
-    pub scenario: &'static str,
-    /// Seed the traced sub-runs were configured with.
-    pub seed: u64,
-    /// Collapsed-stack lines (`root;frame;frame weight\n`), sorted.
-    pub collapsed: String,
-    /// Per-request critical-path attributions, run order.
-    pub requests: Vec<RequestBreakdown>,
-    /// Aggregated stage attribution over all sampled requests.
-    pub breakdown: LatencyBreakdown,
-    /// Trace events folded, across all sub-runs.
-    pub events: usize,
-}
-
-/// Trace `scenario` under `seed` and profile it. The name may be a unique
-/// prefix ([`scenario::lookup`]); an untraceable one panics.
-pub fn profile(scenario: &str, seed: u64) -> FlameProfile {
-    let scenario = scenario::lookup(scenario, traceable)
-        .unwrap_or_else(|| panic!("scenario `{scenario}` is not traceable: {TRACEABLE:?}"))
-        .name;
-    // Each sub-run folds under a distinguishing root prefix so one profile
-    // shows e.g. every lock scheme side by side.
-    let mut folded: BTreeMap<String, u64> = BTreeMap::new();
-    let mut requests: Vec<RequestBreakdown> = Vec::new();
-    let mut events = 0usize;
-    let take = |folded: &mut BTreeMap<String, u64>,
-                requests: &mut Vec<RequestBreakdown>,
-                evs: &[Event],
-                prefix: &str| {
-        fold_into(folded, evs, prefix);
-        requests.extend(critical::analyze_requests(evs));
-        evs.len()
-    };
-    match scenario {
-        "fig5a_lock_shared" | "fig5b_lock_exclusive" => {
-            let mode = if scenario == "fig5a_lock_shared" {
-                LockMode::Shared
-            } else {
-                LockMode::Exclusive
-            };
-            // The cascade topology is seed-free; `seed` is recorded for the
-            // report but does not vary the runs.
-            for scheme in fig5::SCHEMES {
-                for waiters in fig5::WAITERS {
-                    let (_, evs) = fig5::cascade_traced(scheme, waiters, mode, TraceMode::Full);
-                    let prefix = format!("{};w{:02}", scheme.label(), waiters);
-                    events += take(&mut folded, &mut requests, &evs, &prefix);
-                }
-            }
-        }
-        "fig6_coopcache" => {
-            // One representative cell per scheme: 2 proxies, 16k documents.
-            for scheme in CacheScheme::ALL {
-                let mut cfg = fig6::cell_cfg(2, scheme, 16 * 1024);
-                cfg.seed = seed;
-                let (_, art) = dc_core::run_webfarm_traced(&cfg, TraceMode::Full);
-                events += take(&mut folded, &mut requests, &art.raw_events, scheme.label());
-            }
-        }
-        "ext_lock_shootout" => {
-            let mut cell = ext_shootout::CELLS[0];
-            cell.seed = seed;
-            for design in dc_dlm::DesignKind::ALL {
-                let (_, art) = ext_shootout::run_cell_traced(design, cell, None, TraceMode::Full);
-                events += take(&mut folded, &mut requests, &art.raw_events, design.label());
-            }
-        }
-        _ => unreachable!("lookup() returned an untraceable name"),
+/// Trace gated scenario `name` (or a unique prefix of it) at `seed`: its
+/// report, with the sampled requests' stage attribution as its latency
+/// breakdown, and what its sub-runs folded. Errs on an unknown name and on
+/// a scenario that builds no cluster, which leaves nothing to fold.
+pub fn profile(name: &str, seed: u64) -> Result<(BenchReport, Profile), String> {
+    let s = scenario::lookup(name, scenario::gated)
+        .ok_or_else(|| format!("no gated scenario `{name}` (`dc-bench list` names them)"))?;
+    let ctx = RunCtx::traced(seed);
+    let mut report = (s.report)(&ctx);
+    let p = ctx.into_profile().expect("a traced run keeps its profile");
+    if p.requests.is_empty() {
+        let name = s.name;
+        return Err(format!("`{name}` builds no `Cluster`: nothing to trace"));
     }
-    let breakdown = critical::aggregate(&requests);
-    FlameProfile {
-        scenario,
-        seed,
-        collapsed: render_collapsed(&folded),
-        requests,
-        breakdown,
-        events,
-    }
-}
-
-/// Wrap a profile's attribution in a fingerprinted [`BenchReport`] (the
-/// `latency_breakdown` section of the v2 schema).
-pub fn report(p: &FlameProfile) -> BenchReport {
-    let mut r = BenchReport::new(p.scenario);
-    r.set_fingerprint(&dc_fabric::FabricModel::calibrated_2007().fingerprint());
-    r.add_param("profile", "flame");
-    r.add_param("seed", p.seed);
-    r.add_param("events", p.events as u64);
-    r.add_param("stacks", p.collapsed.lines().count() as u64);
-    r.set_latency_breakdown(p.breakdown.clone());
-    r
+    let requests: Vec<RequestBreakdown> = p.requests.values().flatten().cloned().collect();
+    report.set_latency_breakdown(critical::aggregate(&requests));
+    Ok((report, p))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fig5;
 
     #[test]
     fn fig5a_profile_has_stacks_and_a_full_partition() {
-        let p = profile("fig5a", 42);
-        assert_eq!(p.scenario, "fig5a_lock_shared");
+        let (report, p) = profile("fig5a", 42).unwrap();
+        assert_eq!(report.bench(), "fig5a_lock_shared");
         assert!(p.events > 0);
-        assert!(!p.collapsed.is_empty());
-        // Every scheme root appears in the fold.
+        // Every sub-run's root appears in the fold: one per scheme and
+        // waiter count.
+        let collapsed = dc_trace::render_collapsed(&p.stacks);
         for scheme in fig5::SCHEMES {
-            assert!(
-                p.collapsed.contains(scheme.label()),
-                "missing {} in fold",
-                scheme.label()
-            );
+            for waiters in fig5::WAITERS {
+                let root = format!("{};w{waiters:02};", scheme.label());
+                assert!(collapsed.contains(&root), "missing {root} in fold");
+            }
         }
-        // One request span per waiter per (scheme, waiter-count) cell.
+        // One request span per waiter per (scheme, waiter-count) cell, and
+        // the stage partition is exact for every one.
         let expected: usize = fig5::WAITERS.iter().sum::<usize>() * fig5::SCHEMES.len();
-        assert_eq!(p.requests.len(), expected);
-        // The stage partition is exact for every sampled request.
-        for r in &p.requests {
+        let requests: Vec<&RequestBreakdown> = p.requests.values().flatten().collect();
+        assert_eq!(requests.len(), expected);
+        for r in requests {
             assert_eq!(r.stage_ns.iter().sum::<u64>(), r.total_ns);
         }
-        assert_eq!(p.breakdown.requests, expected as u64);
+        let breakdown = report.latency_breakdown().unwrap();
+        assert_eq!(breakdown.requests, expected as u64);
     }
 
     #[test]
-    fn report_carries_the_breakdown_section() {
-        let p = profile("fig5b", 7);
-        let json = report(&p).to_json();
+    fn the_report_is_the_scenarios_plus_the_breakdown() {
+        let (report, _) = profile("fig5b", 0).unwrap();
+        let json = report.to_json();
         assert!(dc_trace::json::validate(&json).is_ok());
         assert!(json.contains(r#""latency_breakdown":{"requests":"#));
-        assert!(json.contains(r#""profile":"flame""#));
+        let mut untraced = scenario::fig5b_report(&RunCtx::pinned());
+        untraced.set_latency_breakdown(report.latency_breakdown().unwrap().clone());
+        assert_eq!(json, untraced.to_json());
+        assert!(profile("fig9", 0).is_err());
     }
 }

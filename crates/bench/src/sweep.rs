@@ -63,13 +63,13 @@ mod tests {
         // Each closure invocation builds its own Sim; results match the
         // sequential baseline exactly.
         let sizes = [1usize, 64, 1024];
-        let par = parallel_map(&sizes, |&s| {
-            crate::fig3a::put_latency_ns(dc_ddss::Coherence::Null, s)
-        });
-        let seq: Vec<u64> = sizes
-            .iter()
-            .map(|&s| crate::fig3a::put_latency_ns(dc_ddss::Coherence::Null, s))
-            .collect();
+        let put = |&s: &usize| {
+            let ctx = crate::scenario::RunCtx::pinned();
+            let fabric = dc_fabric::FabricModel::calibrated_2007();
+            crate::fig3a::put_latency_ns(&ctx, &fabric, dc_ddss::Coherence::Null, s)
+        };
+        let par = parallel_map(&sizes, put);
+        let seq: Vec<u64> = sizes.iter().map(put).collect();
         assert_eq!(par, seq);
     }
 }

@@ -653,7 +653,7 @@ impl DdssClient {
         let actual = c.read_u64(self.node, key.ver_addr()).await;
         let result = if actual == expect {
             c.rdma_write_bytes(self.node, key.data_addr(), &data).await;
-            let new = expect + 1;
+            let new = expect.wrapping_add(1);
             c.rdma_write(self.node, key.ver_addr(), &new.to_le_bytes())
                 .await;
             Ok(new)
@@ -1129,6 +1129,45 @@ mod tests {
             // c0 never unlocks; c1 must give up after its budget.
             c1.lock(&key).await;
         });
+    }
+
+    /// Test-only start for a segment's version word, so a test reaches the
+    /// word's edge, which no scenario does.
+    async fn start_version_at(client: &DdssClient, key: &SharedKey, v: u64) {
+        let c = client.cluster();
+        c.rdma_write(client.node, key.ver_addr(), &v.to_le_bytes())
+            .await;
+    }
+
+    /// Every model's puts and gets carry on across `u64::MAX` (the Version
+    /// and Delta bumps wrap to 0), and a compare-and-put that expects
+    /// `u64::MAX` publishes version 0.
+    #[test]
+    fn the_version_word_wraps_past_u64_max() {
+        for coh in Coherence::ALL {
+            let (sim, _c, ddss) = setup(2);
+            let client = ddss.client(NodeId(0));
+            let (cas, versions) = sim.run_to(async move {
+                let key = client.allocate(NodeId(1), 8, coh).await.unwrap();
+                start_version_at(&client, &key, u64::MAX).await;
+                let cas = [
+                    client.put_versioned(&key, b"wrapped!", u64::MAX).await,
+                    client.put_versioned(&key, b"and on..", 0).await,
+                ];
+                start_version_at(&client, &key, u64::MAX - 1).await;
+                let mut versions = Vec::new();
+                for v in 1..=3u8 {
+                    client.put(&key, &[v; 8]).await;
+                    assert_eq!(client.get(&key).await[..], [v; 8], "{coh}");
+                    versions.push(client.version(&key).await);
+                }
+                (cas, versions)
+            });
+            assert_eq!(cas, [Ok(0), Ok(1)], "{coh}");
+            if matches!(coh, Coherence::Version | Coherence::Delta) {
+                assert_eq!(versions, [u64::MAX, 0, 1], "{coh}");
+            }
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@ use std::sync::OnceLock;
 
 use dc_bench::claims::{claims_for, evaluate};
 use dc_bench::diff::{diff, DiffError, LoadedReport, Tolerance};
-use dc_bench::scenario;
+use dc_bench::scenario::{self, RunCtx};
 use dc_trace::BenchReport;
 
 /// The report of registered scenario `name`, run once per test binary:
@@ -31,7 +31,7 @@ fn report(name: &str) -> &'static BenchReport {
         .iter()
         .position(|s| s.name == name)
         .expect("scenario registered");
-    REPORTS[i].get_or_init(|| (scenario::ALL[i].run)())
+    REPORTS[i].get_or_init(|| (scenario::ALL[i].report)(&RunCtx::pinned()))
 }
 
 /// Assert the transcribed claims of scenario `name` hold on its report.
@@ -146,7 +146,7 @@ fn perturbed_calibration_fails_fig3a_claims() {
         "perturbation must be visible in the calibration fingerprint"
     );
 
-    let report = scenario::fig3a_report_with(&bad);
+    let report = scenario::fig3a_report_with(&RunCtx::pinned(), &bad);
     assert_eq!(report.fingerprint(), Some(bad.fingerprint().as_str()));
     let violations = evaluate(report.tables(), &claims_for("fig3a_ddss_put"));
     assert!(
@@ -162,8 +162,8 @@ fn perturbed_calibration_fails_fig3a_claims() {
 fn perturbed_calibration_is_rejected_by_the_differ() {
     let mut bad = dc_fabric::FabricModel::calibrated_2007();
     bad.rdma_write_base_ns += 1;
-    let healthy = LoadedReport::from_bench(&scenario::fig3a_report());
-    let drifted = LoadedReport::from_bench(&scenario::fig3a_report_with(&bad));
+    let healthy = LoadedReport::from_bench(report("fig3a_ddss_put"));
+    let drifted = LoadedReport::from_bench(&scenario::fig3a_report_with(&RunCtx::pinned(), &bad));
     let err = diff(&healthy, &drifted, &Tolerance::pct(100.0)).unwrap_err();
     assert!(matches!(err, DiffError::FingerprintMismatch(_, _)));
 }
@@ -172,8 +172,8 @@ fn perturbed_calibration_is_rejected_by_the_differ() {
 /// regression gate's self-consistency floor (determinism guarantee).
 #[test]
 fn live_report_self_comparison_is_clean() {
-    let a = LoadedReport::from_bench(&scenario::fig5a_report());
-    let b = LoadedReport::from_bench(&scenario::fig5a_report());
+    let a = LoadedReport::from_bench(&scenario::fig5a_report(&RunCtx::pinned()));
+    let b = LoadedReport::from_bench(&scenario::fig5a_report(&RunCtx::pinned()));
     let d = diff(&a, &b, &Tolerance::pct(0.0)).unwrap();
     assert_eq!(
         d.regressions(),

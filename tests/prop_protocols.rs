@@ -293,7 +293,9 @@ proptest! {
         use nextgen_datacenter::resmon::MonitorScheme;
         let duration = ms(duration_ms);
         let period = ms(sample_period_ms);
-        let run = |scheme| dc_bench::fig8a::run_scheme(scheme, duration, period);
+        let ctx = dc_bench::scenario::RunCtx::pinned();
+        let refresh = nextgen_datacenter::resmon::MonitorCfg::default().period_ns;
+        let run = |scheme| dc_bench::fig8a::run_scheme(&ctx, scheme, duration, period, refresh);
         let sync = run(MonitorScheme::RdmaSync);
         let rdma_async = run(MonitorScheme::RdmaAsync);
         let socket_async = run(MonitorScheme::SocketAsync);

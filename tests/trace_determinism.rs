@@ -4,6 +4,7 @@
 //! JSON and the metrics snapshot are as reproducible as the numbers
 //! themselves.
 
+use dc_bench::scenario::{self, RunCtx};
 use nextgen_datacenter::coopcache::CacheScheme;
 use nextgen_datacenter::core::{run_webfarm_traced, WebFarmCfg};
 use nextgen_datacenter::fabric::FaultConfig;
@@ -385,17 +386,18 @@ fn engine_schedule_matches_committed_golden() {
 #[test]
 fn flame_profile_is_byte_identical_per_seed() {
     use dc_bench::flame;
-    let a = flame::profile("fig5a", 42);
-    let b = flame::profile("fig5a_lock_shared", 42);
+    let (ra, a) = flame::profile("fig5a", 42).unwrap();
+    let (rb, b) = flame::profile("fig5a_lock_shared", 42).unwrap();
     assert!(a.events > 0, "profile traced nothing");
-    assert!(!a.collapsed.is_empty());
-    assert_eq!(a.collapsed, b.collapsed, "collapsed stacks diverged");
+    let collapsed = nextgen_datacenter::trace::render_collapsed(&a.stacks);
+    assert!(!collapsed.is_empty());
     assert_eq!(
-        flame::report(&a).to_json(),
-        flame::report(&b).to_json(),
-        "breakdown report diverged"
+        collapsed,
+        nextgen_datacenter::trace::render_collapsed(&b.stacks),
+        "collapsed stacks diverged"
     );
-    for r in &a.requests {
+    assert_eq!(ra.to_json(), rb.to_json(), "breakdown report diverged");
+    for r in a.requests.values().flatten() {
         assert_eq!(
             r.stage_ns.iter().sum::<u64>(),
             r.total_ns,
@@ -468,7 +470,7 @@ fn webfarm_scale_report_is_byte_identical_per_seed() {
     };
     let sweep = cells();
     let render = |cfg: &ScaleFarmCfg| {
-        let points = run_sweep(cfg, &sweep);
+        let points = run_sweep(&RunCtx::pinned(), cfg, &sweep);
         let text = format!(
             "{}{}",
             sweep_table(&points).render(),
@@ -548,7 +550,7 @@ fn webfarm_scale_report_is_byte_identical_across_shard_counts() {
             shards: Some(shards),
             ..cfg.clone()
         };
-        let points = run_sweep(&cfg, &sweep);
+        let points = run_sweep(&RunCtx::pinned(), &cfg, &sweep);
         let text = format!(
             "{}{}",
             sweep_table(&points).render(),
@@ -583,11 +585,56 @@ fn webfarm_scale_report_is_byte_identical_across_shard_counts() {
 /// seed.
 #[test]
 fn ext_incast_report_is_deterministic_under_seeded_drops() {
-    let base = dc_bench::scenario::ext_incast_report_with(0.02).to_json();
+    use dc_bench::ext_incast::{run, table};
+    let render = || table(&run(&RunCtx::pinned(), 0.02)).render();
+    let base = render();
     assert!(
         base.contains("retx"),
         "drop-rate report must carry the retransmit column"
     );
-    let again = dc_bench::scenario::ext_incast_report_with(0.02).to_json();
-    assert_eq!(base, again, "fault-seeded incast sweep is not replayable");
+    assert_eq!(
+        base,
+        render(),
+        "fault-seeded incast sweep is not replayable"
+    );
+}
+
+/// Tracing is schedule-neutral at the report surface: each scenario cheap
+/// enough for tier-1, run through `flame`'s traced context at seed 0,
+/// diffs clean against its committed baseline at 0 % and folds a
+/// non-empty profile. (CI runs the same check on fig8b in release.)
+#[test]
+fn traced_scenarios_match_their_baselines() {
+    use dc_bench::diff::{diff, LoadedReport, Tolerance};
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("baselines");
+    for name in [
+        "fig3a_ddss_put",
+        "fig3b_storm",
+        "fig5a_lock_shared",
+        "fig5b_lock_exclusive",
+        "fig8a_monitor_accuracy",
+        "ext_fine_reconfig",
+        "ext_flowcontrol_bw",
+    ] {
+        let ctx = RunCtx::traced(0);
+        let live = (scenario::by_name(name).unwrap().report)(&ctx);
+        let base = LoadedReport::from_path(&dir.join(format!("{name}.json"))).unwrap();
+        let d = diff(
+            &base,
+            &LoadedReport::from_bench(&live),
+            &Tolerance::pct(0.0),
+        )
+        .unwrap();
+        assert_eq!(
+            d.regressions(),
+            0,
+            "{name}: tracing moved the report:\n{}",
+            d.render(false)
+        );
+        let p = ctx.into_profile().unwrap();
+        assert!(
+            p.events > 0 && !p.stacks.is_empty(),
+            "{name}: empty profile"
+        );
+    }
 }
