@@ -16,8 +16,11 @@ pub enum Coherence {
     /// Read coherence: writers publish a version *after* the data lands, so
     /// a reader that validates the version never consumes a torn value.
     Read,
-    /// Write coherence: writers are additionally serialized through a
-    /// fetch-and-add sequencer; last-writer-wins is well defined.
+    /// Write coherence: Read's protocol, after a ticket taken with a
+    /// fetch-and-add on the stamp word (the cost of the paper's write
+    /// sequencer). The ticket does not order the data writes: concurrent
+    /// puts may interleave, and the model promises what Read does. The
+    /// segment's lock stays free for `lock` and `put_versioned`.
     Write,
     /// Strict coherence: every access (read or write) holds the allocation's
     /// lock — linearizable, and the most expensive model.

@@ -485,9 +485,10 @@ impl DdssClient {
                 }
             }
             Coherence::Write => {
-                // Serialize writers through the lock word used as a
-                // fetch-and-add sequencer (ordering, not mutual exclusion).
-                c.atomic_faa(me, key.lock_addr(), 1).await;
+                // The writer's ticket: a fetch-and-add on the stamp word,
+                // which the stamp below overwrites. The lock word is
+                // `lock`'s alone.
+                c.atomic_faa(me, key.ver_addr(), 1).await;
                 c.rdma_write_bytes(me, key.data_addr(), data).await;
                 let stamp = now_stamp(&c);
                 c.rdma_write(me, key.ver_addr(), &stamp.to_le_bytes()).await;
@@ -678,6 +679,27 @@ mod tests {
         let ids: Vec<NodeId> = (0..nodes as u32).map(NodeId).collect();
         let ddss = Ddss::new(&cluster, DdssConfig::default(), &ids);
         (sim, cluster, ddss)
+    }
+
+    /// A Write put takes its ticket off the lock word, so the segment can
+    /// still be locked after it, and `put_versioned` still takes the lock.
+    #[test]
+    fn write_put_leaves_the_segment_lockable() {
+        let (sim, _c, ddss) = setup(2);
+        let client = ddss.client(NodeId(0));
+        sim.run_to(async move {
+            let key = client
+                .allocate(NodeId(1), 8, Coherence::Write)
+                .await
+                .unwrap();
+            client.put(&key, b"first!!!").await;
+            client.lock(&key).await;
+            client.unlock(&key).await;
+            let v = client.version(&key).await;
+            let new = client.put_versioned(&key, b"second!!", v).await;
+            assert_eq!(new, Ok(v.wrapping_add(1)));
+            assert_eq!(&client.get(&key).await[..], b"second!!");
+        });
     }
 
     #[test]

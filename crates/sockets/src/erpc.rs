@@ -739,6 +739,16 @@ impl ErpcSession {
 }
 
 #[cfg(test)]
+impl ErpcSession {
+    /// Number the session's next request `seq`: a boundary test starts a
+    /// few requests short of the 21-bit wrap instead of 2^21 requests in.
+    fn start_at_seq(&self, seq: u32) {
+        assert!(seq <= SEQ_MASK, "a sequence number is 21 bits");
+        self.s.next_seq.set(seq);
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use dc_fabric::FabricModel;
@@ -979,7 +989,7 @@ mod tests {
             },
         );
         let sess = mux.session(NodeId(1), srv.ports()[0], 1);
-        sess.s.next_seq.set(first_seq);
+        sess.start_at_seq(first_seq);
         let handles: Vec<_> = (0..callers)
             .map(|i| {
                 let s = sess.clone();
@@ -1031,7 +1041,7 @@ mod tests {
         let srv = ErpcServer::spawn(&cluster, NodeId(1), 1, 4, 0, Rc::new(|_, req| req));
         let mux = ErpcMux::new(&cluster, NodeId(0), ErpcCfg::default());
         let sess = mux.session(NodeId(1), srv.ports()[0], 1);
-        sess.s.next_seq.set(SEQ_MASK - 5);
+        sess.start_at_seq(SEQ_MASK - 5);
         let s2 = sess.clone();
         sim.run_to(async move {
             for i in 0..12u8 {
@@ -1041,6 +1051,84 @@ mod tests {
         });
         assert_eq!(sess.s.next_seq.get(), 6, "the run did not cross the wrap");
         assert_eq!((sess.acks(), sess.retx()), (12, 0));
+    }
+
+    /// Three callers share a two-deep window across the wrap, a quarter of
+    /// the messages dropped: each handler runs once, a retransmit of a
+    /// request the server already ran is answered from the reply cache, and
+    /// each caller's replies come back in its call order.
+    #[test]
+    fn reply_cache_answers_retransmits_across_the_wrap() {
+        let (sim, cluster) = setup(2);
+        cluster.install_faults(dc_fabric::FaultPlan::from_parts(
+            9,
+            vec![],
+            vec![],
+            vec![],
+            0.25,
+        ));
+        let ran: Rc<RefCell<Vec<(u8, u8)>>> = Rc::default();
+        let log = Rc::clone(&ran);
+        let handler = Rc::new(move |_, req: Bytes| {
+            log.borrow_mut().push((req[0], req[1]));
+            req
+        });
+        let window = 2;
+        let srv = ErpcServer::spawn(&cluster, NodeId(1), 1, window, 0, handler);
+        let cfg = ErpcCfg {
+            window,
+            rto_ns: 200_000,
+        };
+        let mux = ErpcMux::new(&cluster, NodeId(0), cfg);
+        let sess = mux.session(NodeId(1), srv.ports()[0], 1);
+        let first = SEQ_MASK - 9;
+        sess.start_at_seq(first);
+        let (callers, calls) = (3u8, 8u8);
+        let handles: Vec<_> = (0..callers)
+            .map(|i| {
+                let s = sess.clone();
+                sim.spawn(async move {
+                    let mut order = Vec::new();
+                    for k in 0..calls {
+                        let r = s.call(0, Bytes::from(vec![i, k])).await;
+                        assert_eq!(r[0], i, "caller {i} got another caller's reply");
+                        order.push(r[1]);
+                    }
+                    order
+                })
+            })
+            .collect();
+        let replies = sim.run_to(async move {
+            let mut all = Vec::new();
+            for h in handles {
+                all.push(h.await);
+            }
+            all
+        });
+        let in_order: Vec<u8> = (0..calls).collect();
+        assert!(replies.iter().all(|r| *r == in_order), "{replies:?}");
+        let total = u64::from(callers) * u64::from(calls);
+        let last = sess.s.next_seq.get();
+        assert_eq!(
+            u64::from(last),
+            (u64::from(first) + total) & u64::from(SEQ_MASK)
+        );
+        assert!(last < first, "the run did not cross the wrap");
+        let mut ran = ran.borrow().clone();
+        ran.sort_unstable();
+        let once: Vec<(u8, u8)> = (0..callers)
+            .flat_map(|i| (0..calls).map(move |k| (i, k)))
+            .collect();
+        assert_eq!(ran, once, "a handler ran twice, or never");
+        assert!(cluster.fault_stats().dropped_msgs > 0 && sess.retx() > 0);
+        // Every send is a request, a retransmit or the server's reply: a
+        // reply more than the handler runs came from the reply cache.
+        let replies_sent = cluster.stats().sends_rdma - total - sess.retx();
+        assert!(
+            replies_sent > total,
+            "no retransmit reached the reply cache"
+        );
+        assert_eq!(sess.acks(), total, "a duplicate reply was taken twice");
     }
 
     #[test]

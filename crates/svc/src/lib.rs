@@ -34,8 +34,8 @@ use dc_fabric::{Cluster, Endpoint, NodeId};
 
 /// Escape hatch for raw endpoints outside the service pump: socket-lane
 /// plumbing, bench harness channels, examples. Keeping every non-fabric bind
-/// behind this one symbol (and [`Service::spawn`]) is what lets CI enforce
-/// "no `cluster.bind` outside `dc-svc`/`dc-fabric`".
+/// behind this one symbol (and [`Service::spawn`]) is what lets
+/// `tests/lints.rs` enforce "no `cluster.bind` outside `dc-svc`/`dc-fabric`".
 pub fn bind_raw(cluster: &Cluster, node: NodeId, port: u16) -> Endpoint {
     cluster.bind(node, port)
 }

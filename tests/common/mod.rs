@@ -60,8 +60,7 @@ pub(crate) struct Source {
     pub(crate) path: String,
     pub(crate) text: &'static str,
     pub(crate) toks: Vec<Tok<'static>>,
-    /// The text of every `//` and `/* */` comment.
-    pub(crate) comments: Vec<&'static str>,
+    pub(crate) comments: Vec<Comment<'static>>,
     pub(crate) defs: Defs,
 }
 
@@ -137,10 +136,17 @@ impl<'a> Tok<'a> {
     }
 }
 
+/// One `//` or `/* */` comment: its text and the line it starts on.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Comment<'a> {
+    pub(crate) text: &'a str,
+    pub(crate) line: usize,
+}
+
 /// Rust source as tokens and comments: every string, char and number
 /// literal one token, every other punctuation character its own token, and
 /// each token of a `#[cfg(test)]` item marked.
-pub(crate) fn lex(src: &str) -> (Vec<Tok<'_>>, Vec<&str>) {
+pub(crate) fn lex(src: &str) -> (Vec<Tok<'_>>, Vec<Comment<'_>>) {
     let b = src.as_bytes();
     let ident = |i: usize| i < b.len() && is_ident_char(b[i] as char);
     let (mut toks, mut comments) = (Vec::new(), Vec::new());
@@ -153,7 +159,10 @@ pub(crate) fn lex(src: &str) -> (Vec<Tok<'_>>, Vec<&str>) {
             continue;
         } else if b[i..].starts_with(b"//") {
             i += b[i..].iter().take_while(|&&c| c != b'\n').count();
-            comments.push(&src[start..i]);
+            comments.push(Comment {
+                text: &src[start..i],
+                line: start_line,
+            });
             continue;
         } else if b[i..].starts_with(b"/*") {
             let mut depth = 0;
@@ -172,7 +181,10 @@ pub(crate) fn lex(src: &str) -> (Vec<Tok<'_>>, Vec<&str>) {
                     i += 1;
                 }
             }
-            comments.push(&src[start..i.min(b.len())]);
+            comments.push(Comment {
+                text: &src[start..i.min(b.len())],
+                line: start_line,
+            });
             continue;
         } else if let Some(end) = string_end(b, i) {
             line += b[i..end].iter().filter(|&&c| c == b'\n').count();

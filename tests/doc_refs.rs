@@ -799,13 +799,8 @@ fn unlisted<'a>(header: &str, names: &'a BTreeSet<String>) -> Vec<&'a String> {
     names.iter().filter(|m| !table.contains(*m)).collect()
 }
 
-/// Every crate but the re-export shim has exactly one `## N. `dc-x` …`
-/// section, naming at least one test function and at least one CI step or
-/// mutant entry that guards it.
-#[test]
-fn every_crate_has_one_contract() {
-    let (t, tests) = (tree(), test_fns());
-    let doc = read("DESIGN.md");
+/// DESIGN.md's crate contracts: each `## N. `dc-x` …` section by crate.
+fn contracts(doc: &str) -> HashMap<&str, Vec<&str>> {
     let mut sections: HashMap<&str, Vec<&str>> = HashMap::new();
     for section in doc.split("\n## ").skip(1) {
         let heading = section.lines().next().unwrap();
@@ -817,6 +812,24 @@ fn every_crate_has_one_contract() {
             sections.entry(name).or_default().push(section);
         }
     }
+    sections
+}
+
+/// The test functions a contract cites as its guards.
+fn guards(section: &str, tests: &HashSet<&str>) -> BTreeSet<String> {
+    let names = code_spans(section).into_iter();
+    let names = names.map(|s| s.rsplit("::").next().unwrap().to_string());
+    names.filter(|n| tests.contains(n.as_str())).collect()
+}
+
+/// Every crate but the re-export shim has exactly one `## N. `dc-x` …`
+/// section, naming at least one test function and at least one CI step or
+/// mutant entry that guards it.
+#[test]
+fn every_crate_has_one_contract() {
+    let (t, tests) = (tree(), test_fns());
+    let doc = read("DESIGN.md");
+    let mut sections = contracts(&doc);
     let mut problems = Vec::new();
     let mut crates: Vec<&String> = t.crates.iter().filter(|c| c.starts_with("dc-")).collect();
     crates.sort();
@@ -830,10 +843,7 @@ fn every_crate_has_one_contract() {
             continue;
         }
         let spans = code_spans(found[0]);
-        if !spans
-            .iter()
-            .any(|s| tests.contains(s.rsplit("::").next().unwrap()))
-        {
+        if guards(found[0], &tests).is_empty() {
             problems.push(format!("{name}: the contract names no test function"));
         }
         let text = flat(found[0]);
@@ -856,6 +866,45 @@ fn every_crate_has_one_contract() {
         problems.is_empty(),
         "DESIGN.md contracts:\n{}",
         problems.join("\n")
+    );
+}
+
+/// README's test list says how many tests the crate contracts cite as
+/// guards, and how many of those no mutant has shown able to fail (no
+/// `kill` in `tests/mutants.txt` names them). The failure lists them.
+#[test]
+fn readme_counts_the_guards_no_mutant_kills() {
+    let tests = test_fns();
+    let killed: HashSet<String> = read("tests/mutants.txt")
+        .lines()
+        .filter_map(|l| l.strip_prefix("kill: ")?.split_whitespace().last())
+        .map(String::from)
+        .collect();
+    let doc = read("DESIGN.md");
+    let mut sections: Vec<_> = contracts(&doc).into_iter().collect();
+    sections.sort();
+    let (mut cited, mut unkilled) = (BTreeSet::new(), BTreeSet::new());
+    let mut listing = Vec::new();
+    for (name, found) in sections {
+        let guards: BTreeSet<String> = found.iter().flat_map(|s| guards(s, &tests)).collect();
+        let open: Vec<&String> = guards.iter().filter(|g| !killed.contains(*g)).collect();
+        listing.push(format!(
+            "{name} ({} of {}): {open:?}",
+            open.len(),
+            guards.len()
+        ));
+        unkilled.extend(open.into_iter().cloned());
+        cited.extend(guards);
+    }
+    let want = format!(
+        "cite {} test guards, and {} of them",
+        cited.len(),
+        unkilled.len()
+    );
+    assert!(
+        flat(&read("README.md")).contains(&want),
+        "README.md must say \"{want}\" no mutant kills yet; by contract:\n{}",
+        listing.join("\n")
     );
 }
 
@@ -902,7 +951,7 @@ fn code_comments_cite_no_roadmap_item_numbers() {
             let text: Vec<&str> = s
                 .comments
                 .iter()
-                .map(|c| c.trim_start_matches(['/', '!']))
+                .map(|c| c.text.trim_start_matches(['/', '!']))
                 .collect();
             flat(&text.join(" ")).contains("ROADMAP item")
         })

@@ -20,6 +20,8 @@
 //! Then it applies each mutant in turn and reverts it. A mutant is killed
 //! only if the mutated tree compiles (`cargo test --no-run` with its `kill`
 //! arguments) and its `kill` test then fails; a compile error is not a kill.
+//! An entry with an empty `find` creates its `file` (which must not exist)
+//! with the `replace` text, and deletes it again.
 
 mod common;
 
@@ -138,7 +140,13 @@ fn problems(mutants: &[Mutant]) -> Vec<String> {
         if m.find == m.replace {
             out.push(format!("{at}: `replace` equals `find`"));
         }
-        match fs::read_to_string(root().join(&m.file)) {
+        let path = root().join(&m.file);
+        match fs::read_to_string(&path) {
+            // An empty `find` creates the file.
+            _ if m.find.is_empty() && path.exists() => {
+                out.push(format!("{at}: creates {}, which exists", m.file))
+            }
+            _ if m.find.is_empty() => {}
             Err(e) => out.push(format!("{at}: reading {}: {e}", m.file)),
             Ok(text) => match text.matches(m.find.as_str()).count() {
                 1 => {}
@@ -180,8 +188,9 @@ fn catalogue_still_aims_at_the_code() {
 }
 
 /// The check above can fail: a snippet that moved, one that is no longer
-/// unique, a no-op replacement, a test that does not exist and a `kill` that
-/// names a helper, not a test, are each reported.
+/// unique, a no-op replacement, a test that does not exist, a `kill` that
+/// names a helper, not a test, and a file to create that exists are each
+/// reported; a file to create that does not exist is not.
 #[test]
 fn catalogue_check_reports_each_kind_of_stale_entry() {
     let real = "catalogue_still_aims_at_the_code";
@@ -192,6 +201,7 @@ fn catalogue_check_reports_each_kind_of_stale_entry() {
         ("no_op", "[workspace]\\n", "[workspace]\\n", real),
         ("no_test", "[workspace]\\n", "x", "renamed_away"),
         ("helper", "[workspace]\\n", "x", "copy_tree"),
+        ("creates", "", "x", real),
     ];
     let text: String = entries
         .iter()
@@ -201,6 +211,9 @@ fn catalogue_check_reports_each_kind_of_stale_entry() {
                  kill: --lib {test}\nsource: this test\n\n"
             )
         })
+        .chain(["name: new_file\nfile: src/new.rs\nfind:\nreplace: x\n\
+                 kill: --lib catalogue_still_aims_at_the_code\nsource: this test\n\n"
+            .to_string()])
         .collect();
     let mutants = parse(&text).unwrap();
     let found = problems(&mutants);
@@ -215,7 +228,9 @@ fn catalogue_check_reports_each_kind_of_stale_entry() {
     assert!(flagged("no_op", "equals"), "{found:?}");
     assert!(flagged("no_test", "no `#[test] fn "), "{found:?}");
     assert!(flagged("helper", "no `#[test] fn "), "{found:?}");
-    assert_eq!(found.len(), 5, "{found:?}");
+    assert!(flagged("creates", "which exists"), "{found:?}");
+    assert!(!found.iter().any(|p| p.contains("`new_file`")), "{found:?}");
+    assert_eq!(found.len(), 6, "{found:?}");
 }
 
 /// Copy the tree to `to`, leaving out build output and version control.
@@ -316,8 +331,16 @@ fn every_mutant_is_killed() {
     for m in &mutants {
         let t0 = Instant::now();
         let path = tree.join(&m.file);
-        let original = fs::read_to_string(&path).unwrap();
-        fs::write(&path, original.replacen(&m.find, &m.replace, 1)).unwrap();
+        let original = if m.find.is_empty() {
+            fs::create_dir_all(path.parent().unwrap()).unwrap();
+            None
+        } else {
+            Some(fs::read_to_string(&path).unwrap())
+        };
+        let mutated = original
+            .as_ref()
+            .map_or(m.replace.clone(), |o| o.replacen(&m.find, &m.replace, 1));
+        fs::write(&path, mutated).unwrap();
         let log = logs.join(format!("{}.log", m.name));
         let built = cargo_test(
             &tree,
@@ -338,7 +361,13 @@ fn every_mutant_is_killed() {
                 Some(_) => "killed",
             }
         };
-        fs::write(&path, &original).unwrap();
+        match &original {
+            Some(original) => fs::write(&path, original).unwrap(),
+            None => {
+                fs::remove_file(&path).unwrap();
+                let _ = fs::remove_dir(path.parent().unwrap());
+            }
+        }
         eprintln!(
             "mutants: {:<48} {verdict:<24} {:>5.0} s  cargo test {}",
             m.name,
