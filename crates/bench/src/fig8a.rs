@@ -126,7 +126,7 @@ pub fn run_scheme(
             while h.now() < duration {
                 h.sleep_until(scheduled).await;
                 let view = monitor.observe(target).await;
-                last.set(view.stats.app_threads);
+                last.set(view.app_threads);
                 updates.set(updates.get() + 1);
                 scheduled = (scheduled + sample_period).max(h.now());
             }

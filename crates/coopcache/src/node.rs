@@ -133,11 +133,13 @@ impl CacheNode {
     }
 
     /// Bytes of documents currently cached.
+    #[cfg(test)]
     pub fn bytes_used(&self) -> usize {
         self.inner.store.borrow().bytes_used()
     }
 
     /// Whether `doc` is currently cached (no recency effect).
+    #[cfg(test)]
     pub fn contains(&self, doc: DocId) -> bool {
         self.inner.store.borrow().contains(doc)
     }

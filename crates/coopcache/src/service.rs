@@ -177,6 +177,7 @@ impl CoopCache {
     }
 
     /// Bytes cached per node, in node-id order.
+    #[cfg(test)]
     pub fn node_bytes_used(&self) -> Vec<(NodeId, usize)> {
         let mut v: Vec<(NodeId, usize)> = self
             .inner
@@ -191,6 +192,7 @@ impl CoopCache {
     /// Duplication factor: total cached bytes divided by the bytes of
     /// *distinct* cached documents. 1.0 means no redundancy (CCWR's
     /// invariant); BCC trades capacity for locality and exceeds it.
+    #[cfg(test)]
     pub fn duplication_factor(&self) -> f64 {
         let total: usize = self.inner.nodes.values().map(|cn| cn.bytes_used()).sum();
         let mut distinct = 0usize;

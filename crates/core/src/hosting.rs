@@ -95,7 +95,7 @@ struct Job {
 type Responses = Rc<Rendezvous<usize, ()>>;
 
 /// One back-end's worker pool over an accept queue, with kernel statistics
-/// kept live (accept-queue depth and connection count included).
+/// kept live (accept-queue depth included).
 #[derive(Clone)]
 struct AppServer {
     cluster: Cluster,

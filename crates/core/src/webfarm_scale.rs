@@ -422,8 +422,6 @@ pub struct ScalePoint {
     pub p99_us: f64,
     /// 99.9th percentile, µs.
     pub p999_us: f64,
-    /// Mean latency, µs.
-    pub mean_us: f64,
     /// Proxy-local cache hits (measured).
     pub hit_local: u64,
     /// App-tier peer hits (measured).
@@ -603,11 +601,6 @@ pub fn run_webfarm_scale_stats(cfg: &ScaleFarmCfg) -> (ScalePoint, ShardStats) {
         p50_us: to_us(lat.quantile_ns(0.50)),
         p99_us: to_us(lat.quantile_ns(0.99)),
         p999_us: to_us(lat.quantile_ns(0.999)),
-        mean_us: if completed == 0 {
-            0.0
-        } else {
-            total_latency as f64 / completed as f64 / 1_000.0
-        },
         hit_local,
         hit_peer,
         misses,

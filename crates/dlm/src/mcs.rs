@@ -328,8 +328,17 @@ mod tests {
     #[test]
     fn serve_and_wait_match_in_either_arrival_order() {
         // Heavily contended single lock: every handoff exercises the home
-        // agent's out-of-order matching, and everyone must drain.
-        let (sim, _c, dlm) = setup(5);
+        // agent's out-of-order matching, and everyone must drain. Without
+        // drops a wait always beats its serve to the home agent; a dropped
+        // and retransmitted wait arrives after it.
+        let (sim, c, dlm) = setup(5);
+        c.install_faults(dc_fabric::FaultPlan::from_parts(
+            7,
+            vec![],
+            vec![],
+            vec![],
+            0.25,
+        ));
         let done: Rc<Cell<u32>> = Rc::default();
         for n in 1..5u32 {
             let client = dlm.client(NodeId(n));

@@ -8,8 +8,8 @@
 //! SRSL lock server) is delayed by roughly `run_queue × quantum` when the
 //! node is loaded, while one-sided RDMA completes unperturbed.
 //!
-//! Every state change (thread spawn/exit, run-queue transitions, connection
-//! counts) is immediately re-encoded into the node's kernel-statistics
+//! Every state change (thread spawn/exit, run-queue and accept-queue
+//! transitions) is immediately re-encoded into the node's kernel-statistics
 //! region, so an `rdma_read` of that region at any virtual instant sees the
 //! true current values — the simulated analogue of registering kernel data
 //! structures with the NIC.
@@ -118,19 +118,6 @@ impl CpuModel {
         self.update(|s| {
             debug_assert!(s.app_threads > 0);
             s.app_threads -= 1;
-        });
-    }
-
-    /// Record an opened connection.
-    pub fn conn_opened(&self) {
-        self.update(|s| s.conns += 1);
-    }
-
-    /// Record a closed connection.
-    pub fn conn_closed(&self) {
-        self.update(|s| {
-            debug_assert!(s.conns > 0);
-            s.conns -= 1;
         });
     }
 
@@ -295,14 +282,13 @@ mod tests {
         let c = CpuModel::new(sim.handle(), CpuConfig::default(), region.clone());
         c.thread_started();
         c.thread_started();
-        c.conn_opened();
         c.accept_enqueued();
         let v = KernelStats::decode(&region.read(0, crate::kstat::KSTAT_REGION_LEN));
         assert_eq!(v.app_threads, 2);
-        assert_eq!(v.conns, 1);
+        // Nothing opens a connection: the published count stays 0.
+        assert_eq!(v.conns, 0);
         assert_eq!(v.accept_queue, 1);
         c.thread_exited();
-        c.conn_closed();
         c.accept_dequeued();
         assert_eq!(c.snapshot().app_threads, 1);
         assert_eq!(c.snapshot().conns, 0);

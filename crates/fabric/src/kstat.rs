@@ -20,7 +20,8 @@ pub mod offsets {
     pub const BUSY_NS: usize = 16;
     /// Monotonic version, bumped on every update (torn-read detection).
     pub const VERSION: usize = 24;
-    /// Open connection count (used by the enhanced e-RDMA scheme).
+    /// Open connection count. Nothing opens a connection, so it reads 0; the
+    /// word keeps the block's layout.
     pub const CONNS: usize = 32;
     /// Requests currently queued in the application accept queue.
     pub const ACCEPT_QUEUE: usize = 40;

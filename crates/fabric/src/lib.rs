@@ -27,9 +27,7 @@
 //!
 //! Latency and bandwidth constants live in [`model::FabricModel`] and are
 //! calibrated to the paper's 2007-era testbed (see
-//! [`model::FabricModel::calibrated_2007`]); an Ethernet-flavoured profile
-//! ([`model::FabricModel::tcp_cluster_2007`]) is provided for baseline
-//! comparisons.
+//! [`model::FabricModel::calibrated_2007`]).
 //!
 //! ```
 //! use dc_sim::Sim;

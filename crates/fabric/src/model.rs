@@ -64,19 +64,6 @@ impl FabricModel {
         }
     }
 
-    /// An Ethernet-flavoured cluster without usable RDMA: one-sided verbs
-    /// are still *possible* to call but carry TCP-class latencies. Used for
-    /// "traditional implementation" baselines.
-    pub fn tcp_cluster_2007() -> Self {
-        let mut m = Self::calibrated_2007();
-        m.rdma_read_base_ns = 2 * m.tcp_base_ns + 10_000;
-        m.rdma_write_base_ns = 2 * m.tcp_base_ns + 10_000;
-        m.atomic_base_ns = 2 * m.tcp_base_ns + 10_000;
-        m.rdma_send_base_ns = m.tcp_base_ns;
-        m.ib_bytes_per_us = m.tcp_bytes_per_us;
-        m
-    }
-
     /// A stable digest of every calibration constant in this model,
     /// formatted `fm1-<16 hex digits>`.
     ///
@@ -221,22 +208,11 @@ mod tests {
     }
 
     #[test]
-    fn tcp_cluster_profile_removes_rdma_advantage() {
-        let m = FabricModel::tcp_cluster_2007();
-        assert!(m.rdma_read_base_ns > FabricModel::calibrated_2007().rdma_read_base_ns);
-        assert_eq!(m.ib_bytes_per_us, m.tcp_bytes_per_us);
-    }
-
-    #[test]
     fn fingerprint_is_stable_and_sensitive_to_every_constant() {
         let base = FabricModel::calibrated_2007();
         assert_eq!(base.fingerprint(), base.fingerprint(), "must be pure");
         assert!(base.fingerprint().starts_with("fm1-"));
         assert_eq!(base.fingerprint().len(), 4 + 16);
-        assert_ne!(
-            base.fingerprint(),
-            FabricModel::tcp_cluster_2007().fingerprint()
-        );
         // Perturbing any single constant must change the digest.
         let perturbations: Vec<FabricModel> = vec![
             FabricModel {
@@ -328,13 +304,6 @@ mod tests {
             assert!(m.min_link_latency_ns() <= v);
         }
         assert!(m.min_link_latency_ns() > 0, "lookahead must be positive");
-        // The TCP-cluster profile has a different floor, and the
-        // fingerprint already separates the two profiles.
-        let t = FabricModel::tcp_cluster_2007();
-        assert_eq!(
-            t.min_link_latency_ns(),
-            t.rdma_send_base_ns.min(t.tcp_base_ns)
-        );
     }
 
     #[test]
@@ -342,6 +311,10 @@ mod tests {
         let a = FabricModel::calibrated_2007();
         let b = a.clone();
         assert_eq!(a, b);
-        assert_ne!(a, FabricModel::tcp_cluster_2007());
+        let slower = FabricModel {
+            tcp_base_ns: a.tcp_base_ns + 1,
+            ..a.clone()
+        };
+        assert_ne!(a, slower);
     }
 }

@@ -25,7 +25,7 @@
 //!                              MonitorCfg::default(), NodeId(0), &[NodeId(1)]);
 //! cluster.cpu(NodeId(1)).thread_started();
 //! let view = sim.run_to(async move { monitor.observe(NodeId(1)).await });
-//! assert_eq!(view.stats.app_threads, 1); // read one-sided, no remote CPU
+//! assert_eq!(view.app_threads, 1); // read one-sided, no remote CPU
 //! ```
 
 pub mod loadgen;
@@ -33,5 +33,5 @@ pub mod monitor;
 pub mod scheme;
 
 pub use loadgen::BurstLoad;
-pub use monitor::{LoadView, Monitor, MonitorCfg};
+pub use monitor::{Monitor, MonitorCfg};
 pub use scheme::MonitorScheme;

@@ -14,7 +14,6 @@ use bytes::Bytes;
 use dc_fabric::kstat::{KernelStats, KSTAT_REGION_LEN};
 use dc_fabric::{Cluster, NodeId, Transport};
 use dc_sim::join::JoinAll;
-use dc_sim::SimTime;
 use dc_svc::{
     parse_request, respond_bytes, Cost, Dispatcher, Mode, Service, ServiceSpec, Subsys, SvcClient,
 };
@@ -41,31 +40,20 @@ impl Default for MonitorCfg {
     }
 }
 
-/// A load observation with its freshness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LoadView {
-    /// The observed kernel statistics.
-    pub stats: KernelStats,
-    /// When the observation reached the reader: the virtual instant the
-    /// read or the query completed at the front-end (for Socket-Async, the
-    /// instant the daemon sampled before pushing).
-    pub observed_at: SimTime,
-}
-
-impl LoadView {
-    /// Scalar load metric used by the load balancer: run queue plus, for
-    /// the enhanced scheme, queued requests.
-    pub fn load_metric(&self, enhanced: bool) -> u64 {
-        if enhanced {
-            self.stats.run_queue + self.stats.accept_queue + self.stats.conns / 4
-        } else {
-            self.stats.run_queue
-        }
+/// Scalar load metric used by the load balancer: run queue plus, for the
+/// enhanced scheme, queued requests.
+fn load_metric(stats: &KernelStats, enhanced: bool) -> u64 {
+    if enhanced {
+        stats.run_queue + stats.accept_queue
+    } else {
+        stats.run_queue
     }
 }
 
 struct TargetState {
-    cached: RefCell<LoadView>,
+    /// The last observation, for the async schemes (and the last
+    /// Socket-Sync reply).
+    cached: RefCell<KernelStats>,
     daemon_port: Option<u16>,
 }
 
@@ -104,10 +92,7 @@ impl Monitor {
             sorted.push((
                 t,
                 Rc::new(TargetState {
-                    cached: RefCell::new(LoadView {
-                        stats: KernelStats::default(),
-                        observed_at: 0,
-                    }),
+                    cached: RefCell::default(),
                     daemon_port,
                 }),
             ));
@@ -140,9 +125,10 @@ impl Monitor {
         self.inner.scheme
     }
 
-    /// Current load view of `target` under the scheme's semantics: a fresh
-    /// round trip for the sync schemes, the cached view for the async ones.
-    pub async fn observe(&self, target: NodeId) -> LoadView {
+    /// Current kernel statistics of `target` under the scheme's semantics:
+    /// a fresh round trip for the sync schemes, the cached observation for
+    /// the async ones.
+    pub async fn observe(&self, target: NodeId) -> KernelStats {
         let targets = &self.inner.targets;
         let i = targets
             .binary_search_by_key(&target, |&(t, _)| t)
@@ -160,7 +146,7 @@ impl Monitor {
     /// The scalar load metric the balancer feeds on.
     pub async fn load(&self, target: NodeId) -> u64 {
         let enhanced = self.inner.scheme == MonitorScheme::ERdmaSync;
-        self.observe(target).await.load_metric(enhanced)
+        load_metric(&self.observe(target).await, enhanced)
     }
 
     /// The monitored targets, in id order.
@@ -189,29 +175,23 @@ impl Monitor {
             .expect("monitor has no targets")
     }
 
-    async fn rdma_read_stats(&self, target: NodeId) -> LoadView {
+    /// The one-sided read samples at the target mid-flight; the freshness
+    /// error is half a round trip.
+    async fn rdma_read_stats(&self, target: NodeId) -> KernelStats {
         let cluster = &self.inner.cluster;
-        LoadView {
-            stats: cluster.read_kstat(self.inner.frontend, target).await,
-            // The one-sided read samples at the target mid-flight; the
-            // freshness error is half a round trip.
-            observed_at: cluster.sim().now(),
-        }
+        cluster.read_kstat(self.inner.frontend, target).await
     }
 
-    async fn socket_query(&self, target: NodeId, st: &TargetState) -> LoadView {
+    async fn socket_query(&self, target: NodeId, st: &TargetState) -> KernelStats {
         let port = st.daemon_port.expect("socket scheme without daemon");
         let resp = self
             .inner
             .client
             .call(target, port, &[], Transport::Tcp)
             .await;
-        let view = LoadView {
-            stats: KernelStats::decode(&resp),
-            observed_at: self.inner.cluster.sim().now(),
-        };
-        *st.cached.borrow_mut() = view;
-        view
+        let stats = KernelStats::decode(&resp);
+        *st.cached.borrow_mut() = stats;
+        stats
     }
 
     fn spawn_rdma_poller(&self) {
@@ -243,7 +223,6 @@ impl Monitor {
                     // Daemon wakes, reads /proc (CPU), pushes the sample.
                     cluster.cpu(target).execute(DAEMON_CPU_NS).await;
                     let stats = cluster.cpu(target).snapshot();
-                    let observed_at = sim.now();
                     // Model the push as the TCP costs of a small message.
                     let m = cluster.model().clone();
                     cluster
@@ -251,7 +230,7 @@ impl Monitor {
                         .execute(m.tcp_send_cpu(KSTAT_REGION_LEN))
                         .await;
                     sim.sleep(m.tcp_base_ns).await;
-                    *st.cached.borrow_mut() = LoadView { stats, observed_at };
+                    *st.cached.borrow_mut() = stats;
                     sim.sleep(period).await;
                 }
             });
@@ -331,7 +310,7 @@ mod tests {
         cpu.thread_started();
         cpu.thread_started();
         let view = sim.run_to(async move { monitor.observe(NodeId(1)).await });
-        assert_eq!(view.stats.app_threads, 3);
+        assert_eq!(view.app_threads, 3);
     }
 
     #[test]
@@ -350,7 +329,7 @@ mod tests {
     fn socket_sync_pays_daemon_cpu() {
         let (sim, cluster, monitor) = setup(MonitorScheme::SocketSync);
         let view = sim.run_to(async move { monitor.observe(NodeId(1)).await });
-        assert_eq!(view.stats.app_threads, 0);
+        assert_eq!(view.app_threads, 0);
         assert!(cluster.cpu(NodeId(1)).snapshot().busy_ns >= 80_000);
     }
 
@@ -366,12 +345,9 @@ mod tests {
         cpu.thread_started();
         cpu.accept_enqueued();
         let second = sim.run_to(async move { monitor.observe(NodeId(1)).await });
-        assert_eq!((first.stats.app_threads, first.stats.accept_queue), (0, 0));
-        assert_eq!(
-            (second.stats.app_threads, second.stats.accept_queue),
-            (1, 1)
-        );
-        assert_ne!(first.stats, second.stats);
+        assert_eq!((first.app_threads, first.accept_queue), (0, 0));
+        assert_eq!((second.app_threads, second.accept_queue), (1, 1));
+        assert_ne!(first, second);
     }
 
     #[test]
@@ -411,12 +387,12 @@ mod tests {
         // Cached view is stale until the next poll lands…
         let m2 = monitor.clone();
         let v1 = sim.run_to(async move { m2.observe(NodeId(1)).await });
-        assert_eq!(v1.stats.app_threads, 0);
+        assert_eq!(v1.app_threads, 0);
         // …and fresh after it.
         sim.run_until(ms(25));
         let m3 = monitor.clone();
         let v2 = sim.run_to(async move { m3.observe(NodeId(1)).await });
-        assert_eq!(v2.stats.app_threads, 1);
+        assert_eq!(v2.app_threads, 1);
     }
 
     #[test]
@@ -427,8 +403,7 @@ mod tests {
         sim.run_until(ms(30));
         let m2 = monitor.clone();
         let v = sim.run_to(async move { m2.observe(NodeId(1)).await });
-        assert_eq!(v.stats.app_threads, 1);
-        assert!(v.observed_at > 0);
+        assert_eq!(v.app_threads, 1);
     }
 
     #[test]
@@ -568,16 +543,12 @@ mod tests {
 
     #[test]
     fn enhanced_metric_includes_queue_state() {
-        let view = LoadView {
-            stats: KernelStats {
-                run_queue: 2,
-                accept_queue: 5,
-                conns: 8,
-                ..KernelStats::default()
-            },
-            observed_at: 0,
+        let stats = KernelStats {
+            run_queue: 2,
+            accept_queue: 5,
+            ..KernelStats::default()
         };
-        assert_eq!(view.load_metric(false), 2);
-        assert_eq!(view.load_metric(true), 2 + 5 + 2);
+        assert_eq!(load_metric(&stats, false), 2);
+        assert_eq!(load_metric(&stats, true), 2 + 5);
     }
 }

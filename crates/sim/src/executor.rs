@@ -209,7 +209,8 @@ struct SimState {
     id: u64,
     ready: Rc<ReadyQueue>,
     seq: Cell<u64>,
-    /// Number of tasks spawned and not yet completed.
+    /// Number of tasks spawned and not yet completed (read by tests only).
+    #[cfg(test)]
     live: Cell<usize>,
     /// Total polls performed; a debugging/fuel counter.
     polls: Cell<u64>,
@@ -350,6 +351,7 @@ impl Sim {
                 id,
                 ready,
                 seq: Cell::new(0),
+                #[cfg(test)]
                 live: Cell::new(0),
                 polls: Cell::new(0),
                 events: Cell::new(0),
@@ -373,6 +375,7 @@ impl Sim {
     }
 
     /// Number of spawned-but-unfinished tasks.
+    #[cfg(test)]
     pub fn live_tasks(&self) -> usize {
         self.st.live.get()
     }
@@ -528,6 +531,7 @@ impl Sim {
         }
         drop(tasks);
         self.st.free.borrow_mut().push(tid);
+        #[cfg(test)]
         self.st.live.set(self.st.live.get() - 1);
         // The future goes now, as when its box was freed here (its `Drop` may
         // spawn or wake); only storage is parked.
@@ -611,6 +615,7 @@ fn enqueue(st: &Rc<SimState>, cell: BoxCell, kind: usize) -> TaskId {
             }
         }
     };
+    #[cfg(test)]
     st.live.set(st.live.get() + 1);
     st.ready.borrow_mut().push_back(tid);
     tid

@@ -516,13 +516,21 @@ mod tests {
         Cancel(usize),
     }
 
-    fn run_script(ops: &[Op]) {
+    /// Run `ops` on a wheel and the heap, both first moved to `origin` by
+    /// firing one timer there.
+    fn run_script(origin: u64, ops: &[Op]) {
         let mut wheel = TimerWheel::new();
         let mut heap = HeapRef::default();
-        let mut handles = Vec::new();
-        let mut seq = 0u64;
-        let mut now = 0u64;
-        let mut tag = 0u32;
+        let mut handles = vec![wheel.insert(origin, 0, 0)];
+        heap.insert(origin, 0, 0);
+        assert_eq!(
+            wheel.pop_next_at_or_before(origin).map(|e| e.at),
+            Some(origin)
+        );
+        assert_eq!(heap.pop_at_or_before(origin), Some((origin, 0, 0)));
+        let mut seq = 1u64;
+        let mut now = origin;
+        let mut tag = 1u32;
         for op in ops {
             match op {
                 Op::Insert(offsets) => {
@@ -604,6 +612,19 @@ mod tests {
         })
     }
 
+    /// Wheel origins: 0, or just below `k·64^l` for a level `l` (`k·SPAN`
+    /// at `l = LEVELS`). There the slot holding `base` straddles two
+    /// rotations, and the first deadlines roll the level over.
+    fn origin_strategy() -> impl Strategy<Value = u64> {
+        (0..=LEVELS as u32, 1u64..4, 1u64..65).prop_map(|(l, k, below)| {
+            if l == 0 {
+                0
+            } else {
+                (k << (BITS * l)) - below
+            }
+        })
+    }
+
     fn ops_strategy() -> impl Strategy<Value = Vec<Op>> {
         let op = (
             0u32..7,
@@ -621,13 +642,13 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// The tentpole contract: arbitrary interleavings of insertions
-        /// (same-tick ties, every level, overflow), pops and cancels
-        /// produce exactly the `(deadline, seq)` order of the old binary
-        /// heap, less what was cancelled.
+        /// The tentpole contract: from any origin, arbitrary interleavings
+        /// of insertions (same-tick ties, every level, overflow), pops and
+        /// cancels produce exactly the `(deadline, seq)` order of the old
+        /// binary heap, less what was cancelled.
         #[test]
-        fn wheel_pop_order_matches_heap(ops in ops_strategy()) {
-            run_script(&ops);
+        fn wheel_pop_order_matches_heap(ops in ops_strategy(), origin in origin_strategy()) {
+            run_script(origin, &ops);
         }
     }
 

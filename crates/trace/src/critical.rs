@@ -67,8 +67,6 @@ fn stage_arg(e: &Event) -> Option<&str> {
 pub struct RequestBreakdown {
     /// Node the request span was recorded on.
     pub node: u32,
-    /// Request span start (virtual ns).
-    pub start_ns: u64,
     /// End-to-end request time (the span's duration).
     pub total_ns: u64,
     /// Per-stage attribution, indexed like [`STAGES`]. Sums to `total_ns`
@@ -217,7 +215,6 @@ pub fn analyze_requests(events: &[Event]) -> Vec<RequestBreakdown> {
         }
         out.push(RequestBreakdown {
             node,
-            start_ns: rts,
             total_ns: rend - rts,
             stage_ns,
         });

@@ -31,6 +31,7 @@ struct Span {
 
 /// Fold `events` into collapsed-stack text. Only `Complete` spans
 /// contribute; instants and flow arrows carry no duration to attribute.
+#[cfg(test)]
 pub fn fold_collapsed(events: &[Event]) -> String {
     let mut stacks = BTreeMap::new();
     fold_into(&mut stacks, events, "");

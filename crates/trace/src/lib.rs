@@ -34,7 +34,7 @@ pub use critical::{
     LatencyBreakdown, RequestBreakdown, StageAgg, STAGES, STAGE_KEY, STAGE_REQUEST,
 };
 pub use event::{ArgVal, Event, Ph, Subsys, TraceMode};
-pub use flame::{fold_collapsed, fold_into, render_collapsed};
+pub use flame::{fold_into, render_collapsed};
 pub use hist::{tps, HistSummary, LatencyHist, StreamHist};
 pub use json::JsonValue;
 pub use metrics::{Counter, Gauge, HistHandle, MetricValue, MetricsSnapshot, Registry};

@@ -13,8 +13,7 @@
 //!   "tables": [
 //!     {"title": "...", "headers": ["col", ...], "rows": [["cell", ...], ...]}
 //!   ],
-//!   "latency_breakdown": {"requests": 9, "total_ns": 123, "stages": [...]},
-//!   "metrics": {"fabric.verbs.read": 1234, ...}
+//!   "latency_breakdown": {"requests": 9, "total_ns": 123, "stages": [...]}
 //! }
 //! ```
 //!
@@ -25,10 +24,8 @@
 //! the experiment configuration, `tables` carries the same data the binary
 //! prints (cells pre-rendered as strings so formatting is identical between
 //! modes), `latency_breakdown` is an optional per-stage critical-path
-//! attribution ([`LatencyBreakdown`], produced by `dc-bench flame`), and
-//! `metrics` is an optional flat snapshot (see [`MetricsSnapshot`]). Fields
-//! appear in the order above; params, tables, and metric keys keep
-//! insertion order, so a report built the same way is byte-identical.
+//! attribution ([`LatencyBreakdown`], produced by `dc-bench flame`). Fields
+//! appear in the order above; params and tables keep insertion order, so a report built the same way is byte-identical.
 //! Readers must ignore keys they don't know — the regression loader does,
 //! which is how v2 grew `latency_breakdown` without a version bump — and
 //! must reject any other `schema` string (unknown contract) rather than
@@ -37,7 +34,6 @@
 use crate::critical::LatencyBreakdown;
 use crate::event::ArgVal;
 use crate::json::JsonWriter;
-use crate::metrics::MetricsSnapshot;
 
 /// Schema identifier emitted in every report, and the only one readers
 /// accept.
@@ -62,7 +58,6 @@ pub struct BenchReport {
     params: Vec<(String, ArgVal)>,
     tables: Vec<ReportTable>,
     latency_breakdown: Option<LatencyBreakdown>,
-    metrics: Option<MetricsSnapshot>,
 }
 
 impl BenchReport {
@@ -93,12 +88,6 @@ impl BenchReport {
         self
     }
 
-    /// Attach a metrics snapshot (at most one; later calls replace it).
-    pub fn set_metrics(&mut self, snapshot: MetricsSnapshot) -> &mut Self {
-        self.metrics = Some(snapshot);
-        self
-    }
-
     /// Attach a critical-path latency breakdown (at most one; later calls
     /// replace it).
     pub fn set_latency_breakdown(&mut self, breakdown: LatencyBreakdown) -> &mut Self {
@@ -124,11 +113,6 @@ impl BenchReport {
     /// The result tables, in insertion order.
     pub fn tables(&self) -> &[ReportTable] {
         &self.tables
-    }
-
-    /// The attached metrics snapshot, if any.
-    pub fn metrics(&self) -> Option<&MetricsSnapshot> {
-        self.metrics.as_ref()
     }
 
     /// The attached latency breakdown, if any.
@@ -180,9 +164,6 @@ impl BenchReport {
         if let Some(b) = &self.latency_breakdown {
             w.key("latency_breakdown").raw(&b.to_json());
         }
-        if let Some(m) = &self.metrics {
-            w.key("metrics").raw(&m.to_json());
-        }
         w.end_object();
         w.finish()
     }
@@ -192,12 +173,9 @@ impl BenchReport {
 mod tests {
     use super::*;
     use crate::json::validate;
-    use crate::metrics::Registry;
 
     #[test]
     fn report_shape_and_determinism() {
-        let r = Registry::new();
-        r.counter("fabric.verbs.read").add(3);
         let mut rep = BenchReport::new("fig3a_ddss_put");
         rep.add_param("nodes", 8u64)
             .add_param("seed", 42u64)
@@ -210,15 +188,13 @@ mod tests {
                 vec!["4096".into(), "9.75".into()],
             ],
         });
-        rep.set_metrics(r.snapshot());
         let a = rep.to_json();
         let b = rep.to_json();
         assert_eq!(a, b);
         assert!(validate(&a).is_ok(), "report must parse: {a}");
         assert!(a.starts_with(r#"{"schema":"dc-bench-report/v2","bench":"fig3a_ddss_put""#));
         assert!(a.contains(r#""params":{"nodes":8,"seed":42,"scheme":"bcc"}"#));
-        assert!(a.contains(r#""rows":[["64","5.20"],["4096","9.75"]]"#));
-        assert!(a.contains(r#""metrics":{"fabric.verbs.read":3}"#));
+        assert!(a.ends_with(r#""rows":[["64","5.20"],["4096","9.75"]]}]}"#));
     }
 
     #[test]
@@ -246,11 +222,9 @@ mod tests {
     }
 
     #[test]
-    fn latency_breakdown_is_emitted_between_tables_and_metrics() {
+    fn latency_breakdown_is_emitted_after_the_tables() {
         use crate::critical::analyze;
         use crate::event::{ArgVal, Event, Ph, Subsys};
-        let r = Registry::new();
-        r.counter("fabric.verbs.read").add(1);
         let evs = vec![Event {
             ts: 0,
             node: 0,
@@ -261,13 +235,10 @@ mod tests {
         }];
         let mut rep = BenchReport::new("demo");
         rep.set_latency_breakdown(analyze(&evs));
-        rep.set_metrics(r.snapshot());
         let s = rep.to_json();
         assert!(validate(&s).is_ok(), "{s}");
         assert!(s.contains(r#""tables":[],"latency_breakdown":{"requests":1,"total_ns":10"#));
-        let bd = s.find("latency_breakdown").unwrap();
-        let m = s.find("\"metrics\"").unwrap();
-        assert!(bd < m, "breakdown must precede metrics: {s}");
+        assert!(s.ends_with("]}}"), "breakdown must come last: {s}");
         assert_eq!(rep.latency_breakdown().unwrap().requests, 1);
     }
 
@@ -283,7 +254,7 @@ mod tests {
         assert_eq!(rep.bench(), "demo");
         assert_eq!(rep.params().len(), 1);
         assert_eq!(rep.tables().len(), 1);
-        assert!(rep.metrics().is_none());
+        assert!(rep.latency_breakdown().is_none());
         assert!(rep.fingerprint().is_none());
     }
 }

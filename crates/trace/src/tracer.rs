@@ -25,11 +25,6 @@ struct TracerInner {
     events: RefCell<VecDeque<Event>>,
     /// Events discarded by `Ring` eviction.
     dropped: Cell<u64>,
-    /// Allocator for caller-requested flow ids (`fresh_flow_id`). Subsystems
-    /// that can derive a deterministic id from protocol state (e.g. DLM
-    /// lock word + node) should prefer that; this is for request/response
-    /// pairs with no natural key.
-    next_flow: Cell<u64>,
 }
 
 /// Clonable handle to the per-cluster trace recorder.
@@ -58,7 +53,6 @@ impl Tracer {
                 mode: Cell::new(TraceMode::Full),
                 events: RefCell::new(VecDeque::new()),
                 dropped: Cell::new(0),
-                next_flow: Cell::new(1),
             }),
         }
     }
@@ -95,13 +89,6 @@ impl Tracer {
     /// Events discarded by ring eviction.
     pub fn dropped(&self) -> u64 {
         self.inner.dropped.get()
-    }
-
-    /// A fresh flow-correlation id (deterministic: a simple counter).
-    pub fn fresh_flow_id(&self) -> u64 {
-        let id = self.inner.next_flow.get();
-        self.inner.next_flow.set(id + 1);
-        id
     }
 
     fn push(&self, ev: Event) {
@@ -416,13 +403,6 @@ mod tests {
         tr.enable(TraceMode::Full);
         assert!(tr.is_empty());
         assert_eq!(tr.dropped(), 0);
-    }
-
-    #[test]
-    fn flow_ids_are_sequential() {
-        let (_sim, tr) = traced_sim(TraceMode::Full);
-        assert_eq!(tr.fresh_flow_id(), 1);
-        assert_eq!(tr.fresh_flow_id(), 2);
     }
 
     #[test]

@@ -52,6 +52,7 @@ impl BurstSchedule {
     }
 
     /// Length of one full cycle.
+    #[cfg(test)]
     pub fn cycle_ns(&self) -> u64 {
         self.phases.iter().map(|p| p.duration_ns).sum()
     }
@@ -62,6 +63,7 @@ impl BurstSchedule {
     }
 
     /// Thread count in force at time `t` (schedule repeats forever).
+    #[cfg(test)]
     pub fn threads_at(&self, t: u64) -> u32 {
         let mut rem = t % self.cycle_ns();
         for p in &self.phases {

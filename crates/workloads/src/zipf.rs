@@ -64,9 +64,9 @@ impl Zipf {
         Zipf { cdf, alpha }
     }
 
-    /// Build a sampler with a private table, bypassing the shared cache.
-    /// Exists so tests can pin cached and uncached samplers to identical
-    /// behaviour; prefer [`Zipf::new`].
+    /// Build a sampler with a private table, bypassing the shared cache, so
+    /// tests can pin cached and uncached samplers to identical behaviour.
+    #[cfg(test)]
     pub fn uncached(n: usize, alpha: f64) -> Zipf {
         assert!(n > 0, "Zipf over zero items");
         assert!(alpha >= 0.0 && alpha.is_finite(), "invalid alpha");

@@ -1,5 +1,5 @@
-//! One value, one constant (DESIGN.md §4 item 4), checked on every
-//! `cargo test`.
+//! One value, one constant (DESIGN.md §4 item 4), and a public surface
+//! that something reads, checked on every `cargo test`.
 //!
 //! * **Config fields.** A `pub` field of a `*Cfg`, `*Config`, `*Policy` or
 //!   `*Spec` struct defined under `crates/*/src` exists only while some
@@ -15,13 +15,27 @@
 //! * **Environment variables.** Non-test code under `crates/*/src` reads
 //!   none: a knob is a field some caller sets, never a variable a process
 //!   inherits.
+//! * **Public surface.** Every `pub` fn, method, const and named field in
+//!   non-test code under `crates/*/src` has a reader: a token naming it,
+//!   outside its own definition, in non-test code of `crates/`, `src/`,
+//!   `examples/` or `benchmark/src`, or in the tests of another crate
+//!   (`tests/` included). For a field only a `.f` that is not assigned to,
+//!   or a pattern binding, reads it; a struct literal does not. rustc's
+//!   `dead_code` stops at `pub`, and `unreachable_pub` only flags what no
+//!   other crate can reach, so this is what keeps the surface to what the
+//!   layer above uses. Matching is by name, so an item sharing a name with
+//!   anything read (`len`, `version`) is hidden: the census can miss a dead
+//!   item, but never reports one that has a reader. An item read only by
+//!   its own crate's tests is deleted, or gated `#[cfg(test)]` when those
+//!   tests check a real promise through it. The items only `benchmark/src`
+//!   reads are exactly `BENCHMARK_ONLY`.
 //!
-//! Neither check has exceptions.
+//! No check has an exceptions list; `BENCHMARK_ONLY` only shrinks.
 
 mod common;
 
 use common::{attrs_before, entries, matching, scan_to, sources, Kind, Source, Tok};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 
 /// The suffixes that make a struct a config type.
 const CONFIG_SUFFIXES: [&str; 4] = ["Cfg", "Config", "Policy", "Spec"];
@@ -115,32 +129,15 @@ fn fields_open(toks: &[Tok], mut at: usize) -> Option<usize> {
 
 /// Record every setter `toks` (all of `path`, tests included) holds.
 fn record_setters(census: &mut Census, path: &str, toks: &[Tok]) {
-    let mut impls: Vec<(usize, &str)> = Vec::new();
-    let mut pending_impl: Option<&str> = None;
-    let mut depth = 0;
+    let impls = impl_scopes(toks);
     for i in 0..toks.len() {
         let t = &toks[i];
-        if t.is("impl") {
-            pending_impl = impl_type(toks, i);
-        } else if t.is("{") {
-            if let Some(ty) = pending_impl.take() {
-                impls.push((depth, ty));
-            }
-            depth += 1;
-        } else if t.is("}") {
-            depth -= 1;
-            if impls.last().is_some_and(|&(d, _)| d == depth) {
-                impls.pop();
-            }
-        } else if t.is(";") {
-            pending_impl = None;
-        }
         let next_is = |k: usize, s: &str| toks.get(i + k).is_some_and(|t| t.is(s));
         // `T { … }` (or `Self { … }` in `impl T`), and `T(…)` of a tuple
         // config type.
         if t.kind == Kind::Ident && (next_is(1, "{") || next_is(1, "(")) {
             let ty = if t.text == "Self" {
-                impls.last().map_or("", |&(_, ty)| ty)
+                impls[i].unwrap_or("")
             } else {
                 t.text
             };
@@ -191,6 +188,34 @@ fn record_setters(census: &mut Census, path: &str, toks: &[Tok]) {
     }
 }
 
+/// For each token of `toks`, the type of the innermost `impl` block it is
+/// in, if any.
+fn impl_scopes<'a>(toks: &[Tok<'a>]) -> Vec<Option<&'a str>> {
+    let mut impls: Vec<(usize, &str)> = Vec::new();
+    let mut pending_impl: Option<&str> = None;
+    let mut depth = 0;
+    let mut out = Vec::with_capacity(toks.len());
+    for (i, t) in toks.iter().enumerate() {
+        if t.is("impl") {
+            pending_impl = impl_type(toks, i);
+        } else if t.is("{") {
+            if let Some(ty) = pending_impl.take() {
+                impls.push((depth, ty));
+            }
+            depth += 1;
+        } else if t.is("}") {
+            depth -= 1;
+            if impls.last().is_some_and(|&(d, _)| d == depth) {
+                impls.pop();
+            }
+        } else if t.is(";") {
+            pending_impl = None;
+        }
+        out.push(impls.last().map(|&(_, ty)| ty));
+    }
+    out
+}
+
 /// The type an `impl` at `at` is for: the last path segment after `for`,
 /// or after `impl` and its generics.
 fn impl_type<'a>(toks: &[Tok<'a>], at: usize) -> Option<&'a str> {
@@ -220,18 +245,11 @@ fn impl_type<'a>(toks: &[Tok<'a>], at: usize) -> Option<&'a str> {
 /// `1`, and so on. A pattern (`T { a, .. } =`, `=> `, a bare `..`) sets
 /// nothing.
 fn literal(census: &mut Census, path: &str, ty: &str, toks: &[Tok], open: usize) {
+    if is_pattern(toks, open) {
+        return;
+    }
     let close = matching(toks, open);
-    let after = |k: usize| toks.get(close + k).map_or("", |t| t.text);
-    if after(1) == "=" && after(2) != "=" || after(1) == ":" && after(2) != ":" {
-        return;
-    }
     let parts = entries(toks, open + 1, close);
-    if parts
-        .iter()
-        .any(|e| e.len() == 2 && e[0].is(".") && e[1].is("."))
-    {
-        return;
-    }
     let fields = census.get_mut(ty).expect("a config type");
     let tuple = toks[open].is("(");
     for (n, e) in parts.into_iter().enumerate() {
@@ -254,6 +272,19 @@ fn literal(census: &mut Census, path: &str, ty: &str, toks: &[Tok], open: usize)
                 .push(format!("{path}:{}", e[0].line));
         }
     }
+}
+
+/// Whether the bracket group opening at `open` after a type name is a
+/// pattern, not a literal: it is followed by `=` (`let`, `=>`) or `:` (a
+/// parameter), or holds a bare `..`.
+fn is_pattern(toks: &[Tok], open: usize) -> bool {
+    let close = matching(toks, open);
+    let after = |k: usize| toks.get(close + k).map_or("", |t| t.text);
+    after(1) == "=" && after(2) != "="
+        || after(1) == ":" && after(2) != ":"
+        || entries(toks, open + 1, close)
+            .iter()
+            .any(|e| e.len() == 2 && e[0].is(".") && e[1].is("."))
 }
 
 fn in_crate_src(path: &str) -> bool {
@@ -412,4 +443,299 @@ fn g() -> TupCfg {
         ],
         "GenCfg.b, WhereCfg.f and TupCfg.1 are varied; TupCfg.2 is not `pub`"
     );
+}
+
+/// The `pub` items only `benchmark/src` reads: they go when the benchmark
+/// stops naming them, and this list may only shrink.
+const BENCHMARK_ONLY: [&str; 5] = [
+    "Cluster::alloc_port",
+    "JsonValue::as_f64",
+    "JsonValue::as_obj",
+    "executor::thread_totals",
+    "oneshot::oneshot",
+];
+
+/// One `pub` item of non-test code under `crates/*/src`.
+struct PubItem {
+    /// `Type::method`, `Type.field`, or `module::name` for a free item.
+    label: String,
+    name: &'static str,
+    /// A named field, which only a `.f` or a pattern binding reads.
+    field: bool,
+    /// `crates/<dir>/`: the item's own crate.
+    krate: String,
+    path: String,
+    line: usize,
+    /// The token range of its definition in `path`, which reads nothing.
+    span: (usize, usize),
+}
+
+/// Every `pub` fn, method, const and named field `s` defines outside test
+/// code; `pub(crate)` and narrower are rustc's `dead_code` lint's.
+fn pub_items(s: &Source) -> Vec<PubItem> {
+    let toks = &s.toks;
+    let parts: Vec<&str> = s.path.trim_end_matches(".rs").split('/').collect();
+    let krate = format!("{}/{}/", parts[0], parts[1]);
+    let module = match parts[..] {
+        [_, krate, _, "lib"] => krate,
+        [.., dir, "mod"] => dir,
+        [.., stem] => stem,
+        [] => "",
+    };
+    let mut out = Vec::new();
+    let impls = impl_scopes(toks);
+    for (i, t) in toks.iter().enumerate() {
+        if t.test || !t.is("pub") || toks.get(i + 1).is_some_and(|n| n.is("(")) {
+            continue;
+        }
+        // Past `const`, `async`, `unsafe` and `extern "C"` to the keyword.
+        let mut k = i + 1;
+        while toks.get(k).is_some_and(|q| {
+            matches!(q.text, "async" | "unsafe" | "extern")
+                || q.kind == Kind::Lit
+                || q.is("const") && toks.get(k + 1).is_some_and(|f| f.is("fn"))
+        }) {
+            k += 1;
+        }
+        let (Some(kw), Some(name)) = (toks.get(k), toks.get(k + 1)) else {
+            continue;
+        };
+        let owner = impls[i].unwrap_or(module);
+        let mut item = |field, label: String, at: usize, span| {
+            out.push(PubItem {
+                label,
+                name: toks[at].text,
+                field,
+                krate: krate.clone(),
+                path: s.path.clone(),
+                line: toks[at].line,
+                span,
+            })
+        };
+        if name.kind != Kind::Ident {
+            continue;
+        } else if kw.is("fn") || kw.is("const") {
+            let end = scan_to(toks, k + 2, |b| b.is("{") || b.is(";"));
+            let end = if toks.get(end).is_some_and(|b| b.is("{")) {
+                matching(toks, end)
+            } else {
+                end
+            };
+            item(
+                false,
+                format!("{owner}::{}", name.text),
+                k + 1,
+                (i, end + 1),
+            );
+        } else if kw.is("struct") {
+            let Some(open) = fields_open(toks, k + 2).filter(|&o| toks[o].is("{")) else {
+                continue;
+            };
+            let close = matching(toks, open);
+            let mut at = open + 1;
+            while at < close {
+                let end = scan_to(toks, at, |t| t.is(",")).min(close);
+                let mut f = at;
+                while toks[f].is("#") {
+                    f = matching(toks, f + 1) + 1;
+                }
+                if toks[f].is("pub") && toks[f + 2].is(":") && !toks[f + 3].is(":") {
+                    let label = format!("{}.{}", name.text, toks[f + 1].text);
+                    item(true, label, f + 1, (f + 1, f + 2));
+                }
+                at = end + 1;
+            }
+        }
+    }
+    out
+}
+
+/// Whether `path` is a test file: under the root `tests/` or a crate's.
+fn test_file(path: &str) -> bool {
+    path.starts_with("tests/") || path.starts_with("crates/") && path.contains("/tests/")
+}
+
+/// The tokens of `toks` that bind a field in a struct pattern (see
+/// `is_pattern`): `f`, `mut f` and `f: p` in `Type { .. }`.
+fn pattern_heads(toks: &[Tok]) -> HashSet<usize> {
+    let mut heads = HashSet::new();
+    for i in 0..toks.len().saturating_sub(1) {
+        let ty = &toks[i];
+        let typed = ty.kind == Kind::Ident && ty.text.starts_with(|c: char| c.is_ascii_uppercase());
+        if !typed || !toks[i + 1].is("{") || !is_pattern(toks, i + 1) {
+            continue;
+        }
+        let close = matching(toks, i + 1);
+        let mut at = i + 2;
+        while at < close {
+            let mut e = at;
+            at = scan_to(toks, at, |t| t.is(",")).min(close) + 1;
+            e += toks[e..close]
+                .iter()
+                .take_while(|t| t.is("mut") || t.is("ref"))
+                .count();
+            let then = |k: usize| toks.get(e + k).map_or("", |t| t.text);
+            let binds = matches!(then(1), "," | "}") || then(1) == ":" && then(2) != ":";
+            if toks[e].kind == Kind::Ident && binds {
+                heads.insert(e);
+            }
+        }
+    }
+    heads
+}
+
+/// What the public-surface census finds over `files`.
+struct Surface {
+    /// `path:line: label`, one per item with no reader at all.
+    unread: Vec<String>,
+    /// The labels of the items only `benchmark/src` reads, sorted.
+    benchmark_only: Vec<String>,
+}
+
+/// Read every `pub` item's readers: a token naming it outside its own
+/// definition and outside `use` and `mod` declarations; for a field, only
+/// a `.f` that is not assigned to, or a pattern binding. A reader counts
+/// in non-test code, or in the tests of a crate other than the item's own.
+fn surface_of(files: &[Source]) -> Surface {
+    let files: Vec<&Source> = files
+        .iter()
+        .filter(|s| !s.path.starts_with("vendored/"))
+        .collect();
+    let items: Vec<PubItem> = files
+        .iter()
+        .filter(|s| in_crate_src(&s.path))
+        .flat_map(|s| pub_items(s))
+        .collect();
+    let mut by_name: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
+    for (n, item) in items.iter().enumerate() {
+        by_name.entry(item.name).or_default().push(n);
+    }
+    // Per item: read by the workspace, read by `benchmark/src`.
+    let mut read = vec![(false, false); items.len()];
+    for s in &files {
+        let heads = pattern_heads(&s.toks);
+        // Inside a `use` declaration (to its `;`) or a `mod` name.
+        let mut declaring = None;
+        for (j, t) in s.toks.iter().enumerate() {
+            if t.is("use") || t.is("mod") {
+                declaring = Some(t.text);
+            } else if t.is(";") || t.is("{") && declaring == Some("mod") {
+                declaring = None;
+            }
+            let Some(named) = by_name
+                .get(t.text)
+                .filter(|_| declaring.is_none() && t.kind == Kind::Ident)
+            else {
+                continue;
+            };
+            let next = |k: usize| s.toks.get(j + k).map_or("", |n| n.text);
+            let assigned = next(1) == "=" && !matches!(next(2), "=" | ">")
+                || matches!(next(1), "+" | "-" | "*" | "/" | "%" | "|" | "&" | "^")
+                    && next(2) == "="
+                    && next(3) != "=";
+            let dotted = j > 0 && s.toks[j - 1].is(".");
+            let field_read = dotted && !assigned || heads.contains(&j);
+            let test = t.test || test_file(&s.path);
+            for &n in named {
+                let item = &items[n];
+                let own_def = s.path == item.path && (item.span.0..item.span.1).contains(&j);
+                if own_def || item.field && !field_read {
+                    continue;
+                }
+                if s.path.starts_with("benchmark/") {
+                    read[n].1 = true;
+                } else if !test || !s.path.starts_with(&item.krate) {
+                    read[n].0 = true;
+                }
+            }
+        }
+    }
+    let mut surface = Surface {
+        unread: Vec::new(),
+        benchmark_only: Vec::new(),
+    };
+    for (item, (workspace, benchmark)) in items.iter().zip(read) {
+        if workspace {
+            continue;
+        } else if benchmark {
+            surface.benchmark_only.push(item.label.clone());
+        } else {
+            let at = format!("{}:{}: {}", item.path, item.line, item.label);
+            surface.unread.push(at);
+        }
+    }
+    surface.benchmark_only.sort();
+    surface
+}
+
+#[test]
+fn every_pub_item_has_a_reader() {
+    let found = surface_of(sources());
+    assert!(
+        found.unread.is_empty(),
+        "`pub` items nothing outside their own crate's tests reads; delete each \
+         (with any test that checks only it), or gate it `#[cfg(test)]` if its \
+         crate's tests use it to check a real promise:\n{}",
+        found.unread.join("\n")
+    );
+}
+
+#[test]
+fn only_the_benchmark_only_list_is_read_by_the_benchmark_alone() {
+    let found = surface_of(sources());
+    assert_eq!(
+        found.benchmark_only, BENCHMARK_ONLY,
+        "the `pub` items only `benchmark/src` reads must be exactly \
+         `BENCHMARK_ONLY`: drop an entry the workspace reads again or that \
+         is gone, and never add one"
+    );
+}
+
+/// The census can fail: on an in-memory tree, an item read only by its own
+/// crate's tests is reported, one read by another crate's test is not, and
+/// one read only from `benchmark/src` is benchmark-only.
+#[test]
+fn surface_census_tells_its_readers_apart() {
+    let lib = r#"
+pub fn own_test_only() {}
+pub fn other_crates_test() {}
+pub fn benchmark_alone() {}
+pub fn recursive(n: u32) -> u32 { if n == 0 { 0 } else { recursive(n - 1) } }
+pub(crate) fn crate_only() {}
+pub const LIMIT: u32 = 3;
+pub struct Knob { pub written: u32, pub dotted: u32, pub bound: u32 }
+impl Knob {
+    pub fn new() -> Knob { Knob { written: LIMIT, dotted: 0, bound: 0 } }
+    pub fn get(&self) -> u32 { let Knob { bound, .. } = self; self.dotted + bound }
+}
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn t() { super::own_test_only(); let mut k = super::Knob::new(); k.written = 1; }
+}
+"#;
+    let files = [
+        Source::new("crates/a/src/lib.rs", lib),
+        Source::new(
+            "crates/a/tests/t.rs",
+            "use a::own_test_only;\nfn t() { own_test_only(); }",
+        ),
+        Source::new("crates/b/tests/t.rs", "fn t() { a::other_crates_test(); }"),
+        Source::new(
+            "benchmark/src/main.rs",
+            "fn main() { a::benchmark_alone(); }",
+        ),
+        Source::new("src/lib.rs", "pub fn f() -> u32 { a::Knob::new().get() }"),
+    ];
+    let found = surface_of(&files);
+    assert_eq!(
+        found.unread,
+        [
+            "crates/a/src/lib.rs:2: a::own_test_only",
+            "crates/a/src/lib.rs:5: a::recursive",
+            "crates/a/src/lib.rs:8: Knob.written",
+        ],
+        "own-crate tests, a self-call, a literal and an assignment are no readers"
+    );
+    assert_eq!(found.benchmark_only, ["a::benchmark_alone"]);
 }

@@ -168,6 +168,6 @@ fn monitoring_stays_accurate_under_cache_load() {
     let cl = cluster.clone();
     let view = sim.run_to(async move { monitor.observe(NodeId(4)).await });
     let truth = cl.cpu(NodeId(4)).snapshot();
-    assert_eq!(view.stats.busy_ns, truth.busy_ns);
+    assert_eq!(view.busy_ns, truth.busy_ns);
     assert!(truth.busy_ns > ms(1), "backend never worked");
 }
