@@ -13,6 +13,11 @@ use dc_bench::scenario::RunCtx;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
+/// Bytes allocated and not yet freed, and the most there were since
+/// `measured` last reset it: what a run's resident heap follows, where the
+/// allocation count ranks churn.
+static LIVE: AtomicU64 = AtomicU64::new(0);
+static PEAK: AtomicU64 = AtomicU64::new(0);
 static TRACE: AtomicBool = AtomicBool::new(false);
 
 /// Allocations per call site, process-wide: the scenarios sweep their cells
@@ -28,12 +33,14 @@ thread_local! {
 }
 
 /// Frames that allocate on a caller's behalf — the executor boxing a task,
-/// a channel growing its queue, a `Bytes` taking ownership of a buffer. A
-/// site under one of these names the mechanism, not who asked for it.
-const PLUMBING: [&str; 3] = [
+/// a channel growing its queue, a `Bytes` taking ownership of a buffer, a
+/// region materialising the granule a write lands in. A site under one of
+/// these names the mechanism, not who asked for it.
+const PLUMBING: [&str; 4] = [
     "/crates/sim/src/executor.rs",
     "/crates/sim/src/sync/",
     "/vendored/bytes/",
+    "/crates/fabric/src/mem.rs",
 ];
 
 /// With `DC_ALLOC_TRACE=1`, capture a backtrace for every allocation and
@@ -78,6 +85,8 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, l: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         BYTES.fetch_add(l.size() as u64, Ordering::Relaxed);
+        let live = LIVE.fetch_add(l.size() as u64, Ordering::Relaxed) + l.size() as u64;
+        PEAK.fetch_max(live, Ordering::Relaxed);
         if TRACE.load(Ordering::Relaxed) {
             record_site();
         }
@@ -85,6 +94,7 @@ unsafe impl GlobalAlloc for Counting {
         unsafe { System.alloc(l) }
     }
     unsafe fn dealloc(&self, p: *mut u8, l: Layout) {
+        LIVE.fetch_sub(l.size() as u64, Ordering::Relaxed);
         // SAFETY: `p` came from this allocator, which is `System`.
         unsafe { System.dealloc(p, l) }
     }
@@ -108,17 +118,21 @@ fn dump_sites() {
     println!("{total:>7}  total");
 }
 
+/// Run `f` and print its allocations, the bytes they asked for, the peak of
+/// live heap bytes while it ran and its wall time.
 fn measured<R>(label: &str, f: impl FnOnce() -> R) {
     let t0 = std::time::Instant::now();
     let a0 = ALLOCS.load(Ordering::Relaxed);
     let b0 = BYTES.load(Ordering::Relaxed);
+    PEAK.store(LIVE.load(Ordering::Relaxed), Ordering::Relaxed);
     let r = f();
     std::hint::black_box(&r);
     let dt = t0.elapsed();
     let da = ALLOCS.load(Ordering::Relaxed) - a0;
     let db = BYTES.load(Ordering::Relaxed) - b0;
+    let peak = PEAK.load(Ordering::Relaxed);
     println!(
-        "{label}: {da} allocs, {db} bytes, {dt:?}  (~{:.0} ns/alloc if all)",
+        "{label}: {da} allocs, {db} bytes, peak {peak} live bytes, {dt:?}  (~{:.0} ns/alloc if all)",
         dt.as_nanos() as f64 / da as f64
     );
 }

@@ -496,12 +496,21 @@ impl NcosedClient {
                     loop {
                         let raw = table.read(node, word).await;
                         let w = LockWord::decode(raw);
-                        let grants_given = agent.state.borrow()[&lock].grants_given;
-                        // Only free if no shared requester ever queued on us:
-                        // once we've granted shared holders we are the
-                        // epoch's anchor and must keep the word non-free so
-                        // a new exclusive routes through us / the home agent.
-                        if w.tail == Some(node) && w.shared == 0 && grants_given == 0 {
+                        // Only free if no shared requester queued on us: once
+                        // we've granted shared holders we are the epoch's
+                        // anchor and must keep the word non-free so a new
+                        // exclusive routes through us / the home agent. The
+                        // word says so by itself: every requester we granted
+                        // since our last hand-off counted itself into the
+                        // word after our swap made us its tail (one counted
+                        // before it was part of the epoch that hand-off
+                        // settled), and only our own swap zeroes that count.
+                        if w.tail == Some(node) && w.shared == 0 {
+                            debug_assert_eq!(
+                                agent.state.borrow()[&lock].grants_given,
+                                0,
+                                "a tail word with no shared count, yet grants outstanding"
+                            );
                             // Nothing new since our grants: try to free.
                             let old = table.cas(node, word, raw, LockWord::FREE).await;
                             if old == raw {
@@ -882,6 +891,59 @@ mod tests {
         assert_eq!(s.count, 2);
         // The waiter blocked for roughly the residual 1.9ms hold.
         assert!(s.max_ns > ms(1), "max wait {} too small", s.max_ns);
+    }
+
+    /// An exclusive release frees the word when it finds itself the tail
+    /// with no shared count, which alone implies it has granted no one.
+    /// Here node 1 anchors a shared group, re-requests through itself, and
+    /// releases again with nobody queued, while the sharers' requests land
+    /// before, between and after its steps and, on odd seeds, a quarter of
+    /// the messages are dropped.
+    /// Each fast path asserts (debug builds) that no grant is outstanding;
+    /// the run ends with the word freed, or anchored by node 1 for a sharer
+    /// that came after its last swap.
+    #[test]
+    fn a_tail_word_with_no_shared_count_has_no_grant_outstanding() {
+        use dc_fabric::FaultPlan;
+        let mut freed = 0;
+        for (seed, lag) in (0..24u64).map(|i| (i, us(3 * i))) {
+            let (sim, c, dlm) = setup(4, 1);
+            if seed % 2 == 1 {
+                c.install_faults(FaultPlan::from_parts(seed, vec![], vec![], vec![], 0.25));
+            }
+            let h = sim.handle();
+            let anchor = dlm.client(NodeId(1));
+            let hh = h.clone();
+            sim.spawn(async move {
+                anchor.lock(0, LockMode::Exclusive).await;
+                hh.sleep(us(40)).await;
+                anchor.unlock(0).await;
+                anchor.lock(0, LockMode::Exclusive).await;
+                anchor.unlock(0).await;
+            });
+            for n in 2..4u32 {
+                let client = dlm.client(NodeId(n));
+                let hh = h.clone();
+                sim.spawn(async move {
+                    hh.sleep(us(10) + lag * u64::from(n - 1)).await;
+                    client.lock(0, LockMode::Shared).await;
+                    hh.sleep(us(20)).await;
+                    client.unlock(0).await;
+                });
+            }
+            sim.run();
+            let w = LockWord::decode(dlm.inner.table.peek(0));
+            match (w.tail, w.shared) {
+                // Freed; a sharer that came later took the word as free.
+                (None, _) => freed += 1,
+                (Some(NodeId(1)), 1..) => {}
+                other => panic!("seed {seed}: word left at {other:?}"),
+            }
+        }
+        assert!(
+            freed >= 12,
+            "the anchor's last release freed the word {freed} times"
+        );
     }
 
     #[test]

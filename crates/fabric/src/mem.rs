@@ -44,43 +44,59 @@ impl RemoteAddr {
 /// index entries and headers out of the map keeps it one entry per payload.
 const EXTENT_MIN: usize = 256;
 
-/// Granule of the flat bytes: a region of a page or more gets its backing
-/// store one page at a time, on the first flat write into each.
-const PAGE: usize = 4096;
+/// Granule of the flat bytes: a paged region gets its backing store one
+/// granule at a time, on the first flat write into each. A granule rather
+/// than a 4 KiB page because the flat writes that land in big regions are
+/// headers and index words: coopcache's 8-byte document header costs 512
+/// bytes, not a page (the sweep behind the size is in DESIGN.md §9). The
+/// table stays one 8-byte entry per granule, 64 KiB for a 4 MiB region.
+const GRANULE: usize = 512;
 
-type Page = Box<[u8; PAGE]>;
+/// Regions shorter than this are one exact, zeroed buffer: a lock-word table
+/// or a kernel-statistics block costs its length and reaches its bytes with
+/// no table lookup.
+const PAGED_MIN: usize = 4096;
 
-/// What an untouched page reads as.
-static ZEROS: [u8; PAGE] = [0; PAGE];
+type Granule = Box<[u8; GRANULE]>;
+
+/// What an untouched granule, or a fresh small region, reads as.
+static ZEROS: [u8; ZEROS_LEN] = [0; ZEROS_LEN];
+
+/// The larger of the two lengths [`ZEROS`] stands in for.
+const ZEROS_LEN: usize = if GRANULE > PAGED_MIN {
+    GRANULE
+} else {
+    PAGED_MIN
+};
 
 thread_local! {
-    /// Pages of dropped regions, waiting for the next region to write one.
-    /// A page is allocated only when this list is empty, that is when every
-    /// page made on the thread is alive, so the list never holds more than
-    /// the most pages alive at once on it. Regions are `Rc`, so a region
-    /// drops on the thread that made its pages.
-    static FREE_PAGES: RefCell<Vec<Page>> = const { RefCell::new(Vec::new()) };
+    /// Granules of dropped regions, waiting for the next region to write
+    /// one. A granule is allocated only when this list is empty, that is
+    /// when every granule made on the thread is alive, so the list never
+    /// holds more than the most granules alive at once on it. Regions are
+    /// `Rc`, so a region drops on the thread that made its granules.
+    static FREE_GRANULES: RefCell<Vec<Granule>> = const { RefCell::new(Vec::new()) };
 }
 
-/// A zeroed page for a first write: a recycled one, zeroed again, else new.
-/// Out of line: the in-page paths stay a lookup and a copy.
+/// A zeroed granule for a first write: a recycled one, zeroed again, else
+/// new. Out of line: the in-granule paths stay a lookup and a copy.
 #[inline(never)]
-fn fresh_page() -> Page {
-    match FREE_PAGES.with(|free| free.borrow_mut().pop()) {
-        Some(mut page) => {
-            page.fill(0);
-            page
+fn fresh_granule() -> Granule {
+    match FREE_GRANULES.with(|free| free.borrow_mut().pop()) {
+        Some(mut granule) => {
+            granule.fill(0);
+            granule
         }
-        None => Box::new([0; PAGE]),
+        None => Box::new([0; GRANULE]),
     }
 }
 
-/// `start..start + len` cut at page boundaries, as `(offset, len)` pieces.
+/// `start..start + len` cut at granule boundaries, as `(offset, len)` pieces.
 fn pieces(start: usize, len: usize) -> impl Iterator<Item = (usize, usize)> {
     let end = start + len;
     let mut at = start;
     std::iter::from_fn(move || {
-        let n = (end - at).min(PAGE - at % PAGE);
+        let n = (end - at).min(GRANULE - at % GRANULE);
         at += n;
         (n > 0).then_some((at - n, n))
     })
@@ -92,13 +108,11 @@ type Extents = BTreeMap<usize, Bytes>;
 
 /// A region's flat bytes, by region length.
 enum Flat {
-    /// A region shorter than a page, zeroed when registered: a lock-word
-    /// table or a kernel-statistics block costs its length, not a page, and
-    /// reaches its bytes with no page lookup.
+    /// A region shorter than [`PAGED_MIN`], zeroed when registered.
     Small(Box<[u8]>),
-    /// One entry per [`PAGE`] of the region; `None` reads as zeros and is
-    /// materialised by the first flat write that touches it.
-    Paged(Box<[Option<Page>]>),
+    /// One entry per [`GRANULE`] of the region; `None` reads as zeros and
+    /// is materialised by the first flat write that touches it.
+    Paged(Box<[Option<Granule>]>),
 }
 
 /// What a region holds: flat bytes, and payloads it shares with whoever
@@ -140,64 +154,67 @@ impl Store {
         }
     }
 
-    /// The flat bytes at `start..start + len` when they lie inside one page —
-    /// every lock word, header and kernel-statistics block — found with one
-    /// lookup; `None` when the range crosses a page boundary.
+    /// The flat bytes at `start..start + len` when they lie inside one
+    /// granule — every lock word, header and kernel-statistics block — found
+    /// with one lookup; `None` when the range crosses a granule boundary.
     #[inline]
-    fn in_page(&self, start: usize, len: usize) -> Option<&[u8]> {
-        let pages = match &self.flat {
+    fn in_granule(&self, start: usize, len: usize) -> Option<&[u8]> {
+        let granules = match &self.flat {
             Flat::Small(bytes) => return Some(&bytes[start..start + len]),
-            Flat::Paged(pages) => pages,
+            Flat::Paged(granules) => granules,
         };
-        let at = start % PAGE;
-        if at + len > PAGE {
+        let at = start % GRANULE;
+        if at + len > GRANULE {
             return None;
         }
         // `get`: an empty access at the end of a region a whole number of
-        // pages long names the page past the table.
-        Some(match pages.get(start / PAGE) {
-            Some(Some(page)) => &page[at..at + len],
+        // granules long names the granule past the table.
+        Some(match granules.get(start / GRANULE) {
+            Some(Some(granule)) => &granule[at..at + len],
             _ => &ZEROS[..len],
         })
     }
 
-    /// [`Store::in_page`] for writing: the page is materialised. `None` also
-    /// for an empty range, which may name the page past the table.
+    /// [`Store::in_granule`] for writing: the granule is materialised.
+    /// `None` also for an empty range, which may name the granule past the
+    /// table.
     #[inline]
-    fn in_page_mut(&mut self, start: usize, len: usize) -> Option<&mut [u8]> {
-        let pages = match &mut self.flat {
+    fn in_granule_mut(&mut self, start: usize, len: usize) -> Option<&mut [u8]> {
+        let granules = match &mut self.flat {
             Flat::Small(bytes) => return Some(&mut bytes[start..start + len]),
-            Flat::Paged(pages) => pages,
+            Flat::Paged(granules) => granules,
         };
-        let at = start % PAGE;
-        if at + len > PAGE || len == 0 {
+        let at = start % GRANULE;
+        if at + len > GRANULE || len == 0 {
             return None;
         }
-        let page = pages[start / PAGE].get_or_insert_with(fresh_page);
-        Some(&mut page[at..at + len])
+        let granule = granules[start / GRANULE].get_or_insert_with(fresh_granule);
+        Some(&mut granule[at..at + len])
     }
 
     /// Copy the flat bytes at `start..start + dst.len()` into `dst`.
     #[inline]
     fn copy_out(&self, start: usize, dst: &mut [u8]) {
-        if let Some(src) = self.in_page(start, dst.len()) {
+        if let Some(src) = self.in_granule(start, dst.len()) {
             return dst.copy_from_slice(src);
         }
         for (at, n) in pieces(start, dst.len()) {
-            let src = self.in_page(at, n).expect("a piece lies in one page");
+            let src = self.in_granule(at, n).expect("a piece lies in one granule");
             dst[at - start..at - start + n].copy_from_slice(src);
         }
     }
 
-    /// Copy `src` into the flat bytes at `start`, materialising each page it
-    /// touches.
+    /// Copy `src` into the flat bytes at `start`, materialising each granule
+    /// it touches.
     #[inline]
     fn copy_in(&mut self, start: usize, src: &[u8]) {
-        if let Some(dst) = self.in_page_mut(start, src.len()) {
+        if let Some(dst) = self.in_granule_mut(start, src.len()) {
             return dst.copy_from_slice(src);
         }
         for (at, n) in pieces(start, src.len()) {
-            let dst = self.in_page_mut(at, n).expect("a piece lies in one page");
+            let dst = self
+                .in_granule_mut(at, n)
+                .expect("a piece lies in one granule");
             dst.copy_from_slice(&src[at - start..at - start + n]);
         }
     }
@@ -215,11 +232,11 @@ impl Store {
 
 impl Drop for Store {
     fn drop(&mut self) {
-        if let Flat::Paged(pages) = &mut self.flat {
-            let pages = pages.iter_mut().filter_map(Option::take);
+        if let Flat::Paged(granules) = &mut self.flat {
+            let granules = granules.iter_mut().filter_map(Option::take);
             // `try_with`: a region dropped while the thread is being torn
-            // down frees its pages instead.
-            let _ = FREE_PAGES.try_with(|free| free.borrow_mut().extend(pages));
+            // down frees its granules instead.
+            let _ = FREE_GRANULES.try_with(|free| free.borrow_mut().extend(granules));
         }
     }
 }
@@ -303,14 +320,14 @@ pub struct RegionData {
 }
 
 impl RegionData {
-    /// A zeroed region of `len` bytes. A region of a page or more allocates
-    /// only its page table: backing store comes a page at a time with the
-    /// first writes.
+    /// A zeroed region of `len` bytes. A region of [`PAGED_MIN`] bytes or
+    /// more allocates only its granule table: backing store comes a granule
+    /// at a time with the first writes.
     pub fn new(len: usize) -> Self {
-        let flat = if len < PAGE {
+        let flat = if len < PAGED_MIN {
             Flat::Small(ZEROS[..len].into())
         } else {
-            Flat::Paged(vec![None; len.div_ceil(PAGE)].into_boxed_slice())
+            Flat::Paged(vec![None; len.div_ceil(GRANULE)].into_boxed_slice())
         };
         RegionData {
             store: Rc::new(RefCell::new(Store {
@@ -390,7 +407,7 @@ impl RegionData {
         } else {
             overlapping(&s.extents, offset, end).next()
         };
-        match (first, s.in_page(offset, len)) {
+        match (first, s.in_granule(offset, len)) {
             (None, Some(flat)) => Bytes::copy_from_slice(flat),
             (Some((at, ext)), _) if at <= offset && end <= at + ext.len() => {
                 ext.slice(offset - at..end - at)
@@ -438,20 +455,20 @@ impl RegionData {
     }
 
     /// Read the u64 at an 8-byte-aligned `offset` and store `f`'s value for
-    /// it, if any, under one borrow and one page lookup (an aligned word
-    /// never crosses a page); returns the prior value.
+    /// it, if any, under one borrow and one granule lookup (an aligned word
+    /// never crosses a granule); returns the prior value.
     #[inline]
     fn update_u64(&self, offset: usize, f: impl FnOnce(u64) -> Option<u64>) -> u64 {
         assert_eq!(offset % 8, 0, "atomic access must be 8-byte aligned");
         let mut s = self.store.borrow_mut();
         let end = s.end_of("read", offset, 8);
         let Store { flat, extents, .. } = &mut *s;
-        // `None`: the word's page was never written.
+        // `None`: the word's granule was never written.
         let slot = match flat {
             Flat::Small(bytes) => Some(&mut bytes[offset..end]),
-            Flat::Paged(pages) => pages[offset / PAGE]
+            Flat::Paged(granules) => granules[offset / GRANULE]
                 .as_deref_mut()
-                .map(|page| &mut page[offset % PAGE..][..8]),
+                .map(|granule| &mut granule[offset % GRANULE..][..8]),
         };
         let mut word = [0; 8];
         if let Some(bytes) = &slot {
@@ -604,25 +621,56 @@ mod tests {
         assert_eq!(r.read_u64(0), 1);
     }
 
+    /// Indices of the granules a paged region has materialised.
+    fn materialised(r: &RegionData) -> Vec<usize> {
+        let s = r.store.borrow();
+        let Flat::Paged(granules) = &s.flat else {
+            panic!("the region is paged");
+        };
+        (0..granules.len())
+            .filter(|&i| granules[i].is_some())
+            .collect()
+    }
+
     #[test]
     fn only_written_pages_are_materialised() {
         let r = RegionData::new(8 << 20);
         r.write_u64((8 << 20) - 8, 1);
-        r.write_bytes(PAGE, &Bytes::from(vec![7u8; 16 << 10]));
-        let s = r.store.borrow();
-        let Flat::Paged(pages) = &s.flat else {
+        r.write_bytes(GRANULE, &Bytes::from(vec![7u8; 16 << 10]));
+        let Flat::Paged(granules) = &r.store.borrow().flat else {
             panic!("an 8 MiB region is paged");
         };
-        assert_eq!(pages.len(), (8 << 20) / PAGE);
-        let written: Vec<usize> = (0..pages.len()).filter(|&i| pages[i].is_some()).collect();
+        assert_eq!(granules.len(), (8 << 20) / GRANULE);
         assert_eq!(
-            written,
-            vec![pages.len() - 1],
-            "a held payload takes no page"
+            materialised(&r),
+            vec![granules.len() - 1],
+            "a held payload takes no granule"
         );
-        // A region shorter than a page is its own bytes, no page table.
-        let small = RegionData::new(PAGE - 1);
-        assert!(matches!(&small.store.borrow().flat, Flat::Small(b) if b.len() == PAGE - 1));
+        // A region shorter than the paging threshold is its own bytes, no
+        // granule table.
+        let small = RegionData::new(PAGED_MIN - 1);
+        assert!(matches!(&small.store.borrow().flat, Flat::Small(b) if b.len() == PAGED_MIN - 1));
+    }
+
+    #[test]
+    fn a_small_write_materialises_one_granule() {
+        // Coopcache's layout: an 8-byte header at the start of every 8 KiB
+        // slot, the document held behind it.
+        const SLOT: usize = 8 << 10;
+        let r = RegionData::new(4 << 20);
+        let headers = (4 << 20) / SLOT;
+        for i in 0..headers {
+            r.write(i * SLOT, &(i as u64).to_le_bytes());
+        }
+        let flat_bytes = |r: &RegionData| materialised(r).len() * GRANULE;
+        assert_eq!(flat_bytes(&r), headers * 512, "a header costs 512 bytes");
+        // A 16 KiB document held from slot 0 on, over slot 1's header, takes
+        // no granule.
+        let before = materialised(&r);
+        r.write_bytes(8, &Bytes::from(vec![5u8; 16 << 10]));
+        assert_eq!(r.extents(), vec![(8, 16 << 10)]);
+        assert_eq!(materialised(&r), before, "a held payload materialises none");
+        assert_eq!(r.read_u64(SLOT * 3), 3);
     }
 
     #[test]

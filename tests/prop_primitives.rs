@@ -699,12 +699,17 @@ proptest! {
     }
 }
 
-/// Page size of a region's flat bytes.
+/// Length from which a region's flat bytes are kept in granules rather than
+/// one buffer.
 const PAGE: usize = 4096;
 
-/// Region lengths the region-model property draws from: inside one page, a
-/// byte short of it, exactly it, a byte past it, and several pages with a
-/// ragged last one.
+/// Granule of a paged region's flat bytes: what the region-model property's
+/// boundary-skewed accesses straddle.
+const GRANULE: usize = 512;
+
+/// Region lengths the region-model property draws from: inside one buffer, a
+/// byte short of the paging length, exactly it, a byte past it, and several
+/// pages with a ragged last granule.
 const REGION_LENS: [usize; 6] = [8, PAGE - 1, PAGE, PAGE + 1, 3 * PAGE + 24, 20_000];
 
 /// Source of the static-backed payloads.
@@ -767,10 +772,10 @@ enum RegionOp {
     Renew,
 }
 
-/// Offsets uniform, on a 64-byte grid, within 64 bytes of a page boundary,
+/// Offsets uniform, on a 64-byte grid, within 64 bytes of a granule boundary,
 /// or at the very end (where every access is empty), and lengths from a
 /// short list most of the time, so ranges nest, abut, overlap, exactly
-/// replace each other and straddle pages; the listed lengths sit around the
+/// replace each other and straddle granules; the listed lengths sit around the
 /// inline cap of `Bytes` (30) and the size below which `write_bytes` copies
 /// (256).
 fn region_op(region_len: usize) -> impl Strategy<Value = RegionOp> {
@@ -790,7 +795,7 @@ fn region_op(region_len: usize) -> impl Strategy<Value = RegionOp> {
                     0 | 1 => at,
                     2 | 3 => at / 64 * 64,
                     4..=6 => {
-                        let boundary = at % (region_len / PAGE + 1) * PAGE;
+                        let boundary = at % (region_len / GRANULE + 1) * GRANULE;
                         boundary.saturating_add_signed(skew).min(region_len)
                     }
                     _ => region_len,
@@ -852,11 +857,11 @@ proptest! {
 
     /// A registered region is byte-for-byte a flat array, whatever mix of
     /// copied and held payloads it is made of and however its accesses fall
-    /// on its pages: every read equals the same read of a plain `Vec<u8>`
+    /// on its granules: every read equals the same read of a plain `Vec<u8>`
     /// model, a `Bytes` handed out keeps the content it was sampled with,
     /// the held extents never overlap, a large held payload reads back as
     /// the writer's own buffer, a fresh region reads as zeros however dirty
-    /// the pages a dropped one left behind, and an access past the end still
+    /// the granules a dropped one left behind, and an access past the end still
     /// panics.
     #[test]
     fn region_is_a_flat_byte_array(
@@ -877,7 +882,7 @@ proptest! {
         for op in ops {
             match op.clone() {
                 RegionOp::Renew => {
-                    // The old region's pages go back to be reused before
+                    // The old region's granules go back to be reused before
                     // the new one writes any.
                     drop((region, cluster, sim));
                     (sim, cluster, id, region) = fresh();
