@@ -2,14 +2,14 @@
 //! ticket word.
 //!
 //! One 64-bit [`TicketWord`] per lock at the home node: a FAA-dispensed
-//! `next` ticket in the low half and a `serving` counter in the high half.
+//! `next` ticket in the high half and a `serving` counter in the low half.
 //! Acquire is a single FAA of [`TICKET_TAKE_DELTA`]; if the returned word
 //! already serves the drawn ticket the lock was free and the acquisition
 //! cost exactly one atomic — the same uncontended price as the CAS spin
 //! lock. Otherwise the requester registers its ticket with the home agent
 //! ([`DlmMsg::TicketWait`]) and parks.
 //!
-//! Release is a single FAA of [`TICKET_SERVE_DELTA`]; if the advanced
+//! Release is a single FAA of [`ticket_serve_delta`]; if the advanced
 //! serving number was already dispensed to someone the releaser tells the
 //! home agent ([`DlmMsg::TicketServe`]), which forwards a [`DlmMsg::Grant`]
 //! to whichever node registered that ticket. Wait and serve notifications
@@ -32,7 +32,7 @@ use dc_trace::{Counter, Subsys};
 use crate::config::LockMode;
 use crate::manager::{Manager, Member, Members, AGENT_PROC_NS};
 use crate::msg::{req_flow_id, DlmMsg, LockId, T_TICKET_SERVE, T_TICKET_WAIT};
-use crate::word::{TicketWord, TICKET_SERVE_DELTA, TICKET_TAKE_DELTA};
+use crate::word::{ticket_serve_delta, TicketWord, TICKET_TAKE_DELTA};
 
 /// Per-lock matching state at the home agent.
 #[derive(Default)]
@@ -184,6 +184,19 @@ impl McsDlm {
     }
 }
 
+#[cfg(test)]
+impl McsDlm {
+    /// Start `lock`'s counters at `ticket` (free, serving it next): the
+    /// wrap at 2^32 is reached only from a start near it.
+    fn start_tickets_at(&self, lock: LockId, ticket: u32) {
+        let free = TicketWord {
+            serving: ticket,
+            next: ticket,
+        };
+        self.inner.table.poke(lock as usize, free.encode());
+    }
+}
+
 /// Per-node MCS/ticket handle.
 pub struct McsClient {
     dlm: McsDlm,
@@ -251,7 +264,8 @@ impl McsClient {
         } = &*self.dlm.inner;
         let node = self.agent.node;
         mgr.released(node, lock, || [("ticket", u64::from(ticket).into())]);
-        let old = TicketWord::decode(table.faa(node, lock as usize, TICKET_SERVE_DELTA).await);
+        let delta = ticket_serve_delta(ticket);
+        let old = TicketWord::decode(table.faa(node, lock as usize, delta).await);
         assert_eq!(old.serving, ticket, "MCS serving counter out of step");
         let serving = old.serving.wrapping_add(1);
         // A successor ticket is already dispensed iff the dispenser moved
@@ -279,9 +293,9 @@ mod tests {
         (sim, cluster, dlm)
     }
 
-    #[test]
-    fn mutual_exclusion_and_fifo_order() {
-        let (sim, _c, dlm) = setup(6);
+    /// Five clients arrive 100 µs apart and each holds lock 0 for 200 µs:
+    /// returns how often two were inside at once and the order they got in.
+    fn five_staggered_holders(sim: &Sim, dlm: &McsDlm) -> (u32, Vec<u32>) {
         let in_cs: Rc<Cell<u32>> = Rc::default();
         let violations: Rc<Cell<u32>> = Rc::default();
         let order: Rc<RefCell<Vec<u32>>> = Rc::default();
@@ -307,9 +321,35 @@ mod tests {
             });
         }
         sim.run();
-        assert_eq!(violations.get(), 0);
-        let order = order.borrow();
-        assert_eq!(&*order, &[1, 2, 3, 4, 5], "ticket queue must be FIFO");
+        (violations.get(), order.take())
+    }
+
+    #[test]
+    fn mutual_exclusion_and_fifo_order() {
+        let (sim, _c, dlm) = setup(6);
+        let (violations, order) = five_staggered_holders(&sim, &dlm);
+        assert_eq!(violations, 0);
+        assert_eq!(order, [1, 2, 3, 4, 5], "ticket queue must be FIFO");
+    }
+
+    /// Both counters wrap at 2^32 without disturbing the other: five
+    /// holders draw tickets `u32::MAX - 2` through 1, across the wrap, and
+    /// still get in one at a time, in arrival order.
+    #[test]
+    fn tickets_wrap_past_u32_max_in_fifo_order() {
+        let (sim, _c, dlm) = setup(6);
+        dlm.start_tickets_at(0, u32::MAX - 2);
+        let (violations, order) = five_staggered_holders(&sim, &dlm);
+        assert_eq!(violations, 0);
+        assert_eq!(order, [1, 2, 3, 4, 5], "ticket queue must be FIFO");
+        let w = TicketWord::decode(dlm.inner.table.peek(0));
+        assert_eq!(
+            w,
+            TicketWord {
+                serving: 2,
+                next: 2
+            }
+        );
     }
 
     #[test]

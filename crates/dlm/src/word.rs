@@ -63,15 +63,16 @@ impl LockWord {
 /// half; never carries into the tail field until 2^32 outstanding requests).
 pub const SHARED_FAA_DELTA: u64 = 1;
 
-/// The MCS-style ticket word: a fetch-and-add dispenser in the low half and
-/// a now-serving counter in the high half, packed into the same one-sided
+/// The MCS-style ticket word: a fetch-and-add dispenser in the high half and
+/// a now-serving counter in the low half, packed into the same one-sided
 /// 64-bit window the N-CoSED family uses.
 ///
 /// Acquire is one FAA of [`TICKET_TAKE_DELTA`]: the returned `next` is the
 /// caller's ticket, and if it equals the returned `serving` the lock was
-/// free. Release is one FAA of [`TICKET_SERVE_DELTA`]. Both counters wrap at
-/// 2^32 — far beyond any simulated run — and neither FAA can carry into the
-/// other half below that bound.
+/// free. Release is one FAA of [`ticket_serve_delta`]. Both counters wrap at
+/// 2^32 without touching the other: the dispenser's carry falls off the top
+/// of the word, and the releaser, which knows the number it serves, cancels
+/// the serving counter's carry at its wrap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TicketWord {
     /// Ticket currently being served (its holder owns the lock).
@@ -80,6 +81,11 @@ pub struct TicketWord {
     pub next: u32,
 }
 
+/// Bit offset of `next`: the high half, where the dispenser's carry at 2^32
+/// falls off the top of the word. `serving` takes the other half.
+const NEXT_AT: u32 = 32;
+const SERVING_AT: u32 = 32 - NEXT_AT;
+
 impl TicketWord {
     /// The initial word: serving 0, next ticket 0 (lock free).
     pub const FREE: u64 = 0;
@@ -87,22 +93,31 @@ impl TicketWord {
     /// Decode a raw 64-bit word.
     pub fn decode(raw: u64) -> TicketWord {
         TicketWord {
-            serving: (raw >> 32) as u32,
-            next: raw as u32,
+            serving: (raw >> SERVING_AT) as u32,
+            next: (raw >> NEXT_AT) as u32,
         }
     }
 
     /// Encode back to the raw representation.
-    pub fn encode(self) -> u64 {
-        ((self.serving as u64) << 32) | self.next as u64
+    pub const fn encode(self) -> u64 {
+        ((self.next as u64) << NEXT_AT) | ((self.serving as u64) << SERVING_AT)
     }
 }
 
-/// FAA delta dispensing one ticket (+1 to the low `next` half).
-pub const TICKET_TAKE_DELTA: u64 = 1;
+/// FAA delta dispensing one ticket (+1 to the `next` half).
+pub const TICKET_TAKE_DELTA: u64 = TicketWord {
+    serving: 0,
+    next: 1,
+}
+.encode();
 
-/// FAA delta advancing the now-serving counter (+1 to the high half).
-pub const TICKET_SERVE_DELTA: u64 = 1 << 32;
+/// FAA delta advancing the now-serving counter from `serving` to the number
+/// after it, leaving `next` as it is: +1 to the serving half, less 2^32 at
+/// `serving == u32::MAX`, where the +1 carries out of the low half.
+pub fn ticket_serve_delta(serving: u32) -> u64 {
+    let word = |serving| TicketWord { serving, next: 0 }.encode();
+    word(serving.wrapping_add(1)).wrapping_sub(word(serving))
+}
 
 /// The lease word: current owner in the high half (node-id + 1; 0 = free)
 /// and the lease expiry instant, in microseconds of sim time, in the low
@@ -229,12 +244,38 @@ mod tests {
                 next: 10
             }
         );
-        let served = TicketWord::decode(base.wrapping_add(TICKET_SERVE_DELTA));
+        let served = TicketWord::decode(base.wrapping_add(ticket_serve_delta(3)));
         assert_eq!(
             served,
             TicketWord {
                 serving: 4,
                 next: 9
+            }
+        );
+    }
+
+    /// Each counter wraps to 0 at 2^32 and leaves the other as it was.
+    #[test]
+    fn ticket_counters_wrap_without_touching_each_other() {
+        let base = TicketWord {
+            serving: u32::MAX,
+            next: u32::MAX,
+        }
+        .encode();
+        let took = TicketWord::decode(base.wrapping_add(TICKET_TAKE_DELTA));
+        assert_eq!(
+            took,
+            TicketWord {
+                serving: u32::MAX,
+                next: 0
+            }
+        );
+        let served = TicketWord::decode(base.wrapping_add(ticket_serve_delta(u32::MAX)));
+        assert_eq!(
+            served,
+            TicketWord {
+                serving: 0,
+                next: u32::MAX
             }
         );
     }

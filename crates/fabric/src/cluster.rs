@@ -121,6 +121,9 @@ struct NodeInner {
     ports: RefCell<PortTable>,
     /// Outbound link: serializes payload transmission from this node.
     link: Semaphore,
+    /// The cluster's `fabric.ports.bound` gauge, which an endpoint drops
+    /// by one on unbind.
+    ports_bound: Gauge,
 }
 
 struct ClusterInner {
@@ -131,7 +134,7 @@ struct ClusterInner {
     next_port: Cell<u16>,
     /// Label + owner of the most recent port allocation, kept so a port-space
     /// exhaustion panic can name the subsystem that burned through the space.
-    last_port_owner: RefCell<String>,
+    last_port_owner: Cell<Option<(&'static str, NodeId)>>,
     /// Live bound endpoints (`fabric.ports.bound`): +1 on `bind`, −1 when the
     /// endpoint drops. A steadily climbing gauge means some service leaks
     /// per-call bindings instead of reusing a multiplexed port.
@@ -229,7 +232,7 @@ impl Cluster {
                 nodes: RefCell::new(Vec::new()),
                 stats: VerbCounters::new(&metrics),
                 next_port: Cell::new(1024),
-                last_port_owner: RefCell::new(String::from("none")),
+                last_port_owner: Cell::new(None),
                 ports_bound: metrics.gauge("fabric.ports.bound"),
                 faults: RefCell::new(None),
                 ecn_threshold: Cell::new(None),
@@ -255,6 +258,7 @@ impl Cluster {
             cpu,
             ports: RefCell::new(PortTable::new()),
             link: Semaphore::new(1),
+            ports_bound: self.inner.ports_bound.clone(),
         });
         let mut nodes = self.inner.nodes.borrow_mut();
         nodes.push(node);
@@ -931,7 +935,7 @@ impl Cluster {
     /// below 1024 are reserved for well-known services), recording the
     /// owning node and subsystem label so a port-space exhaustion panic
     /// names the culprit instead of failing with a bare assertion.
-    pub fn alloc_port_for(&self, node: NodeId, label: &str) -> u16 {
+    pub fn alloc_port_for(&self, node: NodeId, label: &'static str) -> u16 {
         let p = self.inner.next_port.get();
         assert!(
             p < u16::MAX,
@@ -940,14 +944,12 @@ impl Cluster {
              subsystem allocates per-call ports without reusing a multiplexed \
              client",
             p - 1024,
-            self.inner.last_port_owner.borrow(),
+            match self.inner.last_port_owner.get() {
+                Some((label, node)) => format!("{label} for {node:?}"),
+                None => "none".to_string(),
+            },
         );
-        {
-            use std::fmt::Write as _;
-            let mut owner = self.inner.last_port_owner.borrow_mut();
-            owner.clear();
-            let _ = write!(owner, "{label} for {node:?}");
-        }
+        self.inner.last_port_owner.set(Some((label, node)));
         self.inner.next_port.set(p + 1);
         p
     }
@@ -964,7 +966,6 @@ impl Cluster {
             id: node,
             port,
             slot,
-            bound: self.inner.ports_bound.clone(),
         }
     }
 
@@ -1184,7 +1185,6 @@ pub struct Endpoint {
     id: NodeId,
     port: u16,
     slot: u32,
-    bound: Gauge,
 }
 
 impl Endpoint {
@@ -1220,7 +1220,7 @@ impl Drop for Endpoint {
         if let Some(w) = waiting {
             w.wake();
         }
-        self.bound.add(-1);
+        self.node.ports_bound.add(-1);
     }
 }
 

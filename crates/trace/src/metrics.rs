@@ -3,15 +3,21 @@
 //! Every layer registers named counters, gauges, and latency histograms
 //! here instead of keeping private `Cell` fields. Names are dotted paths
 //! (`"fabric.verbs.read"`, `"fault.dropped_msgs"`, `"coopcache.local_hits"`)
-//! and enumeration is deterministic: storage is a `BTreeMap`, so snapshots
-//! and JSON exports list metrics in lexicographic name order regardless of
-//! registration order.
+//! and enumeration is deterministic: the registry keeps its entries in a
+//! `Vec` sorted by name, so snapshots and JSON exports list metrics in
+//! lexicographic name order regardless of registration order.
+//!
+//! Registering costs a fixed amount per registry, not an amount per name:
+//! names are copied into one `String` arena, the sorted entry list is
+//! reserved for `FIRST_ENTRIES` on first use, and counters and gauges are
+//! cells of shared `BLOCK`-cell blocks, one allocation per block. A
+//! histogram is its own `Rc`.
 //!
 //! Handles are `Rc`-backed and `Clone`; incrementing is a `Cell` bump with
 //! no registry lookup, so hot paths pre-register their handles once.
 
 use std::cell::{Cell, RefCell};
-use std::collections::BTreeMap;
+use std::ops::Range;
 use std::rc::Rc;
 
 use dc_sim::SimTime;
@@ -19,60 +25,100 @@ use dc_sim::SimTime;
 use crate::hist::{HistSummary, StreamHist};
 use crate::json::JsonWriter;
 
+/// Cells per shared block. A power of two, so a handle masks its index with
+/// `BLOCK - 1` and a bump carries no bounds check.
+const BLOCK: usize = 32;
+const _: () = assert!(BLOCK.is_power_of_two());
+
+/// Entries a registry reserves on its first registration.
+const FIRST_ENTRIES: usize = 32;
+
+/// Name bytes a registry's arena reserves on its first registration: a
+/// cluster's registry holds 18–33 names of about 20 bytes each.
+const FIRST_NAME_BYTES: usize = 768;
+
+/// One cell of a shared block: the storage behind a [`Counter`] or
+/// [`Gauge`]. Gauges keep their `i64` level as its two's-complement bits.
+#[derive(Clone)]
+struct Slot {
+    block: Rc<[Cell<u64>; BLOCK]>,
+    index: usize,
+}
+
+impl Slot {
+    #[inline]
+    fn cell(&self) -> &Cell<u64> {
+        &self.block[self.index & (BLOCK - 1)]
+    }
+}
+
 /// Monotonically increasing event count.
-#[derive(Clone, Debug, Default)]
-pub struct Counter(Rc<Cell<u64>>);
+#[derive(Clone)]
+pub struct Counter(Slot);
 
 impl Counter {
     /// Add 1.
     #[inline]
     pub fn inc(&self) {
-        self.0.set(self.0.get() + 1);
+        self.add(1);
     }
 
     /// Add `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        self.0.set(self.0.get() + n);
+        let c = self.0.cell();
+        c.set(c.get() + n);
     }
 
     /// Current value.
     #[inline]
     pub fn get(&self) -> u64 {
-        self.0.get()
+        self.0.cell().get()
+    }
+}
+
+impl std::fmt::Debug for Counter {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("Counter").field(&self.get()).finish()
     }
 }
 
 /// Point-in-time level (queue depths, occupancy). Also usable as a
 /// high-water mark via [`Gauge::set_max`].
-#[derive(Clone, Debug, Default)]
-pub struct Gauge(Rc<Cell<i64>>);
+#[derive(Clone)]
+pub struct Gauge(Slot);
 
 impl Gauge {
     /// Set the level.
     #[inline]
     pub fn set(&self, v: i64) {
-        self.0.set(v);
+        self.0.cell().set(v as u64);
     }
 
     /// Add signed `delta` to the level.
     #[inline]
     pub fn add(&self, delta: i64) {
-        self.0.set(self.0.get() + delta);
+        self.set(self.get() + delta);
     }
 
     /// Raise the level to `v` if `v` is higher (high-water-mark tracking).
     #[inline]
     pub fn set_max(&self, v: i64) {
-        if v > self.0.get() {
-            self.0.set(v);
+        if v > self.get() {
+            self.set(v);
         }
     }
 
     /// Current level.
     #[inline]
     pub fn get(&self) -> i64 {
-        self.0.get()
+        self.0.cell().get() as i64
+    }
+}
+
+impl std::fmt::Debug for Gauge {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("Gauge").field(&self.get()).finish()
     }
 }
 
@@ -111,18 +157,82 @@ pub enum MetricValue {
     Hist(HistSummary),
 }
 
+/// One registered metric: its name's bytes in the arena and its handle.
+struct Entry {
+    name: Range<usize>,
+    metric: Metric,
+}
+
+#[derive(Default)]
+struct Store {
+    /// Every registered name, back to back.
+    names: String,
+    /// Sorted by name.
+    entries: Vec<Entry>,
+    /// The block new counters and gauges take cells from, and how many of
+    /// its cells are taken.
+    block: Option<Rc<[Cell<u64>; BLOCK]>>,
+    taken: usize,
+}
+
+impl Store {
+    fn name(&self, e: &Entry) -> &str {
+        &self.names[e.name.clone()]
+    }
+
+    /// The next free cell, starting a new block when the current one is full.
+    fn slot(&mut self) -> Slot {
+        let block = match &self.block {
+            Some(b) if self.taken < BLOCK => Rc::clone(b),
+            _ => {
+                let b = Rc::new(std::array::from_fn(|_| Cell::new(0)));
+                self.block = Some(Rc::clone(&b));
+                self.taken = 0;
+                b
+            }
+        };
+        let index = self.taken;
+        self.taken = index + 1;
+        Slot { block, index }
+    }
+
+    /// The metric named `name`, registered by `make` if it is new.
+    fn get_or_insert(&mut self, name: &str, make: impl FnOnce(&mut Store) -> Metric) -> &Metric {
+        let at = match self.entries.binary_search_by(|e| self.name(e).cmp(name)) {
+            Ok(at) => at,
+            Err(at) => {
+                if self.entries.capacity() == 0 {
+                    self.entries.reserve_exact(FIRST_ENTRIES);
+                    self.names.reserve_exact(FIRST_NAME_BYTES);
+                }
+                let metric = make(self);
+                let start = self.names.len();
+                self.names.push_str(name);
+                let name = start..self.names.len();
+                self.entries.insert(at, Entry { name, metric });
+                at
+            }
+        };
+        &self.entries[at].metric
+    }
+}
+
 /// Named registry of counters, gauges, and histograms.
 #[derive(Default)]
 pub struct Registry {
-    metrics: RefCell<BTreeMap<String, Metric>>,
+    store: RefCell<Store>,
 }
 
 impl std::fmt::Debug for Registry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Registry")
-            .field("metrics", &self.metrics.borrow().len())
+            .field("metrics", &self.store.borrow().entries.len())
             .finish()
     }
+}
+
+fn kind_mismatch(name: &str) -> ! {
+    panic!("metric {name:?} already registered with a different kind")
 }
 
 impl Registry {
@@ -136,66 +246,53 @@ impl Registry {
     /// different kind panics (names are a flat namespace).
     ///
     /// A lookup hit allocates nothing, so a caller without a pre-registered
-    /// handle still pays only the map walk (prefer caching handles anyway).
+    /// handle still pays only the binary search (prefer caching handles
+    /// anyway).
     pub fn counter(&self, name: &str) -> Counter {
-        let mut m = self.metrics.borrow_mut();
-        match m.get(name) {
-            Some(Metric::Counter(c)) => c.clone(),
-            Some(_) => panic!("metric {name:?} already registered with a different kind"),
-            None => {
-                let c = Counter::default();
-                m.insert(name.to_string(), Metric::Counter(c.clone()));
-                c
-            }
+        let mut s = self.store.borrow_mut();
+        match s.get_or_insert(name, |s| Metric::Counter(Counter(s.slot()))) {
+            Metric::Counter(c) => c.clone(),
+            _ => kind_mismatch(name),
         }
     }
 
     /// Get or create the gauge named `name`.
     pub fn gauge(&self, name: &str) -> Gauge {
-        let mut m = self.metrics.borrow_mut();
-        match m.get(name) {
-            Some(Metric::Gauge(g)) => g.clone(),
-            Some(_) => panic!("metric {name:?} already registered with a different kind"),
-            None => {
-                let g = Gauge::default();
-                m.insert(name.to_string(), Metric::Gauge(g.clone()));
-                g
-            }
+        let mut s = self.store.borrow_mut();
+        match s.get_or_insert(name, |s| Metric::Gauge(Gauge(s.slot()))) {
+            Metric::Gauge(g) => g.clone(),
+            _ => kind_mismatch(name),
         }
     }
 
     /// Get or create the histogram named `name`.
     pub fn hist(&self, name: &str) -> HistHandle {
-        let mut m = self.metrics.borrow_mut();
-        match m.get(name) {
-            Some(Metric::Hist(h)) => h.clone(),
-            Some(_) => panic!("metric {name:?} already registered with a different kind"),
-            None => {
-                let h = HistHandle::default();
-                m.insert(name.to_string(), Metric::Hist(h.clone()));
-                h
-            }
+        let mut s = self.store.borrow_mut();
+        match s.get_or_insert(name, |_| Metric::Hist(HistHandle::default())) {
+            Metric::Hist(h) => h.clone(),
+            _ => kind_mismatch(name),
         }
     }
 
     /// All registered metric names, lexicographically sorted.
     pub fn names(&self) -> Vec<String> {
-        self.metrics.borrow().keys().cloned().collect()
+        let s = self.store.borrow();
+        s.entries.iter().map(|e| s.name(e).to_string()).collect()
     }
 
     /// Read every metric at once, in name order.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let values = self
-            .metrics
-            .borrow()
+        let s = self.store.borrow();
+        let values = s
+            .entries
             .iter()
-            .map(|(name, m)| {
-                let v = match m {
+            .map(|e| {
+                let v = match &e.metric {
                     Metric::Counter(c) => MetricValue::Counter(c.get()),
                     Metric::Gauge(g) => MetricValue::Gauge(g.get()),
                     Metric::Hist(h) => MetricValue::Hist(h.summary()),
                 };
-                (name.clone(), v)
+                (s.name(e).to_string(), v)
             })
             .collect();
         MetricsSnapshot { values }
@@ -353,6 +450,48 @@ mod tests {
         let r = Registry::new();
         r.counter("x");
         r.gauge("x");
+    }
+
+    /// Counters and gauges registered in turn fill three shared blocks;
+    /// each name keeps its own cell, a name registered again after its
+    /// block has filled gets that same cell back, and the snapshot lists
+    /// every name in order.
+    #[test]
+    fn every_name_gets_its_own_cell_across_blocks() {
+        let r = Registry::new();
+        let n = 2 * BLOCK + 6;
+        let name = |i: usize| format!("m.{:03}", n - i);
+        let bump = |i: usize| {
+            if i.is_multiple_of(2) {
+                r.counter(&name(i)).add(i as u64 + 1);
+            } else {
+                r.gauge(&name(i)).set(-(i as i64) - 1);
+            }
+        };
+        (0..n).for_each(bump);
+        for i in 0..n {
+            if i.is_multiple_of(2) {
+                assert_eq!(r.counter(&name(i)).get(), i as u64 + 1, "{}", name(i));
+            } else {
+                assert_eq!(r.gauge(&name(i)).get(), -(i as i64) - 1, "{}", name(i));
+            }
+        }
+        let first = r.counter(&name(0));
+        first.inc();
+        assert_eq!(
+            r.counter(&name(0)).get(),
+            2,
+            "re-registering made a new cell"
+        );
+        assert_eq!(r.counter(&name(2)).get(), 3, "a neighbour's cell moved");
+        let snap = r.snapshot();
+        let names: Vec<_> = snap.values.iter().map(|(n, _)| n.clone()).collect();
+        let mut sorted: Vec<_> = (0..n).map(name).collect();
+        sorted.sort();
+        assert_eq!(names, sorted);
+        assert_eq!(r.names(), sorted);
+        assert_eq!(snap.counter(&name(n - 2)), (n - 1) as u64);
+        assert_eq!(snap.gauge(&name(n - 1)), -(n as i64));
     }
 
     /// Registered-but-never-touched metrics must still appear in the

@@ -973,3 +973,46 @@ fn endpoints_reuse_their_slots() {
     eprintln!("alloc_steady endpoints: 1000 bind/deliver/recv/drop cycles, {allocs} allocs");
     assert_eq!(allocs, 0, "an endpoint cycle after the first allocated");
 }
+
+/// Building a cluster allocates a fixed count, not a count per metric name:
+/// the registry keeps counters and gauges as cells of shared 32-cell blocks
+/// and copies names into one arena. A four-node cluster costs exactly 35
+/// allocations and one echo service on it 11 more:
+/// - `Cluster::new` itself, 6: the `Rc`s of the cluster, its registry and
+///   its tracer, and the registry's entry list, name arena and first block
+///   (the cluster's 19 counters and gauges fit in it);
+/// - each node, 7: its `Rc`, its region list, its kstat region (an `Rc` and
+///   the bytes), its CPU state, and the semaphores of its cores and its
+///   outbound link; plus 1 for the node list;
+/// - the service, 11: its first bind on the node (the port table's slot
+///   list and map), the `svc.<name>.*` key buffer, the queue-wait histogram
+///   (an `Rc` and its buckets), the shared route, and the `Sim`'s first
+///   spawn (5).
+#[test]
+fn cluster_set_up_allocates_a_fixed_count() {
+    use dc_fabric::{Cluster, FabricModel, NodeId};
+    use dc_sim::Sim;
+    use dc_svc::{Cost, Dispatcher, Mode, Service, ServiceSpec, Subsys};
+
+    let sim = Sim::new();
+    let counting = Counting::start();
+    let cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), 4);
+    let built = counting.so_far().allocs;
+    let spec = ServiceSpec {
+        name: "test.echo",
+        subsys: Subsys::App,
+        node: NodeId(1),
+        port: cluster.alloc_port_for(NodeId(1), "alloc_steady.echo"),
+        cost: Cost::None,
+        mode: Mode::Serial,
+        queue_cap: None,
+    };
+    Service::spawn(&cluster, spec, Dispatcher::new().fallback(|_, _| async {}));
+    let spawned = counting.so_far().allocs - built;
+    eprintln!("alloc_steady cluster set-up: {built} allocs, then {spawned} for one service");
+    assert_eq!(
+        (built, spawned),
+        (35, 11),
+        "cluster set-up allocations moved"
+    );
+}

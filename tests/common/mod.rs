@@ -56,16 +56,16 @@ pub(crate) fn walk(dir: &str) -> Vec<String> {
 }
 
 /// One Rust file: its text, tokens, comments and what it defines.
-pub(crate) struct Source {
+pub(crate) struct Source<'a> {
     pub(crate) path: String,
-    pub(crate) text: &'static str,
-    pub(crate) toks: Vec<Tok<'static>>,
-    pub(crate) comments: Vec<Comment<'static>>,
+    pub(crate) text: &'a str,
+    pub(crate) toks: Vec<Tok<'a>>,
+    pub(crate) comments: Vec<Comment<'a>>,
     pub(crate) defs: Defs,
 }
 
-impl Source {
-    pub(crate) fn new(path: &str, text: &'static str) -> Source {
+impl<'a> Source<'a> {
+    pub(crate) fn new(path: &str, text: &'a str) -> Source<'a> {
         let (toks, comments) = lex(text);
         Source {
             path: path.to_string(),
@@ -84,11 +84,11 @@ pub(crate) fn test_fns() -> HashSet<&'static str> {
 }
 
 /// Every `.rs` file under `SOURCE_DIRS`, read and lexed once per process.
-pub(crate) fn sources() -> &'static [Source] {
-    static SOURCES: OnceLock<Vec<Source>> = OnceLock::new();
+pub(crate) fn sources() -> &'static [Source<'static>] {
+    static SOURCES: OnceLock<Vec<Source<'static>>> = OnceLock::new();
     SOURCES.get_or_init(|| {
         let paths: Vec<String> = SOURCE_DIRS.iter().flat_map(|d| walk(d)).collect();
-        let load = |paths: &[String]| -> Vec<Source> {
+        let load = |paths: &[String]| -> Vec<Source<'static>> {
             let rust = paths.iter().filter(|p| p.ends_with(".rs"));
             rust.map(|p| Source::new(p, Box::leak(read(p).into_boxed_str())))
                 .collect()

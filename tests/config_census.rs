@@ -472,7 +472,7 @@ struct PubItem {
 
 /// Every `pub` fn, method, const and named field `s` defines outside test
 /// code; `pub(crate)` and narrower are rustc's `dead_code` lint's.
-fn pub_items(s: &Source) -> Vec<PubItem> {
+fn pub_items(s: &Source<'static>) -> Vec<PubItem> {
     let toks = &s.toks;
     let parts: Vec<&str> = s.path.trim_end_matches(".rs").split('/').collect();
     let krate = format!("{}/{}/", parts[0], parts[1]);
@@ -596,7 +596,7 @@ struct Surface {
 /// definition and outside `use` and `mod` declarations; for a field, only
 /// a `.f` that is not assigned to, or a pattern binding. A reader counts
 /// in non-test code, or in the tests of a crate other than the item's own.
-fn surface_of(files: &[Source]) -> Surface {
+fn surface_of(files: &[Source<'static>]) -> Surface {
     let files: Vec<&Source> = files
         .iter()
         .filter(|s| !s.path.starts_with("vendored/"))

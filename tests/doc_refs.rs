@@ -61,7 +61,7 @@ const SVC_FAMILY_FILE: &str = "crates/svc/src/service.rs";
 
 /// One Rust source file, with the crate and the modules it is.
 struct File {
-    src: &'static Source,
+    src: &'static Source<'static>,
     /// The package whose `src/` holds the file (`dc-sim`, `bytes`), if any.
     krate: Option<String>,
     /// The modules the file is, below its crate's `src/` (`sync`, `semaphore`).

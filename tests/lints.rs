@@ -410,8 +410,8 @@ fn toml_bins(s: &Source) -> Vec<Hit> {
 
 /// Every Rust source the self-checks read, plus the other files under
 /// `crates/` (manifests), those as text only.
-fn tree() -> &'static [&'static Source] {
-    static TREE: OnceLock<Vec<&'static Source>> = OnceLock::new();
+fn tree() -> &'static [&'static Source<'static>] {
+    static TREE: OnceLock<Vec<&'static Source<'static>>> = OnceLock::new();
     TREE.get_or_init(|| {
         let other = walk("crates").into_iter();
         let other = other.filter(|p| !p.ends_with('/') && !p.ends_with(".rs"));
@@ -432,7 +432,7 @@ fn tree() -> &'static [&'static Source] {
 
 /// `path:line: form` for each hit of `rule` in `files`, keyed by what the
 /// `allowed` list spells.
-fn hits<'a>(rule: &Rule, files: impl IntoIterator<Item = &'a Source>) -> Vec<(String, String)> {
+fn hits<'a>(rule: &Rule, files: impl IntoIterator<Item = &'a Source<'a>>) -> Vec<(String, String)> {
     let mut out = Vec::new();
     for s in files.into_iter().filter(|s| (rule.paths)(&s.path)) {
         let found = match rule.find {
@@ -455,7 +455,7 @@ fn hits<'a>(rule: &Rule, files: impl IntoIterator<Item = &'a Source>) -> Vec<(St
 
 /// What is wrong with `files` under `rule`: a hit it does not allow, or an
 /// allowed hit missing or repeated.
-fn violations<'a>(rule: &Rule, files: impl IntoIterator<Item = &'a Source>) -> Vec<String> {
+fn violations<'a>(rule: &Rule, files: impl IntoIterator<Item = &'a Source<'a>>) -> Vec<String> {
     let found = hits(rule, files);
     let mut out: Vec<String> = found
         .iter()
@@ -554,7 +554,7 @@ fn each_rule_rejects_its_form_in_code_only() {
     for rule in &RULES {
         let (path, text) = rule.sample;
         let [code, literal, comment] = variants(path, text).map(|v| {
-            let file = Source::new(path, Box::leak(v.into_boxed_str()));
+            let file = Source::new(path, &v);
             !hits(rule, [&file])
                 .iter()
                 .all(|(key, _)| rule.allowed.contains(&key.as_str()))
