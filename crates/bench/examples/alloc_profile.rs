@@ -1,8 +1,12 @@
-//! Allocation profile for a single scenario run: counts global-allocator
-//! calls so hot-path work can be attributed to allocator churn vs compute.
+//! Allocation profile for a scenario run: counts global-allocator calls so
+//! hot-path work can be attributed to allocator churn vs compute. A
+//! comma-separated list runs each scenario in turn and counts them as one
+//! run, so `DC_ALLOC_TRACE=1` ranks the sites of a whole workload (say, the
+//! nine scenarios of `paper_figures`) in one table.
 //!
 //! ```sh
 //! cargo run --release -p dc-bench --example alloc_profile -- fig5a_lock_shared
+//! cargo run --release -p dc-bench --example alloc_profile -- fig3a_ddss_put,fig8b_monitor_throughput
 //! ```
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::BTreeMap;
@@ -215,13 +219,21 @@ fn main() {
         });
         return;
     }
-    let s = dc_bench::scenario::lookup(&name, |_| true).expect("scenario");
+    let scenarios: Vec<_> = name
+        .split(',')
+        .map(|n| dc_bench::scenario::lookup(n, |_| true).unwrap_or_else(|| panic!("scenario {n}")))
+        .collect();
+    let run_all = || {
+        for s in &scenarios {
+            std::hint::black_box((s.report)(&RunCtx::pinned()));
+        }
+    };
     if std::env::var("DC_ALLOC_TRACE").is_ok_and(|v| v == "1") {
         TRACE.store(true, Ordering::Relaxed);
-        (s.report)(&RunCtx::pinned());
+        run_all();
         TRACE.store(false, Ordering::Relaxed);
         dump_sites();
         return;
     }
-    measured(&name, || (s.report)(&RunCtx::pinned()));
+    measured(&name, run_all);
 }

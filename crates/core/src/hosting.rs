@@ -94,15 +94,21 @@ struct Job {
 /// (a closed-loop client has at most one job in flight).
 type Responses = Rc<Rendezvous<usize, ()>>;
 
+/// A back-end's accept queue and the signal its idle workers park on,
+/// shared by the workers and the submitter in one `Rc`.
+struct Accept {
+    queue: RefCell<VecDeque<Job>>,
+    /// One permit per submitted job.
+    wake: Semaphore,
+}
+
 /// One back-end's worker pool over an accept queue, with kernel statistics
 /// kept live (accept-queue depth included).
 #[derive(Clone)]
 struct AppServer {
     cluster: Cluster,
     node: NodeId,
-    queue: Rc<RefCell<VecDeque<Job>>>,
-    /// One permit per submitted job: what an idle worker parks on.
-    wake: Semaphore,
+    accept: Rc<Accept>,
 }
 
 impl AppServer {
@@ -110,8 +116,10 @@ impl AppServer {
         let srv = AppServer {
             cluster: cluster.clone(),
             node,
-            queue: Rc::default(),
-            wake: Semaphore::new(0),
+            accept: Rc::new(Accept {
+                queue: RefCell::default(),
+                wake: Semaphore::new(0),
+            }),
         };
         let model = cluster.model().clone();
         for _ in 0..WORKERS_PER_BACKEND {
@@ -124,10 +132,10 @@ impl AppServer {
                 cpu.thread_started();
                 loop {
                     let job = loop {
-                        if let Some(j) = s.queue.borrow_mut().pop_front() {
+                        if let Some(j) = s.accept.queue.borrow_mut().pop_front() {
                             break j;
                         }
-                        s.wake.acquire().await;
+                        s.accept.wake.acquire().await;
                     };
                     cpu.accept_dequeued();
                     cpu.execute(job.cpu_ns).await;
@@ -144,8 +152,8 @@ impl AppServer {
 
     fn submit(&self, job: Job) {
         self.cluster.cpu(self.node).accept_enqueued();
-        self.queue.borrow_mut().push_back(job);
-        self.wake.release();
+        self.accept.queue.borrow_mut().push_back(job);
+        self.accept.wake.release();
     }
 }
 

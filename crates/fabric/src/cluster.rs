@@ -32,6 +32,7 @@ use dc_sim::sync::Semaphore;
 use dc_sim::{SimHandle, SimTime};
 use dc_trace::{Counter, Gauge, Registry, Subsys, Tracer};
 
+use crate::cpu::{CpuModel, NodeCpu};
 use crate::faults::{backoff_after, inflate, FabricError, FaultPlan, FaultStats, MAX_ATTEMPTS};
 use crate::kstat::{KernelStats, KSTAT_REGION_LEN};
 use crate::mem::{RegionData, RegionId, RemoteAddr};
@@ -115,21 +116,39 @@ pub struct VerbStats {
     pub credit_stalls: u64,
 }
 
+/// A node's fixed parts, held inline in its slot of the cluster's node
+/// slab: building a node allocates its kstat region and nothing else.
 struct NodeInner {
+    /// Cores, live kernel statistics, and region 0 they are published into.
+    cpu: NodeCpu,
+    /// Registered regions 1, 2, …: region `i` sits at index `i - 1`.
     regions: RefCell<Vec<RegionData>>,
-    cpu: crate::cpu::CpuModel,
     ports: RefCell<PortTable>,
     /// Outbound link: serializes payload transmission from this node.
     link: Semaphore,
-    /// The cluster's `fabric.ports.bound` gauge, which an endpoint drops
-    /// by one on unbind.
-    ports_bound: Gauge,
+}
+
+impl NodeInner {
+    /// The one region lookup, under every verb and [`Cluster::region`]:
+    /// region 0 is the kernel-statistics block in the node's CPU state, and
+    /// region `i` ≥ 1 the `i`-th that [`Cluster::register`] made.
+    fn with_region<T>(&self, region: RegionId, f: impl FnOnce(&RegionData) -> T) -> T {
+        match region.0.checked_sub(1) {
+            None => f(&self.cpu.kstat),
+            Some(i) => f(self
+                .regions
+                .borrow()
+                .get(i as usize)
+                .unwrap_or_else(|| panic!("no such region {region:?}"))),
+        }
+    }
 }
 
 struct ClusterInner {
     sim: SimHandle,
     model: FabricModel,
-    nodes: RefCell<Vec<Rc<NodeInner>>>,
+    /// Every node's fixed parts, sized once in [`Cluster::new`].
+    nodes: Box<[NodeInner]>,
     stats: VerbCounters,
     next_port: Cell<u16>,
     /// Label + owner of the most recent port allocation, kept so a port-space
@@ -156,6 +175,14 @@ struct ClusterInner {
     qp_active: Gauge,
     tracer: Tracer,
     metrics: Rc<Registry>,
+}
+
+impl ClusterInner {
+    fn node(&self, id: NodeId) -> &NodeInner {
+        self.nodes
+            .get(id.idx())
+            .unwrap_or_else(|| panic!("no such node: {id:?}"))
+    }
 }
 
 /// A remote atomic verb's read-modify-write on its target word.
@@ -221,15 +248,24 @@ pub struct Cluster {
 
 impl Cluster {
     /// Build a cluster of `nodes` nodes under the given cost model. Each
-    /// node's region 0 is its kernel-statistics block.
+    /// node's region 0 is its kernel-statistics block. The nodes are one
+    /// slab, sized here: a cluster does not grow.
     pub fn new(sim: SimHandle, model: FabricModel, nodes: usize) -> Cluster {
         let metrics = Rc::new(Registry::new());
         let tracer = Tracer::new(sim.clone());
-        let cluster = Cluster {
+        let nodes = (0..nodes)
+            .map(|_| NodeInner {
+                cpu: NodeCpu::new(model.cpu),
+                regions: RefCell::default(),
+                ports: RefCell::new(PortTable::new()),
+                link: Semaphore::new(1),
+            })
+            .collect();
+        Cluster {
             inner: Rc::new(ClusterInner {
                 sim,
                 model,
-                nodes: RefCell::new(Vec::new()),
+                nodes,
                 stats: VerbCounters::new(&metrics),
                 next_port: Cell::new(1024),
                 last_port_owner: Cell::new(None),
@@ -241,33 +277,12 @@ impl Cluster {
                 tracer,
                 metrics,
             }),
-        };
-        for _ in 0..nodes {
-            cluster.add_node();
         }
-        cluster
-    }
-
-    /// Add one node; returns its id.
-    pub fn add_node(&self) -> NodeId {
-        let kstat = RegionData::new(KSTAT_REGION_LEN);
-        let cpu =
-            crate::cpu::CpuModel::new(self.inner.sim.clone(), self.inner.model.cpu, kstat.clone());
-        let node = Rc::new(NodeInner {
-            regions: RefCell::new(vec![kstat]),
-            cpu,
-            ports: RefCell::new(PortTable::new()),
-            link: Semaphore::new(1),
-            ports_bound: self.inner.ports_bound.clone(),
-        });
-        let mut nodes = self.inner.nodes.borrow_mut();
-        nodes.push(node);
-        NodeId((nodes.len() - 1) as u32)
     }
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.inner.nodes.borrow().len()
+        self.inner.nodes.len()
     }
 
     /// Whether the cluster has no nodes.
@@ -528,43 +543,39 @@ impl Cluster {
         }
     }
 
-    fn node(&self, id: NodeId) -> Rc<NodeInner> {
-        Rc::clone(
-            self.inner
-                .nodes
-                .borrow()
-                .get(id.idx())
-                .unwrap_or_else(|| panic!("no such node: {id:?}")),
-        )
+    #[inline]
+    fn node(&self, id: NodeId) -> &NodeInner {
+        self.inner.node(id)
+    }
+
+    /// The CPU state of `node`, held in its slot.
+    pub(crate) fn node_cpu(&self, node: NodeId) -> &NodeCpu {
+        &self.node(node).cpu
     }
 
     /// The CPU model of `node` (for running application work / load).
-    pub fn cpu(&self, node: NodeId) -> crate::cpu::CpuModel {
-        self.node(node).cpu.clone()
+    pub fn cpu(&self, node: NodeId) -> CpuModel {
+        // An unknown node panics here, not at the view's first use.
+        self.node(node);
+        CpuModel::new(self.clone(), node)
     }
 
-    /// Register a zeroed memory region of `len` bytes on `node`. It costs
-    /// what is written into it, not `len`: backing store comes a 4 KiB page
-    /// at a time with the first flat write into each page (payloads a region
-    /// holds take none; a region shorter than a page is allocated whole), so
-    /// a large heap or cache region is cheap to register and to leave mostly
-    /// empty.
+    /// Register a zeroed memory region of `len` bytes on `node`; ids count
+    /// from 1, region 0 being the kstat block. It costs what is written into
+    /// it, not `len`: backing store comes a 512-byte granule at a time with
+    /// the first flat write into each (payloads a region holds take none; a
+    /// region shorter than 4 KiB is allocated whole), so a large heap or
+    /// cache region is cheap to register and to leave mostly empty.
     pub fn register(&self, node: NodeId, len: usize) -> RegionId {
-        let n = self.node(node);
-        let mut regions = n.regions.borrow_mut();
+        let mut regions = self.node(node).regions.borrow_mut();
         regions.push(RegionData::new(len));
-        RegionId((regions.len() - 1) as u32)
+        RegionId(regions.len() as u32)
     }
 
     /// Node-local access to a registered region (no fabric cost — this is
     /// the owning application touching its own memory).
     pub fn region(&self, node: NodeId, region: RegionId) -> RegionData {
-        self.node(node)
-            .regions
-            .borrow()
-            .get(region.0 as usize)
-            .unwrap_or_else(|| panic!("no such region {region:?} on {node:?}"))
-            .clone()
+        self.node(node).with_region(region, RegionData::clone)
     }
 
     /// Remote address of `node`'s kernel-statistics block.
@@ -709,7 +720,7 @@ impl Cluster {
         let target = self.node(addr.node);
         // Queue on the target's outbound link for the payload.
         let permit = target.link.acquire_permit().await;
-        let data = sample(&target.regions.borrow()[addr.region.0 as usize]);
+        let data = target.with_region(addr.region, sample);
         sim.sleep(inflate(m.ib_bytes_time(len), f)).await;
         drop(permit);
         sim.sleep(inflate(m.rdma_read_base_ns - m.rdma_read_base_ns / 2, f))
@@ -804,7 +815,7 @@ impl Cluster {
             return Err(FabricError::Unreachable(addr.node));
         }
         let target = self.node(addr.node);
-        land(&target.regions.borrow()[addr.region.0 as usize]);
+        target.with_region(addr.region, land);
         sim.sleep(inflate(m.rdma_write_base_ns - m.rdma_write_base_ns / 2, f))
             .await;
         self.inner.stats.writes.inc();
@@ -895,13 +906,10 @@ impl Cluster {
             return Err(FabricError::Unreachable(addr.node));
         }
         let target = self.node(addr.node);
-        let old = {
-            let region = &target.regions.borrow()[addr.region.0 as usize];
-            match op {
-                Atomic::Cas { expect, swap } => region.cas_u64(addr.offset, expect, swap),
-                Atomic::Faa { add } => region.faa_u64(addr.offset, add),
-            }
-        };
+        let old = target.with_region(addr.region, |region| match op {
+            Atomic::Cas { expect, swap } => region.cas_u64(addr.offset, expect, swap),
+            Atomic::Faa { add } => region.faa_u64(addr.offset, add),
+        });
         sim.sleep(inflate(m.atomic_base_ns - m.atomic_base_ns / 2, f))
             .await;
         let stats = &self.inner.stats;
@@ -957,12 +965,11 @@ impl Cluster {
     /// Bind a receive endpoint on `(node, port)`. Panics if the port is
     /// already bound.
     pub fn bind(&self, node: NodeId, port: u16) -> Endpoint {
-        let n = self.node(node);
-        let slot = n.ports.borrow_mut().bind(port);
+        let slot = self.node(node).ports.borrow_mut().bind(port);
         let slot = slot.unwrap_or_else(|| panic!("port {port} already bound on {node:?}"));
         self.inner.ports_bound.add(1);
         Endpoint {
-            node: n,
+            cluster: Rc::clone(&self.inner),
             id: node,
             port,
             slot,
@@ -1028,7 +1035,7 @@ impl Cluster {
                 let src = self.node(from);
                 // Sample congestion before queueing for the link: the queue
                 // ahead of this message is what the mark is about.
-                let ecn = self.ecn_sample(&src);
+                let ecn = self.ecn_sample(src);
                 let permit = src.link.acquire_permit().await;
                 sim.sleep(inflate(m.ib_bytes_time(len), f)).await;
                 drop(permit);
@@ -1058,9 +1065,9 @@ impl Cluster {
             }
             Transport::Tcp => {
                 // Sender-side stack processing (copy into kernel buffers).
+                crate::cpu::execute(self, from, m.tcp_send_cpu(len)).await;
                 let src = self.node(from);
-                src.cpu.execute(m.tcp_send_cpu(len)).await;
-                let ecn = self.ecn_sample(&src);
+                let ecn = self.ecn_sample(src);
                 let permit = src.link.acquire_permit().await;
                 sim.sleep(inflate(m.tcp_bytes_time(len), f)).await;
                 drop(permit);
@@ -1073,8 +1080,7 @@ impl Cluster {
                     return Err(FabricError::Dropped);
                 }
                 // Receiver-side stack processing competes with load.
-                let dst = self.node(to);
-                dst.cpu.execute(m.tcp_recv_cpu(len)).await;
+                crate::cpu::execute(self, to, m.tcp_recv_cpu(len)).await;
                 self.deliver(from, to, port, data.clone(), imm, ecn);
                 if let Some(t0) = t0 {
                     self.inner.tracer.complete(
@@ -1181,7 +1187,7 @@ impl Cluster {
 /// A bound receive endpoint: a mailbox slot in its node's port table (see
 /// `ports.rs`). Unbinds its port on drop.
 pub struct Endpoint {
-    node: Rc<NodeInner>,
+    cluster: Rc<ClusterInner>,
     id: NodeId,
     port: u16,
     slot: u32,
@@ -1198,29 +1204,34 @@ impl Endpoint {
         self.port
     }
 
+    /// The port table this endpoint is a slot of.
+    fn ports(&self) -> &RefCell<PortTable> {
+        &self.cluster.node(self.id).ports
+    }
+
     /// Await the next message.
     pub async fn recv(&mut self) -> Message {
-        std::future::poll_fn(|cx| self.node.ports.borrow_mut().poll_pop(self.slot, cx)).await
+        std::future::poll_fn(|cx| self.ports().borrow_mut().poll_pop(self.slot, cx)).await
     }
 
     /// Non-blocking receive.
     pub fn try_recv(&mut self) -> Option<Message> {
-        self.node.ports.borrow_mut().pop(self.slot)
+        self.ports().borrow_mut().pop(self.slot)
     }
 
     /// Messages currently queued.
     pub fn queued(&self) -> usize {
-        self.node.ports.borrow().len(self.slot)
+        self.ports().borrow().len(self.slot)
     }
 }
 
 impl Drop for Endpoint {
     fn drop(&mut self) {
-        let waiting = self.node.ports.borrow_mut().unbind(self.port, self.slot);
+        let waiting = self.ports().borrow_mut().unbind(self.port, self.slot);
         if let Some(w) = waiting {
             w.wake();
         }
-        self.node.ports_bound.add(-1);
+        self.cluster.ports_bound.add(-1);
     }
 }
 
@@ -1530,6 +1541,42 @@ mod tests {
             assert_eq!(reads, 1, "one verb.read span");
             assert_eq!(kstat, bytes);
         }
+    }
+
+    /// Region 0 is the node's kernel-statistics block, and the regions
+    /// `register` makes count from 1: a registered region written, by the
+    /// owner or by a verb, never lands in the kstat block.
+    #[test]
+    fn region_zero_is_the_kstat_block_and_registered_ids_start_at_one() {
+        let (sim, c) = setup(2);
+        let cpu = c.cpu(NodeId(1));
+        cpu.thread_started();
+        assert_eq!(c.kstat_addr(NodeId(1)).region, RegionId(0));
+        let kstat = || KernelStats::decode(&c.region(NodeId(1), RegionId(0)).read(0, 64));
+        assert_eq!(kstat(), cpu.snapshot());
+        let (a, b) = (c.register(NodeId(1), 64), c.register(NodeId(1), 128));
+        assert_eq!((a, b), (RegionId(1), RegionId(2)));
+        assert_eq!(c.region(NodeId(1), b).len(), 128);
+        c.region(NodeId(1), a).write_u64(0, 7);
+        let addr = RemoteAddr {
+            node: NodeId(1),
+            region: a,
+            offset: 8,
+        };
+        let cc = c.clone();
+        let read = sim.run_to(async move {
+            cc.rdma_write(NodeId(0), addr, &[0xFF; 8]).await;
+            cc.read_u64(NodeId(0), RemoteAddr { offset: 0, ..addr })
+                .await
+        });
+        assert_eq!(read, 7);
+        assert_eq!(c.region(NodeId(1), a).read_u64(8), u64::MAX);
+        assert_eq!(
+            kstat(),
+            cpu.snapshot(),
+            "a region write reached the kstat block"
+        );
+        assert_eq!(kstat().app_threads, 1);
     }
 
     #[test]

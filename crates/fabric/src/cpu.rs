@@ -13,14 +13,19 @@
 //! region, so an `rdma_read` of that region at any virtual instant sees the
 //! true current values — the simulated analogue of registering kernel data
 //! structures with the NIC.
+//!
+//! A node's CPU state ([`NodeCpu`]: the cores, the live statistics and the
+//! kstat region) sits inline in the node's slot of its cluster, and a
+//! [`CpuModel`] is a view of one node of one cluster.
 
-use std::cell::RefCell;
-use std::rc::Rc;
+use std::cell::Cell;
+use std::future::Future;
 
 use dc_sim::sync::Semaphore;
-use dc_sim::{SimHandle, SimTime};
+use dc_sim::SimTime;
 
-use crate::kstat::KernelStats;
+use crate::cluster::{Cluster, NodeId};
+use crate::kstat::{KernelStats, KSTAT_REGION_LEN};
 use crate::mem::RegionData;
 
 /// Scheduling parameters of a node CPU.
@@ -44,78 +49,90 @@ impl Default for CpuConfig {
     }
 }
 
-struct CpuState {
-    stats: KernelStats,
-}
-
-/// A node's CPU. Cloning yields another handle to the same CPU.
-#[derive(Clone)]
-pub struct CpuModel {
-    sim: SimHandle,
+/// A node's CPU state, held in the node's slot of its cluster.
+pub(crate) struct NodeCpu {
     cores: Semaphore,
-    quantum: u64,
-    state: Rc<RefCell<CpuState>>,
-    kstat: RegionData,
+    stats: Cell<KernelStats>,
+    /// The node's region 0, which every statistics change is written into.
+    pub(crate) kstat: RegionData,
 }
 
-impl CpuModel {
-    /// Create a CPU whose statistics are published into `kstat` (the node's
-    /// registered kernel-statistics region).
-    pub fn new(sim: SimHandle, cfg: CpuConfig, kstat: RegionData) -> Self {
+impl NodeCpu {
+    /// A CPU of `cfg`'s cores with its first statistics block published.
+    pub(crate) fn new(cfg: CpuConfig) -> NodeCpu {
         assert!(cfg.cores > 0, "a node needs at least one core");
         assert!(cfg.quantum_ns > 0, "preemption quantum must be positive");
-        let cpu = CpuModel {
-            sim,
+        let cpu = NodeCpu {
             cores: Semaphore::new(cfg.cores),
-            quantum: cfg.quantum_ns,
-            state: Rc::new(RefCell::new(CpuState {
-                stats: KernelStats::default(),
-            })),
-            kstat,
+            stats: Cell::default(),
+            kstat: RegionData::new(KSTAT_REGION_LEN),
         };
-        cpu.publish();
+        cpu.update(|_| {});
         cpu
     }
 
-    fn publish(&self) {
-        let mut st = self.state.borrow_mut();
-        st.stats.version += 1;
+    fn update(&self, f: impl FnOnce(&mut KernelStats)) {
+        let mut stats = self.stats.get();
+        f(&mut stats);
+        stats.version += 1;
+        self.stats.set(stats);
         // One region write per state change, from a block built on the stack.
-        self.kstat.write(0, &st.stats.to_block());
+        self.kstat.write(0, &stats.to_block());
+    }
+}
+
+/// Execute `work_ns` of CPU time on `node`, competing round-robin with
+/// everything else there. Returns when the work has fully run. The body of
+/// [`CpuModel::execute`], and what a TCP send charges without a view.
+pub(crate) async fn execute(cluster: &Cluster, node: NodeId, work_ns: SimTime) {
+    if work_ns == 0 {
+        return;
+    }
+    cluster.node_cpu(node).update(|s| s.run_queue += 1);
+    let mut remaining = work_ns;
+    while remaining > 0 {
+        let slice = remaining.min(cluster.model().cpu.quantum_ns);
+        cluster.node_cpu(node).cores.acquire().await;
+        cluster.sim().sleep(slice).await;
+        let cpu = cluster.node_cpu(node);
+        cpu.update(|s| s.busy_ns += slice);
+        cpu.cores.release();
+        remaining -= slice;
+    }
+    cluster.node_cpu(node).update(|s| s.run_queue -= 1);
+}
+
+/// A node's CPU: a view of one node of a cluster. Cloning yields another
+/// view of the same CPU.
+#[derive(Clone)]
+pub struct CpuModel {
+    cluster: Cluster,
+    node: NodeId,
+}
+
+impl CpuModel {
+    pub(crate) fn new(cluster: Cluster, node: NodeId) -> Self {
+        CpuModel { cluster, node }
     }
 
-    fn update(&self, f: impl FnOnce(&mut KernelStats)) {
-        f(&mut self.state.borrow_mut().stats);
-        self.publish();
+    fn state(&self) -> &NodeCpu {
+        self.cluster.node_cpu(self.node)
     }
 
     /// Execute `work_ns` of CPU time, competing round-robin with everything
     /// else on this node. Returns when the work has fully run.
-    pub async fn execute(&self, work_ns: SimTime) {
-        if work_ns == 0 {
-            return;
-        }
-        self.update(|s| s.run_queue += 1);
-        let mut remaining = work_ns;
-        while remaining > 0 {
-            let slice = remaining.min(self.quantum);
-            self.cores.acquire().await;
-            self.sim.sleep(slice).await;
-            self.update(|s| s.busy_ns += slice);
-            self.cores.release();
-            remaining -= slice;
-        }
-        self.update(|s| s.run_queue -= 1);
+    pub fn execute(&self, work_ns: SimTime) -> impl Future<Output = ()> + '_ {
+        execute(&self.cluster, self.node, work_ns)
     }
 
     /// Register an application thread (Fig 8a monitors this count).
     pub fn thread_started(&self) {
-        self.update(|s| s.app_threads += 1);
+        self.state().update(|s| s.app_threads += 1);
     }
 
     /// Unregister an application thread.
     pub fn thread_exited(&self) {
-        self.update(|s| {
+        self.state().update(|s| {
             debug_assert!(s.app_threads > 0);
             s.app_threads -= 1;
         });
@@ -123,12 +140,12 @@ impl CpuModel {
 
     /// Record a request entering the application accept queue.
     pub fn accept_enqueued(&self) {
-        self.update(|s| s.accept_queue += 1);
+        self.state().update(|s| s.accept_queue += 1);
     }
 
     /// Record a request leaving the application accept queue.
     pub fn accept_dequeued(&self) {
-        self.update(|s| {
+        self.state().update(|s| {
             debug_assert!(s.accept_queue > 0);
             s.accept_queue -= 1;
         });
@@ -137,35 +154,43 @@ impl CpuModel {
     /// Node-local snapshot of the kernel statistics (what a local daemon
     /// reads for free; remote readers must pay a fabric round trip).
     pub fn snapshot(&self) -> KernelStats {
-        self.state.borrow().stats
+        self.state().stats.get()
     }
 
     /// Current run-queue length (running + ready jobs).
     pub fn run_queue(&self) -> u64 {
-        self.state.borrow().stats.run_queue
+        self.snapshot().run_queue
     }
 
     /// Preemption quantum in nanoseconds.
     pub fn quantum_ns(&self) -> u64 {
-        self.quantum
+        self.cluster.model().cpu.quantum_ns
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mem::RegionId;
+    use crate::FabricModel;
     use dc_sim::time::{ms, us};
     use dc_sim::Sim;
 
+    /// The CPU of the one node of a cluster whose nodes have `cores` cores
+    /// and a `quantum` preemption quantum.
     fn cpu(sim: &Sim, cores: usize, quantum: u64) -> CpuModel {
-        CpuModel::new(
-            sim.handle(),
-            CpuConfig {
-                cores,
-                quantum_ns: quantum,
-            },
-            RegionData::new(crate::kstat::KSTAT_REGION_LEN),
-        )
+        let mut model = FabricModel::calibrated_2007();
+        model.cpu = CpuConfig {
+            cores,
+            quantum_ns: quantum,
+        };
+        Cluster::new(sim.handle(), model, 1).cpu(NodeId(0))
+    }
+
+    /// What a one-sided read of the node's region 0 would return.
+    fn kstat_region(c: &CpuModel) -> KernelStats {
+        let region = c.cluster.region(c.node, RegionId(0));
+        KernelStats::decode(&region.read(0, KSTAT_REGION_LEN))
     }
 
     #[test]
@@ -252,15 +277,7 @@ mod tests {
     #[test]
     fn run_queue_reflects_active_jobs_and_publishes_to_kstat() {
         let sim = Sim::new();
-        let region = RegionData::new(crate::kstat::KSTAT_REGION_LEN);
-        let c = CpuModel::new(
-            sim.handle(),
-            CpuConfig {
-                cores: 1,
-                quantum_ns: ms(1),
-            },
-            region.clone(),
-        );
+        let c = cpu(&sim, 1, ms(1));
         for _ in 0..3 {
             let cc = c.clone();
             sim.spawn(async move { cc.execute(ms(2)).await });
@@ -268,8 +285,7 @@ mod tests {
         sim.run_until(ms(1));
         assert_eq!(c.run_queue(), 3);
         // The registered region sees the same value without CPU involvement.
-        let remote_view = KernelStats::decode(&region.read(0, crate::kstat::KSTAT_REGION_LEN));
-        assert_eq!(remote_view.run_queue, 3);
+        assert_eq!(kstat_region(&c).run_queue, 3);
         sim.run();
         assert_eq!(c.run_queue(), 0);
         assert_eq!(c.snapshot().busy_ns, ms(6));
@@ -278,12 +294,11 @@ mod tests {
     #[test]
     fn thread_and_conn_counters_publish() {
         let sim = Sim::new();
-        let region = RegionData::new(crate::kstat::KSTAT_REGION_LEN);
-        let c = CpuModel::new(sim.handle(), CpuConfig::default(), region.clone());
+        let c = cpu(&sim, 1, ms(1));
         c.thread_started();
         c.thread_started();
         c.accept_enqueued();
-        let v = KernelStats::decode(&region.read(0, crate::kstat::KSTAT_REGION_LEN));
+        let v = kstat_region(&c);
         assert_eq!(v.app_threads, 2);
         // Nothing opens a connection: the published count stays 0.
         assert_eq!(v.conns, 0);

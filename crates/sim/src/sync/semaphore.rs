@@ -7,12 +7,16 @@
 //! On 0 permits it is a wake-up signal (one `release` per item; one nobody
 //! waits for is kept), and with `acquire_many` / `release_many` a window of
 //! units whose queued head keeps its place until its whole request fits.
+//!
+//! A `Semaphore` is a value: its owner holds it inline (a node's cores and
+//! link sit in the node's cluster slot), and the futures it hands out borrow
+//! it, as a [`crate::sync::Rendezvous`]'s do. An owner whose tasks share the
+//! semaphore puts it beside the rest of what they share, in one `Rc`.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
-use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
 struct Waiter {
@@ -46,49 +50,65 @@ impl Inner {
             w.waker.wake();
         }
     }
+
+    /// The next queue ticket. Tickets count up and never reach the
+    /// sentinels [`UNQUEUED`] and [`DONE`]: one that did would be misread
+    /// as a state of its `Acquire`, so the dispenser stops before it.
+    fn take_ticket(&mut self) -> u64 {
+        let t = self.next_ticket;
+        assert!(t < UNQUEUED, "semaphore ticket space exhausted");
+        self.next_ticket = t + 1;
+        t
+    }
 }
 
 /// FIFO counting semaphore.
-#[derive(Clone)]
 pub struct Semaphore {
-    inner: Rc<RefCell<Inner>>,
+    inner: RefCell<Inner>,
 }
 
 impl Semaphore {
     /// Create a semaphore with `permits` initially available permits.
     pub fn new(permits: usize) -> Self {
         Semaphore {
-            inner: Rc::new(RefCell::new(Inner {
+            inner: RefCell::new(Inner {
                 permits,
                 waiters: VecDeque::new(),
                 next_ticket: 0,
-            })),
+            }),
         }
+    }
+
+    /// A semaphore with only `left` tickets before the sentinels, so a test
+    /// can queue across the end of the ticket space.
+    #[cfg(test)]
+    fn with_tickets_left(permits: usize, left: u64) -> Self {
+        let s = Self::new(permits);
+        s.inner.borrow_mut().next_ticket = UNQUEUED - left;
+        s
     }
 
     /// Acquire one permit, waiting FIFO behind earlier requesters.
     #[inline]
-    pub fn acquire(&self) -> Acquire {
+    pub fn acquire(&self) -> Acquire<'_> {
         self.acquire_many(1)
     }
 
     /// Acquire `n` permits at once, waiting FIFO behind earlier requesters
     /// (a later, smaller request does not pass this one).
     #[inline]
-    pub fn acquire_many(&self, n: usize) -> Acquire {
+    pub fn acquire_many(&self, n: usize) -> Acquire<'_> {
         Acquire {
-            sem: Rc::clone(&self.inner),
+            sem: &self.inner,
             ticket: UNQUEUED,
             need: n,
         }
     }
 
     /// Acquire returning an RAII guard that releases on drop.
-    pub async fn acquire_permit(&self) -> SemaphorePermit {
+    pub async fn acquire_permit(&self) -> SemaphorePermit<'_> {
         self.acquire().await;
-        SemaphorePermit {
-            sem: Rc::clone(&self.inner),
-        }
+        SemaphorePermit { sem: &self.inner }
     }
 
     /// Return one permit; hands it directly to the head waiter if any.
@@ -120,15 +140,15 @@ const DONE: u64 = u64::MAX;
 
 /// Future returned by [`Semaphore::acquire`] and
 /// [`Semaphore::acquire_many`]. Three words: every CPU charge holds one.
-pub struct Acquire {
-    sem: Rc<RefCell<Inner>>,
+pub struct Acquire<'a> {
+    sem: &'a RefCell<Inner>,
     /// [`UNQUEUED`] before the first poll, then the queue ticket, then
     /// [`DONE`] once the caller owns the permits.
     ticket: u64,
     need: usize,
 }
 
-impl Future for Acquire {
+impl Future for Acquire<'_> {
     type Output = ();
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
@@ -143,8 +163,7 @@ impl Future for Acquire {
                 Poll::Ready(())
             }
             UNQUEUED => {
-                this.ticket = i.next_ticket;
-                i.next_ticket += 1;
+                this.ticket = i.take_ticket();
                 i.waiters.push_back(Waiter {
                     ticket: this.ticket,
                     need,
@@ -167,7 +186,7 @@ impl Future for Acquire {
     }
 }
 
-impl Drop for Acquire {
+impl Drop for Acquire<'_> {
     fn drop(&mut self) {
         // If we were queued but never granted, leave the queue (a waiter
         // behind a departing head may fit now); if we were granted but never
@@ -188,11 +207,11 @@ impl Drop for Acquire {
 }
 
 /// RAII permit from [`Semaphore::acquire_permit`].
-pub struct SemaphorePermit {
-    sem: Rc<RefCell<Inner>>,
+pub struct SemaphorePermit<'a> {
+    sem: &'a RefCell<Inner>,
 }
 
-impl Drop for SemaphorePermit {
+impl Drop for SemaphorePermit<'_> {
     fn drop(&mut self) {
         self.sem.borrow_mut().release(1);
     }
@@ -203,6 +222,7 @@ mod tests {
     use super::*;
     use crate::time::us;
     use crate::Sim;
+    use std::rc::Rc;
 
     #[test]
     fn uncontended_acquire_is_immediate() {
@@ -222,10 +242,10 @@ mod tests {
         let sim = Sim::new();
         let h = sim.handle();
         let log: Rc<RefCell<Vec<u32>>> = Rc::default();
-        let s = Semaphore::new(1);
+        let s = Rc::new(Semaphore::new(1));
         // Task 0 holds the permit for 10us; tasks 1..4 queue up in order.
         for i in 0..5u32 {
-            let s = s.clone();
+            let s = Rc::clone(&s);
             let l = Rc::clone(&log);
             let hh = h.clone();
             sim.spawn(async move {
@@ -244,8 +264,8 @@ mod tests {
     fn permit_guard_releases_on_drop() {
         let sim = Sim::new();
         let h = sim.handle();
-        let s = Semaphore::new(1);
-        let s2 = s.clone();
+        let s = Rc::new(Semaphore::new(1));
+        let s2 = Rc::clone(&s);
         let hh = h.clone();
         let t = sim.run_to(async move {
             {
@@ -264,9 +284,9 @@ mod tests {
         let sim = Sim::new();
         let h = sim.handle();
         let log: Rc<RefCell<Vec<&str>>> = Rc::default();
-        let s = Semaphore::new(1);
+        let s = Rc::new(Semaphore::new(1));
 
-        let s0 = s.clone();
+        let s0 = Rc::clone(&s);
         let h0 = h.clone();
         sim.spawn(async move {
             s0.acquire().await;
@@ -274,7 +294,7 @@ mod tests {
             s0.release();
         });
         // "early" queues at t=1.
-        let s1 = s.clone();
+        let s1 = Rc::clone(&s);
         let l1 = Rc::clone(&log);
         let h1 = h.clone();
         sim.spawn(async move {
@@ -285,7 +305,7 @@ mod tests {
         });
         // "late" tries at t=10 exactly when the holder releases; FIFO means
         // "early" still wins.
-        let s2 = s.clone();
+        let s2 = Rc::clone(&s);
         let l2 = Rc::clone(&log);
         let h2 = h.clone();
         sim.spawn(async move {
@@ -302,9 +322,9 @@ mod tests {
     fn cancelled_waiter_is_skipped() {
         let sim = Sim::new();
         let h = sim.handle();
-        let s = Semaphore::new(1);
+        let s = Rc::new(Semaphore::new(1));
 
-        let s0 = s.clone();
+        let s0 = Rc::clone(&s);
         let h0 = h.clone();
         sim.spawn(async move {
             s0.acquire().await;
@@ -312,7 +332,7 @@ mod tests {
             s0.release();
         });
         // This waiter gives up (drops the Acquire future) at t=5.
-        let s1 = s.clone();
+        let s1 = Rc::clone(&s);
         let h1 = h.clone();
         sim.spawn(async move {
             h1.sleep(us(1)).await;
@@ -322,7 +342,7 @@ mod tests {
             drop(acq);
         });
         // This waiter should still get the permit at t=10.
-        let s2 = s.clone();
+        let s2 = Rc::clone(&s);
         let h2 = h.clone();
         let done = sim.spawn(async move {
             h2.sleep(us(2)).await;
@@ -389,6 +409,40 @@ mod tests {
             drop(big);
             assert!(poll_once(&mut small).await.is_ready());
             assert_eq!((s.available(), s.waiting()), (1, 0));
+        });
+    }
+
+    /// Queueing runs up to the last ticket below the sentinels: waiters
+    /// holding the last three tickets are granted in arrival order, a
+    /// dropped one among them passes its grant on, and the wait after them
+    /// panics rather than take a ticket that reads as `UNQUEUED`.
+    #[test]
+    fn tickets_stop_short_of_the_sentinels() {
+        let sim = Sim::new();
+        sim.run_to(async {
+            let s = Semaphore::with_tickets_left(0, 3);
+            let mut w: Vec<_> = (0..3).map(|_| s.acquire()).collect();
+            for a in &mut w {
+                assert!(poll_once(a).await.is_pending());
+            }
+            assert_eq!(s.waiting(), 3);
+            s.release();
+            assert!(poll_once(&mut w[0]).await.is_ready());
+            assert!(poll_once(&mut w[1]).await.is_pending());
+            s.release();
+            let last = w.pop().expect("three waiters");
+            drop(w.pop()); // granted, never observed: the permit moves on
+            let mut last = last;
+            assert!(poll_once(&mut last).await.is_ready());
+            assert_eq!((s.available(), s.waiting()), (0, 0));
+            let mut past = s.acquire();
+            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let mut cx = Context::from_waker(Waker::noop());
+                let _ = Pin::new(&mut past).poll(&mut cx);
+            }))
+            .expect_err("a ticket at the sentinels was handed out");
+            let msg = panic.downcast_ref::<&str>().expect("a literal panic");
+            assert_eq!(*msg, "semaphore ticket space exhausted");
         });
     }
 

@@ -47,12 +47,12 @@ proptest! {
         jobs in prop::collection::vec((0u64..500, 1u64..400), 1..40)
     ) {
         let sim = Sim::new();
-        let sem = Semaphore::new(permits);
+        let sem = Rc::new(Semaphore::new(permits));
         let active: Rc<std::cell::Cell<usize>> = Rc::default();
         let peak: Rc<std::cell::Cell<usize>> = Rc::default();
         let served: Rc<std::cell::Cell<usize>> = Rc::default();
         for &(arrive, hold) in &jobs {
-            let sem = sem.clone();
+            let sem = Rc::clone(&sem);
             let active = Rc::clone(&active);
             let peak = Rc::clone(&peak);
             let served = Rc::clone(&served);
@@ -213,17 +213,19 @@ proptest! {
             .collect();
         let want = reference_grants(permits, &acquirers, &releases);
         let sim = Sim::new();
-        let sem = Semaphore::new(permits);
+        let sem = Rc::new(Semaphore::new(permits));
         let grants: Rc<RefCell<Vec<(usize, u64)>>> = Rc::default();
         let slots: Vec<Slot> = acquirers.iter().map(|_| Rc::default()).collect();
         // Acquirers are spawned first, so at one instant their timers fire
         // before the releases'.
         for (i, &(at, need)) in acquirers.iter().enumerate() {
-            let (sem, grants, h) = (sem.clone(), Rc::clone(&grants), sim.handle());
+            let (sem, grants, h) = (Rc::clone(&sem), Rc::clone(&grants), sim.handle());
             let slot = Rc::clone(&slots[i]);
             sim.spawn(async move {
                 h.sleep(at).await;
-                *slot.borrow_mut() = Some(Box::pin(sem.acquire_many(need)));
+                // The slot's future owns its `Rc` of the semaphore and
+                // borrows it for the `Acquire`, which it polls in place.
+                *slot.borrow_mut() = Some(Box::pin(async move { sem.acquire_many(need).await }));
                 // Ready(false) once a release has dropped the `Acquire`.
                 let observed = std::future::poll_fn(|cx| {
                     let mut s = slot.borrow_mut();
@@ -243,7 +245,7 @@ proptest! {
             });
         }
         for (r, victim) in releases.iter().zip(&want.victims) {
-            let (sem, h, r) = (sem.clone(), sim.handle(), *r);
+            let (sem, h, r) = (Rc::clone(&sem), sim.handle(), *r);
             let victim = victim.map(|v| Rc::clone(&slots[v]));
             sim.spawn(async move {
                 h.sleep(r.at).await;

@@ -14,7 +14,11 @@
 //! send window is a counted `dc_sim::sync::Semaphore`: AZ-SDP's holds
 //! in-flight slots, one per message; a windowed kind's holds units, which a
 //! chunk takes with `acquire_many` and the feedback pump refills with
-//! `release_many`. DESIGN.md §11.2 is the contract.
+//! `release_many`. The sender shares its window with the tasks that return
+//! what it spends, so each window is one `Rc`. DESIGN.md §11.2 is the
+//! contract.
+
+use std::rc::Rc;
 
 use bytes::Bytes;
 use dc_fabric::{Cluster, CpuModel, Endpoint, NodeId, Transport};
@@ -237,7 +241,7 @@ impl StreamEnd {
                     cluster: cluster.clone(),
                     local,
                     lane: lane_out(Transport::RdmaSend),
-                    window: Semaphore::new(AZ_WINDOW),
+                    window: Rc::new(Semaphore::new(AZ_WINDOW)),
                 }),
                 ChunkSource::Lane {
                     lane: lane_in,
@@ -333,7 +337,7 @@ struct AzTx {
     cluster: Cluster,
     local: NodeId,
     lane: LaneSender,
-    window: Semaphore,
+    window: Rc<Semaphore>,
 }
 
 impl AzTx {
@@ -349,7 +353,7 @@ impl AzTx {
         self.cluster.sim().sleep(ISSUE_OVERHEAD_NS).await;
         // Zero copy: no CPU copy cost; the whole buffer travels at once.
         let delivered = self.lane.send_tracked(Chunk::whole(data));
-        let window = self.window.clone();
+        let window = Rc::clone(&self.window);
         // Transfer complete: buffer unprotected, window slot reusable. The
         // task holds `delivered` once, not captured and then awaited.
         self.cluster
@@ -366,7 +370,7 @@ struct WindowTx {
     lane: LaneSender,
     w: Window,
     /// One permit per unit of the window not in flight.
-    window: Semaphore,
+    window: Rc<Semaphore>,
 }
 
 impl WindowTx {
@@ -377,9 +381,9 @@ impl WindowTx {
         mut fb_ep: Endpoint,
         w: Window,
     ) -> WindowTx {
-        let window = Semaphore::new(w.size);
+        let window = Rc::new(Semaphore::new(w.size));
         // Feedback pump: units flow back from the receiver in batches.
-        let refill = window.clone();
+        let refill = Rc::clone(&window);
         cluster.sim().spawn_detached(async move {
             loop {
                 let msg = fb_ep.recv().await;

@@ -30,11 +30,13 @@ use crate::json::JsonWriter;
 const BLOCK: usize = 32;
 const _: () = assert!(BLOCK.is_power_of_two());
 
-/// Entries a registry reserves on its first registration.
-const FIRST_ENTRIES: usize = 32;
+/// Entries a registry reserves on its first registration: a cluster's
+/// registry holds 18–33 names (33 with a cooperative cache on it), so the
+/// list never grows.
+const FIRST_ENTRIES: usize = 40;
 
 /// Name bytes a registry's arena reserves on its first registration: a
-/// cluster's registry holds 18–33 names of about 20 bytes each.
+/// cluster's names are about 20 bytes each.
 const FIRST_NAME_BYTES: usize = 768;
 
 /// One cell of a shared block: the storage behind a [`Counter`] or

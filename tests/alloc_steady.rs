@@ -974,16 +974,17 @@ fn endpoints_reuse_their_slots() {
     assert_eq!(allocs, 0, "an endpoint cycle after the first allocated");
 }
 
-/// Building a cluster allocates a fixed count, not a count per metric name:
-/// the registry keeps counters and gauges as cells of shared 32-cell blocks
-/// and copies names into one arena. A four-node cluster costs exactly 35
-/// allocations and one echo service on it 11 more:
+/// Building a cluster allocates a fixed count, not a count per metric name
+/// or per node part: the registry keeps counters and gauges as cells of
+/// shared 32-cell blocks and copies names into one arena, and a node's fixed
+/// parts (its CPU state, its cores' and link's semaphores, its empty region
+/// list, its port table) sit inline in one slab of nodes. A four-node
+/// cluster costs exactly 15 allocations and one echo service on it 11 more:
 /// - `Cluster::new` itself, 6: the `Rc`s of the cluster, its registry and
 ///   its tracer, and the registry's entry list, name arena and first block
 ///   (the cluster's 19 counters and gauges fit in it);
-/// - each node, 7: its `Rc`, its region list, its kstat region (an `Rc` and
-///   the bytes), its CPU state, and the semaphores of its cores and its
-///   outbound link; plus 1 for the node list;
+/// - the node slab, 1;
+/// - each node, 2: its kstat region (an `Rc` and the bytes);
 /// - the service, 11: its first bind on the node (the port table's slot
 ///   list and map), the `svc.<name>.*` key buffer, the queue-wait histogram
 ///   (an `Rc` and its buckets), the shared route, and the `Sim`'s first
@@ -1012,7 +1013,7 @@ fn cluster_set_up_allocates_a_fixed_count() {
     eprintln!("alloc_steady cluster set-up: {built} allocs, then {spawned} for one service");
     assert_eq!(
         (built, spawned),
-        (35, 11),
+        (15, 11),
         "cluster set-up allocations moved"
     );
 }
